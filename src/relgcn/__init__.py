@@ -13,8 +13,6 @@ from .kb import (
     KnowledgeBase,
     PredicateSchema,
     Variable,
-    apply_substitution,
-    match_atom,
     parse_facts,
     parse_ground_atoms,
 )
@@ -26,17 +24,13 @@ from .grounding import (
     sample_negatives,
 )
 from .rulelearn import (
-    DistanceParams,
     LearnConfig,
     RelationalTree,
     RuleSet,
     candidate_literals,
-    combined_tree_distance,
     extract_rule,
-    lca_distance,
     learn_ruleset,
     learn_tree,
-    one_class_score,
     parse_rules,
     serialize_rules,
 )
@@ -48,6 +42,7 @@ from .featurize import (
     build_rule_matrix,
     normalize_propagation,
     pairwise_distances,
+    propagation_matrix,
 )
 from .gcn import (
     GCNModel,

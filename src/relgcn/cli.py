@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("learn", "learn positive- and negative-density rule sets"),
-        ("featurize", "build the rule-count, distance and propagation matrices"),
+        ("featurize", "build the rule-count matrix X and check its propagation graph"),
         ("train", "train the GCN on persisted features"),
         ("eval", "evaluate the trained model on the test split"),
         ("pipeline", "run all stages end to end"),

@@ -113,12 +113,14 @@ def pairwise_distances(X: np.ndarray | RuleMatrix, metric: str = EUCLIDEAN) -> D
     if metric not in METRICS:
         raise DataError(f"unknown metric {metric!r}; choose one of {METRICS}")
     diff = X[:, None, :] - X[None, :, :]
+    # Squared or absolute in place: the n x n x k difference is the
+    # largest array built from X, and train and eval rebuild it too.
     if metric == EUCLIDEAN:
-        D = np.sqrt(np.sum(diff * diff, axis=2))
+        D = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
     elif metric == MANHATTAN:
-        D = np.sum(np.abs(diff), axis=2)
+        D = np.sum(np.abs(diff, out=diff), axis=2)
     else:
-        D = np.max(np.abs(diff), axis=2)
+        D = np.max(np.abs(diff, out=diff), axis=2)
     return DistanceMatrix(_mirror_upper(D), metric)
 
 
@@ -172,6 +174,16 @@ def normalize_propagation(
     inv_sqrt = 1.0 / np.sqrt(degrees)
     P = inv_sqrt[:, None] * D_hat * inv_sqrt[None, :]
     return PropagationMatrix(P, threshold)
+
+
+def propagation_matrix(
+    X: np.ndarray, metric: str = EUCLIDEAN, literal_self_loops: bool = False
+) -> PropagationMatrix:
+    """The secondary graph of X: distances, adjacency approximation, then
+    normalization.  A fixed function of X, so it is rebuilt where it is used
+    rather than persisted."""
+    A_hat, t = adjacency_approximation(pairwise_distances(X, metric))
+    return normalize_propagation(A_hat, t, literal_self_loops=literal_self_loops)
 
 
 # -- persistence -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Typed first-order knowledge bases: schemas, ground facts, matching.
+"""Typed first-order knowledge bases: schemas, ground facts, parsing.
 
 Facts are stored as tuples of constant names, indexed by predicate and by
 (predicate, argument position, constant) so that grounding joins can pick
@@ -72,39 +72,6 @@ class Atom:
 
     def __str__(self) -> str:
         return f"{self.predicate}({', '.join(str(a) for a in self.args)})"
-
-
-def apply_substitution(atom: Atom, theta: Substitution) -> Atom:
-    """Replace every bound variable in `atom`; unbound variables pass through."""
-    args = tuple(
-        theta.get(a.name, a) if isinstance(a, Variable) else a for a in atom.args
-    )
-    return Atom(atom.predicate, args)
-
-
-def match_atom(pattern: Atom, fact: Atom, base: Substitution) -> Substitution | None:
-    """One-sided matching of a (possibly variable) pattern against a ground fact.
-
-    Returns the minimal extension of `base` under which the pattern equals the
-    fact, or None if inconsistent.  Callers must ensure the predicates agree.
-    """
-    if pattern.predicate != fact.predicate:
-        raise DataError(
-            f"predicate mismatch: {pattern.predicate} vs {fact.predicate}"
-        )
-    theta = dict(base)
-    for p_arg, f_arg in zip(pattern.args, fact.args):
-        assert isinstance(f_arg, Constant)
-        if isinstance(p_arg, Constant):
-            if p_arg.name != f_arg.name:
-                return None
-        else:
-            bound = theta.get(p_arg.name)
-            if bound is None:
-                theta[p_arg.name] = f_arg
-            elif bound.name != f_arg.name:
-                return None
-    return theta
 
 
 class KnowledgeBase:

@@ -2,12 +2,15 @@
 
 Every stage reads its inputs from and persists its outputs to the run
 directory, so an expensive earlier stage (rule learning) amortizes across
-later sweeps.  A manifest records the config hash, all seeds and per-stage
-wall times.
+later sweeps.  The only matrix persisted is the feature matrix X: the
+propagation matrix is a fixed function of X and the ``featurize.*`` keys,
+so train and eval rebuild it.  A manifest records the config hash, all
+seeds and per-stage wall times.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -173,37 +176,37 @@ class PipelineConfig:
 # -- shared loading helpers ------------------------------------------------
 
 
+def _read_input(config: PipelineConfig, key: str) -> str:
+    """Text of the input file named by config key ``key``."""
+    path = Path(str(config[key]))
+    if not path.is_file():
+        raise DataError(f"{key} path does not exist: {path} (config key {key!r})")
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode {path} (config key {key!r}): {exc}") from exc
+
+
 def _load_kb(config: PipelineConfig) -> KnowledgeBase:
-    facts_path = Path(str(config["facts"]))
-    if not facts_path.is_file():
-        raise DataError(f"facts path does not exist: {facts_path} (config key 'facts')")
-    return parse_facts(facts_path.read_text())
+    return parse_facts(_read_input(config, "facts"))
 
 
 def _load_examples(
     config: PipelineConfig, kb: KnowledgeBase
 ) -> tuple[list[TargetExample], list[TargetExample]]:
-    pos_path = Path(str(config["pos"]))
-    if not pos_path.is_file():
-        raise DataError(f"pos path does not exist: {pos_path} (config key 'pos')")
     positives = [
         TargetExample(a, POSITIVE)
-        for a in parse_ground_atoms(pos_path.read_text(), kb)
+        for a in parse_ground_atoms(_read_input(config, "pos"), kb)
     ]
-    neg = str(config["neg"])
-    if neg:
-        neg_path = Path(neg)
-        if not neg_path.is_file():
-            raise DataError(f"neg path does not exist: {neg_path} (config key 'neg')")
+    if str(config["neg"]):
         negatives = [
             TargetExample(a, NEGATIVE)
-            for a in parse_ground_atoms(neg_path.read_text(), kb)
+            for a in parse_ground_atoms(_read_input(config, "neg"), kb)
         ]
     else:
-        target = str(config["target"]) or positives[0].atom.predicate
         negatives = sample_negatives(
             kb,
-            kb.schema(target),
+            kb.schema(_target_predicate(config, positives)),
             positives,
             float(config["negatives.ratio"]),
             int(config["negatives.seed"]),
@@ -276,29 +279,47 @@ def stage_featurize(config: PipelineConfig) -> fz.PropagationMatrix:
     row_ids = [str(t.atom) for t in targets]
     col_ids = [f"rule{j}" for j in range(X.shape[1])]
     fz.write_matrix_csv(out / "X.csv", X, row_ids, col_ids)
-    D = fz.pairwise_distances(X, str(config["featurize.metric"]))
-    fz.write_matrix_csv(out / "D.csv", D.values, row_ids, row_ids)
-    A_hat, t = fz.adjacency_approximation(D)
-    fz.write_matrix_csv(out / "A_hat.csv", A_hat, row_ids, row_ids)
-    prop = fz.normalize_propagation(
-        A_hat, t, literal_self_loops=bool(config["featurize.literal_self_loops"])
-    )
-    fz.write_matrix_csv(out / "P.csv", prop.values, row_ids, row_ids)
-    (out / "threshold.json").write_text(json.dumps({"t": t}))
+    prop = _propagation(config, X)
+    (out / "threshold.json").write_text(json.dumps({"t": prop.threshold}))
     return prop
 
 
-def _load_labels(config: PipelineConfig, kb: KnowledgeBase) -> np.ndarray:
-    targets = _read_targets(config.out_dir() / "targets.csv", kb)
-    return np.array([1 if t.label == POSITIVE else 0 for t in targets], dtype=int)
+def _propagation(config: PipelineConfig, X: np.ndarray) -> fz.PropagationMatrix:
+    return fz.propagation_matrix(
+        X,
+        str(config["featurize.metric"]),
+        bool(config["featurize.literal_self_loops"]),
+    )
+
+
+def _load_labels(path: Path) -> np.ndarray:
+    """The label column of targets.csv: 1 for positive, 0 for negative."""
+    codes = {POSITIVE: 1, NEGATIVE: 0}
+    labels = []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        for row in reader:
+            if len(row) != 2 or row[1] not in codes:
+                raise DataError(
+                    f"{path}, line {reader.line_num}: expected an atom and the "
+                    f"label 'positive' or 'negative', got {row!r}"
+                )
+            labels.append(codes[row[1]])
+    return np.array(labels, dtype=int)
+
+
+def _load_graph(config: PipelineConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, X and the propagation matrix rebuilt from X under this
+    config's ``featurize.*`` keys."""
+    out = config.out_dir()
+    X, _, _ = fz.read_matrix_csv(out / "X.csv")
+    return _load_labels(out / "targets.csv"), X, _propagation(config, X).values
 
 
 def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     out = config.out_dir()
-    kb = _load_kb(config)
-    labels = _load_labels(config, kb)
-    X, _, _ = fz.read_matrix_csv(out / "X.csv")
-    P, _, _ = fz.read_matrix_csv(out / "P.csv")
+    labels, X, P = _load_graph(config)
     props = (
         float(config["split.train"]),
         float(config["split.val"]),
@@ -330,10 +351,7 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
 
 def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
     out = config.out_dir()
-    kb = _load_kb(config)
-    labels = _load_labels(config, kb)
-    X, _, _ = fz.read_matrix_csv(out / "X.csv")
-    P, _, _ = fz.read_matrix_csv(out / "P.csv")
+    labels, X, P = _load_graph(config)
     model = gcn_mod.load_checkpoint(out / "model.rdgw")
     splits = json.loads((out / "splits.json").read_text())
     test_idx = np.array(splits["test"], dtype=int)
@@ -361,6 +379,17 @@ _STAGES = [
 ]
 
 
+def _stage_error(stage: str, exc: Exception) -> Exception:
+    """A copy of ``exc``, of the same type and with the same attributes
+    (a ParseError keeps its line), whose message names the failed stage."""
+    wrapped = copy.copy(exc)
+    wrapped.args = (f"stage {stage!r} failed: {exc}",)
+    if isinstance(exc, OSError) and exc.strerror:
+        # OSError formats its message from strerror, not from args.
+        wrapped.strerror = f"stage {stage!r} failed: {exc.strerror}"
+    return wrapped
+
+
 def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
     """Execute all stages in order, writing a manifest; a stage failure is
     re-raised with the stage name, and earlier artifacts stay on disk."""
@@ -372,7 +401,7 @@ def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
         try:
             result = fn(config)
         except Exception as exc:
-            raise type(exc)(f"stage {name!r} failed: {exc}") from exc
+            raise _stage_error(name, exc) from exc
         stage_times[name] = time.perf_counter() - start
         if name == "eval":
             report = result
@@ -392,9 +421,9 @@ def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
 # -- sensitivity sweeps ----------------------------------------------------
 
 SWEEP_AXES = {
-    "hidden_size": [16, 32, 64, 128],
-    "num_layers": [2, 3, 4, 5],
-    "metric": [fz.MANHATTAN, fz.EUCLIDEAN, fz.CHEBYSHEV],
+    "hidden_size": ("train.hidden_size", [16, 32, 64, 128]),
+    "num_layers": ("train.num_layers", [2, 3, 4, 5]),
+    "metric": ("featurize.metric", [fz.MANHATTAN, fz.EUCLIDEAN, fz.CHEBYSHEV]),
 }
 
 
@@ -402,29 +431,24 @@ def sensitivity_sweep(
     config: PipelineConfig,
     axis: str,
     values: list | None = None,
-    reuse_features: bool = True,
 ) -> list[tuple[object, metrics_mod.MetricsReport]]:
-    """Rerun the training-side stages varying one axis, seeds fixed.
+    """Rerun train and eval varying one axis, seeds fixed.
 
-    Expects stage_learn to have produced rules already when
-    ``reuse_features`` is set; the metric axis reruns featurization since
-    the distance matrix changes.
+    Rules and X are learned and built only when missing; every value reuses
+    them, since each axis changes only what train and eval build from X.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
-    values = values if values is not None else SWEEP_AXES[axis]
+    key, default_values = SWEEP_AXES[axis]
+    values = values if values is not None else default_values
     out = config.out_dir()
     if not (out / "rules.txt").is_file():
         stage_learn(config)
-    if reuse_features and axis != "metric" and not (out / "X.csv").is_file():
+    if not (out / "X.csv").is_file():
         stage_featurize(config)
     results = []
     for value in values:
-        if axis == "metric":
-            cfg = config.with_values(featurize__metric=str(value))
-            stage_featurize(cfg)
-        else:
-            cfg = config.with_values(**{f"train__{axis}": int(value)})
+        cfg = config.with_values(**{key.replace(".", "__"): _coerce(key, str(value))})
         stage_train(cfg)
         report = stage_eval(cfg)
         results.append((value, report))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,24 +61,6 @@ class RelationalTree:
 class RuleSet:
     rules: list[Clause]
     source: str
-    trees: list[RelationalTree] = field(default_factory=list)
-
-
-@dataclass
-class DistanceParams:
-    """Weights for the tree- and example-level combining functions."""
-
-    lambda_: float = 1.0
-    tree_weights: list[float] | None = None
-    example_weights: list[float] | None = None
-
-    def __post_init__(self):
-        if self.lambda_ <= 0:
-            raise DataError("lambda must be > 0")
-        for name, w in (("tree", self.tree_weights), ("example", self.example_weights)):
-            if w is not None:
-                if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-                    raise DataError(f"{name} weights must be a simplex vector")
 
 
 @dataclass
@@ -352,80 +334,6 @@ def extract_rule(
     return Clause(tree.head, tree.spine, source=source, iteration=iteration)
 
 
-# -- tree-based distances -------------------------------------------------
-
-
-def _route(tree: RelationalTree, example: TargetExample, kb: KnowledgeBase) -> tuple[int, str]:
-    """Route an example through the tree.
-
-    At the node of depth d the example goes left iff the accumulated spine
-    body up to d has at least one satisfied grounding.  Returns the leaf as
-    (depth of its parent spine position, side)."""
-    for d in range(len(tree.spine)):
-        clause = Clause(tree.head, tree.spine[: d + 1])
-        if count_satisfied_groundings(clause, example, kb, cap=1) == 0:
-            return (d, "right")
-    return (len(tree.spine), "left")
-
-
-def lca_distance(
-    tree: RelationalTree,
-    e1: TargetExample,
-    e2: TargetExample,
-    kb: KnowledgeBase,
-    lambda_: float = 1.0,
-) -> float:
-    """Distance between two examples on one tree: 0 when they reach the same
-    leaf, otherwise exp(-lambda * depth of the node where their paths split),
-    with depth(root) = 0."""
-    if lambda_ <= 0:
-        raise DataError("lambda must be > 0")
-    r1 = _route(tree, e1, kb)
-    r2 = _route(tree, e2, kb)
-    if r1 == r2:
-        return 0.0
-    return float(np.exp(-lambda_ * min(r1[0], r2[0])))
-
-
-def combined_tree_distance(
-    trees: list[RelationalTree],
-    beta: list[float],
-    e1: TargetExample,
-    e2: TargetExample,
-    kb: KnowledgeBase,
-    lambda_: float = 1.0,
-) -> float:
-    """Weighted combination of per-tree distances, beta on the simplex."""
-    if len(beta) != len(trees):
-        raise DataError("tree weight vector length must match the number of trees")
-    DistanceParams(lambda_, tree_weights=list(beta))
-    return float(
-        sum(b * lca_distance(t, e1, e2, kb, lambda_) for b, t in zip(beta, trees))
-    )
-
-
-def one_class_score(
-    labeled: list[TargetExample],
-    alpha: list[float],
-    trees: list[RelationalTree],
-    beta: list[float],
-    u: TargetExample,
-    kb: KnowledgeBase,
-    lambda_: float = 1.0,
-) -> float:
-    """Weighted distance of u to all labeled examples; higher means more
-    likely outside the class.  Exposed for diagnostics only."""
-    if len(alpha) != len(labeled):
-        raise DataError("example weight vector length must match the labeled set")
-    DistanceParams(lambda_, example_weights=list(alpha))
-    return float(
-        sum(
-            a * combined_tree_distance(trees, beta, l, u, kb, lambda_)
-            for a, l in zip(alpha, labeled)
-        )
-    )
-
-
 # -- iterated rule-set learning -------------------------------------------
 
 
@@ -466,7 +374,6 @@ def learn_ruleset(
     n = len(examples)
     weights = np.ones(n, dtype=float)
     rules: list[Clause] = []
-    trees: list[RelationalTree] = []
     for it in range(k):
         weighted = [(ex, 1.0, float(w)) for ex, w in zip(examples, weights)] + [
             (ex, 0.0, 1.0) for ex in contrast
@@ -482,7 +389,6 @@ def learn_ruleset(
             )
             break
         rules.append(rule)
-        trees.append(tree)
         covered = np.array(
             [
                 count_satisfied_groundings(rule, ex, kb, cap=1) > 0
@@ -493,7 +399,7 @@ def learn_ruleset(
         total = float(weights.sum())
         if total > 0:
             weights *= n / total
-    return RuleSet(rules, source, trees)
+    return RuleSet(rules, source)
 
 
 # -- rule file round-trip --------------------------------------------------

@@ -1,4 +1,4 @@
-"""Knowledge-base storage, matching and the line-oriented text format."""
+"""Knowledge-base storage and the line-oriented text format."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from relgcn.kb import (
     KnowledgeBase,
     PredicateSchema,
     Variable,
-    apply_substitution,
-    match_atom,
     parse_facts,
     parse_ground_atoms,
 )
@@ -37,32 +35,6 @@ def test_atom_ground_and_variables():
 def test_atom_str_roundtrips_visually():
     atom = Atom("Affiliation", (Variable("p1"), Constant("U1", UNIVERSITY)))
     assert str(atom) == "Affiliation(p1, U1)"
-
-
-def test_apply_substitution_leaves_unbound_variables():
-    atom = Atom("P", (Variable("x"), Variable("y")))
-    theta = {"x": Constant("a", "t")}
-    out = apply_substitution(atom, theta)
-    assert out.args[0] == Constant("a", "t")
-    assert out.args[1] == Variable("y")
-
-
-def test_match_atom_binds_and_rejects():
-    pattern = Atom("P", (Variable("x"), Variable("x"), Constant("c", "t")))
-    fact_ok = Atom("P", (Constant("a", "t"), Constant("a", "t"), Constant("c", "t")))
-    fact_bad = Atom("P", (Constant("a", "t"), Constant("b", "t"), Constant("c", "t")))
-    theta = match_atom(pattern, fact_ok, {})
-    assert theta == {"x": Constant("a", "t")}
-    assert match_atom(pattern, fact_bad, {}) is None
-    # An incompatible base substitution blocks the match.
-    assert match_atom(pattern, fact_ok, {"x": Constant("z", "t")}) is None
-
-
-def test_match_atom_predicate_mismatch_raises():
-    with pytest.raises(DataError):
-        match_atom(
-            Atom("P", (Variable("x"),)), Atom("Q", (Constant("a", "t"),)), {}
-        )
 
 
 def test_add_fact_dedup_and_domains(coauthor_kb):

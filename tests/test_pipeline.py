@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from relgcn.cli import main as cli_main
-from relgcn.errors import ConfigError, DataError
+from relgcn import featurize as fz
+from relgcn.errors import ConfigError, DataError, ParseError
 from relgcn.pipeline import (
     PipelineConfig,
     rule_coverage_report,
@@ -109,9 +110,6 @@ def test_pipeline_artifacts_and_manifest(small_run):
         "targets.csv",
         "rules.txt",
         "X.csv",
-        "D.csv",
-        "A_hat.csv",
-        "P.csv",
         "threshold.json",
         "model.rdgw",
         "history.csv",
@@ -121,6 +119,9 @@ def test_pipeline_artifacts_and_manifest(small_run):
         "manifest.json",
     ):
         assert (out / name).is_file(), f"missing artifact {name}"
+    # The propagation matrix is rebuilt from X where it is used, not persisted.
+    for name in ("D.csv", "A_hat.csv", "P.csv"):
+        assert not (out / name).exists(), f"unexpected n x n artifact {name}"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config_hash"] == small_run["config"].hash()
     assert set(manifest["stage_times_s"]) == {"learn", "featurize", "train", "eval"}
@@ -137,7 +138,8 @@ def test_stage_eval_reproduces_pipeline_metrics(small_run, tmp_path):
 
 
 def test_stage_train_then_eval_reproduces_metrics(small_run, tmp_path):
-    config = _clone_run(small_run, tmp_path)
+    # Train and eval read labels from targets.csv; they need no facts file.
+    config = _clone_run(small_run, tmp_path, facts=str(tmp_path / "nowhere"))
     stage_train(config)
     report = stage_eval(config)
     assert report.to_csv_row() == small_run["report"].to_csv_row()
@@ -163,6 +165,26 @@ def test_stage_failure_names_the_stage(tmp_path):
     config = _config(tmp_path / "nowhere", tmp_path / "out")
     with pytest.raises(DataError, match="stage 'learn'"):
         run_pipeline(config)
+
+
+def test_stage_failure_keeps_parse_error_position(tmp_path):
+    facts = tmp_path / "facts.txt"
+    facts.write_text("@predicate P(t)\nnot a fact\n")
+    config = _config(tmp_path, tmp_path / "out")
+    with pytest.raises(ParseError, match="stage 'learn'") as info:
+        run_pipeline(config)
+    assert info.value.line == 2
+    assert isinstance(info.value.__cause__, ParseError)
+
+
+def test_labels_reject_unknown_values(small_run, tmp_path):
+    config = _clone_run(small_run, tmp_path)
+    targets = config.out_dir() / "targets.csv"
+    lines = targets.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace("positive", "maybe").replace("negative", "maybe")
+    targets.write_text("".join(lines))
+    with pytest.raises(DataError, match=r"targets\.csv, line 3"):
+        stage_train(config)
 
 
 def test_eval_mean_threshold(small_run, tmp_path):
@@ -194,13 +216,46 @@ def test_hidden_size_sweep_reuses_features(small_run, tmp_path):
     assert len(sweep_csv.splitlines()) == 3  # header + 2 rows
 
 
-def test_metric_sweep_runs_all_three(small_run, tmp_path):
+def test_metric_sweep_runs_all_three(small_run, tmp_path, monkeypatch):
     config = _clone_run(small_run, tmp_path)
+    x_before = (config.out_dir() / "X.csv").read_bytes()
+    built = []
+    build_rule_matrix = fz.build_rule_matrix
+
+    def counting_build_rule_matrix(*args, **kwargs):
+        built.append(args)
+        return build_rule_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(fz, "build_rule_matrix", counting_build_rule_matrix)
     results = sensitivity_sweep(config, "metric")
     assert [v for v, _ in results] == ["manhattan", "euclidean", "chebyshev"]
     csv_text = (config.out_dir() / "sweep_metric.csv").read_text()
     for metric in ("manhattan", "euclidean", "chebyshev"):
         assert metric in csv_text
+    # The metric only changes the propagation matrix: X is neither rebuilt
+    # nor rewritten.
+    assert built == []
+    assert (config.out_dir() / "X.csv").read_bytes() == x_before
+
+
+def test_staged_metric_reproduces_sweep_row(small_run, tmp_path):
+    # Three rules per class give a graph that depends on the metric.
+    rules = {"learn.k_pos": "3", "learn.k_neg": "3"}
+    swept = _config(small_run["data"], tmp_path / "swept", **rules)
+    run_pipeline(swept)
+    euclidean_history = (swept.out_dir() / "history.csv").read_bytes()
+    shutil.copytree(swept.out_dir(), tmp_path / "staged")
+    [(_, report)] = sensitivity_sweep(swept, "metric", values=["manhattan"])
+    staged = _config(
+        small_run["data"], tmp_path / "staged", **rules, **{"featurize.metric": "manhattan"}
+    )
+    stage_train(staged)
+    assert stage_eval(staged).to_csv_row() == report.to_csv_row()
+    # Both trained on the manhattan graph: the loss curves agree exactly,
+    # and differ from the euclidean run's.
+    history = (staged.out_dir() / "history.csv").read_bytes()
+    assert history == (swept.out_dir() / "history.csv").read_bytes()
+    assert history != euclidean_history
 
 
 def test_sweep_unknown_axis(small_run):
@@ -273,6 +328,15 @@ def test_cli_exit_codes(tmp_path):
     )
     # Unknown subcommand: argparse usage error.
     assert cli_main(["frobnicate"]) == 1
+
+
+def test_cli_non_utf8_facts_is_a_data_error(tmp_path, caplog):
+    facts = tmp_path / "facts.txt"
+    facts.write_bytes(b"@predicate P(t)\nP(\xff\xfe).\n")
+    argv = ["pipeline", "--out", str(tmp_path / "out"), "--set", f"facts={facts}"]
+    assert cli_main(argv) == 2
+    assert "config key 'facts'" in caplog.text
+    assert "stage 'learn'" in caplog.text
 
 
 def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):

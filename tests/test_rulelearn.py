@@ -1,4 +1,4 @@
-"""Rule learning: splitting criterion, tree growth, LCA distances, rule sets."""
+"""Rule learning: splitting criterion, tree growth, rule sets."""
 
 import logging
 
@@ -9,17 +9,13 @@ from relgcn.errors import DataError, ParseError
 from relgcn.grounding import Clause, POSITIVE_DENSITY, NEGATIVE_DENSITY
 from relgcn.kb import Atom, Constant, Variable
 from relgcn.rulelearn import (
-    DistanceParams,
     LearnConfig,
     RelationalTree,
     candidate_literals,
-    combined_tree_distance,
     extract_rule,
-    lca_distance,
     learn_ruleset,
     learn_tree,
     make_head,
-    one_class_score,
     parse_rules,
     serialize_rules,
     squared_error_score,
@@ -34,10 +30,6 @@ TOPIC_BODY = (
 )
 
 
-def topic_tree(head):
-    return RelationalTree(head, TOPIC_BODY, (0.0, 0.0), 1.0)
-
-
 def test_learn_config_validation():
     with pytest.raises(DataError):
         LearnConfig(num_rules=0)
@@ -45,16 +37,6 @@ def test_learn_config_validation():
         LearnConfig(covering_discount=1.5)
     with pytest.raises(DataError):
         LearnConfig(min_examples_per_leaf=0)
-
-
-def test_distance_params_validation():
-    DistanceParams(1.0, tree_weights=[0.25, 0.75])
-    with pytest.raises(DataError):
-        DistanceParams(0.0)
-    with pytest.raises(DataError):
-        DistanceParams(1.0, tree_weights=[0.5, 0.6])
-    with pytest.raises(DataError):
-        DistanceParams(1.0, example_weights=[-0.5, 1.5])
 
 
 def test_make_head_names_typed_variables(coauthor_kb):
@@ -172,59 +154,6 @@ def test_extract_rule_empty_body_warns(coauthor_kb, caplog):
     assert any("empty-body" in rec.message for rec in caplog.records)
 
 
-# -- LCA distances ---------------------------------------------------------
-
-
-def test_lca_distance_leaves_and_depths(coauthor_kb):
-    head = make_head(coauthor_kb, "CoAuthor")
-    tree = topic_tree(head)
-    coauthor_kb.register_constant(PERSON, "eve")  # no facts at all
-    ab = example("ann", "bob")
-    cd = example("cara", "dan")
-    ac = example("ann", "cara")
-    ea = example("eve", "ann")
-    # Same left leaf.
-    assert lca_distance(tree, ab, cd, coauthor_kb) == pytest.approx(0.0)
-    # ac fails at the second spine literal: split depth 1.
-    assert lca_distance(tree, ab, ac, coauthor_kb) == pytest.approx(np.exp(-1.0))
-    # eve has no topic, so the first literal already fails: split depth 0.
-    assert lca_distance(tree, ab, ea, coauthor_kb) == pytest.approx(1.0)
-    # Both fall off the spine at the same place: same leaf.
-    assert lca_distance(tree, ac, example("bob", "cara"), coauthor_kb) == pytest.approx(0.0)
-    # Lambda sharpens the decay.
-    assert lca_distance(tree, ab, ac, coauthor_kb, lambda_=2.0) == pytest.approx(
-        np.exp(-2.0)
-    )
-    with pytest.raises(DataError):
-        lca_distance(tree, ab, ac, coauthor_kb, lambda_=0.0)
-
-
-def test_combined_tree_distance_simplex(coauthor_kb):
-    head = make_head(coauthor_kb, "CoAuthor")
-    tree = topic_tree(head)
-    ab, ac = example("ann", "bob"), example("ann", "cara")
-    single = combined_tree_distance([tree], [1.0], ab, ac, coauthor_kb)
-    assert single == pytest.approx(lca_distance(tree, ab, ac, coauthor_kb))
-    both = combined_tree_distance([tree, tree], [0.5, 0.5], ab, ac, coauthor_kb)
-    assert both == pytest.approx(single)
-    with pytest.raises(DataError):
-        combined_tree_distance([tree], [0.5, 0.5], ab, ac, coauthor_kb)
-    with pytest.raises(DataError):
-        combined_tree_distance([tree, tree], [0.9, 0.9], ab, ac, coauthor_kb)
-
-
-def test_one_class_score_orders_members_first(coauthor_kb):
-    head = make_head(coauthor_kb, "CoAuthor")
-    tree = topic_tree(head)
-    labeled = [example("ann", "bob"), example("cara", "dan")]
-    alpha = [0.5, 0.5]
-    inside = one_class_score(labeled, alpha, [tree], [1.0], example("ann", "bob"), coauthor_kb)
-    outside = one_class_score(labeled, alpha, [tree], [1.0], example("ann", "cara"), coauthor_kb)
-    assert inside < outside
-    with pytest.raises(DataError):
-        one_class_score(labeled, [1.0], [tree], [1.0], example("ann", "bob"), coauthor_kb)
-
-
 # -- rule-set iteration ----------------------------------------------------
 
 
@@ -237,7 +166,6 @@ def test_learn_ruleset_stops_on_duplicate(coauthor_kb, topic_class_examples, cap
     assert 1 <= len(ruleset.rules) <= 3
     if len(ruleset.rules) < 3:
         assert any("duplicate consecutive rule" in rec.message for rec in caplog.records)
-    assert len(ruleset.trees) == len(ruleset.rules)
     assert [r.iteration for r in ruleset.rules] == list(range(len(ruleset.rules)))
 
 
