@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("learn", "learn positive- and negative-density rule sets"),
-        ("featurize", "build the rule-count matrix X and check its propagation graph"),
+        ("featurize", "build the rule-count matrix X"),
         ("train", "train the GCN on persisted features"),
         ("eval", "evaluate the trained model on the test split"),
         ("pipeline", "run all stages end to end"),
@@ -147,8 +147,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         path = stage_learn(config)
         print(f"rules written to {path}")
     elif args.command == "featurize":
-        prop = stage_featurize(config)
-        print(f"propagation matrix built (threshold t={prop.threshold:.6g})")
+        X = stage_featurize(config)
+        print(f"feature matrix X written: {X.shape[0]} targets x {X.shape[1]} rules")
     elif args.command == "train":
         _, history = stage_train(config)
         print(f"trained for {len(history)} epochs")

@@ -9,7 +9,6 @@ self loops.
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,9 +187,6 @@ def propagation_matrix(
 
 # -- persistence -----------------------------------------------------------
 
-_MAGIC = b"RDGM"
-_VERSION = 1
-
 
 def write_matrix_csv(
     path: str | Path, M: np.ndarray, row_ids: list[str], col_ids: list[str]
@@ -216,29 +212,3 @@ def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]
             row_ids.append(parts[0])
             rows.append([float(v) for v in parts[1:]])
     return np.array(rows, dtype=float), row_ids, col_ids
-
-
-def write_matrix_binary(path: str | Path, M: np.ndarray) -> None:
-    """Compact form: magic, version byte, little-endian uint64 dims,
-    row-major float64 payload."""
-    M = np.ascontiguousarray(M, dtype="<f8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<B", _VERSION))
-        f.write(struct.pack("<QQ", M.shape[0], M.shape[1]))
-        f.write(M.tobytes())
-
-
-def read_matrix_binary(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise DataError(f"bad magic bytes in {path}: {magic!r}")
-        (version,) = struct.unpack("<B", f.read(1))
-        if version != _VERSION:
-            raise DataError(f"unsupported matrix file version {version}")
-        rows, cols = struct.unpack("<QQ", f.read(16))
-        payload = f.read(rows * cols * 8)
-        if len(payload) != rows * cols * 8:
-            raise DataError(f"truncated matrix file {path}")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()

@@ -228,7 +228,6 @@ def brute_force_count(
 def enumerate_target_tuples(
     kb: KnowledgeBase,
     target_schema: PredicateSchema,
-    exclude_reflexive: bool = True,
     symmetric: bool = True,
 ) -> list[tuple[str, ...]]:
     """All candidate ground-argument tuples for the target predicate.
@@ -241,7 +240,7 @@ def enumerate_target_tuples(
     same_type = len(set(target_schema.arg_types)) == 1 and target_schema.arity == 2
     out = []
     for tup in itertools.product(*domains):
-        if same_type and exclude_reflexive and tup[0] == tup[1]:
+        if same_type and tup[0] == tup[1]:
             continue
         if same_type and symmetric and tup[0] > tup[1]:
             continue

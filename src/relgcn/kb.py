@@ -128,9 +128,6 @@ class KnowledgeBase:
         """Closed-world membership test for a ground atom."""
         return atom.constant_names() in self._facts.get(atom.predicate, set())
 
-    def facts_for(self, predicate: str) -> set[tuple[str, ...]]:
-        return self._facts.get(predicate, set())
-
     def fact_count(self, predicate: str | None = None) -> int:
         if predicate is not None:
             return len(self._facts.get(predicate, set()))
@@ -162,9 +159,6 @@ class KnowledgeBase:
 
     def types(self) -> set[str]:
         return set(self._domains)
-
-    def constant(self, type_name: str, name: str) -> Constant:
-        return Constant(name, type_name)
 
     # -- text format ------------------------------------------------------
 

@@ -4,7 +4,8 @@ Every stage reads its inputs from and persists its outputs to the run
 directory, so an expensive earlier stage (rule learning) amortizes across
 later sweeps.  The only matrix persisted is the feature matrix X: the
 propagation matrix is a fixed function of X and the ``featurize.*`` keys,
-so train and eval rebuild it.  A manifest records the config hash, all
+so train and eval rebuild it; train records the rebuilt graph's metric and
+threshold t in ``threshold.json``.  A manifest records the config hash, all
 seeds and per-stage wall times.
 """
 
@@ -115,8 +116,12 @@ class PipelineConfig:
     def from_file(
         cls, path: str | Path, overrides: dict[str, str] | None = None
     ) -> "PipelineConfig":
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot decode config file {path}: {exc}") from exc
         file_overrides: dict[str, str] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -258,8 +263,8 @@ def stage_learn(config: PipelineConfig) -> Path:
     return rules_path
 
 
-def stage_featurize(config: PipelineConfig) -> fz.PropagationMatrix:
-    """Counts -> distances -> adjacency approximation -> normalization."""
+def stage_featurize(config: PipelineConfig) -> np.ndarray:
+    """The rule-count matrix X, one row per target and one column per rule."""
     out = config.out_dir()
     kb = _load_kb(config)
     targets = _read_targets(out / "targets.csv", kb)
@@ -279,17 +284,7 @@ def stage_featurize(config: PipelineConfig) -> fz.PropagationMatrix:
     row_ids = [str(t.atom) for t in targets]
     col_ids = [f"rule{j}" for j in range(X.shape[1])]
     fz.write_matrix_csv(out / "X.csv", X, row_ids, col_ids)
-    prop = _propagation(config, X)
-    (out / "threshold.json").write_text(json.dumps({"t": prop.threshold}))
-    return prop
-
-
-def _propagation(config: PipelineConfig, X: np.ndarray) -> fz.PropagationMatrix:
-    return fz.propagation_matrix(
-        X,
-        str(config["featurize.metric"]),
-        bool(config["featurize.literal_self_loops"]),
-    )
+    return X
 
 
 def _load_labels(path: Path) -> np.ndarray:
@@ -309,17 +304,26 @@ def _load_labels(path: Path) -> np.ndarray:
     return np.array(labels, dtype=int)
 
 
-def _load_graph(config: PipelineConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _load_graph(
+    config: PipelineConfig,
+) -> tuple[np.ndarray, np.ndarray, fz.PropagationMatrix]:
     """Labels, X and the propagation matrix rebuilt from X under this
     config's ``featurize.*`` keys."""
     out = config.out_dir()
     X, _, _ = fz.read_matrix_csv(out / "X.csv")
-    return _load_labels(out / "targets.csv"), X, _propagation(config, X).values
+    prop = fz.propagation_matrix(
+        X,
+        str(config["featurize.metric"]),
+        bool(config["featurize.literal_self_loops"]),
+    )
+    return _load_labels(out / "targets.csv"), X, prop
 
 
 def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
+    """Train the GCN on the graph rebuilt from X; the checkpoint and the
+    graph's metric and threshold t are written together."""
     out = config.out_dir()
-    labels, X, P = _load_graph(config)
+    labels, X, prop = _load_graph(config)
     props = (
         float(config["split.train"]),
         float(config["split.val"]),
@@ -328,8 +332,11 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     masks = metrics_mod.split_examples(
         labels, props, int(config["split.seed"]), bool(config["split.stratified"])
     )
-    model, history = gcn_mod.train(P, X, labels, masks, config.train_config())
+    model, history = gcn_mod.train(prop.values, X, labels, masks, config.train_config())
     gcn_mod.save_checkpoint(out / "model.rdgw", model)
+    (out / "threshold.json").write_text(
+        json.dumps({"metric": str(config["featurize.metric"]), "t": prop.threshold})
+    )
     with open(out / "history.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "train_loss", "val_loss", "val_f1"])
@@ -351,11 +358,11 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
 
 def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
     out = config.out_dir()
-    labels, X, P = _load_graph(config)
+    labels, X, prop = _load_graph(config)
     model = gcn_mod.load_checkpoint(out / "model.rdgw")
     splits = json.loads((out / "splits.json").read_text())
     test_idx = np.array(splits["test"], dtype=int)
-    scores, _ = gcn_mod.predict(model, P, X)
+    scores, _ = gcn_mod.predict(model, prop.values, X)
     test_scores = scores[test_idx]
     test_labels = labels[test_idx]
     thr_setting = str(config["eval.threshold"])

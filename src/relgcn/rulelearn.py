@@ -215,6 +215,7 @@ class _SpineState:
     left: np.ndarray  # bool mask of examples routed left through the whole spine
     acc_right_sse: float
     total_sse: float
+    parent: _SpineState | None = None  # the spine one literal shorter
 
     @property
     def sort_key(self):
@@ -245,17 +246,6 @@ def learn_tree(
     weights = np.array([w for _, _, w in weighted_examples], dtype=float)
     n = len(examples)
 
-    covered_cache: dict[tuple[tuple[str, ...], int], bool] = {}
-
-    def covers(body: tuple[Atom, ...], i: int) -> bool:
-        key = (tuple(str(a) for a in body), i)
-        hit = covered_cache.get(key)
-        if hit is None:
-            clause = Clause(head, body)
-            hit = count_satisfied_groundings(clause, examples[i], kb, cap=1) > 0
-            covered_cache[key] = hit
-        return hit
-
     root = _SpineState(
         literals=(),
         left=np.ones(n, dtype=bool),
@@ -273,9 +263,12 @@ def learn_tree(
                 kb, head, state.literals, config.max_constants_for_grounding
             ):
                 body = state.literals + (lit,)
+                clause = Clause(head, body)
                 new_left = state.left.copy()
                 for i in np.flatnonzero(state.left):
-                    new_left[i] = covers(body, int(i))
+                    new_left[i] = (
+                        count_satisfied_groundings(clause, examples[i], kb, cap=1) > 0
+                    )
                 if int(new_left.sum()) < config.min_examples_per_leaf:
                     continue
                 right_group = state.left & ~new_left
@@ -294,7 +287,7 @@ def learn_tree(
                     values[right_group], weights[right_group]
                 )
                 total = acc_right + _branch_sse(values[new_left], weights[new_left])
-                expansions.append(_SpineState(body, new_left, acc_right, total))
+                expansions.append(_SpineState(body, new_left, acc_right, total, state))
         if not expansions:
             break
         expansions.sort(key=lambda s: s.sort_key)
@@ -302,19 +295,18 @@ def learn_tree(
         if beam[0].total_sse < best.total_sse - _BEST_TOL:
             best = beam[0]
 
-    # Replay the winning spine to fill in leaf predictions.
+    # Walk the winning spine back to the root: each literal's false branch
+    # holds the examples its parent routed left and it did not.
     right_leaf_values = []
-    left = np.ones(n, dtype=bool)
-    for d in range(len(best.literals)):
-        body = best.literals[: d + 1]
-        new_left = left.copy()
-        for i in np.flatnonzero(left):
-            new_left[i] = covers(body, int(i))
-        right_group = left & ~new_left
+    state = best
+    while state.parent is not None:
+        right_group = state.parent.left & ~state.left
         right_leaf_values.append(_weighted_mean(values[right_group], weights[right_group]))
-        left = new_left
-    left_leaf_value = _weighted_mean(values[left], weights[left])
-    return RelationalTree(head, best.literals, tuple(right_leaf_values), left_leaf_value)
+        state = state.parent
+    left_leaf_value = _weighted_mean(values[best.left], weights[best.left])
+    return RelationalTree(
+        head, best.literals, tuple(reversed(right_leaf_values)), left_leaf_value
+    )
 
 
 def extract_rule(

@@ -18,9 +18,7 @@ from relgcn.featurize import (
     naive_euclidean_distances,
     normalize_propagation,
     pairwise_distances,
-    read_matrix_binary,
     read_matrix_csv,
-    write_matrix_binary,
     write_matrix_csv,
     zscale_columns,
 )
@@ -287,24 +285,3 @@ def test_matrix_csv_roundtrip_with_commas_in_ids(tmp_path):
 def test_matrix_csv_shape_mismatch(tmp_path):
     with pytest.raises(DataError):
         write_matrix_csv(tmp_path / "m.csv", np.ones((2, 2)), ["a"], ["x", "y"])
-
-
-def test_matrix_binary_roundtrip_bitwise(tmp_path):
-    rng = np.random.default_rng(8)
-    M = rng.standard_normal((5, 3))
-    path = tmp_path / "m.rdgm"
-    write_matrix_binary(path, M)
-    back = read_matrix_binary(path)
-    assert np.array_equal(back, M)
-
-
-def test_matrix_binary_rejects_corruption(tmp_path):
-    path = tmp_path / "m.rdgm"
-    write_matrix_binary(path, np.ones((2, 2)))
-    raw = path.read_bytes()
-    (tmp_path / "bad_magic.rdgm").write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(DataError):
-        read_matrix_binary(tmp_path / "bad_magic.rdgm")
-    (tmp_path / "truncated.rdgm").write_bytes(raw[:-8])
-    with pytest.raises(DataError):
-        read_matrix_binary(tmp_path / "truncated.rdgm")

@@ -8,7 +8,7 @@ import pytest
 
 from relgcn.cli import main as cli_main
 from relgcn import featurize as fz
-from relgcn.errors import ConfigError, DataError, ParseError
+from relgcn.errors import ConfigError, DataError, NumericalError, ParseError
 from relgcn.pipeline import (
     PipelineConfig,
     rule_coverage_report,
@@ -187,6 +187,14 @@ def test_labels_reject_unknown_values(small_run, tmp_path):
         stage_train(config)
 
 
+def test_identical_feature_rows_fail_in_train(small_run, tmp_path):
+    config = _clone_run(small_run, tmp_path)
+    X, rows, cols = fz.read_matrix_csv(config.out_dir() / "X.csv")
+    fz.write_matrix_csv(config.out_dir() / "X.csv", np.ones_like(X), rows, cols)
+    with pytest.raises(NumericalError, match="identical feature row"):
+        stage_train(config)
+
+
 def test_eval_mean_threshold(small_run, tmp_path):
     config = _clone_run(small_run, tmp_path, **{"eval.threshold": "mean"})
     report = stage_eval(config)
@@ -256,6 +264,13 @@ def test_staged_metric_reproduces_sweep_row(small_run, tmp_path):
     history = (staged.out_dir() / "history.csv").read_bytes()
     assert history == (swept.out_dir() / "history.csv").read_bytes()
     assert history != euclidean_history
+    # threshold.json describes the graph the model was trained on.
+    X, _, _ = fz.read_matrix_csv(staged.out_dir() / "X.csv")
+    threshold = json.loads((staged.out_dir() / "threshold.json").read_text())
+    assert threshold == {
+        "metric": "manhattan",
+        "t": fz.propagation_matrix(X, "manhattan").threshold,
+    }
 
 
 def test_sweep_unknown_axis(small_run):
@@ -310,6 +325,21 @@ def test_cli_synth_and_pipeline(tmp_path, capsys):
     assert "covers" in capsys.readouterr().out
 
 
+def test_cli_featurize_writes_only_x(small_run, tmp_path, capsys):
+    config = _clone_run(small_run, tmp_path)
+    out = config.out_dir()
+    x_before = (out / "X.csv").read_bytes()
+    (out / "X.csv").unlink()
+    (out / "threshold.json").unlink()
+    facts = small_run["data"] / "facts.txt"
+    assert cli_main(["featurize", "--out", str(out), "--set", f"facts={facts}"]) == 0
+    n_rules = len((out / "rules.txt").read_text().splitlines())
+    assert f"65 targets x {n_rules} rules" in capsys.readouterr().out
+    assert (out / "X.csv").read_bytes() == x_before
+    # The graph's threshold is recorded by train, which builds the graph.
+    assert not (out / "threshold.json").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     # Unknown config key: usage error.
     assert cli_main(["pipeline", "--set", "bogus=1"]) == 1
@@ -337,6 +367,13 @@ def test_cli_non_utf8_facts_is_a_data_error(tmp_path, caplog):
     assert cli_main(argv) == 2
     assert "config key 'facts'" in caplog.text
     assert "stage 'learn'" in caplog.text
+
+
+def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog):
+    config_file = tmp_path / "bad.cfg"
+    config_file.write_bytes(b"# \xff\xfe\ntrain.epochs = 5\n")
+    assert cli_main(["pipeline", "--config", str(config_file)]) == 1
+    assert f"cannot decode config file {config_file}" in caplog.text
 
 
 def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from relgcn.errors import DataError, ParseError
-from relgcn.grounding import Clause, POSITIVE_DENSITY, NEGATIVE_DENSITY
-from relgcn.kb import Atom, Constant, Variable
+from relgcn.grounding import (
+    Clause,
+    NEGATIVE_DENSITY,
+    POSITIVE,
+    POSITIVE_DENSITY,
+    TargetExample,
+    brute_force_count,
+)
+from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
 from relgcn.rulelearn import (
     LearnConfig,
     RelationalTree,
@@ -21,7 +28,8 @@ from relgcn.rulelearn import (
     squared_error_score,
 )
 
-from conftest import PERSON, example
+from conftest import PERSON, UNIVERSITY, example
+from random_instances import random_instance
 
 
 TOPIC_BODY = (
@@ -137,6 +145,85 @@ def test_learn_tree_degenerate_targets_gives_depth_zero(coauthor_kb, topic_class
     tree = learn_tree(coauthor_kb, weighted, config)
     assert tree.depth == 0
     assert tree.left_leaf_value == pytest.approx(1.0)
+
+
+def test_learn_tree_tells_a_constant_from_a_variable_of_the_same_name():
+    """The university constant prints like the fresh university variable
+    ``university1``; only the constant separates the classes."""
+    kb = KnowledgeBase()
+    kb.declare_schema(PredicateSchema("Affiliation", (PERSON, UNIVERSITY)))
+    kb.declare_schema(PredicateSchema("CoAuthor", (PERSON, PERSON)))
+    for person, university in [
+        ("p1", "university1"),
+        ("p2", "university1"),
+        ("p3", "university1"),
+        ("p4", "university2"),
+        ("p5", "university2"),
+        ("p6", "university2"),
+    ]:
+        kb.add_fact("Affiliation", (person, university))
+    # person1 is at university1 exactly in the class; person2 is mixed.
+    classed = [example("p1", "p4"), example("p2", "p3")]
+    contrast = [example("p4", "p1"), example("p5", "p6")]
+    weighted = _weighted(classed, 1.0) + _weighted(contrast, 0.0)
+    tree = learn_tree(kb, weighted, LearnConfig())
+    assert tree.spine == (
+        Atom("Affiliation", (Variable("person1"), Constant("university1", UNIVERSITY))),
+    )
+    assert tree.right_leaf_values == (0.0,)
+    assert tree.left_leaf_value == 1.0
+
+
+def _depth_one_oracle_sse(kb, head, examples, values, weights, config):
+    """Least squared error of a depth-1 spine, scoring every admissible
+    candidate literal with brute-force coverage; the root's error when no
+    literal improves on it."""
+    root = squared_error_score(values, weights, np.ones(len(values), dtype=bool))
+    best = root
+    for lit in candidate_literals(kb, head, (), config.max_constants_for_grounding):
+        clause = Clause(head, (lit,))
+        left = np.array([brute_force_count(clause, ex, kb) > 0 for ex in examples])
+        if left.sum() < config.min_examples_per_leaf:
+            continue
+        right = ~left
+        if right.any():
+            left_mean = np.dot(weights[left], values[left]) / weights[left].sum()
+            right_mean = np.dot(weights[right], values[right]) / weights[right].sum()
+            if left_mean < right_mean - 1e-12:
+                continue
+        best = min(best, squared_error_score(values, weights, left))
+    return best if best < root - 1e-12 else root
+
+
+def test_depth_one_tree_matches_brute_force_oracle():
+    """On random small KBs, a one-literal tree reaches the least squared
+    error over all admissible literals, scored by brute-force coverage."""
+    rng = np.random.default_rng(20261018)
+    config = LearnConfig(max_body_length=1)
+    for _ in range(200):
+        kb, _, _ = random_instance(rng, max_constants=5)
+        head = make_head(kb, "Tgt")
+        target_type = kb.schema("Tgt").arg_types[0]
+        pool = sorted(kb.constants_of_type(target_type))
+        pairs = [(a, b) for a in pool for b in pool]
+        picked = rng.choice(len(pairs), size=min(8, len(pairs)), replace=False)
+        examples = [
+            TargetExample(
+                Atom("Tgt", tuple(Constant(c, target_type) for c in pairs[int(j)])),
+                POSITIVE,
+            )
+            for j in picked
+        ]
+        values = rng.integers(0, 2, size=len(examples)).astype(float)
+        weights = rng.uniform(0.5, 2.0, size=len(examples))
+        tree = learn_tree(kb, list(zip(examples, values, weights)), config)
+        left = np.array(
+            [brute_force_count(Clause(head, tree.spine), ex, kb) > 0 for ex in examples]
+        )
+        assert squared_error_score(values, weights, left) == pytest.approx(
+            _depth_one_oracle_sse(kb, head, examples, values, weights, config),
+            abs=1e-9,
+        )
 
 
 def test_learn_tree_rejects_bad_inputs(coauthor_kb):
