@@ -12,6 +12,7 @@ import sys
 
 from .errors import ConfigError, DataError, NumericalError, RelgcnError
 from .pipeline import (
+    SWEEP_AXES,
     PipelineConfig,
     rule_coverage_report,
     run_pipeline,
@@ -86,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument(
                 "--axis",
                 required=True,
-                choices=["hidden_size", "num_layers", "metric"],
+                choices=sorted(SWEEP_AXES),
             )
         if name == "synth":
             p.add_argument("--persons", type=int, default=60)

@@ -1,9 +1,11 @@
 """Clause grounding: satisfiability, satisfied-grounding counts, negative sampling.
 
-Counting works by a backtracking join over the body literals.  At every
-step the literal with the fewest candidate facts under the current
-bindings is expanded next, so selective literals prune early.  The count
-is over distinct complete substitutions of the free body variables.
+Counting works by a backtracking join over the body literals.  Bindings
+map variable names to constant names.  At every step each pending
+literal's candidate facts under the current bindings are looked up once,
+and the literal with the fewest is expanded from that same set, so
+selective literals prune early.  The count is over distinct complete
+substitutions of the free body variables.
 """
 
 from __future__ import annotations
@@ -116,75 +118,46 @@ def count_satisfied_groundings(
     if theta is None:
         return 0
 
-    # Per-literal argument views: (predicate, args) with head bindings applied.
-    literals = []
     for atom in clause.body:
         kb.schema(atom.predicate)  # validates predicate
-        args = tuple(
-            theta.get(a.name, a) if isinstance(a, Variable) else a for a in atom.args
-        )
-        literals.append(Atom(atom.predicate, args))
+    return _join(clause.body, {v: c.name for v, c in theta.items()}, kb, cap)
 
-    count = 0
 
-    def num_candidates(atom: Atom, binding: Substitution) -> int:
+def _join(
+    pending: tuple[Atom, ...], binding: dict[str, str], kb: KnowledgeBase, cap: CountCap
+) -> int:
+    """Backtracking join: the number of extensions of `binding` (variable
+    name -> constant name) under which every pending literal is a fact,
+    saturating at `cap`."""
+    if not pending:
+        return 1
+    # Most selective literal first; its candidate set is the one expanded.
+    best_i, best = -1, None
+    for i, atom in enumerate(pending):
         bound = {}
         for pos, a in enumerate(atom.args):
             if isinstance(a, Constant):
                 bound[pos] = a.name
             elif a.name in binding:
-                bound[pos] = binding[a.name].name
-        return len(kb.candidates(atom.predicate, bound))
-
-    def recurse(pending: list[Atom], binding: Substitution) -> bool:
-        """Backtracking join; returns True when the cap has been reached."""
-        nonlocal count
-        if not pending:
-            count += 1
-            return cap is not None and count >= cap
-        # Most selective literal first.
-        best_i = min(
-            range(len(pending)), key=lambda i: num_candidates(pending[i], binding)
-        )
-        atom = pending[best_i]
-        rest = pending[:best_i] + pending[best_i + 1 :]
-        grounded = apply_binding(atom, binding)
-        if grounded.is_ground():
-            if kb.has_fact(grounded):
-                return recurse(rest, binding)
-            return False
-        bound = {
-            pos: a.name
-            for pos, a in enumerate(grounded.args)
-            if isinstance(a, Constant)
-        }
-        schema = kb.schema(atom.predicate)
-        for tup in sorted(kb.candidates(atom.predicate, bound)):
-            new_binding = dict(binding)
-            ok = True
-            for pos, a in enumerate(grounded.args):
-                if isinstance(a, Variable):
-                    c = Constant(tup[pos], schema.arg_types[pos])
-                    prev = new_binding.get(a.name)
-                    if prev is None:
-                        new_binding[a.name] = c
-                    elif prev.name != c.name:
-                        ok = False
-                        break
-            if ok and recurse(rest, new_binding):
-                return True
-        return False
-
-    def apply_binding(atom: Atom, binding: Substitution) -> Atom:
-        return Atom(
-            atom.predicate,
-            tuple(
-                binding.get(a.name, a) if isinstance(a, Variable) else a
-                for a in atom.args
-            ),
-        )
-
-    recurse(literals, {})
+                bound[pos] = binding[a.name]
+        cands = kb.candidates(atom.predicate, bound)
+        if best is None or len(cands) < len(best):
+            best_i, best = i, cands
+    atom = pending[best_i]
+    rest = pending[:best_i] + pending[best_i + 1 :]
+    free = [
+        (pos, a.name)
+        for pos, a in enumerate(atom.args)
+        if isinstance(a, Variable) and a.name not in binding
+    ]
+    count = 0
+    for tup in best:
+        new = dict(binding)
+        # A variable repeated in the literal must take one value.
+        if all(new.setdefault(name, tup[pos]) == tup[pos] for pos, name in free):
+            count += _join(rest, new, kb, None if cap is None else cap - count)
+            if cap is not None and count >= cap:
+                break
     return count
 
 

@@ -18,6 +18,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -90,10 +91,13 @@ def _coerce(key: str, raw: str) -> object:
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"expected a boolean for {key!r}, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(raw)
+        except ValueError:
+            raise ConfigError(
+                f"expected {type(default).__name__} for {key!r}, got {raw!r}"
+            ) from None
     return raw
 
 
@@ -102,6 +106,17 @@ class PipelineConfig:
     """Flat dotted-key configuration with typed defaults."""
 
     values: dict[str, object]
+
+    def __post_init__(self):
+        threshold = str(self.values["eval.threshold"])
+        if threshold != "mean":
+            try:
+                float(threshold)
+            except ValueError:
+                raise ConfigError(
+                    f"expected 'mean' or a float for 'eval.threshold', "
+                    f"got {threshold!r}"
+                ) from None
 
     @classmethod
     def from_overrides(cls, overrides: dict[str, str] | None = None) -> "PipelineConfig":
@@ -228,15 +243,26 @@ def _write_targets(path: Path, targets: list[TargetExample]) -> None:
             writer.writerow([str(ex.atom), ex.label])
 
 
-def _read_targets(path: Path, kb: KnowledgeBase) -> list[TargetExample]:
-    out = []
+def _target_rows(path: Path) -> Iterator[tuple[str, str]]:
+    """The (atom, label) rows of targets.csv, each checked to be an atom and
+    the label positive or negative."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        next(reader)
-        for atom_str, label in reader:
-            atoms = parse_ground_atoms(atom_str + ".", kb)
-            out.append(TargetExample(atoms[0], label))
-    return out
+        next(reader, None)
+        for row in reader:
+            if len(row) != 2 or row[1] not in (POSITIVE, NEGATIVE):
+                raise DataError(
+                    f"{path}, line {reader.line_num}: expected an atom and the "
+                    f"label 'positive' or 'negative', got {row!r}"
+                )
+            yield row[0], row[1]
+
+
+def _read_targets(path: Path, kb: KnowledgeBase) -> list[TargetExample]:
+    return [
+        TargetExample(parse_ground_atoms(atom + ".", kb)[0], label)
+        for atom, label in _target_rows(path)
+    ]
 
 
 def _target_predicate(config: PipelineConfig, positives: list[TargetExample]) -> str:
@@ -289,19 +315,9 @@ def stage_featurize(config: PipelineConfig) -> np.ndarray:
 
 def _load_labels(path: Path) -> np.ndarray:
     """The label column of targets.csv: 1 for positive, 0 for negative."""
-    codes = {POSITIVE: 1, NEGATIVE: 0}
-    labels = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for row in reader:
-            if len(row) != 2 or row[1] not in codes:
-                raise DataError(
-                    f"{path}, line {reader.line_num}: expected an atom and the "
-                    f"label 'positive' or 'negative', got {row!r}"
-                )
-            labels.append(codes[row[1]])
-    return np.array(labels, dtype=int)
+    return np.array(
+        [label == POSITIVE for _, label in _target_rows(path)], dtype=int
+    )
 
 
 def _load_graph(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relgcn.errors import DataError
 from relgcn.grounding import (
@@ -170,6 +172,69 @@ def test_cap_equals_min_of_cap_and_count():
             assert count_satisfied_groundings(clause, target, kb, cap=cap) == min(
                 cap, full
             )
+
+
+def test_repeated_variable_not_bound_by_head():
+    """x must take one value at both positions of Knows(x, x) and Likes(x, x),
+    whether the repeating literal is expanded last (Knows(p1, x) has fewer
+    candidates) or first (for ann, Likes(x, x) has fewer)."""
+    kb = KnowledgeBase()
+    kb.declare_schema(PredicateSchema("Knows", (PERSON, PERSON)))
+    kb.declare_schema(PredicateSchema("Likes", (PERSON, PERSON)))
+    kb.declare_schema(PredicateSchema("CoAuthor", (PERSON, PERSON)))
+    for a, b in [("ann", "bob"), ("ann", "cara"), ("ann", "dan"), ("bob", "bob"),
+                 ("cara", "cara"), ("dan", "ann"), ("dan", "dan")]:
+        kb.add_fact("Knows", (a, b))
+    kb.add_fact("Likes", ("bob", "cara"))
+    kb.add_fact("Likes", ("cara", "cara"))
+    p1, x = Variable("p1"), Variable("x")
+    knows_self = Clause(_head(), (Atom("Knows", (p1, x)), Atom("Knows", (x, x))))
+    likes_self = Clause(_head(), (Atom("Likes", (x, x)), Atom("Knows", (p1, x))))
+    for clause, want in (
+        (knows_self, {"ann": 3, "bob": 1, "cara": 1, "dan": 1}),
+        (likes_self, {"ann": 1, "bob": 0, "cara": 1, "dan": 0}),
+    ):
+        for a, n in want.items():
+            tgt = example(a, "bob")
+            assert count_satisfied_groundings(clause, tgt, kb) == n
+            assert brute_force_count(clause, tgt, kb) == n
+
+
+def test_fully_ground_body_literal(coauthor_kb):
+    tgt = example("ann", "bob")
+    base = count_satisfied_groundings(shared_topic_clause(), tgt, coauthor_kb)
+    assert base == 2
+    for uni, want in (("U1", base), ("U2", 0)):
+        ground = Atom("Affiliation", (Constant("ann", PERSON), Constant(uni, UNIVERSITY)))
+        clause = Clause(_head(), (ground, *shared_topic_clause().body))
+        assert count_satisfied_groundings(clause, tgt, coauthor_kb) == want
+        assert brute_force_count(clause, tgt, coauthor_kb) == want
+
+
+def test_unknown_body_predicate_raises_after_a_failed_literal(coauthor_kb):
+    """The first literal has no match for (cara, dan); the second is still checked."""
+    clause = Clause(
+        _head(),
+        (
+            Atom("Affiliation", (Variable("p1"), Constant("U1", UNIVERSITY))),
+            Atom("Bogus", (Variable("p2"),)),
+        ),
+    )
+    with pytest.raises(DataError, match="Bogus"):
+        count_satisfied_groundings(clause, example("cara", "dan"), coauthor_kb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cap=st.one_of(st.none(), st.integers(1, 8)),
+)
+def test_count_matches_oracle_property(seed, cap):
+    kb, clause, target = random_instance(np.random.default_rng(seed))
+    want = brute_force_count(clause, target, kb)
+    if cap is not None:
+        want = min(cap, want)
+    assert count_satisfied_groundings(clause, target, kb, cap=cap) == want
 
 
 def test_enumerate_target_tuples_symmetric(coauthor_kb):

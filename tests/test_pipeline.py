@@ -376,6 +376,38 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog):
     assert f"cannot decode config file {config_file}" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "setting", ["train.epochs=abc", "eval.threshold=half"]
+)
+def test_cli_unparsable_config_value_is_a_config_error(
+    small_run, tmp_path, caplog, setting
+):
+    out = tmp_path / "out"
+    data = small_run["data"]
+    argv = ["pipeline", "--out", str(out), "--set", setting]
+    for key in ("facts", "pos", "neg"):
+        argv += ["--set", f"{key}={data / (key + '.txt')}"]
+    assert cli_main(argv) == 1
+    key, value = setting.split("=")
+    assert f"{key!r}, got {value!r}" in caplog.text
+    assert not out.exists()  # no stage ran
+
+
+@pytest.mark.parametrize("command", ["featurize", "inspect-rules", "train"])
+def test_cli_targets_row_with_extra_field_is_a_data_error(
+    small_run, tmp_path, caplog, command
+):
+    config = _clone_run(small_run, tmp_path)
+    out = config.out_dir()
+    targets = out / "targets.csv"
+    lines = targets.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].rstrip("\n") + ",extra\n"
+    targets.write_text("".join(lines))
+    facts = small_run["data"] / "facts.txt"
+    assert cli_main([command, "--out", str(out), "--set", f"facts={facts}"]) == 2
+    assert f"{targets}, line 3" in caplog.text
+
+
 def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):
     captured = {}
 
