@@ -25,6 +25,7 @@ class ParseError(DataError):
         if line is not None:
             loc = f" (line {line}" + (f", col {col})" if col is not None else ")")
         super().__init__(message + loc)
+        self.msg = message
         self.line = line
         self.col = col
 

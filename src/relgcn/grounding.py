@@ -1,11 +1,23 @@
 """Clause grounding: satisfiability, satisfied-grounding counts, negative sampling.
 
-Counting works by a backtracking join over the body literals.  Bindings
-map variable names to constant names.  At every step each pending
-literal's candidate facts under the current bindings are looked up once,
-and the literal with the fewest is expanded from that same set, so
-selective literals prune early.  The count is over distinct complete
-substitutions of the free body variables.
+Two engines compute satisfied groundings.  `count_satisfied_groundings`
+counts them for one (clause, target) pair by a backtracking join over the
+body literals.  Bindings map variable names to constant names.  At every
+step each pending literal's candidate facts under the current bindings are
+looked up once, and the literal with the fewest is expanded from that same
+set, so selective literals prune early.  The count is over distinct
+complete substitutions of the free body variables.
+
+`BindingTable` works set-at-a-time, as FOIL's tuple extension does
+(Quinlan 1990, "Learning logical definitions from relations"): it holds
+the satisfied groundings of a body prefix for every example at once, as
+rows of interned constant ids, and one sort + `searchsorted` join on a
+literal's bound columns extends it or tells which examples the literal
+keeps covered.  Its memory is one int64 per row for the example and for
+each variable, and the rows are the prefix's satisfied groundings over
+the covered examples, so each fresh variable can multiply them.  Rule learning scores candidate
+literals with it; the per-pair count serves featurization and the
+covering step and is the second oracle in the tests.
 """
 
 from __future__ import annotations
@@ -161,6 +173,113 @@ def _join(
     return count
 
 
+@dataclass(frozen=True)
+class BindingTable:
+    """The satisfied groundings of a clause body prefix, for a list of
+    target examples at once.
+
+    ``rows[:, 0]`` is an example's index in that list and ``rows[:, 1 + j]``
+    the id (`KnowledgeBase.constant_id`) of the constant bound to
+    ``variables[j]``; the head variables come first.  The rows are the
+    distinct substitutions under which every literal of the prefix is a
+    fact, so the table is restricted to the examples the prefix covers: an
+    example's row count is its `count_satisfied_groundings` and an example
+    without rows is not covered.
+    """
+
+    variables: tuple[str, ...]
+    rows: np.ndarray
+
+    @classmethod
+    def for_head(
+        cls, head: Atom, examples: list[TargetExample], kb: KnowledgeBase
+    ) -> BindingTable:
+        """The empty prefix: one row per example whose constants agree with
+        the head's, binding the head variables."""
+        clause = Clause(head, ())
+        variables = tuple(v.name for v in head.variables())
+        rows = []
+        for i, ex in enumerate(examples):
+            theta = _head_binding(clause, ex, kb)
+            if theta is not None:
+                rows.append([i, *(kb.constant_id(theta[v].name) for v in variables)])
+        return cls(
+            variables, np.array(rows, dtype=np.int64).reshape(-1, 1 + len(variables))
+        )
+
+    def extend(self, literal: Atom, kb: KnowledgeBase) -> BindingTable:
+        """The table of the prefix followed by `literal`."""
+        row_code, fact_code, facts, fresh = self._match(literal, kb)
+        starts = np.searchsorted(fact_code, row_code, side="left")
+        counts = np.searchsorted(fact_code, row_code, side="right") - starts
+        parent = np.repeat(np.arange(len(self.rows)), counts)
+        # Row i's matches are facts[starts[i] : starts[i] + counts[i]].
+        offsets = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        matched = facts[np.repeat(starts, counts) + offsets]
+        rows = np.hstack([self.rows[parent], matched[:, list(fresh.values())]])
+        return BindingTable(self.variables + tuple(fresh), rows)
+
+    def covered(self, literal: Atom, kb: KnowledgeBase, n: int) -> np.ndarray:
+        """Bool mask over the n examples: those the prefix followed by
+        `literal` covers (a semi-join; no table is built)."""
+        row_code, fact_code, _, _ = self._match(literal, kb)
+        mask = np.zeros(n, dtype=bool)
+        if len(fact_code):
+            at = np.minimum(np.searchsorted(fact_code, row_code), len(fact_code) - 1)
+            mask[self.rows[fact_code[at] == row_code, 0]] = True
+        return mask
+
+    def _match(
+        self, literal: Atom, kb: KnowledgeBase
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int]]:
+        """The join keys of the rows and of `literal`'s consistent facts.
+
+        Returns the rows' key codes, the facts' key codes in sorted order,
+        the facts in that order, and each fresh variable's first position
+        in the literal.  A key is the constants at the literal's bound
+        variables.
+        """
+        facts = kb.fact_array(literal.predicate)
+        column = {v: 1 + j for j, v in enumerate(self.variables)}
+        bound: dict[str, int] = {}  # table variable -> first position
+        fresh: dict[str, int] = {}  # new variable -> first position
+        keep = np.ones(len(facts), dtype=bool)
+        for pos, term in enumerate(literal.args):
+            if isinstance(term, Constant):
+                keep &= facts[:, pos] == kb.constant_id(term.name)
+                continue
+            first = bound.get(term.name, fresh.get(term.name))
+            if first is not None:
+                # A variable repeated in the literal takes one value.
+                keep &= facts[:, pos] == facts[:, first]
+            elif term.name in column:
+                bound[term.name] = pos
+            else:
+                fresh[term.name] = pos
+        facts = facts[keep]
+        row_code, fact_code = _key_codes(
+            self.rows[:, [column[v] for v in bound]], facts[:, list(bound.values())]
+        )
+        order = np.argsort(fact_code)
+        return row_code, fact_code[order], facts[order], fresh
+
+
+def _key_codes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One int per row of the (r, k) constant-id arrays a and b, equal
+    exactly where the rows are equal: the rows read as numbers in base
+    (largest id + 1)."""
+    keys = np.concatenate([a, b])
+    code = np.zeros(len(keys), dtype=np.int64)
+    if keys.size:
+        radix = int(keys.max()) + 1
+        for col in keys.T:
+            if int(code.max()) >= np.iinfo(np.int64).max // radix:
+                # Dense ranks of the columns so far keep the next step in int64.
+                code = np.unique(code, return_inverse=True)[1].reshape(-1)
+            code = code * radix + col
+    return code[: len(a)], code[len(a) :]
+
+
 def brute_force_count(
     clause: Clause, target: TargetExample, kb: KnowledgeBase
 ) -> int:
@@ -198,29 +317,6 @@ def brute_force_count(
     return count
 
 
-def enumerate_target_tuples(
-    kb: KnowledgeBase,
-    target_schema: PredicateSchema,
-    symmetric: bool = True,
-) -> list[tuple[str, ...]]:
-    """All candidate ground-argument tuples for the target predicate.
-
-    For binary predicates over a single type, reflexive pairs are dropped
-    and, in symmetric mode, only the lexicographically canonical order of
-    each pair is kept.
-    """
-    domains = [sorted(kb.constants_of_type(t)) for t in target_schema.arg_types]
-    same_type = len(set(target_schema.arg_types)) == 1 and target_schema.arity == 2
-    out = []
-    for tup in itertools.product(*domains):
-        if same_type and tup[0] == tup[1]:
-            continue
-        if same_type and symmetric and tup[0] > tup[1]:
-            continue
-        out.append(tup)
-    return out
-
-
 def sample_negatives(
     kb: KnowledgeBase,
     target_schema: PredicateSchema,
@@ -240,17 +336,28 @@ def sample_negatives(
         raise DataError("ratio must be > 0")
     if not positives:
         raise DataError("positives must be nonempty")
-    pos_tuples = set()
+    domains = [sorted(kb.constants_of_type(t)) for t in target_schema.arg_types]
+    sizes = [len(d) for d in domains]
+    # keep[i0, i1, ...] says whether (domains[0][i0], domains[1][i1], ...) is
+    # a candidate; its row-major flat order is itertools.product's order.
+    keep = np.ones(sizes, dtype=bool)
+    if target_schema.arity == 2 and len(set(target_schema.arg_types)) == 1:
+        # One sorted domain: equal names share an index and name order is
+        # index order, so drop reflexive pairs and, when symmetric, keep
+        # only the canonical (lexicographically ordered) pair.
+        np.fill_diagonal(keep, False)
+        if symmetric:
+            keep = np.triu(keep)
+    index = [{c: i for i, c in enumerate(d)} for d in domains]
+    cleared = []
     for ex in positives:
         tup = ex.atom.constant_names()
-        pos_tuples.add(tup)
-        if symmetric and len(tup) == 2:
-            pos_tuples.add((tup[1], tup[0]))
-    candidates = [
-        t
-        for t in enumerate_target_tuples(kb, target_schema, symmetric=symmetric)
-        if t not in pos_tuples
-    ]
+        for t in (tup, tup[::-1]) if symmetric and len(tup) == 2 else (tup,):
+            if len(t) == len(index) and all(c in ix for c, ix in zip(t, index)):
+                cleared.append([ix[c] for c, ix in zip(t, index)])
+    if cleared:
+        keep.flat[np.ravel_multi_index(np.array(cleared).T, sizes)] = False
+    candidates = np.flatnonzero(keep)
     want = math.ceil(ratio * len(positives))
     if want > len(candidates):
         raise DataError(
@@ -259,13 +366,14 @@ def sample_negatives(
         )
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(candidates), size=want, replace=False)
+    drawn = np.unravel_index(candidates[np.sort(idx)], sizes)
     out = []
-    for i in sorted(int(j) for j in idx):
-        tup = candidates[i]
+    for k in range(want):
         atom = Atom(
             target_schema.name,
             tuple(
-                Constant(c, target_schema.arg_types[p]) for p, c in enumerate(tup)
+                Constant(domains[p][int(drawn[p][k])], t)
+                for p, t in enumerate(target_schema.arg_types)
             ),
         )
         out.append(TargetExample(atom, NEGATIVE))

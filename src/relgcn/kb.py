@@ -2,9 +2,12 @@
 
 Facts are stored as tuples of constant names, indexed by predicate and by
 (predicate, argument position, constant) so that grounding joins can pick
-the most selective literal first.  A KnowledgeBase is treated as immutable
-once loading is finished; nothing enforces a freeze, but no operation in
-this package mutates a kb after construction.
+the most selective literal first.  For set-at-a-time joins constants are
+also interned to ints on first use, and each predicate's facts are kept
+as an int array of those ids, built on first use and rebuilt once the
+predicate has gained facts.  A KnowledgeBase is treated as
+immutable once loading is finished; nothing enforces a freeze, but no
+operation in this package mutates a kb after construction.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DataError, ParseError
 
@@ -85,6 +90,10 @@ class KnowledgeBase:
         self._index: dict[tuple[str, int, str], set[tuple[str, ...]]] = {}
         # type -> set of constant names
         self._domains: dict[str, set[str]] = {}
+        # constant name -> int id, assigned on first use
+        self._ids: dict[str, int] = {}
+        # predicate -> (facts, arity) int array of constant ids, built lazily
+        self._arrays: dict[str, np.ndarray] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -150,6 +159,27 @@ class KnowledgeBase:
             if not out:
                 break
         return out
+
+    def constant_id(self, name: str) -> int:
+        """The int id of a constant name, assigned on first use, so a name
+        that is in no fact matches no row of a fact array."""
+        return self._ids.setdefault(name, len(self._ids))
+
+    def fact_array(self, predicate: str) -> np.ndarray:
+        """The facts of `predicate` as a (facts, arity) int array of constant
+        ids, in no particular row order."""
+        arity = self.schema(predicate).arity
+        facts = self._facts[predicate]
+        arr = self._arrays.get(predicate)
+        # Facts are only ever added, so an array of another length is stale.
+        if arr is None or len(arr) != len(facts):
+            ids = self._ids
+            arr = np.array(
+                [[ids.setdefault(c, len(ids)) for c in tup] for tup in facts],
+                dtype=np.int64,
+            ).reshape(-1, arity)
+            self._arrays[predicate] = arr
+        return arr
 
     def constants_of_type(self, type_name: str) -> set[str]:
         try:

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParseError
 from . import featurize as fz
 from . import gcn as gcn_mod
 from . import metrics as metrics_mod
@@ -243,26 +243,37 @@ def _write_targets(path: Path, targets: list[TargetExample]) -> None:
             writer.writerow([str(ex.atom), ex.label])
 
 
-def _target_rows(path: Path) -> Iterator[tuple[str, str]]:
-    """The (atom, label) rows of targets.csv, each checked to be an atom and
-    the label positive or negative."""
+def _target_rows(path: Path) -> Iterator[tuple[int, str, str]]:
+    """The (line, atom, label) rows of targets.csv, each checked to hold an
+    atom cell and the label positive or negative; line is where the row
+    starts (a quoted cell may span lines)."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         next(reader, None)
+        line = reader.line_num + 1
         for row in reader:
             if len(row) != 2 or row[1] not in (POSITIVE, NEGATIVE):
                 raise DataError(
-                    f"{path}, line {reader.line_num}: expected an atom and the "
+                    f"{path}, line {line}: expected an atom and the "
                     f"label 'positive' or 'negative', got {row!r}"
                 )
-            yield row[0], row[1]
+            yield line, row[0], row[1]
+            line = reader.line_num + 1
 
 
 def _read_targets(path: Path, kb: KnowledgeBase) -> list[TargetExample]:
-    return [
-        TargetExample(parse_ground_atoms(atom + ".", kb)[0], label)
-        for atom, label in _target_rows(path)
-    ]
+    """The examples of targets.csv; every atom cell must parse to exactly
+    one ground atom, or the ParseError names the file and its line."""
+    targets = []
+    for line, atom, label in _target_rows(path):
+        try:
+            atoms = parse_ground_atoms(atom + ".", kb)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc.msg}", line) from exc
+        if len(atoms) != 1:
+            raise ParseError(f"{path}: expected one atom, got {atom!r}", line)
+        targets.append(TargetExample(atoms[0], label))
+    return targets
 
 
 def _target_predicate(config: PipelineConfig, positives: list[TargetExample]) -> str:
@@ -316,7 +327,7 @@ def stage_featurize(config: PipelineConfig) -> np.ndarray:
 def _load_labels(path: Path) -> np.ndarray:
     """The label column of targets.csv: 1 for positive, 0 for negative."""
     return np.array(
-        [label == POSITIVE for _, label in _target_rows(path)], dtype=int
+        [label == POSITIVE for _, _, label in _target_rows(path)], dtype=int
     )
 
 

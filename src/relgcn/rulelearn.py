@@ -10,6 +10,14 @@ Learning from a single class would make the squared-error criterion
 degenerate (all regression targets equal), so each rule set is fit against
 a seeded closed-world contrast sample of target tuples outside the class,
 carrying regression value 0.
+
+Coverage is computed set-at-a-time: each beam spine keeps a
+`BindingTable` of its satisfied groundings over the examples it covers,
+and a candidate literal's coverage is one vectorized semi-join with that
+table, for every example at once.  A spine's table is built from its
+parent's only when the spine is expanded, so at most ``beam_width`` tables
+are built per depth; a table's memory grows with the groundings of the
+covered examples, which each fresh variable can multiply.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .grounding import (
+    BindingTable,
     Clause,
     NEGATIVE_DENSITY,
     POSITIVE,
@@ -216,6 +225,8 @@ class _SpineState:
     acc_right_sse: float
     total_sse: float
     parent: _SpineState | None = None  # the spine one literal shorter
+    # Satisfied groundings of the spine, built only when the state is expanded.
+    table: BindingTable | None = None
 
     @property
     def sort_key(self):
@@ -233,6 +244,10 @@ def learn_tree(
     keeps the ``beam_width`` lowest-error spines.  The returned tree is the
     best strict-improvement prefix seen; ties break lexicographically on
     the literal strings, so learning is deterministic.
+
+    A candidate's coverage comes from one semi-join of the literal with the
+    spine's binding table, for all examples at once; a beam spine's table
+    is built from its parent's when the spine is expanded.
     """
     if not weighted_examples:
         raise DataError("weighted_examples must be nonempty")
@@ -251,24 +266,27 @@ def learn_tree(
         left=np.ones(n, dtype=bool),
         acc_right_sse=0.0,
         total_sse=_branch_sse(values, weights),
+        table=BindingTable.for_head(head, examples, kb),
     )
+    largest_table = len(root.table.rows)
+    scored_per_depth: list[int] = []
     best = root
     beam = [root]
     for _depth in range(config.max_body_length):
         expansions: list[_SpineState] = []
+        scored = 0
         for state in beam:
             if int(state.left.sum()) < config.min_examples_per_leaf:
                 continue
+            if state.table is None:
+                state.table = state.parent.table.extend(state.literals[-1], kb)
+                largest_table = max(largest_table, len(state.table.rows))
             for lit in candidate_literals(
                 kb, head, state.literals, config.max_constants_for_grounding
             ):
+                scored += 1
                 body = state.literals + (lit,)
-                clause = Clause(head, body)
-                new_left = state.left.copy()
-                for i in np.flatnonzero(state.left):
-                    new_left[i] = (
-                        count_satisfied_groundings(clause, examples[i], kb, cap=1) > 0
-                    )
+                new_left = state.table.covered(lit, kb, n)
                 if int(new_left.sum()) < config.min_examples_per_leaf:
                     continue
                 right_group = state.left & ~new_left
@@ -288,6 +306,7 @@ def learn_tree(
                 )
                 total = acc_right + _branch_sse(values[new_left], weights[new_left])
                 expansions.append(_SpineState(body, new_left, acc_right, total, state))
+        scored_per_depth.append(scored)
         if not expansions:
             break
         expansions.sort(key=lambda s: s.sort_key)
@@ -304,6 +323,14 @@ def learn_tree(
         right_leaf_values.append(_weighted_mean(values[right_group], weights[right_group]))
         state = state.parent
     left_leaf_value = _weighted_mean(values[best.left], weights[best.left])
+    log.info(
+        "learned a depth-%d tree for %s; candidate literals scored per beam "
+        "depth: %s; largest binding table: %d rows",
+        len(best.literals),
+        predicate,
+        scored_per_depth,
+        largest_table,
+    )
     return RelationalTree(
         head, best.literals, tuple(reversed(right_leaf_values)), left_leaf_value
     )

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from relgcn.errors import DataError
 from relgcn.grounding import (
+    BindingTable,
+    _key_codes,
     Clause,
     NEGATIVE,
     POSITIVE,
@@ -14,12 +16,12 @@ from relgcn.grounding import (
     body_satisfied,
     brute_force_count,
     count_satisfied_groundings,
-    enumerate_target_tuples,
     sample_negatives,
 )
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
 
 from conftest import PERSON, TOPIC, UNIVERSITY, example, person_pair
+from oracles import enumerate_target_tuples, sample_negatives_by_enumeration
 from random_instances import random_instance
 
 
@@ -237,6 +239,99 @@ def test_count_matches_oracle_property(seed, cap):
     assert count_satisfied_groundings(clause, target, kb, cap=cap) == want
 
 
+def _row_counts(table: BindingTable, n: int) -> np.ndarray:
+    return np.bincount(table.rows[:, 0], minlength=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), head_constant=st.booleans())
+def test_binding_table_matches_oracles_property(seed, head_constant):
+    """Extended literal by literal, the table holds each example's
+    brute-force count of rows, and a literal's semi-join covers exactly the
+    examples the per-pair count finds satisfiable.  Bodies carry constants,
+    fresh and repeated variables; with a head constant, x1 in the body is a
+    free variable and examples that disagree with the head have no row."""
+    rng = np.random.default_rng(seed)
+    kb, clause, target = random_instance(rng)
+    t = target.atom.args[0].type
+    pool = sorted(kb.constants_of_type(t))
+    examples = [target] + [
+        TargetExample(Atom("Tgt", tuple(Constant(pool[int(i)], t) for i in pair)), POSITIVE)
+        for pair in rng.integers(len(pool), size=(5, 2))
+    ]
+    head = clause.head
+    if head_constant:
+        head = Atom("Tgt", (Constant(pool[0], t), Variable("x2")))
+    n = len(examples)
+    table = BindingTable.for_head(head, examples, kb)
+    for k in range(len(clause.body) + 1):
+        prefix = Clause(head, clause.body[:k])
+        if k:
+            covered = table.covered(prefix.body[-1], kb, n)
+            table = table.extend(prefix.body[-1], kb)
+            assert (covered == (_row_counts(table, n) > 0)).all()
+        assert len(np.unique(table.rows, axis=0)) == len(table.rows)
+        counts = _row_counts(table, n)
+        for i, ex in enumerate(examples):
+            assert counts[i] == brute_force_count(prefix, ex, kb)
+            assert (counts[i] > 0) == (count_satisfied_groundings(prefix, ex, kb, cap=1) > 0)
+
+
+def test_binding_table_target_constant_absent_from_facts(coauthor_kb):
+    """eve is a registered person in no fact and zed is unknown to the kb:
+    neither example has a grounding, and an unknown constant in a literal
+    matches nothing."""
+    coauthor_kb.register_constant(PERSON, "eve")
+    examples = [example("eve", "ann"), example("ann", "bob"), example("ann", "zed")]
+    clause = shared_topic_clause()
+    table = BindingTable.for_head(clause.head, examples, coauthor_kb)
+    assert len(table.rows) == 3
+    for literal in clause.body:
+        table = table.extend(literal, coauthor_kb)
+    assert _row_counts(table, 3).tolist() == [0, 2, 0]
+    nowhere = Atom("Affiliation", (Variable("p2"), Constant("U9", UNIVERSITY)))
+    root = BindingTable.for_head(clause.head, examples, coauthor_kb)
+    assert not root.covered(nowhere, coauthor_kb, 3).any()
+    assert len(root.extend(nowhere, coauthor_kb).rows) == 0
+
+
+def test_binding_table_sees_fact_added_after_first_join(coauthor_kb):
+    examples = [example("cara", "ann"), example("ann", "bob")]
+    clause = shared_university_clause()
+    root = BindingTable.for_head(clause.head, examples, coauthor_kb)
+    first = root.extend(clause.body[0], coauthor_kb)
+    assert first.covered(clause.body[1], coauthor_kb, 2).tolist() == [False, True]
+    coauthor_kb.add_fact("Affiliation", ("cara", "U1"))
+    coauthor_kb.register_constant(PERSON, "fay")
+    coauthor_kb.add_fact("Affiliation", ("fay", "U3"))
+    first = root.extend(clause.body[0], coauthor_kb)
+    assert _row_counts(first, 2).tolist() == [2, 1]
+    assert first.covered(clause.body[1], coauthor_kb, 2).tolist() == [True, True]
+
+
+def test_binding_table_head_type_error(coauthor_kb):
+    wrong = TargetExample(
+        Atom("CoAuthor", (Constant("ann", PERSON), Constant("U1", UNIVERSITY))), POSITIVE
+    )
+    with pytest.raises(DataError, match="has type 'university'"):
+        BindingTable.for_head(_head(), [example("ann", "bob"), wrong], coauthor_kb)
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3])
+def test_key_codes_equal_exactly_for_equal_rows(width):
+    """Join keys of any width, with ids large enough that three columns in
+    one base would overflow int64."""
+    rng = np.random.default_rng(width)
+    ids = np.array([0, 1, 7, 2**40])
+    a = rng.choice(ids, size=(300, width))
+    b = rng.choice(ids, size=(200, width))
+    codes = np.concatenate(_key_codes(a, b))
+    rows = np.concatenate([a, b])
+    same_code = codes[:, None] == codes[None, :]
+    same_row = (rows[:, None, :] == rows[None, :, :]).all(axis=-1)
+    assert (same_code == same_row).all()
+
+
 def test_enumerate_target_tuples_symmetric(coauthor_kb):
     schema = coauthor_kb.schema("CoAuthor")
     sym = enumerate_target_tuples(coauthor_kb, schema)
@@ -268,3 +363,58 @@ def test_sample_negatives_exhaustion(coauthor_kb):
         sample_negatives(coauthor_kb, schema, positives, ratio=0.0, seed=0)
     with pytest.raises(DataError):
         sample_negatives(coauthor_kb, schema, [], ratio=1.0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "arg_types, symmetric",
+    [
+        pytest.param(("ta",), True, id="unary"),
+        pytest.param(("ta", "ta"), True, id="same-type-symmetric"),
+        pytest.param(("ta", "ta"), False, id="same-type-ordered"),
+        pytest.param(("ta", "tb"), True, id="mixed-symmetric"),
+        pytest.param(("ta", "tb"), False, id="mixed-ordered"),
+        pytest.param(("ta", "tb", "ta"), True, id="ternary"),
+    ],
+)
+def test_sample_negatives_matches_enumeration_oracle(arg_types, symmetric):
+    """The same draw as sampling from the enumerated candidate list.  Both
+    types draw names from one pool, so a reversed mixed-type positive can
+    be a candidate, and names sort in another order than they were added."""
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        kb = KnowledgeBase()
+        schema = PredicateSchema("Tgt", arg_types)
+        kb.declare_schema(schema)
+        for t in set(arg_types):
+            for c in rng.choice(12, size=int(rng.integers(1, 7)), replace=False):
+                kb.register_constant(t, f"c{int(c)}")
+        domains = [sorted(kb.constants_of_type(t)) for t in arg_types]
+        positives = [
+            TargetExample(
+                Atom("Tgt", tuple(
+                    Constant(d[int(rng.integers(len(d)))], t) for d, t in zip(domains, arg_types)
+                )),
+                POSITIVE,
+            )
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        ratio = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+        seed = int(rng.integers(1000))
+        pos = {p.atom.constant_names() for p in positives}
+        if symmetric:
+            pos |= {tup[::-1] for tup in pos if len(tup) == 2}
+        available = sum(
+            1 for tup in enumerate_target_tuples(kb, schema, symmetric) if tup not in pos
+        )
+        want = int(np.ceil(ratio * len(positives)))
+        if want > available:
+            with pytest.raises(DataError, match=(
+                f"requested {want} negatives but only {available} "
+                f"non-positive tuples are available"
+            )):
+                sample_negatives(kb, schema, positives, ratio, seed, symmetric)
+            continue
+        got = sample_negatives(kb, schema, positives, ratio, seed, symmetric)
+        assert got == sample_negatives_by_enumeration(
+            kb, schema, positives, ratio, seed, symmetric
+        )

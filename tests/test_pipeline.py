@@ -408,6 +408,37 @@ def test_cli_targets_row_with_extra_field_is_a_data_error(
     assert f"{targets}, line 3" in caplog.text
 
 
+@pytest.mark.parametrize("command", ["featurize", "inspect-rules"])
+@pytest.mark.parametrize(
+    "cell, reason",
+    [
+        pytest.param("CoAuthor(p1 p2)", "arity mismatch", id="arity"),
+        pytest.param("Bogus(p1, p2)", "unknown predicate", id="predicate"),
+        pytest.param("CoAuthor(p1, p2", "malformed example line", id="malformed"),
+        pytest.param("% p1", "expected one atom", id="comment-only"),
+        pytest.param(
+            "CoAuthor(p1, p2).\nCoAuthor(p2, p3)", "expected one atom", id="two-atoms"
+        ),
+    ],
+)
+def test_cli_targets_bad_atom_cell_is_a_parse_error(
+    small_run, tmp_path, caplog, command, cell, reason
+):
+    """Each atom cell must parse to one atom; the error names the file and
+    the line the row starts on."""
+    config = _clone_run(small_run, tmp_path)
+    out = config.out_dir()
+    targets = out / "targets.csv"
+    lines = targets.read_text().splitlines(keepends=True)
+    label = lines[2].rstrip("\r\n").rsplit(",", 1)[1]
+    lines[2] = f'"{cell}",{label}\n'
+    targets.write_text("".join(lines))
+    facts = small_run["data"] / "facts.txt"
+    assert cli_main([command, "--out", str(out), "--set", f"facts={facts}"]) == 2
+    assert f"{targets}: {reason}" in caplog.text
+    assert "(line 3)" in caplog.text
+
+
 def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):
     captured = {}
 
