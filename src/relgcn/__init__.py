@@ -19,7 +19,6 @@ from .kb import (
 from .grounding import (
     Clause,
     TargetExample,
-    body_satisfied,
     count_satisfied_groundings,
     sample_negatives,
 )
@@ -35,9 +34,7 @@ from .rulelearn import (
     serialize_rules,
 )
 from .featurize import (
-    DistanceMatrix,
     PropagationMatrix,
-    RuleMatrix,
     adjacency_approximation,
     build_rule_matrix,
     normalize_propagation,

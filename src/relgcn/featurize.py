@@ -17,35 +17,11 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .grounding import Clause, CountCap, TargetExample, count_satisfied_groundings
 from .kb import KnowledgeBase
-from .rulelearn import RuleSet
 
 EUCLIDEAN = "euclidean"
 MANHATTAN = "manhattan"
 CHEBYSHEV = "chebyshev"
 METRICS = (EUCLIDEAN, MANHATTAN, CHEBYSHEV)
-
-
-@dataclass
-class RuleMatrix:
-    """n targets x k rules matrix of satisfied-grounding counts.
-
-    Columns follow the fixed concatenation: positive-density rules first,
-    then negative-density rules."""
-
-    values: np.ndarray
-    targets: list[TargetExample]
-    rules: list[Clause]
-
-    def __post_init__(self):
-        n, k = self.values.shape
-        if n != len(self.targets) or k != len(self.rules):
-            raise DataError("rule matrix shape does not match its index lists")
-
-
-@dataclass
-class DistanceMatrix:
-    values: np.ndarray
-    metric: str
 
 
 @dataclass
@@ -55,23 +31,18 @@ class PropagationMatrix:
 
 
 def build_rule_matrix(
-    rulesets: list[RuleSet],
+    rules: list[Clause],
     targets: list[TargetExample],
     kb: KnowledgeBase,
     cap: CountCap = None,
-) -> RuleMatrix:
-    """X[i][j] = satisfied-grounding count of rule j for target i."""
-    if not rulesets or not any(rs.rules for rs in rulesets):
-        raise DataError("rulesets must contain at least one rule")
-    preds = {t.atom.predicate for t in targets}
-    if len(preds) > 1:
-        raise DataError("all targets must share the target predicate")
-    rules = [r for rs in rulesets for r in rs.rules]
+) -> np.ndarray:
+    """X[i][j] = satisfied-grounding count of rules[j] for targets[i]."""
+    if not rules:
+        raise DataError("rules must contain at least one rule")
     X = np.zeros((len(targets), len(rules)), dtype=float)
     for j, rule in enumerate(rules):
-        for i, target in enumerate(targets):
-            X[i, j] = count_satisfied_groundings(rule, target, kb, cap)
-    return RuleMatrix(X, list(targets), rules)
+        X[:, j] = count_satisfied_groundings(rule, targets, kb, cap)
+    return X
 
 
 def zscale_columns(X: np.ndarray) -> np.ndarray:
@@ -82,16 +53,6 @@ def zscale_columns(X: np.ndarray) -> np.ndarray:
     return (X - mu) / sd
 
 
-def naive_euclidean_distances(X: np.ndarray) -> np.ndarray:
-    """Direct norm-expansion form sqrt(|xi|^2 + |xj|^2 - 2 xi.xj), with the
-    radicand clamped at zero.  Kept as the cross-check for the stable path."""
-    sq = np.sum(X * X, axis=1)
-    radicand = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    D = np.sqrt(np.clip(radicand, 0.0, None))
-    np.fill_diagonal(D, 0.0)
-    return _mirror_upper(D)
-
-
 def _mirror_upper(D: np.ndarray) -> np.ndarray:
     """Exact symmetry: compute from the upper triangle and mirror it."""
     U = np.triu(D, k=1)
@@ -99,14 +60,12 @@ def _mirror_upper(D: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_distances(X: np.ndarray | RuleMatrix, metric: str = EUCLIDEAN) -> DistanceMatrix:
+def pairwise_distances(X: np.ndarray, metric: str = EUCLIDEAN) -> np.ndarray:
     """Pairwise row distances under the chosen metric.
 
     The euclidean path uses coordinate differences, which needs no
     clamping; symmetry and a zero diagonal are enforced exactly.
     """
-    if isinstance(X, RuleMatrix):
-        X = X.values
     if X.size == 0:
         raise DataError("cannot compute distances of an empty matrix")
     if metric not in METRICS:
@@ -120,10 +79,10 @@ def pairwise_distances(X: np.ndarray | RuleMatrix, metric: str = EUCLIDEAN) -> D
         D = np.sum(np.abs(diff, out=diff), axis=2)
     else:
         D = np.max(np.abs(diff, out=diff), axis=2)
-    return DistanceMatrix(_mirror_upper(D), metric)
+    return _mirror_upper(D)
 
 
-def adjacency_approximation(D: np.ndarray | DistanceMatrix) -> tuple[np.ndarray, float]:
+def adjacency_approximation(D: np.ndarray) -> tuple[np.ndarray, float]:
     """Turn distances into an adjacency-like matrix.
 
     t is the mean of the strict upper triangle; distances are divided by t,
@@ -131,8 +90,6 @@ def adjacency_approximation(D: np.ndarray | DistanceMatrix) -> tuple[np.ndarray,
     the diagonal and 0 for any pair at or beyond the average distance.
     Returns (A_hat, t).
     """
-    if isinstance(D, DistanceMatrix):
-        D = D.values
     n = D.shape[0]
     if n < 2:
         raise DataError("adjacency approximation needs at least 2 nodes")

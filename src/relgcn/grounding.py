@@ -1,35 +1,34 @@
-"""Clause grounding: satisfiability, satisfied-grounding counts, negative sampling.
+"""Clause grounding: satisfied-grounding counts and negative sampling.
 
-Two engines compute satisfied groundings.  `count_satisfied_groundings`
-counts them for one (clause, target) pair by a backtracking join over the
-body literals.  Bindings map variable names to constant names.  At every
-step each pending literal's candidate facts under the current bindings are
-looked up once, and the literal with the fewest is expanded from that same
-set, so selective literals prune early.  The count is over distinct
-complete substitutions of the free body variables.
+One engine computes satisfied groundings.  `BindingTable` works
+set-at-a-time, as FOIL's tuple extension does (Quinlan 1990, "Learning
+logical definitions from relations"): it holds the satisfied groundings
+of a body prefix for every example at once, as rows of interned constant
+ids, and one sort + `searchsorted` join on a literal's bound columns
+extends it or tells which examples the literal keeps covered.  Rule
+learning scores candidate literals with it, and
+`count_satisfied_groundings` extends one table by every body literal of a
+clause, so a rule's counts for all targets come from one call: the
+number of rows per example.
 
-`BindingTable` works set-at-a-time, as FOIL's tuple extension does
-(Quinlan 1990, "Learning logical definitions from relations"): it holds
-the satisfied groundings of a body prefix for every example at once, as
-rows of interned constant ids, and one sort + `searchsorted` join on a
-literal's bound columns extends it or tells which examples the literal
-keeps covered.  Its memory is one int64 per row for the example and for
-each variable, and the rows are the prefix's satisfied groundings over
-the covered examples, so each fresh variable can multiply them.  Rule learning scores candidate
-literals with it; the per-pair count serves featurization and the
-covering step and is the second oracle in the tests.
+A table's memory is one int64 per row for the example and one for each
+variable, and its rows are the prefix's satisfied groundings over the
+covered examples, so each fresh variable can multiply them.  `cap` clips
+the counts after the full table is built; it bounds the features, not the
+memory.  On the benchmark's workloads the largest table built for
+featurization had 773 rows (``sampled-topics``) and at most one row per
+target elsewhere, below the tables rule learning builds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .kb import Atom, Constant, KnowledgeBase, PredicateSchema, Substitution, Variable
+from .kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -73,104 +72,31 @@ class TargetExample:
             raise DataError(f"bad label {self.label!r}")
 
 
-# Optional limit on enumerated groundings per (clause, target) pair.
+# Optional limit on a clause's satisfied-grounding count per target.
 CountCap = int | None
-
-
-def body_satisfied(ground_body: list[Atom], kb: KnowledgeBase) -> bool:
-    """True iff every ground atom is a fact in kb (closed world)."""
-    for atom in ground_body:
-        if not atom.is_ground():
-            raise DataError(f"body_satisfied requires ground atoms, got {atom}")
-        if not kb.has_fact(atom):
-            return False
-    return True
-
-
-def _head_binding(
-    clause: Clause, target: TargetExample, kb: KnowledgeBase
-) -> Substitution | None:
-    """Bind head variables to the target's constants; None if a head constant
-    disagrees with the target (no grounding can exist)."""
-    if target.atom.predicate != clause.head.predicate:
-        raise DataError(
-            f"target predicate {target.atom.predicate} does not match "
-            f"clause head {clause.head.predicate}"
-        )
-    schema = kb.schema(clause.head.predicate)
-    theta: Substitution = {}
-    for pos, (hv, tc) in enumerate(zip(clause.head.args, target.atom.args)):
-        assert isinstance(tc, Constant)
-        if tc.type != schema.arg_types[pos]:
-            raise DataError(
-                f"target constant {tc.name!r} has type {tc.type!r}, "
-                f"expected {schema.arg_types[pos]!r} at position {pos} of "
-                f"{clause.head.predicate}"
-            )
-        if isinstance(hv, Variable):
-            theta[hv.name] = tc
-        elif hv.name != tc.name:
-            return None
-    return theta
 
 
 def count_satisfied_groundings(
     clause: Clause,
-    target: TargetExample,
+    targets: list[TargetExample],
     kb: KnowledgeBase,
     cap: CountCap = None,
-) -> int:
-    """Number of distinct substitutions of the free body variables under
-    which every body literal is a fact in kb, head variables bound to the
-    target's constants.  Saturates at `cap` when given.
+) -> np.ndarray:
+    """Per target, the number of distinct substitutions of the free body
+    variables under which every body literal is a fact in kb, head
+    variables bound to the target's constants.  Clipped at `cap` when
+    given.  One binding table extended by each body literal serves every
+    target.
     """
     if cap is not None and cap < 1:
         raise DataError("cap must be >= 1 when present")
-    theta = _head_binding(clause, target, kb)
-    if theta is None:
-        return 0
-
     for atom in clause.body:
         kb.schema(atom.predicate)  # validates predicate
-    return _join(clause.body, {v: c.name for v, c in theta.items()}, kb, cap)
-
-
-def _join(
-    pending: tuple[Atom, ...], binding: dict[str, str], kb: KnowledgeBase, cap: CountCap
-) -> int:
-    """Backtracking join: the number of extensions of `binding` (variable
-    name -> constant name) under which every pending literal is a fact,
-    saturating at `cap`."""
-    if not pending:
-        return 1
-    # Most selective literal first; its candidate set is the one expanded.
-    best_i, best = -1, None
-    for i, atom in enumerate(pending):
-        bound = {}
-        for pos, a in enumerate(atom.args):
-            if isinstance(a, Constant):
-                bound[pos] = a.name
-            elif a.name in binding:
-                bound[pos] = binding[a.name]
-        cands = kb.candidates(atom.predicate, bound)
-        if best is None or len(cands) < len(best):
-            best_i, best = i, cands
-    atom = pending[best_i]
-    rest = pending[:best_i] + pending[best_i + 1 :]
-    free = [
-        (pos, a.name)
-        for pos, a in enumerate(atom.args)
-        if isinstance(a, Variable) and a.name not in binding
-    ]
-    count = 0
-    for tup in best:
-        new = dict(binding)
-        # A variable repeated in the literal must take one value.
-        if all(new.setdefault(name, tup[pos]) == tup[pos] for pos, name in free):
-            count += _join(rest, new, kb, None if cap is None else cap - count)
-            if cap is not None and count >= cap:
-                break
-    return count
+    table = BindingTable.for_head(clause.head, targets, kb)
+    for literal in clause.body:
+        table = table.extend(literal, kb)
+    counts = np.bincount(table.rows[:, 0], minlength=len(targets))
+    return counts if cap is None else np.minimum(counts, cap)
 
 
 @dataclass(frozen=True)
@@ -196,13 +122,29 @@ class BindingTable:
     ) -> BindingTable:
         """The empty prefix: one row per example whose constants agree with
         the head's, binding the head variables."""
-        clause = Clause(head, ())
+        schema = kb.schema(head.predicate)
         variables = tuple(v.name for v in head.variables())
         rows = []
         for i, ex in enumerate(examples):
-            theta = _head_binding(clause, ex, kb)
-            if theta is not None:
-                rows.append([i, *(kb.constant_id(theta[v].name) for v in variables)])
+            if ex.atom.predicate != head.predicate:
+                raise DataError(
+                    f"target predicate {ex.atom.predicate} does not match "
+                    f"clause head {head.predicate}"
+                )
+            row = [i]
+            for pos, (term, tc) in enumerate(zip(head.args, ex.atom.args)):
+                if tc.type != schema.arg_types[pos]:
+                    raise DataError(
+                        f"target constant {tc.name!r} has type {tc.type!r}, "
+                        f"expected {schema.arg_types[pos]!r} at position {pos} of "
+                        f"{head.predicate}"
+                    )
+                if isinstance(term, Variable):
+                    row.append(kb.constant_id(tc.name))
+                elif term.name != tc.name:
+                    break  # a head constant disagrees: no grounding exists
+            else:
+                rows.append(row)
         return cls(
             variables, np.array(rows, dtype=np.int64).reshape(-1, 1 + len(variables))
         )
@@ -278,43 +220,6 @@ def _key_codes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 code = np.unique(code, return_inverse=True)[1].reshape(-1)
             code = code * radix + col
     return code[: len(a)], code[len(a) :]
-
-
-def brute_force_count(
-    clause: Clause, target: TargetExample, kb: KnowledgeBase
-) -> int:
-    """Independent oracle: enumerate the full cross-product of typed domains
-    for the free body variables and test each substitution with body_satisfied.
-    Exponential; only usable on small instances.
-    """
-    theta = _head_binding(clause, target, kb)
-    if theta is None:
-        return 0
-    var_types: dict[str, str] = {}
-    for atom in clause.body:
-        schema = kb.schema(atom.predicate)
-        for pos, a in enumerate(atom.args):
-            if isinstance(a, Variable) and a.name not in theta:
-                var_types.setdefault(a.name, schema.arg_types[pos])
-    names = sorted(var_types)
-    domains = [sorted(kb.constants_of_type(var_types[v])) for v in names]
-    count = 0
-    for combo in itertools.product(*domains):
-        binding = dict(theta)
-        for v, c in zip(names, combo):
-            binding[v] = Constant(c, var_types[v])
-        ground = [
-            Atom(
-                a.predicate,
-                tuple(
-                    binding[t.name] if isinstance(t, Variable) else t for t in a.args
-                ),
-            )
-            for a in clause.body
-        ]
-        if body_satisfied(ground, kb):
-            count += 1
-    return count
 
 
 def sample_negatives(

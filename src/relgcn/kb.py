@@ -1,11 +1,10 @@
 """Typed first-order knowledge bases: schemas, ground facts, parsing.
 
-Facts are stored as tuples of constant names, indexed by predicate and by
-(predicate, argument position, constant) so that grounding joins can pick
-the most selective literal first.  For set-at-a-time joins constants are
-also interned to ints on first use, and each predicate's facts are kept
-as an int array of those ids, built on first use and rebuilt once the
-predicate has gained facts.  A KnowledgeBase is treated as
+Facts are stored as a set of constant-name tuples per predicate; there is
+no per-position index.  Joins run set-at-a-time on int arrays instead:
+constants are interned to ints on first use, and each predicate's facts
+are kept as an int array of those ids, built on first use and rebuilt
+once the predicate has gained facts.  A KnowledgeBase is treated as
 immutable once loading is finished; nothing enforces a freeze, but no
 operation in this package mutates a kb after construction.
 """
@@ -54,11 +53,6 @@ class Variable:
 
 Term = Constant | Variable
 
-# A substitution maps variable names to constants.  Application is
-# idempotent because constants are never rewritten.
-Substitution = dict[str, Constant]
-
-
 @dataclass(frozen=True)
 class Atom:
     predicate: str
@@ -80,14 +74,12 @@ class Atom:
 
 
 class KnowledgeBase:
-    """Schemas plus an indexed ground-fact store with typed constant domains."""
+    """Schemas plus a ground-fact store with typed constant domains."""
 
     def __init__(self):
         self.schemas: dict[str, PredicateSchema] = {}
         # predicate -> set of constant-name tuples
         self._facts: dict[str, set[tuple[str, ...]]] = {}
-        # (predicate, position, constant) -> set of fact tuples
-        self._index: dict[tuple[str, int, str], set[tuple[str, ...]]] = {}
         # type -> set of constant names
         self._domains: dict[str, set[str]] = {}
         # constant name -> int id, assigned on first use
@@ -128,7 +120,6 @@ class KnowledgeBase:
             return
         self._facts[predicate].add(tup)
         for pos, const in enumerate(tup):
-            self._index.setdefault((predicate, pos, const), set()).add(tup)
             self._domains.setdefault(schema.arg_types[pos], set()).add(const)
 
     # -- queries ----------------------------------------------------------
@@ -141,24 +132,6 @@ class KnowledgeBase:
         if predicate is not None:
             return len(self._facts.get(predicate, set()))
         return sum(len(s) for s in self._facts.values())
-
-    def candidates(
-        self, predicate: str, bound: dict[int, str]
-    ) -> set[tuple[str, ...]]:
-        """Fact tuples of `predicate` consistent with constants at fixed positions."""
-        if not bound:
-            return self._facts.get(predicate, set())
-        sets = [
-            self._index.get((predicate, pos, const), set())
-            for pos, const in bound.items()
-        ]
-        sets.sort(key=len)
-        out = sets[0]
-        for s in sets[1:]:
-            out = out & s
-            if not out:
-                break
-        return out
 
     def constant_id(self, name: str) -> int:
         """The int id of a constant name, assigned on first use, so a name

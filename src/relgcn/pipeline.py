@@ -34,15 +34,7 @@ from .grounding import (
     sample_negatives,
 )
 from .kb import KnowledgeBase, parse_facts, parse_ground_atoms
-from .rulelearn import (
-    LearnConfig,
-    NEGATIVE_DENSITY,
-    POSITIVE_DENSITY,
-    RuleSet,
-    learn_ruleset,
-    parse_rules,
-    serialize_rules,
-)
+from .rulelearn import LearnConfig, learn_ruleset, parse_rules, serialize_rules
 
 _DEFAULTS: dict[str, object] = {
     "facts": "",
@@ -82,6 +74,18 @@ _DEFAULTS: dict[str, object] = {
     "eval.threshold": "0.5",  # a float, or "mean" for mean-score thresholding
 }
 
+# TrainConfig field -> the config key that sets it.
+_TRAIN_KEYS = {
+    "epochs": "train.epochs",
+    "learning_rate": "train.learning_rate",
+    "weight_decay": "train.weight_decay",
+    "dropout_rate": "train.dropout_rate",
+    "seed": "train.seed",
+    "early_stopping_patience": "train.patience",
+    "hidden_size": "train.hidden_size",
+    "num_layers": "train.num_layers",
+}
+
 
 def _coerce(key: str, raw: str) -> object:
     default = _DEFAULTS[key]
@@ -117,6 +121,26 @@ class PipelineConfig:
                     f"expected 'mean' or a float for 'eval.threshold', "
                     f"got {threshold!r}"
                 ) from None
+        # Settings that only featurize, train or eval would reject fail
+        # here, before any stage has run.
+        if self["featurize.metric"] not in fz.METRICS:
+            raise ConfigError(
+                f"expected one of {fz.METRICS} for 'featurize.metric', "
+                f"got {str(self['featurize.metric'])!r}"
+            )
+        if int(self["featurize.cap"]) < 0:
+            raise ConfigError(
+                f"expected an int >= 0 for 'featurize.cap', "
+                f"got {str(self['featurize.cap'])!r}"
+            )
+        try:
+            self.train_config()
+        except ConfigError as exc:
+            # TrainConfig's messages start with the field they reject.
+            key = _TRAIN_KEYS.get(str(exc).split(" ", 1)[0])
+            if key is None:
+                raise
+            raise ConfigError(f"{exc} (config key {key!r}, got {str(self[key])!r})") from None
 
     @classmethod
     def from_overrides(cls, overrides: dict[str, str] | None = None) -> "PipelineConfig":
@@ -182,14 +206,7 @@ class PipelineConfig:
 
     def train_config(self) -> gcn_mod.TrainConfig:
         return gcn_mod.TrainConfig(
-            epochs=int(self["train.epochs"]),
-            learning_rate=float(self["train.learning_rate"]),
-            weight_decay=float(self["train.weight_decay"]),
-            dropout_rate=float(self["train.dropout_rate"]),
-            seed=int(self["train.seed"]),
-            early_stopping_patience=int(self["train.patience"]),
-            hidden_size=int(self["train.hidden_size"]),
-            num_layers=int(self["train.num_layers"]),
+            **{f: type(_DEFAULTS[k])(self[k]) for f, k in _TRAIN_KEYS.items()}
         )
 
 
@@ -306,16 +323,8 @@ def stage_featurize(config: PipelineConfig) -> np.ndarray:
     kb = _load_kb(config)
     targets = _read_targets(out / "targets.csv", kb)
     rules = parse_rules((out / "rules.txt").read_text(), kb)
-    pos = [r for r in rules if r.source == POSITIVE_DENSITY]
-    neg = [r for r in rules if r.source == NEGATIVE_DENSITY]
     cap = int(config["featurize.cap"]) or None
-    rule_matrix = fz.build_rule_matrix(
-        [RuleSet(pos, POSITIVE_DENSITY), RuleSet(neg, NEGATIVE_DENSITY)],
-        targets,
-        kb,
-        cap,
-    )
-    X = rule_matrix.values
+    X = fz.build_rule_matrix(rules, targets, kb, cap)
     if bool(config["featurize.zscale"]):
         X = fz.zscale_columns(X)
     row_ids = [str(t.atom) for t in targets]
@@ -499,18 +508,14 @@ def rule_coverage_report(config: PipelineConfig) -> str:
     kb = _load_kb(config)
     targets = _read_targets(out / "targets.csv", kb)
     rules = parse_rules((out / "rules.txt").read_text(), kb)
-    pos = [t for t in targets if t.label == POSITIVE]
-    neg = [t for t in targets if t.label == NEGATIVE]
+    positive = np.array([t.label == POSITIVE for t in targets], dtype=bool)
+    n_pos, n_neg = int(positive.sum()), int((~positive).sum())
     lines = []
     for j, rule in enumerate(rules):
-        cov_pos = sum(
-            1 for t in pos if count_satisfied_groundings(rule, t, kb, cap=1) > 0
-        )
-        cov_neg = sum(
-            1 for t in neg if count_satisfied_groundings(rule, t, kb, cap=1) > 0
-        )
+        covered = count_satisfied_groundings(rule, targets, kb, cap=1) > 0
+        cov_pos, cov_neg = int(covered[positive].sum()), int(covered[~positive].sum())
         lines.append(
             f"[{j}] {rule}  (source={rule.source} iter={rule.iteration}; "
-            f"covers {cov_pos}/{len(pos)} positives, {cov_neg}/{len(neg)} negatives)"
+            f"covers {cov_pos}/{n_pos} positives, {cov_neg}/{n_neg} negatives)"
         )
     return "\n".join(lines) + "\n"

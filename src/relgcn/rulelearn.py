@@ -408,12 +408,7 @@ def learn_ruleset(
             )
             break
         rules.append(rule)
-        covered = np.array(
-            [
-                count_satisfied_groundings(rule, ex, kb, cap=1) > 0
-                for ex in examples
-            ]
-        )
+        covered = count_satisfied_groundings(rule, examples, kb, cap=1) > 0
         weights[covered] *= config.covering_discount
         total = float(weights.sum())
         if total > 0:

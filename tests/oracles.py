@@ -5,8 +5,68 @@ import math
 
 import numpy as np
 
-from relgcn.grounding import NEGATIVE, TargetExample
-from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema
+from relgcn.errors import DataError
+from relgcn.grounding import NEGATIVE, Clause, TargetExample
+from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
+
+
+def body_satisfied(ground_body: list[Atom], kb: KnowledgeBase) -> bool:
+    """True iff every ground atom is a fact in kb (closed world)."""
+    for atom in ground_body:
+        if not atom.is_ground():
+            raise DataError(f"body_satisfied requires ground atoms, got {atom}")
+        if not kb.has_fact(atom):
+            return False
+    return True
+
+
+def brute_force_count(clause: Clause, target: TargetExample, kb: KnowledgeBase) -> int:
+    """`count_satisfied_groundings` for one target by enumeration: every
+    substitution from the full cross-product of typed domains for the free
+    body variables is tested with body_satisfied.  Exponential; only usable
+    on small instances.
+    """
+    theta: dict[str, Constant] = {}
+    for term, c in zip(clause.head.args, target.atom.args):
+        if isinstance(term, Variable):
+            theta[term.name] = c
+        elif term.name != c.name:
+            return 0
+    var_types: dict[str, str] = {}
+    for atom in clause.body:
+        schema = kb.schema(atom.predicate)
+        for pos, a in enumerate(atom.args):
+            if isinstance(a, Variable) and a.name not in theta:
+                var_types.setdefault(a.name, schema.arg_types[pos])
+    names = sorted(var_types)
+    domains = [sorted(kb.constants_of_type(var_types[v])) for v in names]
+    count = 0
+    for combo in itertools.product(*domains):
+        binding = dict(theta)
+        for v, c in zip(names, combo):
+            binding[v] = Constant(c, var_types[v])
+        ground = [
+            Atom(
+                a.predicate,
+                tuple(
+                    binding[t.name] if isinstance(t, Variable) else t for t in a.args
+                ),
+            )
+            for a in clause.body
+        ]
+        if body_satisfied(ground, kb):
+            count += 1
+    return count
+
+
+def naive_euclidean_distances(X: np.ndarray) -> np.ndarray:
+    """Direct norm-expansion form sqrt(|xi|^2 + |xj|^2 - 2 xi.xj), with the
+    radicand clamped at zero, the diagonal zeroed and the upper triangle
+    mirrored.  The cross-check for `pairwise_distances`' euclidean path."""
+    sq = np.sum(X * X, axis=1)
+    radicand = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    U = np.triu(np.sqrt(np.clip(radicand, 0.0, None)), k=1)
+    return U + U.T
 
 
 def enumerate_target_tuples(

@@ -12,10 +12,8 @@ from relgcn.featurize import (
     EUCLIDEAN,
     MANHATTAN,
     METRICS,
-    RuleMatrix,
     adjacency_approximation,
     build_rule_matrix,
-    naive_euclidean_distances,
     normalize_propagation,
     pairwise_distances,
     read_matrix_csv,
@@ -24,9 +22,10 @@ from relgcn.featurize import (
 )
 from relgcn.grounding import Clause, POSITIVE_DENSITY, NEGATIVE_DENSITY
 from relgcn.kb import Atom, Variable
-from relgcn.rulelearn import RuleSet, make_head
+from relgcn.rulelearn import make_head
 
 from conftest import example
+from oracles import naive_euclidean_distances
 
 
 def count_matrices(n_max=8, k_max=5):
@@ -42,20 +41,20 @@ def count_matrices(n_max=8, k_max=5):
 
 def test_euclidean_hand_triangle():
     X = np.array([[0.0, 0.0], [3.0, 4.0]])
-    D = pairwise_distances(X, EUCLIDEAN).values
+    D = pairwise_distances(X, EUCLIDEAN)
     assert D[0, 1] == pytest.approx(5.0)
 
 
 def test_manhattan_and_chebyshev_hand_values():
     X = np.array([[1.0, 2.0], [4.0, 6.0]])
-    assert pairwise_distances(X, MANHATTAN).values[0, 1] == pytest.approx(7.0)
-    assert pairwise_distances(X, CHEBYSHEV).values[0, 1] == pytest.approx(4.0)
+    assert pairwise_distances(X, MANHATTAN)[0, 1] == pytest.approx(7.0)
+    assert pairwise_distances(X, CHEBYSHEV)[0, 1] == pytest.approx(4.0)
 
 
 def test_identical_rows_zero_for_every_metric():
     X = np.array([[2.0, 3.0], [2.0, 3.0], [1.0, 1.0]])
     for metric in METRICS:
-        D = pairwise_distances(X, metric).values
+        D = pairwise_distances(X, metric)
         assert D[0, 1] == 0.0
         assert D[1, 0] == 0.0
 
@@ -71,7 +70,7 @@ def test_pairwise_distances_bad_inputs():
 @given(count_matrices())
 def test_distance_matrix_invariants(X):
     for metric in METRICS:
-        D = pairwise_distances(X, metric).values
+        D = pairwise_distances(X, metric)
         assert np.array_equal(D, D.T), "symmetry must be exact"
         assert np.all(np.diag(D) == 0.0)
         assert np.all(D >= 0.0)
@@ -80,7 +79,7 @@ def test_distance_matrix_invariants(X):
 @settings(max_examples=60, deadline=None)
 @given(count_matrices(n_max=6))
 def test_l2_triangle_inequality(X):
-    D = pairwise_distances(X, EUCLIDEAN).values
+    D = pairwise_distances(X, EUCLIDEAN)
     n = D.shape[0]
     for i in range(n):
         for j in range(n):
@@ -91,7 +90,7 @@ def test_l2_triangle_inequality(X):
 @settings(max_examples=80, deadline=None)
 @given(count_matrices())
 def test_naive_and_stable_euclidean_agree(X):
-    stable = pairwise_distances(X, EUCLIDEAN).values
+    stable = pairwise_distances(X, EUCLIDEAN)
     naive = naive_euclidean_distances(X)
     denom = np.maximum(np.abs(stable), 1.0)
     assert np.max(np.abs(stable - naive) / denom) < 1e-9
@@ -142,7 +141,7 @@ def test_adjacency_zero_distances_error():
 @settings(max_examples=60, deadline=None)
 @given(count_matrices(n_max=7))
 def test_adjacency_properties(X):
-    D = pairwise_distances(X, EUCLIDEAN).values
+    D = pairwise_distances(X, EUCLIDEAN)
     iu = np.triu_indices(D.shape[0], k=1)
     if D[iu].sum() == 0.0:
         return  # degenerate case covered by the error test
@@ -206,7 +205,7 @@ def _spectral_radius(P, iters=200):
 @settings(max_examples=40, deadline=None)
 @given(count_matrices(n_max=7))
 def test_normalize_elementwise_and_spectral_radius(X):
-    D = pairwise_distances(X, EUCLIDEAN).values
+    D = pairwise_distances(X, EUCLIDEAN)
     if D[np.triu_indices(D.shape[0], k=1)].sum() == 0.0:
         return
     A_hat, _ = adjacency_approximation(D)
@@ -240,31 +239,18 @@ def test_build_rule_matrix_columns_follow_ruleset_order(coauthor_kb):
         source=NEGATIVE_DENSITY,
     )
     targets = [example("ann", "bob"), example("ann", "cara"), example("cara", "dan")]
-    rm = build_rule_matrix(
-        [RuleSet([topic_rule], POSITIVE_DENSITY), RuleSet([uni_rule], NEGATIVE_DENSITY)],
-        targets,
-        coauthor_kb,
-    )
-    assert rm.values.shape == (3, 2)
+    X = build_rule_matrix([topic_rule, uni_rule], targets, coauthor_kb)
+    assert X.shape == (3, 2)
     # Column 0 is the positive-density topic rule, column 1 the negative one.
-    assert rm.values[:, 0].tolist() == [2.0, 0.0, 1.0]
-    assert rm.values[:, 1].tolist() == [1.0, 0.0, 0.0]
-    capped = build_rule_matrix(
-        [RuleSet([topic_rule], POSITIVE_DENSITY)], targets, coauthor_kb, cap=1
-    )
-    assert capped.values[:, 0].tolist() == [1.0, 0.0, 1.0]
+    assert X[:, 0].tolist() == [2.0, 0.0, 1.0]
+    assert X[:, 1].tolist() == [1.0, 0.0, 0.0]
+    capped = build_rule_matrix([topic_rule], targets, coauthor_kb, cap=1)
+    assert capped[:, 0].tolist() == [1.0, 0.0, 1.0]
 
 
 def test_build_rule_matrix_rejects_empty(coauthor_kb):
     with pytest.raises(DataError):
-        build_rule_matrix([RuleSet([], POSITIVE_DENSITY)], [example("ann", "bob")], coauthor_kb)
-
-
-def test_rule_matrix_shape_validation(coauthor_kb):
-    head = make_head(coauthor_kb, "CoAuthor")
-    rule = Clause(head, ())
-    with pytest.raises(DataError):
-        RuleMatrix(np.zeros((2, 1)), [example("ann", "bob")], [rule])
+        build_rule_matrix([], [example("ann", "bob")], coauthor_kb)
 
 
 # -- persistence -----------------------------------------------------------

@@ -13,15 +13,18 @@ from relgcn.grounding import (
     NEGATIVE,
     POSITIVE,
     TargetExample,
-    body_satisfied,
-    brute_force_count,
     count_satisfied_groundings,
     sample_negatives,
 )
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
 
 from conftest import PERSON, TOPIC, UNIVERSITY, example, person_pair
-from oracles import enumerate_target_tuples, sample_negatives_by_enumeration
+from oracles import (
+    body_satisfied,
+    brute_force_count,
+    enumerate_target_tuples,
+    sample_negatives_by_enumeration,
+)
 from random_instances import random_instance
 
 
@@ -80,23 +83,23 @@ def test_body_satisfied_closed_world(coauthor_kb):
 def test_count_shared_topics_worked_example(coauthor_kb):
     """ann and bob share T1 and T2: two distinct bindings of t1."""
     clause = shared_topic_clause()
-    assert count_satisfied_groundings(clause, example("ann", "bob"), coauthor_kb) == 2
-    assert count_satisfied_groundings(clause, example("ann", "cara"), coauthor_kb) == 0
-    assert count_satisfied_groundings(clause, example("cara", "dan"), coauthor_kb) == 1
+    assert count_satisfied_groundings(clause, [example("ann", "bob")], coauthor_kb)[0] == 2
+    assert count_satisfied_groundings(clause, [example("ann", "cara")], coauthor_kb)[0] == 0
+    assert count_satisfied_groundings(clause, [example("cara", "dan")], coauthor_kb) == 1
 
 
 def test_count_empty_body_is_one(coauthor_kb):
     clause = Clause(_head(), ())
-    assert count_satisfied_groundings(clause, example("ann", "cara"), coauthor_kb) == 1
+    assert count_satisfied_groundings(clause, [example("ann", "cara")], coauthor_kb)[0] == 1
 
 
 def test_count_cap_saturates(coauthor_kb):
     clause = shared_topic_clause()
     tgt = example("ann", "bob")
-    assert count_satisfied_groundings(clause, tgt, coauthor_kb, cap=1) == 1
-    assert count_satisfied_groundings(clause, tgt, coauthor_kb, cap=5) == 2
+    assert count_satisfied_groundings(clause, [tgt], coauthor_kb, cap=1)[0] == 1
+    assert count_satisfied_groundings(clause, [tgt], coauthor_kb, cap=5)[0] == 2
     with pytest.raises(DataError):
-        count_satisfied_groundings(clause, tgt, coauthor_kb, cap=0)
+        count_satisfied_groundings(clause, [tgt], coauthor_kb, cap=0)
 
 
 def test_count_head_constant_disagreement():
@@ -107,14 +110,14 @@ def test_count_head_constant_disagreement():
     clause = Clause(
         Atom("CoAuthor", (Constant("ann", PERSON), Variable("p2"))), ()
     )
-    assert count_satisfied_groundings(clause, example("ann", "bob"), kb) == 1
-    assert count_satisfied_groundings(clause, example("bob", "ann"), kb) == 0
+    assert count_satisfied_groundings(clause, [example("ann", "bob")], kb)[0] == 1
+    assert count_satisfied_groundings(clause, [example("bob", "ann")], kb)[0] == 0
 
 
 def test_count_predicate_mismatch_raises(coauthor_kb):
     clause = Clause(Atom("Affiliation", (Variable("p1"), Variable("u1"))), ())
     with pytest.raises(DataError):
-        count_satisfied_groundings(clause, example("ann", "bob"), coauthor_kb)
+        count_satisfied_groundings(clause, [example("ann", "bob")], coauthor_kb)
 
 
 def test_count_matches_oracle_on_fixture(coauthor_kb):
@@ -122,7 +125,7 @@ def test_count_matches_oracle_on_fixture(coauthor_kb):
         for a in ("ann", "bob", "cara", "dan"):
             for b in ("ann", "bob", "cara", "dan"):
                 tgt = example(a, b)
-                assert count_satisfied_groundings(clause, tgt, coauthor_kb) == (
+                assert count_satisfied_groundings(clause, [tgt], coauthor_kb)[0] == (
                     brute_force_count(clause, tgt, coauthor_kb)
                 )
 
@@ -131,7 +134,7 @@ def test_oracle_equivalence_random_instances():
     rng = np.random.default_rng(12345)
     for _ in range(150):
         kb, clause, target = random_instance(rng)
-        assert count_satisfied_groundings(clause, target, kb) == brute_force_count(
+        assert count_satisfied_groundings(clause, [target], kb)[0] == brute_force_count(
             clause, target, kb
         )
 
@@ -140,14 +143,14 @@ def test_monotonicity_in_facts_and_body_length():
     rng = np.random.default_rng(999)
     for _ in range(60):
         kb, clause, target = random_instance(rng)
-        base = count_satisfied_groundings(clause, target, kb)
+        base = count_satisfied_groundings(clause, [target], kb)[0]
         if clause.body:
             shorter = Clause(clause.head, clause.body[:-1])
             # Coverage is anti-monotone in body length: a longer body can
             # never be satisfiable when its prefix is not.
             assert count_satisfied_groundings(
-                shorter, target, kb, cap=1
-            ) >= count_satisfied_groundings(clause, target, kb, cap=1)
+                shorter, [target], kb, cap=1
+            )[0] >= count_satisfied_groundings(clause, [target], kb, cap=1)[0]
             # The raw count is anti-monotone only when the dropped literal
             # introduced no fresh variables (fresh ones multiply the number
             # of distinct substitutions).
@@ -156,30 +159,30 @@ def test_monotonicity_in_facts_and_body_length():
             }
             last_vars = {v.name for v in clause.body[-1].variables()}
             if last_vars <= prefix_vars:
-                assert count_satisfied_groundings(shorter, target, kb) >= base
+                assert count_satisfied_groundings(shorter, [target], kb)[0] >= base
         # Adding a random missing fact never decreases the count.
         pred = clause.body[0].predicate if clause.body else "Tgt"
         schema = kb.schema(pred)
         new_args = tuple(sorted(kb.constants_of_type(t))[0] for t in schema.arg_types)
         kb.add_fact(pred, new_args)
-        assert count_satisfied_groundings(clause, target, kb) >= base
+        assert count_satisfied_groundings(clause, [target], kb)[0] >= base
 
 
 def test_cap_equals_min_of_cap_and_count():
     rng = np.random.default_rng(31)
     for _ in range(40):
         kb, clause, target = random_instance(rng)
-        full = count_satisfied_groundings(clause, target, kb)
+        full = count_satisfied_groundings(clause, [target], kb)[0]
         for cap in (1, 2, 7):
-            assert count_satisfied_groundings(clause, target, kb, cap=cap) == min(
+            assert count_satisfied_groundings(clause, [target], kb, cap=cap)[0] == min(
                 cap, full
             )
 
 
 def test_repeated_variable_not_bound_by_head():
     """x must take one value at both positions of Knows(x, x) and Likes(x, x),
-    whether the repeating literal is expanded last (Knows(p1, x) has fewer
-    candidates) or first (for ann, Likes(x, x) has fewer)."""
+    whether the repeating literal is joined last (knows_self) or first
+    (likes_self)."""
     kb = KnowledgeBase()
     kb.declare_schema(PredicateSchema("Knows", (PERSON, PERSON)))
     kb.declare_schema(PredicateSchema("Likes", (PERSON, PERSON)))
@@ -198,18 +201,18 @@ def test_repeated_variable_not_bound_by_head():
     ):
         for a, n in want.items():
             tgt = example(a, "bob")
-            assert count_satisfied_groundings(clause, tgt, kb) == n
+            assert count_satisfied_groundings(clause, [tgt], kb)[0] == n
             assert brute_force_count(clause, tgt, kb) == n
 
 
 def test_fully_ground_body_literal(coauthor_kb):
     tgt = example("ann", "bob")
-    base = count_satisfied_groundings(shared_topic_clause(), tgt, coauthor_kb)
+    base = count_satisfied_groundings(shared_topic_clause(), [tgt], coauthor_kb)[0]
     assert base == 2
     for uni, want in (("U1", base), ("U2", 0)):
         ground = Atom("Affiliation", (Constant("ann", PERSON), Constant(uni, UNIVERSITY)))
         clause = Clause(_head(), (ground, *shared_topic_clause().body))
-        assert count_satisfied_groundings(clause, tgt, coauthor_kb) == want
+        assert count_satisfied_groundings(clause, [tgt], coauthor_kb)[0] == want
         assert brute_force_count(clause, tgt, coauthor_kb) == want
 
 
@@ -223,20 +226,41 @@ def test_unknown_body_predicate_raises_after_a_failed_literal(coauthor_kb):
         ),
     )
     with pytest.raises(DataError, match="Bogus"):
-        count_satisfied_groundings(clause, example("cara", "dan"), coauthor_kb)
+        count_satisfied_groundings(clause, [example("cara", "dan")], coauthor_kb)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     cap=st.one_of(st.none(), st.integers(1, 8)),
+    n_extra=st.integers(0, 4),
+    head_constant=st.booleans(),
 )
-def test_count_matches_oracle_property(seed, cap):
-    kb, clause, target = random_instance(np.random.default_rng(seed))
-    want = brute_force_count(clause, target, kb)
-    if cap is not None:
-        want = min(cap, want)
-    assert count_satisfied_groundings(clause, target, kb, cap=cap) == want
+def test_count_matches_oracle_property(seed, cap, n_extra, head_constant):
+    """One call counts every target of a list: the instance's target twice,
+    a target whose first constant is not pool[0], and random extra pairs.
+    With a head constant pool[0], that target disagrees with the head and x1
+    in the body is a free variable.  Each entry is the target's brute-force
+    count, clipped at cap, and the empty list gives an empty array."""
+    rng = np.random.default_rng(seed)
+    kb, clause, target = random_instance(rng)
+    t = target.atom.args[0].type
+    pool = sorted(kb.constants_of_type(t))
+
+    def pair(a, b):
+        return TargetExample(Atom("Tgt", (Constant(a, t), Constant(b, t))), POSITIVE)
+
+    targets = [target, target, pair(pool[-1], pool[0])] + [
+        pair(pool[int(i)], pool[int(j)]) for i, j in rng.integers(len(pool), size=(n_extra, 2))
+    ]
+    if head_constant:
+        clause = Clause(Atom("Tgt", (Constant(pool[0], t), Variable("x2"))), clause.body)
+    counts = count_satisfied_groundings(clause, targets, kb, cap=cap)
+    assert counts.shape == (len(targets),)
+    for ex, got in zip(targets, counts):
+        want = brute_force_count(clause, ex, kb)
+        assert got == (want if cap is None else min(cap, want))
+    assert count_satisfied_groundings(clause, [], kb, cap=cap).shape == (0,)
 
 
 def _row_counts(table: BindingTable, n: int) -> np.ndarray:
@@ -248,7 +272,7 @@ def _row_counts(table: BindingTable, n: int) -> np.ndarray:
 def test_binding_table_matches_oracles_property(seed, head_constant):
     """Extended literal by literal, the table holds each example's
     brute-force count of rows, and a literal's semi-join covers exactly the
-    examples the per-pair count finds satisfiable.  Bodies carry constants,
+    examples that keep rows after the extension.  Bodies carry constants,
     fresh and repeated variables; with a head constant, x1 in the body is a
     free variable and examples that disagree with the head have no row."""
     rng = np.random.default_rng(seed)
@@ -274,7 +298,7 @@ def test_binding_table_matches_oracles_property(seed, head_constant):
         counts = _row_counts(table, n)
         for i, ex in enumerate(examples):
             assert counts[i] == brute_force_count(prefix, ex, kb)
-            assert (counts[i] > 0) == (count_satisfied_groundings(prefix, ex, kb, cap=1) > 0)
+            assert (counts[i] > 0) == (count_satisfied_groundings(prefix, [ex], kb, cap=1)[0] > 0)
 
 
 def test_binding_table_target_constant_absent_from_facts(coauthor_kb):

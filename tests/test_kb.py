@@ -55,16 +55,6 @@ def test_conflicting_schema_rejected(coauthor_kb):
         coauthor_kb.declare_schema(PredicateSchema("Affiliation", (PERSON, TOPIC)))
 
 
-def test_candidates_intersects_positions(coauthor_kb):
-    all_aff = coauthor_kb.candidates("Affiliation", {})
-    assert len(all_aff) == 4
-    u1 = coauthor_kb.candidates("Affiliation", {1: "U1"})
-    assert u1 == {("ann", "U1"), ("bob", "U1"), ("dan", "U1")}
-    both = coauthor_kb.candidates("Affiliation", {0: "ann", 1: "U1"})
-    assert both == {("ann", "U1")}
-    assert coauthor_kb.candidates("Affiliation", {0: "ann", 1: "U2"}) == set()
-
-
 def test_has_fact_closed_world(coauthor_kb):
     assert coauthor_kb.has_fact(
         Atom("Affiliation", (Constant("ann", PERSON), Constant("U1", UNIVERSITY)))

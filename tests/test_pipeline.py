@@ -377,7 +377,14 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog):
 
 
 @pytest.mark.parametrize(
-    "setting", ["train.epochs=abc", "eval.threshold=half"]
+    "setting",
+    [
+        "train.epochs=abc",
+        "eval.threshold=half",
+        "featurize.metric=foo",
+        "featurize.cap=-3",
+        "train.epochs=0",
+    ],
 )
 def test_cli_unparsable_config_value_is_a_config_error(
     small_run, tmp_path, caplog, setting

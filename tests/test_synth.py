@@ -12,7 +12,7 @@ SMALL = dict(n_persons=16, n_universities=3, n_topics=3, seed=0)
 
 
 def satisfies_any(rules, ex, kb):
-    return any(count_satisfied_groundings(r, ex, kb, cap=1) > 0 for r in rules)
+    return any(count_satisfied_groundings(r, [ex], kb, cap=1)[0] > 0 for r in rules)
 
 
 def test_spec_validation():
@@ -59,7 +59,7 @@ def test_single_rule_mode_ignores_topics():
     assert len(data.planted_rules) == 1
     uni_rule = data.planted_rules[0]
     for ex in data.positives:
-        assert count_satisfied_groundings(uni_rule, ex, data.kb, cap=1) == 1
+        assert count_satisfied_groundings(uni_rule, [ex], data.kb, cap=1)[0] == 1
 
 
 def test_default_positive_count_takes_all_satisfying_pairs():
