@@ -1,15 +1,18 @@
 """Rule-count features, pairwise distances and the GCN propagation matrix.
 
-The secondary graph is dense by construction: every pair of targets gets a
-distance, which is rescaled by the mean off-diagonal distance, clipped and
-inverted into an adjacency-like matrix, then symmetrically normalized with
-self loops.
+The secondary graph gives every pair of targets a distance, which is
+rescaled by the mean pairwise distance, clipped and inverted into an
+adjacency-like matrix, then symmetrically normalized with self loops.
+Targets with equal rows of X have equal distances to every target, so the
+graph is built on the u distinct rows of X, and the n x n propagation
+matrix is kept as an exact operator over those row classes: O(n·u + u²)
+memory, with no n x n array.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +29,50 @@ METRICS = (EUCLIDEAN, MANHATTAN, CHEBYSHEV)
 
 @dataclass
 class PropagationMatrix:
-    values: np.ndarray
+    """The n x n propagation matrix P = G C Gᵀ + diag(e[index]).
+
+    G is the n x u indicator of each target's distinct feature row
+    (``index``), C is u x u and e holds one normalized self-loop term per
+    distinct row.  It stands in for the dense matrix wherever the GCN uses one:
+    ``P @ H`` (O(n·u·h + u²·h) for an n x h matrix H), ``P.T`` and
+    ``P.shape``.
+    """
+
+    classes: np.ndarray  # C
+    diagonal: np.ndarray  # e
+    index: np.ndarray  # the distinct row of each target
     threshold: float  # adjacency threshold t, recorded for audit
+    _members: np.ndarray = field(init=False, repr=False)  # Gᵀ, u x n
+    _self_loops: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        u = self.classes.shape[0]
+        self._members = (np.arange(u)[:, None] == self.index[None, :]).astype(float)
+        # e is 0 under the default self-loop reset: that term is skipped.
+        self._self_loops = (
+            self.diagonal[self.index][:, None] if self.diagonal.any() else None
+        )
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.index.size, self.index.size)
+
+    @property
+    def T(self) -> "PropagationMatrix":
+        return self  # P is symmetric
+
+    @property
+    def nbytes(self) -> int:
+        arrays = [self.classes, self.diagonal, self.index, self._members]
+        if self._self_loops is not None:
+            arrays.append(self._self_loops)
+        return sum(a.nbytes for a in arrays)
+
+    def __matmul__(self, H: np.ndarray) -> np.ndarray:
+        out = (self.classes @ (self._members @ H))[self.index]
+        if self._self_loops is not None:
+            out += self._self_loops * H
+        return out
 
 
 def build_rule_matrix(
@@ -71,8 +116,8 @@ def pairwise_distances(X: np.ndarray, metric: str = EUCLIDEAN) -> np.ndarray:
     if metric not in METRICS:
         raise DataError(f"unknown metric {metric!r}; choose one of {METRICS}")
     diff = X[:, None, :] - X[None, :, :]
-    # Squared or absolute in place: the n x n x k difference is the
-    # largest array built from X, and train and eval rebuild it too.
+    # Squared or absolute in place: the difference is the largest array
+    # built here (u x u x k for the u distinct rows the graph is built on).
     if metric == EUCLIDEAN:
         D = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
     elif metric == MANHATTAN:
@@ -82,19 +127,26 @@ def pairwise_distances(X: np.ndarray, metric: str = EUCLIDEAN) -> np.ndarray:
     return _mirror_upper(D)
 
 
-def adjacency_approximation(D: np.ndarray) -> tuple[np.ndarray, float]:
+def adjacency_approximation(
+    D: np.ndarray, counts: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Turn distances into an adjacency-like matrix.
 
-    t is the mean of the strict upper triangle; distances are divided by t,
-    clipped at 1 and subtracted from 1, so entries lie in [0, 1] with 1 on
-    the diagonal and 0 for any pair at or beyond the average distance.
-    Returns (A_hat, t).
+    D holds the distances between u distinct rows and ``counts`` the number
+    of targets sharing each row (one each when omitted, so D is over the
+    targets themselves).  t is the mean distance over the n(n-1)/2 pairs of
+    targets, each pair of rows weighted by the product of their counts;
+    distances are divided by t, clipped at 1 and subtracted from 1, so
+    entries lie in [0, 1] with 1 on the diagonal and 0 for any pair at or
+    beyond the average distance.  Returns (A_hat, t).
     """
-    n = D.shape[0]
+    u = D.shape[0]
+    counts = np.ones(u, dtype=int) if counts is None else counts
+    n = int(counts.sum())
     if n < 2:
         raise DataError("adjacency approximation needs at least 2 nodes")
-    iu = np.triu_indices(n, k=1)
-    t = float(D[iu].mean())
+    iu = np.triu_indices(u, k=1)
+    t = float((counts[iu[0]] * counts[iu[1]]) @ D[iu]) / (n * (n - 1) / 2)
     if t == 0.0:
         raise NumericalError(
             "all pairwise distances are zero: every target has an identical "
@@ -108,12 +160,20 @@ def normalize_propagation(
     A_hat: np.ndarray,
     threshold: float = 0.0,
     literal_self_loops: bool = False,
+    counts: np.ndarray | None = None,
+    index: np.ndarray | None = None,
 ) -> PropagationMatrix:
     """Symmetric normalization with self loops.
 
-    By default the diagonal of A_hat is reset to 0 before the identity is
-    added, keeping the self-loop weight at 1; ``literal_self_loops`` keeps
-    the diagonal produced by the adjacency approximation (making it 2).
+    A_hat is over the u distinct rows; ``counts`` and ``index`` give the
+    number of targets in each row class and the class of each target (one
+    target per row when omitted).  The unnormalized matrix is G A_hat Gᵀ
+    plus a per-class diagonal term: by default the diagonal of A_hat is
+    reset to 0 before the identity is added, keeping the self-loop weight
+    at 1 (a term of 1 - diag(A_hat), which is 0 for a distance-derived
+    A_hat); ``literal_self_loops`` keeps the diagonal produced by the
+    adjacency approximation (a term of 1, making it 2).  Normalizing by
+    the class degrees d turns these into C and the operator's e = term / d.
     """
     A = np.asarray(A_hat, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -122,24 +182,27 @@ def normalize_propagation(
         raise DataError("A_hat must be symmetric within 1e-12")
     if np.min(A) < 0:
         raise DataError("A_hat entries must be nonnegative")
-    D_hat = A.copy()
-    if not literal_self_loops:
-        np.fill_diagonal(D_hat, 0.0)
-    D_hat = D_hat + np.eye(A.shape[0])
-    degrees = D_hat.sum(axis=1)
+    u = A.shape[0]
+    counts = np.ones(u, dtype=int) if counts is None else counts
+    index = np.repeat(np.arange(u), counts) if index is None else index
+    self_loops = np.ones(u) if literal_self_loops else 1.0 - np.diag(A)
+    degrees = A @ counts + self_loops
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    P = inv_sqrt[:, None] * D_hat * inv_sqrt[None, :]
-    return PropagationMatrix(P, threshold)
+    C = inv_sqrt[:, None] * A * inv_sqrt[None, :]
+    return PropagationMatrix(C, self_loops / degrees, index, threshold)
 
 
 def propagation_matrix(
     X: np.ndarray, metric: str = EUCLIDEAN, literal_self_loops: bool = False
 ) -> PropagationMatrix:
-    """The secondary graph of X: distances, adjacency approximation, then
-    normalization.  A fixed function of X, so it is rebuilt where it is used
-    rather than persisted."""
-    A_hat, t = adjacency_approximation(pairwise_distances(X, metric))
-    return normalize_propagation(A_hat, t, literal_self_loops=literal_self_loops)
+    """The secondary graph of X: distances between its distinct rows, the
+    adjacency approximation, then normalization.  A fixed function of X,
+    so it is rebuilt where it is used rather than persisted."""
+    rows, index, counts = np.unique(
+        X, axis=0, return_inverse=True, return_counts=True
+    )
+    A_hat, t = adjacency_approximation(pairwise_distances(rows, metric), counts)
+    return normalize_propagation(A_hat, t, literal_self_loops, counts, index.reshape(-1))
 
 
 # -- persistence -----------------------------------------------------------

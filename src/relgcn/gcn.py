@@ -1,9 +1,14 @@
-"""Dense graph convolutional network with explicit forward/backward passes.
+"""Graph convolutional network with explicit forward/backward passes.
 
 Trained transductively, full batch, for binary link prediction: relu
 between graph convolutions, inverted dropout between them in training
 mode, log-softmax over two output logits, Adam with first-layer weight
 decay.  Everything is seeded and bitwise reproducible.
+
+The propagation matrix P is used only through ``P @ H``, ``P.T`` and
+``P.shape``.  The pipeline passes ``featurize.PropagationMatrix``, the
+class operator over the u distinct feature rows (O(n·u + u²) memory, each
+propagation O(n·u·h + u²·h)); tests may pass a dense n x n array.
 """
 
 from __future__ import annotations
@@ -11,10 +16,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
+
+if TYPE_CHECKING:
+    from .featurize import PropagationMatrix
 
 
 @dataclass
@@ -63,6 +72,14 @@ class TrainConfig:
             raise ConfigError("learning_rate must be > 0")
         if self.num_layers < 1:
             raise ConfigError("num_layers must be >= 1")
+        if self.hidden_size < 1:
+            raise ConfigError("hidden_size must be >= 1")
+        if not (0.0 <= self.dropout_rate < 1.0):
+            raise ConfigError("dropout_rate must lie in [0, 1)")
+        if self.early_stopping_patience < 0:
+            raise ConfigError("early_stopping_patience must be >= 0")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be >= 0")
 
 
 @dataclass
@@ -112,7 +129,7 @@ def _log_softmax(Z: np.ndarray) -> np.ndarray:
 
 
 def gcn_forward(
-    P: np.ndarray,
+    P: np.ndarray | PropagationMatrix,
     X: np.ndarray,
     model: GCNModel,
     mode: str = "eval",
@@ -180,7 +197,7 @@ def nll_loss(
 
 
 def gcn_backward(
-    P: np.ndarray,
+    P: np.ndarray | PropagationMatrix,
     caches: ForwardCaches,
     labels: np.ndarray,
     mask: np.ndarray,
@@ -270,7 +287,7 @@ class EpochRecord:
 
 
 def train(
-    P: np.ndarray,
+    P: np.ndarray | PropagationMatrix,
     X: np.ndarray,
     labels: np.ndarray,
     masks: SplitMasks,
@@ -318,7 +335,7 @@ def train(
 
 
 def predict(
-    model: GCNModel, P: np.ndarray, X: np.ndarray
+    model: GCNModel, P: np.ndarray | PropagationMatrix, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positive-class probabilities and argmax hard labels, eval mode."""
     log_probs, _ = gcn_forward(P, X, model, mode="eval")

@@ -133,6 +133,9 @@ def split_examples(
     n = labels.size
     if n < 3:
         raise DataError("need at least 3 examples to split")
+    for name, share in zip(("train", "validation", "test"), proportions):
+        if share < 0:
+            raise DataError(f"split proportion {name!r} must be >= 0, got {share!r}")
     if abs(sum(proportions) - 1.0) > 1e-9:
         raise DataError("split proportions must sum to 1")
     rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ import copy
 import csv
 import hashlib
 import json
+import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +36,8 @@ from .grounding import (
 )
 from .kb import KnowledgeBase, parse_facts, parse_ground_atoms
 from .rulelearn import LearnConfig, learn_ruleset, parse_rules, serialize_rules
+
+log = logging.getLogger(__name__)
 
 _DEFAULTS: dict[str, object] = {
     "facts": "",
@@ -86,6 +89,9 @@ _TRAIN_KEYS = {
     "num_layers": "train.num_layers",
 }
 
+# Train, validation and test proportions, in split_examples' order.
+_SPLIT_KEYS = ("split.train", "split.val", "split.test")
+
 
 def _coerce(key: str, raw: str) -> object:
     default = _DEFAULTS[key]
@@ -133,6 +139,14 @@ class PipelineConfig:
                 f"expected an int >= 0 for 'featurize.cap', "
                 f"got {str(self['featurize.cap'])!r}"
             )
+        for key in _SPLIT_KEYS:
+            if not 0.0 <= float(self[key]) <= 1.0:
+                raise ConfigError(
+                    f"expected a proportion in [0, 1] for {key!r}, got {str(self[key])!r}"
+                )
+        if abs(sum(self.split_proportions()) - 1.0) > 1e-9:
+            given = "; ".join(f"{key!r}, got {str(self[key])!r}" for key in _SPLIT_KEYS)
+            raise ConfigError(f"expected split proportions that sum to 1: {given}")
         try:
             self.train_config()
         except ConfigError as exc:
@@ -203,6 +217,9 @@ class PipelineConfig:
             max_constants_for_grounding=int(self["learn.max_constants_for_grounding"]),
             contrast_ratio=float(self["learn.contrast_ratio"]),
         )
+
+    def split_proportions(self) -> tuple[float, float, float]:
+        return tuple(float(self[key]) for key in _SPLIT_KEYS)
 
     def train_config(self) -> gcn_mod.TrainConfig:
         return gcn_mod.TrainConfig(
@@ -347,10 +364,16 @@ def _load_graph(
     config's ``featurize.*`` keys."""
     out = config.out_dir()
     X, _, _ = fz.read_matrix_csv(out / "X.csv")
-    prop = fz.propagation_matrix(
-        X,
-        str(config["featurize.metric"]),
-        bool(config["featurize.literal_self_loops"]),
+    metric = str(config["featurize.metric"])
+    prop = fz.propagation_matrix(X, metric, bool(config["featurize.literal_self_loops"]))
+    log.info(
+        "graph over %d targets with %d distinct feature rows: metric %s, "
+        "t=%r, propagation operator %d bytes",
+        X.shape[0],
+        prop.classes.shape[0],
+        metric,
+        prop.threshold,
+        prop.nbytes,
     )
     return _load_labels(out / "targets.csv"), X, prop
 
@@ -360,15 +383,13 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     graph's metric and threshold t are written together."""
     out = config.out_dir()
     labels, X, prop = _load_graph(config)
-    props = (
-        float(config["split.train"]),
-        float(config["split.val"]),
-        float(config["split.test"]),
-    )
     masks = metrics_mod.split_examples(
-        labels, props, int(config["split.seed"]), bool(config["split.stratified"])
+        labels,
+        config.split_proportions(),
+        int(config["split.seed"]),
+        bool(config["split.stratified"]),
     )
-    model, history = gcn_mod.train(prop.values, X, labels, masks, config.train_config())
+    model, history = gcn_mod.train(prop, X, labels, masks, config.train_config())
     gcn_mod.save_checkpoint(out / "model.rdgw", model)
     (out / "threshold.json").write_text(
         json.dumps({"metric": str(config["featurize.metric"]), "t": prop.threshold})
@@ -398,7 +419,7 @@ def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
     model = gcn_mod.load_checkpoint(out / "model.rdgw")
     splits = json.loads((out / "splits.json").read_text())
     test_idx = np.array(splits["test"], dtype=int)
-    scores, _ = gcn_mod.predict(model, prop.values, X)
+    scores, _ = gcn_mod.predict(model, prop, X)
     test_scores = scores[test_idx]
     test_labels = labels[test_idx]
     thr_setting = str(config["eval.threshold"])

@@ -69,6 +69,33 @@ def naive_euclidean_distances(X: np.ndarray) -> np.ndarray:
     return U + U.T
 
 
+def dense_propagation_matrix(
+    X: np.ndarray, metric: str, literal_self_loops: bool = False
+) -> tuple[np.ndarray, float]:
+    """The n x n propagation matrix of X and its threshold t, built densely
+    over every pair of targets: n x n x k coordinate differences, t as the
+    mean of the strict upper triangle, and the self-loop reset and
+    symmetric normalization on the full matrix.  The cross-check for
+    `propagation_matrix`' class operator."""
+    diff = np.abs(X[:, None, :] - X[None, :, :])
+    if metric == "euclidean":
+        D = np.sqrt(np.sum(diff * diff, axis=2))
+    elif metric == "manhattan":
+        D = np.sum(diff, axis=2)
+    else:
+        D = np.max(diff, axis=2)
+    U = np.triu(D, k=1)
+    D = U + U.T
+    n = X.shape[0]
+    t = float(D[np.triu_indices(n, k=1)].mean())
+    D_hat = 1.0 - np.minimum(D / t, 1.0)
+    if not literal_self_loops:
+        np.fill_diagonal(D_hat, 0.0)
+    D_hat += np.eye(n)
+    inv_sqrt = 1.0 / np.sqrt(D_hat.sum(axis=1))
+    return inv_sqrt[:, None] * D_hat * inv_sqrt[None, :], t
+
+
 def enumerate_target_tuples(
     kb: KnowledgeBase,
     target_schema: PredicateSchema,

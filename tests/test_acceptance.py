@@ -170,7 +170,7 @@ def test_criterion_04_normalization_elementwise_and_spectral():
         A = rng.random((n, n))
         A = (A + A.T) / 2.0
         np.fill_diagonal(A, 1.0)
-        P = normalize_propagation(A).values
+        P = normalize_propagation(A) @ np.eye(n)
         D_hat = A.copy()
         np.fill_diagonal(D_hat, 0.0)
         D_hat += np.eye(n)

@@ -1,4 +1,7 @@
-"""Distances, adjacency approximation, normalization and matrix persistence."""
+"""Distances, adjacency approximation, normalization, the propagation
+operator and matrix persistence."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,16 +19,18 @@ from relgcn.featurize import (
     build_rule_matrix,
     normalize_propagation,
     pairwise_distances,
+    propagation_matrix,
     read_matrix_csv,
     write_matrix_csv,
     zscale_columns,
 )
+from relgcn.gcn import TrainConfig, init_model, predict
 from relgcn.grounding import Clause, POSITIVE_DENSITY, NEGATIVE_DENSITY
 from relgcn.kb import Atom, Variable
 from relgcn.rulelearn import make_head
 
 from conftest import example
-from oracles import naive_euclidean_distances
+from oracles import dense_propagation_matrix, naive_euclidean_distances
 
 
 def count_matrices(n_max=8, k_max=5):
@@ -164,19 +169,19 @@ def test_adjacency_properties(X):
 
 
 def test_normalize_identity_is_identity():
-    P = normalize_propagation(np.eye(2)).values
+    P = normalize_propagation(np.eye(2)) @ np.eye(2)
     assert np.allclose(P, np.eye(2))
 
 
 def test_normalize_all_ones_gives_half():
-    P = normalize_propagation(np.ones((2, 2))).values
+    P = normalize_propagation(np.ones((2, 2))) @ np.eye(2)
     assert np.allclose(P, 0.5)
 
 
 def test_normalize_literal_self_loops_changes_diagonal():
     A = np.array([[1.0, 0.5], [0.5, 1.0]])
-    default = normalize_propagation(A).values
-    literal = normalize_propagation(A, literal_self_loops=True).values
+    default = normalize_propagation(A) @ np.eye(2)
+    literal = normalize_propagation(A, literal_self_loops=True) @ np.eye(2)
     # Default resets diag(A) to 0 before adding I: self-loop weight 1.
     assert default[0, 0] == pytest.approx(1.0 / 1.5)
     # Literal mode keeps the diagonal from the approximation: weight 2.
@@ -209,7 +214,7 @@ def test_normalize_elementwise_and_spectral_radius(X):
     if D[np.triu_indices(D.shape[0], k=1)].sum() == 0.0:
         return
     A_hat, _ = adjacency_approximation(D)
-    P = normalize_propagation(A_hat).values
+    P = normalize_propagation(A_hat) @ np.eye(A_hat.shape[0])
     # Independent elementwise recomputation.
     D_hat = A_hat.copy()
     np.fill_diagonal(D_hat, 0.0)
@@ -219,6 +224,69 @@ def test_normalize_elementwise_and_spectral_radius(X):
         for j in range(P.shape[1]):
             assert abs(P[i, j] - D_hat[i, j] / np.sqrt(deg[i] * deg[j])) < 1e-12
     assert _spectral_radius(P) <= 1.0 + 1e-9
+
+
+# -- propagation operator -------------------------------------------------
+
+
+def _feature_rows(rng, repeated):
+    """A random X with at least two distinct rows: drawn from a few base
+    rows when ``repeated`` (u < n), else continuous (u = n)."""
+    n, k = int(rng.integers(5, 30)), int(rng.integers(1, 5))
+    while True:
+        if repeated:
+            base = rng.integers(0, 4, size=(int(rng.integers(2, 5)), k)).astype(float)
+            X = base[rng.integers(0, len(base), size=n)]
+        else:
+            X = rng.random((n, k))
+        if len(np.unique(X, axis=0)) >= 2:
+            return X
+
+
+def _relative_error(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("literal_self_loops", [False, True])
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
+def test_propagation_operator_matches_dense_oracle(repeated, metric, literal_self_loops):
+    """P @ H, P.T @ H, t and predict's scores agree with the dense n x n
+    chain to 1e-12 relative."""
+    rng = np.random.default_rng(METRICS.index(metric) + 10 * literal_self_loops)
+    for trial in range(20):
+        X = _feature_rows(rng, repeated)
+        n = X.shape[0]
+        dense, t = dense_propagation_matrix(X, metric, literal_self_loops)
+        P = propagation_matrix(X, metric, literal_self_loops)
+        assert P.shape == (n, n)
+        assert (P.classes.shape[0] < n) == repeated
+        assert P.threshold == pytest.approx(t, rel=1e-12)
+        H = rng.standard_normal((n, 7))
+        assert _relative_error(P @ H, dense @ H) < 1e-12
+        assert _relative_error(P.T @ H, dense.T @ H) < 1e-12
+        model = init_model(X.shape[1], TrainConfig(hidden_size=6, num_layers=3, seed=trial))
+        scores, _ = predict(model, P, X)
+        dense_scores, _ = predict(model, dense, X)
+        assert np.max(np.abs(scores - dense_scores) / dense_scores) < 1e-12
+
+
+def test_propagation_matrix_memory_is_linear_in_targets():
+    """50,000 targets over 5 distinct rows: the dense P alone would take
+    20 GB; the operator and one product with it stay under 50 MB."""
+    rng = np.random.default_rng(0)
+    rows = np.arange(15.0).reshape(5, 3)
+    X = rows[rng.integers(0, 5, size=50_000)]
+    tracemalloc.start()
+    try:
+        P = propagation_matrix(X)
+        PX = P @ X
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.classes.shape == (5, 5)
+    assert PX.shape == X.shape
+    assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # -- rule matrix -----------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relgcn.errors import ConfigError, DataError, NumericalError
+from relgcn.featurize import propagation_matrix
 from relgcn.gcn import (
     AdamState,
     GCNModel,
@@ -83,6 +84,15 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(num_layers=0)
+    with pytest.raises(ConfigError, match="^hidden_size"):
+        TrainConfig(hidden_size=0)
+    for rate in (-0.1, 1.0):
+        with pytest.raises(ConfigError, match="^dropout_rate"):
+            TrainConfig(dropout_rate=rate)
+    with pytest.raises(ConfigError, match="^early_stopping_patience"):
+        TrainConfig(early_stopping_patience=-1)
+    with pytest.raises(ConfigError, match="^weight_decay"):
+        TrainConfig(weight_decay=-1e-4)
 
 
 def test_split_masks_must_be_disjoint():
@@ -207,6 +217,26 @@ def test_gradients_match_finite_differences(wd, dropout):
     _, caches = gcn_forward(P, X, model, mode="train", rng=rng)
     analytic = gcn_backward(P, caches, labels, mask, model, wd)
     numeric = finite_difference_grads(P, X, labels, mask, model, caches, wd)
+    assert max_relative_error(analytic, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("literal_self_loops", [False, True])
+@pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
+def test_gradients_through_propagation_operator(repeated, literal_self_loops):
+    """Criterion 5's check with the class operator the pipeline trains on,
+    three layers so that P.T also reaches a hidden layer."""
+    rng = np.random.default_rng(4)
+    X = rng.random((9, 4))
+    if repeated:
+        X = X[[0, 1, 2, 0, 1, 2, 0, 0, 1]]
+    P = propagation_matrix(X, literal_self_loops=literal_self_loops)
+    assert (P.classes.shape[0] < 9) == repeated
+    labels = rng.integers(0, 2, size=9)
+    mask = np.array([0, 2, 3, 5, 7])
+    model = init_model(4, TrainConfig(hidden_size=5, num_layers=3, dropout_rate=0.5, seed=2))
+    _, caches = gcn_forward(P, X, model, mode="train", rng=rng)
+    analytic = gcn_backward(P, caches, labels, mask, model, 5e-4)
+    numeric = finite_difference_grads(P, X, labels, mask, model, caches, 5e-4)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 

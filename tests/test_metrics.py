@@ -139,3 +139,5 @@ def test_split_validation_errors():
         split_examples(np.array([1, 0]))
     with pytest.raises(DataError):
         split_examples(np.array([1, 0, 1]), (0.5, 0.2, 0.2))
+    with pytest.raises(DataError, match="'validation' must be >= 0"):
+        split_examples(np.array([1, 0, 1]), (0.8, -0.1, 0.3))

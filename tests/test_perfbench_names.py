@@ -1,6 +1,8 @@
-"""The benchmark wraps package functions by name: every name it traces or
-probes must resolve, so removing one fails here and not only in the
-benchmark's own suite.  The benchmark's files are read, not changed."""
+"""The benchmark wraps package functions by name and reads their
+arguments: every name it traces or probes must resolve, and its counters
+must accept the arguments the pipeline passes, so an API change that
+would break a traced run fails here and not only in the benchmark's own
+suite.  The benchmark's files are read, not changed."""
 
 import ast
 import importlib
@@ -8,6 +10,10 @@ import runpy
 from pathlib import Path
 
 import pytest
+
+from relgcn import gcn
+from relgcn.pipeline import PipelineConfig, stage_featurize, stage_learn, stage_train
+from relgcn.synth import SyntheticSpec, generate_synthetic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,3 +38,38 @@ def _wrapped_names() -> list[tuple[str, str]]:
 @pytest.mark.parametrize("module,attr", _wrapped_names())
 def test_benchmark_wrapped_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"relgcn.{module}"), attr, None))
+
+
+def test_benchmark_flop_counters_read_stage_train_arguments(tmp_path, monkeypatch):
+    """`_forward_flops` and `_backward_flops` take n from the first
+    argument's shape and the model from a fixed position."""
+    tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
+    spec = SyntheticSpec(
+        n_persons=16, n_universities=3, n_topics=3, n_positives=25, n_negatives=40, seed=0
+    )
+    generate_synthetic(spec, tmp_path / "data")
+    config = PipelineConfig.from_overrides(
+        {
+            **{k: str(tmp_path / "data" / f"{k}.txt") for k in ("facts", "pos", "neg")},
+            "out": str(tmp_path / "out"),
+            "learn.k_pos": "2",
+            "learn.k_neg": "2",
+            "learn.max_constants_for_grounding": "0",
+            "train.epochs": "2",
+        }
+    )
+    stage_learn(config)
+    stage_featurize(config)
+    calls = {}
+    for name in ("gcn_forward", "gcn_backward"):
+        def recorded(*args, _fn=getattr(gcn, name), _name=name, **kwargs):
+            calls.setdefault(_name, (args, kwargs))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(gcn, name, recorded)
+    stage_train(config)
+    n = 65
+    args, kwargs = calls["gcn_forward"]
+    dims = args[2].dims
+    assert tracing["_forward_flops"](args, kwargs) == 2 * n * n * sum(dims[:-1])
+    args, kwargs = calls["gcn_backward"]
+    assert tracing["_backward_flops"](args, kwargs) == 2 * n * n * dims[-1]

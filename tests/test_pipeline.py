@@ -1,6 +1,7 @@
 """Pipeline staging, config handling, sweeps and the CLI."""
 
 import json
+import logging
 import shutil
 
 import numpy as np
@@ -195,6 +196,21 @@ def test_identical_feature_rows_fail_in_train(small_run, tmp_path):
         stage_train(config)
 
 
+def test_graph_build_is_logged(small_run, tmp_path, caplog):
+    config = _clone_run(small_run, tmp_path)
+    with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
+        stage_train(config)
+    X, _, _ = fz.read_matrix_csv(config.out_dir() / "X.csv")
+    prop = fz.propagation_matrix(X)
+    u = len(np.unique(X, axis=0))
+    t = json.loads((config.out_dir() / "threshold.json").read_text())["t"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"graph over 65 targets with {u} distinct feature rows: metric euclidean, "
+        f"t={t!r}, propagation operator {prop.nbytes} bytes"
+    ]
+    assert prop.nbytes < 8 * 65 * 65
+
+
 def test_eval_mean_threshold(small_run, tmp_path):
     config = _clone_run(small_run, tmp_path, **{"eval.threshold": "mean"})
     report = stage_eval(config)
@@ -384,18 +400,28 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog):
         "featurize.metric=foo",
         "featurize.cap=-3",
         "train.epochs=0",
+        "split.train=0.8 split.val=-0.1",
+        "split.train=0.95",
+        "train.hidden_size=0",
+        "train.dropout_rate=1.5",
+        "train.patience=-1",
+        "train.weight_decay=-1.0",
     ],
 )
 def test_cli_unparsable_config_value_is_a_config_error(
     small_run, tmp_path, caplog, setting
 ):
+    """``setting`` is one or more space-separated KEY=VALUE flags; the
+    error names the last one."""
     out = tmp_path / "out"
     data = small_run["data"]
-    argv = ["pipeline", "--out", str(out), "--set", setting]
+    argv = ["pipeline", "--out", str(out)]
+    for item in setting.split():
+        argv += ["--set", item]
     for key in ("facts", "pos", "neg"):
         argv += ["--set", f"{key}={data / (key + '.txt')}"]
     assert cli_main(argv) == 1
-    key, value = setting.split("=")
+    key, value = setting.split()[-1].split("=")
     assert f"{key!r}, got {value!r}" in caplog.text
     assert not out.exists()  # no stage ran
 
