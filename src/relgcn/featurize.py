@@ -33,21 +33,22 @@ class PropagationMatrix:
 
     G is the n x u indicator of each target's distinct feature row
     (``index``), C is u x u and e holds one normalized self-loop term per
-    distinct row.  It stands in for the dense matrix wherever the GCN uses one:
-    ``P @ H`` (O(n·u·h + u²·h) for an n x h matrix H), ``P.T`` and
-    ``P.shape``.
+    distinct row.  It stands in for the dense matrix through ``P @ H``
+    (O(n·u·h + u²·h) for an n x h matrix H), ``P.T`` and ``P.shape``; when
+    e is zero the GCN runs on the row classes instead, through C, ``index``
+    and the indicator Gᵀ (``members``).
     """
 
     classes: np.ndarray  # C
     diagonal: np.ndarray  # e
     index: np.ndarray  # the distinct row of each target
     threshold: float  # adjacency threshold t, recorded for audit
-    _members: np.ndarray = field(init=False, repr=False)  # Gᵀ, u x n
+    members: np.ndarray = field(init=False, repr=False)  # Gᵀ, u x n
     _self_loops: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         u = self.classes.shape[0]
-        self._members = (np.arange(u)[:, None] == self.index[None, :]).astype(float)
+        self.members = (np.arange(u)[:, None] == self.index[None, :]).astype(float)
         # e is 0 under the default self-loop reset: that term is skipped.
         self._self_loops = (
             self.diagonal[self.index][:, None] if self.diagonal.any() else None
@@ -63,13 +64,13 @@ class PropagationMatrix:
 
     @property
     def nbytes(self) -> int:
-        arrays = [self.classes, self.diagonal, self.index, self._members]
+        arrays = [self.classes, self.diagonal, self.index, self.members]
         if self._self_loops is not None:
             arrays.append(self._self_loops)
         return sum(a.nbytes for a in arrays)
 
     def __matmul__(self, H: np.ndarray) -> np.ndarray:
-        out = (self.classes @ (self._members @ H))[self.index]
+        out = (self.classes @ (self.members @ H))[self.index]
         if self._self_loops is not None:
             out += self._self_loops * H
         return out

@@ -5,10 +5,19 @@ between graph convolutions, inverted dropout between them in training
 mode, log-softmax over two output logits, Adam with first-layer weight
 decay.  Everything is seeded and bitwise reproducible.
 
-The propagation matrix P is used only through ``P @ H``, ``P.T`` and
-``P.shape``.  The pipeline passes ``featurize.PropagationMatrix``, the
-class operator over the u distinct feature rows (O(n·u + u²) memory, each
-propagation O(n·u·h + u²·h)); tests may pass a dense n x n array.
+Every layer runs on a partition of the targets into row classes
+(``row_classes``).  The pipeline passes ``featurize.PropagationMatrix``,
+P = G C Gᵀ over the u distinct feature rows; with no per-target
+self-loop term (the default), P @ H depends on H only through the class
+sums Gᵀ H, so every propagated matrix, pre-activation and logit has one
+row per class.  A dropout mask is per target, but it enters the next
+layer only through its class column sums Gᵀ M; the eval pass uses the
+class counts in their place.  Per epoch that is O(n·h) to draw the masks
+and O(n·u·h) to pool them (one BLAS product with the u x n indicator),
+plus O(u·h² + u²·h) for the layers; the log-probabilities are gathered
+to the n targets at the end.  Any other P (a dense n x n
+array, or an operator with a per-target term) runs the same code on the
+trivial partition, one class per target, propagated by ``P @``.
 """
 
 from __future__ import annotations
@@ -16,14 +25,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-
-if TYPE_CHECKING:
-    from .featurize import PropagationMatrix
+from .featurize import PropagationMatrix
 
 
 @dataclass
@@ -115,11 +121,46 @@ def init_model(
 
 
 @dataclass
+class RowClasses:
+    """A partition of the n targets on whose classes every layer's rows
+    are constant, and the operator that propagates between the classes:
+    the class rows of ``P @ H`` are ``operator @ pool(H)``."""
+
+    index: np.ndarray  # the class of each target
+    operator: np.ndarray | PropagationMatrix
+    members: np.ndarray | None = None  # Gᵀ, u x n; None for one class per target
+    counts: np.ndarray = field(init=False)  # targets per class, a float column
+
+    def __post_init__(self):
+        counts = np.bincount(self.index, minlength=self.operator.shape[0])
+        self.counts = counts[:, None].astype(float)
+
+    def pool(self, rows: np.ndarray) -> np.ndarray:
+        """Gᵀ rows: the sum of each class's rows (O(n·u·d))."""
+        return rows if self.members is None else self.members @ rows
+
+
+def row_classes(P: np.ndarray | PropagationMatrix) -> RowClasses:
+    """The u distinct feature rows of a class operator with no per-target
+    term, propagated by its u x u C; otherwise one class per target,
+    propagated by P itself."""
+    if isinstance(P, PropagationMatrix) and not P.diagonal.any():
+        return RowClasses(P.index, P.classes, P.members)
+    return RowClasses(np.arange(P.shape[0]), P)
+
+
+@dataclass
 class ForwardCaches:
-    propagated: list[np.ndarray]  # P @ H per layer, the input to each W
+    """Per layer and on the row classes: the propagated input to W, the
+    pre-activation and, for hidden layers, what multiplies the relu before
+    it is propagated (Gᵀ M / (1 - rate) in training, the class counts
+    otherwise).  The dropout masks are per target, for reuse."""
+
+    propagated: list[np.ndarray]
     pre_activations: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
-    log_probs: np.ndarray = field(default=None)  # filled by gcn_forward
+    kept: list[np.ndarray]
+    log_probs: np.ndarray = field(default=None)  # n rows, filled by gcn_forward
 
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
@@ -137,9 +178,10 @@ def gcn_forward(
     dropout_masks: list[np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, ForwardCaches]:
     """Layer-wise propagation: hidden layers relu(P H W), output row-wise
-    log-softmax of P H W_last.  In train mode an inverted-dropout mask is
-    applied after each hidden activation; pass ``dropout_masks`` to reuse
-    masks from an earlier pass (gradient checking)."""
+    log-softmax of P H W_last, computed on the row classes of P and
+    returned for all n targets.  In train mode an n x h inverted-dropout
+    mask is drawn after each hidden activation; pass ``dropout_masks`` to
+    reuse masks from an earlier pass (gradient checking)."""
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     if P.shape[0] != P.shape[1] or P.shape[0] != X.shape[0]:
@@ -148,31 +190,33 @@ def gcn_forward(
         raise DataError(
             f"X has {X.shape[1]} features, model expects {model.dims[0]}"
         )
-    n_layers = len(model.weights)
-    caches = ForwardCaches([], [], [])
-    H = X
-    for l in range(n_layers - 1):
-        S = P @ H
-        A = S @ model.weights[l]
-        H = np.maximum(A, 0.0)
+    classes = row_classes(P)
+    caches = ForwardCaches([], [], [], [])
+    pooled = classes.pool(X)  # Gᵀ H of each layer's input H
+    for l, W in enumerate(model.weights[:-1]):
+        S = classes.operator @ pooled
+        A = S @ W
         mask = None
+        kept = classes.counts
         if mode == "train" and model.dropout_rate > 0.0:
             if dropout_masks is not None:
                 mask = dropout_masks[l]
             else:
                 if rng is None:
                     rng = np.random.default_rng(model.rng_seed)
-                mask = rng.random(H.shape) >= model.dropout_rate
-            H = H * mask / (1.0 - model.dropout_rate)
+                mask = rng.random((X.shape[0], A.shape[1])) >= model.dropout_rate
+            kept = classes.pool(mask) / (1.0 - model.dropout_rate)
+        pooled = np.maximum(A, 0.0) * kept
         caches.propagated.append(S)
         caches.pre_activations.append(A)
         caches.dropout_masks.append(mask)
-    S = P @ H
+        caches.kept.append(kept)
+    S = classes.operator @ pooled
     Z = S @ model.weights[-1]
     caches.propagated.append(S)
     caches.pre_activations.append(Z)
     caches.dropout_masks.append(None)
-    log_probs = _log_softmax(Z)
+    log_probs = _log_softmax(Z)[classes.index]
     caches.log_probs = log_probs
     return log_probs, caches
 
@@ -205,26 +249,28 @@ def gcn_backward(
     weight_decay: float = 0.0,
 ) -> list[np.ndarray]:
     """Exact gradients of nll_loss w.r.t. every weight matrix, reusing the
-    dropout masks recorded in the caches."""
+    pooled dropout masks recorded in the caches.  The output gradient is
+    pooled onto the row classes once (Gᵀ dZ); from there each dH holds
+    the gradient every target of a class shares, and each dA the class sum
+    of the per-target gradients."""
+    classes = row_classes(P)
+    operator_T = classes.operator.T
     mask = np.asarray(mask, dtype=int)
     n_layers = len(model.weights)
     probs = np.exp(caches.log_probs)
     dZ = np.zeros_like(probs)
     dZ[mask] = probs[mask]
     dZ[mask, labels[mask]] -= 1.0
-    dZ /= mask.size
+    dZ = classes.pool(dZ) / mask.size
 
     grads: list[np.ndarray] = [None] * n_layers
     grads[-1] = caches.propagated[-1].T @ dZ
-    dH = (P.T @ dZ) @ model.weights[-1].T
+    dH = (operator_T @ dZ) @ model.weights[-1].T
     for l in range(n_layers - 2, -1, -1):
-        drop = caches.dropout_masks[l]
-        if drop is not None:
-            dH = dH * drop / (1.0 - model.dropout_rate)
-        dA = dH * (caches.pre_activations[l] > 0.0)
+        dA = dH * caches.kept[l] * (caches.pre_activations[l] > 0.0)
         grads[l] = caches.propagated[l].T @ dA
         if l > 0:
-            dH = (P.T @ dA) @ model.weights[l].T
+            dH = (operator_T @ dA) @ model.weights[l].T
     if weight_decay > 0.0:
         grads[0] = grads[0] + weight_decay * model.weights[0]
     return grads
@@ -348,40 +394,47 @@ def predict(
 
 _MAGIC = b"RDGW"
 _VERSION = 1
+_HEADER = struct.Struct("<4sBdqQ")  # magic, version, dropout rate, seed, len(dims)
 
 
 def save_checkpoint(path: str | Path, model: GCNModel) -> None:
     """Binary container: magic, version, dropout rate, seed, dims vector,
     row-major float64 weight payloads."""
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<B", _VERSION))
-        f.write(struct.pack("<d", model.dropout_rate))
-        f.write(struct.pack("<q", model.rng_seed))
-        f.write(struct.pack("<Q", len(model.dims)))
+        f.write(
+            _HEADER.pack(_MAGIC, _VERSION, model.dropout_rate, model.rng_seed, len(model.dims))
+        )
         f.write(struct.pack(f"<{len(model.dims)}Q", *model.dims))
         for W in model.weights:
             f.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> GCNModel:
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise DataError(f"bad magic bytes in checkpoint {path}")
-        (version,) = struct.unpack("<B", f.read(1))
-        if version != _VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
-        (dropout,) = struct.unpack("<d", f.read(8))
-        (seed,) = struct.unpack("<q", f.read(8))
-        (ndims,) = struct.unpack("<Q", f.read(8))
-        dims = list(struct.unpack(f"<{ndims}Q", f.read(8 * ndims)))
-        weights = []
-        for l in range(ndims - 1):
-            count = dims[l] * dims[l + 1]
-            payload = f.read(8 * count)
-            if len(payload) != 8 * count:
-                raise DataError(f"truncated checkpoint {path}")
-            weights.append(
-                np.frombuffer(payload, dtype="<f8").reshape(dims[l], dims[l + 1]).copy()
-            )
+    """The model saved by ``save_checkpoint``; a file that is not exactly
+    one checkpoint (bad magic, another version, cut short anywhere, or
+    followed by more bytes) is a DataError that names it."""
+    data = Path(path).read_bytes()
+    if data[:4] != _MAGIC:
+        raise DataError(f"bad magic bytes in checkpoint {path}")
+    if len(data) < _HEADER.size:
+        raise DataError(f"truncated checkpoint {path}: {len(data)} bytes")
+    _, version, dropout, seed, ndims = _HEADER.unpack_from(data)
+    if version != _VERSION:
+        raise DataError(f"unsupported checkpoint version {version} in {path}")
+    if ndims < 2:
+        raise DataError(f"checkpoint {path} holds {ndims} layer dimensions, needs >= 2")
+    offset = _HEADER.size + 8 * ndims
+    if len(data) < offset:
+        raise DataError(f"truncated checkpoint {path}: {len(data)} bytes")
+    dims = list(struct.unpack_from(f"<{ndims}Q", data, _HEADER.size))
+    expected = offset + 8 * sum(a * b for a, b in zip(dims, dims[1:]))
+    if len(data) != expected:
+        problem = "truncated" if len(data) < expected else "trailing bytes in"
+        raise DataError(
+            f"{problem} checkpoint {path}: {len(data)} bytes, expected {expected}"
+        )
+    weights = []
+    for a, b in zip(dims, dims[1:]):
+        weights.append(np.frombuffer(data, "<f8", a * b, offset).reshape(a, b).copy())
+        offset += 8 * a * b
     return GCNModel(weights, dims, dropout, seed)

@@ -124,7 +124,8 @@ def split_examples(
     seed: int = 0,
     stratified: bool = True,
 ) -> SplitMasks:
-    """Seeded disjoint exhaustive train/validation/test index sets.
+    """Seeded disjoint exhaustive train/validation/test index sets, each
+    nonempty.
 
     Stratified mode applies the proportions within each label class, which
     guards heavily imbalanced target sets.
@@ -157,4 +158,10 @@ def split_examples(
         test = np.concatenate([p[2] for p in parts])
     else:
         train, val, test = split_indices(np.arange(n))
+    for name, share, part in zip(("train", "validation", "test"), proportions, (train, val, test)):
+        if part.size == 0:
+            raise DataError(
+                f"split part {name!r} is empty: proportion {share!r} of "
+                f"{n} examples rounds to none"
+            )
     return SplitMasks(np.sort(train), np.sort(val), np.sort(test))

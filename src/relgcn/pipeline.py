@@ -140,9 +140,10 @@ class PipelineConfig:
                 f"got {str(self['featurize.cap'])!r}"
             )
         for key in _SPLIT_KEYS:
-            if not 0.0 <= float(self[key]) <= 1.0:
+            # Every part is needed: train fits, val stops early, test scores.
+            if not 0.0 < float(self[key]) <= 1.0:
                 raise ConfigError(
-                    f"expected a proportion in [0, 1] for {key!r}, got {str(self[key])!r}"
+                    f"expected a proportion in (0, 1] for {key!r}, got {str(self[key])!r}"
                 )
         if abs(sum(self.split_proportions()) - 1.0) > 1e-9:
             given = "; ".join(f"{key!r}, got {str(self[key])!r}" for key in _SPLIT_KEYS)
@@ -390,6 +391,16 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
         bool(config["split.stratified"]),
     )
     model, history = gcn_mod.train(prop, X, labels, masks, config.train_config())
+    best = int(np.argmin([rec.val_loss for rec in history]))
+    log.info(
+        "trained %d epochs, best epoch %d (val_loss=%r); each layer ran on "
+        "%d rows for %d targets",
+        len(history),
+        best,
+        history[best].val_loss,
+        gcn_mod.row_classes(prop).counts.shape[0],
+        X.shape[0],
+    )
     gcn_mod.save_checkpoint(out / "model.rdgw", model)
     (out / "threshold.json").write_text(
         json.dumps({"metric": str(config["featurize.metric"]), "t": prop.threshold})

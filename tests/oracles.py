@@ -96,6 +96,53 @@ def dense_propagation_matrix(
     return inv_sqrt[:, None] * D_hat * inv_sqrt[None, :], t
 
 
+def per_target_gcn_forward(P, X, model, mode="eval", dropout_masks=None):
+    """`gcn_forward` with an n-row activation per target through every
+    layer: S = P @ H, relu, and the dropout mask applied to the n x h
+    activation.  Train mode with dropout needs ``dropout_masks``.  Returns
+    the n x 2 log-probabilities and the per-layer (S, A, mask) caches."""
+    layers = []
+    H = X
+    for l, W in enumerate(model.weights[:-1]):
+        S = P @ H
+        A = S @ W
+        H = np.maximum(A, 0.0)
+        mask = None
+        if mode == "train" and model.dropout_rate > 0.0:
+            mask = dropout_masks[l]
+            H = H * mask / (1.0 - model.dropout_rate)
+        layers.append((S, A, mask))
+    S = P @ H
+    Z = S @ model.weights[-1]
+    layers.append((S, Z, None))
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return log_probs, layers
+
+
+def per_target_gcn_backward(P, log_probs, layers, labels, mask, model, weight_decay=0.0):
+    """`gcn_backward` on the n-row caches of `per_target_gcn_forward`."""
+    probs = np.exp(log_probs)
+    dZ = np.zeros_like(probs)
+    dZ[mask] = probs[mask]
+    dZ[mask, labels[mask]] -= 1.0
+    dZ /= len(mask)
+    grads = [None] * len(model.weights)
+    grads[-1] = layers[-1][0].T @ dZ
+    dH = (P.T @ dZ) @ model.weights[-1].T
+    for l in range(len(model.weights) - 2, -1, -1):
+        S, A, drop = layers[l]
+        if drop is not None:
+            dH = dH * drop / (1.0 - model.dropout_rate)
+        dA = dH * (A > 0.0)
+        grads[l] = S.T @ dA
+        if l > 0:
+            dH = (P.T @ dA) @ model.weights[l].T
+    if weight_decay > 0.0:
+        grads[0] = grads[0] + weight_decay * model.weights[0]
+    return grads
+
+
 def enumerate_target_tuples(
     kb: KnowledgeBase,
     target_schema: PredicateSchema,

@@ -19,8 +19,11 @@ from relgcn.gcn import (
     nll_loss,
     predict,
     save_checkpoint,
+    row_classes,
     train,
 )
+
+from oracles import dense_propagation_matrix, per_target_gcn_backward, per_target_gcn_forward
 
 
 def make_masks(n):
@@ -240,6 +243,107 @@ def test_gradients_through_propagation_operator(repeated, literal_self_loops):
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
+def _relative_error(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _class_problem(repeated, n=11, k=4, seed=0):
+    """X with repeated rows (u < n) or with every row distinct (u = n)."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, k))
+    if repeated:
+        X = X[np.concatenate([np.arange(4), rng.integers(0, 4, size=n - 4)])]
+    labels = rng.integers(0, 2, size=n)
+    return X, labels
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("literal_self_loops", [False, True])
+@pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
+def test_forward_backward_match_per_target_oracle(
+    repeated, literal_self_loops, num_layers, dropout
+):
+    """Log-probabilities and gradients equal the n-row propagation's to
+    1e-12 relative, with the masks shared, in train and eval mode, for the
+    class operator and for the dense P it stands for."""
+    X, labels = _class_problem(repeated, seed=num_layers)
+    operator = propagation_matrix(X, literal_self_loops=literal_self_loops)
+    dense, _ = dense_propagation_matrix(X, "euclidean", literal_self_loops)
+    u = row_classes(operator).counts.shape[0]
+    assert u == (X.shape[0] if literal_self_loops or not repeated else 4)
+    model = init_model(
+        X.shape[1],
+        TrainConfig(hidden_size=5, num_layers=num_layers, dropout_rate=dropout, seed=1),
+    )
+    mask = np.array([0, 1, 3, 4, 6, 9])
+    for P in (operator, dense):
+        for mode in ("train", "eval"):
+            rng = np.random.default_rng(3)
+            log_probs, caches = gcn_forward(P, X, model, mode=mode, rng=rng)
+            expected, layers = per_target_gcn_forward(
+                P, X, model, mode, caches.dropout_masks
+            )
+            assert _relative_error(log_probs, expected) < 1e-12
+            grads = gcn_backward(P, caches, labels, mask, model, 5e-4)
+            oracle = per_target_gcn_backward(
+                P, expected, layers, labels, mask, model, 5e-4
+            )
+            for g, o in zip(grads, oracle):
+                assert g.shape == o.shape
+                assert _relative_error(g, o) < 1e-12
+
+
+def test_forward_draws_the_per_target_mask_stream():
+    """The masks are n x h draws from the training stream whatever the
+    number of row classes, so the random stream does not depend on u."""
+    X, _ = _class_problem(repeated=True)
+    P = propagation_matrix(X)
+    model = init_model(X.shape[1], TrainConfig(hidden_size=5, num_layers=3, seed=2))
+    _, caches = gcn_forward(P, X, model, mode="train", rng=np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    for mask in caches.dropout_masks[:-1]:
+        assert np.array_equal(mask, rng.random((X.shape[0], 5)) >= 0.5)
+
+
+def test_train_on_operator_matches_dense_propagation():
+    """200 epochs on the class operator and on the dense P it stands for
+    run the same number of epochs with histories within 1e-10."""
+    rng = np.random.default_rng(6)
+    rows = rng.random((5, 3))
+    cls = rng.integers(0, 5, size=40)
+    X = rows[cls]
+    labels = (cls % 2 == 0).astype(int)
+    labels[:3] = 1 - labels[:3]  # a little label noise inside the classes
+    masks = make_masks(40)
+    dense, _ = dense_propagation_matrix(X, "euclidean")
+    config = TrainConfig(epochs=200, early_stopping_patience=200, seed=4)
+    model_op, hist_op = train(propagation_matrix(X), X, labels, masks, config)
+    model_dense, hist_dense = train(dense, X, labels, masks, config)
+    assert len(hist_op) == len(hist_dense) == 200
+    for a, b in zip(hist_op, hist_dense):
+        assert a.train_loss == pytest.approx(b.train_loss, rel=1e-10, abs=0)
+        assert a.val_loss == pytest.approx(b.val_loss, rel=1e-10, abs=0)
+        assert a.val_f1 == b.val_f1
+    for W1, W2 in zip(model_op.weights, model_dense.weights):
+        assert _relative_error(W1, W2) < 1e-10
+
+
+def test_predict_scores_are_constant_on_row_classes():
+    """One score per distinct row, bitwise equal across the class, so
+    auc_pr's exact tie grouping sees u distinct scores."""
+    X, _ = _class_problem(repeated=True, n=30)
+    P = propagation_matrix(X)
+    model = init_model(X.shape[1], TrainConfig(hidden_size=6, num_layers=3, seed=5))
+    scores, hard = predict(model, P, X)
+    _, index = np.unique(X, axis=0, return_inverse=True)
+    index = index.reshape(-1)
+    for c in range(4):
+        assert len(set(scores[index == c].tolist())) == 1
+    assert len(np.unique(scores)) == 4
+    assert np.array_equal(hard, (scores >= 0.5).astype(int))
+
+
 # -- Adam ------------------------------------------------------------------
 
 
@@ -339,3 +443,16 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (tmp_path / "short.rdgw").write_bytes(raw[:-16])
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "short.rdgw")
+    # Cut inside the fixed header, inside the dims vector, at the first
+    # weight, or followed by trailing bytes: each names the file.
+    for name, damaged in [
+        ("cut10", raw[:10]),
+        ("cut30", raw[:30]),
+        ("cut40", raw[:40]),
+        ("cut53", raw[:53]),
+        ("trailing", raw + b"\x00" * 8),
+    ]:
+        path = tmp_path / f"{name}.rdgw"
+        path.write_bytes(damaged)
+        with pytest.raises(DataError, match=str(path)):
+            load_checkpoint(path)

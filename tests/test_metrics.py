@@ -141,3 +141,14 @@ def test_split_validation_errors():
         split_examples(np.array([1, 0, 1]), (0.5, 0.2, 0.2))
     with pytest.raises(DataError, match="'validation' must be >= 0"):
         split_examples(np.array([1, 0, 1]), (0.8, -0.1, 0.3))
+
+
+@pytest.mark.parametrize("stratified", [True, False])
+def test_split_part_that_rounds_to_empty_is_named(stratified):
+    """5 + 5 examples at 0.9/0.05/0.05: validation rounds to no example,
+    in each class and overall."""
+    labels = np.array([1] * 5 + [0] * 5)
+    with pytest.raises(DataError, match="split part 'validation' is empty"):
+        split_examples(labels, (0.9, 0.05, 0.05), stratified=stratified)
+    with pytest.raises(DataError, match="split part 'test' is empty"):
+        split_examples(labels, (0.7, 0.3, 0.0), stratified=stratified)

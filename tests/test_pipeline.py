@@ -204,11 +204,35 @@ def test_graph_build_is_logged(small_run, tmp_path, caplog):
     prop = fz.propagation_matrix(X)
     u = len(np.unique(X, axis=0))
     t = json.loads((config.out_dir() / "threshold.json").read_text())["t"]
-    assert [r.getMessage() for r in caplog.records] == [
+    graph_lines = [
+        r.getMessage() for r in caplog.records if r.getMessage().startswith("graph over")
+    ]
+    assert graph_lines == [
         f"graph over 65 targets with {u} distinct feature rows: metric euclidean, "
         f"t={t!r}, propagation operator {prop.nbytes} bytes"
     ]
     assert prop.nbytes < 8 * 65 * 65
+
+
+@pytest.mark.parametrize("literal_self_loops", ["false", "true"])
+def test_train_summary_is_logged(small_run, tmp_path, caplog, literal_self_loops):
+    """One INFO line with the epochs run, the best epoch and the rows each
+    layer ran on: the u distinct rows of X, or every target when the
+    propagation has a per-target self-loop term."""
+    config = _clone_run(
+        small_run, tmp_path, **{"featurize.literal_self_loops": literal_self_loops}
+    )
+    with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
+        _, history = stage_train(config)
+    X, _, _ = fz.read_matrix_csv(config.out_dir() / "X.csv")
+    rows = 65 if literal_self_loops == "true" else len(np.unique(X, axis=0))
+    val_losses = [rec.val_loss for rec in history]
+    best = int(np.argmin(val_losses))
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("trained")] == [
+        f"trained {len(history)} epochs, best epoch {best} (val_loss={val_losses[best]!r}); "
+        f"each layer ran on {rows} rows for 65 targets"
+    ]
+    assert rows < 65 or literal_self_loops == "true"
 
 
 def test_eval_mean_threshold(small_run, tmp_path):
@@ -402,6 +426,9 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog):
         "train.epochs=0",
         "split.train=0.8 split.val=-0.1",
         "split.train=0.95",
+        "split.val=0.7 split.train=0.0",
+        "split.train=0.7 split.val=0.0",
+        "split.train=0.9 split.test=0.0",
         "train.hidden_size=0",
         "train.dropout_rate=1.5",
         "train.patience=-1",
