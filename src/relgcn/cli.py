@@ -14,6 +14,7 @@ from .errors import ConfigError, DataError, NumericalError, RelgcnError
 from .pipeline import (
     SWEEP_AXES,
     PipelineConfig,
+    default_values,
     rule_coverage_report,
     run_pipeline,
     sensitivity_sweep,
@@ -43,7 +44,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    overrides: dict[str, str] = {}
+    overrides: dict[str, object] = {}
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -51,15 +52,11 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         overrides[key.strip()] = value.strip()
     if args.out:
         overrides["out"] = args.out
-    if args.config:
-        config = PipelineConfig.from_file(args.config, overrides)
-    else:
-        config = PipelineConfig.from_overrides(overrides)
     if args.seed is not None:
-        for key in list(config.values):
-            if key.endswith("seed"):
-                config.values[key] = args.seed
-    return config
+        overrides.update((key, args.seed) for key in default_values() if key.endswith("seed"))
+    if args.config:
+        return PipelineConfig.from_file(args.config, overrides)
+    return PipelineConfig.from_overrides(overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

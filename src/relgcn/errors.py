@@ -10,7 +10,21 @@ class RelgcnError(Exception):
 
 
 class ConfigError(RelgcnError):
-    """Invalid configuration or command-line usage."""
+    """Invalid configuration or command-line usage.
+
+    An error about one setting carries its ``key`` and the value it ``got``,
+    the way a ParseError carries its line, and ``msg`` says what the key
+    expects; a caller that knows the setting under another key, or the
+    value as the user typed it, raises ``ConfigError(exc.msg, key, text)``.
+    """
+
+    def __init__(self, message: str, key: str | None = None, got: object = None):
+        super().__init__(
+            message if key is None else f"expected {message} for {key!r}, got {str(got)!r}"
+        )
+        self.msg = message
+        self.key = key
+        self.got = got
 
 
 class DataError(RelgcnError):

@@ -62,30 +62,31 @@ class GCNModel:
 
 @dataclass
 class TrainConfig:
+    """The ``train.*`` settings, one field per key; an out-of-range field
+    is a ConfigError whose ``key`` is the field."""
+
     epochs: int = 200
     learning_rate: float = 0.01
     weight_decay: float = 5e-4
     dropout_rate: float = 0.5
     seed: int = 0
-    early_stopping_patience: int = 10
+    patience: int = 10  # epochs without a lower validation loss before stopping
     hidden_size: int = 16
     num_layers: int = 2  # graph-convolutional layers in total
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        for name in ("epochs", "hidden_size", "num_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError("an int >= 1", name, getattr(self, name))
+        for name in ("seed", "patience"):
+            if getattr(self, name) < 0:
+                raise ConfigError("an int >= 0", name, getattr(self, name))
         if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.num_layers < 1:
-            raise ConfigError("num_layers must be >= 1")
-        if self.hidden_size < 1:
-            raise ConfigError("hidden_size must be >= 1")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError("dropout_rate must lie in [0, 1)")
-        if self.early_stopping_patience < 0:
-            raise ConfigError("early_stopping_patience must be >= 0")
+            raise ConfigError("a float > 0", "learning_rate", self.learning_rate)
         if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+            raise ConfigError("a float >= 0", "weight_decay", self.weight_decay)
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError("a float in [0, 1)", "dropout_rate", self.dropout_rate)
 
 
 @dataclass
@@ -374,7 +375,7 @@ def train(
             stale = 0
         else:
             stale += 1
-            if stale > config.early_stopping_patience:
+            if stale > config.patience:
                 break
     model.weights = best_weights
     return model, history

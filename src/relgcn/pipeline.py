@@ -16,8 +16,9 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -39,6 +40,9 @@ from .rulelearn import LearnConfig, learn_ruleset, parse_rules, serialize_rules
 
 log = logging.getLogger(__name__)
 
+# The keys that no dataclass holds.  Every other key is a field of
+# LearnConfig or TrainConfig under its section's prefix, with the field's
+# default, type and range.
 _DEFAULTS: dict[str, object] = {
     "facts": "",
     "pos": "",
@@ -50,25 +54,10 @@ _DEFAULTS: dict[str, object] = {
     "negatives.symmetric": True,
     "learn.k_pos": 3,
     "learn.k_neg": 3,
-    "learn.max_body_length": 4,
-    "learn.beam_width": 5,
-    "learn.min_examples_per_leaf": 2,
-    "learn.covering_discount": 0.1,
-    "learn.seed": 7,
-    "learn.max_constants_for_grounding": 50,
-    "learn.contrast_ratio": 1.0,
     "featurize.metric": fz.EUCLIDEAN,
     "featurize.cap": 0,  # 0 means uncapped
     "featurize.zscale": False,
     "featurize.literal_self_loops": False,
-    "train.epochs": 200,
-    "train.learning_rate": 0.01,
-    "train.weight_decay": 5e-4,
-    "train.dropout_rate": 0.5,
-    "train.seed": 0,
-    "train.patience": 10,
-    "train.hidden_size": 16,
-    "train.num_layers": 2,
     "split.train": 0.6,
     "split.val": 0.1,
     "split.test": 0.3,
@@ -76,105 +65,113 @@ _DEFAULTS: dict[str, object] = {
     "split.stratified": True,
     "eval.threshold": "0.5",  # a float, or "mean" for mean-score thresholding
 }
-
-# TrainConfig field -> the config key that sets it.
-_TRAIN_KEYS = {
-    "epochs": "train.epochs",
-    "learning_rate": "train.learning_rate",
-    "weight_decay": "train.weight_decay",
-    "dropout_rate": "train.dropout_rate",
-    "seed": "train.seed",
-    "early_stopping_patience": "train.patience",
-    "hidden_size": "train.hidden_size",
-    "num_layers": "train.num_layers",
-}
+_SECTIONS = {"learn.": LearnConfig, "train.": gcn_mod.TrainConfig}
 
 # Train, validation and test proportions, in split_examples' order.
 _SPLIT_KEYS = ("split.train", "split.val", "split.test")
 
 
-def _coerce(key: str, raw: str) -> object:
-    default = _DEFAULTS[key]
+def default_values() -> dict[str, object]:
+    """Every config key with its default."""
+    values = dict(_DEFAULTS)
+    for prefix, cls in _SECTIONS.items():
+        values.update((prefix + f.name, f.default) for f in fields(cls))
+    return values
+
+
+def _coerce(key: str, text: str, default: object) -> object:
+    """``text`` as a value of the type of ``default``."""
     if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
+        if text.lower() in ("true", "1", "yes"):
             return True
-        if raw.lower() in ("false", "0", "no"):
+        if text.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"expected a boolean for {key!r}, got {raw!r}")
+        raise ConfigError("a boolean", key, text)
     if isinstance(default, (int, float)):
         try:
-            return type(default)(raw)
+            value = type(default)(text)
         except ValueError:
-            raise ConfigError(
-                f"expected {type(default).__name__} for {key!r}, got {raw!r}"
-            ) from None
-    return raw
+            raise ConfigError(type(default).__name__, key, text) from None
+        if not math.isfinite(value):
+            raise ConfigError("a finite float", key, text)
+        return value
+    return text
 
 
-@dataclass
+def _check(values: dict[str, object], text: dict[str, str]) -> None:
+    """Reject an out-of-range value of a key that no dataclass holds,
+    quoting it as ``text`` has it."""
+    if values["eval.threshold"] != "mean":
+        try:
+            finite = math.isfinite(float(values["eval.threshold"]))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise ConfigError("'mean' or a finite float", "eval.threshold", text["eval.threshold"])
+    if values["featurize.metric"] not in fz.METRICS:
+        raise ConfigError(f"one of {fz.METRICS}", "featurize.metric", text["featurize.metric"])
+    for key, least in [
+        ("negatives.seed", 0), ("split.seed", 0), ("featurize.cap", 0),
+        ("learn.k_pos", 1), ("learn.k_neg", 1),
+    ]:
+        if values[key] < least:
+            raise ConfigError(f"an int >= {least}", key, text[key])
+    if values["negatives.ratio"] <= 0:
+        raise ConfigError("a float > 0", "negatives.ratio", text["negatives.ratio"])
+    for key in _SPLIT_KEYS:
+        # Every part is needed: train fits, val stops early, test scores.
+        if not 0.0 < values[key] <= 1.0:
+            raise ConfigError("a proportion in (0, 1]", key, text[key])
+    if abs(sum(values[key] for key in _SPLIT_KEYS) - 1.0) > 1e-9:
+        given = "; ".join(f"{key!r}, got {text[key]!r}" for key in _SPLIT_KEYS)
+        raise ConfigError(f"expected split proportions that sum to 1: {given}")
+
+
+def _section(prefix: str, cls: type, values: dict[str, object], text: dict[str, str]):
+    """The ``prefix`` keys of ``values`` as a ``cls``; a field it rejects
+    is named by its key and quoted as ``text`` has it."""
+    try:
+        return cls(**{f.name: values[prefix + f.name] for f in fields(cls)})
+    except ConfigError as exc:
+        key = prefix + exc.key
+        raise ConfigError(exc.msg, key, text[key]) from None
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Flat dotted-key configuration with typed defaults."""
+    """Flat dotted-key configuration: ``values`` holds every key, typed,
+    and ``learn`` and ``train`` hold the ``learn.*`` and ``train.*`` keys
+    that LearnConfig and TrainConfig declare."""
 
     values: dict[str, object]
-
-    def __post_init__(self):
-        threshold = str(self.values["eval.threshold"])
-        if threshold != "mean":
-            try:
-                float(threshold)
-            except ValueError:
-                raise ConfigError(
-                    f"expected 'mean' or a float for 'eval.threshold', "
-                    f"got {threshold!r}"
-                ) from None
-        # Settings that only featurize, train or eval would reject fail
-        # here, before any stage has run.
-        if self["featurize.metric"] not in fz.METRICS:
-            raise ConfigError(
-                f"expected one of {fz.METRICS} for 'featurize.metric', "
-                f"got {str(self['featurize.metric'])!r}"
-            )
-        if int(self["featurize.cap"]) < 0:
-            raise ConfigError(
-                f"expected an int >= 0 for 'featurize.cap', "
-                f"got {str(self['featurize.cap'])!r}"
-            )
-        for key in _SPLIT_KEYS:
-            # Every part is needed: train fits, val stops early, test scores.
-            if not 0.0 < float(self[key]) <= 1.0:
-                raise ConfigError(
-                    f"expected a proportion in (0, 1] for {key!r}, got {str(self[key])!r}"
-                )
-        if abs(sum(self.split_proportions()) - 1.0) > 1e-9:
-            given = "; ".join(f"{key!r}, got {str(self[key])!r}" for key in _SPLIT_KEYS)
-            raise ConfigError(f"expected split proportions that sum to 1: {given}")
-        try:
-            self.train_config()
-        except ConfigError as exc:
-            # TrainConfig's messages start with the field they reject.
-            key = _TRAIN_KEYS.get(str(exc).split(" ", 1)[0])
-            if key is None:
-                raise
-            raise ConfigError(f"{exc} (config key {key!r}, got {str(self[key])!r})") from None
+    learn: LearnConfig
+    train: gcn_mod.TrainConfig
 
     @classmethod
-    def from_overrides(cls, overrides: dict[str, str] | None = None) -> "PipelineConfig":
-        values = dict(_DEFAULTS)
+    def from_overrides(cls, overrides: dict[str, object] | None = None) -> "PipelineConfig":
+        """Defaults updated by ``overrides``.  Each value is read from its
+        text, ``str(value)``, and checked; a bad one is a ConfigError that
+        names its key and quotes that text."""
+        values = default_values()
+        text = {key: str(value) for key, value in values.items()}
         for key, raw in (overrides or {}).items():
-            if key not in _DEFAULTS:
+            if key not in values:
                 raise ConfigError(f"unknown config key {key!r}")
-            values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
-        return cls(values)
+            text[key] = str(raw)
+            values[key] = _coerce(key, text[key], values[key])
+        _check(values, text)
+        learn, train = (_section(p, section, values, text) for p, section in _SECTIONS.items())
+        return cls(values, learn, train)
 
     @classmethod
     def from_file(
-        cls, path: str | Path, overrides: dict[str, str] | None = None
+        cls, path: str | Path, overrides: dict[str, object] | None = None
     ) -> "PipelineConfig":
         try:
             text = Path(path).read_text()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"cannot decode config file {path}: {exc}") from exc
-        file_overrides: dict[str, str] = {}
+        file_overrides: dict[str, object] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -189,43 +186,17 @@ class PipelineConfig:
     def __getitem__(self, key: str) -> object:
         return self.values[key]
 
-    def with_values(self, **updates: object) -> "PipelineConfig":
-        values = dict(self.values)
-        for key, v in updates.items():
-            dotted = key.replace("__", ".")
-            if dotted not in _DEFAULTS:
-                raise ConfigError(f"unknown config key {dotted!r}")
-            values[dotted] = v
-        return PipelineConfig(values)
-
     def hash(self) -> str:
         canon = json.dumps(self.values, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def out_dir(self) -> Path:
-        out = Path(str(self["out"]))
+        out = Path(self["out"])
         out.mkdir(parents=True, exist_ok=True)
         return out
 
-    def learn_config(self, k: int, seed_offset: int = 0) -> LearnConfig:
-        return LearnConfig(
-            num_rules=k,
-            max_body_length=int(self["learn.max_body_length"]),
-            beam_width=int(self["learn.beam_width"]),
-            min_examples_per_leaf=int(self["learn.min_examples_per_leaf"]),
-            covering_discount=float(self["learn.covering_discount"]),
-            seed=int(self["learn.seed"]) + seed_offset,
-            max_constants_for_grounding=int(self["learn.max_constants_for_grounding"]),
-            contrast_ratio=float(self["learn.contrast_ratio"]),
-        )
-
     def split_proportions(self) -> tuple[float, float, float]:
-        return tuple(float(self[key]) for key in _SPLIT_KEYS)
-
-    def train_config(self) -> gcn_mod.TrainConfig:
-        return gcn_mod.TrainConfig(
-            **{f: type(_DEFAULTS[k])(self[k]) for f, k in _TRAIN_KEYS.items()}
-        )
+        return tuple(self[key] for key in _SPLIT_KEYS)
 
 
 # -- shared loading helpers ------------------------------------------------
@@ -233,7 +204,7 @@ class PipelineConfig:
 
 def _read_input(config: PipelineConfig, key: str) -> str:
     """Text of the input file named by config key ``key``."""
-    path = Path(str(config[key]))
+    path = Path(config[key])
     if not path.is_file():
         raise DataError(f"{key} path does not exist: {path} (config key {key!r})")
     try:
@@ -253,7 +224,7 @@ def _load_examples(
         TargetExample(a, POSITIVE)
         for a in parse_ground_atoms(_read_input(config, "pos"), kb)
     ]
-    if str(config["neg"]):
+    if config["neg"]:
         negatives = [
             TargetExample(a, NEGATIVE)
             for a in parse_ground_atoms(_read_input(config, "neg"), kb)
@@ -263,9 +234,9 @@ def _load_examples(
             kb,
             kb.schema(_target_predicate(config, positives)),
             positives,
-            float(config["negatives.ratio"]),
-            int(config["negatives.seed"]),
-            symmetric=bool(config["negatives.symmetric"]),
+            config["negatives.ratio"],
+            config["negatives.seed"],
+            symmetric=config["negatives.symmetric"],
         )
     return positives, negatives
 
@@ -312,7 +283,7 @@ def _read_targets(path: Path, kb: KnowledgeBase) -> list[TargetExample]:
 
 
 def _target_predicate(config: PipelineConfig, positives: list[TargetExample]) -> str:
-    return str(config["target"]) or positives[0].atom.predicate
+    return config["target"] or positives[0].atom.predicate
 
 
 # -- stages ----------------------------------------------------------------
@@ -324,12 +295,9 @@ def stage_learn(config: PipelineConfig) -> Path:
     kb = _load_kb(config)
     positives, negatives = _load_examples(config, kb)
     _write_targets(out / "targets.csv", positives + negatives)
-    pos_rules = learn_ruleset(
-        kb, positives, config.learn_config(int(config["learn.k_pos"]))
-    )
-    neg_rules = learn_ruleset(
-        kb, negatives, config.learn_config(int(config["learn.k_neg"]), seed_offset=1)
-    )
+    pos_rules = learn_ruleset(kb, positives, config.learn, config["learn.k_pos"])
+    neg_config = replace(config.learn, seed=config.learn.seed + 1)
+    neg_rules = learn_ruleset(kb, negatives, neg_config, config["learn.k_neg"])
     rules_path = out / "rules.txt"
     rules_path.write_text(serialize_rules(pos_rules.rules + neg_rules.rules))
     return rules_path
@@ -341,9 +309,9 @@ def stage_featurize(config: PipelineConfig) -> np.ndarray:
     kb = _load_kb(config)
     targets = _read_targets(out / "targets.csv", kb)
     rules = parse_rules((out / "rules.txt").read_text(), kb)
-    cap = int(config["featurize.cap"]) or None
+    cap = config["featurize.cap"] or None
     X = fz.build_rule_matrix(rules, targets, kb, cap)
-    if bool(config["featurize.zscale"]):
+    if config["featurize.zscale"]:
         X = fz.zscale_columns(X)
     row_ids = [str(t.atom) for t in targets]
     col_ids = [f"rule{j}" for j in range(X.shape[1])]
@@ -365,8 +333,8 @@ def _load_graph(
     config's ``featurize.*`` keys."""
     out = config.out_dir()
     X, _, _ = fz.read_matrix_csv(out / "X.csv")
-    metric = str(config["featurize.metric"])
-    prop = fz.propagation_matrix(X, metric, bool(config["featurize.literal_self_loops"]))
+    metric = config["featurize.metric"]
+    prop = fz.propagation_matrix(X, metric, config["featurize.literal_self_loops"])
     log.info(
         "graph over %d targets with %d distinct feature rows: metric %s, "
         "t=%r, propagation operator %d bytes",
@@ -387,10 +355,10 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     masks = metrics_mod.split_examples(
         labels,
         config.split_proportions(),
-        int(config["split.seed"]),
-        bool(config["split.stratified"]),
+        config["split.seed"],
+        config["split.stratified"],
     )
-    model, history = gcn_mod.train(prop, X, labels, masks, config.train_config())
+    model, history = gcn_mod.train(prop, X, labels, masks, config.train)
     best = int(np.argmin([rec.val_loss for rec in history]))
     log.info(
         "trained %d epochs, best epoch %d (val_loss=%r); each layer ran on "
@@ -403,7 +371,7 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     )
     gcn_mod.save_checkpoint(out / "model.rdgw", model)
     (out / "threshold.json").write_text(
-        json.dumps({"metric": str(config["featurize.metric"]), "t": prop.threshold})
+        json.dumps({"metric": config["featurize.metric"], "t": prop.threshold})
     )
     with open(out / "history.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -433,7 +401,7 @@ def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
     scores, _ = gcn_mod.predict(model, prop, X)
     test_scores = scores[test_idx]
     test_labels = labels[test_idx]
-    thr_setting = str(config["eval.threshold"])
+    thr_setting = config["eval.threshold"]
     threshold = (
         float(np.mean(test_scores)) if thr_setting == "mean" else float(thr_setting)
     )
@@ -523,7 +491,7 @@ def sensitivity_sweep(
         stage_featurize(config)
     results = []
     for value in values:
-        cfg = config.with_values(**{key.replace(".", "__"): _coerce(key, str(value))})
+        cfg = PipelineConfig.from_overrides({**config.values, key: value})
         stage_train(cfg)
         report = stage_eval(cfg)
         results.append((value, report))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .grounding import (
     BindingTable,
     Clause,
@@ -74,12 +74,14 @@ class RuleSet:
 
 @dataclass
 class LearnConfig:
-    num_rules: int = 7
+    """The ``learn.*`` settings, one field per key; an out-of-range field
+    is a ConfigError whose ``key`` is the field."""
+
     max_body_length: int = 4
     beam_width: int = 5
     min_examples_per_leaf: int = 2
     covering_discount: float = 0.1
-    seed: int = 0
+    seed: int = 7
     # Constant-grounded candidate literals are generated for argument
     # positions whose type has at most this many constants; 0 disables them.
     max_constants_for_grounding: int = 50
@@ -87,12 +89,16 @@ class LearnConfig:
     contrast_ratio: float = 1.0
 
     def __post_init__(self):
-        if self.num_rules < 1 or self.max_body_length < 1 or self.beam_width < 1:
-            raise DataError("num_rules, max_body_length, beam_width must be >= 1")
-        if self.min_examples_per_leaf < 1:
-            raise DataError("min_examples_per_leaf must be >= 1")
-        if not (0.0 <= self.covering_discount <= 1.0):
-            raise DataError("covering_discount must lie in [0, 1]")
+        for name in ("max_body_length", "beam_width", "min_examples_per_leaf"):
+            if getattr(self, name) < 1:
+                raise ConfigError("an int >= 1", name, getattr(self, name))
+        for name in ("seed", "max_constants_for_grounding"):
+            if getattr(self, name) < 0:
+                raise ConfigError("an int >= 0", name, getattr(self, name))
+        if not 0.0 <= self.covering_discount <= 1.0:
+            raise ConfigError("a float in [0, 1]", "covering_discount", self.covering_discount)
+        if self.contrast_ratio <= 0:
+            raise ConfigError("a float > 0", "contrast_ratio", self.contrast_ratio)
 
 
 def make_head(kb: KnowledgeBase, predicate: str) -> Atom:
@@ -360,7 +366,7 @@ def learn_ruleset(
     kb: KnowledgeBase,
     examples: list[TargetExample],
     config: LearnConfig,
-    k: int | None = None,
+    k: int,
     contrast: list[TargetExample] | None = None,
 ) -> RuleSet:
     """Learn k rules from a one-class example set.
@@ -380,7 +386,6 @@ def learn_ruleset(
         raise DataError("learn_ruleset expects a one-class example set")
     label = labels.pop()
     source = POSITIVE_DENSITY if label == POSITIVE else NEGATIVE_DENSITY
-    k = config.num_rules if k is None else k
     if k < 1:
         raise DataError("k must be >= 1")
 

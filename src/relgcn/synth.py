@@ -47,6 +47,8 @@ class SyntheticSpec:
             raise ConfigError("only 1 or 2 planted rules are supported")
         if not (0.0 <= self.noise_rate < 1.0):
             raise ConfigError("noise_rate must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError("an int >= 0", "seed", self.seed)
 
 
 @dataclass

@@ -81,21 +81,21 @@ def test_model_validation():
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(num_layers=0)
-    with pytest.raises(ConfigError, match="^hidden_size"):
-        TrainConfig(hidden_size=0)
-    for rate in (-0.1, 1.0):
-        with pytest.raises(ConfigError, match="^dropout_rate"):
-            TrainConfig(dropout_rate=rate)
-    with pytest.raises(ConfigError, match="^early_stopping_patience"):
-        TrainConfig(early_stopping_patience=-1)
-    with pytest.raises(ConfigError, match="^weight_decay"):
-        TrainConfig(weight_decay=-1e-4)
+    """Each out-of-range field is a ConfigError that names the field."""
+    for field, value in [
+        ("epochs", 0),
+        ("learning_rate", 0.0),
+        ("num_layers", 0),
+        ("hidden_size", 0),
+        ("dropout_rate", -0.1),
+        ("dropout_rate", 1.0),
+        ("seed", -1),
+        ("patience", -1),
+        ("weight_decay", -1e-4),
+    ]:
+        with pytest.raises(ConfigError, match=f"for {field!r}, got {str(value)!r}$") as info:
+            TrainConfig(**{field: value})
+        assert (info.value.key, info.value.got) == (field, value)
 
 
 def test_split_masks_must_be_disjoint():
@@ -317,7 +317,7 @@ def test_train_on_operator_matches_dense_propagation():
     labels[:3] = 1 - labels[:3]  # a little label noise inside the classes
     masks = make_masks(40)
     dense, _ = dense_propagation_matrix(X, "euclidean")
-    config = TrainConfig(epochs=200, early_stopping_patience=200, seed=4)
+    config = TrainConfig(epochs=200, patience=200, seed=4)
     model_op, hist_op = train(propagation_matrix(X), X, labels, masks, config)
     model_dense, hist_dense = train(dense, X, labels, masks, config)
     assert len(hist_op) == len(hist_dense) == 200
@@ -388,12 +388,12 @@ def test_train_is_deterministic_and_learns():
 def test_train_early_stopping_restores_best():
     P, X, labels = tiny_problem(n=12, d=3, seed=5)
     masks = make_masks(12)
-    config = TrainConfig(epochs=300, early_stopping_patience=3, seed=0)
+    config = TrainConfig(epochs=300, patience=3, seed=0)
     model, history = train(P, X, labels, masks, config)
     assert len(history) <= 300
     best_epoch = int(np.argmin([h.val_loss for h in history]))
     # No more than patience+1 epochs ran past the best validation loss.
-    assert len(history) - 1 - best_epoch <= config.early_stopping_patience + 1
+    assert len(history) - 1 - best_epoch <= config.patience + 1
     eval_lp, _ = gcn_forward(P, X, model, mode="eval")
     restored_val = nll_loss(eval_lp, labels, masks.validation, model, config.weight_decay)
     assert restored_val == pytest.approx(min(h.val_loss for h in history))

@@ -1,5 +1,6 @@
 """Pipeline staging, config handling, sweeps and the CLI."""
 
+import dataclasses
 import json
 import logging
 import shutil
@@ -10,8 +11,10 @@ import pytest
 from relgcn.cli import main as cli_main
 from relgcn import featurize as fz
 from relgcn.errors import ConfigError, DataError, NumericalError, ParseError
+from relgcn.gcn import TrainConfig
 from relgcn.pipeline import (
     PipelineConfig,
+    default_values,
     rule_coverage_report,
     run_pipeline,
     sensitivity_sweep,
@@ -20,6 +23,7 @@ from relgcn.pipeline import (
     stage_learn,
     stage_train,
 )
+from relgcn.rulelearn import LearnConfig
 from relgcn.synth import SyntheticSpec, generate_synthetic
 
 
@@ -95,11 +99,35 @@ def test_config_file_with_flag_overrides(tmp_path):
 def test_config_hash_tracks_values():
     a = PipelineConfig.from_overrides({})
     b = PipelineConfig.from_overrides({})
-    c = a.with_values(train__epochs=99)
+    c = PipelineConfig.from_overrides({**a.values, "train.epochs": 99})
     assert a.hash() == b.hash()
     assert a.hash() != c.hash()
     with pytest.raises(ConfigError):
-        a.with_values(bogus__key=1)
+        PipelineConfig.from_overrides({**a.values, "bogus.key": 1})
+
+
+def test_config_schema_is_the_dataclasses():
+    """Every ``learn.*``/``train.*`` key but ``learn.k_pos``/``k_neg`` is a
+    field of LearnConfig/TrainConfig, every field has its key, and the
+    defaults are the dataclasses' defaults."""
+    keys = set(default_values())
+    for prefix, cls in [("learn.", LearnConfig), ("train.", TrainConfig)]:
+        section = {k[len(prefix):] for k in keys if k.startswith(prefix)}
+        assert section - {"k_pos", "k_neg"} == {f.name for f in dataclasses.fields(cls)}
+    config = PipelineConfig.from_overrides({})
+    assert config.learn == LearnConfig()
+    assert config.train == TrainConfig()
+
+
+def test_config_coerces_values_that_are_not_strings():
+    config = PipelineConfig.from_overrides(
+        {"train.epochs": 13, "negatives.ratio": 2, "featurize.zscale": True}
+    )
+    assert config["train.epochs"] == config.train.epochs == 13
+    assert config["negatives.ratio"] == 2.0 and isinstance(config["negatives.ratio"], float)
+    assert config["featurize.zscale"] is True
+    with pytest.raises(ConfigError, match="'train.epochs', got '1.5'"):
+        PipelineConfig.from_overrides({"train.epochs": 1.5})
 
 
 # -- stages ----------------------------------------------------------------
@@ -433,6 +461,24 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog):
         "train.dropout_rate=1.5",
         "train.patience=-1",
         "train.weight_decay=-1.0",
+        "train.weight_decay=-1e-4",
+        "split.val=0",
+        "learn.beam_width=0",
+        "learn.k_pos=0",
+        "learn.k_neg=0",
+        "learn.min_examples_per_leaf=0",
+        "learn.covering_discount=2",
+        "learn.contrast_ratio=0",
+        "learn.max_constants_for_grounding=-5",
+        "negatives.ratio=0",
+        "negatives.seed=-1",
+        "learn.seed=-1",
+        "train.seed=-1",
+        "split.seed=-1",
+        "negatives.ratio=nan",
+        "learn.contrast_ratio=inf",
+        "train.learning_rate=nan",
+        "eval.threshold=nan",
     ],
 )
 def test_cli_unparsable_config_value_is_a_config_error(
@@ -512,9 +558,19 @@ def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):
         return R()
 
     monkeypatch.setattr("relgcn.cli.run_pipeline", fake_run)
-    rc = cli_main(["pipeline", "--seed", "42"])
-    assert rc == 0
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("learn.seed = 3\n")
+    argv = ["pipeline", "--seed", "42", "--config", str(config_file), "--set", "train.seed=5"]
+    assert cli_main(argv) == 0  # --seed wins over --set and the config file
     assert captured["learn.seed"] == 42
     assert captured["train.seed"] == 42
     assert captured["split.seed"] == 42
     assert captured["negatives.seed"] == 42
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synth"])
+def test_cli_negative_seed_flag_is_a_config_error(tmp_path, caplog, command):
+    out = tmp_path / "out"
+    assert cli_main([command, "--out", str(out), "--seed", "-1"]) == 1
+    assert "seed', got '-1'" in caplog.text
+    assert not out.exists()

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from relgcn.errors import DataError, ParseError
+from relgcn.errors import ConfigError, DataError, ParseError
 from relgcn.grounding import (
     Clause,
     NEGATIVE_DENSITY,
@@ -39,12 +39,19 @@ TOPIC_BODY = (
 
 
 def test_learn_config_validation():
-    with pytest.raises(DataError):
-        LearnConfig(num_rules=0)
-    with pytest.raises(DataError):
-        LearnConfig(covering_discount=1.5)
-    with pytest.raises(DataError):
-        LearnConfig(min_examples_per_leaf=0)
+    """Each out-of-range field is a ConfigError that carries the field."""
+    for field, value in [
+        ("max_body_length", 0),
+        ("beam_width", 0),
+        ("min_examples_per_leaf", 0),
+        ("covering_discount", 1.5),
+        ("seed", -1),
+        ("max_constants_for_grounding", -5),
+        ("contrast_ratio", 0.0),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            LearnConfig(**{field: value})
+        assert (info.value.key, info.value.got) == (field, value)
 
 
 def test_make_head_names_typed_variables(coauthor_kb):
@@ -258,9 +265,9 @@ def test_learn_ruleset_requires_one_class(coauthor_kb, topic_class_examples):
     classed, _ = topic_class_examples
     mixed = [classed[0], example("ann", "cara", label="negative")]
     with pytest.raises(DataError):
-        learn_ruleset(coauthor_kb, mixed, LearnConfig())
+        learn_ruleset(coauthor_kb, mixed, LearnConfig(), k=1)
     with pytest.raises(DataError):
-        learn_ruleset(coauthor_kb, [], LearnConfig())
+        learn_ruleset(coauthor_kb, [], LearnConfig(), k=1)
     with pytest.raises(DataError):
         learn_ruleset(coauthor_kb, classed, LearnConfig(), k=0)
 

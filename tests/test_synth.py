@@ -22,6 +22,8 @@ def test_spec_validation():
         SyntheticSpec(n_rules=3)
     with pytest.raises(ConfigError):
         SyntheticSpec(noise_rate=1.0)
+    with pytest.raises(ConfigError, match="'seed', got '-1'"):
+        SyntheticSpec(seed=-1)
 
 
 def test_noise_free_positives_satisfy_planted_rules():
