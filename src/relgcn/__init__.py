@@ -24,10 +24,8 @@ from .grounding import (
 )
 from .rulelearn import (
     LearnConfig,
-    RelationalTree,
     RuleSet,
     candidate_literals,
-    extract_rule,
     learn_ruleset,
     learn_tree,
     parse_rules,

@@ -223,13 +223,23 @@ def write_matrix_csv(
 
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
+    """The matrix, row ids and column ids written by ``write_matrix_csv``;
+    a row of the wrong length or a cell that is not a float is a DataError
+    that names the file and line."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path} is empty, expected a header row")
         col_ids = header[1:]
         row_ids = []
         rows = []
         for parts in reader:
+            try:
+                if len(parts) != len(header):
+                    raise ValueError(f"{len(parts)} cells, expected {len(header)}")
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
             row_ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
-    return np.array(rows, dtype=float), row_ids, col_ids
+    return np.array(rows, dtype=float).reshape(len(rows), len(col_ids)), row_ids, col_ids

@@ -1,9 +1,10 @@
 """Graph convolutional network with explicit forward/backward passes.
 
 Trained transductively, full batch, for binary link prediction: relu
-between graph convolutions, inverted dropout between them in training
-mode, log-softmax over two output logits, Adam with first-layer weight
-decay.  Everything is seeded and bitwise reproducible.
+between graph convolutions, inverted dropout between them while training
+(at ``TrainConfig.dropout_rate``), log-softmax over two output logits,
+Adam with first-layer weight decay.  Everything is seeded and bitwise
+reproducible.
 
 Every layer runs on a partition of the targets into row classes
 (``row_classes``).  The pipeline passes ``featurize.PropagationMatrix``,
@@ -34,30 +35,14 @@ from .featurize import PropagationMatrix
 
 @dataclass
 class GCNModel:
+    """The weights of a GCN, one matrix per graph-convolutional layer:
+    layer l maps ``dims[l]`` features to ``dims[l + 1]``."""
+
     weights: list[np.ndarray]
-    dims: list[int]
-    dropout_rate: float = 0.5
-    rng_seed: int = 0
 
-    def __post_init__(self):
-        if self.dims[-1] != 2:
-            raise ConfigError("output dimension must be 2 (binary log-softmax)")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError("dropout_rate must lie in [0, 1)")
-        for l, W in enumerate(self.weights):
-            if W.shape != (self.dims[l], self.dims[l + 1]):
-                raise ConfigError(
-                    f"weight {l} has shape {W.shape}, expected "
-                    f"({self.dims[l]}, {self.dims[l + 1]})"
-                )
-
-    def copy(self) -> "GCNModel":
-        return GCNModel(
-            [W.copy() for W in self.weights],
-            list(self.dims),
-            self.dropout_rate,
-            self.rng_seed,
-        )
+    @property
+    def dims(self) -> list[int]:
+        return [self.weights[0].shape[0]] + [W.shape[1] for W in self.weights]
 
 
 @dataclass
@@ -110,15 +95,11 @@ def glorot_init(fan_in: int, fan_out: int, seed: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_model(
-    input_dim: int, config: TrainConfig, seed: int | None = None
-) -> GCNModel:
-    seed = config.seed if seed is None else seed
+def init_model(input_dim: int, config: TrainConfig) -> GCNModel:
     dims = [input_dim] + [config.hidden_size] * (config.num_layers - 1) + [2]
-    weights = [
-        glorot_init(dims[l], dims[l + 1], seed + l) for l in range(len(dims) - 1)
-    ]
-    return GCNModel(weights, dims, config.dropout_rate, seed)
+    return GCNModel(
+        [glorot_init(dims[l], dims[l + 1], config.seed + l) for l in range(len(dims) - 1)]
+    )
 
 
 @dataclass
@@ -174,17 +155,16 @@ def gcn_forward(
     P: np.ndarray | PropagationMatrix,
     X: np.ndarray,
     model: GCNModel,
-    mode: str = "eval",
+    dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     dropout_masks: list[np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, ForwardCaches]:
     """Layer-wise propagation: hidden layers relu(P H W), output row-wise
     log-softmax of P H W_last, computed on the row classes of P and
-    returned for all n targets.  In train mode an n x h inverted-dropout
-    mask is drawn after each hidden activation; pass ``dropout_masks`` to
-    reuse masks from an earlier pass (gradient checking)."""
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+    returned for all n targets.  With ``dropout_rate > 0`` (training) an
+    n x h inverted-dropout mask is drawn from ``rng`` after each hidden
+    activation; pass ``dropout_masks`` instead to reuse masks from an
+    earlier pass (gradient checking)."""
     if P.shape[0] != P.shape[1] or P.shape[0] != X.shape[0]:
         raise DataError("P must be n x n and X n x input_dim")
     if X.shape[1] != model.dims[0]:
@@ -199,14 +179,12 @@ def gcn_forward(
         A = S @ W
         mask = None
         kept = classes.counts
-        if mode == "train" and model.dropout_rate > 0.0:
+        if dropout_rate > 0.0:
             if dropout_masks is not None:
                 mask = dropout_masks[l]
             else:
-                if rng is None:
-                    rng = np.random.default_rng(model.rng_seed)
-                mask = rng.random((X.shape[0], A.shape[1])) >= model.dropout_rate
-            kept = classes.pool(mask) / (1.0 - model.dropout_rate)
+                mask = rng.random((X.shape[0], A.shape[1])) >= dropout_rate
+            kept = classes.pool(mask) / (1.0 - dropout_rate)
         pooled = np.maximum(A, 0.0) * kept
         caches.propagated.append(S)
         caches.pre_activations.append(A)
@@ -350,7 +328,7 @@ def train(
     best_weights = [W.copy() for W in model.weights]
     stale = 0
     for epoch in range(config.epochs):
-        log_probs, caches = gcn_forward(P, X, model, mode="train", rng=rng)
+        log_probs, caches = gcn_forward(P, X, model, config.dropout_rate, rng)
         train_loss = nll_loss(
             log_probs, labels, masks.train, model, config.weight_decay
         )
@@ -363,7 +341,7 @@ def train(
         )
         adam_step(model.weights, grads, state, config.learning_rate)
 
-        eval_lp, _ = gcn_forward(P, X, model, mode="eval")
+        eval_lp, _ = gcn_forward(P, X, model)
         val_loss = nll_loss(eval_lp, labels, masks.validation, model, config.weight_decay)
         val_pred = (np.exp(eval_lp[masks.validation, 1]) >= 0.5).astype(int)
         val_f1 = _binary_f1(val_pred, labels[masks.validation])
@@ -384,8 +362,8 @@ def train(
 def predict(
     model: GCNModel, P: np.ndarray | PropagationMatrix, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-class probabilities and argmax hard labels, eval mode."""
-    log_probs, _ = gcn_forward(P, X, model, mode="eval")
+    """Positive-class probabilities and argmax hard labels, without dropout."""
+    log_probs, _ = gcn_forward(P, X, model)
     scores = np.exp(log_probs[:, 1])
     hard = np.argmax(log_probs, axis=1)
     return scores, hard
@@ -394,32 +372,32 @@ def predict(
 # -- checkpointing ---------------------------------------------------------
 
 _MAGIC = b"RDGW"
-_VERSION = 1
-_HEADER = struct.Struct("<4sBdqQ")  # magic, version, dropout rate, seed, len(dims)
+_VERSION = 2
+_HEADER = struct.Struct("<4sBQ")  # magic, version, len(dims)
 
 
 def save_checkpoint(path: str | Path, model: GCNModel) -> None:
-    """Binary container: magic, version, dropout rate, seed, dims vector,
-    row-major float64 weight payloads."""
+    """Binary container: magic, version, len(dims), the dims vector, then
+    the row-major float64 weight payloads."""
+    dims = model.dims
     with open(path, "wb") as f:
-        f.write(
-            _HEADER.pack(_MAGIC, _VERSION, model.dropout_rate, model.rng_seed, len(model.dims))
-        )
-        f.write(struct.pack(f"<{len(model.dims)}Q", *model.dims))
+        f.write(_HEADER.pack(_MAGIC, _VERSION, len(dims)))
+        f.write(struct.pack(f"<{len(dims)}Q", *dims))
         for W in model.weights:
             f.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> GCNModel:
     """The model saved by ``save_checkpoint``; a file that is not exactly
-    one checkpoint (bad magic, another version, cut short anywhere, or
-    followed by more bytes) is a DataError that names it."""
+    one checkpoint (bad magic, another version, a zero dimension, an output
+    dimension other than 2, cut short anywhere, or followed by more bytes)
+    is a DataError that names it."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise DataError(f"bad magic bytes in checkpoint {path}")
     if len(data) < _HEADER.size:
         raise DataError(f"truncated checkpoint {path}: {len(data)} bytes")
-    _, version, dropout, seed, ndims = _HEADER.unpack_from(data)
+    _, version, ndims = _HEADER.unpack_from(data)
     if version != _VERSION:
         raise DataError(f"unsupported checkpoint version {version} in {path}")
     if ndims < 2:
@@ -428,6 +406,13 @@ def load_checkpoint(path: str | Path) -> GCNModel:
     if len(data) < offset:
         raise DataError(f"truncated checkpoint {path}: {len(data)} bytes")
     dims = list(struct.unpack_from(f"<{ndims}Q", data, _HEADER.size))
+    if 0 in dims:
+        raise DataError(f"checkpoint {path} has a zero layer dimension: {dims}")
+    if dims[-1] != 2:
+        raise DataError(
+            f"checkpoint {path} has output dimension {dims[-1]}, expected 2 "
+            "(binary log-softmax)"
+        )
     expected = offset + 8 * sum(a * b for a, b in zip(dims, dims[1:]))
     if len(data) != expected:
         problem = "truncated" if len(data) < expected else "trailing bytes in"
@@ -438,4 +423,4 @@ def load_checkpoint(path: str | Path) -> GCNModel:
     for a, b in zip(dims, dims[1:]):
         weights.append(np.frombuffer(data, "<f8", a * b, offset).reshape(a, b).copy())
         offset += 8 * a * b
-    return GCNModel(weights, dims, dropout, seed)
+    return GCNModel(weights)

@@ -319,20 +319,29 @@ def stage_featurize(config: PipelineConfig) -> np.ndarray:
     return X
 
 
-def _load_labels(path: Path) -> np.ndarray:
-    """The label column of targets.csv: 1 for positive, 0 for negative."""
-    return np.array(
-        [label == POSITIVE for _, _, label in _target_rows(path)], dtype=int
-    )
-
-
 def _load_graph(
     config: PipelineConfig,
 ) -> tuple[np.ndarray, np.ndarray, fz.PropagationMatrix]:
     """Labels, X and the propagation matrix rebuilt from X under this
-    config's ``featurize.*`` keys."""
+    config's ``featurize.*`` keys.  X's row ids must be the atoms of
+    targets.csv, in order, or the DataError names both files."""
     out = config.out_dir()
-    X, _, _ = fz.read_matrix_csv(out / "X.csv")
+    x_path, targets_path = out / "X.csv", out / "targets.csv"
+    X, row_ids, _ = fz.read_matrix_csv(x_path)
+    targets = list(_target_rows(targets_path))
+    if len(row_ids) != len(targets):
+        raise DataError(
+            f"{x_path} has {len(row_ids)} rows but {targets_path} has "
+            f"{len(targets)} targets; rerun featurize"
+        )
+    for i, (row_id, (line, atom, _)) in enumerate(zip(row_ids, targets)):
+        # Featurize writes each atom as ``P(a, b)``; a hand-edited
+        # targets.csv cell may be spaced otherwise.
+        if row_id != atom and "".join(row_id.split()) != "".join(atom.split()):
+            raise DataError(
+                f"{x_path}, line {i + 2}: row {row_id!r} is not the target "
+                f"{atom!r} of {targets_path}, line {line}; rerun featurize"
+            )
     metric = config["featurize.metric"]
     prop = fz.propagation_matrix(X, metric, config["featurize.literal_self_loops"])
     log.info(
@@ -344,7 +353,22 @@ def _load_graph(
         prop.threshold,
         prop.nbytes,
     )
-    return _load_labels(out / "targets.csv"), X, prop
+    labels = np.array([label == POSITIVE for _, _, label in targets], dtype=int)
+    return labels, X, prop
+
+
+def _read_test_split(path: Path, n: int) -> np.ndarray:
+    """The test indices of splits.json; each must index one of the n targets."""
+    try:
+        test = json.loads(path.read_text())["test"]
+        bad = [i for i in test if type(i) is not int or not 0 <= i < n]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: no 'test' list ({type(exc).__name__}: {exc})") from exc
+    if bad:
+        raise DataError(
+            f"{path}: the test split holds {bad[0]!r}, not an index of the {n} targets"
+        )
+    return np.array(test, dtype=int)
 
 
 def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
@@ -394,10 +418,15 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
 
 def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
     out = config.out_dir()
+    model_path = out / "model.rdgw"
+    model = gcn_mod.load_checkpoint(model_path)
     labels, X, prop = _load_graph(config)
-    model = gcn_mod.load_checkpoint(out / "model.rdgw")
-    splits = json.loads((out / "splits.json").read_text())
-    test_idx = np.array(splits["test"], dtype=int)
+    if model.dims[0] != X.shape[1]:
+        raise DataError(
+            f"{model_path} takes {model.dims[0]} features but {out / 'X.csv'} has "
+            f"{X.shape[1]} columns; retrain"
+        )
+    test_idx = _read_test_split(out / "splits.json", len(labels))
     scores, _ = gcn_mod.predict(model, prop, X)
     test_scores = scores[test_idx]
     test_labels = labels[test_idx]

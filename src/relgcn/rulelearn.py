@@ -3,8 +3,9 @@
 Each tree is a left spine of literal tests: the true branch is grown,
 every false branch is a leaf (those paths carry negations and are never
 extracted).  The spine is found by beam search minimizing weighted squared
-error; the conjunction of spine literals is the extracted rule.  Iterating
-with covering-style down-weighting yields a rule set, one rule per tree.
+error; the conjunction of spine literals is the rule ``learn_tree``
+returns.  Iterating with covering-style down-weighting yields a rule set,
+one rule per tree.
 
 Learning from a single class would make the squared-error criterion
 degenerate (all regression targets equal), so each rule set is fit against
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,26 +45,6 @@ from .kb import Atom, Constant, KnowledgeBase, Variable
 log = logging.getLogger(__name__)
 
 _BEST_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RelationalTree:
-    """Left-spine relational regression tree.
-
-    ``spine[i]`` is the literal test of the internal node at depth i; its
-    false branch is the leaf holding ``right_leaf_values[i]``.  The final
-    true branch holds ``left_leaf_value``.  A depth-0 tree has an empty
-    spine and only the left leaf.
-    """
-
-    head: Atom
-    spine: tuple[Atom, ...]
-    right_leaf_values: tuple[float, ...]
-    left_leaf_value: float
-
-    @property
-    def depth(self) -> int:
-        return len(self.spine)
 
 
 @dataclass
@@ -243,11 +224,12 @@ def learn_tree(
     kb: KnowledgeBase,
     weighted_examples: list[tuple[TargetExample, float, float]],
     config: LearnConfig,
-) -> RelationalTree:
-    """Grow one left-spine tree by beam search over spine prefixes.
+) -> Clause:
+    """Grow one left-spine tree by beam search over spine prefixes and
+    return its rule, the conjunction of the spine literals.
 
     Each level extends every beam spine with every candidate literal and
-    keeps the ``beam_width`` lowest-error spines.  The returned tree is the
+    keeps the ``beam_width`` lowest-error spines.  The rule's body is the
     best strict-improvement prefix seen; ties break lexicographically on
     the literal strings, so learning is deterministic.
 
@@ -320,15 +302,6 @@ def learn_tree(
         if beam[0].total_sse < best.total_sse - _BEST_TOL:
             best = beam[0]
 
-    # Walk the winning spine back to the root: each literal's false branch
-    # holds the examples its parent routed left and it did not.
-    right_leaf_values = []
-    state = best
-    while state.parent is not None:
-        right_group = state.parent.left & ~state.left
-        right_leaf_values.append(_weighted_mean(values[right_group], weights[right_group]))
-        state = state.parent
-    left_leaf_value = _weighted_mean(values[best.left], weights[best.left])
     log.info(
         "learned a depth-%d tree for %s; candidate literals scored per beam "
         "depth: %s; largest binding table: %d rows",
@@ -337,26 +310,7 @@ def learn_tree(
         scored_per_depth,
         largest_table,
     )
-    return RelationalTree(
-        head, best.literals, tuple(reversed(right_leaf_values)), left_leaf_value
-    )
-
-
-def extract_rule(
-    tree: RelationalTree, source: str = POSITIVE_DENSITY, iteration: int = 0
-) -> Clause:
-    """Conjoin the left-spine literals into a clause.
-
-    A depth-0 tree yields an empty-body clause: a constant feature, flagged
-    with a warning because it carries no relational signal.
-    """
-    if not tree.spine:
-        log.warning(
-            "extracted an empty-body rule (depth-0 tree) for %s; the resulting "
-            "feature column is constant",
-            tree.head,
-        )
-    return Clause(tree.head, tree.spine, source=source, iteration=iteration)
+    return Clause(head, best.literals)
 
 
 # -- iterated rule-set learning -------------------------------------------
@@ -372,12 +326,13 @@ def learn_ruleset(
     """Learn k rules from a one-class example set.
 
     Class examples start with regression target 1 and unit weight.  Each
-    iteration fits a tree, extracts its left-spine rule, then multiplies
+    iteration learns a tree's left-spine rule, then multiplies
     the weight of every covered class example by ``covering_discount`` and
     renormalizes, steering later trees toward uncovered examples.  The
     closed-world ``contrast`` sample (value 0, drawn outside the class when
     not supplied) gives the squared-error criterion something to separate.
-    Learning stops early, with a warning, on a duplicate consecutive rule.
+    Learning stops early, with a warning, on a duplicate consecutive rule;
+    an empty-body rule (a constant feature) is kept with a warning.
     """
     if not examples:
         raise DataError("examples must be nonempty")
@@ -402,8 +357,13 @@ def learn_ruleset(
         weighted = [(ex, 1.0, float(w)) for ex, w in zip(examples, weights)] + [
             (ex, 0.0, 1.0) for ex in contrast
         ]
-        tree = learn_tree(kb, weighted, config)
-        rule = extract_rule(tree, source=source, iteration=it)
+        rule = replace(learn_tree(kb, weighted, config), source=source, iteration=it)
+        if not rule.body:
+            log.warning(
+                "learned an empty-body rule (depth-0 tree) for %s; the resulting "
+                "feature column is constant",
+                rule.head,
+            )
         if rules and rule.body == rules[-1].body:
             log.warning(
                 "duplicate consecutive rule at iteration %d; stopping early "

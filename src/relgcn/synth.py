@@ -41,14 +41,17 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_persons, self.n_universities, self.n_topics) < 1:
-            raise ConfigError("entity counts must be positive")
+        for name in ("n_persons", "n_universities", "n_topics"):
+            if getattr(self, name) < 1:
+                raise ConfigError("an int >= 1", name, getattr(self, name))
         if self.n_rules not in (1, 2):
-            raise ConfigError("only 1 or 2 planted rules are supported")
+            raise ConfigError("1 or 2", "n_rules", self.n_rules)
         if not (0.0 <= self.noise_rate < 1.0):
-            raise ConfigError("noise_rate must lie in [0, 1)")
-        if self.seed < 0:
-            raise ConfigError("an int >= 0", "seed", self.seed)
+            raise ConfigError("a float in [0, 1)", "noise_rate", self.noise_rate)
+        for name in ("n_positives", "n_negatives", "seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError("an int >= 0", name, value)
 
 
 @dataclass

@@ -96,10 +96,10 @@ def dense_propagation_matrix(
     return inv_sqrt[:, None] * D_hat * inv_sqrt[None, :], t
 
 
-def per_target_gcn_forward(P, X, model, mode="eval", dropout_masks=None):
+def per_target_gcn_forward(P, X, model, dropout_rate=0.0, dropout_masks=None):
     """`gcn_forward` with an n-row activation per target through every
     layer: S = P @ H, relu, and the dropout mask applied to the n x h
-    activation.  Train mode with dropout needs ``dropout_masks``.  Returns
+    activation.  A dropout rate above 0 needs ``dropout_masks``.  Returns
     the n x 2 log-probabilities and the per-layer (S, A, mask) caches."""
     layers = []
     H = X
@@ -108,9 +108,9 @@ def per_target_gcn_forward(P, X, model, mode="eval", dropout_masks=None):
         A = S @ W
         H = np.maximum(A, 0.0)
         mask = None
-        if mode == "train" and model.dropout_rate > 0.0:
+        if dropout_rate > 0.0:
             mask = dropout_masks[l]
-            H = H * mask / (1.0 - model.dropout_rate)
+            H = H * mask / (1.0 - dropout_rate)
         layers.append((S, A, mask))
     S = P @ H
     Z = S @ model.weights[-1]
@@ -120,7 +120,9 @@ def per_target_gcn_forward(P, X, model, mode="eval", dropout_masks=None):
     return log_probs, layers
 
 
-def per_target_gcn_backward(P, log_probs, layers, labels, mask, model, weight_decay=0.0):
+def per_target_gcn_backward(
+    P, log_probs, layers, labels, mask, model, weight_decay=0.0, dropout_rate=0.0
+):
     """`gcn_backward` on the n-row caches of `per_target_gcn_forward`."""
     probs = np.exp(log_probs)
     dZ = np.zeros_like(probs)
@@ -133,7 +135,7 @@ def per_target_gcn_backward(P, log_probs, layers, labels, mask, model, weight_de
     for l in range(len(model.weights) - 2, -1, -1):
         S, A, drop = layers[l]
         if drop is not None:
-            dH = dH * drop / (1.0 - model.dropout_rate)
+            dH = dH * drop / (1.0 - dropout_rate)
         dA = dH * (A > 0.0)
         grads[l] = S.T @ dA
         if l > 0:

@@ -198,9 +198,11 @@ def test_criterion_05_gradient_check_20_seeds():
         model = init_model(
             4, TrainConfig(hidden_size=5, num_layers=2, dropout_rate=0.5, seed=seed)
         )
-        _, caches = gcn_forward(P, X, model, mode="train", rng=rng)
+        _, caches = gcn_forward(P, X, model, dropout_rate=0.5, rng=rng)
         analytic = gcn_backward(P, caches, labels, mask, model, 5e-4)
-        numeric = finite_difference_grads(P, X, labels, mask, model, caches, 5e-4)
+        numeric = finite_difference_grads(
+            P, X, labels, mask, model, caches, 5e-4, dropout_rate=0.5
+        )
         assert max_relative_error(analytic, numeric) < 1e-4
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -1,5 +1,7 @@
 """GCN forward/backward, Adam, training loop and checkpointing."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -71,15 +73,6 @@ def test_init_model_dims():
     assert [W.shape for W in model.weights] == [(4, 7), (7, 7), (7, 2)]
 
 
-def test_model_validation():
-    with pytest.raises(ConfigError):
-        GCNModel([np.zeros((3, 3))], [3, 3])  # output dim must be 2
-    with pytest.raises(ConfigError):
-        GCNModel([np.zeros((3, 2))], [3, 2], dropout_rate=1.0)
-    with pytest.raises(ConfigError):
-        GCNModel([np.zeros((4, 2))], [3, 2])
-
-
 def test_train_config_validation():
     """Each out-of-range field is a ConfigError that names the field."""
     for field, value in [
@@ -110,8 +103,8 @@ def test_forward_hand_computed_single_layer():
     """One conv layer, P = I: log-softmax of X @ W, computable by hand."""
     X = np.array([[1.0, 2.0]])
     W = np.array([[1.0, 0.0], [0.0, 1.0]])
-    model = GCNModel([W], [2, 2], dropout_rate=0.0)
-    log_probs, _ = gcn_forward(np.eye(1), X, model, mode="eval")
+    model = GCNModel([W])
+    log_probs, _ = gcn_forward(np.eye(1), X, model)
     z = np.array([1.0, 2.0])
     expected = z - np.log(np.exp(z).sum())
     assert np.allclose(log_probs[0], expected)
@@ -121,7 +114,7 @@ def test_forward_hand_computed_single_layer():
 def test_forward_rows_are_distributions():
     P, X, _ = tiny_problem()
     model = init_model(X.shape[1], TrainConfig(hidden_size=5, num_layers=3))
-    log_probs, caches = gcn_forward(P, X, model, mode="eval")
+    log_probs, caches = gcn_forward(P, X, model)
     assert np.allclose(np.exp(log_probs).sum(axis=1), 1.0)
     assert len(caches.propagated) == 3
     assert caches.dropout_masks == [None, None, None]
@@ -129,25 +122,25 @@ def test_forward_rows_are_distributions():
 
 def test_forward_eval_ignores_dropout_train_uses_it():
     P, X, _ = tiny_problem()
-    model = init_model(X.shape[1], TrainConfig(dropout_rate=0.5))
-    e1, _ = gcn_forward(P, X, model, mode="eval")
-    e2, _ = gcn_forward(P, X, model, mode="eval")
+    model = init_model(X.shape[1], TrainConfig())
+    e1, _ = gcn_forward(P, X, model)
+    e2, _ = gcn_forward(P, X, model)
     assert np.array_equal(e1, e2)
     rng = np.random.default_rng(0)
-    t1, caches = gcn_forward(P, X, model, mode="train", rng=rng)
+    t1, caches = gcn_forward(P, X, model, dropout_rate=0.5, rng=rng)
     assert caches.dropout_masks[0] is not None
-    t2, _ = gcn_forward(P, X, model, mode="train", rng=rng)
+    t2, _ = gcn_forward(P, X, model, dropout_rate=0.5, rng=rng)
     # Fresh masks each call from the same stream: outputs differ.
     assert not np.array_equal(t1, t2)
 
 
 def test_forward_mask_reuse_reproduces_output():
     P, X, _ = tiny_problem()
-    model = init_model(X.shape[1], TrainConfig(dropout_rate=0.4))
+    model = init_model(X.shape[1], TrainConfig())
     rng = np.random.default_rng(2)
-    out1, caches = gcn_forward(P, X, model, mode="train", rng=rng)
+    out1, caches = gcn_forward(P, X, model, dropout_rate=0.4, rng=rng)
     out2, _ = gcn_forward(
-        P, X, model, mode="train", dropout_masks=caches.dropout_masks
+        P, X, model, dropout_rate=0.4, dropout_masks=caches.dropout_masks
     )
     assert np.array_equal(out1, out2)
 
@@ -155,8 +148,6 @@ def test_forward_mask_reuse_reproduces_output():
 def test_forward_shape_errors():
     P, X, _ = tiny_problem()
     model = init_model(X.shape[1], TrainConfig())
-    with pytest.raises(ConfigError):
-        gcn_forward(P, X, model, mode="predict")
     with pytest.raises(DataError):
         gcn_forward(P[:4, :4], X, model)
     with pytest.raises(DataError):
@@ -173,14 +164,18 @@ def test_nll_loss_hand_value():
     expected = -(np.log(0.9) + np.log(0.8)) / 2.0
     assert nll_loss(log_probs, labels, mask) == pytest.approx(expected)
     # First-layer weight decay adds wd/2 * ||W0||^2.
-    model = GCNModel([np.full((2, 2), 2.0)], [2, 2], dropout_rate=0.0)
+    model = GCNModel([np.full((2, 2), 2.0)])
     with_reg = nll_loss(log_probs, labels, mask, model, weight_decay=0.1)
     assert with_reg == pytest.approx(expected + 0.05 * 16.0)
     with pytest.raises(DataError):
         nll_loss(log_probs, labels, np.array([], dtype=int))
 
 
-def finite_difference_grads(P, X, labels, mask, model, caches, wd, eps=1e-6):
+def finite_difference_grads(
+    P, X, labels, mask, model, caches, wd, dropout_rate=0.0, eps=1e-6
+):
+    """Central differences of nll_loss, replaying the masks in ``caches``
+    at ``dropout_rate``."""
     grads = []
     for l, W in enumerate(model.weights):
         g = np.zeros_like(W)
@@ -188,12 +183,12 @@ def finite_difference_grads(P, X, labels, mask, model, caches, wd, eps=1e-6):
             orig = W[idx]
             W[idx] = orig + eps
             lp, _ = gcn_forward(
-                P, X, model, mode="train", dropout_masks=caches.dropout_masks
+                P, X, model, dropout_rate, dropout_masks=caches.dropout_masks
             )
             hi = nll_loss(lp, labels, mask, model, wd)
             W[idx] = orig - eps
             lp, _ = gcn_forward(
-                P, X, model, mode="train", dropout_masks=caches.dropout_masks
+                P, X, model, dropout_rate, dropout_masks=caches.dropout_masks
             )
             lo = nll_loss(lp, labels, mask, model, wd)
             W[idx] = orig
@@ -214,12 +209,12 @@ def max_relative_error(analytic, numeric):
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 def test_gradients_match_finite_differences(wd, dropout):
     P, X, labels = tiny_problem(n=6, d=4, seed=1)
-    model = init_model(4, TrainConfig(hidden_size=5, dropout_rate=dropout, seed=3))
+    model = init_model(4, TrainConfig(hidden_size=5, seed=3))
     mask = np.array([0, 2, 4])
     rng = np.random.default_rng(7)
-    _, caches = gcn_forward(P, X, model, mode="train", rng=rng)
+    _, caches = gcn_forward(P, X, model, dropout, rng)
     analytic = gcn_backward(P, caches, labels, mask, model, wd)
-    numeric = finite_difference_grads(P, X, labels, mask, model, caches, wd)
+    numeric = finite_difference_grads(P, X, labels, mask, model, caches, wd, dropout)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
@@ -236,10 +231,10 @@ def test_gradients_through_propagation_operator(repeated, literal_self_loops):
     assert (P.classes.shape[0] < 9) == repeated
     labels = rng.integers(0, 2, size=9)
     mask = np.array([0, 2, 3, 5, 7])
-    model = init_model(4, TrainConfig(hidden_size=5, num_layers=3, dropout_rate=0.5, seed=2))
-    _, caches = gcn_forward(P, X, model, mode="train", rng=rng)
+    model = init_model(4, TrainConfig(hidden_size=5, num_layers=3, seed=2))
+    _, caches = gcn_forward(P, X, model, 0.5, rng)
     analytic = gcn_backward(P, caches, labels, mask, model, 5e-4)
-    numeric = finite_difference_grads(P, X, labels, mask, model, caches, 5e-4)
+    numeric = finite_difference_grads(P, X, labels, mask, model, caches, 5e-4, 0.5)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
@@ -265,8 +260,8 @@ def test_forward_backward_match_per_target_oracle(
     repeated, literal_self_loops, num_layers, dropout
 ):
     """Log-probabilities and gradients equal the n-row propagation's to
-    1e-12 relative, with the masks shared, in train and eval mode, for the
-    class operator and for the dense P it stands for."""
+    1e-12 relative, with the masks shared, with dropout and without, for
+    the class operator and for the dense P it stands for."""
     X, labels = _class_problem(repeated, seed=num_layers)
     operator = propagation_matrix(X, literal_self_loops=literal_self_loops)
     dense, _ = dense_propagation_matrix(X, "euclidean", literal_self_loops)
@@ -274,20 +269,20 @@ def test_forward_backward_match_per_target_oracle(
     assert u == (X.shape[0] if literal_self_loops or not repeated else 4)
     model = init_model(
         X.shape[1],
-        TrainConfig(hidden_size=5, num_layers=num_layers, dropout_rate=dropout, seed=1),
+        TrainConfig(hidden_size=5, num_layers=num_layers, seed=1),
     )
     mask = np.array([0, 1, 3, 4, 6, 9])
     for P in (operator, dense):
-        for mode in ("train", "eval"):
+        for rate in (dropout, 0.0):
             rng = np.random.default_rng(3)
-            log_probs, caches = gcn_forward(P, X, model, mode=mode, rng=rng)
+            log_probs, caches = gcn_forward(P, X, model, rate, rng)
             expected, layers = per_target_gcn_forward(
-                P, X, model, mode, caches.dropout_masks
+                P, X, model, rate, caches.dropout_masks
             )
             assert _relative_error(log_probs, expected) < 1e-12
             grads = gcn_backward(P, caches, labels, mask, model, 5e-4)
             oracle = per_target_gcn_backward(
-                P, expected, layers, labels, mask, model, 5e-4
+                P, expected, layers, labels, mask, model, 5e-4, rate
             )
             for g, o in zip(grads, oracle):
                 assert g.shape == o.shape
@@ -300,7 +295,7 @@ def test_forward_draws_the_per_target_mask_stream():
     X, _ = _class_problem(repeated=True)
     P = propagation_matrix(X)
     model = init_model(X.shape[1], TrainConfig(hidden_size=5, num_layers=3, seed=2))
-    _, caches = gcn_forward(P, X, model, mode="train", rng=np.random.default_rng(8))
+    _, caches = gcn_forward(P, X, model, 0.5, np.random.default_rng(8))
     rng = np.random.default_rng(8)
     for mask in caches.dropout_masks[:-1]:
         assert np.array_equal(mask, rng.random((X.shape[0], 5)) >= 0.5)
@@ -394,7 +389,7 @@ def test_train_early_stopping_restores_best():
     best_epoch = int(np.argmin([h.val_loss for h in history]))
     # No more than patience+1 epochs ran past the best validation loss.
     assert len(history) - 1 - best_epoch <= config.patience + 1
-    eval_lp, _ = gcn_forward(P, X, model, mode="eval")
+    eval_lp, _ = gcn_forward(P, X, model)
     restored_val = nll_loss(eval_lp, labels, masks.validation, model, config.weight_decay)
     assert restored_val == pytest.approx(min(h.val_loss for h in history))
 
@@ -426,8 +421,6 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     save_checkpoint(path, model)
     back = load_checkpoint(path)
     assert back.dims == model.dims
-    assert back.dropout_rate == model.dropout_rate
-    assert back.rng_seed == model.rng_seed
     for W1, W2 in zip(model.weights, back.weights):
         assert np.array_equal(W1, W2)
 
@@ -443,16 +436,32 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (tmp_path / "short.rdgw").write_bytes(raw[:-16])
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "short.rdgw")
-    # Cut inside the fixed header, inside the dims vector, at the first
+    # Cut inside the 13-byte header, inside the dims vector, at the first
     # weight, or followed by trailing bytes: each names the file.
     for name, damaged in [
         ("cut10", raw[:10]),
+        ("cut20", raw[:20]),
         ("cut30", raw[:30]),
-        ("cut40", raw[:40]),
-        ("cut53", raw[:53]),
+        ("cut37", raw[:37]),
         ("trailing", raw + b"\x00" * 8),
     ]:
         path = tmp_path / f"{name}.rdgw"
         path.write_bytes(damaged)
         with pytest.raises(DataError, match=str(path)):
+            load_checkpoint(path)
+    # Files of the right length for their dims: a zero dimension, an output
+    # dimension other than 2, and the version-1 layout (dropout rate and
+    # seed after the version byte).
+    for name, damaged, reason in [
+        ("zero", struct.pack("<4sBQ3Q", b"RDGW", 2, 3, 3, 0, 2), "zero layer dimension"),
+        (
+            "out3",
+            struct.pack("<4sBQ2Q", b"RDGW", 2, 2, 3, 3) + bytes(8 * 9),
+            "output dimension 3",
+        ),
+        ("v1", struct.pack("<4sBdqQ", b"RDGW", 1, 0.5, 0, 3) + raw[13:], "version 1"),
+    ]:
+        path = tmp_path / f"{name}.rdgw"
+        path.write_bytes(damaged)
+        with pytest.raises(DataError, match=f"{reason}.*{path}|{path}.*{reason}"):
             load_checkpoint(path)

@@ -12,7 +12,13 @@ from pathlib import Path
 import pytest
 
 from relgcn import gcn
-from relgcn.pipeline import PipelineConfig, stage_featurize, stage_learn, stage_train
+from relgcn.pipeline import (
+    PipelineConfig,
+    run_pipeline,
+    stage_featurize,
+    stage_learn,
+    stage_train,
+)
 from relgcn.synth import SyntheticSpec, generate_synthetic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,15 +46,13 @@ def test_benchmark_wrapped_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"relgcn.{module}"), attr, None))
 
 
-def test_benchmark_flop_counters_read_stage_train_arguments(tmp_path, monkeypatch):
-    """`_forward_flops` and `_backward_flops` take n from the first
-    argument's shape and the model from a fixed position."""
-    tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
+def _small_config(tmp_path) -> PipelineConfig:
+    """A 65-target planted run directory's config, trained for 2 epochs."""
     spec = SyntheticSpec(
         n_persons=16, n_universities=3, n_topics=3, n_positives=25, n_negatives=40, seed=0
     )
     generate_synthetic(spec, tmp_path / "data")
-    config = PipelineConfig.from_overrides(
+    return PipelineConfig.from_overrides(
         {
             **{k: str(tmp_path / "data" / f"{k}.txt") for k in ("facts", "pos", "neg")},
             "out": str(tmp_path / "out"),
@@ -58,6 +62,35 @@ def test_benchmark_flop_counters_read_stage_train_arguments(tmp_path, monkeypatc
             "train.epochs": "2",
         }
     )
+
+
+def test_benchmark_tracer_counts_a_pipeline_run(tmp_path):
+    """The benchmark's hooks read return values (`learn_ruleset`'s rules)
+    and arguments (`gcn_forward`'s model) of a traced run, and uninstalling
+    puts every wrapped name back."""
+    tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
+    config = _small_config(tmp_path)
+    originals = [
+        (m, a, getattr(importlib.import_module(f"relgcn.{m}"), a)) for m, a in _wrapped_names()
+    ]
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    for module, attr, fn in originals:
+        assert getattr(importlib.import_module(f"relgcn.{module}"), attr) is fn
+    metrics = tracing["layer_metrics"](tracer)
+    assert metrics["rulelearn.rules_kept"][0] > 0
+    assert metrics["gcn.forward_calls"][0] > 0
+
+
+def test_benchmark_flop_counters_read_stage_train_arguments(tmp_path, monkeypatch):
+    """`_forward_flops` and `_backward_flops` take n from the first
+    argument's shape and the model from a fixed position."""
+    tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
+    config = _small_config(tmp_path)
     stage_learn(config)
     stage_featurize(config)
     calls = {}

@@ -545,6 +545,77 @@ def test_cli_targets_bad_atom_cell_is_a_parse_error(
     assert "(line 3)" in caplog.text
 
 
+def _edit_x_lines(out, edit):
+    path = out / "X.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+def _drop_first_x_row(out):
+    _edit_x_lines(out, lambda lines: lines[:1] + lines[2:])
+
+
+def _swap_first_x_rows(out):
+    _edit_x_lines(out, lambda lines: [lines[0], lines[2], lines[1]] + lines[3:])
+
+
+def _unparsable_x_cell(out):
+    def edit(lines):
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",abc\n"
+        return lines
+
+    _edit_x_lines(out, edit)
+
+
+def _drop_last_x_column(out):
+    _edit_x_lines(out, lambda lines: [line.rsplit(",", 1)[0] + "\n" for line in lines])
+
+
+def _test_index_past_the_targets(out):
+    splits = json.loads((out / "splits.json").read_text())
+    splits["test"][0] = 65
+    (out / "splits.json").write_text(json.dumps(splits))
+
+
+@pytest.mark.parametrize(
+    "command, damage, damaged",
+    [
+        pytest.param("train", _drop_first_x_row, "X.csv", id="train-x-row-missing"),
+        pytest.param("eval", _drop_first_x_row, "X.csv", id="eval-x-row-missing"),
+        pytest.param("train", _swap_first_x_rows, "X.csv", id="train-x-rows-swapped"),
+        pytest.param("train", _unparsable_x_cell, "X.csv", id="train-x-cell"),
+        pytest.param("eval", _unparsable_x_cell, "X.csv", id="eval-x-cell"),
+        pytest.param("eval", _drop_last_x_column, "model.rdgw", id="eval-x-columns"),
+        pytest.param(
+            "eval", _test_index_past_the_targets, "splits.json", id="eval-split-index"
+        ),
+    ],
+)
+def test_cli_damaged_run_directory_is_a_data_error(
+    small_run, tmp_path, caplog, command, damage, damaged
+):
+    """Train and eval check X.csv against targets.csv, and eval checks the
+    checkpoint against X.csv and the test split against the targets,
+    before they use them; each error names the damaged file."""
+    out = _clone_run(small_run, tmp_path).out_dir()
+    damage(out)
+    assert cli_main([command, "--out", str(out)]) == 2
+    assert str(out / damaged) in caplog.text
+
+
+def test_train_accepts_targets_cells_spaced_otherwise(small_run, tmp_path):
+    """X.csv's row ids are the atoms as featurize prints them; a targets.csv
+    cell with other spacing still names the same target."""
+    config = _clone_run(small_run, tmp_path)
+    targets = config.out_dir() / "targets.csv"
+    lines = targets.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace(", ", " ,").replace("(", "( ")
+    targets.write_text("".join(lines))
+    stage_featurize(config)
+    stage_train(config)
+    assert stage_eval(config).to_csv_row() == small_run["report"].to_csv_row()
+
+
 def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):
     captured = {}
 

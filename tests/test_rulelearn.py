@@ -16,9 +16,7 @@ from relgcn.grounding import (
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
 from relgcn.rulelearn import (
     LearnConfig,
-    RelationalTree,
     candidate_literals,
-    extract_rule,
     learn_ruleset,
     learn_tree,
     make_head,
@@ -122,10 +120,8 @@ def test_learn_tree_recovers_topic_rule(coauthor_kb, topic_class_examples):
     classed, contrast = topic_class_examples
     weighted = _weighted(classed, 1.0) + _weighted(contrast, 0.0)
     config = LearnConfig(beam_width=5, max_constants_for_grounding=0)
-    tree = learn_tree(coauthor_kb, weighted, config)
-    rule = extract_rule(tree)
-    assert tree.depth == 2
-    assert tree.left_leaf_value == pytest.approx(1.0)
+    rule = learn_tree(coauthor_kb, weighted, config)
+    assert len(rule.body) == 2
     from relgcn.grounding import count_satisfied_groundings
 
     assert (count_satisfied_groundings(rule, classed, coauthor_kb, cap=1) == 1).all()
@@ -136,10 +132,9 @@ def test_learn_tree_deterministic(coauthor_kb, topic_class_examples):
     classed, contrast = topic_class_examples
     weighted = _weighted(classed, 1.0) + _weighted(contrast, 0.0)
     config = LearnConfig(beam_width=3, max_constants_for_grounding=0)
-    t1 = learn_tree(coauthor_kb, weighted, config)
-    t2 = learn_tree(coauthor_kb, weighted, config)
-    assert [str(a) for a in t1.spine] == [str(a) for a in t2.spine]
-    assert t1.right_leaf_values == t2.right_leaf_values
+    r1 = learn_tree(coauthor_kb, weighted, config)
+    r2 = learn_tree(coauthor_kb, weighted, config)
+    assert [str(a) for a in r1.body] == [str(a) for a in r2.body]
 
 
 def test_learn_tree_degenerate_targets_gives_depth_zero(coauthor_kb, topic_class_examples):
@@ -147,9 +142,8 @@ def test_learn_tree_degenerate_targets_gives_depth_zero(coauthor_kb, topic_class
     classed, contrast = topic_class_examples
     weighted = _weighted(classed + contrast, 1.0)
     config = LearnConfig(max_constants_for_grounding=0)
-    tree = learn_tree(coauthor_kb, weighted, config)
-    assert tree.depth == 0
-    assert tree.left_leaf_value == pytest.approx(1.0)
+    rule = learn_tree(coauthor_kb, weighted, config)
+    assert rule.body == ()
 
 
 def test_learn_tree_tells_a_constant_from_a_variable_of_the_same_name():
@@ -171,12 +165,10 @@ def test_learn_tree_tells_a_constant_from_a_variable_of_the_same_name():
     classed = [example("p1", "p4"), example("p2", "p3")]
     contrast = [example("p4", "p1"), example("p5", "p6")]
     weighted = _weighted(classed, 1.0) + _weighted(contrast, 0.0)
-    tree = learn_tree(kb, weighted, LearnConfig())
-    assert tree.spine == (
+    rule = learn_tree(kb, weighted, LearnConfig())
+    assert rule.body == (
         Atom("Affiliation", (Variable("person1"), Constant("university1", UNIVERSITY))),
     )
-    assert tree.right_leaf_values == (0.0,)
-    assert tree.left_leaf_value == 1.0
 
 
 def _depth_one_oracle_sse(kb, head, examples, values, weights, config):
@@ -221,10 +213,8 @@ def test_depth_one_tree_matches_brute_force_oracle():
         ]
         values = rng.integers(0, 2, size=len(examples)).astype(float)
         weights = rng.uniform(0.5, 2.0, size=len(examples))
-        tree = learn_tree(kb, list(zip(examples, values, weights)), config)
-        left = np.array(
-            [brute_force_count(Clause(head, tree.spine), ex, kb) > 0 for ex in examples]
-        )
+        rule = learn_tree(kb, list(zip(examples, values, weights)), config)
+        left = np.array([brute_force_count(rule, ex, kb) > 0 for ex in examples])
         assert squared_error_score(values, weights, left) == pytest.approx(
             _depth_one_oracle_sse(kb, head, examples, values, weights, config),
             abs=1e-9,
@@ -237,12 +227,14 @@ def test_learn_tree_rejects_bad_inputs(coauthor_kb):
         learn_tree(coauthor_kb, [], config)
 
 
-def test_extract_rule_empty_body_warns(coauthor_kb, caplog):
-    head = make_head(coauthor_kb, "CoAuthor")
-    tree = RelationalTree(head, (), (), 1.0)
+def test_learn_ruleset_empty_body_warns(coauthor_kb, topic_class_examples, caplog):
+    """A contrast of the class's own atoms leaves nothing to split on: the
+    rule is the empty body, kept with a warning."""
+    classed, _ = topic_class_examples
+    config = LearnConfig(max_constants_for_grounding=0)
     with caplog.at_level(logging.WARNING):
-        rule = extract_rule(tree)
-    assert rule.body == ()
+        ruleset = learn_ruleset(coauthor_kb, classed, config, k=1, contrast=classed)
+    assert [rule.body for rule in ruleset.rules] == [()]
     assert any("empty-body" in rec.message for rec in caplog.records)
 
 

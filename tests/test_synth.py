@@ -16,14 +16,18 @@ def satisfies_any(rules, ex, kb):
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
-        SyntheticSpec(n_persons=0)
-    with pytest.raises(ConfigError):
-        SyntheticSpec(n_rules=3)
-    with pytest.raises(ConfigError):
-        SyntheticSpec(noise_rate=1.0)
-    with pytest.raises(ConfigError, match="'seed', got '-1'"):
-        SyntheticSpec(seed=-1)
+    """Each out-of-range field is a ConfigError that names the field."""
+    for field, value in [
+        ("n_persons", 0),
+        ("n_topics", 0),
+        ("n_rules", 3),
+        ("noise_rate", 1.0),
+        ("seed", -1),
+        ("n_positives", -3),
+        ("n_negatives", -5),
+    ]:
+        with pytest.raises(ConfigError, match=f"'{field}', got '{value}'"):
+            SyntheticSpec(**{field: value})
 
 
 def test_noise_free_positives_satisfy_planted_rules():
