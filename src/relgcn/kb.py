@@ -124,10 +124,6 @@ class KnowledgeBase:
 
     # -- queries ----------------------------------------------------------
 
-    def has_fact(self, atom: Atom) -> bool:
-        """Closed-world membership test for a ground atom."""
-        return atom.constant_names() in self._facts.get(atom.predicate, set())
-
     def fact_count(self, predicate: str | None = None) -> int:
         if predicate is not None:
             return len(self._facts.get(predicate, set()))
@@ -160,9 +156,6 @@ class KnowledgeBase:
         except KeyError:
             raise DataError(f"unknown type {type_name!r}") from None
 
-    def types(self) -> set[str]:
-        return set(self._domains)
-
     # -- text format ------------------------------------------------------
 
     def to_text(self) -> str:
@@ -184,6 +177,24 @@ _FACT_RE = re.compile(r"^(\w+)\s*\(\s*([^()]*?)\s*\)\s*\.\s*$")
 def _strip_comment(line: str) -> str:
     i = line.find("%")
     return line if i < 0 else line[:i]
+
+
+def _read_atom(
+    name: str, args: str, kb: KnowledgeBase, lineno: int, where: str
+) -> tuple[PredicateSchema, tuple[str, ...]]:
+    """The schema of ``name`` and the comma-separated tokens of ``args``;
+    an unknown predicate or a wrong token count is a ParseError at
+    ``lineno`` that names the ``where`` line kind."""
+    schema = kb.schemas.get(name)
+    if schema is None:
+        raise ParseError(f"unknown predicate {name!r} in {where}", lineno)
+    tokens = tuple(t.strip() for t in args.split(",") if t.strip())
+    if len(tokens) != schema.arity:
+        raise ParseError(
+            f"arity mismatch for {name}: got {len(tokens)}, expected {schema.arity}",
+            lineno,
+        )
+    return schema, tokens
 
 
 def parse_facts(text: str, kb: KnowledgeBase | None = None) -> KnowledgeBase:
@@ -211,18 +222,8 @@ def parse_facts(text: str, kb: KnowledgeBase | None = None) -> KnowledgeBase:
         m = _FACT_RE.match(line)
         if m is None:
             raise ParseError(f"malformed fact line: {raw!r}", lineno)
-        name, args = m.group(1), m.group(2)
-        if name not in kb.schemas:
-            raise ParseError(f"unknown predicate {name!r} in fact", lineno)
-        consts = tuple(c.strip() for c in args.split(",") if c.strip())
-        schema = kb.schemas[name]
-        if len(consts) != schema.arity:
-            raise ParseError(
-                f"arity mismatch for {name}: got {len(consts)}, "
-                f"expected {schema.arity}",
-                lineno,
-            )
-        kb.add_fact(name, consts)
+        schema, consts = _read_atom(m.group(1), m.group(2), kb, lineno, "fact")
+        kb.add_fact(schema.name, consts)
     return kb
 
 
@@ -240,20 +241,9 @@ def parse_ground_atoms(text: str, kb: KnowledgeBase) -> list[Atom]:
         m = _FACT_RE.match(line)
         if m is None:
             raise ParseError(f"malformed example line: {raw!r}", lineno)
-        name, args = m.group(1), m.group(2)
-        schema = kb.schemas.get(name)
-        if schema is None:
-            raise ParseError(f"unknown predicate {name!r} in example", lineno)
-        consts = tuple(c.strip() for c in args.split(",") if c.strip())
-        if len(consts) != schema.arity:
-            raise ParseError(
-                f"arity mismatch for {name}: got {len(consts)}, "
-                f"expected {schema.arity}",
-                lineno,
-            )
-        for pos, c in enumerate(consts):
-            kb.register_constant(schema.arg_types[pos], c)
-        atoms.append(
-            Atom(name, tuple(Constant(c, schema.arg_types[i]) for i, c in enumerate(consts)))
-        )
+        schema, consts = _read_atom(m.group(1), m.group(2), kb, lineno, "example")
+        args = tuple(Constant(c, t) for t, c in zip(schema.arg_types, consts))
+        for a in args:
+            kb.register_constant(a.type, a.name)
+        atoms.append(Atom(schema.name, args))
     return atoms

@@ -4,9 +4,10 @@ Every stage reads its inputs from and persists its outputs to the run
 directory, so an expensive earlier stage (rule learning) amortizes across
 later sweeps.  The only matrix persisted is the feature matrix X: the
 propagation matrix is a fixed function of X and the ``featurize.*`` keys,
-so train and eval rebuild it; train records the rebuilt graph's metric and
-threshold t in ``threshold.json``.  A manifest records the config hash, all
-seeds and per-stage wall times.
+so train and eval rebuild it; train records the rebuilt graph's metric,
+self-loop setting and threshold t in ``threshold.json``, and eval refuses
+a metric or self-loop setting other than the recorded one.  A manifest
+records the config hash, all seeds and per-stage wall times.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from . import metrics as metrics_mod
 from .grounding import (
     NEGATIVE,
     POSITIVE,
+    Clause,
     TargetExample,
     count_satisfied_groundings,
     sample_negatives,
@@ -286,6 +288,17 @@ def _target_predicate(config: PipelineConfig, positives: list[TargetExample]) ->
     return config["target"] or positives[0].atom.predicate
 
 
+def _load_rules(
+    config: PipelineConfig,
+) -> tuple[Path, KnowledgeBase, list[TargetExample], list[Clause]]:
+    """The output directory, the kb, the examples of targets.csv and the
+    rules of rules.txt."""
+    out = config.out_dir()
+    kb = _load_kb(config)
+    targets = _read_targets(out / "targets.csv", kb)
+    return out, kb, targets, parse_rules((out / "rules.txt").read_text(), kb)
+
+
 # -- stages ----------------------------------------------------------------
 
 
@@ -305,10 +318,7 @@ def stage_learn(config: PipelineConfig) -> Path:
 
 def stage_featurize(config: PipelineConfig) -> np.ndarray:
     """The rule-count matrix X, one row per target and one column per rule."""
-    out = config.out_dir()
-    kb = _load_kb(config)
-    targets = _read_targets(out / "targets.csv", kb)
-    rules = parse_rules((out / "rules.txt").read_text(), kb)
+    out, kb, targets, rules = _load_rules(config)
     cap = config["featurize.cap"] or None
     X = fz.build_rule_matrix(rules, targets, kb, cap)
     if config["featurize.zscale"]:
@@ -371,9 +381,28 @@ def _read_test_split(path: Path, n: int) -> np.ndarray:
     return np.array(test, dtype=int)
 
 
+def _check_trained_graph(config: PipelineConfig, path: Path) -> None:
+    """The ``featurize.*`` keys that shape the graph rebuilt from X must be
+    the ones train recorded in threshold.json, or eval would score the
+    model on another graph."""
+    try:
+        recorded = dict(json.loads(path.read_text()))
+    except (OSError, ValueError, TypeError) as exc:
+        raise DataError(f"cannot read {path} ({type(exc).__name__}: {exc}); retrain") from exc
+    for name in ("metric", "literal_self_loops"):
+        key = f"featurize.{name}"
+        if name not in recorded:
+            raise DataError(f"{path} does not record {key}; retrain")
+        if recorded[name] != config[key]:
+            raise DataError(
+                f"{key} is {config[key]!r} but {path} records {recorded[name]!r} "
+                f"from train; evaluate under {key}={recorded[name]} or retrain"
+            )
+
+
 def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     """Train the GCN on the graph rebuilt from X; the checkpoint and the
-    graph's metric and threshold t are written together."""
+    graph's metric, self-loop setting and threshold t are written together."""
     out = config.out_dir()
     labels, X, prop = _load_graph(config)
     masks = metrics_mod.split_examples(
@@ -394,8 +423,9 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
         X.shape[0],
     )
     gcn_mod.save_checkpoint(out / "model.rdgw", model)
+    metric, loops = config["featurize.metric"], config["featurize.literal_self_loops"]
     (out / "threshold.json").write_text(
-        json.dumps({"metric": config["featurize.metric"], "t": prop.threshold})
+        json.dumps({"metric": metric, "t": prop.threshold, "literal_self_loops": loops})
     )
     with open(out / "history.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -420,6 +450,7 @@ def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
     out = config.out_dir()
     model_path = out / "model.rdgw"
     model = gcn_mod.load_checkpoint(model_path)
+    _check_trained_graph(config, out / "threshold.json")
     labels, X, prop = _load_graph(config)
     if model.dims[0] != X.shape[1]:
         raise DataError(
@@ -533,10 +564,7 @@ def sensitivity_sweep(
 
 def rule_coverage_report(config: PipelineConfig) -> str:
     """Pretty-print the learned rules with per-rule coverage statistics."""
-    out = config.out_dir()
-    kb = _load_kb(config)
-    targets = _read_targets(out / "targets.csv", kb)
-    rules = parse_rules((out / "rules.txt").read_text(), kb)
+    _, kb, targets, rules = _load_rules(config)
     positive = np.array([t.label == POSITIVE for t in targets], dtype=bool)
     n_pos, n_neg = int(positive.sum()), int((~positive).sum())
     lines = []

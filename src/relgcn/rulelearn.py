@@ -23,6 +23,7 @@ covered examples, which each fresh variable can multiply.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 from dataclasses import dataclass, replace
@@ -40,7 +41,7 @@ from .grounding import (
     count_satisfied_groundings,
     sample_negatives,
 )
-from .kb import Atom, Constant, KnowledgeBase, Variable
+from .kb import Atom, Constant, KnowledgeBase, Variable, _read_atom
 
 log = logging.getLogger(__name__)
 
@@ -84,12 +85,9 @@ class LearnConfig:
 
 def make_head(kb: KnowledgeBase, predicate: str) -> Atom:
     """Canonical head atom with distinct typed variables, named type1, type2, ..."""
-    schema = kb.schema(predicate)
-    counters: dict[str, int] = {}
-    args = []
-    for t in schema.arg_types:
-        counters[t] = counters.get(t, 0) + 1
-        args.append(Variable(f"{t}{counters[t]}"))
+    args: list[Variable] = []
+    for t in kb.schema(predicate).arg_types:
+        args.append(Variable(_fresh_name(t, {a.name for a in args})))
     return Atom(predicate, tuple(args))
 
 
@@ -97,10 +95,9 @@ def _typed_variables(kb: KnowledgeBase, head: Atom, body: tuple[Atom, ...]) -> d
     """Variable name -> type, collected from the head and the body literals."""
     out: dict[str, str] = {}
     for atom in (head, *body):
-        schema = kb.schema(atom.predicate)
-        for pos, a in enumerate(atom.args):
+        for t, a in zip(kb.schema(atom.predicate).arg_types, atom.args):
             if isinstance(a, Variable):
-                out.setdefault(a.name, schema.arg_types[pos])
+                out.setdefault(a.name, t)
     return out
 
 
@@ -119,60 +116,40 @@ def candidate_literals(
 ) -> list[Atom]:
     """Refinement candidates for extending a left spine.
 
-    Every candidate fills each argument slot with an existing clause
-    variable of matching type, at most one fresh variable, or a constant
-    when the slot's type is small enough; at least one slot must reuse an
-    existing variable (connectedness).  The target predicate itself is
-    excluded (no recursive clauses).  Sorted for determinism.
+    Each argument slot takes, in order, an existing clause variable of the
+    slot's type (in name order), the type's one fresh variable, or a
+    constant of the type when it has at most ``max_constants_for_grounding``
+    of them; a candidate is one choice per slot with at most one fresh
+    variable and at least one existing one (connectedness).  The target
+    predicate itself is excluded (no recursive clauses), and so are the
+    literals already in the body.  Sorted by text, stably, for determinism.
     """
     var_types = _typed_variables(kb, head, body)
     used_names = set(var_types)
-    by_type: dict[str, list[str]] = {}
-    for name, t in var_types.items():
-        by_type.setdefault(t, []).append(name)
-    for names in by_type.values():
-        names.sort()
+    by_type: dict[str, list[Variable]] = {}
+    for name in sorted(used_names):
+        by_type.setdefault(var_types[name], []).append(Variable(name))
 
     existing = set(body)
     out = []
     for pred in sorted(kb.schemas):
         if pred == head.predicate:
             continue
-        schema = kb.schemas[pred]
-        slot_options: list[list[tuple[str, str]]] = []
-        for t in schema.arg_types:
-            opts: list[tuple[str, str]] = [("var", v) for v in by_type.get(t, [])]
-            opts.append(("fresh", t))
-            domain = kb.constants_of_type(t) if t in kb.types() else set()
-            if 0 < len(domain) <= max_constants_for_grounding:
-                opts.extend(("const", c) for c in sorted(domain))
-            slot_options.append(opts)
-
-        def build(pos: int, picked: list[tuple[str, str]], fresh_used: bool):
-            if pos == len(slot_options):
-                if not any(kind == "var" for kind, _ in picked):
-                    return
-                args = []
-                for (kind, val), t in zip(picked, schema.arg_types):
-                    if kind == "var":
-                        args.append(Variable(val))
-                    elif kind == "fresh":
-                        args.append(Variable(_fresh_name(val, used_names)))
-                    else:
-                        args.append(Constant(val, t))
-                atom = Atom(pred, tuple(args))
-                if atom not in existing:
-                    out.append(atom)
-                return
-            for kind, val in slot_options[pos]:
-                if kind == "fresh":
-                    if fresh_used:
-                        continue
-                    build(pos + 1, picked + [(kind, val)], True)
-                else:
-                    build(pos + 1, picked + [(kind, val)], fresh_used)
-
-        build(0, [], False)
+        slot_options = []
+        for t in kb.schemas[pred].arg_types:
+            domain = kb.constants_of_type(t)
+            consts = sorted(domain) if len(domain) <= max_constants_for_grounding else []
+            slot_options.append(
+                by_type.get(t, [])
+                + [Variable(_fresh_name(t, used_names))]
+                + [Constant(c, t) for c in consts]
+            )
+        for args in itertools.product(*slot_options):
+            names = [a.name for a in args if isinstance(a, Variable)]
+            reused = sum(name in used_names for name in names)
+            atom = Atom(pred, args)
+            if reused >= 1 and len(names) - reused <= 1 and atom not in existing:
+                out.append(atom)
     out.sort(key=str)
     return out
 
@@ -183,19 +160,6 @@ def _branch_sse(values: np.ndarray, weights: np.ndarray) -> float:
         return 0.0
     mean = float(np.dot(weights, values)) / total
     return float(np.dot(weights, (values - mean) ** 2))
-
-
-def squared_error_score(
-    values: np.ndarray, weights: np.ndarray, left_mask: np.ndarray
-) -> float:
-    """Weighted squared error of a true/false partition: per-branch SSE around
-    the branch's weighted mean, summed over both branches.  Lower is better."""
-    if len(values) == 0:
-        raise DataError("cannot score an empty example set")
-    left = np.asarray(left_mask, dtype=bool)
-    return _branch_sse(values[left], weights[left]) + _branch_sse(
-        values[~left], weights[~left]
-    )
 
 
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
@@ -390,12 +354,9 @@ _RULE_RE = re.compile(
 _LIT_RE = re.compile(r"(\w+)\s*\(([^()]*)\)")
 
 
-def _fmt_term(t) -> str:
-    return f'"{t.name}"' if isinstance(t, Constant) else t.name
-
-
 def _fmt_atom(a: Atom) -> str:
-    return f"{a.predicate}({', '.join(_fmt_term(t) for t in a.args)})"
+    args = (f'"{t.name}"' if isinstance(t, Constant) else t.name for t in a.args)
+    return f"{a.predicate}({', '.join(args)})"
 
 
 def serialize_rules(rules: list[Clause]) -> str:
@@ -411,21 +372,11 @@ def serialize_rules(rules: list[Clause]) -> str:
 
 
 def _parse_rule_atom(pred: str, argstr: str, kb: KnowledgeBase, lineno: int) -> Atom:
-    schema = kb.schemas.get(pred)
-    if schema is None:
-        raise ParseError(f"unknown predicate {pred!r} in rule", lineno)
-    toks = [t.strip() for t in argstr.split(",") if t.strip()]
-    if len(toks) != schema.arity:
-        raise ParseError(
-            f"arity mismatch for {pred}: got {len(toks)}, expected {schema.arity}",
-            lineno,
-        )
-    args: list = []
-    for pos, tok in enumerate(toks):
-        if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-            args.append(Constant(tok[1:-1], schema.arg_types[pos]))
-        else:
-            args.append(Variable(tok))
+    schema, toks = _read_atom(pred, argstr, kb, lineno, "rule")
+    args = [
+        Constant(tok[1:-1], t) if len(tok) >= 2 and tok[0] == tok[-1] == '"' else Variable(tok)
+        for t, tok in zip(schema.arg_types, toks)
+    ]
     return Atom(pred, tuple(args))
 
 
@@ -440,19 +391,11 @@ def parse_rules(text: str, kb: KnowledgeBase) -> list[Clause]:
             raise ParseError(f"malformed rule line: {raw!r}", lineno)
         head_pred, head_args, body_str, source, it = m.groups()
         head = _parse_rule_atom(head_pred, head_args, kb, lineno)
-        body: list[Atom] = []
+        body: tuple[Atom, ...] = ()
         if body_str.strip() != "true":
             consumed = _LIT_RE.findall(body_str)
             if not consumed:
                 raise ParseError(f"malformed rule body: {raw!r}", lineno)
-            for pred, argstr in consumed:
-                body.append(_parse_rule_atom(pred, argstr, kb, lineno))
-        rules.append(
-            Clause(
-                head,
-                tuple(body),
-                source=source or POSITIVE_DENSITY,
-                iteration=int(it) if it else 0,
-            )
-        )
+            body = tuple(_parse_rule_atom(pred, args, kb, lineno) for pred, args in consumed)
+        rules.append(Clause(head, body, source or POSITIVE_DENSITY, int(it or 0)))
     return rules

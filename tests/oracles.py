@@ -10,12 +10,19 @@ from relgcn.grounding import NEGATIVE, Clause, TargetExample
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
 
 
+def has_fact(kb: KnowledgeBase, atom: Atom) -> bool:
+    """Closed-world membership of a ground atom: some row of the
+    predicate's fact array holds the ids of its constants."""
+    ids = [kb.constant_id(name) for name in atom.constant_names()]
+    return bool((kb.fact_array(atom.predicate) == ids).all(axis=1).any())
+
+
 def body_satisfied(ground_body: list[Atom], kb: KnowledgeBase) -> bool:
     """True iff every ground atom is a fact in kb (closed world)."""
     for atom in ground_body:
         if not atom.is_ground():
             raise DataError(f"body_satisfied requires ground atoms, got {atom}")
-        if not kb.has_fact(atom):
+        if not has_fact(kb, atom):
             return False
     return True
 
@@ -57,6 +64,25 @@ def brute_force_count(clause: Clause, target: TargetExample, kb: KnowledgeBase) 
         if body_satisfied(ground, kb):
             count += 1
     return count
+
+
+def squared_error_score(
+    values: np.ndarray, weights: np.ndarray, left_mask: np.ndarray
+) -> float:
+    """Weighted squared error of a true/false partition: per-branch SSE
+    around the branch's weighted mean, summed over both branches.  The
+    split criterion `learn_tree` minimizes; an empty example set is a
+    DataError."""
+    if len(values) == 0:
+        raise DataError("cannot score an empty example set")
+    left = np.asarray(left_mask, dtype=bool)
+    total = 0.0
+    for side in (left, ~left):
+        v, w = values[side], weights[side]
+        if w.sum() > 0.0:
+            mean = np.dot(w, v) / w.sum()
+            total += float(np.dot(w, (v - mean) ** 2))
+    return total
 
 
 def naive_euclidean_distances(X: np.ndarray) -> np.ndarray:

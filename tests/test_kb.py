@@ -14,6 +14,7 @@ from relgcn.kb import (
 )
 
 from conftest import PERSON, TOPIC, UNIVERSITY
+from oracles import has_fact
 
 
 def test_schema_requires_positive_arity():
@@ -56,11 +57,13 @@ def test_conflicting_schema_rejected(coauthor_kb):
 
 
 def test_has_fact_closed_world(coauthor_kb):
-    assert coauthor_kb.has_fact(
-        Atom("Affiliation", (Constant("ann", PERSON), Constant("U1", UNIVERSITY)))
+    assert has_fact(
+        coauthor_kb,
+        Atom("Affiliation", (Constant("ann", PERSON), Constant("U1", UNIVERSITY))),
     )
-    assert not coauthor_kb.has_fact(
-        Atom("Affiliation", (Constant("ann", PERSON), Constant("U2", UNIVERSITY)))
+    assert not has_fact(
+        coauthor_kb,
+        Atom("Affiliation", (Constant("ann", PERSON), Constant("U2", UNIVERSITY))),
     )
 
 
@@ -121,3 +124,17 @@ def test_parse_ground_atoms_registers_constants(coauthor_kb):
 def test_parse_ground_atoms_unknown_predicate(coauthor_kb):
     with pytest.raises(ParseError):
         parse_ground_atoms("Bogus(a, b).\n", coauthor_kb)
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("CoAuthor(ann, bob).\n\nCoAuthor(ann).\n", "arity mismatch for CoAuthor", 3),
+        # Schemas belong in the facts file, not in an example file.
+        ("CoAuthor(ann, bob).\n@predicate Likes(person, person)\n", "malformed example line", 2),
+    ],
+)
+def test_parse_ground_atoms_error_carries_line_number(coauthor_kb, text, message, line):
+    with pytest.raises(ParseError, match=message) as exc_info:
+        parse_ground_atoms(text, coauthor_kb)
+    assert exc_info.value.line == line

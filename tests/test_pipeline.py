@@ -338,6 +338,7 @@ def test_staged_metric_reproduces_sweep_row(small_run, tmp_path):
     assert threshold == {
         "metric": "manhattan",
         "t": fz.propagation_matrix(X, "manhattan").threshold,
+        "literal_self_loops": False,
     }
 
 
@@ -614,6 +615,55 @@ def test_train_accepts_targets_cells_spaced_otherwise(small_run, tmp_path):
     stage_featurize(config)
     stage_train(config)
     assert stage_eval(config).to_csv_row() == small_run["report"].to_csv_row()
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        pytest.param(
+            {"featurize.metric": "chebyshev", "featurize.literal_self_loops": "true"},
+            "featurize.metric",
+            id="metric-and-self-loops",
+        ),
+        pytest.param(
+            {"featurize.literal_self_loops": "true"},
+            "featurize.literal_self_loops",
+            id="self-loops",
+        ),
+    ],
+)
+def test_cli_eval_refuses_another_graph_than_trained(
+    small_run, tmp_path, caplog, overrides, key
+):
+    """The run was trained under euclidean without literal self-loops;
+    eval under other featurize keys would score the model on another
+    graph, so it exits 2 naming the key and threshold.json."""
+    out = _clone_run(small_run, tmp_path).out_dir()
+    (out / "metrics.csv").unlink()
+    flags = [arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}")]
+    assert cli_main(["eval", "--out", str(out), *flags]) == 2
+    assert key in caplog.text
+    assert str(out / "threshold.json") in caplog.text
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("missing", ["file", "metric", "literal_self_loops"])
+def test_cli_eval_needs_the_recorded_graph_keys(small_run, tmp_path, caplog, missing):
+    """A threshold.json that is gone or lacks a key (a run trained before
+    the key was recorded) is a data error that asks for a retrain."""
+    out = _clone_run(small_run, tmp_path).out_dir()
+    path = out / "threshold.json"
+    if missing == "file":
+        path.unlink()
+    else:
+        recorded = json.loads(path.read_text())
+        del recorded[missing]
+        path.write_text(json.dumps(recorded))
+    assert cli_main(["eval", "--out", str(out)]) == 2
+    assert str(path) in caplog.text
+    assert "retrain" in caplog.text
+    if missing != "file":
+        assert f"featurize.{missing}" in caplog.text
 
 
 def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):

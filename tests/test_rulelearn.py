@@ -22,11 +22,10 @@ from relgcn.rulelearn import (
     make_head,
     parse_rules,
     serialize_rules,
-    squared_error_score,
 )
 
-from conftest import PERSON, UNIVERSITY, example
-from oracles import brute_force_count
+from conftest import PERSON, TOPIC, UNIVERSITY, example
+from oracles import brute_force_count, squared_error_score
 from random_instances import random_instance
 
 
@@ -96,6 +95,103 @@ def test_candidate_literals_properties(coauthor_kb):
     assert all(
         not isinstance(a, Constant) for atom in bare for a in atom.args
     )
+
+
+def _literal(text):
+    """A coauthor_kb literal written ``P(person1, "U1")``; a quoted
+    argument is a constant of its slot's type."""
+    pred, args = text.rstrip(")").split("(")
+    types = {"Affiliation": (PERSON, UNIVERSITY), "ResearchTopic": (PERSON, TOPIC)}[pred]
+    return Atom(
+        pred,
+        tuple(
+            Constant(a.strip('"'), t) if a.startswith('"') else Variable(a)
+            for a, t in zip(args.split(", "), types)
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "body, max_constants, expected",
+    [
+        (
+            (),
+            0,
+            [
+                "Affiliation(person1, university1)",
+                "Affiliation(person2, university1)",
+                "ResearchTopic(person1, topic1)",
+                "ResearchTopic(person2, topic1)",
+            ],
+        ),
+        (
+            (),
+            50,
+            [
+                'Affiliation(person1, "U1")',
+                'Affiliation(person1, "U2")',
+                "Affiliation(person1, university1)",
+                'Affiliation(person2, "U1")',
+                'Affiliation(person2, "U2")',
+                "Affiliation(person2, university1)",
+                'ResearchTopic(person1, "T1")',
+                'ResearchTopic(person1, "T2")',
+                'ResearchTopic(person1, "T3")',
+                "ResearchTopic(person1, topic1)",
+                'ResearchTopic(person2, "T1")',
+                'ResearchTopic(person2, "T2")',
+                'ResearchTopic(person2, "T3")',
+                "ResearchTopic(person2, topic1)",
+            ],
+        ),
+        (
+            ("ResearchTopic(person1, topic1)",),
+            0,
+            [
+                "Affiliation(person1, university1)",
+                "Affiliation(person2, university1)",
+                "ResearchTopic(person1, topic2)",
+                "ResearchTopic(person2, topic1)",
+                "ResearchTopic(person2, topic2)",
+                "ResearchTopic(person3, topic1)",
+            ],
+        ),
+        (
+            ("ResearchTopic(person1, topic1)",),
+            50,
+            [
+                'Affiliation(person1, "U1")',
+                'Affiliation(person1, "U2")',
+                "Affiliation(person1, university1)",
+                'Affiliation(person2, "U1")',
+                'Affiliation(person2, "U2")',
+                "Affiliation(person2, university1)",
+                'ResearchTopic("ann", topic1)',
+                'ResearchTopic("bob", topic1)',
+                'ResearchTopic("cara", topic1)',
+                'ResearchTopic("dan", topic1)',
+                'ResearchTopic(person1, "T1")',
+                'ResearchTopic(person1, "T2")',
+                'ResearchTopic(person1, "T3")',
+                "ResearchTopic(person1, topic2)",
+                'ResearchTopic(person2, "T1")',
+                'ResearchTopic(person2, "T2")',
+                'ResearchTopic(person2, "T3")',
+                "ResearchTopic(person2, topic1)",
+                "ResearchTopic(person2, topic2)",
+                "ResearchTopic(person3, topic1)",
+            ],
+        ),
+    ],
+)
+def test_candidate_literals_pinned(coauthor_kb, body, max_constants, expected):
+    """The refinement operator's full output, element for element: each
+    slot takes an existing variable, the type's fresh variable or a
+    constant, with at most one fresh and at least one existing variable."""
+    head = make_head(coauthor_kb, "CoAuthor")
+    body = tuple(_literal(text) for text in body)
+    cands = candidate_literals(coauthor_kb, head, body, max_constants)
+    assert cands == [_literal(text) for text in expected]
 
 
 def test_candidate_literals_skip_current_body(coauthor_kb):
@@ -313,6 +409,18 @@ def test_serialize_parse_roundtrip(coauthor_kb):
         assert orig.iteration == back.iteration
     # Constants survive with their quoting, distinguishing them from variables.
     assert isinstance(parsed[1].body[0].args[1], Constant)
+
+
+def test_parse_rules_arity_mismatch_carries_line_number(coauthor_kb):
+    text = (
+        "CoAuthor(person1, person2) :- true. % source=positive-density iter=0\n"
+        "% a comment\n"
+        "CoAuthor(person1, person2) :- Affiliation(person1). "
+        "% source=positive-density iter=1\n"
+    )
+    with pytest.raises(ParseError, match="arity mismatch for Affiliation") as info:
+        parse_rules(text, coauthor_kb)
+    assert info.value.line == 3
 
 
 def test_parse_rules_rejects_garbage(coauthor_kb):
