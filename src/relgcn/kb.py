@@ -1,19 +1,24 @@
 """Typed first-order knowledge bases: schemas, ground facts, parsing.
 
-Facts are stored as a set of constant-name tuples per predicate; there is
-no per-position index.  Joins run set-at-a-time on int arrays instead:
-constants are interned to ints on first use, and each predicate's facts
-are kept as an int array of those ids, built on first use and rebuilt
-once the predicate has gained facts.  A KnowledgeBase is treated as
-immutable once loading is finished; nothing enforces a freeze, but no
-operation in this package mutates a kb after construction.
-"""
+Facts are stored as a set of constant-name tuples per predicate.  Joins
+run set-at-a-time on int arrays instead: constants are interned to ints
+on first use, and each predicate's facts are kept as an int array of
+those ids, built on first use and rebuilt once the predicate has gained
+facts.  Each fact pattern that a join uses has a `JoinIndex`: the facts
+consistent with the pattern, sorted by their join key.  It is built on
+first use and rebuilt in the same way, so the candidate literals of a
+rule search share a handful of sorts.
 
+Loading fills a kb.  The pipeline adds no fact after that, but interning
+(`constant_id`) and `register_constant` (target files may name entities
+that no fact mentions) still change it; a new id or domain member leaves
+every array and index valid.
+"""
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 import numpy as np
 
@@ -73,6 +78,104 @@ class Atom:
         return f"{self.predicate}({', '.join(str(a) for a in self.args)})"
 
 
+# A literal's fact pattern: one token per argument.  ("const", id) needs
+# that constant, ("same", p) the value at an earlier position p, BOUND a
+# value a binding table supplies (the join key, in argument order) and
+# FRESH any value.
+BOUND = "bound"
+FRESH = "fresh"
+Pattern = tuple[tuple[str, int] | str, ...]
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+@dataclass(frozen=True)
+class JoinIndex:
+    """The facts of one predicate that agree with a `Pattern`, sorted by
+    the code of their key, the values at the BOUND positions.
+
+    A key of width k is coded as a k-digit number in base ``radix``, the
+    number of constant ids when the index was built, so an id at or above
+    it is in no fact here and a key holding one matches nothing.  When
+    the next digit would overflow int64, the code so far is first replaced
+    by its dense rank among the facts' codes (``rerank`` keeps those
+    sorted codes by key column).  A one-column key also gets ``member``,
+    a bool per id below ``radix`` plus one False for every id above, so
+    that a semi-join on it is one gather.
+    """
+
+    facts: np.ndarray  # (m, arity), sorted by codes
+    codes: np.ndarray  # (m,), sorted
+    radix: int
+    rerank: dict[int, np.ndarray]
+    member: np.ndarray | None
+    fact_count: int  # of the predicate when built; another count is stale
+
+    @classmethod
+    def build(cls, facts: np.ndarray, pattern: Pattern, radix: int) -> JoinIndex:
+        keep = np.ones(len(facts), dtype=bool)
+        for pos, token in enumerate(pattern):
+            if isinstance(token, tuple):
+                kind, value = token
+                keep &= facts[:, pos] == (value if kind == "const" else facts[:, value])
+        kept = facts[keep]
+        keys = kept[:, [pos for pos, token in enumerate(pattern) if token == BOUND]]
+        codes = np.zeros(len(keys), dtype=np.int64)
+        rerank: dict[int, np.ndarray] = {}
+        bound = 1  # every code so far is below it
+        for j, column in enumerate(keys.T):
+            if bound > _INT64_MAX // radix:
+                rerank[j] = np.unique(codes)
+                codes = np.searchsorted(rerank[j], codes)
+                bound = len(rerank[j])
+            codes = codes * radix + column
+            bound *= radix
+        order = np.argsort(codes)
+        member = None
+        if keys.shape[1] == 1:
+            member = np.zeros(radix + 1, dtype=bool)
+            member[codes] = True
+        return cls(kept[order], codes[order], radix, rerank, member, len(facts))
+
+    def key_codes(self, keys: np.ndarray) -> np.ndarray:
+        """The codes of (r, k) key rows, coded as the facts' keys are: equal
+        to a fact's code exactly where the keys are equal, and -1 where a
+        row holds an id at or above the radix or a re-ranked prefix that no
+        fact has."""
+        codes = np.zeros(len(keys), dtype=np.int64)
+        miss = (keys >= self.radix).any(axis=1)
+        for j, column in enumerate(keys.T):
+            if j in self.rerank:
+                codes, found = _find(self.rerank[j], codes)
+                miss |= ~found
+            codes = codes * self.radix + column
+        codes[miss] = -1
+        return codes
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        """Per (r, k) key row, whether some fact has that key."""
+        if self.member is not None:
+            return self.member[np.minimum(keys[:, 0], self.radix)]
+        return _find(self.codes, self.key_codes(keys))[1]
+
+    @property
+    def nbytes(self) -> int:
+        extra = sum(t.nbytes for t in self.rerank.values())
+        if self.member is not None:
+            extra += self.member.nbytes
+        return self.facts.nbytes + self.codes.nbytes + extra
+
+
+def _find(ordered: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's insertion point in the sorted array and whether the
+    value is there."""
+    at = np.searchsorted(ordered, values)
+    found = np.zeros(len(values), dtype=bool)
+    inside = at < len(ordered)
+    found[inside] = ordered[at[inside]] == values[inside]
+    return at, found
+
+
 class KnowledgeBase:
     """Schemas plus a ground-fact store with typed constant domains."""
 
@@ -86,6 +189,8 @@ class KnowledgeBase:
         self._ids: dict[str, int] = {}
         # predicate -> (facts, arity) int array of constant ids, built lazily
         self._arrays: dict[str, np.ndarray] = {}
+        # (predicate, pattern) -> the JoinIndex of that fact pattern, built lazily
+        self._join_indexes: dict[tuple[str, Pattern], JoinIndex] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -149,6 +254,38 @@ class KnowledgeBase:
             ).reshape(-1, arity)
             self._arrays[predicate] = arr
         return arr
+
+    def join_index(
+        self, literal: Atom, bound: Container[str]
+    ) -> tuple[JoinIndex, list[str], dict[str, int]]:
+        """The index of `literal`'s fact pattern when the variables in
+        `bound` have values, the variables of its key (the bound ones, in
+        argument order) and each other variable's first position.  Built
+        on first use and rebuilt once the predicate has gained facts."""
+        first: dict[str, int] = {}  # variable -> first position
+        pattern: list[tuple[str, int] | str] = []
+        for pos, term in enumerate(literal.args):
+            if isinstance(term, Constant):
+                pattern.append(("const", self.constant_id(term.name)))
+            elif term.name in first:
+                # A variable repeated in the literal takes one value.
+                pattern.append(("same", first[term.name]))
+            else:
+                first[term.name] = pos
+                pattern.append(BOUND if term.name in bound else FRESH)
+        facts = self.fact_array(literal.predicate)
+        key = (literal.predicate, tuple(pattern))
+        index = self._join_indexes.get(key)
+        if index is None or index.fact_count != len(facts):
+            index = JoinIndex.build(facts, key[1], radix=max(len(self._ids), 1))
+            self._join_indexes[key] = index
+        fresh = {v: pos for v, pos in first.items() if v not in bound}
+        return index, [v for v in first if v in bound], fresh
+
+    def join_index_memory(self) -> tuple[int, int]:
+        """The number of join indexes the kb holds and their bytes."""
+        indexes = self._join_indexes.values()
+        return len(indexes), sum(index.nbytes for index in indexes)
 
     def constants_of_type(self, type_name: str) -> set[str]:
         try:

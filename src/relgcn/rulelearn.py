@@ -15,10 +15,13 @@ carrying regression value 0.
 Coverage is computed set-at-a-time: each beam spine keeps a
 `BindingTable` of its satisfied groundings over the examples it covers,
 and a candidate literal's coverage is one vectorized semi-join with that
-table, for every example at once.  A spine's table is built from its
-parent's only when the spine is expanded, so at most ``beam_width`` tables
-are built per depth; a table's memory grows with the groundings of the
-covered examples, which each fresh variable can multiply.
+table, for every example at once.  The semi-join probes the kb's sorted
+index of the literal's fact pattern, which every spine and tree of the
+search shares, so the facts are filtered and sorted once per pattern, not
+once per candidate.  A spine's table is built from its parent's only when
+the spine is expanded, so at most ``beam_width`` tables are built per
+depth; a table's memory grows with the groundings of the covered
+examples, which each fresh variable can multiply.
 """
 
 from __future__ import annotations
@@ -268,11 +271,13 @@ def learn_tree(
 
     log.info(
         "learned a depth-%d tree for %s; candidate literals scored per beam "
-        "depth: %s; largest binding table: %d rows",
+        "depth: %s; largest binding table: %d rows; join indexes held: %d "
+        "(%d bytes)",
         len(best.literals),
         predicate,
         scored_per_depth,
         largest_table,
+        *kb.join_index_memory(),
     )
     return Clause(head, best.literals)
 
@@ -390,6 +395,12 @@ def parse_rules(text: str, kb: KnowledgeBase) -> list[Clause]:
         if m is None:
             raise ParseError(f"malformed rule line: {raw!r}", lineno)
         head_pred, head_args, body_str, source, it = m.groups()
+        if source not in (None, POSITIVE_DENSITY, NEGATIVE_DENSITY):
+            raise ParseError(
+                f"unknown rule source {source!r}, expected {POSITIVE_DENSITY!r} "
+                f"or {NEGATIVE_DENSITY!r}",
+                lineno,
+            )
         head = _parse_rule_atom(head_pred, head_args, kb, lineno)
         body: tuple[Atom, ...] = ()
         if body_str.strip() != "true":

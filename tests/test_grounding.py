@@ -1,5 +1,7 @@
 """Grounding counts against the brute-force oracle, plus negative sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from relgcn.errors import DataError
 from relgcn.grounding import (
     BindingTable,
-    _key_codes,
     Clause,
     NEGATIVE,
     POSITIVE,
@@ -16,7 +17,16 @@ from relgcn.grounding import (
     count_satisfied_groundings,
     sample_negatives,
 )
-from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
+from relgcn.kb import (
+    BOUND,
+    Atom,
+    Constant,
+    JoinIndex,
+    KnowledgeBase,
+    PredicateSchema,
+    Variable,
+)
+from relgcn.rulelearn import candidate_literals
 
 from conftest import PERSON, TOPIC, UNIVERSITY, example, person_pair
 from oracles import (
@@ -333,6 +343,128 @@ def test_binding_table_sees_fact_added_after_first_join(coauthor_kb):
     assert first.covered(clause.body[1], coauthor_kb, 2).tolist() == [True, True]
 
 
+def _check_prefixes(clause: Clause, examples: list, kb: KnowledgeBase) -> None:
+    """Extended literal by literal, the table holds each example's
+    brute-force count of rows, and each literal's semi-join covers exactly
+    the examples that keep rows after the extension."""
+    n = len(examples)
+    table = BindingTable.for_head(clause.head, examples, kb)
+    for k, literal in enumerate(clause.body, start=1):
+        covered = table.covered(literal, kb, n)
+        table = table.extend(literal, kb)
+        counts = _row_counts(table, n)
+        assert (covered == (counts > 0)).all()
+        prefix = Clause(clause.head, clause.body[:k])
+        assert counts.tolist() == [brute_force_count(prefix, ex, kb) for ex in examples]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.sampled_from(["fact", "example", "literal"]), max_size=4),
+)
+def test_join_indexes_follow_kb_changes_property(seed, steps):
+    """Joins interleaved with changes made after the kb holds indexes: a
+    fact (its constants drawn from the domains, the clause's constants and
+    one name new to the kb), an example whose constant is first interned
+    now, above the radix of every index built so far, and a body literal
+    whose constants are first interned now.  After every step each prefix
+    agrees with the brute-force count."""
+    rng = np.random.default_rng(seed)
+    kb, clause, target = random_instance(rng)
+    t = target.atom.args[0].type
+    examples = [target]
+    _check_prefixes(clause, examples, kb)
+    for i, step in enumerate(steps):
+        if step == "fact":
+            pred = str(rng.choice(sorted(p for p in kb.schemas if p != "Tgt")))
+            clause_names = {a.name for lit in clause.body for a in lit.args if isinstance(a, Constant)}
+            args = []
+            for arg_type in kb.schema(pred).arg_types:
+                names = sorted(kb.constants_of_type(arg_type) | clause_names) + [f"new{i}"]
+                args.append(names[int(rng.integers(len(names)))])
+            kb.add_fact(pred, args)
+        elif step == "example":
+            kb.register_constant(t, f"late{i}")
+            examples.append(
+                TargetExample(Atom("Tgt", (Constant(f"late{i}", t), target.atom.args[1])), POSITIVE)
+            )
+        else:
+            pred = str(rng.choice(sorted(p for p in kb.schemas if p != "Tgt")))
+            args = [
+                Variable("x1") if (arg_type == t and pos == 0) else Constant(f"lit{i}", arg_type)
+                for pos, arg_type in enumerate(kb.schema(pred).arg_types)
+            ]
+            clause = Clause(clause.head, clause.body + (Atom(pred, tuple(args)),))
+        _check_prefixes(clause, examples, kb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_membership_semi_join_equals_sorted_semi_join_property(seed):
+    """For every candidate literal with a one-column key, the membership
+    vector and a searchsorted probe of the same index keep the same rows,
+    and the mask they give is the brute-force coverage; also once an
+    example holds an id interned after the indexes were built."""
+    rng = np.random.default_rng(seed)
+    kb, clause, target = random_instance(rng)
+    t = target.atom.args[0].type
+    pool = sorted(kb.constants_of_type(t))
+    examples = [target] + [
+        TargetExample(Atom("Tgt", tuple(Constant(pool[int(i)], t) for i in pair)), POSITIVE)
+        for pair in rng.integers(len(pool), size=(4, 2))
+    ]
+    literals = candidate_literals(kb, clause.head, (), max_constants_for_grounding=3)
+    for late in (False, True):
+        if late:
+            kb.register_constant(t, "late")
+            examples.append(TargetExample(Atom("Tgt", (Constant("late", t),) * 2), POSITIVE))
+        table = BindingTable.for_head(clause.head, examples, kb)
+        for literal in literals:
+            index, keys, _ = table._match(literal, kb)
+            if keys.shape[1] != 1:
+                continue
+            assert index.member is not None
+            by_member = index.contains(keys)
+            assert (by_member == replace(index, member=None).contains(keys)).all()
+            want = [brute_force_count(Clause(clause.head, (literal,)), ex, kb) > 0 for ex in examples]
+            assert table.covered(literal, kb, len(examples)).tolist() == want
+
+
+def example_of(a: str, b: str) -> TargetExample:
+    return TargetExample(Atom("Tgt", (Constant(a, "ta"), Constant(b, "ta"))), POSITIVE)
+
+
+def test_four_column_key_past_int64_matches_oracle():
+    """With 2**16 more constant ids than the domains hold, a four-column
+    key overflows int64 in one radix, so its index re-ranks the codes of
+    the first three columns; counts and semi-joins still match the
+    brute-force oracle, for examples with and without groundings."""
+    kb = KnowledgeBase()
+    for name, types in (("Tgt", ("ta", "ta")), ("R", ("ta", "tb")), ("Q", ("ta", "ta", "tb", "tb"))):
+        kb.declare_schema(PredicateSchema(name, types))
+    for i in range(2**16):
+        kb.constant_id(f"filler{i}")  # interned, in no domain and no fact
+    rng = np.random.default_rng(4)
+    people, things = [f"a{i}" for i in range(4)], [f"b{i}" for i in range(3)]
+    for p in people:
+        kb.register_constant("ta", p)
+        for b in rng.choice(things, size=2, replace=False):
+            kb.add_fact("R", (p, str(b)))
+    for _ in range(30):
+        kb.add_fact("Q", (*rng.choice(people, size=2), *rng.choice(things, size=2)))
+    x1, x2, y1, y2 = (Variable(v) for v in ("x1", "x2", "y1", "y2"))
+    clause = Clause(
+        Atom("Tgt", (x1, x2)),
+        (Atom("R", (x1, y1)), Atom("R", (x2, y2)), Atom("Q", (x1, x2, y1, y2))),
+    )
+    examples = [example_of(a, b) for a in people for b in people]
+    _check_prefixes(clause, examples, kb)
+    assert sum(brute_force_count(clause, ex, kb) > 0 for ex in examples) > 0
+    index = kb.join_index(clause.body[2], {"x1", "x2", "y1", "y2"})[0]
+    assert list(index.rerank) == [3]
+
+
 def test_binding_table_head_type_error(coauthor_kb):
     wrong = TargetExample(
         Atom("CoAuthor", (Constant("ann", PERSON), Constant("U1", UNIVERSITY))), POSITIVE
@@ -344,16 +476,25 @@ def test_binding_table_head_type_error(coauthor_kb):
 @pytest.mark.parametrize("width", [0, 1, 2, 3])
 def test_key_codes_equal_exactly_for_equal_rows(width):
     """Join keys of any width, with ids large enough that three columns in
-    one base would overflow int64."""
+    one base would overflow int64 (one column gets a membership vector of
+    radix + 1 bytes, so there the ids stay below 2**20): a row's code
+    equals a fact's exactly where their keys are equal, and a row holding
+    an id at or above the radix gets -1."""
     rng = np.random.default_rng(width)
-    ids = np.array([0, 1, 7, 2**40])
-    a = rng.choice(ids, size=(300, width))
-    b = rng.choice(ids, size=(200, width))
-    codes = np.concatenate(_key_codes(a, b))
-    rows = np.concatenate([a, b])
-    same_code = codes[:, None] == codes[None, :]
-    same_row = (rows[:, None, :] == rows[None, :, :]).all(axis=-1)
+    radix = 2**20 + 1 if width == 1 else 2**40 + 1
+    ids = np.array([0, 1, 7, radix - 1])
+    rows = rng.choice(np.append(ids, radix + 4), size=(300, width))
+    index = JoinIndex.build(rng.choice(ids, size=(200, width)), (BOUND,) * width, radix)
+    codes = index.key_codes(rows)
+    same_code = codes[:, None] == index.codes[None, :]
+    same_row = (rows[:, None, :] == index.facts[None, :, :]).all(axis=-1)
     assert (same_code == same_row).all()
+    assert (codes[(rows >= radix).any(axis=1)] == -1).all()
+    assert (index.contains(rows) == same_row.any(axis=1)).all()
+    fact_codes_equal = index.codes[:, None] == index.codes[None, :]
+    assert (fact_codes_equal == (index.facts[:, None] == index.facts[None]).all(axis=-1)).all()
+    assert (np.diff(index.codes) >= 0).all()
+    assert (index.member is not None) == (width == 1)
 
 
 def test_enumerate_target_tuples_symmetric(coauthor_kb):

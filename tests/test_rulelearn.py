@@ -224,6 +224,24 @@ def test_learn_tree_recovers_topic_rule(coauthor_kb, topic_class_examples):
     assert (count_satisfied_groundings(rule, contrast, coauthor_kb, cap=1) == 0).all()
 
 
+def test_learn_tree_logs_the_join_indexes_it_holds(coauthor_kb, topic_class_examples, caplog):
+    """The INFO line names the kb's join indexes and their bytes; a second
+    tree over the same kb and examples builds no new index."""
+    classed, contrast = topic_class_examples
+    weighted = _weighted(classed, 1.0) + _weighted(contrast, 0.0)
+    config = LearnConfig(beam_width=3, max_constants_for_grounding=0)
+    held = []
+    for _ in range(2):
+        with caplog.at_level(logging.INFO, logger="relgcn.rulelearn"):
+            learn_tree(coauthor_kb, weighted, config)
+        held.append(coauthor_kb.join_index_memory())
+    count, nbytes = held[0]
+    assert count > 0 and nbytes > 0 and held[1] == held[0]
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("learned")]
+    assert len(lines) == 2
+    assert all(line.endswith(f"; join indexes held: {count} ({nbytes} bytes)") for line in lines)
+
+
 def test_learn_tree_deterministic(coauthor_kb, topic_class_examples):
     classed, contrast = topic_class_examples
     weighted = _weighted(classed, 1.0) + _weighted(contrast, 0.0)
@@ -421,6 +439,17 @@ def test_parse_rules_arity_mismatch_carries_line_number(coauthor_kb):
     with pytest.raises(ParseError, match="arity mismatch for Affiliation") as info:
         parse_rules(text, coauthor_kb)
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize("tag", ["bogus", "positive_density", "POSITIVE-DENSITY"])
+def test_parse_rules_rejects_an_unknown_source(coauthor_kb, tag):
+    text = (
+        "CoAuthor(person1, person2) :- true. % source=negative-density iter=0\n"
+        f"CoAuthor(person1, person2) :- true. % source={tag} iter=1\n"
+    )
+    with pytest.raises(ParseError, match=f"unknown rule source '{tag}'") as info:
+        parse_rules(text, coauthor_kb)
+    assert info.value.line == 2
 
 
 def test_parse_rules_rejects_garbage(coauthor_kb):
