@@ -1,13 +1,17 @@
 """Typed first-order knowledge bases: schemas, ground facts, parsing.
 
-Facts are stored as a set of constant-name tuples per predicate.  Joins
-run set-at-a-time on int arrays instead: constants are interned to ints
-on first use, and each predicate's facts are kept as an int array of
-those ids, built on first use and rebuilt once the predicate has gained
-facts.  Each fact pattern that a join uses has a `JoinIndex`: the facts
-consistent with the pattern, sorted by their join key.  It is built on
-first use and rebuilt in the same way, so the candidate literals of a
-rule search share a handful of sorts.
+Facts are stored as interned ids only.  Each constant name gets an int
+id on first use (`constant_id`), and each predicate keeps the ids of its
+facts in the order they were added, duplicates included.  Joins run set-at-a-time
+on int arrays: `fact_array` is a predicate's distinct facts as a
+(facts, arity) array of ids, deduplicated on first use and again once
+the predicate has gained facts.  Each fact pattern that a join uses has
+a `JoinIndex`: the facts consistent with the pattern, sorted by their
+join key.  It is built on first use and rebuilt once the predicate's
+distinct fact count has changed, so the candidate literals of a rule
+search share a handful of sorts, and a duplicate fact rebuilds nothing.
+The typed domains stay sets of names, for sampling and for the
+constants a literal may name; `to_text` decodes the ids.
 
 Loading fills a kb.  The pipeline adds no fact after that, but interning
 (`constant_id`) and `register_constant` (target files may name entities
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -177,18 +181,19 @@ def _find(ordered: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class KnowledgeBase:
-    """Schemas plus a ground-fact store with typed constant domains."""
+    """Schemas plus a ground-fact store of interned ids, with typed
+    constant domains."""
 
     def __init__(self):
         self.schemas: dict[str, PredicateSchema] = {}
-        # predicate -> set of constant-name tuples
-        self._facts: dict[str, set[tuple[str, ...]]] = {}
+        # predicate -> the ids of its facts, flat, in the order added
+        self._fact_ids: dict[str, list[int]] = {}
         # type -> set of constant names
         self._domains: dict[str, set[str]] = {}
-        # constant name -> int id, assigned on first use
+        # constant name -> int id, assigned on first use; in id order
         self._ids: dict[str, int] = {}
-        # predicate -> (facts, arity) int array of constant ids, built lazily
-        self._arrays: dict[str, np.ndarray] = {}
+        # predicate -> (ids read, their distinct facts as an int array), built lazily
+        self._arrays: dict[str, tuple[int, np.ndarray]] = {}
         # (predicate, pattern) -> the JoinIndex of that fact pattern, built lazily
         self._join_indexes: dict[tuple[str, Pattern], JoinIndex] = {}
 
@@ -197,9 +202,12 @@ class KnowledgeBase:
     def declare_schema(self, schema: PredicateSchema) -> None:
         existing = self.schemas.get(schema.name)
         if existing is not None and existing != schema:
-            raise DataError(f"conflicting schema for predicate {schema.name!r}")
+            raise DataError(
+                f"conflicting schema for predicate {schema.name!r}: declared "
+                f"({', '.join(existing.arg_types)}), now ({', '.join(schema.arg_types)})"
+            )
         self.schemas[schema.name] = schema
-        self._facts.setdefault(schema.name, set())
+        self._fact_ids.setdefault(schema.name, [])
         for t in schema.arg_types:
             self._domains.setdefault(t, set())
 
@@ -215,24 +223,32 @@ class KnowledgeBase:
 
     def add_fact(self, predicate: str, args: Iterable[str]) -> None:
         schema = self.schema(predicate)
-        tup = tuple(args)
-        if len(tup) != schema.arity:
+        names = tuple(args)
+        if len(names) != schema.arity:
             raise DataError(
-                f"arity mismatch for {predicate}: got {len(tup)}, "
+                f"arity mismatch for {predicate}: got {len(names)}, "
                 f"expected {schema.arity}"
             )
-        if tup in self._facts[predicate]:
-            return
-        self._facts[predicate].add(tup)
-        for pos, const in enumerate(tup):
-            self._domains.setdefault(schema.arg_types[pos], set()).add(const)
+        self._append(schema, names)
+
+    def _append(self, schema: PredicateSchema, names: Sequence[str]) -> None:
+        """Intern ``names``, the arguments of facts of `schema` one fact
+        after another, append their ids and register each name into its
+        position's domain; a duplicate fact is dropped by `fact_array`."""
+        ids = self._ids
+        for name in dict.fromkeys(names):
+            ids.setdefault(name, len(ids))
+        self._fact_ids[schema.name].extend(map(ids.__getitem__, names))
+        for pos, t in enumerate(schema.arg_types):
+            self._domains[t].update(names[pos :: schema.arity])
 
     # -- queries ----------------------------------------------------------
 
     def fact_count(self, predicate: str | None = None) -> int:
+        """The number of distinct facts of `predicate`, or of every predicate."""
         if predicate is not None:
-            return len(self._facts.get(predicate, set()))
-        return sum(len(s) for s in self._facts.values())
+            return len(self.fact_array(predicate))
+        return sum(len(self.fact_array(p)) for p in self.schemas)
 
     def constant_id(self, name: str) -> int:
         """The int id of a constant name, assigned on first use, so a name
@@ -240,19 +256,15 @@ class KnowledgeBase:
         return self._ids.setdefault(name, len(self._ids))
 
     def fact_array(self, predicate: str) -> np.ndarray:
-        """The facts of `predicate` as a (facts, arity) int array of constant
-        ids, in no particular row order."""
+        """The distinct facts of `predicate` as a (facts, arity) int array
+        of constant ids, in no particular row order."""
         arity = self.schema(predicate).arity
-        facts = self._facts[predicate]
-        arr = self._arrays.get(predicate)
-        # Facts are only ever added, so an array of another length is stale.
-        if arr is None or len(arr) != len(facts):
-            ids = self._ids
-            arr = np.array(
-                [[ids.setdefault(c, len(ids)) for c in tup] for tup in facts],
-                dtype=np.int64,
-            ).reshape(-1, arity)
-            self._arrays[predicate] = arr
+        fact_ids = self._fact_ids[predicate]
+        read, arr = self._arrays.get(predicate, (-1, None))
+        # Facts are only ever added, so another number of ids is stale.
+        if read != len(fact_ids):
+            arr = _distinct_rows(np.array(fact_ids, dtype=np.int64).reshape(-1, arity))
+            self._arrays[predicate] = (len(fact_ids), arr)
         return arr
 
     def join_index(
@@ -296,15 +308,25 @@ class KnowledgeBase:
     # -- text format ------------------------------------------------------
 
     def to_text(self) -> str:
-        """Serialize schemas and facts in the line-oriented external format."""
+        """Serialize schemas and facts in the line-oriented external
+        format, facts sorted by predicate and then by their names."""
+        names = list(self._ids)  # id -> name
         lines = []
         for name in sorted(self.schemas):
             schema = self.schemas[name]
             lines.append(f"@predicate {name}({', '.join(schema.arg_types)})")
-        for name in sorted(self._facts):
-            for tup in sorted(self._facts[name]):
-                lines.append(f"{name}({', '.join(tup)}).")
+        for name in sorted(self.schemas):
+            facts = [tuple(names[i] for i in row) for row in self.fact_array(name).tolist()]
+            lines.extend(f"{name}({', '.join(tup)})." for tup in sorted(facts))
         return "\n".join(lines) + "\n"
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D int array, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[new]
 
 
 _SCHEMA_RE = re.compile(r"^@predicate\s+(\w+)\s*\(\s*([\w\s,]*?)\s*\)\s*$")
@@ -316,16 +338,27 @@ def _strip_comment(line: str) -> str:
     return line if i < 0 else line[:i]
 
 
+def _split_args(args: str, name: str, lineno: int) -> list[str]:
+    """The comma-separated tokens of ``args``, stripped; an empty token
+    (``P(a, , b)``, ``P(a,)``) is a ParseError at ``lineno``."""
+    tokens = [t.strip() for t in args.split(",")] if args.strip() else []
+    if "" in tokens:
+        raise ParseError(
+            f"empty argument {tokens.index('') + 1} in {name}({args})", lineno
+        )
+    return tokens
+
+
 def _read_atom(
     name: str, args: str, kb: KnowledgeBase, lineno: int, where: str
-) -> tuple[PredicateSchema, tuple[str, ...]]:
+) -> tuple[PredicateSchema, list[str]]:
     """The schema of ``name`` and the comma-separated tokens of ``args``;
-    an unknown predicate or a wrong token count is a ParseError at
-    ``lineno`` that names the ``where`` line kind."""
+    an unknown predicate, an empty token or a wrong token count is a
+    ParseError at ``lineno`` that names the ``where`` line kind."""
     schema = kb.schemas.get(name)
     if schema is None:
         raise ParseError(f"unknown predicate {name!r} in {where}", lineno)
-    tokens = tuple(t.strip() for t in args.split(",") if t.strip())
+    tokens = _split_args(args, name, lineno)
     if len(tokens) != schema.arity:
         raise ParseError(
             f"arity mismatch for {name}: got {len(tokens)}, expected {schema.arity}",
@@ -337,11 +370,16 @@ def _read_atom(
 def parse_facts(text: str, kb: KnowledgeBase | None = None) -> KnowledgeBase:
     """Parse schema declarations and fact lines into a KnowledgeBase.
 
-    Duplicate facts are deduplicated; constants are registered into the
-    typed domains given by their schema positions.
+    The arguments of each predicate's facts are gathered as they are
+    read, then interned and registered into the typed domains of their
+    schema positions in one pass per predicate; duplicate facts are
+    dropped when the facts are first read as an array.  An empty argument
+    or a redeclaration of a predicate with other argument types is a
+    ParseError at its line.
     """
     if kb is None:
         kb = KnowledgeBase()
+    read: dict[str, list[str]] = {}  # predicate -> the arguments of its facts, flat
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -350,17 +388,22 @@ def parse_facts(text: str, kb: KnowledgeBase | None = None) -> KnowledgeBase:
             m = _SCHEMA_RE.match(line)
             if m is None:
                 raise ParseError(f"malformed schema declaration: {raw!r}", lineno)
-            name, args = m.group(1), m.group(2)
-            types = tuple(t.strip() for t in args.split(",") if t.strip())
+            name = m.group(1)
+            types = _split_args(m.group(2), f"@predicate {name}", lineno)
             if not types:
                 raise ParseError(f"schema {name!r} declares no argument types", lineno)
-            kb.declare_schema(PredicateSchema(name, types))
+            try:
+                kb.declare_schema(PredicateSchema(name, tuple(types)))
+            except DataError as exc:
+                raise ParseError(str(exc), lineno) from exc
             continue
         m = _FACT_RE.match(line)
         if m is None:
             raise ParseError(f"malformed fact line: {raw!r}", lineno)
-        schema, consts = _read_atom(m.group(1), m.group(2), kb, lineno, "fact")
-        kb.add_fact(schema.name, consts)
+        schema, names = _read_atom(m.group(1), m.group(2), kb, lineno, "fact")
+        read.setdefault(schema.name, []).extend(names)
+    for name, names in read.items():
+        kb._append(kb.schemas[name], names)
     return kb
 
 

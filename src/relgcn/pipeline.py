@@ -289,12 +289,13 @@ def _target_predicate(config: PipelineConfig, positives: list[TargetExample]) ->
 
 
 def _load_rules(
-    config: PipelineConfig,
+    config: PipelineConfig, kb: KnowledgeBase | None = None
 ) -> tuple[Path, KnowledgeBase, list[TargetExample], list[Clause]]:
-    """The output directory, the kb, the examples of targets.csv and the
-    rules of rules.txt."""
+    """The output directory, the kb (``kb``, or loaded from ``facts`` when
+    absent), the examples of targets.csv and the rules of rules.txt."""
     out = config.out_dir()
-    kb = _load_kb(config)
+    if kb is None:
+        kb = _load_kb(config)
     targets = _read_targets(out / "targets.csv", kb)
     return out, kb, targets, parse_rules((out / "rules.txt").read_text(), kb)
 
@@ -302,10 +303,12 @@ def _load_rules(
 # -- stages ----------------------------------------------------------------
 
 
-def stage_learn(config: PipelineConfig) -> Path:
-    """Learn positive- and negative-density rule sets; persist targets and rules."""
+def stage_learn(config: PipelineConfig, kb: KnowledgeBase | None = None) -> Path:
+    """Learn positive- and negative-density rule sets; persist targets and
+    rules.  ``kb`` is the loaded facts, read from ``facts`` when absent."""
     out = config.out_dir()
-    kb = _load_kb(config)
+    if kb is None:
+        kb = _load_kb(config)
     positives, negatives = _load_examples(config, kb)
     _write_targets(out / "targets.csv", positives + negatives)
     pos_rules = learn_ruleset(kb, positives, config.learn, config["learn.k_pos"])
@@ -316,9 +319,11 @@ def stage_learn(config: PipelineConfig) -> Path:
     return rules_path
 
 
-def stage_featurize(config: PipelineConfig) -> np.ndarray:
-    """The rule-count matrix X, one row per target and one column per rule."""
-    out, kb, targets, rules = _load_rules(config)
+def stage_featurize(config: PipelineConfig, kb: KnowledgeBase | None = None) -> np.ndarray:
+    """The rule-count matrix X, one row per target and one column per rule.
+    ``kb`` is the loaded facts, read from ``facts`` when absent; the kb
+    learn used brings its fact arrays and join indexes along."""
+    out, kb, targets, rules = _load_rules(config, kb)
     cap = config["featurize.cap"] or None
     X = fz.build_rule_matrix(rules, targets, kb, cap)
     if config["featurize.zscale"]:
@@ -480,6 +485,8 @@ _STAGES = [
     ("train", stage_train),
     ("eval", stage_eval),
 ]
+# The stages that read the facts; the others read only the run directory.
+_KB_STAGES = ("learn", "featurize")
 
 
 def _stage_error(stage: str, exc: Exception) -> Exception:
@@ -495,14 +502,25 @@ def _stage_error(stage: str, exc: Exception) -> Exception:
 
 def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
     """Execute all stages in order, writing a manifest; a stage failure is
-    re-raised with the stage name, and earlier artifacts stay on disk."""
+    re-raised with the stage name, and earlier artifacts stay on disk.
+
+    The facts are parsed once, as part of learn, and featurize reuses
+    that kb; it is released before train.
+    """
     out = config.out_dir()
     stage_times: dict[str, float] = {}
     report = None
+    kb = None
     for name, fn in _STAGES:
         start = time.perf_counter()
         try:
-            result = fn(config)
+            if name in _KB_STAGES:
+                if kb is None:
+                    kb = _load_kb(config)
+                result = fn(config, kb)
+            else:
+                kb = None  # train and eval read only the run directory
+                result = fn(config)
         except Exception as exc:
             raise _stage_error(name, exc) from exc
         stage_times[name] = time.perf_counter() - start
@@ -537,18 +555,22 @@ def sensitivity_sweep(
 ) -> list[tuple[object, metrics_mod.MetricsReport]]:
     """Rerun train and eval varying one axis, seeds fixed.
 
-    Rules and X are learned and built only when missing; every value reuses
-    them, since each axis changes only what train and eval build from X.
+    Rules and X are learned and built only when missing, from one parse
+    of the facts; every value reuses them, since each axis changes only
+    what train and eval build from X.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
     key, default_values = SWEEP_AXES[axis]
     values = values if values is not None else default_values
     out = config.out_dir()
+    kb = None
     if not (out / "rules.txt").is_file():
-        stage_learn(config)
+        kb = _load_kb(config)
+        stage_learn(config, kb)
     if not (out / "X.csv").is_file():
-        stage_featurize(config)
+        stage_featurize(config, kb)
+    kb = None  # train and eval read only the run directory
     results = []
     for value in values:
         cfg = PipelineConfig.from_overrides({**config.values, key: value})

@@ -17,6 +17,43 @@ def has_fact(kb: KnowledgeBase, atom: Atom) -> bool:
     return bool((kb.fact_array(atom.predicate) == ids).all(axis=1).any())
 
 
+class FactSetOracle:
+    """A fact store of constant-name tuples: per predicate the set of its
+    distinct facts, and per type the set of names registered into it.
+    `KnowledgeBase` keeps interned ids instead; decoded, its distinct
+    fact rows, counts, domains and text must equal these."""
+
+    def __init__(self, schemas: dict[str, PredicateSchema]):
+        self.schemas = dict(schemas)
+        self.facts: dict[str, set[tuple[str, ...]]] = {name: set() for name in schemas}
+        self.domains: dict[str, set[str]] = {
+            t: set() for schema in schemas.values() for t in schema.arg_types
+        }
+
+    def add_fact(self, predicate: str, args) -> None:
+        tup = tuple(args)
+        self.facts[predicate].add(tup)
+        for t, name in zip(self.schemas[predicate].arg_types, tup):
+            self.domains[t].add(name)
+
+    def register_constant(self, type_name: str, name: str) -> None:
+        self.domains.setdefault(type_name, set()).add(name)
+
+    def fact_count(self, predicate: str | None = None) -> int:
+        if predicate is not None:
+            return len(self.facts[predicate])
+        return sum(len(facts) for facts in self.facts.values())
+
+    def to_text(self) -> str:
+        lines = [
+            f"@predicate {name}({', '.join(self.schemas[name].arg_types)})"
+            for name in sorted(self.schemas)
+        ]
+        for name in sorted(self.facts):
+            lines.extend(f"{name}({', '.join(tup)})." for tup in sorted(self.facts[name]))
+        return "\n".join(lines) + "\n"
+
+
 def body_satisfied(ground_body: list[Atom], kb: KnowledgeBase) -> bool:
     """True iff every ground atom is a fact in kb (closed world)."""
     for atom in ground_body:

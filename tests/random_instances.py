@@ -10,21 +10,19 @@ from relgcn.grounding import Clause, POSITIVE, TargetExample
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
 
 
-def random_instance(
-    rng: np.random.Generator,
-    max_constants: int = 6,
-    max_predicates: int = 3,
-    max_body: int = 3,
-) -> tuple[KnowledgeBase, Clause, TargetExample]:
-    """A random kb, clause and ground target over at most two entity types."""
+def random_kb(
+    rng: np.random.Generator, max_constants: int = 6, max_predicates: int = 3
+) -> tuple[KnowledgeBase, dict[str, list[str]], list[PredicateSchema], list[tuple[str, tuple]]]:
+    """A random kb over at most two entity types with a binary target
+    predicate ``Tgt`` of the first type: the kb, its constants by type (the
+    target type first), its other schemas and the facts added, in order."""
     types = ["ta", "tb"][: int(rng.integers(1, 3))]
     constants = {
         t: [f"{t}{i}" for i in range(int(rng.integers(2, max_constants + 1)))]
         for t in types
     }
     kb = KnowledgeBase()
-    target_type = types[0]
-    kb.declare_schema(PredicateSchema("Tgt", (target_type, target_type)))
+    kb.declare_schema(PredicateSchema("Tgt", (types[0], types[0])))
 
     n_preds = int(rng.integers(1, max_predicates + 1))
     schemas = []
@@ -39,6 +37,7 @@ def random_instance(
         for name in names:
             kb.register_constant(t, name)
 
+    facts = []
     for schema in schemas:
         # Random subset of the full tuple space, density around a half.
         domain_sizes = [len(constants[t]) for t in schema.arg_types]
@@ -52,7 +51,19 @@ def random_instance(
                 args.append(constants[t][rem % size])
                 rem //= size
             kb.add_fact(schema.name, args)
+            facts.append((schema.name, tuple(args)))
+    return kb, constants, schemas, facts
 
+
+def random_instance(
+    rng: np.random.Generator,
+    max_constants: int = 6,
+    max_predicates: int = 3,
+    max_body: int = 3,
+) -> tuple[KnowledgeBase, Clause, TargetExample]:
+    """A random kb, clause and ground target over at most two entity types."""
+    kb, constants, schemas, _ = random_kb(rng, max_constants, max_predicates)
+    target_type = next(iter(constants))
     head = Atom("Tgt", (Variable("x1"), Variable("x2")))
     head_vars = {"x1": target_type, "x2": target_type}
     body = []

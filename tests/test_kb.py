@@ -1,5 +1,6 @@
 """Knowledge-base storage and the line-oriented text format."""
 
+import numpy as np
 import pytest
 
 from relgcn.errors import DataError, ParseError
@@ -14,7 +15,8 @@ from relgcn.kb import (
 )
 
 from conftest import PERSON, TOPIC, UNIVERSITY
-from oracles import has_fact
+from oracles import FactSetOracle, has_fact
+from random_instances import random_kb
 
 
 def test_schema_requires_positive_arity():
@@ -54,6 +56,75 @@ def test_add_fact_arity_mismatch(coauthor_kb):
 def test_conflicting_schema_rejected(coauthor_kb):
     with pytest.raises(DataError):
         coauthor_kb.declare_schema(PredicateSchema("Affiliation", (PERSON, TOPIC)))
+
+
+def _assert_store_matches(kb, oracle, names):
+    """Decoded through ``names`` (every constant name the kb was given),
+    the kb's fact rows are distinct and are the oracle's facts, and its
+    counts, domains and text are the oracle's."""
+    by_id = {kb.constant_id(name): name for name in names}
+    for predicate in kb.schemas:
+        rows = [tuple(by_id[i] for i in row) for row in kb.fact_array(predicate).tolist()]
+        assert len(rows) == len(set(rows))
+        assert set(rows) == oracle.facts[predicate]
+        assert kb.fact_count(predicate) == oracle.fact_count(predicate)
+    assert kb.fact_count() == oracle.fact_count()
+    for type_name, domain in oracle.domains.items():
+        assert kb.constants_of_type(type_name) == domain
+    assert kb.to_text() == oracle.to_text()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fact_store_matches_name_tuple_oracle(seed):
+    """Random kbs, then more facts (about half of them duplicates) and late
+    constants, each added after the fact arrays and a join index were
+    read: the id store agrees with a set of name tuples throughout, a new
+    fact rebuilds the predicate's join index and a duplicate or a new
+    constant rebuilds nothing."""
+    rng = np.random.default_rng(seed)
+    kb, constants, schemas, facts = random_kb(rng)
+    oracle = FactSetOracle(kb.schemas)
+    for type_name, names in constants.items():
+        for name in names:
+            oracle.register_constant(type_name, name)
+    for predicate, args in facts:
+        oracle.add_fact(predicate, args)
+    names = [name for type_names in constants.values() for name in type_names]
+    _assert_store_matches(kb, oracle, names)
+    for step in range(12):
+        schema = schemas[int(rng.integers(len(schemas)))]
+        literal = Atom(schema.name, tuple(Variable(f"v{p}") for p in range(schema.arity)))
+        index, _, _ = kb.join_index(literal, ())
+        if step % 4 == 3:
+            late = f"late{step}"
+            type_name = schema.arg_types[int(rng.integers(schema.arity))]
+            kb.register_constant(type_name, late)
+            oracle.register_constant(type_name, late)
+            constants[type_name].append(late)
+            names.append(late)
+            assert kb.join_index(literal, ())[0] is index
+        args = tuple(
+            constants[t][int(rng.integers(len(constants[t])))] for t in schema.arg_types
+        )
+        duplicate = args in oracle.facts[schema.name]
+        kb.add_fact(schema.name, args)
+        oracle.add_fact(schema.name, args)
+        rebuilt, _, _ = kb.join_index(literal, ())
+        assert (rebuilt is index) == duplicate
+        assert len(rebuilt.facts) == oracle.fact_count(schema.name)
+        _assert_store_matches(kb, oracle, names)
+    reparsed = parse_facts(kb.to_text())
+    assert reparsed.to_text() == oracle.to_text()
+    assert reparsed.fact_count() == oracle.fact_count()
+
+
+def test_duplicate_facts_count_once():
+    kb = parse_facts("@predicate Likes(person, person)\nLikes(a, b).\nLikes(a, b).\n")
+    kb.add_fact("Likes", ("a", "b"))
+    kb.add_fact("Likes", ("b", "a"))
+    assert kb.fact_count("Likes") == 2
+    assert kb.fact_array("Likes").shape == (2, 2)
+    assert kb.to_text() == "@predicate Likes(person, person)\nLikes(a, b).\nLikes(b, a).\n"
 
 
 def test_has_fact_closed_world(coauthor_kb):
@@ -100,6 +171,35 @@ def test_parse_facts_error_carries_line_number():
 
 
 @pytest.mark.parametrize(
+    "text, line",
+    [
+        ("@predicate A(person, uni)\nA(ann, , U1).\n", 2),
+        ("@predicate A(person, uni)\n\nA(bob, U2,).\n", 3),
+        ("@predicate A(person, uni)\nA(, U1).\n", 2),
+        ("@predicate B(person,,uni)\n", 1),
+        ("@predicate B(person, uni, )\n", 1),
+    ],
+)
+def test_parse_facts_rejects_an_empty_argument(text, line):
+    with pytest.raises(ParseError, match="empty argument") as info:
+        parse_facts(text)
+    assert info.value.line == line
+
+
+def test_parse_facts_conflicting_redeclaration_names_its_line():
+    text = (
+        "@predicate Likes(person, person)\n"
+        "Likes(a, b).\n"
+        "@predicate Likes(person, person)\n"  # the same declaration again is fine
+        "@predicate Likes(person, topic)\n"
+    )
+    with pytest.raises(ParseError, match="conflicting schema for predicate 'Likes'") as info:
+        parse_facts(text)
+    assert info.value.line == 4
+    assert isinstance(info.value, DataError)
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         "@predicate ()",  # nameless schema
@@ -130,6 +230,8 @@ def test_parse_ground_atoms_unknown_predicate(coauthor_kb):
     "text, message, line",
     [
         ("CoAuthor(ann, bob).\n\nCoAuthor(ann).\n", "arity mismatch for CoAuthor", 3),
+        ("CoAuthor(ann, bob).\nCoAuthor(, cara).\n", "empty argument 1", 2),
+        ("CoAuthor(ann, , bob).\n", "empty argument 2", 1),
         # Schemas belong in the facts file, not in an example file.
         ("CoAuthor(ann, bob).\n@predicate Likes(person, person)\n", "malformed example line", 2),
     ],

@@ -12,6 +12,7 @@ from relgcn.cli import main as cli_main
 from relgcn import featurize as fz
 from relgcn.errors import ConfigError, DataError, NumericalError, ParseError
 from relgcn.gcn import TrainConfig
+from relgcn.kb import parse_facts
 from relgcn.pipeline import (
     PipelineConfig,
     default_values,
@@ -204,6 +205,75 @@ def test_stage_failure_keeps_parse_error_position(tmp_path):
         run_pipeline(config)
     assert info.value.line == 2
     assert isinstance(info.value.__cause__, ParseError)
+
+
+@pytest.mark.parametrize(
+    "facts, message, line",
+    [
+        ("@predicate P(t, t)\nP(a, b).\nP(a, ).\n", "empty argument 2", 3),
+        ("@predicate P(t, t)\n@predicate P(t, u)\n", "conflicting schema", 2),
+    ],
+)
+def test_stage_failure_names_the_facts_line(tmp_path, caplog, facts, message, line):
+    """An empty argument or a conflicting redeclaration in facts.txt is a
+    ParseError of stage learn at its line, and the CLI exits 2."""
+    (tmp_path / "facts.txt").write_text(facts)
+    config = _config(tmp_path, tmp_path / "out")
+    with pytest.raises(ParseError, match=f"stage 'learn' failed: {message}") as info:
+        run_pipeline(config)
+    assert info.value.line == line
+    assert cli_main(["pipeline", "--out", str(tmp_path / "cli"), "--set",
+                     f"facts={tmp_path / 'facts.txt'}"]) == 2
+    assert message in caplog.text
+
+
+def _count_parses(monkeypatch) -> list[int]:
+    """Count the calls of ``parse_facts`` at the name the pipeline calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return parse_facts(*args, **kwargs)
+
+    monkeypatch.setattr("relgcn.pipeline.parse_facts", counted)
+    return calls
+
+
+def test_run_pipeline_parses_the_facts_once_per_call(small_run, tmp_path, monkeypatch):
+    """Learn and featurize share one parse of facts.txt, and nothing of it
+    outlives the call: a second run parses again."""
+    calls = _count_parses(monkeypatch)
+    config = _config(small_run["data"], tmp_path / "out")
+    run_pipeline(config)
+    assert len(calls) == 1
+    assert run_pipeline(config).to_csv_row() == small_run["report"].to_csv_row()
+    assert len(calls) == 2
+
+
+def test_sweep_from_an_empty_run_directory_parses_the_facts_once(
+    small_run, tmp_path, monkeypatch
+):
+    calls = _count_parses(monkeypatch)
+    config = _config(small_run["data"], tmp_path / "out")
+    sensitivity_sweep(config, "hidden_size", values=[8])
+    assert len(calls) == 1
+    assert (tmp_path / "out" / "X.csv").read_bytes() == (
+        small_run["config"].out_dir() / "X.csv"
+    ).read_bytes()
+
+
+def test_featurize_on_the_kb_learn_used_matches_a_standalone_featurize(small_run, tmp_path):
+    """Featurize reuses learn's kb, with the join indexes learn built; X.csv
+    is byte-identical to one from a kb parsed afresh."""
+    config = _config(small_run["data"], tmp_path / "out")
+    kb = parse_facts((small_run["data"] / "facts.txt").read_text())
+    stage_learn(config, kb)
+    assert kb.join_index_memory()[0] > 0
+    stage_featurize(config, kb)
+    shared = (tmp_path / "out" / "X.csv").read_bytes()
+    stage_featurize(config)
+    assert (tmp_path / "out" / "X.csv").read_bytes() == shared
+    assert shared == (small_run["config"].out_dir() / "X.csv").read_bytes()
 
 
 def test_labels_reject_unknown_values(small_run, tmp_path):

@@ -441,6 +441,20 @@ def test_parse_rules_arity_mismatch_carries_line_number(coauthor_kb):
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "CoAuthor(person1, person2) :- Affiliation(person1, ). % source=positive-density iter=1",
+        "CoAuthor(person1, , person2) :- true. % source=positive-density iter=1",
+    ],
+)
+def test_parse_rules_rejects_an_empty_argument(coauthor_kb, line):
+    text = "CoAuthor(person1, person2) :- true. % source=positive-density iter=0\n" + line
+    with pytest.raises(ParseError, match="empty argument") as info:
+        parse_rules(text, coauthor_kb)
+    assert info.value.line == 2
+
+
 @pytest.mark.parametrize("tag", ["bogus", "positive_density", "POSITIVE-DENSITY"])
 def test_parse_rules_rejects_an_unknown_source(coauthor_kb, tag):
     text = (
