@@ -12,6 +12,7 @@ memory, with no n x n array.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,18 +100,14 @@ def zscale_columns(X: np.ndarray) -> np.ndarray:
     return (X - mu) / sd
 
 
-def _mirror_upper(D: np.ndarray) -> np.ndarray:
-    """Exact symmetry: compute from the upper triangle and mirror it."""
-    U = np.triu(D, k=1)
-    out = U + U.T
-    return out
-
-
 def pairwise_distances(X: np.ndarray, metric: str = EUCLIDEAN) -> np.ndarray:
     """Pairwise row distances under the chosen metric.
 
-    The euclidean path uses coordinate differences, which needs no
-    clamping; symmetry and a zero diagonal are enforced exactly.
+    Every metric reduces coordinate differences, so the euclidean path
+    needs no clamping, and for finite X the result is exactly symmetric
+    with a zero diagonal: X[j] - X[i] is exactly -(X[i] - X[j]), its
+    square or absolute value is exactly that of X[i] - X[j], and both
+    entries reduce the same k values in the same order; X[i] - X[i] is 0.
     """
     if X.size == 0:
         raise DataError("cannot compute distances of an empty matrix")
@@ -120,12 +117,10 @@ def pairwise_distances(X: np.ndarray, metric: str = EUCLIDEAN) -> np.ndarray:
     # Squared or absolute in place: the difference is the largest array
     # built here (u x u x k for the u distinct rows the graph is built on).
     if metric == EUCLIDEAN:
-        D = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
-    elif metric == MANHATTAN:
-        D = np.sum(np.abs(diff, out=diff), axis=2)
-    else:
-        D = np.max(np.abs(diff, out=diff), axis=2)
-    return _mirror_upper(D)
+        return np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
+    if metric == MANHATTAN:
+        return np.sum(np.abs(diff, out=diff), axis=2)
+    return np.max(np.abs(diff, out=diff), axis=2)
 
 
 def adjacency_approximation(
@@ -224,8 +219,8 @@ def write_matrix_csv(
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
     """The matrix, row ids and column ids written by ``write_matrix_csv``;
-    a row of the wrong length or a cell that is not a float is a DataError
-    that names the file and line."""
+    a row of the wrong length or a cell that is not a finite float is a
+    DataError that names the file and line."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -238,7 +233,11 @@ def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]
             try:
                 if len(parts) != len(header):
                     raise ValueError(f"{len(parts)} cells, expected {len(header)}")
-                rows.append([float(v) for v in parts[1:]])
+                row = [float(v) for v in parts[1:]]
+                if not all(map(math.isfinite, row)):
+                    bad = next(v for v, x in zip(parts[1:], row) if not math.isfinite(x))
+                    raise ValueError(f"cell {bad!r} is not a finite float")
+                rows.append(row)
             except ValueError as exc:
                 raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
             row_ids.append(parts[0])

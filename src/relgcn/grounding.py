@@ -30,8 +30,9 @@ target elsewhere, below the tables rule learning builds.  The indexes
 live as long as their kb: per (predicate, pattern) used, one sorted copy
 of the facts that fit plus one int64 code per fact, and for a one-column
 key radix + 1 bytes, where radix is the number of constant ids.  On
-``sampled-topics`` learning holds 6 indexes (0.76 MB) for 692 joins and
-featurization 4 (0.51 MB) for 12.
+``sampled-topics`` learning builds 6 indexes (0.76 MB) for 692 joins.
+Inside `run_pipeline` featurization runs on learning's kb, reuses those 6
+and builds none; featurization run alone builds 4 (0.51 MB) for its 12.
 """
 
 from __future__ import annotations

@@ -367,7 +367,7 @@ def _read_atom(
     return schema, tokens
 
 
-def parse_facts(text: str, kb: KnowledgeBase | None = None) -> KnowledgeBase:
+def parse_facts(text: str) -> KnowledgeBase:
     """Parse schema declarations and fact lines into a KnowledgeBase.
 
     The arguments of each predicate's facts are gathered as they are
@@ -377,8 +377,7 @@ def parse_facts(text: str, kb: KnowledgeBase | None = None) -> KnowledgeBase:
     or a redeclaration of a predicate with other argument types is a
     ParseError at its line.
     """
-    if kb is None:
-        kb = KnowledgeBase()
+    kb = KnowledgeBase()
     read: dict[str, list[str]] = {}  # predicate -> the arguments of its facts, flat
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()

