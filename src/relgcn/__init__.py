@@ -12,13 +12,13 @@ from .kb import (
     Constant,
     KnowledgeBase,
     PredicateSchema,
+    Targets,
     Variable,
     parse_facts,
     parse_ground_atoms,
 )
 from .grounding import (
     Clause,
-    TargetExample,
     count_satisfied_groundings,
     sample_negatives,
 )

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .grounding import Clause, CountCap, TargetExample, count_satisfied_groundings
-from .kb import KnowledgeBase
+from .grounding import Clause, CountCap, count_satisfied_groundings
+from .kb import KnowledgeBase, Targets
 
 EUCLIDEAN = "euclidean"
 MANHATTAN = "manhattan"
@@ -79,7 +79,7 @@ class PropagationMatrix:
 
 def build_rule_matrix(
     rules: list[Clause],
-    targets: list[TargetExample],
+    targets: Targets,
     kb: KnowledgeBase,
     cap: CountCap = None,
 ) -> np.ndarray:

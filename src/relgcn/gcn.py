@@ -136,11 +136,10 @@ class ForwardCaches:
     """Per layer and on the row classes: the propagated input to W, the
     pre-activation and, for hidden layers, what multiplies the relu before
     it is propagated (Gᵀ M / (1 - rate) in training, the class counts
-    otherwise).  The dropout masks are per target, for reuse."""
+    otherwise)."""
 
     propagated: list[np.ndarray]
     pre_activations: list[np.ndarray]
-    dropout_masks: list[np.ndarray | None]
     kept: list[np.ndarray]
     log_probs: np.ndarray = field(default=None)  # n rows, filled by gcn_forward
 
@@ -157,14 +156,12 @@ def gcn_forward(
     model: GCNModel,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    dropout_masks: list[np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, ForwardCaches]:
     """Layer-wise propagation: hidden layers relu(P H W), output row-wise
     log-softmax of P H W_last, computed on the row classes of P and
     returned for all n targets.  With ``dropout_rate > 0`` (training) an
     n x h inverted-dropout mask is drawn from ``rng`` after each hidden
-    activation; pass ``dropout_masks`` instead to reuse masks from an
-    earlier pass (gradient checking)."""
+    activation, so a generator seeded alike draws the same masks."""
     if P.shape[0] != P.shape[1] or P.shape[0] != X.shape[0]:
         raise DataError("P must be n x n and X n x input_dim")
     if X.shape[1] != model.dims[0]:
@@ -172,29 +169,23 @@ def gcn_forward(
             f"X has {X.shape[1]} features, model expects {model.dims[0]}"
         )
     classes = row_classes(P)
-    caches = ForwardCaches([], [], [], [])
+    caches = ForwardCaches([], [], [])
     pooled = classes.pool(X)  # Gᵀ H of each layer's input H
-    for l, W in enumerate(model.weights[:-1]):
+    for W in model.weights[:-1]:
         S = classes.operator @ pooled
         A = S @ W
-        mask = None
         kept = classes.counts
         if dropout_rate > 0.0:
-            if dropout_masks is not None:
-                mask = dropout_masks[l]
-            else:
-                mask = rng.random((X.shape[0], A.shape[1])) >= dropout_rate
+            mask = rng.random((X.shape[0], A.shape[1])) >= dropout_rate
             kept = classes.pool(mask) / (1.0 - dropout_rate)
         pooled = np.maximum(A, 0.0) * kept
         caches.propagated.append(S)
         caches.pre_activations.append(A)
-        caches.dropout_masks.append(mask)
         caches.kept.append(kept)
     S = classes.operator @ pooled
     Z = S @ model.weights[-1]
     caches.propagated.append(S)
     caches.pre_activations.append(Z)
-    caches.dropout_masks.append(None)
     log_probs = _log_softmax(Z)[classes.index]
     caches.log_probs = log_probs
     return log_probs, caches

@@ -5,10 +5,12 @@ set-at-a-time, as FOIL's tuple extension does (Quinlan 1990, "Learning
 logical definitions from relations"): it holds the satisfied groundings
 of a body prefix for every example at once, as rows of interned constant
 ids, and one join on a literal's bound columns extends it or tells which
-examples the literal keeps covered.  Rule learning scores candidate
-literals with it, and `count_satisfied_groundings` extends one table by
-every body literal of a clause, so a rule's counts for all targets come
-from one call: the number of rows per example.
+examples the literal keeps covered.  Targets are stored as ids too
+(`Targets`), so the table of the empty prefix is a column select of
+them, and `sample_negatives` draws its negatives as ids.  Rule learning
+scores candidate literals with the tables, and `count_satisfied_groundings`
+extends one table by every body literal of a clause, so a rule's counts
+for all targets come from one call: the number of rows per example.
 
 Both joins probe the kb's `JoinIndex` for the literal's fact pattern
 (`KnowledgeBase.join_index`), the facts that fit the literal's constants
@@ -43,17 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .kb import (
-    Atom,
-    Constant,
-    JoinIndex,
-    KnowledgeBase,
-    PredicateSchema,
-    Variable,
-)
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
+from .kb import Atom, JoinIndex, KnowledgeBase, PredicateSchema, Targets, Variable
 
 POSITIVE_DENSITY = "positive-density"
 NEGATIVE_DENSITY = "negative-density"
@@ -82,25 +74,13 @@ class Clause:
         return f"{self.head} :- {body}."
 
 
-@dataclass(frozen=True)
-class TargetExample:
-    atom: Atom
-    label: str  # POSITIVE or NEGATIVE
-
-    def __post_init__(self):
-        if not self.atom.is_ground():
-            raise DataError(f"target example must be ground: {self.atom}")
-        if self.label not in (POSITIVE, NEGATIVE):
-            raise DataError(f"bad label {self.label!r}")
-
-
 # Optional limit on a clause's satisfied-grounding count per target.
 CountCap = int | None
 
 
 def count_satisfied_groundings(
     clause: Clause,
-    targets: list[TargetExample],
+    targets: Targets,
     kb: KnowledgeBase,
     cap: CountCap = None,
 ) -> np.ndarray:
@@ -123,10 +103,10 @@ def count_satisfied_groundings(
 
 @dataclass(frozen=True)
 class BindingTable:
-    """The satisfied groundings of a clause body prefix, for a list of
+    """The satisfied groundings of a clause body prefix, for a batch of
     target examples at once.
 
-    ``rows[:, 0]`` is an example's index in that list and ``rows[:, 1 + j]``
+    ``rows[:, 0]`` is an example's row in that batch and ``rows[:, 1 + j]``
     the id (`KnowledgeBase.constant_id`) of the constant bound to
     ``variables[j]``; the head variables come first.  The rows are the
     distinct substitutions under which every literal of the prefix is a
@@ -139,37 +119,23 @@ class BindingTable:
     rows: np.ndarray
 
     @classmethod
-    def for_head(
-        cls, head: Atom, examples: list[TargetExample], kb: KnowledgeBase
-    ) -> BindingTable:
+    def for_head(cls, head: Atom, examples: Targets, kb: KnowledgeBase) -> BindingTable:
         """The empty prefix: one row per example whose constants agree with
         the head's, binding the head variables."""
-        schema = kb.schema(head.predicate)
-        variables = tuple(v.name for v in head.variables())
-        rows = []
-        for i, ex in enumerate(examples):
-            if ex.atom.predicate != head.predicate:
-                raise DataError(
-                    f"target predicate {ex.atom.predicate} does not match "
-                    f"clause head {head.predicate}"
-                )
-            row = [i]
-            for pos, (term, tc) in enumerate(zip(head.args, ex.atom.args)):
-                if tc.type != schema.arg_types[pos]:
-                    raise DataError(
-                        f"target constant {tc.name!r} has type {tc.type!r}, "
-                        f"expected {schema.arg_types[pos]!r} at position {pos} of "
-                        f"{head.predicate}"
-                    )
-                if isinstance(term, Variable):
-                    row.append(kb.constant_id(tc.name))
-                elif term.name != tc.name:
-                    break  # a head constant disagrees: no grounding exists
+        if examples.predicate != head.predicate:
+            raise DataError(
+                f"target predicate {examples.predicate} does not match "
+                f"clause head {head.predicate}"
+            )
+        agree = np.ones(len(examples), dtype=bool)
+        columns = []
+        for pos, term in enumerate(head.args):
+            if isinstance(term, Variable):
+                columns.append(pos)
             else:
-                rows.append(row)
-        return cls(
-            variables, np.array(rows, dtype=np.int64).reshape(-1, 1 + len(variables))
-        )
+                agree &= examples.ids[:, pos] == kb.constant_id(term.name)
+        rows = np.hstack([np.flatnonzero(agree)[:, None], examples.ids[agree][:, columns]])
+        return cls(tuple(v.name for v in head.variables()), rows)
 
     def extend(self, literal: Atom, kb: KnowledgeBase) -> BindingTable:
         """The table of the prefix followed by `literal`."""
@@ -206,11 +172,11 @@ class BindingTable:
 def sample_negatives(
     kb: KnowledgeBase,
     target_schema: PredicateSchema,
-    positives: list[TargetExample],
+    positives: Targets,
     ratio: float,
     seed: int,
     symmetric: bool = True,
-) -> list[TargetExample]:
+) -> Targets:
     """Closed-world negative sampling.
 
     Draws ceil(ratio * |positives|) distinct ground target atoms uniformly
@@ -220,9 +186,17 @@ def sample_negatives(
     """
     if ratio <= 0:
         raise DataError("ratio must be > 0")
-    if not positives:
+    if len(positives) == 0:
         raise DataError("positives must be nonempty")
-    domains = [sorted(kb.constants_of_type(t)) for t in target_schema.arg_types]
+    if positives.predicate != target_schema.name:
+        raise DataError(
+            f"positives of {positives.predicate} given to sample {target_schema.name}"
+        )
+    # Each position's domain as ids, in name order.
+    domains = [
+        np.array([kb.constant_id(c) for c in sorted(kb.constants_of_type(t))], dtype=np.int64)
+        for t in target_schema.arg_types
+    ]
     sizes = [len(d) for d in domains]
     # keep[i0, i1, ...] says whether (domains[0][i0], domains[1][i1], ...) is
     # a candidate; its row-major flat order is itertools.product's order.
@@ -234,15 +208,16 @@ def sample_negatives(
         np.fill_diagonal(keep, False)
         if symmetric:
             keep = np.triu(keep)
-    index = [{c: i for i, c in enumerate(d)} for d in domains]
-    cleared = []
-    for ex in positives:
-        tup = ex.atom.constant_names()
-        for t in (tup, tup[::-1]) if symmetric and len(tup) == 2 else (tup,):
-            if len(t) == len(index) and all(c in ix for c, ix in zip(t, index)):
-                cleared.append([ix[c] for c, ix in zip(t, index)])
-    if cleared:
-        keep.flat[np.ravel_multi_index(np.array(cleared).T, sizes)] = False
+    cleared = positives.ids
+    if symmetric and target_schema.arity == 2:
+        cleared = np.vstack([cleared, cleared[:, ::-1]])
+    # slot[p, i]: the index of constant id i in domains[p], or -1.
+    top = max(int(cleared.max()), *(int(d.max(initial=0)) for d in domains))
+    slot = np.full((len(domains), top + 1), -1)
+    for p, d in enumerate(domains):
+        slot[p, d] = np.arange(len(d))
+    at = slot[np.arange(len(domains))[:, None], cleared.T]
+    keep[tuple(at[:, (at >= 0).all(axis=0)])] = False
     candidates = np.flatnonzero(keep)
     want = math.ceil(ratio * len(positives))
     if want > len(candidates):
@@ -253,14 +228,5 @@ def sample_negatives(
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(candidates), size=want, replace=False)
     drawn = np.unravel_index(candidates[np.sort(idx)], sizes)
-    out = []
-    for k in range(want):
-        atom = Atom(
-            target_schema.name,
-            tuple(
-                Constant(domains[p][int(drawn[p][k])], t)
-                for p, t in enumerate(target_schema.arg_types)
-            ),
-        )
-        out.append(TargetExample(atom, NEGATIVE))
-    return out
+    ids = np.column_stack([d[i] for d, i in zip(domains, drawn)])
+    return Targets(target_schema.name, ids, np.zeros(want, dtype=bool))

@@ -1,8 +1,10 @@
-"""Typed first-order knowledge bases: schemas, ground facts, parsing.
+"""Typed first-order knowledge bases: schemas, ground facts, targets, parsing.
 
-Facts are stored as interned ids only.  Each constant name gets an int
-id on first use (`constant_id`), and each predicate keeps the ids of its
-facts in the order they were added, duplicates included.  Joins run set-at-a-time
+Facts and targets are stored as interned ids only.  Each constant name
+gets an int id on first use (`constant_id`), and each predicate keeps the
+ids of its facts in the order they were added, duplicates included.
+`Targets` are the examples of one predicate as rows of ids with bool
+labels, from parse on; `atom_texts` decodes rows.  Joins run set-at-a-time
 on int arrays: `fact_array` is a predicate's distinct facts as a
 (facts, arity) array of ids, deduplicated on first use and again once
 the predicate has gained facts.  Each fact pattern that a join uses has
@@ -11,12 +13,12 @@ join key.  It is built on first use and rebuilt once the predicate's
 distinct fact count has changed, so the candidate literals of a rule
 search share a handful of sorts, and a duplicate fact rebuilds nothing.
 The typed domains stay sets of names, for sampling and for the
-constants a literal may name; `to_text` decodes the ids.
+constants a literal may name.
 
 Loading fills a kb.  The pipeline adds no fact after that, but interning
-(`constant_id`) and `register_constant` (target files may name entities
-that no fact mentions) still change it; a new id or domain member leaves
-every array and index valid.
+(`constant_id`) and registering target names into the typed domains
+(target files may name entities that no fact mentions) still change it;
+a new id or domain member leaves every array and index valid.
 """
 from __future__ import annotations
 
@@ -67,19 +69,31 @@ class Atom:
     predicate: str
     args: tuple[Term, ...]
 
-    def is_ground(self) -> bool:
-        return all(isinstance(a, Constant) for a in self.args)
-
     def variables(self) -> list[Variable]:
         return [a for a in self.args if isinstance(a, Variable)]
 
-    def constant_names(self) -> tuple[str, ...]:
-        if not self.is_ground():
-            raise DataError(f"atom {self} is not ground")
-        return tuple(a.name for a in self.args)
-
     def __str__(self) -> str:
         return f"{self.predicate}({', '.join(str(a) for a in self.args)})"
+
+
+@dataclass(frozen=True)
+class Targets:
+    """Target examples of one predicate, as FOIL's tuples (Quinlan 1990):
+    row i of ``ids`` holds the `KnowledgeBase.constant_id`s of example
+    i's arguments, and ``positive[i]`` its label."""
+
+    predicate: str
+    ids: np.ndarray  # (n, arity) int64
+    positive: np.ndarray  # (n,) bool
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __add__(self, other: Targets) -> Targets:
+        if other.predicate != self.predicate:
+            raise DataError(f"cannot join {self.predicate} and {other.predicate} targets")
+        ids = np.vstack([self.ids, other.ids])
+        return Targets(self.predicate, ids, np.concatenate([self.positive, other.positive]))
 
 
 # A literal's fact pattern: one token per argument.  ("const", id) needs
@@ -229,18 +243,34 @@ class KnowledgeBase:
                 f"arity mismatch for {predicate}: got {len(names)}, "
                 f"expected {schema.arity}"
             )
-        self._append(schema, names)
+        self._fact_ids[predicate].extend(self._intern(schema, names))
 
-    def _append(self, schema: PredicateSchema, names: Sequence[str]) -> None:
-        """Intern ``names``, the arguments of facts of `schema` one fact
-        after another, append their ids and register each name into its
-        position's domain; a duplicate fact is dropped by `fact_array`."""
+    def _intern(self, schema: PredicateSchema, names: Sequence[str]) -> list[int]:
+        """The ids of ``names``, the arguments of atoms of `schema` one atom
+        after another, interned, with each name registered into its
+        position's domain.  Appended to a predicate's fact ids they add
+        facts; a duplicate fact is dropped by `fact_array`."""
         ids = self._ids
         for name in dict.fromkeys(names):
             ids.setdefault(name, len(ids))
-        self._fact_ids[schema.name].extend(map(ids.__getitem__, names))
         for pos, t in enumerate(schema.arg_types):
             self._domains[t].update(names[pos :: schema.arity])
+        return list(map(ids.__getitem__, names))
+
+    def targets(
+        self, predicate: str, rows: Iterable[Sequence[str]], positive: bool | np.ndarray
+    ) -> Targets:
+        """`Targets` of ``predicate`` from rows of constant names, interned
+        and registered into the typed domains (targets may name entities
+        that no fact mentions); ``positive`` is every row's label or one
+        label per row."""
+        schema = self.schema(predicate)
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != schema.arity for row in rows):
+            raise DataError(f"each {predicate} target needs {schema.arity} constants")
+        ids = self._intern(schema, [name for row in rows for name in row])
+        ids = np.array(ids, dtype=np.int64).reshape(len(rows), schema.arity)
+        return Targets(predicate, ids, np.full(len(rows), positive, dtype=bool))
 
     # -- queries ----------------------------------------------------------
 
@@ -307,6 +337,12 @@ class KnowledgeBase:
 
     # -- text format ------------------------------------------------------
 
+    def atom_texts(self, predicate: str, ids: np.ndarray) -> list[str]:
+        """``predicate(a, b)`` for each row of constant ids, the names in
+        argument order."""
+        names = list(self._ids)  # id -> name
+        return [f"{predicate}({', '.join(map(names.__getitem__, row))})" for row in ids.tolist()]
+
     def to_text(self) -> str:
         """Serialize schemas and facts in the line-oriented external
         format, facts sorted by predicate and then by their names."""
@@ -316,8 +352,8 @@ class KnowledgeBase:
             schema = self.schemas[name]
             lines.append(f"@predicate {name}({', '.join(schema.arg_types)})")
         for name in sorted(self.schemas):
-            facts = [tuple(names[i] for i in row) for row in self.fact_array(name).tolist()]
-            lines.extend(f"{name}({', '.join(tup)})." for tup in sorted(facts))
+            facts = sorted(self.fact_array(name).tolist(), key=lambda row: [names[i] for i in row])
+            lines.extend(f"{atom}." for atom in self.atom_texts(name, np.array(facts)))
         return "\n".join(lines) + "\n"
 
 
@@ -402,17 +438,24 @@ def parse_facts(text: str) -> KnowledgeBase:
         schema, names = _read_atom(m.group(1), m.group(2), kb, lineno, "fact")
         read.setdefault(schema.name, []).extend(names)
     for name, names in read.items():
-        kb._append(kb.schemas[name], names)
+        kb._fact_ids[name].extend(kb._intern(kb.schemas[name], names))
     return kb
 
 
-def parse_ground_atoms(text: str, kb: KnowledgeBase) -> list[Atom]:
-    """Parse an example file: one ground atom per line in fact-line syntax.
+def parse_ground_atoms(
+    text: str, kb: KnowledgeBase, positive: bool | np.ndarray
+) -> Targets:
+    """Parse an example file, one ground atom per line in fact-line syntax
+    and every atom of one predicate, into `Targets` labelled ``positive``
+    (every atom's label, or one per atom).
 
     Constants are registered into the kb's typed domains even when they
     never appear in facts (targets may mention attribute-free entities).
+    A file without atoms is a ParseError, and so is an atom of another
+    predicate than the first atom's, at its line.
     """
-    atoms = []
+    predicate = None
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -420,9 +463,11 @@ def parse_ground_atoms(text: str, kb: KnowledgeBase) -> list[Atom]:
         m = _FACT_RE.match(line)
         if m is None:
             raise ParseError(f"malformed example line: {raw!r}", lineno)
-        schema, consts = _read_atom(m.group(1), m.group(2), kb, lineno, "example")
-        args = tuple(Constant(c, t) for t, c in zip(schema.arg_types, consts))
-        for a in args:
-            kb.register_constant(a.type, a.name)
-        atoms.append(Atom(schema.name, args))
-    return atoms
+        schema, names = _read_atom(m.group(1), m.group(2), kb, lineno, "example")
+        predicate = predicate or schema.name
+        if schema.name != predicate:
+            raise ParseError(f"{schema.name} example among {predicate} examples", lineno)
+        rows.append(names)
+    if predicate is None:
+        raise ParseError("no example atoms")
+    return kb.targets(predicate, rows, positive)

@@ -29,18 +29,15 @@ from .errors import ConfigError, DataError, ParseError
 from . import featurize as fz
 from . import gcn as gcn_mod
 from . import metrics as metrics_mod
-from .grounding import (
-    NEGATIVE,
-    POSITIVE,
-    Clause,
-    TargetExample,
-    count_satisfied_groundings,
-    sample_negatives,
-)
-from .kb import KnowledgeBase, parse_facts, parse_ground_atoms
+from .grounding import Clause, count_satisfied_groundings, sample_negatives
+from .kb import KnowledgeBase, Targets, _strip_comment, parse_facts, parse_ground_atoms
 from .rulelearn import LearnConfig, learn_ruleset, parse_rules, serialize_rules
 
 log = logging.getLogger(__name__)
+
+# The labels of targets.csv; in memory a label is a bool, True for positive.
+POSITIVE = "positive"
+NEGATIVE = "negative"
 
 # The keys that no dataclass holds.  Every other key is a field of
 # LearnConfig or TrainConfig under its section's prefix, with the field's
@@ -50,7 +47,6 @@ _DEFAULTS: dict[str, object] = {
     "pos": "",
     "neg": "",
     "out": "out",
-    "target": "",
     "negatives.ratio": 1.0,
     "negatives.seed": 17,
     "negatives.symmetric": True,
@@ -219,22 +215,30 @@ def _load_kb(config: PipelineConfig) -> KnowledgeBase:
     return parse_facts(_read_input(config, "facts"))
 
 
-def _load_examples(
-    config: PipelineConfig, kb: KnowledgeBase
-) -> tuple[list[TargetExample], list[TargetExample]]:
-    positives = [
-        TargetExample(a, POSITIVE)
-        for a in parse_ground_atoms(_read_input(config, "pos"), kb)
-    ]
+def _read_examples(
+    config: PipelineConfig, key: str, kb: KnowledgeBase, positive: bool
+) -> Targets:
+    """The examples of the file named by config key ``key``, all labelled
+    ``positive``; a ParseError names the file and the key."""
+    try:
+        return parse_ground_atoms(_read_input(config, key), kb, positive)
+    except ParseError as exc:
+        raise ParseError(f"{config[key]} (config key {key!r}): {exc.msg}", exc.line) from exc
+
+
+def _load_examples(config: PipelineConfig, kb: KnowledgeBase) -> tuple[Targets, Targets]:
+    positives = _read_examples(config, "pos", kb, True)
     if config["neg"]:
-        negatives = [
-            TargetExample(a, NEGATIVE)
-            for a in parse_ground_atoms(_read_input(config, "neg"), kb)
-        ]
+        negatives = _read_examples(config, "neg", kb, False)
+        if negatives.predicate != positives.predicate:
+            raise DataError(
+                f"{config['neg']} (config key 'neg') holds {negatives.predicate} "
+                f"examples, not {positives.predicate} as pos does"
+            )
     else:
         negatives = sample_negatives(
             kb,
-            kb.schema(_target_predicate(config, positives)),
+            kb.schema(positives.predicate),
             positives,
             config["negatives.ratio"],
             config["negatives.seed"],
@@ -243,12 +247,13 @@ def _load_examples(
     return positives, negatives
 
 
-def _write_targets(path: Path, targets: list[TargetExample]) -> None:
+def _write_targets(path: Path, kb: KnowledgeBase, targets: Targets) -> None:
+    atoms = kb.atom_texts(targets.predicate, targets.ids)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["atom", "label"])
-        for ex in targets:
-            writer.writerow([str(ex.atom), ex.label])
+        for atom, positive in zip(atoms, targets.positive.tolist()):
+            writer.writerow([atom, POSITIVE if positive else NEGATIVE])
 
 
 def _target_rows(path: Path) -> Iterator[tuple[int, str, str]]:
@@ -269,28 +274,27 @@ def _target_rows(path: Path) -> Iterator[tuple[int, str, str]]:
             line = reader.line_num + 1
 
 
-def _read_targets(path: Path, kb: KnowledgeBase) -> list[TargetExample]:
-    """The examples of targets.csv; every atom cell must parse to exactly
-    one ground atom, or the ParseError names the file and its line."""
-    targets = []
-    for line, atom, label in _target_rows(path):
-        try:
-            atoms = parse_ground_atoms(atom + ".", kb)
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc.msg}", line) from exc
-        if len(atoms) != 1:
+def _read_targets(path: Path, kb: KnowledgeBase) -> Targets:
+    """The examples of targets.csv, parsed as one example file with a line
+    per row; every atom cell must be one atom on one line, or the
+    ParseError names the file and the line its row starts on."""
+    rows = list(_target_rows(path))
+    for line, atom, _ in rows:
+        # An empty, comment-only or multi-line cell would shift the lines.
+        if len((atom + ".").splitlines()) != 1 or not _strip_comment(atom).strip():
             raise ParseError(f"{path}: expected one atom, got {atom!r}", line)
-        targets.append(TargetExample(atoms[0], label))
-    return targets
-
-
-def _target_predicate(config: PipelineConfig, positives: list[TargetExample]) -> str:
-    return config["target"] or positives[0].atom.predicate
+    text = "".join(f"{atom}.\n" for _, atom, _ in rows)
+    positive = np.array([label == POSITIVE for _, _, label in rows], dtype=bool)
+    try:
+        return parse_ground_atoms(text, kb, positive)
+    except ParseError as exc:
+        line = None if exc.line is None else rows[exc.line - 1][0]
+        raise ParseError(f"{path}: {exc.msg}", line) from exc
 
 
 def _load_rules(
     config: PipelineConfig, kb: KnowledgeBase | None = None
-) -> tuple[Path, KnowledgeBase, list[TargetExample], list[Clause]]:
+) -> tuple[Path, KnowledgeBase, Targets, list[Clause]]:
     """The output directory, the kb (``kb``, or loaded from ``facts`` when
     absent), the examples of targets.csv and the rules of rules.txt."""
     out = config.out_dir()
@@ -310,7 +314,7 @@ def stage_learn(config: PipelineConfig, kb: KnowledgeBase | None = None) -> Path
     if kb is None:
         kb = _load_kb(config)
     positives, negatives = _load_examples(config, kb)
-    _write_targets(out / "targets.csv", positives + negatives)
+    _write_targets(out / "targets.csv", kb, positives + negatives)
     pos_rules = learn_ruleset(kb, positives, config.learn, config["learn.k_pos"])
     neg_config = replace(config.learn, seed=config.learn.seed + 1)
     neg_rules = learn_ruleset(kb, negatives, neg_config, config["learn.k_neg"])
@@ -328,7 +332,7 @@ def stage_featurize(config: PipelineConfig, kb: KnowledgeBase | None = None) -> 
     X = fz.build_rule_matrix(rules, targets, kb, cap)
     if config["featurize.zscale"]:
         X = fz.zscale_columns(X)
-    row_ids = [str(t.atom) for t in targets]
+    row_ids = kb.atom_texts(targets.predicate, targets.ids)
     col_ids = [f"rule{j}" for j in range(X.shape[1])]
     fz.write_matrix_csv(out / "X.csv", X, row_ids, col_ids)
     return X
@@ -587,7 +591,7 @@ def sensitivity_sweep(
 def rule_coverage_report(config: PipelineConfig) -> str:
     """Pretty-print the learned rules with per-rule coverage statistics."""
     _, kb, targets, rules = _load_rules(config)
-    positive = np.array([t.label == POSITIVE for t in targets], dtype=bool)
+    positive = targets.positive
     n_pos, n_neg = int(positive.sum()), int((~positive).sum())
     lines = []
     for j, rule in enumerate(rules):

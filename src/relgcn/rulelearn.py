@@ -39,14 +39,12 @@ from .grounding import (
     BindingTable,
     Clause,
     NEGATIVE_DENSITY,
-    POSITIVE,
     POSITIVE_DENSITY,
-    TargetExample,
     # Unused here; the benchmark traces coverage at this name as `rulelearn.cover`.
     count_satisfied_groundings,
     sample_negatives,
 )
-from .kb import Atom, Constant, KnowledgeBase, Variable, _read_atom
+from .kb import Atom, Constant, KnowledgeBase, Targets, Variable, _read_atom
 
 log = logging.getLogger(__name__)
 
@@ -190,7 +188,7 @@ class _SpineState:
 
 def learn_tree(
     kb: KnowledgeBase,
-    examples: list[TargetExample],
+    examples: Targets,
     values: np.ndarray,
     weights: np.ndarray,
     config: LearnConfig,
@@ -217,7 +215,7 @@ def learn_tree(
             f"values {values.shape} and weights {weights.shape} must hold one "
             f"number per example ({n})"
         )
-    head = make_head(kb, examples[0].atom.predicate)
+    head = make_head(kb, examples.predicate)
     everything = np.ones(n, dtype=bool)
     root = _SpineState(
         literals=(),
@@ -284,10 +282,10 @@ def learn_tree(
 
 def learn_ruleset(
     kb: KnowledgeBase,
-    examples: list[TargetExample],
+    examples: Targets,
     config: LearnConfig,
     k: int,
-    contrast: list[TargetExample] | None = None,
+    contrast: Targets | None = None,
 ) -> RuleSet:
     """Learn k rules from a one-class example set.
 
@@ -300,17 +298,16 @@ def learn_ruleset(
     Learning stops early, with a warning, on a duplicate consecutive rule;
     an empty-body rule (a constant feature) is kept with a warning.
     """
-    if not examples:
+    if len(examples) == 0:
         raise DataError("examples must be nonempty")
-    labels = {ex.label for ex in examples}
-    if len(labels) != 1:
+    if examples.positive.any() != examples.positive.all():
         raise DataError("learn_ruleset expects a one-class example set")
-    source = POSITIVE_DENSITY if labels.pop() == POSITIVE else NEGATIVE_DENSITY
+    source = POSITIVE_DENSITY if examples.positive[0] else NEGATIVE_DENSITY
     if k < 1:
         raise DataError("k must be >= 1")
 
     if contrast is None:
-        schema = kb.schema(examples[0].atom.predicate)
+        schema = kb.schema(examples.predicate)
         contrast = sample_negatives(kb, schema, examples, config.contrast_ratio, config.seed)
 
     n = len(examples)

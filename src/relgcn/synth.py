@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grounding import Clause, NEGATIVE, POSITIVE, TargetExample
-from .kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
+from .grounding import Clause
+from .kb import Atom, KnowledgeBase, PredicateSchema, Targets, Variable
 from .rulelearn import make_head
 
 PERSON = "person"
@@ -57,8 +57,8 @@ class SyntheticSpec:
 @dataclass
 class SyntheticData:
     kb: KnowledgeBase
-    positives: list[TargetExample]
-    negatives: list[TargetExample]
+    positives: Targets
+    negatives: Targets
     planted_rules: list[Clause]
 
 
@@ -78,12 +78,6 @@ def planted_rules(kb: KnowledgeBase, n_rules: int = 2) -> list[Clause]:
             )
         )
     return rules
-
-
-def _pair_atom(a: str, b: str) -> Atom:
-    return Atom(
-        TARGET_PREDICATE, (Constant(a, PERSON), Constant(b, PERSON))
-    )
 
 
 def generate_synthetic(
@@ -136,26 +130,21 @@ def generate_synthetic(
     sat_idx = rng.permutation(len(satisfying))
     vio_idx = rng.permutation(len(violating))
     clean_pos = [satisfying[i] for i in sorted(sat_idx[: n_pos - n_noise].tolist())]
-    negatives = [violating[i] for i in sorted(vio_idx[: spec.n_negatives].tolist())]
+    neg_pairs = [violating[i] for i in sorted(vio_idx[: spec.n_negatives].tolist())]
     noisy_pos = [
         violating[i]
         for i in sorted(vio_idx[spec.n_negatives : spec.n_negatives + n_noise].tolist())
     ]
 
-    pos_examples = [
-        TargetExample(_pair_atom(a, b), POSITIVE) for a, b in clean_pos + noisy_pos
-    ]
-    neg_examples = [TargetExample(_pair_atom(a, b), NEGATIVE) for a, b in negatives]
+    positives = kb.targets(TARGET_PREDICATE, clean_pos + noisy_pos, True)
+    negatives = kb.targets(TARGET_PREDICATE, neg_pairs, False)
 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "facts.txt").write_text(kb.to_text())
-        (out / "pos.txt").write_text(
-            "".join(f"{ex.atom}.\n" for ex in pos_examples)
-        )
-        (out / "neg.txt").write_text(
-            "".join(f"{ex.atom}.\n" for ex in neg_examples)
-        )
+        for name, examples in (("pos.txt", positives), ("neg.txt", negatives)):
+            atoms = kb.atom_texts(TARGET_PREDICATE, examples.ids)
+            (out / name).write_text("".join(f"{atom}.\n" for atom in atoms))
 
-    return SyntheticData(kb, pos_examples, neg_examples, planted_rules(kb, spec.n_rules))
+    return SyntheticData(kb, positives, negatives, planted_rules(kb, spec.n_rules))

@@ -2,8 +2,7 @@
 
 import pytest
 
-from relgcn.grounding import NEGATIVE, POSITIVE, TargetExample
-from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema
+from relgcn.kb import KnowledgeBase, PredicateSchema, Targets
 
 
 PERSON = "person"
@@ -11,12 +10,9 @@ TOPIC = "topic"
 UNIVERSITY = "university"
 
 
-def person_pair(a: str, b: str) -> Atom:
-    return Atom("CoAuthor", (Constant(a, PERSON), Constant(b, PERSON)))
-
-
-def example(a: str, b: str, label: str = POSITIVE) -> TargetExample:
-    return TargetExample(person_pair(a, b), label)
+def coauthors(kb: KnowledgeBase, *pairs: str, positive: bool = True) -> Targets:
+    """CoAuthor targets of ``kb``, one per "a b" pair of person names."""
+    return kb.targets("CoAuthor", [pair.split() for pair in pairs], positive)
 
 
 @pytest.fixture
@@ -43,5 +39,4 @@ def coauthor_kb() -> KnowledgeBase:
     return kb
 
 
-__all__ = ["PERSON", "TOPIC", "UNIVERSITY", "person_pair", "example", "coauthor_kb",
-           "POSITIVE", "NEGATIVE"]
+__all__ = ["PERSON", "TOPIC", "UNIVERSITY", "coauthors", "coauthor_kb"]

@@ -6,14 +6,14 @@ import math
 import numpy as np
 
 from relgcn.errors import DataError
-from relgcn.grounding import NEGATIVE, Clause, TargetExample
+from relgcn.grounding import Clause
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
 
 
 def has_fact(kb: KnowledgeBase, atom: Atom) -> bool:
     """Closed-world membership of a ground atom: some row of the
     predicate's fact array holds the ids of its constants."""
-    ids = [kb.constant_id(name) for name in atom.constant_names()]
+    ids = [kb.constant_id(a.name) for a in atom.args]
     return bool((kb.fact_array(atom.predicate) == ids).all(axis=1).any())
 
 
@@ -57,24 +57,25 @@ class FactSetOracle:
 def body_satisfied(ground_body: list[Atom], kb: KnowledgeBase) -> bool:
     """True iff every ground atom is a fact in kb (closed world)."""
     for atom in ground_body:
-        if not atom.is_ground():
+        if not all(isinstance(a, Constant) for a in atom.args):
             raise DataError(f"body_satisfied requires ground atoms, got {atom}")
         if not has_fact(kb, atom):
             return False
     return True
 
 
-def brute_force_count(clause: Clause, target: TargetExample, kb: KnowledgeBase) -> int:
-    """`count_satisfied_groundings` for one target by enumeration: every
-    substitution from the full cross-product of typed domains for the free
-    body variables is tested with body_satisfied.  Exponential; only usable
-    on small instances.
+def brute_force_count(clause: Clause, target: tuple[str, ...], kb: KnowledgeBase) -> int:
+    """`count_satisfied_groundings` for one target, given by the names of
+    its constants, by enumeration: every substitution from the full
+    cross-product of typed domains for the free body variables is tested
+    with body_satisfied.  Exponential; only usable on small instances.
     """
     theta: dict[str, Constant] = {}
-    for term, c in zip(clause.head.args, target.atom.args):
+    head_types = kb.schema(clause.head.predicate).arg_types
+    for term, name, t in zip(clause.head.args, target, head_types):
         if isinstance(term, Variable):
-            theta[term.name] = c
-        elif term.name != c.name:
+            theta[term.name] = Constant(name, t)
+        elif term.name != name:
             return 0
     var_types: dict[str, str] = {}
     for atom in clause.body:
@@ -234,15 +235,15 @@ def enumerate_target_tuples(
 def sample_negatives_by_enumeration(
     kb: KnowledgeBase,
     target_schema: PredicateSchema,
-    positives: list[TargetExample],
+    positives: list[tuple[str, ...]],
     ratio: float,
     seed: int,
     symmetric: bool = True,
-) -> list[TargetExample]:
-    """`sample_negatives`' draw over the enumerated list of candidate tuples."""
+) -> list[str]:
+    """`sample_negatives`' draw over the enumerated list of candidate
+    tuples, given the positives' names, as atom texts."""
     pos_tuples = set()
-    for ex in positives:
-        tup = ex.atom.constant_names()
+    for tup in positives:
         pos_tuples.add(tup)
         if symmetric and len(tup) == 2:
             pos_tuples.add((tup[1], tup[0]))
@@ -254,15 +255,5 @@ def sample_negatives_by_enumeration(
     want = math.ceil(ratio * len(positives))
     idx = np.random.default_rng(seed).choice(len(candidates), size=want, replace=False)
     return [
-        TargetExample(
-            Atom(
-                target_schema.name,
-                tuple(
-                    Constant(c, target_schema.arg_types[p])
-                    for p, c in enumerate(candidates[i])
-                ),
-            ),
-            NEGATIVE,
-        )
-        for i in sorted(int(j) for j in idx)
+        f"{target_schema.name}({', '.join(candidates[i])})" for i in sorted(int(j) for j in idx)
     ]

@@ -6,7 +6,7 @@ cross-product oracle stays tractable.
 
 import numpy as np
 
-from relgcn.grounding import Clause, POSITIVE, TargetExample
+from relgcn.grounding import Clause
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
 
 
@@ -60,8 +60,9 @@ def random_instance(
     max_constants: int = 6,
     max_predicates: int = 3,
     max_body: int = 3,
-) -> tuple[KnowledgeBase, Clause, TargetExample]:
-    """A random kb, clause and ground target over at most two entity types."""
+) -> tuple[KnowledgeBase, Clause, tuple[str, str]]:
+    """A random kb, a clause and the constant names of a ground target of
+    ``Tgt``, over at most two entity types."""
     kb, constants, schemas, _ = random_kb(rng, max_constants, max_predicates)
     target_type = next(iter(constants))
     head = Atom("Tgt", (Variable("x1"), Variable("x2")))
@@ -87,14 +88,5 @@ def random_instance(
     clause = Clause(head, tuple(body))
 
     pool = constants[target_type]
-    target = TargetExample(
-        Atom(
-            "Tgt",
-            (
-                Constant(pool[int(rng.integers(len(pool)))], target_type),
-                Constant(pool[int(rng.integers(len(pool)))], target_type),
-            ),
-        ),
-        POSITIVE,
-    )
+    target = (pool[int(rng.integers(len(pool)))], pool[int(rng.integers(len(pool)))])
     return kb, clause, target

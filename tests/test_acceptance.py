@@ -103,7 +103,8 @@ def test_criterion_01_grounding_oracle_equivalence():
         kb, clause, target = random_instance(
             rng, max_constants=6, max_predicates=3, max_body=3
         )
-        assert count_satisfied_groundings(clause, [target], kb)[0] == brute_force_count(
+        targets = kb.targets("Tgt", [target], True)
+        assert count_satisfied_groundings(clause, targets, kb)[0] == brute_force_count(
             clause, target, kb
         )
     elapsed = time.perf_counter() - start
@@ -198,11 +199,9 @@ def test_criterion_05_gradient_check_20_seeds():
         model = init_model(
             4, TrainConfig(hidden_size=5, num_layers=2, dropout_rate=0.5, seed=seed)
         )
-        _, caches = gcn_forward(P, X, model, dropout_rate=0.5, rng=rng)
+        _, caches = gcn_forward(P, X, model, 0.5, np.random.default_rng(seed))
         analytic = gcn_backward(P, caches, labels, mask, model, 5e-4)
-        numeric = finite_difference_grads(
-            P, X, labels, mask, model, caches, 5e-4, dropout_rate=0.5
-        )
+        numeric = finite_difference_grads(P, X, labels, mask, model, seed, 5e-4, 0.5)
         assert max_relative_error(analytic, numeric) < 1e-4
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

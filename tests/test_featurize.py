@@ -29,7 +29,7 @@ from relgcn.grounding import Clause, POSITIVE_DENSITY, NEGATIVE_DENSITY
 from relgcn.kb import Atom, Variable
 from relgcn.rulelearn import make_head
 
-from conftest import example
+from conftest import coauthors
 from oracles import dense_propagation_matrix, naive_euclidean_distances
 
 
@@ -319,7 +319,7 @@ def test_build_rule_matrix_columns_follow_ruleset_order(coauthor_kb):
         (Atom("Affiliation", (p1, u1)), Atom("Affiliation", (p2, u1))),
         source=NEGATIVE_DENSITY,
     )
-    targets = [example("ann", "bob"), example("ann", "cara"), example("cara", "dan")]
+    targets = coauthors(coauthor_kb, "ann bob", "ann cara", "cara dan")
     X = build_rule_matrix([topic_rule, uni_rule], targets, coauthor_kb)
     assert X.shape == (3, 2)
     # Column 0 is the positive-density topic rule, column 1 the negative one.
@@ -331,7 +331,7 @@ def test_build_rule_matrix_columns_follow_ruleset_order(coauthor_kb):
 
 def test_build_rule_matrix_rejects_empty(coauthor_kb):
     with pytest.raises(DataError):
-        build_rule_matrix([], [example("ann", "bob")], coauthor_kb)
+        build_rule_matrix([], coauthors(coauthor_kb, "ann bob"), coauthor_kb)
 
 
 # -- persistence -----------------------------------------------------------

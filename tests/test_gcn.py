@@ -117,7 +117,6 @@ def test_forward_rows_are_distributions():
     log_probs, caches = gcn_forward(P, X, model)
     assert np.allclose(np.exp(log_probs).sum(axis=1), 1.0)
     assert len(caches.propagated) == 3
-    assert caches.dropout_masks == [None, None, None]
 
 
 def test_forward_eval_ignores_dropout_train_uses_it():
@@ -127,21 +126,18 @@ def test_forward_eval_ignores_dropout_train_uses_it():
     e2, _ = gcn_forward(P, X, model)
     assert np.array_equal(e1, e2)
     rng = np.random.default_rng(0)
-    t1, caches = gcn_forward(P, X, model, dropout_rate=0.5, rng=rng)
-    assert caches.dropout_masks[0] is not None
+    t1, _ = gcn_forward(P, X, model, dropout_rate=0.5, rng=rng)
     t2, _ = gcn_forward(P, X, model, dropout_rate=0.5, rng=rng)
     # Fresh masks each call from the same stream: outputs differ.
     assert not np.array_equal(t1, t2)
 
 
 def test_forward_mask_reuse_reproduces_output():
+    """A generator seeded alike draws the same masks: the same output."""
     P, X, _ = tiny_problem()
     model = init_model(X.shape[1], TrainConfig())
-    rng = np.random.default_rng(2)
-    out1, caches = gcn_forward(P, X, model, dropout_rate=0.4, rng=rng)
-    out2, _ = gcn_forward(
-        P, X, model, dropout_rate=0.4, dropout_masks=caches.dropout_masks
-    )
+    out1, _ = gcn_forward(P, X, model, 0.4, np.random.default_rng(2))
+    out2, _ = gcn_forward(P, X, model, 0.4, np.random.default_rng(2))
     assert np.array_equal(out1, out2)
 
 
@@ -172,24 +168,20 @@ def test_nll_loss_hand_value():
 
 
 def finite_difference_grads(
-    P, X, labels, mask, model, caches, wd, dropout_rate=0.0, eps=1e-6
+    P, X, labels, mask, model, seed, wd, dropout_rate=0.0, eps=1e-6
 ):
-    """Central differences of nll_loss, replaying the masks in ``caches``
-    at ``dropout_rate``."""
+    """Central differences of nll_loss at ``dropout_rate``, each forward
+    pass drawing its masks from a generator freshly seeded with ``seed``."""
     grads = []
-    for l, W in enumerate(model.weights):
+    for W in model.weights:
         g = np.zeros_like(W)
         for idx in np.ndindex(W.shape):
             orig = W[idx]
             W[idx] = orig + eps
-            lp, _ = gcn_forward(
-                P, X, model, dropout_rate, dropout_masks=caches.dropout_masks
-            )
+            lp, _ = gcn_forward(P, X, model, dropout_rate, np.random.default_rng(seed))
             hi = nll_loss(lp, labels, mask, model, wd)
             W[idx] = orig - eps
-            lp, _ = gcn_forward(
-                P, X, model, dropout_rate, dropout_masks=caches.dropout_masks
-            )
+            lp, _ = gcn_forward(P, X, model, dropout_rate, np.random.default_rng(seed))
             lo = nll_loss(lp, labels, mask, model, wd)
             W[idx] = orig
             g[idx] = (hi - lo) / (2 * eps)
@@ -211,10 +203,9 @@ def test_gradients_match_finite_differences(wd, dropout):
     P, X, labels = tiny_problem(n=6, d=4, seed=1)
     model = init_model(4, TrainConfig(hidden_size=5, seed=3))
     mask = np.array([0, 2, 4])
-    rng = np.random.default_rng(7)
-    _, caches = gcn_forward(P, X, model, dropout, rng)
+    _, caches = gcn_forward(P, X, model, dropout, np.random.default_rng(7))
     analytic = gcn_backward(P, caches, labels, mask, model, wd)
-    numeric = finite_difference_grads(P, X, labels, mask, model, caches, wd, dropout)
+    numeric = finite_difference_grads(P, X, labels, mask, model, 7, wd, dropout)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
@@ -232,9 +223,9 @@ def test_gradients_through_propagation_operator(repeated, literal_self_loops):
     labels = rng.integers(0, 2, size=9)
     mask = np.array([0, 2, 3, 5, 7])
     model = init_model(4, TrainConfig(hidden_size=5, num_layers=3, seed=2))
-    _, caches = gcn_forward(P, X, model, 0.5, rng)
+    _, caches = gcn_forward(P, X, model, 0.5, np.random.default_rng(5))
     analytic = gcn_backward(P, caches, labels, mask, model, 5e-4)
-    numeric = finite_difference_grads(P, X, labels, mask, model, caches, 5e-4, 0.5)
+    numeric = finite_difference_grads(P, X, labels, mask, model, 5, 5e-4, 0.5)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
@@ -260,8 +251,9 @@ def test_forward_backward_match_per_target_oracle(
     repeated, literal_self_loops, num_layers, dropout
 ):
     """Log-probabilities and gradients equal the n-row propagation's to
-    1e-12 relative, with the masks shared, with dropout and without, for
-    the class operator and for the dense P it stands for."""
+    1e-12 relative, with dropout and without, for the class operator and
+    for the dense P it stands for.  The oracle draws its masks from the
+    same seed: an n x h draw per hidden layer, in layer order."""
     X, labels = _class_problem(repeated, seed=num_layers)
     operator = propagation_matrix(X, literal_self_loops=literal_self_loops)
     dense, _ = dense_propagation_matrix(X, "euclidean", literal_self_loops)
@@ -274,11 +266,10 @@ def test_forward_backward_match_per_target_oracle(
     mask = np.array([0, 1, 3, 4, 6, 9])
     for P in (operator, dense):
         for rate in (dropout, 0.0):
+            log_probs, caches = gcn_forward(P, X, model, rate, np.random.default_rng(3))
             rng = np.random.default_rng(3)
-            log_probs, caches = gcn_forward(P, X, model, rate, rng)
-            expected, layers = per_target_gcn_forward(
-                P, X, model, rate, caches.dropout_masks
-            )
+            masks = [rng.random((X.shape[0], 5)) >= rate for _ in model.weights[:-1]]
+            expected, layers = per_target_gcn_forward(P, X, model, rate, masks)
             assert _relative_error(log_probs, expected) < 1e-12
             grads = gcn_backward(P, caches, labels, mask, model, 5e-4)
             oracle = per_target_gcn_backward(
@@ -291,14 +282,17 @@ def test_forward_backward_match_per_target_oracle(
 
 def test_forward_draws_the_per_target_mask_stream():
     """The masks are n x h draws from the training stream whatever the
-    number of row classes, so the random stream does not depend on u."""
+    number of row classes, so the random stream does not depend on u: a
+    forward pass leaves the generator where two n x h draws leave it."""
     X, _ = _class_problem(repeated=True)
     P = propagation_matrix(X)
     model = init_model(X.shape[1], TrainConfig(hidden_size=5, num_layers=3, seed=2))
-    _, caches = gcn_forward(P, X, model, 0.5, np.random.default_rng(8))
+    used = np.random.default_rng(8)
+    gcn_forward(P, X, model, 0.5, used)
     rng = np.random.default_rng(8)
-    for mask in caches.dropout_masks[:-1]:
-        assert np.array_equal(mask, rng.random((X.shape[0], 5)) >= 0.5)
+    for _ in range(2):
+        rng.random((X.shape[0], 5))
+    assert used.random() == rng.random()
 
 
 def test_train_on_operator_matches_dense_propagation():

@@ -11,9 +11,6 @@ from relgcn.errors import DataError
 from relgcn.grounding import (
     BindingTable,
     Clause,
-    NEGATIVE,
-    POSITIVE,
-    TargetExample,
     count_satisfied_groundings,
     sample_negatives,
 )
@@ -28,7 +25,7 @@ from relgcn.kb import (
 )
 from relgcn.rulelearn import candidate_literals
 
-from conftest import PERSON, TOPIC, UNIVERSITY, example, person_pair
+from conftest import PERSON, UNIVERSITY, coauthors
 from oracles import (
     body_satisfied,
     brute_force_count,
@@ -40,6 +37,11 @@ from random_instances import random_instance
 
 def _head():
     return Atom("CoAuthor", (Variable("p1"), Variable("p2")))
+
+
+def tgt(kb: KnowledgeBase, *rows: tuple[str, ...]):
+    """Positive ``Tgt`` targets of ``kb``, one per row of constant names."""
+    return kb.targets("Tgt", rows, True)
 
 
 def shared_topic_clause():
@@ -70,13 +72,6 @@ def test_clause_str_and_validation():
         Clause(Atom("CoAuthor", (Variable("p1"), Variable("p1"))), ())
 
 
-def test_target_example_must_be_ground():
-    with pytest.raises(DataError):
-        TargetExample(Atom("CoAuthor", (Variable("p1"), Variable("p2"))), POSITIVE)
-    with pytest.raises(DataError):
-        TargetExample(person_pair("ann", "bob"), "maybe")
-
-
 def test_body_satisfied_closed_world(coauthor_kb):
     sat = [
         Atom("Affiliation", (Constant("ann", PERSON), Constant("U1", UNIVERSITY))),
@@ -93,23 +88,24 @@ def test_body_satisfied_closed_world(coauthor_kb):
 def test_count_shared_topics_worked_example(coauthor_kb):
     """ann and bob share T1 and T2: two distinct bindings of t1."""
     clause = shared_topic_clause()
-    assert count_satisfied_groundings(clause, [example("ann", "bob")], coauthor_kb)[0] == 2
-    assert count_satisfied_groundings(clause, [example("ann", "cara")], coauthor_kb)[0] == 0
-    assert count_satisfied_groundings(clause, [example("cara", "dan")], coauthor_kb) == 1
+    counts = count_satisfied_groundings(
+        clause, coauthors(coauthor_kb, "ann bob", "ann cara", "cara dan"), coauthor_kb
+    )
+    assert counts.tolist() == [2, 0, 1]
 
 
 def test_count_empty_body_is_one(coauthor_kb):
     clause = Clause(_head(), ())
-    assert count_satisfied_groundings(clause, [example("ann", "cara")], coauthor_kb)[0] == 1
+    assert count_satisfied_groundings(clause, coauthors(coauthor_kb, "ann cara"), coauthor_kb)[0] == 1
 
 
 def test_count_cap_saturates(coauthor_kb):
     clause = shared_topic_clause()
-    tgt = example("ann", "bob")
-    assert count_satisfied_groundings(clause, [tgt], coauthor_kb, cap=1)[0] == 1
-    assert count_satisfied_groundings(clause, [tgt], coauthor_kb, cap=5)[0] == 2
+    tgt = coauthors(coauthor_kb, "ann bob")
+    assert count_satisfied_groundings(clause, tgt, coauthor_kb, cap=1)[0] == 1
+    assert count_satisfied_groundings(clause, tgt, coauthor_kb, cap=5)[0] == 2
     with pytest.raises(DataError):
-        count_satisfied_groundings(clause, [tgt], coauthor_kb, cap=0)
+        count_satisfied_groundings(clause, tgt, coauthor_kb, cap=0)
 
 
 def test_count_head_constant_disagreement():
@@ -120,23 +116,22 @@ def test_count_head_constant_disagreement():
     clause = Clause(
         Atom("CoAuthor", (Constant("ann", PERSON), Variable("p2"))), ()
     )
-    assert count_satisfied_groundings(clause, [example("ann", "bob")], kb)[0] == 1
-    assert count_satisfied_groundings(clause, [example("bob", "ann")], kb)[0] == 0
+    assert count_satisfied_groundings(clause, coauthors(kb, "ann bob", "bob ann"), kb).tolist() == [1, 0]
 
 
 def test_count_predicate_mismatch_raises(coauthor_kb):
     clause = Clause(Atom("Affiliation", (Variable("p1"), Variable("u1"))), ())
-    with pytest.raises(DataError):
-        count_satisfied_groundings(clause, [example("ann", "bob")], coauthor_kb)
+    with pytest.raises(DataError, match="does not match clause head"):
+        count_satisfied_groundings(clause, coauthors(coauthor_kb, "ann bob"), coauthor_kb)
 
 
 def test_count_matches_oracle_on_fixture(coauthor_kb):
     for clause in (shared_topic_clause(), shared_university_clause()):
         for a in ("ann", "bob", "cara", "dan"):
             for b in ("ann", "bob", "cara", "dan"):
-                tgt = example(a, b)
-                assert count_satisfied_groundings(clause, [tgt], coauthor_kb)[0] == (
-                    brute_force_count(clause, tgt, coauthor_kb)
+                tgt = coauthors(coauthor_kb, f"{a} {b}")
+                assert count_satisfied_groundings(clause, tgt, coauthor_kb)[0] == (
+                    brute_force_count(clause, (a, b), coauthor_kb)
                 )
 
 
@@ -144,7 +139,7 @@ def test_oracle_equivalence_random_instances():
     rng = np.random.default_rng(12345)
     for _ in range(150):
         kb, clause, target = random_instance(rng)
-        assert count_satisfied_groundings(clause, [target], kb)[0] == brute_force_count(
+        assert count_satisfied_groundings(clause, tgt(kb, target), kb)[0] == brute_force_count(
             clause, target, kb
         )
 
@@ -153,14 +148,15 @@ def test_monotonicity_in_facts_and_body_length():
     rng = np.random.default_rng(999)
     for _ in range(60):
         kb, clause, target = random_instance(rng)
-        base = count_satisfied_groundings(clause, [target], kb)[0]
+        targets = tgt(kb, target)
+        base = count_satisfied_groundings(clause, targets, kb)[0]
         if clause.body:
             shorter = Clause(clause.head, clause.body[:-1])
             # Coverage is anti-monotone in body length: a longer body can
             # never be satisfiable when its prefix is not.
             assert count_satisfied_groundings(
-                shorter, [target], kb, cap=1
-            )[0] >= count_satisfied_groundings(clause, [target], kb, cap=1)[0]
+                shorter, targets, kb, cap=1
+            )[0] >= count_satisfied_groundings(clause, targets, kb, cap=1)[0]
             # The raw count is anti-monotone only when the dropped literal
             # introduced no fresh variables (fresh ones multiply the number
             # of distinct substitutions).
@@ -169,22 +165,23 @@ def test_monotonicity_in_facts_and_body_length():
             }
             last_vars = {v.name for v in clause.body[-1].variables()}
             if last_vars <= prefix_vars:
-                assert count_satisfied_groundings(shorter, [target], kb)[0] >= base
+                assert count_satisfied_groundings(shorter, targets, kb)[0] >= base
         # Adding a random missing fact never decreases the count.
         pred = clause.body[0].predicate if clause.body else "Tgt"
         schema = kb.schema(pred)
         new_args = tuple(sorted(kb.constants_of_type(t))[0] for t in schema.arg_types)
         kb.add_fact(pred, new_args)
-        assert count_satisfied_groundings(clause, [target], kb)[0] >= base
+        assert count_satisfied_groundings(clause, targets, kb)[0] >= base
 
 
 def test_cap_equals_min_of_cap_and_count():
     rng = np.random.default_rng(31)
     for _ in range(40):
         kb, clause, target = random_instance(rng)
-        full = count_satisfied_groundings(clause, [target], kb)[0]
+        targets = tgt(kb, target)
+        full = count_satisfied_groundings(clause, targets, kb)[0]
         for cap in (1, 2, 7):
-            assert count_satisfied_groundings(clause, [target], kb, cap=cap)[0] == min(
+            assert count_satisfied_groundings(clause, targets, kb, cap=cap)[0] == min(
                 cap, full
             )
 
@@ -210,20 +207,19 @@ def test_repeated_variable_not_bound_by_head():
         (likes_self, {"ann": 1, "bob": 0, "cara": 1, "dan": 0}),
     ):
         for a, n in want.items():
-            tgt = example(a, "bob")
-            assert count_satisfied_groundings(clause, [tgt], kb)[0] == n
-            assert brute_force_count(clause, tgt, kb) == n
+            assert count_satisfied_groundings(clause, coauthors(kb, f"{a} bob"), kb)[0] == n
+            assert brute_force_count(clause, (a, "bob"), kb) == n
 
 
 def test_fully_ground_body_literal(coauthor_kb):
-    tgt = example("ann", "bob")
-    base = count_satisfied_groundings(shared_topic_clause(), [tgt], coauthor_kb)[0]
+    tgt = coauthors(coauthor_kb, "ann bob")
+    base = count_satisfied_groundings(shared_topic_clause(), tgt, coauthor_kb)[0]
     assert base == 2
     for uni, want in (("U1", base), ("U2", 0)):
         ground = Atom("Affiliation", (Constant("ann", PERSON), Constant(uni, UNIVERSITY)))
         clause = Clause(_head(), (ground, *shared_topic_clause().body))
-        assert count_satisfied_groundings(clause, [tgt], coauthor_kb)[0] == want
-        assert brute_force_count(clause, tgt, coauthor_kb) == want
+        assert count_satisfied_groundings(clause, tgt, coauthor_kb)[0] == want
+        assert brute_force_count(clause, ("ann", "bob"), coauthor_kb) == want
 
 
 def test_unknown_body_predicate_raises_after_a_failed_literal(coauthor_kb):
@@ -236,7 +232,7 @@ def test_unknown_body_predicate_raises_after_a_failed_literal(coauthor_kb):
         ),
     )
     with pytest.raises(DataError, match="Bogus"):
-        count_satisfied_groundings(clause, [example("cara", "dan")], coauthor_kb)
+        count_satisfied_groundings(clause, coauthors(coauthor_kb, "cara dan"), coauthor_kb)
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,30 +243,27 @@ def test_unknown_body_predicate_raises_after_a_failed_literal(coauthor_kb):
     head_constant=st.booleans(),
 )
 def test_count_matches_oracle_property(seed, cap, n_extra, head_constant):
-    """One call counts every target of a list: the instance's target twice,
-    a target whose first constant is not pool[0], and random extra pairs.
+    """One call counts every target of a batch built from name rows: the
+    instance's target twice, a target whose first constant is not pool[0],
+    random extra pairs and a pair naming a constant that no fact mentions.
     With a head constant pool[0], that target disagrees with the head and x1
     in the body is a free variable.  Each entry is the target's brute-force
-    count, clipped at cap, and the empty list gives an empty array."""
+    count, clipped at cap, and an empty batch gives an empty array."""
     rng = np.random.default_rng(seed)
     kb, clause, target = random_instance(rng)
-    t = target.atom.args[0].type
-    pool = sorted(kb.constants_of_type(t))
-
-    def pair(a, b):
-        return TargetExample(Atom("Tgt", (Constant(a, t), Constant(b, t))), POSITIVE)
-
-    targets = [target, target, pair(pool[-1], pool[0])] + [
-        pair(pool[int(i)], pool[int(j)]) for i, j in rng.integers(len(pool), size=(n_extra, 2))
+    pool = sorted(kb.constants_of_type(kb.schema("Tgt").arg_types[0]))
+    rows = [target, target, (pool[-1], pool[0])] + [
+        (pool[int(i)], pool[int(j)]) for i, j in rng.integers(len(pool), size=(n_extra, 2))
     ]
+    rows.append(("unseen", pool[int(rng.integers(len(pool)))]))
     if head_constant:
-        clause = Clause(Atom("Tgt", (Constant(pool[0], t), Variable("x2"))), clause.body)
-    counts = count_satisfied_groundings(clause, targets, kb, cap=cap)
-    assert counts.shape == (len(targets),)
-    for ex, got in zip(targets, counts):
-        want = brute_force_count(clause, ex, kb)
+        clause = Clause(Atom("Tgt", (Constant(pool[0], "ta"), Variable("x2"))), clause.body)
+    counts = count_satisfied_groundings(clause, tgt(kb, *rows), kb, cap=cap)
+    assert counts.shape == (len(rows),)
+    for row, got in zip(rows, counts):
+        want = brute_force_count(clause, row, kb)
         assert got == (want if cap is None else min(cap, want))
-    assert count_satisfied_groundings(clause, [], kb, cap=cap).shape == (0,)
+    assert count_satisfied_groundings(clause, tgt(kb), kb, cap=cap).shape == (0,)
 
 
 def _row_counts(table: BindingTable, n: int) -> np.ndarray:
@@ -282,22 +275,23 @@ def _row_counts(table: BindingTable, n: int) -> np.ndarray:
 def test_binding_table_matches_oracles_property(seed, head_constant):
     """Extended literal by literal, the table holds each example's
     brute-force count of rows, and a literal's semi-join covers exactly the
-    examples that keep rows after the extension.  Bodies carry constants,
-    fresh and repeated variables; with a head constant, x1 in the body is a
-    free variable and examples that disagree with the head have no row."""
+    examples that keep rows after the extension.  The examples are built
+    from name rows, one naming a constant that no fact mentions.  Bodies
+    carry constants, fresh and repeated variables; with a head constant, x1
+    in the body is a free variable and examples that disagree with the head
+    have no row."""
     rng = np.random.default_rng(seed)
     kb, clause, target = random_instance(rng)
-    t = target.atom.args[0].type
-    pool = sorted(kb.constants_of_type(t))
-    examples = [target] + [
-        TargetExample(Atom("Tgt", tuple(Constant(pool[int(i)], t) for i in pair)), POSITIVE)
-        for pair in rng.integers(len(pool), size=(5, 2))
+    pool = sorted(kb.constants_of_type(kb.schema("Tgt").arg_types[0]))
+    rows = [target] + [
+        tuple(pool[int(i)] for i in pair) for pair in rng.integers(len(pool), size=(5, 2))
     ]
+    rows.append((pool[int(rng.integers(len(pool)))], "unseen"))
     head = clause.head
     if head_constant:
-        head = Atom("Tgt", (Constant(pool[0], t), Variable("x2")))
-    n = len(examples)
-    table = BindingTable.for_head(head, examples, kb)
+        head = Atom("Tgt", (Constant(pool[0], "ta"), Variable("x2")))
+    n = len(rows)
+    table = BindingTable.for_head(head, tgt(kb, *rows), kb)
     for k in range(len(clause.body) + 1):
         prefix = Clause(head, clause.body[:k])
         if k:
@@ -306,17 +300,19 @@ def test_binding_table_matches_oracles_property(seed, head_constant):
             assert (covered == (_row_counts(table, n) > 0)).all()
         assert len(np.unique(table.rows, axis=0)) == len(table.rows)
         counts = _row_counts(table, n)
-        for i, ex in enumerate(examples):
-            assert counts[i] == brute_force_count(prefix, ex, kb)
-            assert (counts[i] > 0) == (count_satisfied_groundings(prefix, [ex], kb, cap=1)[0] > 0)
+        for i, row in enumerate(rows):
+            assert counts[i] == brute_force_count(prefix, row, kb)
+            assert (counts[i] > 0) == (
+                count_satisfied_groundings(prefix, tgt(kb, row), kb, cap=1)[0] > 0
+            )
 
 
 def test_binding_table_target_constant_absent_from_facts(coauthor_kb):
-    """eve is a registered person in no fact and zed is unknown to the kb:
-    neither example has a grounding, and an unknown constant in a literal
-    matches nothing."""
+    """eve is a registered person in no fact and zed is first met in the
+    targets: neither example has a grounding, and an unknown constant in a
+    literal matches nothing."""
     coauthor_kb.register_constant(PERSON, "eve")
-    examples = [example("eve", "ann"), example("ann", "bob"), example("ann", "zed")]
+    examples = coauthors(coauthor_kb, "eve ann", "ann bob", "ann zed")
     clause = shared_topic_clause()
     table = BindingTable.for_head(clause.head, examples, coauthor_kb)
     assert len(table.rows) == 3
@@ -330,7 +326,7 @@ def test_binding_table_target_constant_absent_from_facts(coauthor_kb):
 
 
 def test_binding_table_sees_fact_added_after_first_join(coauthor_kb):
-    examples = [example("cara", "ann"), example("ann", "bob")]
+    examples = coauthors(coauthor_kb, "cara ann", "ann bob")
     clause = shared_university_clause()
     root = BindingTable.for_head(clause.head, examples, coauthor_kb)
     first = root.extend(clause.body[0], coauthor_kb)
@@ -343,12 +339,13 @@ def test_binding_table_sees_fact_added_after_first_join(coauthor_kb):
     assert first.covered(clause.body[1], coauthor_kb, 2).tolist() == [True, True]
 
 
-def _check_prefixes(clause: Clause, examples: list, kb: KnowledgeBase) -> None:
-    """Extended literal by literal, the table holds each example's
-    brute-force count of rows, and each literal's semi-join covers exactly
-    the examples that keep rows after the extension."""
+def _check_prefixes(clause: Clause, examples: list[tuple[str, ...]], kb: KnowledgeBase) -> None:
+    """Extended literal by literal over the ``Tgt`` targets of the name
+    rows ``examples``, the table holds each example's brute-force count of
+    rows, and each literal's semi-join covers exactly the examples that
+    keep rows after the extension."""
     n = len(examples)
-    table = BindingTable.for_head(clause.head, examples, kb)
+    table = BindingTable.for_head(clause.head, tgt(kb, *examples), kb)
     for k, literal in enumerate(clause.body, start=1):
         covered = table.covered(literal, kb, n)
         table = table.extend(literal, kb)
@@ -372,7 +369,7 @@ def test_join_indexes_follow_kb_changes_property(seed, steps):
     agrees with the brute-force count."""
     rng = np.random.default_rng(seed)
     kb, clause, target = random_instance(rng)
-    t = target.atom.args[0].type
+    t = kb.schema("Tgt").arg_types[0]
     examples = [target]
     _check_prefixes(clause, examples, kb)
     for i, step in enumerate(steps):
@@ -385,10 +382,7 @@ def test_join_indexes_follow_kb_changes_property(seed, steps):
                 args.append(names[int(rng.integers(len(names)))])
             kb.add_fact(pred, args)
         elif step == "example":
-            kb.register_constant(t, f"late{i}")
-            examples.append(
-                TargetExample(Atom("Tgt", (Constant(f"late{i}", t), target.atom.args[1])), POSITIVE)
-            )
+            examples.append((f"late{i}", target[1]))
         else:
             pred = str(rng.choice(sorted(p for p in kb.schemas if p != "Tgt")))
             args = [
@@ -408,18 +402,16 @@ def test_membership_semi_join_equals_sorted_semi_join_property(seed):
     example holds an id interned after the indexes were built."""
     rng = np.random.default_rng(seed)
     kb, clause, target = random_instance(rng)
-    t = target.atom.args[0].type
+    t = kb.schema("Tgt").arg_types[0]
     pool = sorted(kb.constants_of_type(t))
     examples = [target] + [
-        TargetExample(Atom("Tgt", tuple(Constant(pool[int(i)], t) for i in pair)), POSITIVE)
-        for pair in rng.integers(len(pool), size=(4, 2))
+        tuple(pool[int(i)] for i in pair) for pair in rng.integers(len(pool), size=(4, 2))
     ]
     literals = candidate_literals(kb, clause.head, (), max_constants_for_grounding=3)
     for late in (False, True):
         if late:
-            kb.register_constant(t, "late")
-            examples.append(TargetExample(Atom("Tgt", (Constant("late", t),) * 2), POSITIVE))
-        table = BindingTable.for_head(clause.head, examples, kb)
+            examples.append(("late", "late"))
+        table = BindingTable.for_head(clause.head, tgt(kb, *examples), kb)
         for literal in literals:
             index, keys, _ = table._match(literal, kb)
             if keys.shape[1] != 1:
@@ -429,10 +421,6 @@ def test_membership_semi_join_equals_sorted_semi_join_property(seed):
             assert (by_member == replace(index, member=None).contains(keys)).all()
             want = [brute_force_count(Clause(clause.head, (literal,)), ex, kb) > 0 for ex in examples]
             assert table.covered(literal, kb, len(examples)).tolist() == want
-
-
-def example_of(a: str, b: str) -> TargetExample:
-    return TargetExample(Atom("Tgt", (Constant(a, "ta"), Constant(b, "ta"))), POSITIVE)
 
 
 def test_four_column_key_past_int64_matches_oracle():
@@ -458,19 +446,11 @@ def test_four_column_key_past_int64_matches_oracle():
         Atom("Tgt", (x1, x2)),
         (Atom("R", (x1, y1)), Atom("R", (x2, y2)), Atom("Q", (x1, x2, y1, y2))),
     )
-    examples = [example_of(a, b) for a in people for b in people]
+    examples = [(a, b) for a in people for b in people]
     _check_prefixes(clause, examples, kb)
     assert sum(brute_force_count(clause, ex, kb) > 0 for ex in examples) > 0
     index = kb.join_index(clause.body[2], {"x1", "x2", "y1", "y2"})[0]
     assert list(index.rerank) == [3]
-
-
-def test_binding_table_head_type_error(coauthor_kb):
-    wrong = TargetExample(
-        Atom("CoAuthor", (Constant("ann", PERSON), Constant("U1", UNIVERSITY))), POSITIVE
-    )
-    with pytest.raises(DataError, match="has type 'university'"):
-        BindingTable.for_head(_head(), [example("ann", "bob"), wrong], coauthor_kb)
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 3])
@@ -508,26 +488,28 @@ def test_enumerate_target_tuples_symmetric(coauthor_kb):
 
 def test_sample_negatives_deterministic_and_disjoint(coauthor_kb):
     schema = coauthor_kb.schema("CoAuthor")
-    positives = [example("ann", "bob")]
+    positives = coauthors(coauthor_kb, "ann bob")
     negs1 = sample_negatives(coauthor_kb, schema, positives, ratio=3.0, seed=5)
     negs2 = sample_negatives(coauthor_kb, schema, positives, ratio=3.0, seed=5)
-    assert [str(n.atom) for n in negs1] == [str(n.atom) for n in negs2]
+    assert (negs1.ids == negs2.ids).all()
     assert len(negs1) == 3
-    drawn = {n.atom.constant_names() for n in negs1}
-    assert ("ann", "bob") not in drawn and ("bob", "ann") not in drawn
-    assert all(n.label == NEGATIVE for n in negs1)
+    drawn = set(coauthor_kb.atom_texts("CoAuthor", negs1.ids))
+    assert "CoAuthor(ann, bob)" not in drawn and "CoAuthor(bob, ann)" not in drawn
+    assert not negs1.positive.any()
 
 
 def test_sample_negatives_exhaustion(coauthor_kb):
     schema = coauthor_kb.schema("CoAuthor")
-    positives = [example("ann", "bob")]
+    positives = coauthors(coauthor_kb, "ann bob")
     # Only 5 non-positive canonical pairs exist among 4 people.
     with pytest.raises(DataError):
         sample_negatives(coauthor_kb, schema, positives, ratio=6.0, seed=0)
     with pytest.raises(DataError):
         sample_negatives(coauthor_kb, schema, positives, ratio=0.0, seed=0)
     with pytest.raises(DataError):
-        sample_negatives(coauthor_kb, schema, [], ratio=1.0, seed=0)
+        sample_negatives(coauthor_kb, schema, coauthors(coauthor_kb), ratio=1.0, seed=0)
+    with pytest.raises(DataError, match="positives of CoAuthor"):
+        sample_negatives(coauthor_kb, coauthor_kb.schema("Affiliation"), positives, 1.0, 0)
 
 
 @pytest.mark.parametrize(
@@ -554,18 +536,14 @@ def test_sample_negatives_matches_enumeration_oracle(arg_types, symmetric):
             for c in rng.choice(12, size=int(rng.integers(1, 7)), replace=False):
                 kb.register_constant(t, f"c{int(c)}")
         domains = [sorted(kb.constants_of_type(t)) for t in arg_types]
-        positives = [
-            TargetExample(
-                Atom("Tgt", tuple(
-                    Constant(d[int(rng.integers(len(d)))], t) for d, t in zip(domains, arg_types)
-                )),
-                POSITIVE,
-            )
+        rows = [
+            tuple(d[int(rng.integers(len(d)))] for d in domains)
             for _ in range(int(rng.integers(1, 4)))
         ]
+        positives = kb.targets("Tgt", rows, True)
         ratio = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
         seed = int(rng.integers(1000))
-        pos = {p.atom.constant_names() for p in positives}
+        pos = set(rows)
         if symmetric:
             pos |= {tup[::-1] for tup in pos if len(tup) == 2}
         available = sum(
@@ -580,6 +558,6 @@ def test_sample_negatives_matches_enumeration_oracle(arg_types, symmetric):
                 sample_negatives(kb, schema, positives, ratio, seed, symmetric)
             continue
         got = sample_negatives(kb, schema, positives, ratio, seed, symmetric)
-        assert got == sample_negatives_by_enumeration(
-            kb, schema, positives, ratio, seed, symmetric
+        assert kb.atom_texts("Tgt", got.ids) == sample_negatives_by_enumeration(
+            kb, schema, rows, ratio, seed, symmetric
         )

@@ -27,12 +27,8 @@ def test_schema_requires_positive_arity():
 def test_atom_ground_and_variables():
     ground = Atom("P", (Constant("a", "t"), Constant("b", "t")))
     open_atom = Atom("P", (Constant("a", "t"), Variable("x")))
-    assert ground.is_ground()
-    assert ground.constant_names() == ("a", "b")
-    assert not open_atom.is_ground()
+    assert ground.variables() == []
     assert [v.name for v in open_atom.variables()] == ["x"]
-    with pytest.raises(DataError):
-        open_atom.constant_names()
 
 
 def test_atom_str_roundtrips_visually():
@@ -214,16 +210,37 @@ def test_parse_facts_rejects_malformed(bad):
 
 
 def test_parse_ground_atoms_registers_constants(coauthor_kb):
-    atoms = parse_ground_atoms("CoAuthor(eve, ann).\n", coauthor_kb)
-    assert len(atoms) == 1
-    assert atoms[0].is_ground()
+    targets = parse_ground_atoms("CoAuthor(eve, ann).\n", coauthor_kb, False)
+    assert targets.predicate == "CoAuthor"
+    ids = [coauthor_kb.constant_id("eve"), coauthor_kb.constant_id("ann")]
+    assert targets.ids.tolist() == [ids]
+    assert targets.positive.tolist() == [False]
     # eve never appears in a fact but joins the person domain for sampling.
     assert "eve" in coauthor_kb.constants_of_type(PERSON)
 
 
 def test_parse_ground_atoms_unknown_predicate(coauthor_kb):
     with pytest.raises(ParseError):
-        parse_ground_atoms("Bogus(a, b).\n", coauthor_kb)
+        parse_ground_atoms("Bogus(a, b).\n", coauthor_kb, True)
+
+
+def test_targets_are_interned_rows_of_one_predicate(coauthor_kb):
+    """Built from name rows, targets intern and register their names, join
+    only with targets of their predicate, and decode to their atoms."""
+    pos = coauthor_kb.targets("CoAuthor", [("ann", "eve")], True)
+    rest = coauthor_kb.targets("CoAuthor", [("bob", "cara"), ("dan", "ann")], [False, True])
+    assert pos.ids.tolist() == [[coauthor_kb.constant_id("ann"), coauthor_kb.constant_id("eve")]]
+    assert "eve" in coauthor_kb.constants_of_type(PERSON)
+    both = pos + rest
+    assert coauthor_kb.atom_texts("CoAuthor", both.ids) == [
+        "CoAuthor(ann, eve)", "CoAuthor(bob, cara)", "CoAuthor(dan, ann)"
+    ]
+    assert both.positive.tolist() == [True, False, True]
+    assert len(coauthor_kb.targets("CoAuthor", [], True)) == 0
+    with pytest.raises(DataError, match="each CoAuthor target needs 2 constants"):
+        coauthor_kb.targets("CoAuthor", [("ann", "bob"), ("ann",)], True)
+    with pytest.raises(DataError, match="cannot join CoAuthor and Affiliation targets"):
+        pos + coauthor_kb.targets("Affiliation", [("ann", "U1")], True)
 
 
 @pytest.mark.parametrize(
@@ -234,9 +251,12 @@ def test_parse_ground_atoms_unknown_predicate(coauthor_kb):
         ("CoAuthor(ann, , bob).\n", "empty argument 2", 1),
         # Schemas belong in the facts file, not in an example file.
         ("CoAuthor(ann, bob).\n@predicate Likes(person, person)\n", "malformed example line", 2),
+        # One predicate per example file.
+        ("CoAuthor(ann, bob).\n\nAffiliation(ann, U1).\n", "Affiliation example among CoAuthor", 3),
+        ("% nothing but a comment\n\n", "no example atoms", None),
     ],
 )
 def test_parse_ground_atoms_error_carries_line_number(coauthor_kb, text, message, line):
     with pytest.raises(ParseError, match=message) as exc_info:
-        parse_ground_atoms(text, coauthor_kb)
+        parse_ground_atoms(text, coauthor_kb, True)
     assert exc_info.value.line == line

@@ -86,6 +86,24 @@ def test_benchmark_tracer_counts_a_pipeline_run(tmp_path):
     assert metrics["gcn.forward_calls"][0] > 0
 
 
+def test_benchmark_tracer_counts_a_run_that_samples_its_negatives(tmp_path):
+    """Without a neg file the pipeline samples the negatives, so the
+    benchmark's `_pool_hook` reads that call's arguments as well as the
+    two contrast calls'; pos.txt and targets.csv are each parsed once."""
+    tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
+    config = PipelineConfig.from_overrides({**_small_config(tmp_path).values, "neg": ""})
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    metrics = tracing["layer_metrics"](tracer)
+    assert metrics["kb.parse_ground_atoms_calls"][0] == 2
+    assert metrics["grounding.sample_negatives_calls"][0] == 3
+    assert metrics["grounding.sample_pool"][0] == 16 * 15 // 2
+
+
 def test_benchmark_flop_counters_read_stage_train_arguments(tmp_path, monkeypatch):
     """`_forward_flops` and `_backward_flops` take n from the first
     argument's shape and the model from a fixed position."""

@@ -13,6 +13,7 @@ from relgcn import featurize as fz
 from relgcn.errors import ConfigError, DataError, NumericalError, ParseError
 from relgcn.gcn import TrainConfig
 from relgcn.kb import parse_facts
+from relgcn import pipeline
 from relgcn.pipeline import (
     PipelineConfig,
     default_values,
@@ -81,6 +82,9 @@ def test_config_rejects_unknown_keys_and_bad_values():
         PipelineConfig.from_overrides({"train.momentum": "0.9"})
     with pytest.raises(ConfigError):
         PipelineConfig.from_overrides({"featurize.zscale": "maybe"})
+    # The target predicate is the one the positives file holds.
+    with pytest.raises(ConfigError, match="unknown config key 'target'"):
+        PipelineConfig.from_overrides({"target": "CoAuthor"})
 
 
 def test_config_file_with_flag_overrides(tmp_path):
@@ -274,6 +278,74 @@ def test_featurize_on_the_kb_learn_used_matches_a_standalone_featurize(small_run
     stage_featurize(config)
     assert (tmp_path / "out" / "X.csv").read_bytes() == shared
     assert shared == (small_run["config"].out_dir() / "X.csv").read_bytes()
+
+
+@pytest.mark.parametrize("neg", [True, False], ids=["neg-file", "sampled"])
+def test_targets_csv_reads_back_the_ids_and_labels_learn_wrote(small_run, tmp_path, neg):
+    config = _config(small_run["data"], tmp_path / "out")
+    if not neg:
+        config = PipelineConfig.from_overrides({**config.values, "neg": ""})
+    kb = parse_facts((small_run["data"] / "facts.txt").read_text())
+    positives, negatives = pipeline._load_examples(config, kb)
+    stage_learn(config, kb)
+    read = pipeline._read_targets(config.out_dir() / "targets.csv", kb)
+    learned = positives + negatives
+    assert read.predicate == learned.predicate
+    assert read.ids.tolist() == learned.ids.tolist()
+    assert read.positive.tolist() == [True] * len(positives) + [False] * len(negatives)
+
+
+@pytest.mark.parametrize(
+    "key, edit, reason, line",
+    [
+        pytest.param("pos", lambda lines: [], "no example atoms", None, id="empty-pos"),
+        pytest.param("neg", lambda lines: [], "no example atoms", None, id="empty-neg"),
+        pytest.param(
+            "pos",
+            lambda lines: lines[:1] + ["Affiliation(P000, U0).\n"] + lines[1:],
+            "Affiliation example among CoAuthor examples",
+            2,
+            id="other-predicate",
+        ),
+        pytest.param(
+            "pos",
+            lambda lines: lines[:2] + ["CoAuthor(P000 P001).\n"] + lines[2:],
+            "arity mismatch for CoAuthor",
+            3,
+            id="arity",
+        ),
+        pytest.param(
+            "neg",
+            lambda lines: ["Affiliation(P000, U0).\n"],
+            "holds Affiliation examples, not CoAuthor",
+            None,
+            id="neg-of-another-predicate",
+        ),
+    ],
+)
+def test_cli_bad_example_file_fails_before_learning(
+    small_run, tmp_path, caplog, key, edit, reason, line
+):
+    """An example file without atoms, with an atom of another predicate or
+    arity, or a neg file of another predicate than pos is a data error
+    that names the config key and the path, and the line where one
+    applies, raised before targets.csv is written or a rule learned."""
+    data = small_run["data"]
+    path = tmp_path / f"{key}.txt"
+    lines = (data / f"{key}.txt").read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+    out = tmp_path / "out"
+    argv = ["pipeline", "--out", str(out), "--set", f"{key}={path}"]
+    for other in {"facts", "pos", "neg"} - {key}:
+        argv += ["--set", f"{other}={data / (other + '.txt')}"]
+    assert cli_main(argv) == 2
+    assert f"{path} (config key {key!r})" in caplog.text
+    assert reason in caplog.text
+    assert ("(line" in caplog.text) == (line is not None)
+    if line is not None:
+        assert f"(line {line})" in caplog.text
+    assert not (out / "targets.csv").exists()
+    assert not (out / "rules.txt").exists()
 
 
 def test_labels_reject_unknown_values(small_run, tmp_path):

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from relgcn.errors import ConfigError, DataError, ParseError
-from relgcn.grounding import (
-    Clause,
-    NEGATIVE_DENSITY,
-    POSITIVE,
-    POSITIVE_DENSITY,
-    TargetExample,
-)
+from relgcn.grounding import Clause, NEGATIVE_DENSITY, POSITIVE_DENSITY
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable, parse_facts
 from relgcn.rulelearn import (
     LearnConfig,
@@ -24,7 +18,7 @@ from relgcn.rulelearn import (
     serialize_rules,
 )
 
-from conftest import PERSON, TOPIC, UNIVERSITY, example
+from conftest import PERSON, TOPIC, UNIVERSITY, coauthors
 from oracles import brute_force_count, squared_error_score
 from random_instances import random_instance
 
@@ -210,10 +204,8 @@ def _tree(kb, classed, contrast, config):
 
 
 @pytest.fixture
-def topic_class_examples():
-    classed = [example("ann", "bob"), example("cara", "dan")]
-    contrast = [example("ann", "cara"), example("bob", "cara")]
-    return classed, contrast
+def topic_class_examples(coauthor_kb):
+    return coauthors(coauthor_kb, "ann bob", "cara dan"), coauthors(coauthor_kb, "ann cara", "bob cara")
 
 
 def test_learn_tree_recovers_topic_rule(coauthor_kb, topic_class_examples):
@@ -223,9 +215,8 @@ def test_learn_tree_recovers_topic_rule(coauthor_kb, topic_class_examples):
     config = LearnConfig(beam_width=5, max_constants_for_grounding=0)
     rule, covered = _tree(coauthor_kb, classed, contrast, config)
     assert len(rule.body) == 2
-    assert covered.tolist() == [
-        brute_force_count(rule, ex, coauthor_kb) > 0 for ex in classed + contrast
-    ]
+    rows = [("ann", "bob"), ("cara", "dan"), ("ann", "cara"), ("bob", "cara")]
+    assert covered.tolist() == [brute_force_count(rule, row, coauthor_kb) > 0 for row in rows]
     assert covered.tolist() == [True, True, False, False]
 
 
@@ -258,7 +249,7 @@ def test_learn_tree_degenerate_targets_gives_depth_zero(coauthor_kb, topic_class
     """With all regression targets equal there is nothing to split on."""
     classed, contrast = topic_class_examples
     config = LearnConfig(max_constants_for_grounding=0)
-    rule, covered = _tree(coauthor_kb, classed + contrast, [], config)
+    rule, covered = _tree(coauthor_kb, classed + contrast, coauthors(coauthor_kb), config)
     assert rule.body == ()
     assert covered.all()
 
@@ -279,8 +270,8 @@ def test_learn_tree_tells_a_constant_from_a_variable_of_the_same_name():
     ]:
         kb.add_fact("Affiliation", (person, university))
     # person1 is at university1 exactly in the class; person2 is mixed.
-    classed = [example("p1", "p4"), example("p2", "p3")]
-    contrast = [example("p4", "p1"), example("p5", "p6")]
+    classed = coauthors(kb, "p1 p4", "p2 p3")
+    contrast = coauthors(kb, "p4 p1", "p5 p6")
     rule, _ = _tree(kb, classed, contrast, LearnConfig())
     assert rule.body == (
         Atom("Affiliation", (Variable("person1"), Constant("university1", UNIVERSITY))),
@@ -295,7 +286,7 @@ def _depth_one_oracle_sse(kb, head, examples, values, weights, config):
     best = root
     for lit in candidate_literals(kb, head, (), config.max_constants_for_grounding):
         clause = Clause(head, (lit,))
-        left = np.array([brute_force_count(clause, ex, kb) > 0 for ex in examples])
+        left = np.array([brute_force_count(clause, row, kb) > 0 for row in examples])
         if left.sum() < config.min_examples_per_leaf:
             continue
         right = ~left
@@ -321,17 +312,11 @@ def test_depth_one_tree_matches_brute_force_oracle():
         pool = sorted(kb.constants_of_type(target_type))
         pairs = [(a, b) for a in pool for b in pool]
         picked = rng.choice(len(pairs), size=min(8, len(pairs)), replace=False)
-        examples = [
-            TargetExample(
-                Atom("Tgt", tuple(Constant(c, target_type) for c in pairs[int(j)])),
-                POSITIVE,
-            )
-            for j in picked
-        ]
+        examples = [pairs[int(j)] for j in picked]
         values = rng.integers(0, 2, size=len(examples)).astype(float)
         weights = rng.uniform(0.5, 2.0, size=len(examples))
-        rule, covered = learn_tree(kb, examples, values, weights, config)
-        left = np.array([brute_force_count(rule, ex, kb) > 0 for ex in examples])
+        rule, covered = learn_tree(kb, kb.targets("Tgt", examples, True), values, weights, config)
+        left = np.array([brute_force_count(rule, row, kb) > 0 for row in examples])
         assert covered.tolist() == left.tolist()
         assert squared_error_score(values, weights, left) == pytest.approx(
             _depth_one_oracle_sse(kb, head, examples, values, weights, config),
@@ -343,11 +328,7 @@ def test_learn_tree_rejects_bad_inputs(coauthor_kb, topic_class_examples):
     config = LearnConfig()
     none = np.array([])
     with pytest.raises(DataError, match="nonempty"):
-        learn_tree(coauthor_kb, [], none, none, config)
-    classed, _ = topic_class_examples
-    mixed = [classed[0], TargetExample(Atom("Affiliation", classed[1].atom.args), POSITIVE)]
-    with pytest.raises(DataError, match="does not match clause head"):
-        learn_tree(coauthor_kb, mixed, np.ones(2), np.ones(2), config)
+        learn_tree(coauthor_kb, coauthors(coauthor_kb), none, none, config)
 
 
 @pytest.mark.parametrize("n_values, n_weights", [(1, 2), (2, 3), (2, 0)])
@@ -387,11 +368,11 @@ def test_learn_ruleset_stops_on_duplicate(coauthor_kb, topic_class_examples, cap
 
 def test_learn_ruleset_requires_one_class(coauthor_kb, topic_class_examples):
     classed, _ = topic_class_examples
-    mixed = [classed[0], example("ann", "cara", label="negative")]
-    with pytest.raises(DataError):
+    mixed = classed + coauthors(coauthor_kb, "ann cara", positive=False)
+    with pytest.raises(DataError, match="one-class"):
         learn_ruleset(coauthor_kb, mixed, LearnConfig(), k=1)
-    with pytest.raises(DataError):
-        learn_ruleset(coauthor_kb, [], LearnConfig(), k=1)
+    with pytest.raises(DataError, match="nonempty"):
+        learn_ruleset(coauthor_kb, coauthors(coauthor_kb), LearnConfig(), k=1)
     with pytest.raises(DataError):
         learn_ruleset(coauthor_kb, classed, LearnConfig(), k=0)
 
@@ -405,11 +386,8 @@ def test_learn_ruleset_deterministic(coauthor_kb, topic_class_examples):
 
 
 def test_negative_density_source_label(coauthor_kb):
-    negatives = [
-        example("ann", "cara", label="negative"),
-        example("bob", "cara", label="negative"),
-    ]
-    contrast = [example("ann", "bob"), example("cara", "dan")]
+    negatives = coauthors(coauthor_kb, "ann cara", "bob cara", positive=False)
+    contrast = coauthors(coauthor_kb, "ann bob", "cara dan")
     ruleset = learn_ruleset(
         coauthor_kb,
         negatives,

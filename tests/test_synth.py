@@ -11,8 +11,9 @@ from relgcn.synth import SyntheticSpec, generate_synthetic
 SMALL = dict(n_persons=16, n_universities=3, n_topics=3, seed=0)
 
 
-def satisfies_any(rules, ex, kb):
-    return any(count_satisfied_groundings(r, [ex], kb, cap=1)[0] > 0 for r in rules)
+def satisfies_any(rules, targets, kb) -> np.ndarray:
+    """Per target, whether some rule covers it."""
+    return np.any([count_satisfied_groundings(r, targets, kb, cap=1) > 0 for r in rules], axis=0)
 
 
 def test_spec_validation():
@@ -36,26 +37,20 @@ def test_noise_free_positives_satisfy_planted_rules():
     assert len(data.positives) == 20
     assert len(data.negatives) == 30
     assert len(data.planted_rules) == 2
-    for ex in data.positives:
-        assert satisfies_any(data.planted_rules, ex, data.kb)
-    for ex in data.negatives:
-        assert not satisfies_any(data.planted_rules, ex, data.kb)
+    assert satisfies_any(data.planted_rules, data.positives, data.kb).all()
+    assert not satisfies_any(data.planted_rules, data.negatives, data.kb).any()
 
 
 def test_noise_breaks_exactly_the_requested_fraction():
     spec = SyntheticSpec(**SMALL, n_positives=20, n_negatives=20, noise_rate=0.2)
     data = generate_synthetic(spec)
-    violating = sum(
-        0 if satisfies_any(data.planted_rules, ex, data.kb) else 1
-        for ex in data.positives
-    )
-    assert violating == 4  # round(0.2 * 20)
+    violating = ~satisfies_any(data.planted_rules, data.positives, data.kb)
+    assert violating.sum() == 4  # round(0.2 * 20)
     # Negatives stay clean.
-    for ex in data.negatives:
-        assert not satisfies_any(data.planted_rules, ex, data.kb)
+    assert not satisfies_any(data.planted_rules, data.negatives, data.kb).any()
     # Noisy positives never collide with a sampled negative.
-    neg = {ex.atom.constant_names() for ex in data.negatives}
-    pos = {ex.atom.constant_names() for ex in data.positives}
+    neg = set(map(tuple, data.negatives.ids.tolist()))
+    pos = set(map(tuple, data.positives.ids.tolist()))
     assert not neg & pos
 
 
@@ -64,8 +59,7 @@ def test_single_rule_mode_ignores_topics():
     data = generate_synthetic(spec)
     assert len(data.planted_rules) == 1
     uni_rule = data.planted_rules[0]
-    for ex in data.positives:
-        assert count_satisfied_groundings(uni_rule, [ex], data.kb, cap=1)[0] == 1
+    assert (count_satisfied_groundings(uni_rule, data.positives, data.kb, cap=1) == 1).all()
 
 
 def test_default_positive_count_takes_all_satisfying_pairs():
@@ -101,13 +95,18 @@ def test_generation_is_byte_identical_per_seed(tmp_path):
 
 
 def test_written_files_parse_back(tmp_path):
+    """pos.txt and neg.txt parse to the generated targets, and decoding
+    what was parsed writes them back byte for byte."""
     from relgcn.kb import parse_facts, parse_ground_atoms
 
     spec = SyntheticSpec(**SMALL, n_positives=12, n_negatives=12)
     data = generate_synthetic(spec, tmp_path)
     kb = parse_facts((tmp_path / "facts.txt").read_text())
-    pos_atoms = parse_ground_atoms((tmp_path / "pos.txt").read_text(), kb)
-    neg_atoms = parse_ground_atoms((tmp_path / "neg.txt").read_text(), kb)
-    assert [str(a) for a in pos_atoms] == [str(ex.atom) for ex in data.positives]
-    assert [str(a) for a in neg_atoms] == [str(ex.atom) for ex in data.negatives]
+    for name, written in (("pos.txt", data.positives), ("neg.txt", data.negatives)):
+        text = (tmp_path / name).read_bytes()
+        parsed = parse_ground_atoms(text.decode(), kb, bool(written.positive[0]))
+        atoms = kb.atom_texts(parsed.predicate, parsed.ids)
+        assert "".join(f"{atom}.\n" for atom in atoms).encode() == text
+        assert atoms == data.kb.atom_texts(written.predicate, written.ids)
+        assert (parsed.positive == written.positive).all()
     assert kb.fact_count() == data.kb.fact_count()
