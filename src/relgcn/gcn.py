@@ -13,12 +13,16 @@ self-loop term (the default), P @ H depends on H only through the class
 sums Gᵀ H, so every propagated matrix, pre-activation and logit has one
 row per class.  A dropout mask is per target, but it enters the next
 layer only through its class column sums Gᵀ M; the eval pass uses the
-class counts in their place.  Per epoch that is O(n·h) to draw the masks
-and O(n·u·h) to pool them (one BLAS product with the u x n indicator),
-plus O(u·h² + u²·h) for the layers; the log-probabilities are gathered
-to the n targets at the end.  Any other P (a dense n x n
-array, or an operator with a per-target term) runs the same code on the
-trivial partition, one class per target, propagated by ``P @``.
+class counts in their place.  ``train`` builds the partition, Gᵀ X and
+a u x 2 label table of the train and of the validation targets once per
+call (``label_table``); each epoch's losses, output gradient and
+validation F1 are read off the class rows of the log-probabilities and
+those tables.  Per epoch that is O(n·h) to draw the masks and O(n·u·h)
+to pool them (one BLAS product with the u x n indicator), plus
+O(u·h² + u²·h) for the layers, losses, gradient and F1: the mask draw is
+the floor.  Any other P (a dense n x n array, or an operator with a
+per-target term) runs the same code on the trivial partition, one class
+per target, propagated by ``P @``.
 """
 
 from __future__ import annotations
@@ -111,6 +115,7 @@ class RowClasses:
     index: np.ndarray  # the class of each target
     operator: np.ndarray | PropagationMatrix
     members: np.ndarray | None = None  # Gᵀ, u x n; None for one class per target
+    inputs: np.ndarray | None = None  # Gᵀ X, when row_classes was given X
     counts: np.ndarray = field(init=False)  # targets per class, a float column
 
     def __post_init__(self):
@@ -122,13 +127,94 @@ class RowClasses:
         return rows if self.members is None else self.members @ rows
 
 
-def row_classes(P: np.ndarray | PropagationMatrix) -> RowClasses:
+def row_classes(
+    P: np.ndarray | PropagationMatrix, X: np.ndarray | None = None
+) -> RowClasses:
     """The u distinct feature rows of a class operator with no per-target
     term, propagated by its u x u C; otherwise one class per target,
-    propagated by P itself."""
+    propagated by P itself.  Given the features X, their class sums
+    Gᵀ X come with it, for every forward pass to share."""
     if isinstance(P, PropagationMatrix) and not P.diagonal.any():
-        return RowClasses(P.index, P.classes, P.members)
-    return RowClasses(np.arange(P.shape[0]), P)
+        classes = RowClasses(P.index, P.classes, P.members)
+    else:
+        classes = RowClasses(np.arange(P.shape[0]), P)
+    if X is not None:
+        classes.inputs = classes.pool(X)
+    return classes
+
+
+@dataclass
+class LabelTable:
+    """How many targets of an index mask each row class holds, per label:
+    ``counts[c, y]``.  The mean negative log-likelihood over the mask, its
+    gradient with respect to the logits and the binary F1 of the mask all
+    follow from the class rows of the log-probabilities and these u x 2
+    cells; a cell that counts no target contributes nothing."""
+
+    counts: np.ndarray  # u x 2, float
+    total: float = field(init=False)  # targets in the mask
+    sizes: np.ndarray = field(init=False)  # targets of the mask per class, a column
+    positives: float = field(init=False)  # targets of the mask labelled 1
+    cells: tuple[np.ndarray, np.ndarray] = field(init=False)  # the nonzero cells
+    weights: np.ndarray = field(init=False)  # their counts
+
+    def __post_init__(self):
+        self.total = float(self.counts.sum())
+        self.sizes = self.counts.sum(axis=1, keepdims=True)
+        self.positives = float(self.counts[:, 1].sum())
+        self.cells = np.nonzero(self.counts)
+        self.weights = self.counts[self.cells]
+
+    def loss(self, log_probs: np.ndarray) -> float:
+        """Mean negative log-likelihood over the mask, from the class rows
+        of the log-probabilities."""
+        return -float(self.weights @ log_probs[self.cells]) / self.total
+
+    def output_gradient(self, log_probs: np.ndarray) -> np.ndarray:
+        """Gᵀ dZ of ``loss``: per class, probs · n_c − counts, over the
+        targets in the mask."""
+        return (np.exp(log_probs) * self.sizes - self.counts) / self.total
+
+    def f1(self, log_probs: np.ndarray) -> float:
+        """Binary F1 of the mask, each class predicted positive when its
+        positive-class probability is at least 0.5."""
+        positive = np.exp(log_probs[:, 1]) >= 0.5
+        fp, tp = positive @ self.counts
+        fn = self.positives - tp
+        if 2 * tp + fp + fn == 0:
+            return 0.0
+        return float(2 * tp / (2 * tp + fp + fn))
+
+
+def label_table(
+    labels: np.ndarray, mask: np.ndarray, classes: RowClasses | None = None
+) -> LabelTable:
+    """The label table of ``mask`` over ``classes`` (one class per target
+    when None).  ``mask`` must be a nonempty 1-D array of distinct integer
+    indices into ``labels`` and the labels it selects 0 or 1; anything
+    else (a bool mask, which would index rows 0 and 1, included) is a
+    DataError."""
+    mask = np.asarray(mask)
+    n = len(labels)
+    if mask.ndim != 1 or mask.dtype.kind not in "iu":
+        raise DataError(
+            f"a split mask must be a 1-D array of integer indices, got a "
+            f"{mask.ndim}-D {mask.dtype} array"
+        )
+    if mask.size == 0:
+        raise DataError("loss mask must be nonempty")
+    if mask.min() < 0 or mask.max() >= n:
+        raise DataError(
+            f"split mask indices must lie in [0, {n}), got {mask.min()}..{mask.max()}"
+        )
+    if np.bincount(mask).max() > 1:
+        raise DataError("split mask repeats an index")
+    picked = np.asarray(labels)[mask]
+    if np.any((picked != 0) & (picked != 1)):
+        raise DataError("labels must be 0 or 1")
+    index, u = (mask, n) if classes is None else (classes.index[mask], classes.counts.shape[0])
+    counts = np.bincount(2 * index + picked.astype(int), minlength=2 * u)
+    return LabelTable(counts.reshape(u, 2).astype(float))
 
 
 @dataclass
@@ -136,12 +222,14 @@ class ForwardCaches:
     """Per layer and on the row classes: the propagated input to W, the
     pre-activation and, for hidden layers, what multiplies the relu before
     it is propagated (Gᵀ M / (1 - rate) in training, the class counts
-    otherwise)."""
+    otherwise).  Also the partition itself and the class rows of the
+    log-probabilities."""
 
+    classes: RowClasses
     propagated: list[np.ndarray]
     pre_activations: list[np.ndarray]
     kept: list[np.ndarray]
-    log_probs: np.ndarray = field(default=None)  # n rows, filled by gcn_forward
+    log_probs: np.ndarray = field(default=None)  # one row per class, filled by gcn_forward
 
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
@@ -156,21 +244,29 @@ def gcn_forward(
     model: GCNModel,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    classes: RowClasses | None = None,
 ) -> tuple[np.ndarray, ForwardCaches]:
     """Layer-wise propagation: hidden layers relu(P H W), output row-wise
     log-softmax of P H W_last, computed on the row classes of P and
     returned for all n targets.  With ``dropout_rate > 0`` (training) an
     n x h inverted-dropout mask is drawn from ``rng`` after each hidden
-    activation, so a generator seeded alike draws the same masks."""
+    activation, so a generator seeded alike draws the same masks.
+
+    A caller that makes many passes builds ``classes = row_classes(P, X)``
+    once and passes it; it then gets the u class rows of the
+    log-probabilities back, not the n target rows (``classes.index``
+    gathers them)."""
     if P.shape[0] != P.shape[1] or P.shape[0] != X.shape[0]:
         raise DataError("P must be n x n and X n x input_dim")
     if X.shape[1] != model.dims[0]:
         raise DataError(
             f"X has {X.shape[1]} features, model expects {model.dims[0]}"
         )
-    classes = row_classes(P)
-    caches = ForwardCaches([], [], [])
-    pooled = classes.pool(X)  # Gᵀ H of each layer's input H
+    per_target = classes is None
+    if per_target:
+        classes = row_classes(P, X)
+    caches = ForwardCaches(classes, [], [], [])
+    pooled = classes.inputs  # Gᵀ H of each layer's input H
     for W in model.weights[:-1]:
         S = classes.operator @ pooled
         A = S @ W
@@ -186,9 +282,16 @@ def gcn_forward(
     Z = S @ model.weights[-1]
     caches.propagated.append(S)
     caches.pre_activations.append(Z)
-    log_probs = _log_softmax(Z)[classes.index]
-    caches.log_probs = log_probs
-    return log_probs, caches
+    caches.log_probs = _log_softmax(Z)
+    if per_target:
+        return caches.log_probs[classes.index], caches
+    return caches.log_probs, caches
+
+
+def _first_layer_decay(model: GCNModel | None, weight_decay: float) -> float:
+    if model is None or weight_decay == 0.0:
+        return 0.0
+    return 0.5 * weight_decay * float(np.sum(model.weights[0] ** 2))
 
 
 def nll_loss(
@@ -198,16 +301,10 @@ def nll_loss(
     model: GCNModel | None = None,
     weight_decay: float = 0.0,
 ) -> float:
-    """Mean negative log-likelihood over the masked nodes, plus
-    weight_decay/2 * ||W0||^2 (first-layer decay only)."""
-    mask = np.asarray(mask, dtype=int)
-    if mask.size == 0:
-        raise DataError("loss mask must be nonempty")
-    data = -float(log_probs[mask, labels[mask]].mean())
-    reg = 0.0
-    if model is not None and weight_decay > 0.0:
-        reg = 0.5 * weight_decay * float(np.sum(model.weights[0] ** 2))
-    return data + reg
+    """Mean negative log-likelihood over the targets of the index mask,
+    plus weight_decay/2 * ||W0||^2 (first-layer decay only)."""
+    data = label_table(labels, mask).loss(log_probs)
+    return data + _first_layer_decay(model, weight_decay)
 
 
 def gcn_backward(
@@ -217,21 +314,20 @@ def gcn_backward(
     mask: np.ndarray,
     model: GCNModel,
     weight_decay: float = 0.0,
+    table: LabelTable | None = None,
 ) -> list[np.ndarray]:
-    """Exact gradients of nll_loss w.r.t. every weight matrix, reusing the
-    pooled dropout masks recorded in the caches.  The output gradient is
-    pooled onto the row classes once (Gᵀ dZ); from there each dH holds
-    the gradient every target of a class shares, and each dA the class sum
-    of the per-target gradients."""
-    classes = row_classes(P)
+    """Exact gradients of nll_loss w.r.t. every weight matrix, on the row
+    classes and pooled dropout masks the caches of P's forward pass
+    recorded.  The output gradient comes pooled from the label table of
+    ``mask`` (``table``, for a caller that makes many passes to build
+    once); from there each dH holds the gradient every target of a class
+    shares, and each dA the class sum of the per-target gradients."""
+    classes = caches.classes
+    if table is None:
+        table = label_table(labels, mask, classes)
     operator_T = classes.operator.T
-    mask = np.asarray(mask, dtype=int)
     n_layers = len(model.weights)
-    probs = np.exp(caches.log_probs)
-    dZ = np.zeros_like(probs)
-    dZ[mask] = probs[mask]
-    dZ[mask, labels[mask]] -= 1.0
-    dZ = classes.pool(dZ) / mask.size
+    dZ = table.output_gradient(caches.log_probs)
 
     grads: list[np.ndarray] = [None] * n_layers
     grads[-1] = caches.propagated[-1].T @ dZ
@@ -285,15 +381,6 @@ def adam_step(
         W -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def _binary_f1(pred: np.ndarray, truth: np.ndarray) -> float:
-    tp = int(np.sum((pred == 1) & (truth == 1)))
-    fp = int(np.sum((pred == 1) & (truth == 0)))
-    fn = int(np.sum((pred == 0) & (truth == 1)))
-    if 2 * tp + fp + fn == 0:
-        return 0.0
-    return 2 * tp / (2 * tp + fp + fn)
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -310,32 +397,39 @@ def train(
     config: TrainConfig,
 ) -> tuple[GCNModel, list[EpochRecord]]:
     """Full-batch transductive training with early stopping on validation
-    loss; the best-validation weights are restored before returning."""
+    loss; the best-validation weights are restored before returning.  The
+    row classes of P, Gᵀ X and the label tables of the train and the
+    validation mask are built once, before the first epoch; a mask that is
+    not an index mask into ``labels`` is a DataError there."""
     model = init_model(X.shape[1], config)
     state = AdamState.zeros_like(model.weights)
     rng = np.random.default_rng(config.seed)
+    classes = row_classes(P, X)
+    fit = label_table(labels, masks.train, classes)
+    held_out = label_table(labels, masks.validation, classes)
     history: list[EpochRecord] = []
     best_val = np.inf
     best_weights = [W.copy() for W in model.weights]
     stale = 0
     for epoch in range(config.epochs):
-        log_probs, caches = gcn_forward(P, X, model, config.dropout_rate, rng)
-        train_loss = nll_loss(
-            log_probs, labels, masks.train, model, config.weight_decay
+        log_probs, caches = gcn_forward(
+            P, X, model, config.dropout_rate, rng, classes=classes
+        )
+        train_loss = fit.loss(log_probs) + _first_layer_decay(
+            model, config.weight_decay
         )
         if not np.isfinite(train_loss):
             raise NumericalError(
                 f"training diverged at epoch {epoch}: loss={train_loss}"
             )
         grads = gcn_backward(
-            P, caches, labels, masks.train, model, config.weight_decay
+            P, caches, labels, masks.train, model, config.weight_decay, table=fit
         )
         adam_step(model.weights, grads, state, config.learning_rate)
 
-        eval_lp, _ = gcn_forward(P, X, model)
-        val_loss = nll_loss(eval_lp, labels, masks.validation, model, config.weight_decay)
-        val_pred = (np.exp(eval_lp[masks.validation, 1]) >= 0.5).astype(int)
-        val_f1 = _binary_f1(val_pred, labels[masks.validation])
+        eval_lp, _ = gcn_forward(P, X, model, classes=classes)
+        val_loss = held_out.loss(eval_lp) + _first_layer_decay(model, config.weight_decay)
+        val_f1 = held_out.f1(eval_lp)
         history.append(EpochRecord(epoch, train_loss, val_loss, val_f1))
 
         if val_loss < best_val:

@@ -422,13 +422,16 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     )
     model, history = gcn_mod.train(prop, X, labels, masks, config.train)
     best = int(np.argmin([rec.val_loss for rec in history]))
+    # The layers ran on the graph's u distinct rows, or on every target
+    # when a per-target self-loop term keeps the targets of a row apart.
+    rows = X.shape[0] if prop.diagonal.any() else prop.classes.shape[0]
     log.info(
         "trained %d epochs, best epoch %d (val_loss=%r); each layer ran on "
         "%d rows for %d targets",
         len(history),
         best,
         history[best].val_loss,
-        gcn_mod.row_classes(prop).counts.shape[0],
+        rows,
         X.shape[0],
     )
     gcn_mod.save_checkpoint(out / "model.rdgw", model)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from relgcn.errors import DataError
+from relgcn.gcn import AdamState, adam_step, init_model
 from relgcn.grounding import Clause
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
 
@@ -207,6 +208,55 @@ def per_target_gcn_backward(
     if weight_decay > 0.0:
         grads[0] = grads[0] + weight_decay * model.weights[0]
     return grads
+
+
+def per_target_train(P, X, labels, masks, config):
+    """`train` as an n-row epoch loop: per epoch a `per_target_gcn_forward`
+    training pass whose masks are drawn from the seeded stream (one n x h
+    draw per hidden layer, in layer order), the per-target mean NLL over
+    the train targets plus first-layer decay, `per_target_gcn_backward`,
+    an Adam step, an eval pass, and the mean NLL and binary F1 over the
+    validation targets; early stopping on the validation loss restores
+    the best weights.  Returns the model and one (train_loss, val_loss,
+    val_f1) tuple per epoch."""
+    model = init_model(X.shape[1], config)
+    state = AdamState.zeros_like(model.weights)
+    rng = np.random.default_rng(config.seed)
+    rate = config.dropout_rate
+
+    def objective(log_probs, mask):
+        data = -float(log_probs[mask, labels[mask]].mean())
+        return data + 0.5 * config.weight_decay * float(np.sum(model.weights[0] ** 2))
+
+    history = []
+    best_val, best_weights, stale = np.inf, [W.copy() for W in model.weights], 0
+    for _ in range(config.epochs):
+        drops = None
+        if rate > 0.0:
+            drops = [rng.random((X.shape[0], W.shape[1])) >= rate for W in model.weights[:-1]]
+        log_probs, layers = per_target_gcn_forward(P, X, model, rate, drops)
+        train_loss = objective(log_probs, masks.train)
+        grads = per_target_gcn_backward(
+            P, log_probs, layers, labels, masks.train, model, config.weight_decay, rate
+        )
+        adam_step(model.weights, grads, state, config.learning_rate)
+        eval_lp, _ = per_target_gcn_forward(P, X, model)
+        val_loss = objective(eval_lp, masks.validation)
+        pred = np.exp(eval_lp[masks.validation, 1]) >= 0.5
+        truth = labels[masks.validation] == 1
+        tp = int(np.sum(pred & truth))
+        fp = int(np.sum(pred & ~truth))
+        fn = int(np.sum(~pred & truth))
+        val_f1 = 2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
+        history.append((train_loss, val_loss, val_f1))
+        if val_loss < best_val:
+            best_val, best_weights, stale = val_loss, [W.copy() for W in model.weights], 0
+        else:
+            stale += 1
+            if stale > config.patience:
+                break
+    model.weights = best_weights
+    return model, history
 
 
 def enumerate_target_tuples(

@@ -17,6 +17,7 @@ from relgcn.gcn import (
     gcn_forward,
     glorot_init,
     init_model,
+    label_table,
     load_checkpoint,
     nll_loss,
     predict,
@@ -25,7 +26,12 @@ from relgcn.gcn import (
     train,
 )
 
-from oracles import dense_propagation_matrix, per_target_gcn_backward, per_target_gcn_forward
+from oracles import (
+    dense_propagation_matrix,
+    per_target_gcn_backward,
+    per_target_gcn_forward,
+    per_target_train,
+)
 
 
 def make_masks(n):
@@ -165,6 +171,64 @@ def test_nll_loss_hand_value():
     assert with_reg == pytest.approx(expected + 0.05 * 16.0)
     with pytest.raises(DataError):
         nll_loss(log_probs, labels, np.array([], dtype=int))
+
+
+@pytest.mark.parametrize(
+    "mask,problem",
+    [
+        (np.array([False, False, True, True]), "integer indices"),
+        (np.array([2.0, 3.0]), "integer indices"),
+        (np.array([[2, 3]]), "integer indices"),
+        (np.array([2, 4]), r"in \[0, 4\)"),
+        (np.array([-1, 2]), r"in \[0, 4\)"),
+        (np.array([2, 2]), "repeats"),
+    ],
+    ids=["bool", "float", "2-D", "past-end", "negative", "repeated"],
+)
+def test_masks_must_be_index_masks(mask, problem):
+    """A bool mask would read rows 0 and 1 as indices, a float mask would be
+    truncated, and an out-of-range or repeated index would read another
+    target or count one twice: each is a DataError in the loss, in the
+    backward pass and in training."""
+    log_probs = np.log(np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7], [0.4, 0.6]]))
+    labels = np.array([0, 0, 1, 1])
+    with pytest.raises(DataError, match=problem):
+        nll_loss(log_probs, labels, mask)
+    P = np.full((4, 4), 0.25)
+    X = np.arange(8.0).reshape(4, 2)
+    model = init_model(2, TrainConfig(hidden_size=3))
+    _, caches = gcn_forward(P, X, model)
+    with pytest.raises(DataError, match=problem):
+        gcn_backward(P, caches, labels, mask, model)
+    if mask.ndim == 1 and mask.dtype.kind == "i":
+        masks = SplitMasks(mask, np.array([0]), np.array([1]))
+        with pytest.raises(DataError, match=problem):
+            train(P, X, labels, masks, TrainConfig(epochs=1))
+
+
+def test_labels_must_be_binary():
+    with pytest.raises(DataError, match="0 or 1"):
+        label_table(np.array([0, 2, 1]), np.array([0, 1]))
+
+
+def test_label_table_counts_targets_per_class_and_label():
+    """counts[c, y] counts the masked targets of class c with label y; a
+    cell that counts nothing adds nothing to the loss even at log 0."""
+    X, _ = _class_problem(repeated=True, n=11)
+    classes = row_classes(propagation_matrix(X), X)
+    labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1])
+    mask = np.array([0, 2, 3, 5, 8, 10])
+    table = label_table(labels, mask, classes)
+    expected = np.zeros((4, 2))
+    for i in mask:
+        expected[classes.index[i], labels[i]] += 1
+    assert np.array_equal(table.counts, expected)
+    log_probs = np.log(np.full((4, 2), 0.5))
+    log_probs[table.counts == 0] = -np.inf
+    assert table.loss(log_probs) == pytest.approx(np.log(2.0))
+    per_target = log_probs[classes.index]
+    per_target[per_target == -np.inf] = np.log(0.5)
+    assert table.loss(log_probs) == nll_loss(per_target, labels, mask)
 
 
 def finite_difference_grads(
@@ -316,6 +380,60 @@ def test_train_on_operator_matches_dense_propagation():
         assert a.val_f1 == b.val_f1
     for W1, W2 in zip(model_op.weights, model_dense.weights):
         assert _relative_error(W1, W2) < 1e-10
+
+
+def _train_problem(seed, n=40):
+    """Five distinct feature rows over n targets with noisy labels, split
+    so that one row class has no train target and another no validation
+    target."""
+    rng = np.random.default_rng(seed)
+    rows = rng.random((5, 3))
+    cls = np.concatenate([np.arange(5), rng.integers(0, 5, size=n - 5)])
+    X = rows[cls]
+    labels = (cls % 2 == 0).astype(int)
+    flip = rng.random(n) < 0.2  # label noise inside the classes
+    labels[flip] = 1 - labels[flip]
+    no_train, no_validation = np.flatnonzero(cls == 3), np.flatnonzero(cls == 4)
+    rest = rng.permutation(np.setdiff1d(np.arange(n), np.concatenate([no_train, no_validation])))
+    k = rest.size // 3
+    masks = SplitMasks(
+        np.concatenate([rest[:k], no_validation[::2]]),
+        np.concatenate([rest[k : 2 * k], no_train[::2]]),
+        np.concatenate([rest[2 * k :], no_train[1::2], no_validation[1::2]]),
+    )
+    return X, labels, masks
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("num_layers", [2, 3])
+@pytest.mark.parametrize("graph", ["operator", "dense", "literal_self_loops"])
+def test_train_matches_per_target_oracle(graph, num_layers, dropout):
+    """`train` on label tables over the row classes runs the epochs of the
+    n-row loop, with losses and weights within 1e-10 relative and the same
+    validation F1, on the class operator, the dense P it stands for and an
+    operator with per-target self loops.  Early stopping ends these runs
+    before the 100th epoch, after the validation F1 has taken several
+    values."""
+    X, labels, masks = _train_problem(seed=num_layers + int(10 * dropout))
+    P = {
+        "operator": lambda: propagation_matrix(X),
+        "dense": lambda: dense_propagation_matrix(X, "euclidean")[0],
+        "literal_self_loops": lambda: propagation_matrix(X, literal_self_loops=True),
+    }[graph]()
+    config = TrainConfig(
+        epochs=100, patience=40, learning_rate=0.05, hidden_size=6,
+        num_layers=num_layers, dropout_rate=dropout, seed=3,
+    )
+    model, history = train(P, X, labels, masks, config)
+    oracle_model, oracle_history = per_target_train(P, X, labels, masks, config)
+    assert len(history) == len(oracle_history) < config.epochs
+    assert len({rec.val_f1 for rec in history}) > 1
+    for rec, (train_loss, val_loss, val_f1) in zip(history, oracle_history):
+        assert rec.train_loss == pytest.approx(train_loss, rel=1e-10, abs=0)
+        assert rec.val_loss == pytest.approx(val_loss, rel=1e-10, abs=0)
+        assert rec.val_f1 == val_f1
+    for W, O in zip(model.weights, oracle_model.weights):
+        assert _relative_error(W, O) < 1e-10
 
 
 def test_predict_scores_are_constant_on_row_classes():
