@@ -97,25 +97,14 @@ def auc_pr(scores: np.ndarray, labels: np.ndarray) -> float:
         raise DataError("auc_pr requires at least one positive label")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    y = labels[order]
-    area = 0.0
-    prev_recall = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        tp += int(np.sum(y[i:j] == 1))
-        seen += j - i
-        recall = tp / n_pos
-        precision = tp / seen
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return float(area)
+    # The last position of each group of tied scores, and the counts of
+    # true positives and of all examples seen once the group is in.
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    tp = np.cumsum(labels[order] == 1)[ends]
+    recall = tp / n_pos
+    precision = tp / (ends + 1)
+    # cumsum adds left to right, one step at a time, as a loop would.
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def split_examples(

@@ -4,10 +4,10 @@ Every stage reads its inputs from and persists its outputs to the run
 directory, so an expensive earlier stage (rule learning) amortizes across
 later sweeps.  The only matrix persisted is the feature matrix X: the
 propagation matrix is a fixed function of X and the ``featurize.*`` keys,
-so train and eval rebuild it; train records the rebuilt graph's metric,
-self-loop setting and threshold t in ``threshold.json``, and eval refuses
-a metric or self-loop setting other than the recorded one.  A manifest
-records the config hash, all seeds and per-stage wall times.
+so train rebuilds it.  Train writes the graph's metric, self-loop setting
+and threshold t to ``threshold.json`` and its scores of the test targets
+to ``test_scores.csv``, which is all eval reads.  A manifest records the
+config hash, all seeds and per-stage wall times.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
@@ -340,10 +341,10 @@ def stage_featurize(config: PipelineConfig, kb: KnowledgeBase | None = None) -> 
 
 def _load_graph(
     config: PipelineConfig,
-) -> tuple[np.ndarray, np.ndarray, fz.PropagationMatrix]:
-    """Labels, X and the propagation matrix rebuilt from X under this
-    config's ``featurize.*`` keys.  X's row ids must be the atoms of
-    targets.csv, in order, or the DataError names both files."""
+) -> tuple[np.ndarray, np.ndarray, fz.PropagationMatrix, list[str]]:
+    """Labels, X, the propagation matrix rebuilt from X under this
+    config's ``featurize.*`` keys, and X's row ids.  X's row ids must be
+    the atoms of targets.csv, in order, or the DataError names both files."""
     out = config.out_dir()
     x_path, targets_path = out / "X.csv", out / "targets.csv"
     X, row_ids, _ = fz.read_matrix_csv(x_path)
@@ -373,47 +374,19 @@ def _load_graph(
         prop.nbytes,
     )
     labels = np.array([label == POSITIVE for _, _, label in targets], dtype=int)
-    return labels, X, prop
+    return labels, X, prop, row_ids
 
 
-def _read_test_split(path: Path, n: int) -> np.ndarray:
-    """The test indices of splits.json; each must index one of the n targets."""
-    try:
-        test = json.loads(path.read_text())["test"]
-        bad = [i for i in test if type(i) is not int or not 0 <= i < n]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: no 'test' list ({type(exc).__name__}: {exc})") from exc
-    if bad:
-        raise DataError(
-            f"{path}: the test split holds {bad[0]!r}, not an index of the {n} targets"
-        )
-    return np.array(test, dtype=int)
-
-
-def _check_trained_graph(config: PipelineConfig, path: Path) -> None:
-    """The ``featurize.*`` keys that shape the graph rebuilt from X must be
-    the ones train recorded in threshold.json, or eval would score the
-    model on another graph."""
-    try:
-        recorded = dict(json.loads(path.read_text()))
-    except (OSError, ValueError, TypeError) as exc:
-        raise DataError(f"cannot read {path} ({type(exc).__name__}: {exc}); retrain") from exc
-    for name in ("metric", "literal_self_loops"):
-        key = f"featurize.{name}"
-        if name not in recorded:
-            raise DataError(f"{path} does not record {key}; retrain")
-        if recorded[name] != config[key]:
-            raise DataError(
-                f"{key} is {config[key]!r} but {path} records {recorded[name]!r} "
-                f"from train; evaluate under {key}={recorded[name]} or retrain"
-            )
+_SCORE_COLUMNS = ["label", "score"]
 
 
 def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
-    """Train the GCN on the graph rebuilt from X; the checkpoint and the
-    graph's metric, self-loop setting and threshold t are written together."""
+    """Train the GCN on the graph rebuilt from X.  The checkpoint, the
+    graph's metric, self-loop setting and threshold t, and each test
+    target's label and score under the trained model, in split order,
+    are written together."""
     out = config.out_dir()
-    labels, X, prop = _load_graph(config)
+    labels, X, prop, row_ids = _load_graph(config)
     masks = metrics_mod.split_examples(
         labels,
         config.split_proportions(),
@@ -434,6 +407,7 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
         rows,
         X.shape[0],
     )
+    scores, _ = gcn_mod.predict(model, prop, X)
     gcn_mod.save_checkpoint(out / "model.rdgw", model)
     metric, loops = config["featurize.metric"], config["featurize.literal_self_loops"]
     (out / "threshold.json").write_text(
@@ -455,28 +429,36 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
             }
         )
     )
+    test = masks.test
+    scored = np.column_stack([labels[test], scores[test]])
+    fz.write_matrix_csv(
+        out / "test_scores.csv", scored, [row_ids[i] for i in test], _SCORE_COLUMNS
+    )
     return model, history
 
 
 def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
+    """Apply ``eval.threshold`` to the test scores train wrote and write
+    the metrics; no other artifact or config key is read.  A scores file
+    that is missing, holds no target, has columns other than label and
+    score, or a label other than 0 or 1 is a DataError that names it."""
     out = config.out_dir()
-    model_path = out / "model.rdgw"
-    model = gcn_mod.load_checkpoint(model_path)
-    _check_trained_graph(config, out / "threshold.json")
-    labels, X, prop = _load_graph(config)
-    if model.dims[0] != X.shape[1]:
-        raise DataError(
-            f"{model_path} takes {model.dims[0]} features but {out / 'X.csv'} has "
-            f"{X.shape[1]} columns; retrain"
-        )
-    test_idx = _read_test_split(out / "splits.json", len(labels))
-    scores, _ = gcn_mod.predict(model, prop, X)
-    test_scores = scores[test_idx]
-    test_labels = labels[test_idx]
-    thr_setting = config["eval.threshold"]
-    threshold = (
-        float(np.mean(test_scores)) if thr_setting == "mean" else float(thr_setting)
-    )
+    path = out / "test_scores.csv"
+    if not path.is_file():
+        raise DataError(f"{path} does not exist; retrain (train writes it)")
+    M, row_ids, col_ids = fz.read_matrix_csv(path)
+    if col_ids != _SCORE_COLUMNS:
+        raise DataError(f"{path}: expected the header 'id,label,score', got columns {col_ids}")
+    if not row_ids:
+        raise DataError(f"{path} holds no test target; retrain")
+    for row_id, label in zip(row_ids, M[:, 0].tolist()):
+        if label not in (0.0, 1.0):
+            raise DataError(f"{path}: target {row_id!r} has label {label!r}, not 0 or 1")
+    test_labels, test_scores = M[:, 0].astype(int), M[:, 1]
+    threshold = config["eval.threshold"]
+    threshold = float(np.mean(test_scores) if threshold == "mean" else threshold)
+    log.info("scored %d test targets at threshold %r from %s",
+             len(test_scores), threshold, path)
     report = metrics_mod.confusion_metrics(test_scores, test_labels, threshold)
     report.auc_pr = metrics_mod.auc_pr(test_scores, test_labels)
     (out / "metrics.txt").write_text(report.to_text())
@@ -496,15 +478,22 @@ _STAGES = [
 _KB_STAGES = ("learn", "featurize")
 
 
-def _stage_error(stage: str, exc: Exception) -> Exception:
-    """A copy of ``exc``, of the same type and with the same attributes
-    (a ParseError keeps its line), whose message names the failed stage."""
-    wrapped = copy.copy(exc)
-    wrapped.args = (f"stage {stage!r} failed: {exc}",)
-    if isinstance(exc, OSError) and exc.strerror:
-        # OSError formats its message from strerror, not from args.
-        wrapped.strerror = f"stage {stage!r} failed: {exc.strerror}"
-    return wrapped
+@contextmanager
+def _stage(stage: str, at: str = "") -> Iterator[None]:
+    """Re-raise an exception of the block as a copy, of the same type and
+    with the same attributes (a ParseError keeps its line), whose message
+    names the failed stage and, in a sweep, the value it ran at (``at``,
+    as ``hidden_size=16``)."""
+    try:
+        yield
+    except Exception as exc:
+        failed = f"stage {stage!r} failed" + (f" at {at}" if at else "")
+        wrapped = copy.copy(exc)
+        wrapped.args = (f"{failed}: {exc}",)
+        if isinstance(exc, OSError) and exc.strerror:
+            # OSError formats its message from strerror, not from args.
+            wrapped.strerror = f"{failed}: {exc.strerror}"
+        raise wrapped from exc
 
 
 def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
@@ -520,7 +509,7 @@ def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
     kb = None
     for name, fn in _STAGES:
         start = time.perf_counter()
-        try:
+        with _stage(name):
             if name in _KB_STAGES:
                 if kb is None:
                     kb = _load_kb(config)
@@ -528,8 +517,6 @@ def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
             else:
                 kb = None  # train and eval read only the run directory
                 result = fn(config)
-        except Exception as exc:
-            raise _stage_error(name, exc) from exc
         stage_times[name] = time.perf_counter() - start
         if name == "eval":
             report = result
@@ -573,17 +560,20 @@ def sensitivity_sweep(
     out = config.out_dir()
     kb = None
     if not (out / "rules.txt").is_file():
-        kb = _load_kb(config)
-        stage_learn(config, kb)
+        with _stage("learn"):
+            kb = _load_kb(config)
+            stage_learn(config, kb)
     if not (out / "X.csv").is_file():
-        stage_featurize(config, kb)
+        with _stage("featurize"):
+            stage_featurize(config, kb)
     kb = None  # train and eval read only the run directory
     results = []
     for value in values:
         cfg = PipelineConfig.from_overrides({**config.values, key: value})
-        stage_train(cfg)
-        report = stage_eval(cfg)
-        results.append((value, report))
+        with _stage("train", f"{axis}={value}"):
+            stage_train(cfg)
+        with _stage("eval", f"{axis}={value}"):
+            results.append((value, stage_eval(cfg)))
     with open(out / f"sweep_{axis}.csv", "w", newline="") as f:
         f.write(axis + "," + metrics_mod.MetricsReport.csv_header() + "\n")
         for value, report in results:

@@ -307,3 +307,34 @@ def sample_negatives_by_enumeration(
     return [
         f"{target_schema.name}({', '.join(candidates[i])})" for i in sorted(int(j) for j in idx)
     ]
+
+
+def auc_pr_by_tie_groups(scores: np.ndarray, labels: np.ndarray) -> float:
+    """`metrics.auc_pr` as a loop over the groups of tied scores, highest
+    first: each group adds (R_i - R_{i-1}) * P_i to the area."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(np.sum(labels == 1))
+    if n_pos == 0:
+        raise DataError("auc_pr requires at least one positive label")
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order]
+    area = 0.0
+    prev_recall = 0.0
+    tp = 0
+    seen = 0
+    i = 0
+    n = len(s)
+    while i < n:
+        j = i
+        while j < n and s[j] == s[i]:
+            j += 1
+        tp += int(np.sum(y[i:j] == 1))
+        seen += j - i
+        recall = tp / n_pos
+        precision = tp / seen
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j
+    return float(area)

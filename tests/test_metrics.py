@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from relgcn.errors import DataError
 from relgcn.metrics import MetricsReport, auc_pr, confusion_metrics, split_examples
 
+from oracles import auc_pr_by_tie_groups
+
 
 def test_confusion_hand_counted():
     scores = np.array([0.9, 0.8, 0.4, 0.3, 0.6])
@@ -97,6 +99,25 @@ def test_auc_pr_bounded_and_permutation_invariant(pairs):
     assert 0.0 <= area <= 1.0 + 1e-12
     perm = np.random.default_rng(0).permutation(len(pairs))
     assert auc_pr(scores[perm], labels[perm]) == pytest.approx(area)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            # Scores from a few values make ties; any float in [0, 1] does not.
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1)),
+            st.integers(0, 1),
+        ),
+        min_size=1,
+        max_size=60,
+    ).filter(lambda pairs: any(l == 1 for _, l in pairs))
+)
+def test_auc_pr_equals_the_tie_group_loop(pairs):
+    """Bit for bit: the same steps, added in the same order."""
+    scores = np.array([s for s, _ in pairs])
+    labels = np.array([l for _, l in pairs])
+    assert auc_pr(scores, labels) == auc_pr_by_tie_groups(scores, labels)
 
 
 # -- splits ----------------------------------------------------------------

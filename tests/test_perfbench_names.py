@@ -7,6 +7,7 @@ suite.  The benchmark's files are read, not changed."""
 import ast
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from relgcn import gcn
 from relgcn.pipeline import (
     PipelineConfig,
     run_pipeline,
+    sensitivity_sweep,
     stage_featurize,
     stage_learn,
     stage_train,
@@ -124,3 +126,30 @@ def test_benchmark_flop_counters_read_stage_train_arguments(tmp_path, monkeypatc
     assert tracing["_forward_flops"](args, kwargs) == 2 * n * n * sum(dims[:-1])
     args, kwargs = calls["gcn_backward"]
     assert tracing["_backward_flops"](args, kwargs) == 2 * n * n * dims[-1]
+
+
+@pytest.fixture
+def score_probe(monkeypatch):
+    """checks.py's ScoreProbe, installed on `gcn.predict`; the original
+    is put back after the test."""
+    monkeypatch.setattr(gcn, "predict", gcn.predict)
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # checks.py imports tracing.py
+    try:
+        probe = runpy.run_path(str(PERFBENCH / "checks.py"))["ScoreProbe"]()
+    finally:
+        sys.modules.pop("tracing", None)
+    probe.install()
+    return probe
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["pipeline", "sweep"])
+def test_benchmark_score_probe_sees_every_trained_model(tmp_path, score_probe, sweep):
+    """The benchmark fails a call whose probe saw no `gcn.predict` call, so
+    each train must score through that module attribute."""
+    config = _small_config(tmp_path)
+    if sweep:
+        sensitivity_sweep(config, "hidden_size", values=[4, 8])
+    else:
+        run_pipeline(config)
+    assert score_probe.calls == (2 if sweep else 1)
+    assert score_probe.scores_finite

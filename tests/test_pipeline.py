@@ -148,6 +148,7 @@ def test_pipeline_artifacts_and_manifest(small_run):
         "model.rdgw",
         "history.csv",
         "splits.json",
+        "test_scores.csv",
         "metrics.txt",
         "metrics.csv",
         "manifest.json",
@@ -411,6 +412,19 @@ def test_eval_mean_threshold(small_run, tmp_path):
     assert 0.0 < report.threshold_used < 1.0
 
 
+def test_eval_logs_what_it_scored(small_run, tmp_path, caplog):
+    """One INFO line: the test targets scored, the threshold used and the
+    scores file; eval builds no graph, so it logs none."""
+    config = _clone_run(small_run, tmp_path, **{"eval.threshold": "mean"})
+    with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
+        report = stage_eval(config)
+    n = report.tp + report.fp + report.tn + report.fn
+    assert [r.getMessage() for r in caplog.records] == [
+        f"scored {n} test targets at threshold {report.threshold_used!r} "
+        f"from {config.out_dir() / 'test_scores.csv'}"
+    ]
+
+
 def test_rule_coverage_report_lists_all_rules(small_run):
     text = rule_coverage_report(small_run["config"])
     lines = [l for l in text.splitlines() if l.strip()]
@@ -482,6 +496,22 @@ def test_staged_metric_reproduces_sweep_row(small_run, tmp_path):
         "t": fz.propagation_matrix(X, "manhattan").threshold,
         "literal_self_loops": False,
     }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging loss overflows
+def test_sweep_failure_names_the_stage_and_the_value(small_run, tmp_path, caplog):
+    """A stage that fails in a sweep is named with the swept value; the
+    error keeps its type, and the CLI its exit code."""
+    config = _clone_run(small_run, tmp_path, **{"train.learning_rate": "1e300"})
+    with pytest.raises(
+        NumericalError, match="^stage 'train' failed at hidden_size=8: training diverged"
+    ) as info:
+        sensitivity_sweep(config, "hidden_size", values=[8])
+    assert isinstance(info.value.__cause__, NumericalError)
+    argv = ["sweep", "--axis", "hidden_size", "--out", str(config.out_dir()),
+            "--set", "train.learning_rate=1e300"]
+    assert cli_main(argv) == 3
+    assert "stage 'train' failed at hidden_size=16: training diverged" in caplog.text
 
 
 def test_sweep_unknown_axis(small_run):
@@ -688,71 +718,125 @@ def test_cli_targets_bad_atom_cell_is_a_parse_error(
     assert "(line 3)" in caplog.text
 
 
-def _edit_x_lines(out, edit):
-    path = out / "X.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(edit(lines)))
-
-
-def _drop_first_x_row(out):
-    _edit_x_lines(out, lambda lines: lines[:1] + lines[2:])
-
-
-def _swap_first_x_rows(out):
-    _edit_x_lines(out, lambda lines: [lines[0], lines[2], lines[1]] + lines[3:])
-
-
-def _x_cell(text):
-    """A damage that sets the last cell of X.csv's line 4 to ``text``."""
+def _edit_lines(name, edit):
+    """A damage that rewrites the lines of the run directory's ``name``
+    through ``edit``."""
 
     def damage(out):
-        def edit(lines):
-            lines[3] = lines[3].rsplit(",", 1)[0] + f",{text}\n"
-            return lines
-
-        _edit_x_lines(out, edit)
+        path = out / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(lines)))
 
     return damage
 
 
-def _drop_last_x_column(out):
-    _edit_x_lines(out, lambda lines: [line.rsplit(",", 1)[0] + "\n" for line in lines])
+def _last_cell(text):
+    """An edit that sets the last cell of line 4 to ``text``."""
+
+    def edit(lines):
+        lines[3] = lines[3].rsplit(",", 1)[0] + f",{text}\n"
+        return lines
+
+    return edit
 
 
-def _test_index_past_the_targets(out):
-    splits = json.loads((out / "splits.json").read_text())
-    splits["test"][0] = 65
-    (out / "splits.json").write_text(json.dumps(splits))
+def _drop_first_row(lines):
+    return lines[:1] + lines[2:]
+
+
+def _remove_scores(out):
+    (out / "test_scores.csv").unlink()
+
+
+def _label_cell(text):
+    """An edit that sets the label cell of line 2 to ``text``."""
+
+    def edit(lines):
+        atom, _, score = lines[1].rstrip("\n").rsplit(",", 2)
+        lines[1] = f"{atom},{text},{score}\n"
+        return lines
+
+    return edit
 
 
 @pytest.mark.parametrize(
-    "command, damage, damaged",
+    "command, damage, damaged, reason",
     [
-        pytest.param("train", _drop_first_x_row, "X.csv", id="train-x-row-missing"),
-        pytest.param("eval", _drop_first_x_row, "X.csv", id="eval-x-row-missing"),
-        pytest.param("train", _swap_first_x_rows, "X.csv", id="train-x-rows-swapped"),
-        pytest.param("train", _x_cell("abc"), "X.csv", id="train-x-cell"),
-        pytest.param("eval", _x_cell("abc"), "X.csv", id="eval-x-cell"),
-        pytest.param("train", _x_cell("nan"), "X.csv", id="train-x-nan"),
-        pytest.param("eval", _x_cell("nan"), "X.csv", id="eval-x-nan"),
-        pytest.param("train", _x_cell("inf"), "X.csv", id="train-x-inf"),
-        pytest.param("eval", _x_cell("-inf"), "X.csv", id="eval-x-inf"),
-        pytest.param("eval", _drop_last_x_column, "model.rdgw", id="eval-x-columns"),
         pytest.param(
-            "eval", _test_index_past_the_targets, "splits.json", id="eval-split-index"
+            "train", _edit_lines("X.csv", _drop_first_row), "X.csv", "rerun featurize",
+            id="train-x-row-missing",
+        ),
+        pytest.param(
+            "train",
+            _edit_lines("X.csv", lambda lines: [lines[0], lines[2], lines[1]] + lines[3:]),
+            "X.csv",
+            "rerun featurize",
+            id="train-x-rows-swapped",
+        ),
+        pytest.param(
+            "train", _edit_lines("X.csv", _last_cell("abc")), "X.csv", "line 4",
+            id="train-x-cell",
+        ),
+        pytest.param(
+            "train", _edit_lines("X.csv", _last_cell("nan")), "X.csv", "not a finite float",
+            id="train-x-nan",
+        ),
+        pytest.param(
+            "train", _edit_lines("X.csv", _last_cell("inf")), "X.csv", "not a finite float",
+            id="train-x-inf",
+        ),
+        pytest.param(
+            "eval", _remove_scores, "test_scores.csv", "retrain", id="eval-scores-missing"
+        ),
+        pytest.param(
+            "eval", _edit_lines("test_scores.csv", _last_cell("abc")), "test_scores.csv",
+            "line 4", id="eval-scores-cell",
+        ),
+        pytest.param(
+            "eval", _edit_lines("test_scores.csv", _last_cell("nan")), "test_scores.csv",
+            "not a finite float", id="eval-scores-nan",
+        ),
+        pytest.param(
+            "eval", _edit_lines("test_scores.csv", _last_cell("-inf")), "test_scores.csv",
+            "not a finite float", id="eval-scores-inf",
+        ),
+        pytest.param(
+            "eval",
+            _edit_lines(
+                "test_scores.csv", lambda lines: [l.rsplit(",", 1)[0] + "\n" for l in lines]
+            ),
+            "test_scores.csv",
+            "expected the header 'id,label,score'",
+            id="eval-scores-columns",
+        ),
+        pytest.param(
+            "eval",
+            _edit_lines("test_scores.csv", lambda lines: ["id,label,prob\n"] + lines[1:]),
+            "test_scores.csv",
+            "expected the header 'id,label,score'",
+            id="eval-scores-header",
+        ),
+        pytest.param(
+            "eval", _edit_lines("test_scores.csv", lambda lines: lines[:1]), "test_scores.csv",
+            "holds no test target", id="eval-scores-empty",
+        ),
+        pytest.param(
+            "eval", _edit_lines("test_scores.csv", _label_cell("0.5")), "test_scores.csv",
+            "has label 0.5, not 0 or 1", id="eval-scores-label",
         ),
     ],
 )
 def test_cli_damaged_run_directory_is_a_data_error(
-    small_run, tmp_path, caplog, command, damage, damaged
+    small_run, tmp_path, caplog, command, damage, damaged, reason
 ):
-    """Train and eval check X.csv against targets.csv, and eval checks the
-    checkpoint against X.csv and the test split against the targets,
-    before they use them; each error names the damaged file."""
+    """Train checks X.csv against targets.csv, and eval checks the
+    test_scores.csv train wrote, before they use them; each error names
+    the damaged file and why."""
     out = _clone_run(small_run, tmp_path).out_dir()
     damage(out)
     assert cli_main([command, "--out", str(out)]) == 2
     assert str(out / damaged) in caplog.text
+    assert reason in caplog.text
 
 
 def test_train_accepts_targets_cells_spaced_otherwise(small_run, tmp_path):
@@ -769,52 +853,57 @@ def test_train_accepts_targets_cells_spaced_otherwise(small_run, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "overrides, key",
+    "overrides",
     [
+        pytest.param({"featurize.metric": "chebyshev"}, id="metric"),
+        pytest.param({"featurize.literal_self_loops": "true"}, id="self-loops"),
         pytest.param(
             {"featurize.metric": "chebyshev", "featurize.literal_self_loops": "true"},
-            "featurize.metric",
             id="metric-and-self-loops",
-        ),
-        pytest.param(
-            {"featurize.literal_self_loops": "true"},
-            "featurize.literal_self_loops",
-            id="self-loops",
         ),
     ],
 )
-def test_cli_eval_refuses_another_graph_than_trained(
-    small_run, tmp_path, caplog, overrides, key
-):
-    """The run was trained under euclidean without literal self-loops;
-    eval under other featurize keys would score the model on another
-    graph, so it exits 2 naming the key and threshold.json."""
+def test_cli_eval_reports_the_trained_graph_under_other_keys(small_run, tmp_path, overrides):
+    """The run was trained under euclidean without literal self-loops; eval
+    reads the scores train wrote, so other featurize keys leave its
+    metrics those of the trained model."""
     out = _clone_run(small_run, tmp_path).out_dir()
+    trained = (out / "metrics.csv").read_bytes()
     (out / "metrics.csv").unlink()
     flags = [arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}")]
-    assert cli_main(["eval", "--out", str(out), *flags]) == 2
-    assert key in caplog.text
-    assert str(out / "threshold.json") in caplog.text
-    assert not (out / "metrics.csv").exists()
+    assert cli_main(["eval", "--out", str(out), *flags]) == 0
+    assert (out / "metrics.csv").read_bytes() == trained
 
 
-@pytest.mark.parametrize("missing", ["file", "metric", "literal_self_loops"])
-def test_cli_eval_needs_the_recorded_graph_keys(small_run, tmp_path, caplog, missing):
-    """A threshold.json that is gone or lacks a key (a run trained before
-    the key was recorded) is a data error that asks for a retrain."""
-    out = _clone_run(small_run, tmp_path).out_dir()
-    path = out / "threshold.json"
-    if missing == "file":
-        path.unlink()
-    else:
-        recorded = json.loads(path.read_text())
-        del recorded[missing]
-        path.write_text(json.dumps(recorded))
-    assert cli_main(["eval", "--out", str(out)]) == 2
-    assert str(path) in caplog.text
-    assert "retrain" in caplog.text
-    if missing != "file":
-        assert f"featurize.{missing}" in caplog.text
+def test_eval_reads_only_the_test_scores(small_run, tmp_path):
+    """Eval needs no feature matrix, checkpoint, split or graph record."""
+    config = _clone_run(small_run, tmp_path)
+    for name in ("X.csv", "targets.csv", "model.rdgw", "splits.json", "threshold.json"):
+        (config.out_dir() / name).unlink()
+    assert stage_eval(config).to_csv_row() == small_run["report"].to_csv_row()
+
+
+def test_eval_after_relearning_reports_the_trained_model(tmp_path):
+    """Rules relearned and X rebuilt after train leave eval reporting the
+    model train fitted, not a checkpoint paired with features it never
+    saw."""
+    spec = SyntheticSpec(
+        n_persons=30, n_universities=4, n_topics=5, n_positives=40, n_negatives=80, seed=1
+    )
+    generate_synthetic(spec, tmp_path / "data")
+    config = _config(
+        tmp_path / "data", tmp_path / "out",
+        **{"learn.k_pos": "3", "learn.k_neg": "3", "train.epochs": "200"},
+    )
+    trained = run_pipeline(config).to_csv_row()
+    relearned = PipelineConfig.from_overrides(
+        {**config.values, "learn.k_pos": 2, "learn.k_neg": 1, "learn.max_body_length": 2}
+    )
+    rules_before = (config.out_dir() / "rules.txt").read_text()
+    stage_learn(relearned)
+    assert (config.out_dir() / "rules.txt").read_text() != rules_before
+    stage_featurize(relearned)
+    assert stage_eval(relearned).to_csv_row() == trained
 
 
 def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):
