@@ -5,7 +5,7 @@ rescaled by the mean pairwise distance, clipped and inverted into an
 adjacency-like matrix, then symmetrically normalized with self loops.
 Targets with equal rows of X have equal distances to every target, so the
 graph is built on the u distinct rows of X, and the n x n propagation
-matrix is kept as an exact operator over those row classes: O(n·u + u²)
+matrix is kept as its partition into those row classes: O(n·u + u²)
 memory, with no n x n array.
 """
 
@@ -30,51 +30,37 @@ METRICS = (EUCLIDEAN, MANHATTAN, CHEBYSHEV)
 
 @dataclass
 class PropagationMatrix:
-    """The n x n propagation matrix P = G C Gᵀ + diag(e[index]).
+    """The n x n propagation matrix P = G C Gᵀ, kept as its row-class
+    partition.
 
-    G is the n x u indicator of each target's distinct feature row
-    (``index``), C is u x u and e holds one normalized self-loop term per
-    distinct row.  It stands in for the dense matrix through ``P @ H``
-    (O(n·u·h + u²·h) for an n x h matrix H), ``P.T`` and ``P.shape``; when
-    e is zero the GCN runs on the row classes instead, through C, ``index``
-    and the indicator Gᵀ (``members``).
+    G is the n x u indicator of each target's class (``index``), Gᵀ is
+    ``members`` and C is u x u.  It stands in for the dense matrix through
+    ``P @ H`` (O(n·u·h + u²·h) for an n x h matrix H) and ``P.shape``; the
+    GCN runs on the classes themselves, through C, ``index``, Gᵀ and the
+    number of targets in each class (``counts``).
     """
 
     classes: np.ndarray  # C
-    diagonal: np.ndarray  # e
-    index: np.ndarray  # the distinct row of each target
+    index: np.ndarray  # the class of each target
     threshold: float  # adjacency threshold t, recorded for audit
     members: np.ndarray = field(init=False, repr=False)  # Gᵀ, u x n
-    _self_loops: np.ndarray | None = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)  # targets per class, a float column
 
     def __post_init__(self):
         u = self.classes.shape[0]
         self.members = (np.arange(u)[:, None] == self.index[None, :]).astype(float)
-        # e is 0 under the default self-loop reset: that term is skipped.
-        self._self_loops = (
-            self.diagonal[self.index][:, None] if self.diagonal.any() else None
-        )
+        self.counts = np.bincount(self.index, minlength=u)[:, None].astype(float)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.index.size, self.index.size)
 
     @property
-    def T(self) -> "PropagationMatrix":
-        return self  # P is symmetric
-
-    @property
     def nbytes(self) -> int:
-        arrays = [self.classes, self.diagonal, self.index, self.members]
-        if self._self_loops is not None:
-            arrays.append(self._self_loops)
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in (self.classes, self.index, self.members, self.counts))
 
     def __matmul__(self, H: np.ndarray) -> np.ndarray:
-        out = (self.classes @ (self.members @ H))[self.index]
-        if self._self_loops is not None:
-            out += self._self_loops * H
-        return out
+        return (self.classes @ (self.members @ H))[self.index]
 
 
 def build_rule_matrix(
@@ -155,7 +141,6 @@ def adjacency_approximation(
 def normalize_propagation(
     A_hat: np.ndarray,
     threshold: float = 0.0,
-    literal_self_loops: bool = False,
     counts: np.ndarray | None = None,
     index: np.ndarray | None = None,
 ) -> PropagationMatrix:
@@ -163,13 +148,12 @@ def normalize_propagation(
 
     A_hat is over the u distinct rows; ``counts`` and ``index`` give the
     number of targets in each row class and the class of each target (one
-    target per row when omitted).  The unnormalized matrix is G A_hat Gᵀ
-    plus a per-class diagonal term: by default the diagonal of A_hat is
-    reset to 0 before the identity is added, keeping the self-loop weight
-    at 1 (a term of 1 - diag(A_hat), which is 0 for a distance-derived
-    A_hat); ``literal_self_loops`` keeps the diagonal produced by the
-    adjacency approximation (a term of 1, making it 2).  Normalizing by
-    the class degrees d turns these into C and the operator's e = term / d.
+    target per row when omitted).  Over the targets the matrix is
+    G A_hat Gᵀ, whose diagonal is A_hat's; Kipf & Welling's Ã = A + I
+    resets that diagonal to 0 and adds the identity, so with the unit
+    diagonal a distance-derived A_hat has (every row is at distance 0 from
+    itself), Ã is G A_hat Gᵀ itself.  Any other diagonal is a DataError.
+    Normalizing by the class degrees d = A_hat @ counts gives C.
     """
     A = np.asarray(A_hat, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -178,19 +162,22 @@ def normalize_propagation(
         raise DataError("A_hat must be symmetric within 1e-12")
     if np.min(A) < 0:
         raise DataError("A_hat entries must be nonnegative")
+    off = np.flatnonzero(np.diag(A) != 1.0)
+    if off.size:
+        i = int(off[0])
+        raise DataError(
+            "A_hat must have 1 on its diagonal, as every row is at distance 0 "
+            f"from itself; A_hat[{i}, {i}] is {float(A[i, i])!r}"
+        )
     u = A.shape[0]
     counts = np.ones(u, dtype=int) if counts is None else counts
     index = np.repeat(np.arange(u), counts) if index is None else index
-    self_loops = np.ones(u) if literal_self_loops else 1.0 - np.diag(A)
-    degrees = A @ counts + self_loops
-    inv_sqrt = 1.0 / np.sqrt(degrees)
+    inv_sqrt = 1.0 / np.sqrt(A @ counts)
     C = inv_sqrt[:, None] * A * inv_sqrt[None, :]
-    return PropagationMatrix(C, self_loops / degrees, index, threshold)
+    return PropagationMatrix(C, index, threshold)
 
 
-def propagation_matrix(
-    X: np.ndarray, metric: str = EUCLIDEAN, literal_self_loops: bool = False
-) -> PropagationMatrix:
+def propagation_matrix(X: np.ndarray, metric: str = EUCLIDEAN) -> PropagationMatrix:
     """The secondary graph of X: distances between its distinct rows, the
     adjacency approximation, then normalization.  A fixed function of X,
     so it is rebuilt where it is used rather than persisted."""
@@ -198,7 +185,7 @@ def propagation_matrix(
         X, axis=0, return_inverse=True, return_counts=True
     )
     A_hat, t = adjacency_approximation(pairwise_distances(rows, metric), counts)
-    return normalize_propagation(A_hat, t, literal_self_loops, counts, index.reshape(-1))
+    return normalize_propagation(A_hat, t, counts, index.reshape(-1))
 
 
 # -- persistence -----------------------------------------------------------

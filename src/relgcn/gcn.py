@@ -6,23 +6,20 @@ between graph convolutions, inverted dropout between them while training
 Adam with first-layer weight decay.  Everything is seeded and bitwise
 reproducible.
 
-Every layer runs on a partition of the targets into row classes
-(``row_classes``).  The pipeline passes ``featurize.PropagationMatrix``,
-P = G C Gᵀ over the u distinct feature rows; with no per-target
-self-loop term (the default), P @ H depends on H only through the class
-sums Gᵀ H, so every propagated matrix, pre-activation and logit has one
-row per class.  A dropout mask is per target, but it enters the next
-layer only through its class column sums Gᵀ M; the eval pass uses the
-class counts in their place.  ``train`` builds the partition, Gᵀ X and
-a u x 2 label table of the train and of the validation targets once per
-call (``label_table``); each epoch's losses, output gradient and
-validation F1 are read off the class rows of the log-probabilities and
-those tables.  Per epoch that is O(n·h) to draw the masks and O(n·u·h)
-to pool them (one BLAS product with the u x n indicator), plus
+Every layer runs on the row classes of ``featurize.PropagationMatrix``,
+P = G C Gᵀ over the u distinct feature rows: P @ H depends on H only
+through the class sums Gᵀ H, so every propagated matrix, pre-activation
+and logit has one row per class.  A dropout mask is per target, but it
+enters the next layer only through its class column sums Gᵀ M; the eval
+pass uses the class counts in their place.  ``train`` pools Gᵀ X and
+builds a u x 2 label table of the train and of the validation targets
+once per call (``label_table``); each epoch's losses, output gradient
+and validation F1 are read off the class rows of the log-probabilities
+and those tables.  Per epoch that is O(n·h) to draw the masks and
+O(n·u·h) to pool them (one BLAS product with the u x n indicator), plus
 O(u·h² + u²·h) for the layers, losses, gradient and F1: the mask draw is
-the floor.  Any other P (a dense n x n array, or an operator with a
-per-target term) runs the same code on the trivial partition, one class
-per target, propagated by ``P @``.
+the floor.  A dense n x n P runs the same code as the operator with one
+class per target (C = P).
 """
 
 from __future__ import annotations
@@ -106,41 +103,14 @@ def init_model(input_dim: int, config: TrainConfig) -> GCNModel:
     )
 
 
-@dataclass
-class RowClasses:
-    """A partition of the n targets on whose classes every layer's rows
-    are constant, and the operator that propagates between the classes:
-    the class rows of ``P @ H`` are ``operator @ pool(H)``."""
-
-    index: np.ndarray  # the class of each target
-    operator: np.ndarray | PropagationMatrix
-    members: np.ndarray | None = None  # Gᵀ, u x n; None for one class per target
-    inputs: np.ndarray | None = None  # Gᵀ X, when row_classes was given X
-    counts: np.ndarray = field(init=False)  # targets per class, a float column
-
-    def __post_init__(self):
-        counts = np.bincount(self.index, minlength=self.operator.shape[0])
-        self.counts = counts[:, None].astype(float)
-
-    def pool(self, rows: np.ndarray) -> np.ndarray:
-        """Gᵀ rows: the sum of each class's rows (O(n·u·d))."""
-        return rows if self.members is None else self.members @ rows
-
-
-def row_classes(
-    P: np.ndarray | PropagationMatrix, X: np.ndarray | None = None
-) -> RowClasses:
-    """The u distinct feature rows of a class operator with no per-target
-    term, propagated by its u x u C; otherwise one class per target,
-    propagated by P itself.  Given the features X, their class sums
-    Gᵀ X come with it, for every forward pass to share."""
-    if isinstance(P, PropagationMatrix) and not P.diagonal.any():
-        classes = RowClasses(P.index, P.classes, P.members)
-    else:
-        classes = RowClasses(np.arange(P.shape[0]), P)
-    if X is not None:
-        classes.inputs = classes.pool(X)
-    return classes
+def _operator(P: np.ndarray | PropagationMatrix) -> PropagationMatrix:
+    """P itself, or a dense n x n P as the operator with one class per
+    target."""
+    if isinstance(P, PropagationMatrix):
+        return P
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise DataError(f"P must be n x n, got shape {P.shape}")
+    return PropagationMatrix(P, np.arange(P.shape[0]), 0.0)
 
 
 @dataclass
@@ -187,13 +157,13 @@ class LabelTable:
 
 
 def label_table(
-    labels: np.ndarray, mask: np.ndarray, classes: RowClasses | None = None
+    labels: np.ndarray, mask: np.ndarray, P: PropagationMatrix | None = None
 ) -> LabelTable:
-    """The label table of ``mask`` over ``classes`` (one class per target
-    when None).  ``mask`` must be a nonempty 1-D array of distinct integer
-    indices into ``labels`` and the labels it selects 0 or 1; anything
-    else (a bool mask, which would index rows 0 and 1, included) is a
-    DataError."""
+    """The label table of ``mask`` over the row classes of ``P`` (one
+    class per target when None).  ``mask`` must be a nonempty 1-D array
+    of distinct integer indices into ``labels`` and the labels it selects
+    0 or 1; anything else (a bool mask, which would index rows 0 and 1,
+    included) is a DataError."""
     mask = np.asarray(mask)
     n = len(labels)
     if mask.ndim != 1 or mask.dtype.kind not in "iu":
@@ -212,7 +182,7 @@ def label_table(
     picked = np.asarray(labels)[mask]
     if np.any((picked != 0) & (picked != 1)):
         raise DataError("labels must be 0 or 1")
-    index, u = (mask, n) if classes is None else (classes.index[mask], classes.counts.shape[0])
+    index, u = (mask, n) if P is None else (P.index[mask], P.counts.shape[0])
     counts = np.bincount(2 * index + picked.astype(int), minlength=2 * u)
     return LabelTable(counts.reshape(u, 2).astype(float))
 
@@ -222,10 +192,8 @@ class ForwardCaches:
     """Per layer and on the row classes: the propagated input to W, the
     pre-activation and, for hidden layers, what multiplies the relu before
     it is propagated (Gᵀ M / (1 - rate) in training, the class counts
-    otherwise).  Also the partition itself and the class rows of the
-    log-probabilities."""
+    otherwise).  Also the class rows of the log-probabilities."""
 
-    classes: RowClasses
     propagated: list[np.ndarray]
     pre_activations: list[np.ndarray]
     kept: list[np.ndarray]
@@ -244,47 +212,41 @@ def gcn_forward(
     model: GCNModel,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    classes: RowClasses | None = None,
+    pooled: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCaches]:
     """Layer-wise propagation: hidden layers relu(P H W), output row-wise
-    log-softmax of P H W_last, computed on the row classes of P and
-    returned for all n targets.  With ``dropout_rate > 0`` (training) an
-    n x h inverted-dropout mask is drawn from ``rng`` after each hidden
-    activation, so a generator seeded alike draws the same masks.
-
-    A caller that makes many passes builds ``classes = row_classes(P, X)``
-    once and passes it; it then gets the u class rows of the
-    log-probabilities back, not the n target rows (``classes.index``
-    gathers them)."""
-    if P.shape[0] != P.shape[1] or P.shape[0] != X.shape[0]:
+    log-softmax of P H W_last, computed and returned on the row classes of
+    P (``P.index`` gathers the n target rows).  With ``dropout_rate > 0``
+    (training) an n x h inverted-dropout mask is drawn from ``rng`` after
+    each hidden activation, so a generator seeded alike draws the same
+    masks.  ``pooled`` is Gᵀ X, for a caller that makes many passes to
+    pool once."""
+    P = _operator(P)
+    if P.shape[0] != X.shape[0]:
         raise DataError("P must be n x n and X n x input_dim")
     if X.shape[1] != model.dims[0]:
         raise DataError(
             f"X has {X.shape[1]} features, model expects {model.dims[0]}"
         )
-    per_target = classes is None
-    if per_target:
-        classes = row_classes(P, X)
-    caches = ForwardCaches(classes, [], [], [])
-    pooled = classes.inputs  # Gᵀ H of each layer's input H
+    caches = ForwardCaches([], [], [])
+    if pooled is None:
+        pooled = P.members @ X  # Gᵀ H of each layer's input H
     for W in model.weights[:-1]:
-        S = classes.operator @ pooled
+        S = P.classes @ pooled
         A = S @ W
-        kept = classes.counts
+        kept = P.counts
         if dropout_rate > 0.0:
             mask = rng.random((X.shape[0], A.shape[1])) >= dropout_rate
-            kept = classes.pool(mask) / (1.0 - dropout_rate)
+            kept = (P.members @ mask) / (1.0 - dropout_rate)
         pooled = np.maximum(A, 0.0) * kept
         caches.propagated.append(S)
         caches.pre_activations.append(A)
         caches.kept.append(kept)
-    S = classes.operator @ pooled
+    S = P.classes @ pooled
     Z = S @ model.weights[-1]
     caches.propagated.append(S)
     caches.pre_activations.append(Z)
     caches.log_probs = _log_softmax(Z)
-    if per_target:
-        return caches.log_probs[classes.index], caches
     return caches.log_probs, caches
 
 
@@ -317,15 +279,15 @@ def gcn_backward(
     table: LabelTable | None = None,
 ) -> list[np.ndarray]:
     """Exact gradients of nll_loss w.r.t. every weight matrix, on the row
-    classes and pooled dropout masks the caches of P's forward pass
-    recorded.  The output gradient comes pooled from the label table of
-    ``mask`` (``table``, for a caller that makes many passes to build
+    classes of P and the pooled dropout masks the caches of P's forward
+    pass recorded.  The output gradient comes pooled from the label table
+    of ``mask`` (``table``, for a caller that makes many passes to build
     once); from there each dH holds the gradient every target of a class
     shares, and each dA the class sum of the per-target gradients."""
-    classes = caches.classes
+    P = _operator(P)
     if table is None:
-        table = label_table(labels, mask, classes)
-    operator_T = classes.operator.T
+        table = label_table(labels, mask, P)
+    operator_T = P.classes.T
     n_layers = len(model.weights)
     dZ = table.output_gradient(caches.log_probs)
 
@@ -397,23 +359,24 @@ def train(
     config: TrainConfig,
 ) -> tuple[GCNModel, list[EpochRecord]]:
     """Full-batch transductive training with early stopping on validation
-    loss; the best-validation weights are restored before returning.  The
-    row classes of P, Gᵀ X and the label tables of the train and the
-    validation mask are built once, before the first epoch; a mask that is
-    not an index mask into ``labels`` is a DataError there."""
+    loss; the best-validation weights are restored before returning.  Gᵀ X
+    and the label tables of the train and the validation mask are built
+    once, before the first epoch; a mask that is not an index mask into
+    ``labels`` is a DataError there."""
     model = init_model(X.shape[1], config)
     state = AdamState.zeros_like(model.weights)
     rng = np.random.default_rng(config.seed)
-    classes = row_classes(P, X)
-    fit = label_table(labels, masks.train, classes)
-    held_out = label_table(labels, masks.validation, classes)
+    P = _operator(P)
+    pooled = P.members @ X
+    fit = label_table(labels, masks.train, P)
+    held_out = label_table(labels, masks.validation, P)
     history: list[EpochRecord] = []
     best_val = np.inf
     best_weights = [W.copy() for W in model.weights]
     stale = 0
     for epoch in range(config.epochs):
         log_probs, caches = gcn_forward(
-            P, X, model, config.dropout_rate, rng, classes=classes
+            P, X, model, config.dropout_rate, rng, pooled=pooled
         )
         train_loss = fit.loss(log_probs) + _first_layer_decay(
             model, config.weight_decay
@@ -427,7 +390,7 @@ def train(
         )
         adam_step(model.weights, grads, state, config.learning_rate)
 
-        eval_lp, _ = gcn_forward(P, X, model, classes=classes)
+        eval_lp, _ = gcn_forward(P, X, model, pooled=pooled)
         val_loss = held_out.loss(eval_lp) + _first_layer_decay(model, config.weight_decay)
         val_f1 = held_out.f1(eval_lp)
         history.append(EpochRecord(epoch, train_loss, val_loss, val_f1))
@@ -447,11 +410,12 @@ def train(
 def predict(
     model: GCNModel, P: np.ndarray | PropagationMatrix, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-class probabilities and argmax hard labels, without dropout."""
+    """Positive-class probabilities and argmax hard labels of the n
+    targets, without dropout; equal within a row class."""
+    P = _operator(P)
     log_probs, _ = gcn_forward(P, X, model)
-    scores = np.exp(log_probs[:, 1])
-    hard = np.argmax(log_probs, axis=1)
-    return scores, hard
+    log_probs = log_probs[P.index]
+    return np.exp(log_probs[:, 1]), np.argmax(log_probs, axis=1)
 
 
 # -- checkpointing ---------------------------------------------------------

@@ -4,9 +4,9 @@ Every stage reads its inputs from and persists its outputs to the run
 directory, so an expensive earlier stage (rule learning) amortizes across
 later sweeps.  The only matrix persisted is the feature matrix X: the
 propagation matrix is a fixed function of X and the ``featurize.*`` keys,
-so train rebuilds it.  Train writes the graph's metric, self-loop setting
-and threshold t to ``threshold.json`` and its scores of the test targets
-to ``test_scores.csv``, which is all eval reads.  A manifest records the
+so train rebuilds it.  Train writes the graph's metric and threshold t
+to ``threshold.json`` and its scores of the test targets to
+``test_scores.csv``, which is all eval reads.  A manifest records the
 config hash, all seeds and per-stage wall times.
 """
 
@@ -56,7 +56,6 @@ _DEFAULTS: dict[str, object] = {
     "featurize.metric": fz.EUCLIDEAN,
     "featurize.cap": 0,  # 0 means uncapped
     "featurize.zscale": False,
-    "featurize.literal_self_loops": False,
     "split.train": 0.6,
     "split.val": 0.1,
     "split.test": 0.3,
@@ -363,7 +362,7 @@ def _load_graph(
                 f"{atom!r} of {targets_path}, line {line}; rerun featurize"
             )
     metric = config["featurize.metric"]
-    prop = fz.propagation_matrix(X, metric, config["featurize.literal_self_loops"])
+    prop = fz.propagation_matrix(X, metric)
     log.info(
         "graph over %d targets with %d distinct feature rows: metric %s, "
         "t=%r, propagation operator %d bytes",
@@ -382,9 +381,8 @@ _SCORE_COLUMNS = ["label", "score"]
 
 def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     """Train the GCN on the graph rebuilt from X.  The checkpoint, the
-    graph's metric, self-loop setting and threshold t, and each test
-    target's label and score under the trained model, in split order,
-    are written together."""
+    graph's metric and threshold t, and each test target's label and
+    score under the trained model, in split order, are written together."""
     out = config.out_dir()
     labels, X, prop, row_ids = _load_graph(config)
     masks = metrics_mod.split_examples(
@@ -395,23 +393,19 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     )
     model, history = gcn_mod.train(prop, X, labels, masks, config.train)
     best = int(np.argmin([rec.val_loss for rec in history]))
-    # The layers ran on the graph's u distinct rows, or on every target
-    # when a per-target self-loop term keeps the targets of a row apart.
-    rows = X.shape[0] if prop.diagonal.any() else prop.classes.shape[0]
     log.info(
         "trained %d epochs, best epoch %d (val_loss=%r); each layer ran on "
         "%d rows for %d targets",
         len(history),
         best,
         history[best].val_loss,
-        rows,
+        prop.classes.shape[0],
         X.shape[0],
     )
     scores, _ = gcn_mod.predict(model, prop, X)
     gcn_mod.save_checkpoint(out / "model.rdgw", model)
-    metric, loops = config["featurize.metric"], config["featurize.literal_self_loops"]
     (out / "threshold.json").write_text(
-        json.dumps({"metric": metric, "t": prop.threshold, "literal_self_loops": loops})
+        json.dumps({"metric": config["featurize.metric"], "t": prop.threshold})
     )
     with open(out / "history.csv", "w", newline="") as f:
         writer = csv.writer(f)

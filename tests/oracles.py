@@ -134,9 +134,7 @@ def naive_euclidean_distances(X: np.ndarray) -> np.ndarray:
     return U + U.T
 
 
-def dense_propagation_matrix(
-    X: np.ndarray, metric: str, literal_self_loops: bool = False
-) -> tuple[np.ndarray, float]:
+def dense_propagation_matrix(X: np.ndarray, metric: str) -> tuple[np.ndarray, float]:
     """The n x n propagation matrix of X and its threshold t, built densely
     over every pair of targets: n x n x k coordinate differences, t as the
     mean of the strict upper triangle, and the self-loop reset and
@@ -154,8 +152,7 @@ def dense_propagation_matrix(
     n = X.shape[0]
     t = float(D[np.triu_indices(n, k=1)].mean())
     D_hat = 1.0 - np.minimum(D / t, 1.0)
-    if not literal_self_loops:
-        np.fill_diagonal(D_hat, 0.0)
+    np.fill_diagonal(D_hat, 0.0)
     D_hat += np.eye(n)
     inv_sqrt = 1.0 / np.sqrt(D_hat.sum(axis=1))
     return inv_sqrt[:, None] * D_hat * inv_sqrt[None, :], t
@@ -188,7 +185,9 @@ def per_target_gcn_forward(P, X, model, dropout_rate=0.0, dropout_masks=None):
 def per_target_gcn_backward(
     P, log_probs, layers, labels, mask, model, weight_decay=0.0, dropout_rate=0.0
 ):
-    """`gcn_backward` on the n-row caches of `per_target_gcn_forward`."""
+    """`gcn_backward` on the n-row caches of `per_target_gcn_forward`,
+    propagated back by the transpose of the dense matrix P stands for."""
+    P_T = (P @ np.eye(P.shape[0])).T
     probs = np.exp(log_probs)
     dZ = np.zeros_like(probs)
     dZ[mask] = probs[mask]
@@ -196,7 +195,7 @@ def per_target_gcn_backward(
     dZ /= len(mask)
     grads = [None] * len(model.weights)
     grads[-1] = layers[-1][0].T @ dZ
-    dH = (P.T @ dZ) @ model.weights[-1].T
+    dH = (P_T @ dZ) @ model.weights[-1].T
     for l in range(len(model.weights) - 2, -1, -1):
         S, A, drop = layers[l]
         if drop is not None:
@@ -204,7 +203,7 @@ def per_target_gcn_backward(
         dA = dH * (A > 0.0)
         grads[l] = S.T @ dA
         if l > 0:
-            dH = (P.T @ dA) @ model.weights[l].T
+            dH = (P_T @ dA) @ model.weights[l].T
     if weight_decay > 0.0:
         grads[0] = grads[0] + weight_decay * model.weights[0]
     return grads

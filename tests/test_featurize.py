@@ -191,14 +191,19 @@ def test_normalize_all_ones_gives_half():
     assert np.allclose(P, 0.5)
 
 
-def test_normalize_literal_self_loops_changes_diagonal():
-    A = np.array([[1.0, 0.5], [0.5, 1.0]])
-    default = normalize_propagation(A) @ np.eye(2)
-    literal = normalize_propagation(A, literal_self_loops=True) @ np.eye(2)
-    # Default resets diag(A) to 0 before adding I: self-loop weight 1.
-    assert default[0, 0] == pytest.approx(1.0 / 1.5)
-    # Literal mode keeps the diagonal from the approximation: weight 2.
-    assert literal[0, 0] == pytest.approx(2.0 / 2.5)
+@pytest.mark.parametrize("diagonal", [0.0, 2.0, np.nextafter(1.0, 0.0), np.nan])
+def test_normalize_rejects_a_diagonal_other_than_one(diagonal):
+    """The self-loop reset replaces a unit diagonal, the one a
+    distance-derived A_hat has; any other A_hat is refused, naming the
+    entry and why."""
+    A = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]])
+    A[1, 1] = diagonal
+    with pytest.raises(DataError) as info:
+        normalize_propagation(A)
+    assert str(info.value) == (
+        "A_hat must have 1 on its diagonal, as every row is at distance 0 "
+        f"from itself; A_hat[1, 1] is {float(diagonal)!r}"
+    )
 
 
 def test_normalize_rejects_bad_matrices():
@@ -260,24 +265,23 @@ def _relative_error(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-@pytest.mark.parametrize("literal_self_loops", [False, True])
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
-def test_propagation_operator_matches_dense_oracle(repeated, metric, literal_self_loops):
-    """P @ H, P.T @ H, t and predict's scores agree with the dense n x n
-    chain to 1e-12 relative."""
-    rng = np.random.default_rng(METRICS.index(metric) + 10 * literal_self_loops)
+def test_propagation_operator_matches_dense_oracle(repeated, metric):
+    """P @ H, t and predict's scores agree with the dense n x n chain to
+    1e-12 relative, and the class counts are the targets of each class."""
+    rng = np.random.default_rng(METRICS.index(metric))
     for trial in range(20):
         X = _feature_rows(rng, repeated)
         n = X.shape[0]
-        dense, t = dense_propagation_matrix(X, metric, literal_self_loops)
-        P = propagation_matrix(X, metric, literal_self_loops)
+        dense, t = dense_propagation_matrix(X, metric)
+        P = propagation_matrix(X, metric)
         assert P.shape == (n, n)
         assert (P.classes.shape[0] < n) == repeated
+        assert P.counts[:, 0].tolist() == np.bincount(P.index).tolist()
         assert P.threshold == pytest.approx(t, rel=1e-12)
         H = rng.standard_normal((n, 7))
         assert _relative_error(P @ H, dense @ H) < 1e-12
-        assert _relative_error(P.T @ H, dense.T @ H) < 1e-12
         model = init_model(X.shape[1], TrainConfig(hidden_size=6, num_layers=3, seed=trial))
         scores, _ = predict(model, P, X)
         dense_scores, _ = predict(model, dense, X)

@@ -22,7 +22,6 @@ from relgcn.gcn import (
     nll_loss,
     predict,
     save_checkpoint,
-    row_classes,
     train,
 )
 
@@ -215,20 +214,26 @@ def test_label_table_counts_targets_per_class_and_label():
     """counts[c, y] counts the masked targets of class c with label y; a
     cell that counts nothing adds nothing to the loss even at log 0."""
     X, _ = _class_problem(repeated=True, n=11)
-    classes = row_classes(propagation_matrix(X), X)
+    P = propagation_matrix(X)
     labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1])
     mask = np.array([0, 2, 3, 5, 8, 10])
-    table = label_table(labels, mask, classes)
+    table = label_table(labels, mask, P)
     expected = np.zeros((4, 2))
     for i in mask:
-        expected[classes.index[i], labels[i]] += 1
+        expected[P.index[i], labels[i]] += 1
     assert np.array_equal(table.counts, expected)
     log_probs = np.log(np.full((4, 2), 0.5))
     log_probs[table.counts == 0] = -np.inf
     assert table.loss(log_probs) == pytest.approx(np.log(2.0))
-    per_target = log_probs[classes.index]
+    per_target = log_probs[P.index]
     per_target[per_target == -np.inf] = np.log(0.5)
     assert table.loss(log_probs) == nll_loss(per_target, labels, mask)
+
+
+def target_rows(P, log_probs):
+    """The n target rows of ``gcn_forward``'s class rows: a dense P has one
+    class per target, in target order."""
+    return log_probs if isinstance(P, np.ndarray) else log_probs[P.index]
 
 
 def finite_difference_grads(
@@ -236,17 +241,20 @@ def finite_difference_grads(
 ):
     """Central differences of nll_loss at ``dropout_rate``, each forward
     pass drawing its masks from a generator freshly seeded with ``seed``."""
+
+    def loss():
+        lp, _ = gcn_forward(P, X, model, dropout_rate, np.random.default_rng(seed))
+        return nll_loss(target_rows(P, lp), labels, mask, model, wd)
+
     grads = []
     for W in model.weights:
         g = np.zeros_like(W)
         for idx in np.ndindex(W.shape):
             orig = W[idx]
             W[idx] = orig + eps
-            lp, _ = gcn_forward(P, X, model, dropout_rate, np.random.default_rng(seed))
-            hi = nll_loss(lp, labels, mask, model, wd)
+            hi = loss()
             W[idx] = orig - eps
-            lp, _ = gcn_forward(P, X, model, dropout_rate, np.random.default_rng(seed))
-            lo = nll_loss(lp, labels, mask, model, wd)
+            lo = loss()
             W[idx] = orig
             g[idx] = (hi - lo) / (2 * eps)
         grads.append(g)
@@ -273,16 +281,15 @@ def test_gradients_match_finite_differences(wd, dropout):
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
-@pytest.mark.parametrize("literal_self_loops", [False, True])
 @pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
-def test_gradients_through_propagation_operator(repeated, literal_self_loops):
+def test_gradients_through_propagation_operator(repeated):
     """Criterion 5's check with the class operator the pipeline trains on,
-    three layers so that P.T also reaches a hidden layer."""
+    three layers so that Pᵀ also reaches a hidden layer."""
     rng = np.random.default_rng(4)
     X = rng.random((9, 4))
     if repeated:
         X = X[[0, 1, 2, 0, 1, 2, 0, 0, 1]]
-    P = propagation_matrix(X, literal_self_loops=literal_self_loops)
+    P = propagation_matrix(X)
     assert (P.classes.shape[0] < 9) == repeated
     labels = rng.integers(0, 2, size=9)
     mask = np.array([0, 2, 3, 5, 7])
@@ -309,20 +316,16 @@ def _class_problem(repeated, n=11, k=4, seed=0):
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 @pytest.mark.parametrize("num_layers", [1, 2, 3])
-@pytest.mark.parametrize("literal_self_loops", [False, True])
 @pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
-def test_forward_backward_match_per_target_oracle(
-    repeated, literal_self_loops, num_layers, dropout
-):
+def test_forward_backward_match_per_target_oracle(repeated, num_layers, dropout):
     """Log-probabilities and gradients equal the n-row propagation's to
     1e-12 relative, with dropout and without, for the class operator and
     for the dense P it stands for.  The oracle draws its masks from the
     same seed: an n x h draw per hidden layer, in layer order."""
     X, labels = _class_problem(repeated, seed=num_layers)
-    operator = propagation_matrix(X, literal_self_loops=literal_self_loops)
-    dense, _ = dense_propagation_matrix(X, "euclidean", literal_self_loops)
-    u = row_classes(operator).counts.shape[0]
-    assert u == (X.shape[0] if literal_self_loops or not repeated else 4)
+    operator = propagation_matrix(X)
+    dense, _ = dense_propagation_matrix(X, "euclidean")
+    assert operator.classes.shape[0] == (4 if repeated else X.shape[0])
     model = init_model(
         X.shape[1],
         TrainConfig(hidden_size=5, num_layers=num_layers, seed=1),
@@ -334,7 +337,7 @@ def test_forward_backward_match_per_target_oracle(
             rng = np.random.default_rng(3)
             masks = [rng.random((X.shape[0], 5)) >= rate for _ in model.weights[:-1]]
             expected, layers = per_target_gcn_forward(P, X, model, rate, masks)
-            assert _relative_error(log_probs, expected) < 1e-12
+            assert _relative_error(target_rows(P, log_probs), expected) < 1e-12
             grads = gcn_backward(P, caches, labels, mask, model, 5e-4)
             oracle = per_target_gcn_backward(
                 P, expected, layers, labels, mask, model, 5e-4, rate
@@ -406,19 +409,17 @@ def _train_problem(seed, n=40):
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 @pytest.mark.parametrize("num_layers", [2, 3])
-@pytest.mark.parametrize("graph", ["operator", "dense", "literal_self_loops"])
+@pytest.mark.parametrize("graph", ["operator", "dense"])
 def test_train_matches_per_target_oracle(graph, num_layers, dropout):
     """`train` on label tables over the row classes runs the epochs of the
     n-row loop, with losses and weights within 1e-10 relative and the same
-    validation F1, on the class operator, the dense P it stands for and an
-    operator with per-target self loops.  Early stopping ends these runs
-    before the 100th epoch, after the validation F1 has taken several
-    values."""
+    validation F1, on the class operator and the dense P it stands for.
+    Early stopping ends these runs before the 100th epoch, after the
+    validation F1 has taken several values."""
     X, labels, masks = _train_problem(seed=num_layers + int(10 * dropout))
     P = {
         "operator": lambda: propagation_matrix(X),
         "dense": lambda: dense_propagation_matrix(X, "euclidean")[0],
-        "literal_self_loops": lambda: propagation_matrix(X, literal_self_loops=True),
     }[graph]()
     config = TrainConfig(
         epochs=100, patience=40, learning_rate=0.05, hidden_size=6,
@@ -434,6 +435,21 @@ def test_train_matches_per_target_oracle(graph, num_layers, dropout):
         assert rec.val_f1 == val_f1
     for W, O in zip(model.weights, oracle_model.weights):
         assert _relative_error(W, O) < 1e-10
+
+
+def test_forward_returns_class_rows_and_predict_gathers_them():
+    """On the operator, gcn_forward returns one row per row class, and
+    predict the n targets' scores, those of the per-target propagation
+    to 1e-12 relative."""
+    X, _ = _class_problem(repeated=True, n=30)
+    P = propagation_matrix(X)
+    model = init_model(X.shape[1], TrainConfig(hidden_size=6, num_layers=3, seed=7))
+    log_probs, _ = gcn_forward(P, X, model)
+    assert log_probs.shape == (P.classes.shape[0], 2) == (4, 2)
+    scores, _ = predict(model, P, X)
+    expected, _ = per_target_gcn_forward(P, X, model)
+    assert scores.shape == (30,)
+    assert _relative_error(scores, np.exp(expected[:, 1])) < 1e-12
 
 
 def test_predict_scores_are_constant_on_row_classes():

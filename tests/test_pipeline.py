@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import logging
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,25 +387,21 @@ def test_graph_build_is_logged(small_run, tmp_path, caplog):
     assert prop.nbytes < 8 * 65 * 65
 
 
-@pytest.mark.parametrize("literal_self_loops", ["false", "true"])
-def test_train_summary_is_logged(small_run, tmp_path, caplog, literal_self_loops):
+def test_train_summary_is_logged(small_run, tmp_path, caplog):
     """One INFO line with the epochs run, the best epoch and the rows each
-    layer ran on: the u distinct rows of X, or every target when the
-    propagation has a per-target self-loop term."""
-    config = _clone_run(
-        small_run, tmp_path, **{"featurize.literal_self_loops": literal_self_loops}
-    )
+    layer ran on: the u distinct rows of X."""
+    config = _clone_run(small_run, tmp_path)
     with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
         _, history = stage_train(config)
     X, _, _ = fz.read_matrix_csv(config.out_dir() / "X.csv")
-    rows = 65 if literal_self_loops == "true" else len(np.unique(X, axis=0))
+    rows = len(np.unique(X, axis=0))
     val_losses = [rec.val_loss for rec in history]
     best = int(np.argmin(val_losses))
     assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("trained")] == [
         f"trained {len(history)} epochs, best epoch {best} (val_loss={val_losses[best]!r}); "
         f"each layer ran on {rows} rows for 65 targets"
     ]
-    assert rows < 65 or literal_self_loops == "true"
+    assert rows < 65
 
 
 def test_eval_mean_threshold(small_run, tmp_path):
@@ -494,7 +492,6 @@ def test_staged_metric_reproduces_sweep_row(small_run, tmp_path):
     assert threshold == {
         "metric": "manhattan",
         "t": fz.propagation_matrix(X, "manhattan").threshold,
-        "literal_self_loops": False,
     }
 
 
@@ -599,6 +596,35 @@ def test_cli_exit_codes(tmp_path):
     )
     # Unknown subcommand: argparse usage error.
     assert cli_main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_cli_removed_self_loop_key_is_unknown(tmp_path, caplog, source):
+    """featurize.literal_self_loops is no longer a key: naming it, by a
+    flag or by a config file line, is a config error before anything
+    runs."""
+    out = tmp_path / "out"
+    argv = ["train", "--out", str(out)]
+    if source == "set":
+        argv += ["--set", "featurize.literal_self_loops=true"]
+    else:
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("featurize.literal_self_loops = true\n")
+        argv += ["--config", str(config_file)]
+    assert cli_main(argv) == 1
+    assert "unknown config key 'featurize.literal_self_loops'" in caplog.text
+    assert not out.exists()
+
+
+def test_readme_names_only_config_keys_that_exist():
+    """Every backticked dotted key of a config section in README.md, bare
+    or as ``key=value``, is a key of the config, so a removed key cannot
+    linger in the docs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    key = r"`((?:learn|train|featurize|split|negatives|eval)\.[a-z0-9_]+)(?:=[^`]*)?`"
+    named = set(re.findall(key, readme))
+    assert len(named) > 20
+    assert sorted(named - set(default_values())) == []
 
 
 def test_cli_non_utf8_facts_is_a_data_error(tmp_path, caplog):
@@ -856,16 +882,12 @@ def test_train_accepts_targets_cells_spaced_otherwise(small_run, tmp_path):
     "overrides",
     [
         pytest.param({"featurize.metric": "chebyshev"}, id="metric"),
-        pytest.param({"featurize.literal_self_loops": "true"}, id="self-loops"),
-        pytest.param(
-            {"featurize.metric": "chebyshev", "featurize.literal_self_loops": "true"},
-            id="metric-and-self-loops",
-        ),
+        pytest.param({"featurize.zscale": "true", "featurize.cap": "1"}, id="zscale-and-cap"),
     ],
 )
 def test_cli_eval_reports_the_trained_graph_under_other_keys(small_run, tmp_path, overrides):
-    """The run was trained under euclidean without literal self-loops; eval
-    reads the scores train wrote, so other featurize keys leave its
+    """The run was trained under euclidean on unscaled, uncapped counts;
+    eval reads the scores train wrote, so other featurize keys leave its
     metrics those of the trained model."""
     out = _clone_run(small_run, tmp_path).out_dir()
     trained = (out / "metrics.csv").read_bytes()
