@@ -281,10 +281,12 @@ def test_gradients_match_finite_differences(wd, dropout):
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
+@pytest.mark.parametrize("dropout", [False, True])
 @pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
-def test_gradients_through_propagation_operator(repeated):
+def test_gradients_through_propagation_operator(repeated, dropout):
     """Criterion 5's check with the class operator the pipeline trains on,
-    three layers so that Pᵀ also reaches a hidden layer."""
+    three layers so that Pᵀ also reaches a hidden layer, without dropout
+    and with the pooled masks of a 0.5 rate."""
     rng = np.random.default_rng(4)
     X = rng.random((9, 4))
     if repeated:
@@ -294,9 +296,10 @@ def test_gradients_through_propagation_operator(repeated):
     labels = rng.integers(0, 2, size=9)
     mask = np.array([0, 2, 3, 5, 7])
     model = init_model(4, TrainConfig(hidden_size=5, num_layers=3, seed=2))
-    _, caches = gcn_forward(P, X, model, 0.5, np.random.default_rng(5))
+    rate = 0.5 if dropout else 0.0
+    _, caches = gcn_forward(P, X, model, rate, np.random.default_rng(5))
     analytic = gcn_backward(P, caches, labels, mask, model, 5e-4)
-    numeric = finite_difference_grads(P, X, labels, mask, model, 5, 5e-4, 0.5)
+    numeric = finite_difference_grads(P, X, labels, mask, model, 5, 5e-4, rate)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
@@ -316,35 +319,35 @@ def _class_problem(repeated, n=11, k=4, seed=0):
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 @pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
-def test_forward_backward_match_per_target_oracle(repeated, num_layers, dropout):
+def test_forward_backward_match_per_target_oracle(repeated, dense, num_layers, dropout):
     """Log-probabilities and gradients equal the n-row propagation's to
-    1e-12 relative, with dropout and without, for the class operator and
+    1e-12 relative, with dropout and without, for the class operator or
     for the dense P it stands for.  The oracle draws its masks from the
     same seed: an n x h draw per hidden layer, in layer order."""
     X, labels = _class_problem(repeated, seed=num_layers)
     operator = propagation_matrix(X)
-    dense, _ = dense_propagation_matrix(X, "euclidean")
     assert operator.classes.shape[0] == (4 if repeated else X.shape[0])
+    P = dense_propagation_matrix(X, "euclidean")[0] if dense else operator
     model = init_model(
         X.shape[1],
         TrainConfig(hidden_size=5, num_layers=num_layers, seed=1),
     )
     mask = np.array([0, 1, 3, 4, 6, 9])
-    for P in (operator, dense):
-        for rate in (dropout, 0.0):
-            log_probs, caches = gcn_forward(P, X, model, rate, np.random.default_rng(3))
-            rng = np.random.default_rng(3)
-            masks = [rng.random((X.shape[0], 5)) >= rate for _ in model.weights[:-1]]
-            expected, layers = per_target_gcn_forward(P, X, model, rate, masks)
-            assert _relative_error(target_rows(P, log_probs), expected) < 1e-12
-            grads = gcn_backward(P, caches, labels, mask, model, 5e-4)
-            oracle = per_target_gcn_backward(
-                P, expected, layers, labels, mask, model, 5e-4, rate
-            )
-            for g, o in zip(grads, oracle):
-                assert g.shape == o.shape
-                assert _relative_error(g, o) < 1e-12
+    for rate in (dropout, 0.0):
+        log_probs, caches = gcn_forward(P, X, model, rate, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        masks = [rng.random((X.shape[0], 5)) >= rate for _ in model.weights[:-1]]
+        expected, layers = per_target_gcn_forward(P, X, model, rate, masks)
+        assert _relative_error(target_rows(P, log_probs), expected) < 1e-12
+        grads = gcn_backward(P, caches, labels, mask, model, 5e-4)
+        oracle = per_target_gcn_backward(
+            P, expected, layers, labels, mask, model, 5e-4, rate
+        )
+        for g, o in zip(grads, oracle):
+            assert g.shape == o.shape
+            assert _relative_error(g, o) < 1e-12
 
 
 def test_forward_draws_the_per_target_mask_stream():
