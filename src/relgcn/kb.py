@@ -231,10 +231,6 @@ class KnowledgeBase:
         except KeyError:
             raise DataError(f"unknown predicate {predicate!r}") from None
 
-    def register_constant(self, type_name: str, name: str) -> None:
-        """Register a constant into a typed domain (used for example-only entities)."""
-        self._domains.setdefault(type_name, set()).add(name)
-
     def add_fact(self, predicate: str, args: Iterable[str]) -> None:
         schema = self.schema(predicate)
         names = tuple(args)

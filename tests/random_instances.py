@@ -15,7 +15,8 @@ def random_kb(
 ) -> tuple[KnowledgeBase, dict[str, list[str]], list[PredicateSchema], list[tuple[str, tuple]]]:
     """A random kb over at most two entity types with a binary target
     predicate ``Tgt`` of the first type: the kb, its constants by type (the
-    target type first), its other schemas and the facts added, in order."""
+    target type first; only types some predicate has), its other schemas
+    and the facts added, in order."""
     types = ["ta", "tb"][: int(rng.integers(1, 3))]
     constants = {
         t: [f"{t}{i}" for i in range(int(rng.integers(2, max_constants + 1)))]
@@ -33,9 +34,20 @@ def random_kb(
         kb.declare_schema(schema)
         schemas.append(schema)
 
-    for t, names in constants.items():
-        for name in names:
-            kb.register_constant(t, name)
+    # Each constant enters its type's domain through a target batch of a
+    # predicate with that type, which adds no fact; a type no predicate
+    # has gets no domain.
+    declared = [kb.schema("Tgt"), *schemas]
+    constants = {
+        t: names for t, names in constants.items() if any(t in s.arg_types for s in declared)
+    }
+    for schema in declared:
+        width = max(len(constants[t]) for t in schema.arg_types)
+        rows = [
+            tuple(constants[t][j % len(constants[t])] for t in schema.arg_types)
+            for j in range(width)
+        ]
+        kb.targets(schema.name, rows, True)
 
     facts = []
     for schema in schemas:

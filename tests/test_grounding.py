@@ -111,8 +111,6 @@ def test_count_cap_saturates(coauthor_kb):
 def test_count_head_constant_disagreement():
     kb = KnowledgeBase()
     kb.declare_schema(PredicateSchema("CoAuthor", (PERSON, PERSON)))
-    kb.register_constant(PERSON, "ann")
-    kb.register_constant(PERSON, "bob")
     clause = Clause(
         Atom("CoAuthor", (Constant("ann", PERSON), Variable("p2"))), ()
     )
@@ -308,10 +306,10 @@ def test_binding_table_matches_oracles_property(seed, head_constant):
 
 
 def test_binding_table_target_constant_absent_from_facts(coauthor_kb):
-    """eve is a registered person in no fact and zed is first met in the
-    targets: neither example has a grounding, and an unknown constant in a
-    literal matches nothing."""
-    coauthor_kb.register_constant(PERSON, "eve")
+    """eve is a person an earlier target batch registered, in no fact, and
+    zed is first met in the targets: neither example has a grounding, and
+    an unknown constant in a literal matches nothing."""
+    coauthors(coauthor_kb, "eve dan")
     examples = coauthors(coauthor_kb, "eve ann", "ann bob", "ann zed")
     clause = shared_topic_clause()
     table = BindingTable.for_head(clause.head, examples, coauthor_kb)
@@ -332,7 +330,6 @@ def test_binding_table_sees_fact_added_after_first_join(coauthor_kb):
     first = root.extend(clause.body[0], coauthor_kb)
     assert first.covered(clause.body[1], coauthor_kb, 2).tolist() == [False, True]
     coauthor_kb.add_fact("Affiliation", ("cara", "U1"))
-    coauthor_kb.register_constant(PERSON, "fay")
     coauthor_kb.add_fact("Affiliation", ("fay", "U3"))
     first = root.extend(clause.body[0], coauthor_kb)
     assert _row_counts(first, 2).tolist() == [2, 1]
@@ -436,7 +433,6 @@ def test_four_column_key_past_int64_matches_oracle():
     rng = np.random.default_rng(4)
     people, things = [f"a{i}" for i in range(4)], [f"b{i}" for i in range(3)]
     for p in people:
-        kb.register_constant("ta", p)
         for b in rng.choice(things, size=2, replace=False):
             kb.add_fact("R", (p, str(b)))
     for _ in range(30):
@@ -532,9 +528,15 @@ def test_sample_negatives_matches_enumeration_oracle(arg_types, symmetric):
         kb = KnowledgeBase()
         schema = PredicateSchema("Tgt", arg_types)
         kb.declare_schema(schema)
-        for t in set(arg_types):
-            for c in rng.choice(12, size=int(rng.integers(1, 7)), replace=False):
-                kb.register_constant(t, f"c{int(c)}")
+        names = {
+            t: [f"c{int(c)}" for c in rng.choice(12, size=int(rng.integers(1, 7)), replace=False)]
+            for t in set(arg_types)
+        }
+        # A target batch puts each type's names into its domain, adding no fact.
+        width = max(len(v) for v in names.values())
+        kb.targets(
+            "Tgt", [[names[t][j % len(names[t])] for t in arg_types] for j in range(width)], True
+        )
         domains = [sorted(kb.constants_of_type(t)) for t in arg_types]
         rows = [
             tuple(d[int(rng.integers(len(d)))] for d in domains)

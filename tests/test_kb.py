@@ -93,8 +93,11 @@ def test_fact_store_matches_name_tuple_oracle(seed):
         index, _, _ = kb.join_index(literal, ())
         if step % 4 == 3:
             late = f"late{step}"
-            type_name = schema.arg_types[int(rng.integers(schema.arity))]
-            kb.register_constant(type_name, late)
+            pos = int(rng.integers(schema.arity))
+            type_name = schema.arg_types[pos]
+            # A target batch registers the name and adds no fact.
+            row = [late if p == pos else constants[t][0] for p, t in enumerate(schema.arg_types)]
+            kb.targets(schema.name, [row], True)
             oracle.register_constant(type_name, late)
             constants[type_name].append(late)
             names.append(late)

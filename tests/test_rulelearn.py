@@ -1,14 +1,18 @@
 """Rule learning: splitting criterion, tree growth, rule sets."""
 
 import logging
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from relgcn import rulelearn
 from relgcn.errors import ConfigError, DataError, ParseError
-from relgcn.grounding import Clause, NEGATIVE_DENSITY, POSITIVE_DENSITY
+from relgcn.grounding import BindingTable, Clause, NEGATIVE_DENSITY, POSITIVE_DENSITY
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable, parse_facts
 from relgcn.rulelearn import (
+    JoinMemo,
     LearnConfig,
     candidate_literals,
     learn_ruleset,
@@ -20,7 +24,7 @@ from relgcn.rulelearn import (
 
 from conftest import PERSON, TOPIC, UNIVERSITY, coauthors
 from oracles import brute_force_count, squared_error_score
-from random_instances import random_instance
+from random_instances import random_instance, random_kb
 
 
 TOPIC_BODY = (
@@ -383,6 +387,134 @@ def test_learn_ruleset_deterministic(coauthor_kb, topic_class_examples):
     r1 = learn_ruleset(coauthor_kb, classed, config, k=2, contrast=contrast)
     r2 = learn_ruleset(coauthor_kb, classed, config, k=2, contrast=contrast)
     assert serialize_rules(r1.rules) == serialize_rules(r2.rules)
+
+
+def _ruleset_without_memo(kb, classed, contrast, config, k):
+    """`learn_ruleset`'s covering loop with every tree learned without a
+    memo: the rules kept and each tree's coverage mask."""
+    n = len(classed)
+    targets = classed + contrast
+    values = np.concatenate([np.ones(n), np.zeros(len(contrast))])
+    weights = np.ones(len(targets))
+    rules, masks = [], []
+    for it in range(k):
+        rule, covered = learn_tree(kb, targets, values, weights, config)
+        masks.append(covered)
+        if rules and rule.body == rules[-1].body:
+            break
+        rules.append(replace(rule, source=POSITIVE_DENSITY, iteration=it))
+        weights[:n][covered[:n]] *= config.covering_discount
+        total = float(weights[:n].sum())
+        if total > 0:
+            weights[:n] *= n / total
+    return rules, masks
+
+
+def _recording_trees(monkeypatch) -> list[np.ndarray]:
+    """The coverage mask of every tree `learn_ruleset` learns from now on,
+    in order."""
+    masks = []
+    learn = rulelearn.learn_tree
+
+    def recording(*args, **kwargs):
+        rule, covered = learn(*args, **kwargs)
+        masks.append(covered)
+        return rule, covered
+
+    monkeypatch.setattr(rulelearn, "learn_tree", recording)
+    return masks
+
+
+def test_learn_ruleset_matches_trees_learned_without_a_memo(monkeypatch):
+    """On random small KBs, the trees of a rule set that share one memo
+    give the same rules, iterations and coverage masks as trees that each
+    join everything themselves."""
+    rng = np.random.default_rng(20261019)
+    masks = _recording_trees(monkeypatch)
+    for _ in range(200):
+        kb, constants, _, _ = random_kb(rng, max_constants=5, max_predicates=4)
+        pool = next(iter(constants.values()))
+        pairs = [(a, b) for a in pool for b in pool]
+        size = int(rng.integers(2, len(pairs) // 2 + 1))
+        picked = rng.choice(len(pairs), size=2 * size, replace=False)
+        rows = [pairs[int(j)] for j in picked]
+        classed = kb.targets("Tgt", rows[:size], True)
+        contrast = kb.targets("Tgt", rows[size:], False)
+        config = LearnConfig(
+            max_body_length=int(rng.integers(1, 4)),
+            beam_width=int(rng.integers(1, 5)),
+            min_examples_per_leaf=int(rng.integers(1, 3)),
+            # Discounts near 1 mostly repeat the first rule.
+            covering_discount=float(rng.uniform(0.0, 0.5)),
+            max_constants_for_grounding=int(rng.choice([0, 2, 50])),
+        )
+        masks.clear()
+        ruleset = learn_ruleset(kb, classed, config, k=3, contrast=contrast)
+        rules, expected_masks = _ruleset_without_memo(kb, classed, contrast, config, 3)
+        assert ruleset.rules == rules
+        assert [m.tolist() for m in masks] == [m.tolist() for m in expected_masks]
+
+
+def test_learn_ruleset_joins_each_body_once(coauthor_kb, topic_class_examples, monkeypatch):
+    """Within one rule set, `candidate_literals` runs once per distinct
+    spine body and each (body, literal) pair reaches `BindingTable.covered`
+    once: the second tree expands the first tree's bodies again and takes
+    their joins from the memo."""
+    classed, contrast = topic_class_examples
+    trees = _recording_trees(monkeypatch)
+    bodies, pairs = [], []
+    listed, covered = rulelearn.candidate_literals, BindingTable.covered
+
+    def listing(kb, head, body, *args):
+        bodies.append(body)
+        return listed(kb, head, body, *args)
+
+    def covering(table, literal, kb, n):
+        # A body's candidates are joined right after they are listed.
+        pairs.append((bodies[-1], literal))
+        return covered(table, literal, kb, n)
+
+    monkeypatch.setattr(rulelearn, "candidate_literals", listing)
+    monkeypatch.setattr(BindingTable, "covered", covering)
+    config = LearnConfig(beam_width=3, max_constants_for_grounding=0)
+    learn_ruleset(coauthor_kb, classed, config, k=3, contrast=contrast)
+    # The second tree repeats the first one's rule, which ends the set.
+    assert len(trees) == 2
+    assert (len(bodies), len(pairs)) == (10, 64)
+    assert len(set(bodies)) == len(bodies)
+    assert len(set(pairs)) == len(pairs)
+
+
+def test_learn_tree_rejects_a_memo_built_for_another_batch(coauthor_kb, topic_class_examples):
+    """A memo's masks describe the batch it was built for: another batch,
+    even of the same size, or another kb or constants setting, is a
+    DataError."""
+    classed, contrast = topic_class_examples
+    config = LearnConfig(max_constants_for_grounding=0)
+    targets = classed + contrast
+    values, weights = np.array([1.0, 1.0, 0.0, 0.0]), np.ones(4)
+    memo = JoinMemo(coauthor_kb, targets, 0)
+    learn_tree(coauthor_kb, targets, values, weights, config, memo=memo)
+    with pytest.raises(DataError, match="another Targets batch"):
+        learn_tree(coauthor_kb, contrast + classed, values, weights, config, memo=memo)
+    with pytest.raises(DataError, match="another kb or max_constants_for_grounding"):
+        learn_tree(coauthor_kb, targets, values, weights, LearnConfig(), memo=memo)
+
+
+def test_learn_ruleset_logs_the_joins_later_trees_reuse(coauthor_kb, topic_class_examples, caplog):
+    """The first tree of a rule set joins every candidate it scores; the
+    second reports candidates taken from the memo and the memo's bytes."""
+    classed, contrast = topic_class_examples
+    config = LearnConfig(max_constants_for_grounding=0)
+    with caplog.at_level(logging.INFO, logger="relgcn.rulelearn"):
+        learn_ruleset(coauthor_kb, classed, config, k=2, contrast=contrast)
+    pattern = re.compile(r"candidates from the join memo: (\d+) of (\d+) \(memo (\d+) bytes\)")
+    found = (pattern.search(r.getMessage()) for r in caplog.records)
+    reuse = [tuple(map(int, m.groups())) for m in found if m]
+    assert len(reuse) == 2
+    (first, scored, nbytes), (second, _, _) = reuse
+    assert first == 0 and scored > 0 and nbytes > 0
+    assert second > 0
 
 
 def test_negative_density_source_label(coauthor_kb):
