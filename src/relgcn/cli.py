@@ -79,14 +79,11 @@ def main(argv: list[str] | None = None) -> int:
         ("synth", "generate a synthetic planted-rule dataset"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "sweep":
-            p.add_argument(
-                "--axis",
-                required=True,
-                choices=sorted(SWEEP_AXES),
-            )
         if name == "synth":
+            # The generator reads no config: its flags are all it takes.
+            p.add_argument("--seed", type=int, help="generator seed (default 0)")
+            p.add_argument("--out", help="output directory")
+            p.add_argument("--verbose", action="store_true")
             p.add_argument("--persons", type=int, default=60)
             p.add_argument("--universities", type=int, default=5)
             p.add_argument("--topics", type=int, default=8)
@@ -94,6 +91,14 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--noise", type=float, default=0.0)
             p.add_argument("--positives", type=int, default=None)
             p.add_argument("--negatives", type=int, default=600)
+            continue
+        _add_common(p)
+        if name == "sweep":
+            p.add_argument(
+                "--axis",
+                required=True,
+                choices=sorted(SWEEP_AXES),
+            )
 
     try:
         args = parser.parse_args(argv)

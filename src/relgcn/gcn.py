@@ -24,9 +24,7 @@ class per target (C = P).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -416,60 +414,3 @@ def predict(
     log_probs, _ = gcn_forward(P, X, model)
     log_probs = log_probs[P.index]
     return np.exp(log_probs[:, 1]), np.argmax(log_probs, axis=1)
-
-
-# -- checkpointing ---------------------------------------------------------
-
-_MAGIC = b"RDGW"
-_VERSION = 2
-_HEADER = struct.Struct("<4sBQ")  # magic, version, len(dims)
-
-
-def save_checkpoint(path: str | Path, model: GCNModel) -> None:
-    """Binary container: magic, version, len(dims), the dims vector, then
-    the row-major float64 weight payloads."""
-    dims = model.dims
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _VERSION, len(dims)))
-        f.write(struct.pack(f"<{len(dims)}Q", *dims))
-        for W in model.weights:
-            f.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path: str | Path) -> GCNModel:
-    """The model saved by ``save_checkpoint``; a file that is not exactly
-    one checkpoint (bad magic, another version, a zero dimension, an output
-    dimension other than 2, cut short anywhere, or followed by more bytes)
-    is a DataError that names it."""
-    data = Path(path).read_bytes()
-    if data[:4] != _MAGIC:
-        raise DataError(f"bad magic bytes in checkpoint {path}")
-    if len(data) < _HEADER.size:
-        raise DataError(f"truncated checkpoint {path}: {len(data)} bytes")
-    _, version, ndims = _HEADER.unpack_from(data)
-    if version != _VERSION:
-        raise DataError(f"unsupported checkpoint version {version} in {path}")
-    if ndims < 2:
-        raise DataError(f"checkpoint {path} holds {ndims} layer dimensions, needs >= 2")
-    offset = _HEADER.size + 8 * ndims
-    if len(data) < offset:
-        raise DataError(f"truncated checkpoint {path}: {len(data)} bytes")
-    dims = list(struct.unpack_from(f"<{ndims}Q", data, _HEADER.size))
-    if 0 in dims:
-        raise DataError(f"checkpoint {path} has a zero layer dimension: {dims}")
-    if dims[-1] != 2:
-        raise DataError(
-            f"checkpoint {path} has output dimension {dims[-1]}, expected 2 "
-            "(binary log-softmax)"
-        )
-    expected = offset + 8 * sum(a * b for a, b in zip(dims, dims[1:]))
-    if len(data) != expected:
-        problem = "truncated" if len(data) < expected else "trailing bytes in"
-        raise DataError(
-            f"{problem} checkpoint {path}: {len(data)} bytes, expected {expected}"
-        )
-    weights = []
-    for a, b in zip(dims, dims[1:]):
-        weights.append(np.frombuffer(data, "<f8", a * b, offset).reshape(a, b).copy())
-        offset += 8 * a * b
-    return GCNModel(weights)

@@ -2,12 +2,14 @@
 
 Every stage reads its inputs from and persists its outputs to the run
 directory, so an expensive earlier stage (rule learning) amortizes across
-later sweeps.  The only matrix persisted is the feature matrix X: the
+later sweeps.  The only matrix persisted is the feature matrix X, which
+learn deletes when it rewrites the rules and targets X is built from: the
 propagation matrix is a fixed function of X and the ``featurize.*`` keys,
 so train rebuilds it.  Train writes the graph's metric and threshold t
 to ``threshold.json`` and its scores of the test targets to
-``test_scores.csv``, which is all eval reads.  A manifest records the
-config hash, all seeds and per-stage wall times.
+``test_scores.csv``, which is all eval reads; the trained weights are not
+persisted.  A manifest records the config hash, all seeds and per-stage
+wall times.
 """
 
 from __future__ import annotations
@@ -309,11 +311,14 @@ def _load_rules(
 
 def stage_learn(config: PipelineConfig, kb: KnowledgeBase | None = None) -> Path:
     """Learn positive- and negative-density rule sets; persist targets and
-    rules.  ``kb`` is the loaded facts, read from ``facts`` when absent."""
+    rules.  ``kb`` is the loaded facts, read from ``facts`` when absent.
+    X is built from both, so a stale ``X.csv`` is deleted first: train
+    cannot fit features of rules or targets that learn has replaced."""
     out = config.out_dir()
     if kb is None:
         kb = _load_kb(config)
     positives, negatives = _load_examples(config, kb)
+    (out / "X.csv").unlink(missing_ok=True)
     _write_targets(out / "targets.csv", kb, positives + negatives)
     pos_rules = learn_ruleset(kb, positives, config.learn, config["learn.k_pos"])
     neg_config = replace(config.learn, seed=config.learn.seed + 1)
@@ -380,9 +385,10 @@ _SCORE_COLUMNS = ["label", "score"]
 
 
 def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
-    """Train the GCN on the graph rebuilt from X.  The checkpoint, the
-    graph's metric and threshold t, and each test target's label and
-    score under the trained model, in split order, are written together."""
+    """Train the GCN on the graph rebuilt from X and write the graph's
+    metric and threshold t, the training history, the split and each test
+    target's label and score under the trained model, in split order.  The
+    model is returned, not written."""
     out = config.out_dir()
     labels, X, prop, row_ids = _load_graph(config)
     masks = metrics_mod.split_examples(
@@ -403,7 +409,6 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
         X.shape[0],
     )
     scores, _ = gcn_mod.predict(model, prop, X)
-    gcn_mod.save_checkpoint(out / "model.rdgw", model)
     (out / "threshold.json").write_text(
         json.dumps({"metric": config["featurize.metric"], "t": prop.threshold})
     )

@@ -199,16 +199,16 @@ class _Spine:
 
 
 class JoinMemo:
-    """The joins of one rule set's trees, keyed by spine body: for each
-    body a tree has expanded, its binding table, its candidate literals and
-    their coverage masks, joined by the first tree to expand it.  ``nbytes``
-    counts the tables and masks.  It fits one kb, one `Targets` batch and
-    one ``max_constants_for_grounding``."""
+    """What the trees of one rule set search: the kb, the examples and the
+    `LearnConfig`, with the joins of every spine body a tree has expanded,
+    keyed by body: its binding table, its candidate literals and their
+    coverage masks, joined by the first tree to expand it.  ``nbytes``
+    counts the tables and masks."""
 
-    def __init__(self, kb: KnowledgeBase, examples: Targets, max_constants_for_grounding: int):
+    def __init__(self, kb: KnowledgeBase, examples: Targets, config: LearnConfig):
         self.kb = kb
         self.examples = examples
-        self.max_constants_for_grounding = max_constants_for_grounding
+        self.config = config
         self.head = make_head(kb, examples.predicate)
         self.spines: dict[tuple[Atom, ...], _Spine] = {}
         self.nbytes = 0
@@ -224,7 +224,8 @@ class JoinMemo:
             table = self.spines[body[:-1]].table.extend(body[-1], kb)
         else:
             table = BindingTable.for_head(self.head, self.examples, kb)
-        candidates = candidate_literals(kb, self.head, body, self.max_constants_for_grounding)
+        max_constants = self.config.max_constants_for_grounding
+        candidates = candidate_literals(kb, self.head, body, max_constants)
         masks = [table.covered(lit, kb, n) for lit in candidates]
         spine = _Spine(table, candidates, [str(lit) for lit in candidates], masks)
         self.spines[body] = spine
@@ -246,17 +247,12 @@ class _SpineState:
 
 
 def learn_tree(
-    kb: KnowledgeBase,
-    examples: Targets,
-    values: np.ndarray,
-    weights: np.ndarray,
-    config: LearnConfig,
-    *,
-    memo: JoinMemo | None = None,
+    memo: JoinMemo, values: np.ndarray, weights: np.ndarray
 ) -> tuple[Clause, np.ndarray]:
-    """Grow one left-spine tree by beam search over spine prefixes, fitting
-    ``values`` under ``weights``, and return its rule, the conjunction of
-    the spine literals, with the bool mask of the examples it covers.
+    """Grow one left-spine tree over ``memo``'s kb and examples, under its
+    config, by beam search over spine prefixes, fitting ``values`` under
+    ``weights``, and return its rule, the conjunction of the spine
+    literals, with the bool mask of the examples it covers.
 
     Each level extends every beam spine with every candidate literal and
     keeps the ``beam_width`` lowest-error spines.  The rule's body is the
@@ -267,14 +263,13 @@ def learn_tree(
     spine's binding table, for all examples at once; a beam spine's table
     is built from its parent's when the spine is expanded.  Those joins
     depend on the body and the examples only, not on ``values`` or
-    ``weights``, so they go into ``memo`` (a fresh `JoinMemo` when none is
-    given) and a tree given the memo of earlier trees over the same
-    ``examples`` joins only the bodies none of them expanded.  The memo
+    ``weights``, so they go into ``memo``, and a tree given the memo of
+    earlier trees joins only the bodies none of them expanded.  The memo
     holds an n-bool mask per candidate of every expanded body besides its
-    tables.  A memo built for another kb, batch or
-    ``max_constants_for_grounding`` is a DataError.
+    tables.
     """
-    n = len(examples)
+    config = memo.config
+    n = len(memo.examples)
     if n == 0:
         raise DataError("examples must be nonempty")
     values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
@@ -283,17 +278,6 @@ def learn_tree(
             f"values {values.shape} and weights {weights.shape} must hold one "
             f"number per example ({n})"
         )
-    if memo is None:
-        memo = JoinMemo(kb, examples, config.max_constants_for_grounding)
-    elif memo.examples is not examples:
-        raise DataError(
-            "the join memo was built for another Targets batch; its coverage "
-            "masks do not describe these examples"
-        )
-    elif memo.kb is not kb or (
-        memo.max_constants_for_grounding != config.max_constants_for_grounding
-    ):
-        raise DataError("the join memo was built for another kb or max_constants_for_grounding")
     everything = np.ones(n, dtype=bool)
     root = _SpineState((), (), everything, 0.0, _branch_fit(values, weights, everything)[1])
     largest_table = 0
@@ -352,7 +336,7 @@ def learn_tree(
         reused,
         sum(scored_per_depth),
         memo.nbytes,
-        *kb.join_index_memory(),
+        *memo.kb.join_index_memory(),
     )
     return Clause(memo.head, best.literals), best.left
 
@@ -395,10 +379,10 @@ def learn_ruleset(
     values = np.concatenate([np.ones(n), np.zeros(len(contrast))])
     weights = np.ones(len(targets))
     class_weights = weights[:n]  # a view: the contrast keeps weight 1
-    memo = JoinMemo(kb, targets, config.max_constants_for_grounding)
+    memo = JoinMemo(kb, targets, config)
     rules: list[Clause] = []
     for it in range(k):
-        rule, covered = learn_tree(kb, targets, values, weights, config, memo=memo)
+        rule, covered = learn_tree(memo, values, weights)
         rule = replace(rule, source=source, iteration=it)
         if not rule.body:
             log.warning(

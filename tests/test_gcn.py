@@ -1,6 +1,4 @@
-"""GCN forward/backward, Adam, training loop and checkpointing."""
-
-import struct
+"""GCN forward/backward, Adam, training loop and prediction."""
 
 import numpy as np
 import pytest
@@ -18,10 +16,8 @@ from relgcn.gcn import (
     glorot_init,
     init_model,
     label_table,
-    load_checkpoint,
     nll_loss,
     predict,
-    save_checkpoint,
     train,
 )
 
@@ -541,58 +537,3 @@ def test_predict_scores_and_hard_labels():
     assert scores.shape == (8,)
     assert np.all((scores >= 0.0) & (scores <= 1.0))
     assert np.array_equal(hard, (scores >= 0.5).astype(int))
-
-
-# -- checkpointing ---------------------------------------------------------
-
-
-def test_checkpoint_roundtrip_bitwise(tmp_path):
-    model = init_model(5, TrainConfig(hidden_size=4, num_layers=3, seed=9))
-    path = tmp_path / "model.rdgw"
-    save_checkpoint(path, model)
-    back = load_checkpoint(path)
-    assert back.dims == model.dims
-    for W1, W2 in zip(model.weights, back.weights):
-        assert np.array_equal(W1, W2)
-
-
-def test_checkpoint_rejects_corruption(tmp_path):
-    model = init_model(3, TrainConfig())
-    path = tmp_path / "model.rdgw"
-    save_checkpoint(path, model)
-    raw = path.read_bytes()
-    (tmp_path / "bad.rdgw").write_bytes(b"ZZZZ" + raw[4:])
-    with pytest.raises(DataError):
-        load_checkpoint(tmp_path / "bad.rdgw")
-    (tmp_path / "short.rdgw").write_bytes(raw[:-16])
-    with pytest.raises(DataError):
-        load_checkpoint(tmp_path / "short.rdgw")
-    # Cut inside the 13-byte header, inside the dims vector, at the first
-    # weight, or followed by trailing bytes: each names the file.
-    for name, damaged in [
-        ("cut10", raw[:10]),
-        ("cut20", raw[:20]),
-        ("cut30", raw[:30]),
-        ("cut37", raw[:37]),
-        ("trailing", raw + b"\x00" * 8),
-    ]:
-        path = tmp_path / f"{name}.rdgw"
-        path.write_bytes(damaged)
-        with pytest.raises(DataError, match=str(path)):
-            load_checkpoint(path)
-    # Files of the right length for their dims: a zero dimension, an output
-    # dimension other than 2, and the version-1 layout (dropout rate and
-    # seed after the version byte).
-    for name, damaged, reason in [
-        ("zero", struct.pack("<4sBQ3Q", b"RDGW", 2, 3, 3, 0, 2), "zero layer dimension"),
-        (
-            "out3",
-            struct.pack("<4sBQ2Q", b"RDGW", 2, 2, 3, 3) + bytes(8 * 9),
-            "output dimension 3",
-        ),
-        ("v1", struct.pack("<4sBdqQ", b"RDGW", 1, 0.5, 0, 3) + raw[13:], "version 1"),
-    ]:
-        path = tmp_path / f"{name}.rdgw"
-        path.write_bytes(damaged)
-        with pytest.raises(DataError, match=f"{reason}.*{path}|{path}.*{reason}"):
-            load_checkpoint(path)

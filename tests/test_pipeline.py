@@ -140,25 +140,27 @@ def test_config_coerces_values_that_are_not_strings():
 # -- stages ----------------------------------------------------------------
 
 
+# Every file a pipeline run leaves in its run directory, as README lists
+# them.  The propagation matrix is rebuilt from X where it is used and the
+# trained weights are not persisted, so neither is among them.
+RUN_ARTIFACTS = {
+    "targets.csv",
+    "rules.txt",
+    "X.csv",
+    "threshold.json",
+    "history.csv",
+    "splits.json",
+    "test_scores.csv",
+    "metrics.txt",
+    "metrics.csv",
+    "manifest.json",
+}
+
+
 def test_pipeline_artifacts_and_manifest(small_run):
     out = small_run["config"].out_dir()
-    for name in (
-        "targets.csv",
-        "rules.txt",
-        "X.csv",
-        "threshold.json",
-        "model.rdgw",
-        "history.csv",
-        "splits.json",
-        "test_scores.csv",
-        "metrics.txt",
-        "metrics.csv",
-        "manifest.json",
-    ):
-        assert (out / name).is_file(), f"missing artifact {name}"
-    # The propagation matrix is rebuilt from X where it is used, not persisted.
-    for name in ("D.csv", "A_hat.csv", "P.csv"):
-        assert not (out / name).exists(), f"unexpected n x n artifact {name}"
+    assert {p.name for p in out.iterdir()} == RUN_ARTIFACTS
+    assert all((out / name).is_file() for name in RUN_ARTIFACTS)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config_hash"] == small_run["config"].hash()
     assert set(manifest["stage_times_s"]) == {"learn", "featurize", "train", "eval"}
@@ -616,6 +618,17 @@ def test_cli_removed_self_loop_key_is_unknown(tmp_path, caplog, source):
     assert not out.exists()
 
 
+def test_readme_lists_exactly_the_run_artifacts():
+    """README's list of what a pipeline run leaves in its run directory is
+    the set a run writes, so a removed or added artifact cannot go
+    undocumented."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("leaves all artifacts in `runs/demo`:")
+    listing = readme[start : readme.index("\n\n", start)]
+    named = set(re.findall(r"`([\w.]+\.(?:csv|txt|json))`", listing))
+    assert named == RUN_ARTIFACTS
+
+
 def test_readme_names_only_config_keys_that_exist():
     """Every backticked dotted key of a config section in README.md, bare
     or as ``key=value``, is a key of the config, so a removed key cannot
@@ -898,17 +911,16 @@ def test_cli_eval_reports_the_trained_graph_under_other_keys(small_run, tmp_path
 
 
 def test_eval_reads_only_the_test_scores(small_run, tmp_path):
-    """Eval needs no feature matrix, checkpoint, split or graph record."""
+    """Eval needs no feature matrix, split or graph record."""
     config = _clone_run(small_run, tmp_path)
-    for name in ("X.csv", "targets.csv", "model.rdgw", "splits.json", "threshold.json"):
+    for name in ("X.csv", "targets.csv", "splits.json", "threshold.json"):
         (config.out_dir() / name).unlink()
     assert stage_eval(config).to_csv_row() == small_run["report"].to_csv_row()
 
 
 def test_eval_after_relearning_reports_the_trained_model(tmp_path):
     """Rules relearned and X rebuilt after train leave eval reporting the
-    model train fitted, not a checkpoint paired with features it never
-    saw."""
+    scores of the model train fitted, not of features it never saw."""
     spec = SyntheticSpec(
         n_persons=30, n_universities=4, n_topics=5, n_positives=40, n_negatives=80, seed=1
     )
@@ -926,6 +938,38 @@ def test_eval_after_relearning_reports_the_trained_model(tmp_path):
     assert (config.out_dir() / "rules.txt").read_text() != rules_before
     stage_featurize(relearned)
     assert stage_eval(relearned).to_csv_row() == trained
+
+
+def test_cli_train_after_relearning_needs_featurize_again(tmp_path, caplog):
+    """Relearning rewrites the rules and targets X is built from, so it
+    deletes X.csv: train names the missing file and exits 2 instead of
+    fitting the old columns, and succeeds once featurize has rebuilt X."""
+    data, out = tmp_path / "data", str(tmp_path / "out")
+    synth = ["synth", "--out", str(data), "--persons", "30", "--universities", "4"]
+    synth += ["--topics", "5", "--positives", "40", "--negatives", "80", "--seed", "1"]
+    assert cli_main(synth) == 0
+    inputs = [f"{key}={data / key}.txt" for key in ("facts", "pos", "neg")]
+    flags = [arg for item in inputs for arg in ("--set", item)]
+    flags += ["--set", "learn.max_constants_for_grounding=0"]
+    assert cli_main(["pipeline", "--out", out, *flags]) == 0
+    rules_before = (tmp_path / "out" / "rules.txt").read_text()
+    assert cli_main(["learn", "--out", out, *flags, "--set", "learn.k_pos=1"]) == 0
+    assert (tmp_path / "out" / "rules.txt").read_text() != rules_before
+    assert not (tmp_path / "out" / "X.csv").exists()
+    caplog.clear()
+    assert cli_main(["train", "--out", out]) == 2
+    assert "X.csv" in caplog.text
+    assert cli_main(["featurize", "--out", out, *flags]) == 0
+    assert cli_main(["train", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("flag", [["--config", "nonexistent.cfg"], ["--set", "bogus=1"]])
+def test_cli_synth_rejects_config_flags(tmp_path, flag):
+    """Synth reads no config, so a config file or key given to it is a
+    usage error, not silently ignored."""
+    out = tmp_path / "data"
+    assert cli_main(["synth", "--out", str(out), *flag]) == 1
+    assert not out.exists()
 
 
 def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):

@@ -204,7 +204,7 @@ def _tree(kb, classed, contrast, config):
     of unit weight."""
     n, m = len(classed), len(contrast)
     values = np.concatenate([np.ones(n), np.zeros(m)])
-    return learn_tree(kb, classed + contrast, values, np.ones(n + m), config)
+    return learn_tree(JoinMemo(kb, classed + contrast, config), values, np.ones(n + m))
 
 
 @pytest.fixture
@@ -319,7 +319,8 @@ def test_depth_one_tree_matches_brute_force_oracle():
         examples = [pairs[int(j)] for j in picked]
         values = rng.integers(0, 2, size=len(examples)).astype(float)
         weights = rng.uniform(0.5, 2.0, size=len(examples))
-        rule, covered = learn_tree(kb, kb.targets("Tgt", examples, True), values, weights, config)
+        memo = JoinMemo(kb, kb.targets("Tgt", examples, True), config)
+        rule, covered = learn_tree(memo, values, weights)
         left = np.array([brute_force_count(rule, row, kb) > 0 for row in examples])
         assert covered.tolist() == left.tolist()
         assert squared_error_score(values, weights, left) == pytest.approx(
@@ -332,7 +333,7 @@ def test_learn_tree_rejects_bad_inputs(coauthor_kb, topic_class_examples):
     config = LearnConfig()
     none = np.array([])
     with pytest.raises(DataError, match="nonempty"):
-        learn_tree(coauthor_kb, coauthors(coauthor_kb), none, none, config)
+        learn_tree(JoinMemo(coauthor_kb, coauthors(coauthor_kb), config), none, none)
 
 
 @pytest.mark.parametrize("n_values, n_weights", [(1, 2), (2, 3), (2, 0)])
@@ -340,8 +341,9 @@ def test_learn_tree_rejects_values_or_weights_of_another_length(
     coauthor_kb, topic_class_examples, n_values, n_weights
 ):
     classed, _ = topic_class_examples
+    memo = JoinMemo(coauthor_kb, classed, LearnConfig())
     with pytest.raises(DataError, match="one number per example"):
-        learn_tree(coauthor_kb, classed, np.ones(n_values), np.ones(n_weights), LearnConfig())
+        learn_tree(memo, np.ones(n_values), np.ones(n_weights))
 
 
 def test_learn_ruleset_empty_body_warns(coauthor_kb, topic_class_examples, caplog):
@@ -390,7 +392,7 @@ def test_learn_ruleset_deterministic(coauthor_kb, topic_class_examples):
 
 
 def _ruleset_without_memo(kb, classed, contrast, config, k):
-    """`learn_ruleset`'s covering loop with every tree learned without a
+    """`learn_ruleset`'s covering loop with every tree learned on a fresh
     memo: the rules kept and each tree's coverage mask."""
     n = len(classed)
     targets = classed + contrast
@@ -398,7 +400,7 @@ def _ruleset_without_memo(kb, classed, contrast, config, k):
     weights = np.ones(len(targets))
     rules, masks = [], []
     for it in range(k):
-        rule, covered = learn_tree(kb, targets, values, weights, config)
+        rule, covered = learn_tree(JoinMemo(kb, targets, config), values, weights)
         masks.append(covered)
         if rules and rule.body == rules[-1].body:
             break
@@ -483,22 +485,6 @@ def test_learn_ruleset_joins_each_body_once(coauthor_kb, topic_class_examples, m
     assert (len(bodies), len(pairs)) == (10, 64)
     assert len(set(bodies)) == len(bodies)
     assert len(set(pairs)) == len(pairs)
-
-
-def test_learn_tree_rejects_a_memo_built_for_another_batch(coauthor_kb, topic_class_examples):
-    """A memo's masks describe the batch it was built for: another batch,
-    even of the same size, or another kb or constants setting, is a
-    DataError."""
-    classed, contrast = topic_class_examples
-    config = LearnConfig(max_constants_for_grounding=0)
-    targets = classed + contrast
-    values, weights = np.array([1.0, 1.0, 0.0, 0.0]), np.ones(4)
-    memo = JoinMemo(coauthor_kb, targets, 0)
-    learn_tree(coauthor_kb, targets, values, weights, config, memo=memo)
-    with pytest.raises(DataError, match="another Targets batch"):
-        learn_tree(coauthor_kb, contrast + classed, values, weights, config, memo=memo)
-    with pytest.raises(DataError, match="another kb or max_constants_for_grounding"):
-        learn_tree(coauthor_kb, targets, values, weights, LearnConfig(), memo=memo)
 
 
 def test_learn_ruleset_logs_the_joins_later_trees_reuse(coauthor_kb, topic_class_examples, caplog):
