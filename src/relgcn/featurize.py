@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .grounding import Clause, CountCap, count_satisfied_groundings
+from .grounding import Clause, count_satisfied_groundings
 from .kb import KnowledgeBase, Targets
 
 EUCLIDEAN = "euclidean"
@@ -63,27 +63,16 @@ class PropagationMatrix:
         return (self.classes @ (self.members @ H))[self.index]
 
 
-def build_rule_matrix(
-    rules: list[Clause],
-    targets: Targets,
-    kb: KnowledgeBase,
-    cap: CountCap = None,
-) -> np.ndarray:
-    """X[i][j] = satisfied-grounding count of rules[j] for targets[i]."""
+def build_rule_matrix(rules: list[Clause], targets: Targets, kb: KnowledgeBase) -> np.ndarray:
+    """X[i][j] = satisfied-grounding count of rules[j] for targets[i].  The
+    counts are neither clipped nor scaled: row i is target i's point in R^m,
+    between which the secondary graph takes its distances."""
     if not rules:
         raise DataError("rules must contain at least one rule")
     X = np.zeros((len(targets), len(rules)), dtype=float)
     for j, rule in enumerate(rules):
-        X[:, j] = count_satisfied_groundings(rule, targets, kb, cap)
+        X[:, j] = count_satisfied_groundings(rule, targets, kb)
     return X
-
-
-def zscale_columns(X: np.ndarray) -> np.ndarray:
-    """Per-column standardization; constant columns are left at zero."""
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return (X - mu) / sd
 
 
 def pairwise_distances(X: np.ndarray, metric: str = EUCLIDEAN) -> np.ndarray:

@@ -24,17 +24,16 @@ otherwise.
 
 A table's memory is one int64 per row for the example and one for each
 variable, and its rows are the prefix's satisfied groundings over the
-covered examples, so each fresh variable can multiply them.  `cap` clips
-the counts after the full table is built; it bounds the features, not the
-memory.  On the benchmark's workloads the largest table built for
-featurization had 773 rows (``sampled-topics``) and at most one row per
-target elsewhere, below the tables rule learning builds.  The indexes
-live as long as their kb: per (predicate, pattern) used, one sorted copy
-of the facts that fit plus one int64 code per fact, and for a one-column
-key radix + 1 bytes, where radix is the number of constant ids.  On
-``sampled-topics`` learning builds 6 indexes (0.76 MB) for its 315 joins.
-Inside `run_pipeline` featurization runs on learning's kb, reuses those 6
-and builds none; featurization run alone builds 4 (0.51 MB) for its 12.
+covered examples, so each fresh variable can multiply them.  On the
+benchmark's workloads the largest table built for featurization had 773
+rows (``sampled-topics``) and at most one row per target elsewhere, below
+the tables rule learning builds.  The indexes live as long as their kb:
+per (predicate, pattern) used, one sorted copy of the facts that fit plus
+one int64 code per fact, and for a one-column key radix + 1 bytes, where
+radix is the number of constant ids.  On ``sampled-topics`` learning
+builds 6 indexes (0.76 MB) for its 315 joins.  Inside `run_pipeline`
+featurization runs on learning's kb, reuses those 6 and builds none;
+featurization run alone builds 4 (0.51 MB) for its 12.
 """
 
 from __future__ import annotations
@@ -74,31 +73,20 @@ class Clause:
         return f"{self.head} :- {body}."
 
 
-# Optional limit on a clause's satisfied-grounding count per target.
-CountCap = int | None
-
-
 def count_satisfied_groundings(
-    clause: Clause,
-    targets: Targets,
-    kb: KnowledgeBase,
-    cap: CountCap = None,
+    clause: Clause, targets: Targets, kb: KnowledgeBase
 ) -> np.ndarray:
     """Per target, the number of distinct substitutions of the free body
     variables under which every body literal is a fact in kb, head
-    variables bound to the target's constants.  Clipped at `cap` when
-    given.  One binding table extended by each body literal serves every
-    target.
+    variables bound to the target's constants.  One binding table extended
+    by each body literal serves every target.
     """
-    if cap is not None and cap < 1:
-        raise DataError("cap must be >= 1 when present")
     for atom in clause.body:
         kb.schema(atom.predicate)  # validates predicate
     table = BindingTable.for_head(clause.head, targets, kb)
     for literal in clause.body:
         table = table.extend(literal, kb)
-    counts = np.bincount(table.rows[:, 0], minlength=len(targets))
-    return counts if cap is None else np.minimum(counts, cap)
+    return np.bincount(table.rows[:, 0], minlength=len(targets))
 
 
 @dataclass(frozen=True)

@@ -56,14 +56,12 @@ _DEFAULTS: dict[str, object] = {
     "learn.k_pos": 3,
     "learn.k_neg": 3,
     "featurize.metric": fz.EUCLIDEAN,
-    "featurize.cap": 0,  # 0 means uncapped
-    "featurize.zscale": False,
     "split.train": 0.6,
     "split.val": 0.1,
     "split.test": 0.3,
     "split.seed": 0,
     "split.stratified": True,
-    "eval.threshold": "0.5",  # a float, or "mean" for mean-score thresholding
+    "eval.threshold": 0.5,
 }
 _SECTIONS = {"learn.": LearnConfig, "train.": gcn_mod.TrainConfig}
 
@@ -101,23 +99,19 @@ def _coerce(key: str, text: str, default: object) -> object:
 def _check(values: dict[str, object], text: dict[str, str]) -> None:
     """Reject an out-of-range value of a key that no dataclass holds,
     quoting it as ``text`` has it."""
-    if values["eval.threshold"] != "mean":
-        try:
-            finite = math.isfinite(float(values["eval.threshold"]))
-        except ValueError:
-            finite = False
-        if not finite:
-            raise ConfigError("'mean' or a finite float", "eval.threshold", text["eval.threshold"])
     if values["featurize.metric"] not in fz.METRICS:
         raise ConfigError(f"one of {fz.METRICS}", "featurize.metric", text["featurize.metric"])
     for key, least in [
-        ("negatives.seed", 0), ("split.seed", 0), ("featurize.cap", 0),
-        ("learn.k_pos", 1), ("learn.k_neg", 1),
+        ("negatives.seed", 0), ("split.seed", 0), ("learn.k_pos", 1), ("learn.k_neg", 1),
     ]:
         if values[key] < least:
             raise ConfigError(f"an int >= {least}", key, text[key])
     if values["negatives.ratio"] <= 0:
         raise ConfigError("a float > 0", "negatives.ratio", text["negatives.ratio"])
+    if not 0.0 <= values["eval.threshold"] <= 1.0:
+        # Scores are probabilities: outside [0, 1] every target, or none,
+        # would be predicted positive.
+        raise ConfigError("a float in [0, 1]", "eval.threshold", text["eval.threshold"])
     for key in _SPLIT_KEYS:
         # Every part is needed: train fits, val stops early, test scores.
         if not 0.0 < values[key] <= 1.0:
@@ -329,14 +323,13 @@ def stage_learn(config: PipelineConfig, kb: KnowledgeBase | None = None) -> Path
 
 
 def stage_featurize(config: PipelineConfig, kb: KnowledgeBase | None = None) -> np.ndarray:
-    """The rule-count matrix X, one row per target and one column per rule.
-    ``kb`` is the loaded facts, read from ``facts`` when absent; the kb
-    learn used brings its fact arrays and join indexes along."""
+    """The rule-count matrix X, one row per target and one column per rule,
+    written to ``X.csv`` as raw counts.  It reads no config key but ``out``
+    and ``facts``; ``kb`` is the loaded facts, read from ``facts`` when
+    absent, and the kb learn used brings its fact arrays and join indexes
+    along."""
     out, kb, targets, rules = _load_rules(config, kb)
-    cap = config["featurize.cap"] or None
-    X = fz.build_rule_matrix(rules, targets, kb, cap)
-    if config["featurize.zscale"]:
-        X = fz.zscale_columns(X)
+    X = fz.build_rule_matrix(rules, targets, kb)
     row_ids = kb.atom_texts(targets.predicate, targets.ids)
     col_ids = [f"rule{j}" for j in range(X.shape[1])]
     fz.write_matrix_csv(out / "X.csv", X, row_ids, col_ids)
@@ -368,13 +361,22 @@ def _load_graph(
             )
     metric = config["featurize.metric"]
     prop = fz.propagation_matrix(X, metric)
+    # C >= 0, so its sign is B, the indicator of the row pairs with an edge;
+    # with c the targets per row, c'Bc - c'c ordered target pairs in
+    # different rows are joined, of n^2 - c'c.
+    B, c = np.sign(prop.classes), prop.counts[:, 0]
+    u, n, same = B.shape[0], X.shape[0], float(c @ c)
     log.info(
         "graph over %d targets with %d distinct feature rows: metric %s, "
-        "t=%r, propagation operator %d bytes",
-        X.shape[0],
-        prop.classes.shape[0],
+        "t=%r, %d of %d off-diagonal entries of C nonzero, joining %r of "
+        "the target pairs in different rows, propagation operator %d bytes",
+        n,
+        u,
         metric,
         prop.threshold,
+        int(B.sum() - np.trace(B)),
+        u * u - u,
+        (float(c @ B @ c) - same) / (n * n - same),
         prop.nbytes,
     )
     labels = np.array([label == POSITIVE for _, _, label in targets], dtype=int)
@@ -455,7 +457,6 @@ def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
             raise DataError(f"{path}: target {row_id!r} has label {label!r}, not 0 or 1")
     test_labels, test_scores = M[:, 0].astype(int), M[:, 1]
     threshold = config["eval.threshold"]
-    threshold = float(np.mean(test_scores) if threshold == "mean" else threshold)
     log.info("scored %d test targets at threshold %r from %s",
              len(test_scores), threshold, path)
     report = metrics_mod.confusion_metrics(test_scores, test_labels, threshold)
@@ -587,7 +588,7 @@ def rule_coverage_report(config: PipelineConfig) -> str:
     n_pos, n_neg = int(positive.sum()), int((~positive).sum())
     lines = []
     for j, rule in enumerate(rules):
-        covered = count_satisfied_groundings(rule, targets, kb, cap=1) > 0
+        covered = count_satisfied_groundings(rule, targets, kb) > 0
         cov_pos, cov_neg = int(covered[positive].sum()), int(covered[~positive].sum())
         lines.append(
             f"[{j}] {rule}  (source={rule.source} iter={rule.iteration}; "

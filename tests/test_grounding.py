@@ -99,15 +99,6 @@ def test_count_empty_body_is_one(coauthor_kb):
     assert count_satisfied_groundings(clause, coauthors(coauthor_kb, "ann cara"), coauthor_kb)[0] == 1
 
 
-def test_count_cap_saturates(coauthor_kb):
-    clause = shared_topic_clause()
-    tgt = coauthors(coauthor_kb, "ann bob")
-    assert count_satisfied_groundings(clause, tgt, coauthor_kb, cap=1)[0] == 1
-    assert count_satisfied_groundings(clause, tgt, coauthor_kb, cap=5)[0] == 2
-    with pytest.raises(DataError):
-        count_satisfied_groundings(clause, tgt, coauthor_kb, cap=0)
-
-
 def test_count_head_constant_disagreement():
     kb = KnowledgeBase()
     kb.declare_schema(PredicateSchema("CoAuthor", (PERSON, PERSON)))
@@ -152,9 +143,7 @@ def test_monotonicity_in_facts_and_body_length():
             shorter = Clause(clause.head, clause.body[:-1])
             # Coverage is anti-monotone in body length: a longer body can
             # never be satisfiable when its prefix is not.
-            assert count_satisfied_groundings(
-                shorter, targets, kb, cap=1
-            )[0] >= count_satisfied_groundings(clause, targets, kb, cap=1)[0]
+            assert (count_satisfied_groundings(shorter, targets, kb)[0] > 0) >= (base > 0)
             # The raw count is anti-monotone only when the dropped literal
             # introduced no fresh variables (fresh ones multiply the number
             # of distinct substitutions).
@@ -170,18 +159,6 @@ def test_monotonicity_in_facts_and_body_length():
         new_args = tuple(sorted(kb.constants_of_type(t))[0] for t in schema.arg_types)
         kb.add_fact(pred, new_args)
         assert count_satisfied_groundings(clause, targets, kb)[0] >= base
-
-
-def test_cap_equals_min_of_cap_and_count():
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        kb, clause, target = random_instance(rng)
-        targets = tgt(kb, target)
-        full = count_satisfied_groundings(clause, targets, kb)[0]
-        for cap in (1, 2, 7):
-            assert count_satisfied_groundings(clause, targets, kb, cap=cap)[0] == min(
-                cap, full
-            )
 
 
 def test_repeated_variable_not_bound_by_head():
@@ -236,17 +213,16 @@ def test_unknown_body_predicate_raises_after_a_failed_literal(coauthor_kb):
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    cap=st.one_of(st.none(), st.integers(1, 8)),
     n_extra=st.integers(0, 4),
     head_constant=st.booleans(),
 )
-def test_count_matches_oracle_property(seed, cap, n_extra, head_constant):
+def test_count_matches_oracle_property(seed, n_extra, head_constant):
     """One call counts every target of a batch built from name rows: the
     instance's target twice, a target whose first constant is not pool[0],
     random extra pairs and a pair naming a constant that no fact mentions.
     With a head constant pool[0], that target disagrees with the head and x1
     in the body is a free variable.  Each entry is the target's brute-force
-    count, clipped at cap, and an empty batch gives an empty array."""
+    count, and an empty batch gives an empty array."""
     rng = np.random.default_rng(seed)
     kb, clause, target = random_instance(rng)
     pool = sorted(kb.constants_of_type(kb.schema("Tgt").arg_types[0]))
@@ -256,12 +232,11 @@ def test_count_matches_oracle_property(seed, cap, n_extra, head_constant):
     rows.append(("unseen", pool[int(rng.integers(len(pool)))]))
     if head_constant:
         clause = Clause(Atom("Tgt", (Constant(pool[0], "ta"), Variable("x2"))), clause.body)
-    counts = count_satisfied_groundings(clause, tgt(kb, *rows), kb, cap=cap)
+    counts = count_satisfied_groundings(clause, tgt(kb, *rows), kb)
     assert counts.shape == (len(rows),)
     for row, got in zip(rows, counts):
-        want = brute_force_count(clause, row, kb)
-        assert got == (want if cap is None else min(cap, want))
-    assert count_satisfied_groundings(clause, tgt(kb), kb, cap=cap).shape == (0,)
+        assert got == brute_force_count(clause, row, kb)
+    assert count_satisfied_groundings(clause, tgt(kb), kb).shape == (0,)
 
 
 def _row_counts(table: BindingTable, n: int) -> np.ndarray:
@@ -301,7 +276,7 @@ def test_binding_table_matches_oracles_property(seed, head_constant):
         for i, row in enumerate(rows):
             assert counts[i] == brute_force_count(prefix, row, kb)
             assert (counts[i] > 0) == (
-                count_satisfied_groundings(prefix, tgt(kb, row), kb, cap=1)[0] > 0
+                count_satisfied_groundings(prefix, tgt(kb, row), kb)[0] > 0
             )
 
 

@@ -1,5 +1,6 @@
 """Pipeline staging, config handling, sweeps and the CLI."""
 
+import ast
 import dataclasses
 import json
 import logging
@@ -73,9 +74,9 @@ def _clone_run(small_run, tmp_path, **extra):
 
 
 def test_config_defaults_and_coercion():
-    config = PipelineConfig.from_overrides({"train.epochs": "13", "featurize.zscale": "yes"})
+    config = PipelineConfig.from_overrides({"train.epochs": "13", "split.stratified": "no"})
     assert config["train.epochs"] == 13
-    assert config["featurize.zscale"] is True
+    assert config["split.stratified"] is False
     assert config["featurize.metric"] == "euclidean"
 
 
@@ -83,7 +84,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigError):
         PipelineConfig.from_overrides({"train.momentum": "0.9"})
     with pytest.raises(ConfigError):
-        PipelineConfig.from_overrides({"featurize.zscale": "maybe"})
+        PipelineConfig.from_overrides({"split.stratified": "maybe"})
     # The target predicate is the one the positives file holds.
     with pytest.raises(ConfigError, match="unknown config key 'target'"):
         PipelineConfig.from_overrides({"target": "CoAuthor"})
@@ -128,11 +129,11 @@ def test_config_schema_is_the_dataclasses():
 
 def test_config_coerces_values_that_are_not_strings():
     config = PipelineConfig.from_overrides(
-        {"train.epochs": 13, "negatives.ratio": 2, "featurize.zscale": True}
+        {"train.epochs": 13, "negatives.ratio": 2, "split.stratified": False}
     )
     assert config["train.epochs"] == config.train.epochs == 13
     assert config["negatives.ratio"] == 2.0 and isinstance(config["negatives.ratio"], float)
-    assert config["featurize.zscale"] is True
+    assert config["split.stratified"] is False
     with pytest.raises(ConfigError, match="'train.epochs', got '1.5'"):
         PipelineConfig.from_overrides({"train.epochs": 1.5})
 
@@ -285,6 +286,33 @@ def test_featurize_on_the_kb_learn_used_matches_a_standalone_featurize(small_run
     assert shared == (small_run["config"].out_dir() / "X.csv").read_bytes()
 
 
+def test_featurize_reads_only_the_run_directory_and_the_facts(small_run, tmp_path):
+    """X.csv is the raw rule counts: under a config that differs in the
+    metric, the threshold and split and train keys, featurize reads no key
+    but ``out`` and ``facts`` and writes the same bytes."""
+    out = _clone_run(small_run, tmp_path).out_dir()
+    (out / "X.csv").unlink()
+    other = _config(
+        small_run["data"], out,
+        **{
+            "featurize.metric": "chebyshev", "eval.threshold": "0.3",
+            "split.train": "0.5", "split.val": "0.2", "split.seed": "4",
+            "split.stratified": "false", "train.epochs": "3", "train.seed": "9",
+            "train.hidden_size": "5",
+        },
+    )
+    read = set()
+
+    class Reads(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    stage_featurize(dataclasses.replace(other, values=Reads(other.values)))
+    assert (out / "X.csv").read_bytes() == (small_run["config"].out_dir() / "X.csv").read_bytes()
+    assert read == {"out", "facts"}
+
+
 @pytest.mark.parametrize("neg", [True, False], ids=["neg-file", "sampled"])
 def test_targets_csv_reads_back_the_ids_and_labels_learn_wrote(small_run, tmp_path, neg):
     config = _config(small_run["data"], tmp_path / "out")
@@ -371,22 +399,53 @@ def test_identical_feature_rows_fail_in_train(small_run, tmp_path):
         stage_train(config)
 
 
-def test_graph_build_is_logged(small_run, tmp_path, caplog):
-    config = _clone_run(small_run, tmp_path)
+def _logged_graph(config, caplog) -> str:
+    """Train on the run directory of ``config``: it logs one graph INFO
+    line, which matches the graph rebuilt from X.csv, with the edges
+    counted over the dense adjacency of the targets themselves."""
     with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
         stage_train(config)
     X, _, _ = fz.read_matrix_csv(config.out_dir() / "X.csv")
     prop = fz.propagation_matrix(X)
-    u = len(np.unique(X, axis=0))
     t = json.loads((config.out_dir() / "threshold.json").read_text())["t"]
+    _, row = np.unique(X, axis=0, return_inverse=True)
+    u, n = int(row.max()) + 1, len(X)
+    A, _ = fz.adjacency_approximation(fz.pairwise_distances(X))
+    apart = row[:, None] != row[None, :]
+    joined = (A > 0) & apart
+    edges = {(row[i], row[j]) for i, j in zip(*np.nonzero(joined))}
+    line = (
+        f"graph over {n} targets with {u} distinct feature rows: metric euclidean, "
+        f"t={t!r}, {len(edges)} of {u * u - u} off-diagonal entries of C nonzero, "
+        f"joining {int(joined.sum()) / int(apart.sum())!r} of the target pairs in "
+        f"different rows, propagation operator {prop.nbytes} bytes"
+    )
     graph_lines = [
         r.getMessage() for r in caplog.records if r.getMessage().startswith("graph over")
     ]
-    assert graph_lines == [
-        f"graph over 65 targets with {u} distinct feature rows: metric euclidean, "
-        f"t={t!r}, propagation operator {prop.nbytes} bytes"
-    ]
-    assert prop.nbytes < 8 * 65 * 65
+    assert graph_lines == [line]
+    assert prop.nbytes < 8 * n * n
+    return line
+
+
+def test_graph_build_is_logged(small_run, tmp_path, caplog):
+    """The planted run's graph has no edge between distinct rows."""
+    line = _logged_graph(_clone_run(small_run, tmp_path), caplog)
+    assert "with 4 distinct feature rows" in line
+    assert ", 0 of 12 off-diagonal entries of C nonzero, joining 0.0 of " in line
+
+
+def test_graph_edges_are_logged(small_run, tmp_path, caplog):
+    """One count column taking 0-4, 13 targets each: t is 3380/2080 =
+    1.625, so only rows 1 apart are joined, 8 ordered row pairs, which join
+    8 * 13 * 13 of the 65 * 65 - 5 * 13 * 13 target pairs in different
+    rows, 0.4."""
+    config = _clone_run(small_run, tmp_path)
+    _, rows, _ = fz.read_matrix_csv(config.out_dir() / "X.csv")
+    X = (np.arange(65) % 5).astype(float)[:, None]
+    fz.write_matrix_csv(config.out_dir() / "X.csv", X, rows, ["rule0"])
+    line = _logged_graph(config, caplog)
+    assert ", t=1.625, 8 of 20 off-diagonal entries of C nonzero, joining 0.4 of " in line
 
 
 def test_train_summary_is_logged(small_run, tmp_path, caplog):
@@ -406,21 +465,15 @@ def test_train_summary_is_logged(small_run, tmp_path, caplog):
     assert rows < 65
 
 
-def test_eval_mean_threshold(small_run, tmp_path):
-    config = _clone_run(small_run, tmp_path, **{"eval.threshold": "mean"})
-    report = stage_eval(config)
-    assert 0.0 < report.threshold_used < 1.0
-
-
 def test_eval_logs_what_it_scored(small_run, tmp_path, caplog):
     """One INFO line: the test targets scored, the threshold used and the
     scores file; eval builds no graph, so it logs none."""
-    config = _clone_run(small_run, tmp_path, **{"eval.threshold": "mean"})
+    config = _clone_run(small_run, tmp_path, **{"eval.threshold": "0.3"})
     with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
         report = stage_eval(config)
     n = report.tp + report.fp + report.tn + report.fn
     assert [r.getMessage() for r in caplog.records] == [
-        f"scored {n} test targets at threshold {report.threshold_used!r} "
+        f"scored {n} test targets at threshold 0.3 "
         f"from {config.out_dir() / 'test_scores.csv'}"
     ]
 
@@ -600,22 +653,34 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["frobnicate"]) == 1
 
 
-@pytest.mark.parametrize("source", ["set", "config"])
-def test_cli_removed_self_loop_key_is_unknown(tmp_path, caplog, source):
-    """featurize.literal_self_loops is no longer a key: naming it, by a
-    flag or by a config file line, is a config error before anything
-    runs."""
+def _assert_removed_key(tmp_path, caplog, source, key, value):
+    """Naming ``key``, by a flag or by a config file line, is a config
+    error before anything runs."""
     out = tmp_path / "out"
     argv = ["train", "--out", str(out)]
     if source == "set":
-        argv += ["--set", "featurize.literal_self_loops=true"]
+        argv += ["--set", f"{key}={value}"]
     else:
         config_file = tmp_path / "run.cfg"
-        config_file.write_text("featurize.literal_self_loops = true\n")
+        config_file.write_text(f"{key} = {value}\n")
         argv += ["--config", str(config_file)]
     assert cli_main(argv) == 1
-    assert "unknown config key 'featurize.literal_self_loops'" in caplog.text
+    assert f"unknown config key {key!r}" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_cli_removed_self_loop_key_is_unknown(tmp_path, caplog, source):
+    """featurize.literal_self_loops is no longer a key."""
+    _assert_removed_key(tmp_path, caplog, source, "featurize.literal_self_loops", "true")
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+@pytest.mark.parametrize("key, value", [("featurize.cap", "1"), ("featurize.zscale", "true")])
+def test_cli_removed_count_rewrite_keys_are_unknown(tmp_path, caplog, source, key, value):
+    """X.csv is the raw rule counts: neither clipping nor scaling them is
+    a key."""
+    _assert_removed_key(tmp_path, caplog, source, key, value)
 
 
 def test_readme_lists_exactly_the_run_artifacts():
@@ -640,6 +705,23 @@ def test_readme_names_only_config_keys_that_exist():
     assert sorted(named - set(default_values())) == []
 
 
+def test_every_plain_config_key_is_read():
+    """Every key of ``pipeline._DEFAULTS`` is quoted in the package outside
+    that literal, so a key whose reader is deleted cannot linger."""
+    package = Path(pipeline.__file__).parent
+    source = (package / "pipeline.py").read_text()
+    literal = next(
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "_DEFAULTS"
+    )
+    lines = source.splitlines(keepends=True)
+    text = "".join(lines[: literal.lineno - 1] + lines[literal.end_lineno :]) + "".join(
+        path.read_text() for path in sorted(package.glob("*.py")) if path.name != "pipeline.py"
+    )
+    unread = [key for key in pipeline._DEFAULTS if f'"{key}"' not in text and f"'{key}'" not in text]
+    assert unread == []
+
+
 def test_cli_non_utf8_facts_is_a_data_error(tmp_path, caplog):
     facts = tmp_path / "facts.txt"
     facts.write_bytes(b"@predicate P(t)\nP(\xff\xfe).\n")
@@ -661,8 +743,8 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog):
     [
         "train.epochs=abc",
         "eval.threshold=half",
+        "eval.threshold=mean",
         "featurize.metric=foo",
-        "featurize.cap=-3",
         "train.epochs=0",
         "split.train=0.8 split.val=-0.1",
         "split.train=0.95",
@@ -691,6 +773,8 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog):
         "learn.contrast_ratio=inf",
         "train.learning_rate=nan",
         "eval.threshold=nan",
+        "eval.threshold=2",
+        "eval.threshold=-1",
     ],
 )
 def test_cli_unparsable_config_value_is_a_config_error(
@@ -895,13 +979,12 @@ def test_train_accepts_targets_cells_spaced_otherwise(small_run, tmp_path):
     "overrides",
     [
         pytest.param({"featurize.metric": "chebyshev"}, id="metric"),
-        pytest.param({"featurize.zscale": "true", "featurize.cap": "1"}, id="zscale-and-cap"),
     ],
 )
 def test_cli_eval_reports_the_trained_graph_under_other_keys(small_run, tmp_path, overrides):
-    """The run was trained under euclidean on unscaled, uncapped counts;
-    eval reads the scores train wrote, so other featurize keys leave its
-    metrics those of the trained model."""
+    """The run was trained under euclidean; eval reads the scores train
+    wrote, so other featurize keys leave its metrics those of the trained
+    model."""
     out = _clone_run(small_run, tmp_path).out_dir()
     trained = (out / "metrics.csv").read_bytes()
     (out / "metrics.csv").unlink()
