@@ -47,7 +47,6 @@ from .gcn import (
     gcn_backward,
     gcn_forward,
     glorot_init,
-    nll_loss,
     predict,
     train,
 )

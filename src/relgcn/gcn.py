@@ -18,8 +18,7 @@ and validation F1 are read off the class rows of the log-probabilities
 and those tables.  Per epoch that is O(n·h) to draw the masks and
 O(n·u·h) to pool them (one BLAS product with the u x n indicator), plus
 O(u·h² + u²·h) for the layers, losses, gradient and F1: the mask draw is
-the floor.  A dense n x n P runs the same code as the operator with one
-class per target (C = P).
+the floor.
 """
 
 from __future__ import annotations
@@ -101,16 +100,6 @@ def init_model(input_dim: int, config: TrainConfig) -> GCNModel:
     )
 
 
-def _operator(P: np.ndarray | PropagationMatrix) -> PropagationMatrix:
-    """P itself, or a dense n x n P as the operator with one class per
-    target."""
-    if isinstance(P, PropagationMatrix):
-        return P
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise DataError(f"P must be n x n, got shape {P.shape}")
-    return PropagationMatrix(P, np.arange(P.shape[0]), 0.0)
-
-
 @dataclass
 class LabelTable:
     """How many targets of an index mask each row class holds, per label:
@@ -154,14 +143,11 @@ class LabelTable:
         return float(2 * tp / (2 * tp + fp + fn))
 
 
-def label_table(
-    labels: np.ndarray, mask: np.ndarray, P: PropagationMatrix | None = None
-) -> LabelTable:
-    """The label table of ``mask`` over the row classes of ``P`` (one
-    class per target when None).  ``mask`` must be a nonempty 1-D array
-    of distinct integer indices into ``labels`` and the labels it selects
-    0 or 1; anything else (a bool mask, which would index rows 0 and 1,
-    included) is a DataError."""
+def label_table(labels: np.ndarray, mask: np.ndarray, P: PropagationMatrix) -> LabelTable:
+    """The label table of ``mask`` over the row classes of ``P``.
+    ``mask`` must be a nonempty 1-D array of distinct integer indices into
+    ``labels`` and the labels it selects 0 or 1; anything else (a bool
+    mask, which would index rows 0 and 1, included) is a DataError."""
     mask = np.asarray(mask)
     n = len(labels)
     if mask.ndim != 1 or mask.dtype.kind not in "iu":
@@ -180,8 +166,8 @@ def label_table(
     picked = np.asarray(labels)[mask]
     if np.any((picked != 0) & (picked != 1)):
         raise DataError("labels must be 0 or 1")
-    index, u = (mask, n) if P is None else (P.index[mask], P.counts.shape[0])
-    counts = np.bincount(2 * index + picked.astype(int), minlength=2 * u)
+    u = P.counts.shape[0]
+    counts = np.bincount(2 * P.index[mask] + picked.astype(int), minlength=2 * u)
     return LabelTable(counts.reshape(u, 2).astype(float))
 
 
@@ -205,7 +191,7 @@ def _log_softmax(Z: np.ndarray) -> np.ndarray:
 
 
 def gcn_forward(
-    P: np.ndarray | PropagationMatrix,
+    P: PropagationMatrix,
     X: np.ndarray,
     model: GCNModel,
     dropout_rate: float = 0.0,
@@ -219,7 +205,6 @@ def gcn_forward(
     each hidden activation, so a generator seeded alike draws the same
     masks.  ``pooled`` is Gᵀ X, for a caller that makes many passes to
     pool once."""
-    P = _operator(P)
     if P.shape[0] != X.shape[0]:
         raise DataError("P must be n x n and X n x input_dim")
     if X.shape[1] != model.dims[0]:
@@ -248,27 +233,14 @@ def gcn_forward(
     return caches.log_probs, caches
 
 
-def _first_layer_decay(model: GCNModel | None, weight_decay: float) -> float:
-    if model is None or weight_decay == 0.0:
+def _first_layer_decay(model: GCNModel, weight_decay: float) -> float:
+    if weight_decay == 0.0:
         return 0.0
     return 0.5 * weight_decay * float(np.sum(model.weights[0] ** 2))
 
 
-def nll_loss(
-    log_probs: np.ndarray,
-    labels: np.ndarray,
-    mask: np.ndarray,
-    model: GCNModel | None = None,
-    weight_decay: float = 0.0,
-) -> float:
-    """Mean negative log-likelihood over the targets of the index mask,
-    plus weight_decay/2 * ||W0||^2 (first-layer decay only)."""
-    data = label_table(labels, mask).loss(log_probs)
-    return data + _first_layer_decay(model, weight_decay)
-
-
 def gcn_backward(
-    P: np.ndarray | PropagationMatrix,
+    P: PropagationMatrix,
     caches: ForwardCaches,
     labels: np.ndarray,
     mask: np.ndarray,
@@ -276,13 +248,13 @@ def gcn_backward(
     weight_decay: float = 0.0,
     table: LabelTable | None = None,
 ) -> list[np.ndarray]:
-    """Exact gradients of nll_loss w.r.t. every weight matrix, on the row
-    classes of P and the pooled dropout masks the caches of P's forward
-    pass recorded.  The output gradient comes pooled from the label table
+    """Exact gradients of the label-table loss of ``mask`` plus the
+    first-layer decay (``train``'s objective) w.r.t. every weight matrix,
+    on the row classes of P and the pooled dropout masks the caches of P's
+    forward pass recorded.  The output gradient comes pooled from the label table
     of ``mask`` (``table``, for a caller that makes many passes to build
     once); from there each dH holds the gradient every target of a class
     shares, and each dA the class sum of the per-target gradients."""
-    P = _operator(P)
     if table is None:
         table = label_table(labels, mask, P)
     operator_T = P.classes.T
@@ -350,7 +322,7 @@ class EpochRecord:
 
 
 def train(
-    P: np.ndarray | PropagationMatrix,
+    P: PropagationMatrix,
     X: np.ndarray,
     labels: np.ndarray,
     masks: SplitMasks,
@@ -364,7 +336,6 @@ def train(
     model = init_model(X.shape[1], config)
     state = AdamState.zeros_like(model.weights)
     rng = np.random.default_rng(config.seed)
-    P = _operator(P)
     pooled = P.members @ X
     fit = label_table(labels, masks.train, P)
     held_out = label_table(labels, masks.validation, P)
@@ -406,11 +377,10 @@ def train(
 
 
 def predict(
-    model: GCNModel, P: np.ndarray | PropagationMatrix, X: np.ndarray
+    model: GCNModel, P: PropagationMatrix, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positive-class probabilities and argmax hard labels of the n
     targets, without dropout; equal within a row class."""
-    P = _operator(P)
     log_probs, _ = gcn_forward(P, X, model)
     log_probs = log_probs[P.index]
     return np.exp(log_probs[:, 1]), np.argmax(log_probs, axis=1)

@@ -109,12 +109,13 @@ def auc_pr(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def split_examples(
     labels: np.ndarray,
-    proportions: tuple[float, float, float] = (0.6, 0.1, 0.3),
+    proportions: tuple[float, float] = (0.6, 0.1),
     seed: int = 0,
     stratified: bool = True,
 ) -> SplitMasks:
     """Seeded disjoint exhaustive train/validation/test index sets, each
-    nonempty.
+    nonempty: ``proportions`` are the train and validation shares, and the
+    test set holds the rest, a share of 1 - train - val.
 
     Stratified mode applies the proportions within each label class, which
     guards heavily imbalanced target sets.
@@ -123,19 +124,20 @@ def split_examples(
     n = labels.size
     if n < 3:
         raise DataError("need at least 3 examples to split")
-    for name, share in zip(("train", "validation", "test"), proportions):
+    train_share, val_share = proportions
+    for name, share in zip(("train", "validation"), proportions):
         if share < 0:
             raise DataError(f"split proportion {name!r} must be >= 0, got {share!r}")
-    if abs(sum(proportions) - 1.0) > 1e-9:
-        raise DataError("split proportions must sum to 1")
+    if train_share + val_share > 1.0:
+        raise DataError(f"split proportions {proportions!r} must sum to at most 1")
     rng = np.random.default_rng(seed)
 
     def split_indices(idx: np.ndarray):
         idx = idx.copy()
         rng.shuffle(idx)
         m = idx.size
-        n_train = int(round(proportions[0] * m))
-        n_val = int(round(proportions[1] * m))
+        n_train = int(round(train_share * m))
+        n_val = int(round(val_share * m))
         n_train = min(n_train, m)
         n_val = min(n_val, m - n_train)
         return idx[:n_train], idx[n_train : n_train + n_val], idx[n_train + n_val :]
@@ -147,10 +149,11 @@ def split_examples(
         test = np.concatenate([p[2] for p in parts])
     else:
         train, val, test = split_indices(np.arange(n))
-    for name, share, part in zip(("train", "validation", "test"), proportions, (train, val, test)):
+    shares = (repr(train_share), repr(val_share), f"1 - {train_share!r} - {val_share!r}")
+    for name, share, part in zip(("train", "validation", "test"), shares, (train, val, test)):
         if part.size == 0:
             raise DataError(
-                f"split part {name!r} is empty: proportion {share!r} of "
+                f"split part {name!r} is empty: proportion {share} of "
                 f"{n} examples rounds to none"
             )
     return SplitMasks(np.sort(train), np.sort(val), np.sort(test))

@@ -38,7 +38,9 @@ from .rulelearn import LearnConfig, learn_ruleset, parse_rules, serialize_rules
 
 log = logging.getLogger(__name__)
 
-# The labels of targets.csv; in memory a label is a bool, True for positive.
+# The header and labels of targets.csv; in memory a label is a bool, True
+# for positive.
+_TARGET_COLUMNS = ["atom", "label"]
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
@@ -58,15 +60,14 @@ _DEFAULTS: dict[str, object] = {
     "featurize.metric": fz.EUCLIDEAN,
     "split.train": 0.6,
     "split.val": 0.1,
-    "split.test": 0.3,
     "split.seed": 0,
     "split.stratified": True,
     "eval.threshold": 0.5,
 }
 _SECTIONS = {"learn.": LearnConfig, "train.": gcn_mod.TrainConfig}
 
-# Train, validation and test proportions, in split_examples' order.
-_SPLIT_KEYS = ("split.train", "split.val", "split.test")
+# The train and validation shares, in split_examples' order; test is the rest.
+_SPLIT_KEYS = ("split.train", "split.val")
 
 
 def default_values() -> dict[str, object]:
@@ -114,11 +115,11 @@ def _check(values: dict[str, object], text: dict[str, str]) -> None:
         raise ConfigError("a float in [0, 1]", "eval.threshold", text["eval.threshold"])
     for key in _SPLIT_KEYS:
         # Every part is needed: train fits, val stops early, test scores.
-        if not 0.0 < values[key] <= 1.0:
-            raise ConfigError("a proportion in (0, 1]", key, text[key])
-    if abs(sum(values[key] for key in _SPLIT_KEYS) - 1.0) > 1e-9:
+        if not 0.0 < values[key] < 1.0:
+            raise ConfigError("a proportion in (0, 1)", key, text[key])
+    if sum(values[key] for key in _SPLIT_KEYS) >= 1.0:
         given = "; ".join(f"{key!r}, got {text[key]!r}" for key in _SPLIT_KEYS)
-        raise ConfigError(f"expected split proportions that sum to 1: {given}")
+        raise ConfigError(f"expected split proportions that sum to below 1: {given}")
 
 
 def _section(prefix: str, cls: type, values: dict[str, object], text: dict[str, str]):
@@ -189,7 +190,7 @@ class PipelineConfig:
         out.mkdir(parents=True, exist_ok=True)
         return out
 
-    def split_proportions(self) -> tuple[float, float, float]:
+    def split_proportions(self) -> tuple[float, float]:
         return tuple(self[key] for key in _SPLIT_KEYS)
 
 
@@ -247,18 +248,21 @@ def _write_targets(path: Path, kb: KnowledgeBase, targets: Targets) -> None:
     atoms = kb.atom_texts(targets.predicate, targets.ids)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["atom", "label"])
+        writer.writerow(_TARGET_COLUMNS)
         for atom, positive in zip(atoms, targets.positive.tolist()):
             writer.writerow([atom, POSITIVE if positive else NEGATIVE])
 
 
 def _target_rows(path: Path) -> Iterator[tuple[int, str, str]]:
-    """The (line, atom, label) rows of targets.csv, each checked to hold an
-    atom cell and the label positive or negative; line is where the row
-    starts (a quoted cell may span lines)."""
+    """The (line, atom, label) rows of targets.csv under its header
+    ``atom,label``, each checked to hold an atom cell and the label
+    positive or negative; line is where the row starts (a quoted cell may
+    span lines).  Any other first row is a DataError that names the file."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        next(reader, None)
+        header = next(reader, None)
+        if header != _TARGET_COLUMNS:
+            raise DataError(f"{path}: expected the header 'atom,label', got {header!r}")
         line = reader.line_num + 1
         for row in reader:
             if len(row) != 2 or row[1] not in (POSITIVE, NEGATIVE):
@@ -314,9 +318,14 @@ def stage_learn(config: PipelineConfig, kb: KnowledgeBase | None = None) -> Path
     positives, negatives = _load_examples(config, kb)
     (out / "X.csv").unlink(missing_ok=True)
     _write_targets(out / "targets.csv", kb, positives + negatives)
-    pos_rules = learn_ruleset(kb, positives, config.learn, config["learn.k_pos"])
+    symmetric = config["negatives.symmetric"]
+    pos_rules = learn_ruleset(
+        kb, positives, config.learn, config["learn.k_pos"], symmetric=symmetric
+    )
     neg_config = replace(config.learn, seed=config.learn.seed + 1)
-    neg_rules = learn_ruleset(kb, negatives, neg_config, config["learn.k_neg"])
+    neg_rules = learn_ruleset(
+        kb, negatives, neg_config, config["learn.k_neg"], symmetric=symmetric
+    )
     rules_path = out / "rules.txt"
     rules_path.write_text(serialize_rules(pos_rules.rules + neg_rules.rules))
     return rules_path

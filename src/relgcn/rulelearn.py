@@ -350,6 +350,7 @@ def learn_ruleset(
     config: LearnConfig,
     k: int,
     contrast: Targets | None = None,
+    symmetric: bool = True,
 ) -> RuleSet:
     """Learn k rules from a one-class example set.
 
@@ -358,7 +359,8 @@ def learn_ruleset(
     of every class example the tree covered by ``covering_discount`` and
     renormalizes, steering later trees toward uncovered examples.  The
     closed-world ``contrast`` sample (value 0, weight 1, drawn outside the
-    class when not supplied) gives the criterion something to separate.
+    class when not supplied, under ``sample_negatives``' ``symmetric``)
+    gives the criterion something to separate.
     Learning stops early, with a warning, on a duplicate consecutive rule;
     an empty-body rule (a constant feature) is kept with a warning.
     """
@@ -372,7 +374,9 @@ def learn_ruleset(
 
     if contrast is None:
         schema = kb.schema(examples.predicate)
-        contrast = sample_negatives(kb, schema, examples, config.contrast_ratio, config.seed)
+        contrast = sample_negatives(
+            kb, schema, examples, config.contrast_ratio, config.seed, symmetric=symmetric
+        )
 
     n = len(examples)
     targets = examples + contrast

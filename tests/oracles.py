@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from relgcn.errors import DataError
+from relgcn.featurize import PropagationMatrix
 from relgcn.gcn import AdamState, adam_step, init_model
 from relgcn.grounding import Clause
 from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
@@ -156,6 +157,12 @@ def dense_propagation_matrix(X: np.ndarray, metric: str) -> tuple[np.ndarray, fl
     D_hat += np.eye(n)
     inv_sqrt = 1.0 / np.sqrt(D_hat.sum(axis=1))
     return inv_sqrt[:, None] * D_hat * inv_sqrt[None, :], t
+
+
+def as_operator(P: np.ndarray) -> PropagationMatrix:
+    """A dense n x n P as the operator with one row class per target, in
+    target order (C = P), so that the GCN runs on it unchanged."""
+    return PropagationMatrix(P, np.arange(P.shape[0]), 0.0)
 
 
 def per_target_gcn_forward(P, X, model, dropout_rate=0.0, dropout_masks=None):

@@ -21,13 +21,13 @@ from relgcn.featurize import (
     normalize_propagation,
     pairwise_distances,
 )
-from relgcn.gcn import TrainConfig, gcn_backward, gcn_forward, init_model, nll_loss
+from relgcn.gcn import TrainConfig, gcn_backward, gcn_forward, init_model
 from relgcn.grounding import count_satisfied_groundings
 from relgcn.pipeline import PipelineConfig, run_pipeline, sensitivity_sweep
 from relgcn.rulelearn import LearnConfig, learn_ruleset
 from relgcn.synth import SyntheticSpec, generate_synthetic
 
-from oracles import brute_force_count, naive_euclidean_distances
+from oracles import as_operator, brute_force_count, naive_euclidean_distances
 from random_instances import random_instance
 from test_gcn import finite_difference_grads, max_relative_error
 
@@ -193,7 +193,7 @@ def test_criterion_05_gradient_check_20_seeds():
         A = rng.random((3, 3))
         A = (A + A.T) / 2.0
         deg = A.sum(axis=1) + 1.0
-        P = (A + np.eye(3)) / np.sqrt(np.outer(deg, deg))
+        P = as_operator((A + np.eye(3)) / np.sqrt(np.outer(deg, deg)))
         labels = rng.integers(0, 2, size=3)
         mask = np.array([0, 1, 2])
         model = init_model(

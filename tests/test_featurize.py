@@ -29,7 +29,7 @@ from relgcn.kb import Atom, Variable
 from relgcn.rulelearn import make_head
 
 from conftest import coauthors
-from oracles import dense_propagation_matrix, naive_euclidean_distances
+from oracles import as_operator, dense_propagation_matrix, naive_euclidean_distances
 
 
 def count_matrices(n_max=8, k_max=5):
@@ -274,7 +274,7 @@ def test_propagation_operator_matches_dense_oracle(repeated, metric):
         assert _relative_error(P @ H, dense @ H) < 1e-12
         model = init_model(X.shape[1], TrainConfig(hidden_size=6, num_layers=3, seed=trial))
         scores, _ = predict(model, P, X)
-        dense_scores, _ = predict(model, dense, X)
+        dense_scores, _ = predict(model, as_operator(dense), X)
         assert np.max(np.abs(scores - dense_scores) / dense_scores) < 1e-12
 
 

@@ -10,18 +10,19 @@ from relgcn.gcn import (
     GCNModel,
     SplitMasks,
     TrainConfig,
+    _first_layer_decay,
     adam_step,
     gcn_backward,
     gcn_forward,
     glorot_init,
     init_model,
     label_table,
-    nll_loss,
     predict,
     train,
 )
 
 from oracles import (
+    as_operator,
     dense_propagation_matrix,
     per_target_gcn_backward,
     per_target_gcn_forward,
@@ -42,7 +43,13 @@ def tiny_problem(n=8, d=3, seed=0):
     deg = A.sum(axis=1) + 1.0
     P = (A + np.eye(n)) / np.sqrt(np.outer(deg, deg))
     labels = rng.integers(0, 2, size=n)
-    return P, X, labels
+    return as_operator(P), X, labels
+
+
+def objective(log_probs, labels, mask, P, model=None, weight_decay=0.0):
+    """``train``'s loss: the mean NLL of the masked targets from the class
+    rows of the log-probabilities, plus first-layer decay."""
+    return label_table(labels, mask, P).loss(log_probs) + _first_layer_decay(model, weight_decay)
 
 
 # -- initialization --------------------------------------------------------
@@ -105,7 +112,7 @@ def test_forward_hand_computed_single_layer():
     X = np.array([[1.0, 2.0]])
     W = np.array([[1.0, 0.0], [0.0, 1.0]])
     model = GCNModel([W])
-    log_probs, _ = gcn_forward(np.eye(1), X, model)
+    log_probs, _ = gcn_forward(as_operator(np.eye(1)), X, model)
     z = np.array([1.0, 2.0])
     expected = z - np.log(np.exp(z).sum())
     assert np.allclose(log_probs[0], expected)
@@ -146,7 +153,7 @@ def test_forward_shape_errors():
     P, X, _ = tiny_problem()
     model = init_model(X.shape[1], TrainConfig())
     with pytest.raises(DataError):
-        gcn_forward(P[:4, :4], X, model)
+        gcn_forward(as_operator(P.classes[:4, :4]), X, model)
     with pytest.raises(DataError):
         gcn_forward(P, X[:, :2], model)
 
@@ -158,14 +165,15 @@ def test_nll_loss_hand_value():
     log_probs = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
     labels = np.array([0, 1])
     mask = np.array([0, 1])
+    P = as_operator(np.eye(2))
     expected = -(np.log(0.9) + np.log(0.8)) / 2.0
-    assert nll_loss(log_probs, labels, mask) == pytest.approx(expected)
+    assert objective(log_probs, labels, mask, P) == pytest.approx(expected)
     # First-layer weight decay adds wd/2 * ||W0||^2.
     model = GCNModel([np.full((2, 2), 2.0)])
-    with_reg = nll_loss(log_probs, labels, mask, model, weight_decay=0.1)
+    with_reg = objective(log_probs, labels, mask, P, model, weight_decay=0.1)
     assert with_reg == pytest.approx(expected + 0.05 * 16.0)
     with pytest.raises(DataError):
-        nll_loss(log_probs, labels, np.array([], dtype=int))
+        objective(log_probs, labels, np.array([], dtype=int), P)
 
 
 @pytest.mark.parametrize(
@@ -187,9 +195,9 @@ def test_masks_must_be_index_masks(mask, problem):
     backward pass and in training."""
     log_probs = np.log(np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7], [0.4, 0.6]]))
     labels = np.array([0, 0, 1, 1])
+    P = as_operator(np.full((4, 4), 0.25))
     with pytest.raises(DataError, match=problem):
-        nll_loss(log_probs, labels, mask)
-    P = np.full((4, 4), 0.25)
+        objective(log_probs, labels, mask, P)
     X = np.arange(8.0).reshape(4, 2)
     model = init_model(2, TrainConfig(hidden_size=3))
     _, caches = gcn_forward(P, X, model)
@@ -203,7 +211,7 @@ def test_masks_must_be_index_masks(mask, problem):
 
 def test_labels_must_be_binary():
     with pytest.raises(DataError, match="0 or 1"):
-        label_table(np.array([0, 2, 1]), np.array([0, 1]))
+        label_table(np.array([0, 2, 1]), np.array([0, 1]), as_operator(np.eye(3)))
 
 
 def test_label_table_counts_targets_per_class_and_label():
@@ -223,24 +231,20 @@ def test_label_table_counts_targets_per_class_and_label():
     assert table.loss(log_probs) == pytest.approx(np.log(2.0))
     per_target = log_probs[P.index]
     per_target[per_target == -np.inf] = np.log(0.5)
-    assert table.loss(log_probs) == nll_loss(per_target, labels, mask)
-
-
-def target_rows(P, log_probs):
-    """The n target rows of ``gcn_forward``'s class rows: a dense P has one
-    class per target, in target order."""
-    return log_probs if isinstance(P, np.ndarray) else log_probs[P.index]
+    per_target_table = label_table(labels, mask, as_operator(np.eye(11)))
+    assert table.loss(log_probs) == per_target_table.loss(per_target)
 
 
 def finite_difference_grads(
     P, X, labels, mask, model, seed, wd, dropout_rate=0.0, eps=1e-6
 ):
-    """Central differences of nll_loss at ``dropout_rate``, each forward
-    pass drawing its masks from a generator freshly seeded with ``seed``."""
+    """Central differences of ``objective`` at ``dropout_rate``, each
+    forward pass drawing its masks from a generator freshly seeded with
+    ``seed``."""
 
     def loss():
         lp, _ = gcn_forward(P, X, model, dropout_rate, np.random.default_rng(seed))
-        return nll_loss(target_rows(P, lp), labels, mask, model, wd)
+        return objective(lp, labels, mask, P, model, wd)
 
     grads = []
     for W in model.weights:
@@ -325,7 +329,7 @@ def test_forward_backward_match_per_target_oracle(repeated, dense, num_layers, d
     X, labels = _class_problem(repeated, seed=num_layers)
     operator = propagation_matrix(X)
     assert operator.classes.shape[0] == (4 if repeated else X.shape[0])
-    P = dense_propagation_matrix(X, "euclidean")[0] if dense else operator
+    P = as_operator(dense_propagation_matrix(X, "euclidean")[0]) if dense else operator
     model = init_model(
         X.shape[1],
         TrainConfig(hidden_size=5, num_layers=num_layers, seed=1),
@@ -336,7 +340,7 @@ def test_forward_backward_match_per_target_oracle(repeated, dense, num_layers, d
         rng = np.random.default_rng(3)
         masks = [rng.random((X.shape[0], 5)) >= rate for _ in model.weights[:-1]]
         expected, layers = per_target_gcn_forward(P, X, model, rate, masks)
-        assert _relative_error(target_rows(P, log_probs), expected) < 1e-12
+        assert _relative_error(log_probs[P.index], expected) < 1e-12
         grads = gcn_backward(P, caches, labels, mask, model, 5e-4)
         oracle = per_target_gcn_backward(
             P, expected, layers, labels, mask, model, 5e-4, rate
@@ -374,7 +378,7 @@ def test_train_on_operator_matches_dense_propagation():
     dense, _ = dense_propagation_matrix(X, "euclidean")
     config = TrainConfig(epochs=200, patience=200, seed=4)
     model_op, hist_op = train(propagation_matrix(X), X, labels, masks, config)
-    model_dense, hist_dense = train(dense, X, labels, masks, config)
+    model_dense, hist_dense = train(as_operator(dense), X, labels, masks, config)
     assert len(hist_op) == len(hist_dense) == 200
     for a, b in zip(hist_op, hist_dense):
         assert a.train_loss == pytest.approx(b.train_loss, rel=1e-10, abs=0)
@@ -418,7 +422,7 @@ def test_train_matches_per_target_oracle(graph, num_layers, dropout):
     X, labels, masks = _train_problem(seed=num_layers + int(10 * dropout))
     P = {
         "operator": lambda: propagation_matrix(X),
-        "dense": lambda: dense_propagation_matrix(X, "euclidean")[0],
+        "dense": lambda: as_operator(dense_propagation_matrix(X, "euclidean")[0]),
     }[graph]()
     config = TrainConfig(
         epochs=100, patience=40, learning_rate=0.05, hidden_size=6,
@@ -517,7 +521,7 @@ def test_train_early_stopping_restores_best():
     # No more than patience+1 epochs ran past the best validation loss.
     assert len(history) - 1 - best_epoch <= config.patience + 1
     eval_lp, _ = gcn_forward(P, X, model)
-    restored_val = nll_loss(eval_lp, labels, masks.validation, model, config.weight_decay)
+    restored_val = objective(eval_lp, labels, masks.validation, P, model, config.weight_decay)
     assert restored_val == pytest.approx(min(h.val_loss for h in history))
 
 

@@ -149,7 +149,7 @@ def test_split_deterministic_and_seed_sensitive():
 
 def test_split_unstratified_mode():
     labels = np.array([1] * 5 + [0] * 5)
-    masks = split_examples(labels, (0.5, 0.2, 0.3), seed=1, stratified=False)
+    masks = split_examples(labels, (0.5, 0.2), seed=1, stratified=False)
     assert len(masks.train) == 5
     assert len(masks.validation) == 2
     assert len(masks.test) == 3
@@ -158,18 +158,19 @@ def test_split_unstratified_mode():
 def test_split_validation_errors():
     with pytest.raises(DataError):
         split_examples(np.array([1, 0]))
-    with pytest.raises(DataError):
-        split_examples(np.array([1, 0, 1]), (0.5, 0.2, 0.2))
+    with pytest.raises(DataError, match="must sum to at most 1"):
+        split_examples(np.array([1, 0, 1]), (0.9, 0.2))
     with pytest.raises(DataError, match="'validation' must be >= 0"):
-        split_examples(np.array([1, 0, 1]), (0.8, -0.1, 0.3))
+        split_examples(np.array([1, 0, 1]), (0.8, -0.1))
 
 
 @pytest.mark.parametrize("stratified", [True, False])
 def test_split_part_that_rounds_to_empty_is_named(stratified):
     """5 + 5 examples at 0.9/0.05/0.05: validation rounds to no example,
-    in each class and overall."""
+    in each class and overall; at 0.7/0.3 the test share is 1 - 0.7 - 0.3."""
     labels = np.array([1] * 5 + [0] * 5)
     with pytest.raises(DataError, match="split part 'validation' is empty"):
-        split_examples(labels, (0.9, 0.05, 0.05), stratified=stratified)
-    with pytest.raises(DataError, match="split part 'test' is empty"):
-        split_examples(labels, (0.7, 0.3, 0.0), stratified=stratified)
+        split_examples(labels, (0.9, 0.05), stratified=stratified)
+    test_empty = r"split part 'test' is empty: proportion 1 - 0\.7 - 0\.3 of"
+    with pytest.raises(DataError, match=test_empty):
+        split_examples(labels, (0.7, 0.3), stratified=stratified)

@@ -15,6 +15,7 @@ from relgcn.cli import main as cli_main
 from relgcn import featurize as fz
 from relgcn.errors import ConfigError, DataError, NumericalError, ParseError
 from relgcn.gcn import TrainConfig
+from relgcn.grounding import sample_negatives
 from relgcn.kb import parse_facts
 from relgcn import pipeline
 from relgcn.pipeline import (
@@ -270,6 +271,24 @@ def test_sweep_from_an_empty_run_directory_parses_the_facts_once(
     assert (tmp_path / "out" / "X.csv").read_bytes() == (
         small_run["config"].out_dir() / "X.csv"
     ).read_bytes()
+
+
+def test_learn_contrast_follows_negatives_symmetric(small_run, tmp_path, monkeypatch):
+    """Without a neg file, the run's negatives and both rule sets' contrast
+    samples are drawn under ``negatives.symmetric``."""
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs.get("symmetric", args[5] if len(args) > 5 else True))
+        return sample_negatives(*args, **kwargs)
+
+    monkeypatch.setattr("relgcn.pipeline.sample_negatives", recorded)
+    monkeypatch.setattr("relgcn.rulelearn.sample_negatives", recorded)
+    config = _config(
+        small_run["data"], tmp_path / "out", neg="", **{"negatives.symmetric": "false"}
+    )
+    run_pipeline(config)
+    assert seen == [False, False, False]
 
 
 def test_featurize_on_the_kb_learn_used_matches_a_standalone_featurize(small_run, tmp_path):
@@ -683,6 +702,20 @@ def test_cli_removed_count_rewrite_keys_are_unknown(tmp_path, caplog, source, ke
     _assert_removed_key(tmp_path, caplog, source, key, value)
 
 
+def test_cli_removed_split_test_key_is_unknown(tmp_path, caplog):
+    """The test share is what train and validation leave: it is no key."""
+    _assert_removed_key(tmp_path, caplog, "set", "split.test", "0.3")
+
+
+def test_cli_train_share_alone_leaves_the_rest_to_test(small_run, tmp_path):
+    """``split.train=0.7`` needs no other split key: validation keeps its
+    default 0.1 and the 65 targets leave 0.2 of them, 13, to test."""
+    out = _clone_run(small_run, tmp_path).out_dir()
+    assert cli_main(["train", "--out", str(out), "--set", "split.train=0.7"]) == 0
+    splits = json.loads((out / "splits.json").read_text())
+    assert [len(splits[part]) for part in ("train", "validation", "test")] == [46, 6, 13]
+
+
 def test_readme_lists_exactly_the_run_artifacts():
     """README's list of what a pipeline run leaves in its run directory is
     the set a run writes, so a removed or added artifact cannot go
@@ -750,7 +783,7 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog):
         "split.train=0.95",
         "split.val=0.7 split.train=0.0",
         "split.train=0.7 split.val=0.0",
-        "split.train=0.9 split.test=0.0",
+        "split.train=0.9 split.val=0.1",
         "train.hidden_size=0",
         "train.dropout_rate=1.5",
         "train.patience=-1",
@@ -808,6 +841,19 @@ def test_cli_targets_row_with_extra_field_is_a_data_error(
     facts = small_run["data"] / "facts.txt"
     assert cli_main([command, "--out", str(out), "--set", f"facts={facts}"]) == 2
     assert f"{targets}, line 3" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["featurize", "inspect-rules", "train"])
+def test_cli_targets_without_header_is_a_data_error(small_run, tmp_path, caplog, command):
+    """A targets.csv whose first row is a target, not ``atom,label``,
+    would lose that target; it is refused instead."""
+    config = _clone_run(small_run, tmp_path)
+    out = config.out_dir()
+    targets = out / "targets.csv"
+    targets.write_text("".join(targets.read_text().splitlines(keepends=True)[1:]))
+    facts = small_run["data"] / "facts.txt"
+    assert cli_main([command, "--out", str(out), "--set", f"facts={facts}"]) == 2
+    assert f"{targets}: expected the header 'atom,label'" in caplog.text
 
 
 @pytest.mark.parametrize("command", ["featurize", "inspect-rules"])
