@@ -193,15 +193,21 @@ def write_matrix_csv(
             writer.writerow([rid] + [repr(float(v)) for v in row])
 
 
-def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
+def read_matrix_csv(
+    path: str | Path, columns: list[str] | None = None
+) -> tuple[np.ndarray, list[str], list[str]]:
     """The matrix, row ids and column ids written by ``write_matrix_csv``;
     a row of the wrong length or a cell that is not a finite float is a
-    DataError that names the file and line."""
+    DataError that names the file and line, and so, when ``columns`` is
+    given, is a header other than ``id`` and ``columns``."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path} is empty, expected a header row")
+        if columns is not None and header != ["id", *columns]:
+            expected = ",".join(["id", *columns])
+            raise DataError(f"{path}: expected the header {expected!r}, got {header!r}")
         col_ids = header[1:]
         row_ids = []
         rows = []

@@ -10,6 +10,10 @@ to ``threshold.json`` and its scores of the test targets to
 ``test_scores.csv``, which is all eval reads; the trained weights are not
 persisted.  A manifest records the config hash, all seeds and per-stage
 wall times.
+
+The per-target tables, ``targets.csv`` (labels), ``X.csv`` and
+``test_scores.csv``, are all matrix CSVs (``featurize.write_matrix_csv``):
+a row per target, its atom under ``id``, and labels as 1.0 or 0.0.
 """
 
 from __future__ import annotations
@@ -37,12 +41,6 @@ from .kb import KnowledgeBase, Targets, _strip_comment, parse_facts, parse_groun
 from .rulelearn import LearnConfig, learn_ruleset, parse_rules, serialize_rules
 
 log = logging.getLogger(__name__)
-
-# The header and labels of targets.csv; in memory a label is a bool, True
-# for positive.
-_TARGET_COLUMNS = ["atom", "label"]
-POSITIVE = "positive"
-NEGATIVE = "negative"
 
 # The keys that no dataclass holds.  Every other key is a field of
 # LearnConfig or TrainConfig under its section's prefix, with the field's
@@ -164,6 +162,8 @@ class PipelineConfig:
     ) -> "PipelineConfig":
         try:
             text = Path(path).read_text()
+        except FileNotFoundError:
+            raise ConfigError(f"config file {path} does not exist") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"cannot decode config file {path}: {exc}") from exc
         file_overrides: dict[str, object] = {}
@@ -186,9 +186,8 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def out_dir(self) -> Path:
-        out = Path(self["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        return out
+        """The run directory, which only learn creates."""
+        return Path(self["out"])
 
     def split_proportions(self) -> tuple[float, float]:
         return tuple(self[key] for key in _SPLIT_KEYS)
@@ -244,51 +243,34 @@ def _load_examples(config: PipelineConfig, kb: KnowledgeBase) -> tuple[Targets, 
     return positives, negatives
 
 
-def _write_targets(path: Path, kb: KnowledgeBase, targets: Targets) -> None:
-    atoms = kb.atom_texts(targets.predicate, targets.ids)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_TARGET_COLUMNS)
-        for atom, positive in zip(atoms, targets.positive.tolist()):
-            writer.writerow([atom, POSITIVE if positive else NEGATIVE])
-
-
-def _target_rows(path: Path) -> Iterator[tuple[int, str, str]]:
-    """The (line, atom, label) rows of targets.csv under its header
-    ``atom,label``, each checked to hold an atom cell and the label
-    positive or negative; line is where the row starts (a quoted cell may
-    span lines).  Any other first row is a DataError that names the file."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _TARGET_COLUMNS:
-            raise DataError(f"{path}: expected the header 'atom,label', got {header!r}")
-        line = reader.line_num + 1
-        for row in reader:
-            if len(row) != 2 or row[1] not in (POSITIVE, NEGATIVE):
-                raise DataError(
-                    f"{path}, line {line}: expected an atom and the "
-                    f"label 'positive' or 'negative', got {row!r}"
-                )
-            yield line, row[0], row[1]
-            line = reader.line_num + 1
+def _read_labelled(path: Path, columns: list[str]) -> tuple[np.ndarray, list[str]]:
+    """The matrix and row ids of a per-target table whose first column is
+    the label; a header other than ``id`` and ``columns``, no row, or a
+    label other than 0 or 1 is a DataError that names the file."""
+    M, row_ids, _ = fz.read_matrix_csv(path, columns)
+    if not row_ids:
+        raise DataError(f"{path} holds no target")
+    for row_id, label in zip(row_ids, M[:, 0].tolist()):
+        if label not in (0.0, 1.0):
+            raise DataError(f"{path}: target {row_id!r} has label {label!r}, not 0 or 1")
+    return M, row_ids
 
 
 def _read_targets(path: Path, kb: KnowledgeBase) -> Targets:
-    """The examples of targets.csv, parsed as one example file with a line
-    per row; every atom cell must be one atom on one line, or the
-    ParseError names the file and the line its row starts on."""
-    rows = list(_target_rows(path))
-    for line, atom, _ in rows:
+    """The examples of targets.csv (``id,label``), parsed as one example
+    file with a line per row; every atom cell must be one atom on one
+    line, or the ParseError names the file and the line of its row (row i
+    is on line i + 2, as every row above it is one line)."""
+    M, atoms = _read_labelled(path, ["label"])
+    for i, atom in enumerate(atoms):
         # An empty, comment-only or multi-line cell would shift the lines.
         if len((atom + ".").splitlines()) != 1 or not _strip_comment(atom).strip():
-            raise ParseError(f"{path}: expected one atom, got {atom!r}", line)
-    text = "".join(f"{atom}.\n" for _, atom, _ in rows)
-    positive = np.array([label == POSITIVE for _, _, label in rows], dtype=bool)
+            raise ParseError(f"{path}: expected one atom, got {atom!r}", i + 2)
+    text = "".join(f"{atom}.\n" for atom in atoms)
     try:
-        return parse_ground_atoms(text, kb, positive)
+        return parse_ground_atoms(text, kb, M[:, 0] == 1.0)
     except ParseError as exc:
-        line = None if exc.line is None else rows[exc.line - 1][0]
+        line = None if exc.line is None else exc.line + 1
         raise ParseError(f"{path}: {exc.msg}", line) from exc
 
 
@@ -311,13 +293,17 @@ def stage_learn(config: PipelineConfig, kb: KnowledgeBase | None = None) -> Path
     """Learn positive- and negative-density rule sets; persist targets and
     rules.  ``kb`` is the loaded facts, read from ``facts`` when absent.
     X is built from both, so a stale ``X.csv`` is deleted first: train
-    cannot fit features of rules or targets that learn has replaced."""
+    cannot fit features of rules or targets that learn has replaced.
+    Learn is the one stage that creates the run directory."""
     out = config.out_dir()
     if kb is None:
         kb = _load_kb(config)
     positives, negatives = _load_examples(config, kb)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "X.csv").unlink(missing_ok=True)
-    _write_targets(out / "targets.csv", kb, positives + negatives)
+    targets = positives + negatives
+    atoms = kb.atom_texts(targets.predicate, targets.ids)
+    fz.write_matrix_csv(out / "targets.csv", targets.positive[:, None], atoms, ["label"])
     symmetric = config["negatives.symmetric"]
     pos_rules = learn_ruleset(
         kb, positives, config.learn, config["learn.k_pos"], symmetric=symmetric
@@ -349,25 +335,20 @@ def _load_graph(
     config: PipelineConfig,
 ) -> tuple[np.ndarray, np.ndarray, fz.PropagationMatrix, list[str]]:
     """Labels, X, the propagation matrix rebuilt from X under this
-    config's ``featurize.*`` keys, and X's row ids.  X's row ids must be
-    the atoms of targets.csv, in order, or the DataError names both files."""
+    config's ``featurize.*`` keys, and X's row ids.  The labels are read
+    from targets.csv as eval reads test_scores.csv, and X's row ids must be
+    its ids, in order, or the DataError names both files."""
     out = config.out_dir()
     x_path, targets_path = out / "X.csv", out / "targets.csv"
     X, row_ids, _ = fz.read_matrix_csv(x_path)
-    targets = list(_target_rows(targets_path))
-    if len(row_ids) != len(targets):
+    labelled, atoms = _read_labelled(targets_path, ["label"])
+    # Featurize writes each atom as ``P(a, b)``; a hand-edited targets.csv
+    # cell may be spaced otherwise.
+    if ["".join(r.split()) for r in row_ids] != ["".join(a.split()) for a in atoms]:
         raise DataError(
-            f"{x_path} has {len(row_ids)} rows but {targets_path} has "
-            f"{len(targets)} targets; rerun featurize"
+            f"the {len(row_ids)} rows of {x_path} are not the {len(atoms)} "
+            f"targets of {targets_path}, in order; rerun featurize"
         )
-    for i, (row_id, (line, atom, _)) in enumerate(zip(row_ids, targets)):
-        # Featurize writes each atom as ``P(a, b)``; a hand-edited
-        # targets.csv cell may be spaced otherwise.
-        if row_id != atom and "".join(row_id.split()) != "".join(atom.split()):
-            raise DataError(
-                f"{x_path}, line {i + 2}: row {row_id!r} is not the target "
-                f"{atom!r} of {targets_path}, line {line}; rerun featurize"
-            )
     metric = config["featurize.metric"]
     prop = fz.propagation_matrix(X, metric)
     # C >= 0, so its sign is B, the indicator of the row pairs with an edge;
@@ -388,8 +369,7 @@ def _load_graph(
         (float(c @ B @ c) - same) / (n * n - same),
         prop.nbytes,
     )
-    labels = np.array([label == POSITIVE for _, _, label in targets], dtype=int)
-    return labels, X, prop, row_ids
+    return labelled[:, 0].astype(int), X, prop, row_ids
 
 
 _SCORE_COLUMNS = ["label", "score"]
@@ -450,20 +430,13 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
 def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
     """Apply ``eval.threshold`` to the test scores train wrote and write
     the metrics; no other artifact or config key is read.  A scores file
-    that is missing, holds no target, has columns other than label and
-    score, or a label other than 0 or 1 is a DataError that names it."""
+    that is missing is a DataError that says to retrain; it is read as
+    train reads targets.csv, with the columns ``label`` and ``score``."""
     out = config.out_dir()
     path = out / "test_scores.csv"
     if not path.is_file():
         raise DataError(f"{path} does not exist; retrain (train writes it)")
-    M, row_ids, col_ids = fz.read_matrix_csv(path)
-    if col_ids != _SCORE_COLUMNS:
-        raise DataError(f"{path}: expected the header 'id,label,score', got columns {col_ids}")
-    if not row_ids:
-        raise DataError(f"{path} holds no test target; retrain")
-    for row_id, label in zip(row_ids, M[:, 0].tolist()):
-        if label not in (0.0, 1.0):
-            raise DataError(f"{path}: target {row_id!r} has label {label!r}, not 0 or 1")
+    M, _ = _read_labelled(path, _SCORE_COLUMNS)
     test_labels, test_scores = M[:, 0].astype(int), M[:, 1]
     threshold = config["eval.threshold"]
     log.info("scored %d test targets at threshold %r from %s",
@@ -508,11 +481,14 @@ def _stage(stage: str, at: str = "") -> Iterator[None]:
 def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
     """Execute all stages in order, writing a manifest; a stage failure is
     re-raised with the stage name, and earlier artifacts stay on disk.
+    The previous run's manifest is deleted first, so only a run that
+    finished leaves one.
 
     The facts are parsed once, as part of learn, and featurize reuses
     that kb; it is released before train.
     """
     out = config.out_dir()
+    (out / "manifest.json").unlink(missing_ok=True)
     stage_times: dict[str, float] = {}
     report = None
     kb = None

@@ -404,7 +404,7 @@ def test_labels_reject_unknown_values(small_run, tmp_path):
     config = _clone_run(small_run, tmp_path)
     targets = config.out_dir() / "targets.csv"
     lines = targets.read_text().splitlines(keepends=True)
-    lines[2] = lines[2].replace("positive", "maybe").replace("negative", "maybe")
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",maybe\n"
     targets.write_text("".join(lines))
     with pytest.raises(DataError, match=r"targets\.csv, line 3"):
         stage_train(config)
@@ -764,11 +764,51 @@ def test_cli_non_utf8_facts_is_a_data_error(tmp_path, caplog):
     assert "stage 'learn'" in caplog.text
 
 
-def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog):
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        pytest.param(
+            b"# \xff\xfe\ntrain.epochs = 5\n", "cannot decode config file", id="non-utf8"
+        ),
+        pytest.param(None, "does not exist", id="missing"),
+    ],
+)
+def test_cli_non_utf8_config_is_a_config_error(tmp_path, caplog, content, message):
+    """A config file that cannot be read is a config error (exit 1) that
+    names it."""
     config_file = tmp_path / "bad.cfg"
-    config_file.write_bytes(b"# \xff\xfe\ntrain.epochs = 5\n")
+    if content is not None:
+        config_file.write_bytes(content)
     assert cli_main(["pipeline", "--config", str(config_file)]) == 1
-    assert f"cannot decode config file {config_file}" in caplog.text
+    assert str(config_file) in caplog.text
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize("command", ["featurize", "train", "eval", "inspect-rules"])
+def test_cli_stage_on_a_missing_run_directory_creates_nothing(tmp_path, command):
+    """Only learn creates the run directory: any later stage on a missing
+    ``--out`` fails with exit 2 and leaves no directory behind."""
+    out = tmp_path / "typo"
+    facts = tmp_path / "facts.txt"
+    facts.write_text("@predicate P(t)\nP(a).\n")
+    assert cli_main([command, "--out", str(out), "--set", f"facts={facts}"]) == 2
+    assert not out.exists()
+
+
+def test_failed_rerun_leaves_no_manifest(small_run, tmp_path, monkeypatch):
+    """A rerun that fails in train, after learn and featurize rewrote the
+    rules and X, leaves no manifest of the earlier run to vouch for them."""
+    config = _clone_run(small_run, tmp_path, **{"learn.k_pos": "1"})
+
+    def diverge(*args, **kwargs):
+        raise NumericalError("loss diverged")
+
+    monkeypatch.setattr(pipeline.gcn_mod, "train", diverge)
+    with pytest.raises(NumericalError, match="stage 'train' failed"):
+        run_pipeline(config)
+    out = config.out_dir()
+    assert (out / "X.csv").is_file()
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -845,7 +885,7 @@ def test_cli_targets_row_with_extra_field_is_a_data_error(
 
 @pytest.mark.parametrize("command", ["featurize", "inspect-rules", "train"])
 def test_cli_targets_without_header_is_a_data_error(small_run, tmp_path, caplog, command):
-    """A targets.csv whose first row is a target, not ``atom,label``,
+    """A targets.csv whose first row is a target, not ``id,label``,
     would lose that target; it is refused instead."""
     config = _clone_run(small_run, tmp_path)
     out = config.out_dir()
@@ -853,7 +893,7 @@ def test_cli_targets_without_header_is_a_data_error(small_run, tmp_path, caplog,
     targets.write_text("".join(targets.read_text().splitlines(keepends=True)[1:]))
     facts = small_run["data"] / "facts.txt"
     assert cli_main([command, "--out", str(out), "--set", f"facts={facts}"]) == 2
-    assert f"{targets}: expected the header 'atom,label'" in caplog.text
+    assert f"{targets}: expected the header 'id,label'" in caplog.text
 
 
 @pytest.mark.parametrize("command", ["featurize", "inspect-rules"])
@@ -955,6 +995,17 @@ def _label_cell(text):
             id="train-x-inf",
         ),
         pytest.param(
+            "train", _edit_lines("targets.csv", _last_cell("0.5")), "targets.csv",
+            "has label 0.5, not 0 or 1", id="train-targets-label",
+        ),
+        pytest.param(
+            "train",
+            _edit_lines("targets.csv", lambda lines: ["atom,label\n"] + lines[1:]),
+            "targets.csv",
+            "expected the header 'id,label'",
+            id="train-targets-header",
+        ),
+        pytest.param(
             "eval", _remove_scores, "test_scores.csv", "retrain", id="eval-scores-missing"
         ),
         pytest.param(
@@ -987,7 +1038,7 @@ def _label_cell(text):
         ),
         pytest.param(
             "eval", _edit_lines("test_scores.csv", lambda lines: lines[:1]), "test_scores.csv",
-            "holds no test target", id="eval-scores-empty",
+            "holds no target", id="eval-scores-empty",
         ),
         pytest.param(
             "eval", _edit_lines("test_scores.csv", _label_cell("0.5")), "test_scores.csv",
@@ -998,9 +1049,9 @@ def _label_cell(text):
 def test_cli_damaged_run_directory_is_a_data_error(
     small_run, tmp_path, caplog, command, damage, damaged, reason
 ):
-    """Train checks X.csv against targets.csv, and eval checks the
-    test_scores.csv train wrote, before they use them; each error names
-    the damaged file and why."""
+    """Train checks targets.csv and X.csv against it, and eval checks the
+    test_scores.csv train wrote, both tables through one reader, before
+    they use them; each error names the damaged file and why."""
     out = _clone_run(small_run, tmp_path).out_dir()
     damage(out)
     assert cli_main([command, "--out", str(out)]) == 2
