@@ -219,7 +219,10 @@ def gcn_forward(
         A = S @ W
         kept = P.counts
         if dropout_rate > 0.0:
-            mask = rng.random((X.shape[0], A.shape[1])) >= dropout_rate
+            # The mask as float 0/1 in the draw's own array, so the pool
+            # casts no n x h bool array.
+            mask = rng.random((X.shape[0], A.shape[1]))
+            np.greater_equal(mask, dropout_rate, out=mask)
             kept = (P.members @ mask) / (1.0 - dropout_rate)
         pooled = np.maximum(A, 0.0) * kept
         caches.propagated.append(S)
@@ -343,13 +346,14 @@ def train(
     best_val = np.inf
     best_weights = [W.copy() for W in model.weights]
     stale = 0
+    # The decay of the current weights: epoch e's validation decay is epoch
+    # e + 1's training decay.
+    decay = _first_layer_decay(model, config.weight_decay)
     for epoch in range(config.epochs):
         log_probs, caches = gcn_forward(
             P, X, model, config.dropout_rate, rng, pooled=pooled
         )
-        train_loss = fit.loss(log_probs) + _first_layer_decay(
-            model, config.weight_decay
-        )
+        train_loss = fit.loss(log_probs) + decay
         if not np.isfinite(train_loss):
             raise NumericalError(
                 f"training diverged at epoch {epoch}: loss={train_loss}"
@@ -359,8 +363,9 @@ def train(
         )
         adam_step(model.weights, grads, state, config.learning_rate)
 
+        decay = _first_layer_decay(model, config.weight_decay)
         eval_lp, _ = gcn_forward(P, X, model, pooled=pooled)
-        val_loss = held_out.loss(eval_lp) + _first_layer_decay(model, config.weight_decay)
+        val_loss = held_out.loss(eval_lp) + decay
         val_f1 = held_out.f1(eval_lp)
         history.append(EpochRecord(epoch, train_loss, val_loss, val_f1))
 

@@ -34,6 +34,19 @@ radix is the number of constant ids.  On ``sampled-topics`` learning
 builds 6 indexes (0.76 MB) for its 315 joins.  Inside `run_pipeline`
 featurization runs on learning's kb, reuses those 6 and builds none;
 featurization run alone builds 4 (0.51 MB) for its 12.
+
+`sample_negatives` never builds the typed product it draws from.  It
+numbers the candidates by rank, their row-major order in the product:
+for a one-type pair i < j (symmetric) the rank is i(2m - i - 1)/2 +
+j - i - 1 over a domain of m constants, for an ordered one-type pair
+i(m - 1) + j - [j > i], and otherwise the flat index.  The positives'
+ranks are excluded; the seeded draw picks positions among the remaining
+candidates, and each position k steps past the excluded ranks at or below
+it and maps back to indices by the row starts, a divmod or the flat
+shape.  Memory is O(m + |positives| + drawn): one symmetric draw of
+2,000 negatives over 50,000 persons peaks at 3.2 MiB traced, where the
+product's mask alone would take 2.5 GB.  A product past int64 ranks is a
+DataError.
 """
 
 from __future__ import annotations
@@ -180,22 +193,20 @@ def sample_negatives(
         raise DataError(
             f"positives of {positives.predicate} given to sample {target_schema.name}"
         )
-    # Each position's domain as ids, in name order.
-    domains = [
-        np.array([kb.constant_id(c) for c in sorted(kb.constants_of_type(t))], dtype=np.int64)
-        for t in target_schema.arg_types
-    ]
+    # Each position's domain as ids, in name order, built once per type.
+    by_type = {
+        t: np.array([kb.constant_id(c) for c in sorted(kb.constants_of_type(t))], dtype=np.int64)
+        for t in dict.fromkeys(target_schema.arg_types)
+    }
+    domains = [by_type[t] for t in target_schema.arg_types]
     sizes = [len(d) for d in domains]
-    # keep[i0, i1, ...] says whether (domains[0][i0], domains[1][i1], ...) is
-    # a candidate; its row-major flat order is itertools.product's order.
-    keep = np.ones(sizes, dtype=bool)
-    if target_schema.arity == 2 and len(set(target_schema.arg_types)) == 1:
-        # One sorted domain: equal names share an index and name order is
-        # index order, so drop reflexive pairs and, when symmetric, keep
-        # only the canonical (lexicographically ordered) pair.
-        np.fill_diagonal(keep, False)
-        if symmetric:
-            keep = np.triu(keep)
+    product = math.prod(sizes)
+    if product > np.iinfo(np.int64).max:
+        raise DataError(
+            f"cannot sample negatives of {target_schema.name}: its domains of sizes "
+            f"{' x '.join(map(str, sizes))} hold {product} tuples, more than an int64 "
+            f"rank can number"
+        )
     cleared = positives.ids
     if symmetric and target_schema.arity == 2:
         cleared = np.vstack([cleared, cleared[:, ::-1]])
@@ -205,16 +216,53 @@ def sample_negatives(
     for p, d in enumerate(domains):
         slot[p, d] = np.arange(len(d))
     at = slot[np.arange(len(domains))[:, None], cleared.T]
-    keep[tuple(at[:, (at >= 0).all(axis=0)])] = False
-    candidates = np.flatnonzero(keep)
+    at = at[:, (at >= 0).all(axis=0)]
+    # Candidates are numbered by rank, their row-major order in the typed
+    # product (itertools.product's order); each cleared tuple that is a
+    # candidate excludes its rank.
+    pairs = target_schema.arity == 2 and len(by_type) == 1
+    if pairs:
+        # One sorted domain: equal names share an index and name order is
+        # index order, so reflexive pairs are no candidates and, when
+        # symmetric, only the canonical (lexicographically ordered) pair is.
+        m = sizes[0]
+        i, j = at
+        if symmetric:
+            i, j = i[i < j], j[i < j]
+            ranks = i * (2 * m - i - 1) // 2 + j - i - 1
+            total = m * (m - 1) // 2
+        else:
+            i, j = i[i != j], j[i != j]
+            ranks = i * (m - 1) + j - (j > i)
+            total = m * (m - 1)
+    else:
+        ranks = np.ravel_multi_index(tuple(at), sizes)
+        total = product
+    # Sorted and distinct.  Not np.unique: its hash table costs about 1 MB
+    # of resident memory on its first call in a process.
+    ranks = np.sort(ranks)
+    excluded = ranks[np.diff(ranks, prepend=-1) != 0]
+    available = total - len(excluded)
     want = math.ceil(ratio * len(positives))
-    if want > len(candidates):
+    if want > available:
         raise DataError(
-            f"requested {want} negatives but only {len(candidates)} "
+            f"requested {want} negatives but only {available} "
             f"non-positive tuples are available"
         )
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(candidates), size=want, replace=False)
-    drawn = np.unravel_index(candidates[np.sort(idx)], sizes)
+    k = np.sort(rng.choice(available, size=want, replace=False))
+    # The k-th candidate's rank is k plus the number of excluded ranks below
+    # it, which is the number of t with excluded[t] - t <= k.
+    rank = k + np.searchsorted(excluded - np.arange(len(excluded)), k, side="right")
+    if not pairs:
+        drawn = np.unravel_index(rank, sizes)
+    elif symmetric:
+        row = np.arange(m)
+        starts = row * (2 * m - row - 1) // 2
+        i = np.searchsorted(starts, rank, side="right") - 1
+        drawn = (i, rank - starts[i] + i + 1)
+    else:
+        i, q = np.divmod(rank, m - 1)
+        drawn = (i, q + (q >= i))
     ids = np.column_stack([d[i] for d, i in zip(domains, drawn)])
     return Targets(target_schema.name, ids, np.zeros(want, dtype=bool))

@@ -1,5 +1,6 @@
 """Grounding counts against the brute-force oracle, plus negative sampling."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from relgcn.kb import (
     JoinIndex,
     KnowledgeBase,
     PredicateSchema,
+    Targets,
     Variable,
 )
 from relgcn.rulelearn import candidate_literals
@@ -538,3 +540,65 @@ def test_sample_negatives_matches_enumeration_oracle(arg_types, symmetric):
         assert kb.atom_texts("Tgt", got.ids) == sample_negatives_by_enumeration(
             kb, schema, rows, ratio, seed, symmetric
         )
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "ordered"])
+def test_sample_negatives_matches_enumeration_oracle_on_hundreds_of_names(symmetric):
+    """Row offsets deep into the product and runs of excluded ranks: a dense
+    block of positives, positives in the first and last rows, reversed
+    duplicates and constants of another type are all cleared as the
+    enumeration clears them."""
+    kb = KnowledgeBase()
+    schema = PredicateSchema("Tgt", ("ta", "ta"))
+    kb.declare_schema(schema)
+    kb.declare_schema(PredicateSchema("Other", ("tb",)))
+    kb.add_fact("Other", ("outsider",))
+    names = [f"c{i:03d}" for i in range(300)]
+    tgt(kb, *zip(names[::2], names[1::2]))
+    rng = np.random.default_rng(11)
+    rows = [(names[i], names[j]) for i in range(20) for j in range(i + 1, 40)]
+    rows += [(names[0], names[-1]), (names[-2], names[-1]), (names[-1], names[-3])]
+    rows += [tuple(names[k] for k in rng.choice(300, size=2, replace=False)) for _ in range(200)]
+    rows += [row[::-1] for row in rows[::7]] + rows[:30]
+    rows += [("outsider", names[5]), (names[7], "outsider")]
+    ids = np.array([[kb.constant_id(c) for c in row] for row in rows], dtype=np.int64)
+    positives = Targets("Tgt", ids, np.ones(len(rows), dtype=bool))
+    for ratio, seed in [(0.5, 0), (3.0, 1), (40.0, 2)]:
+        got = sample_negatives(kb, schema, positives, ratio, seed, symmetric)
+        assert kb.atom_texts("Tgt", got.ids) == sample_negatives_by_enumeration(
+            kb, schema, rows, ratio, seed, symmetric
+        )
+
+
+def test_sample_negatives_memory_is_linear_in_the_domain():
+    """50,000 persons and 2,000 positives: the product's mask alone would
+    take 2.5 GB; one symmetric draw stays under 16 MiB traced."""
+    kb = KnowledgeBase()
+    kb.declare_schema(PredicateSchema("CoAuthor", (PERSON, PERSON)))
+    names = [f"P{i:05d}" for i in range(50_000)]
+    kb.targets("CoAuthor", zip(names[::2], names[1::2]), True)
+    picks = np.random.default_rng(0).choice(50_000, size=(2_000, 2))
+    positives = kb.targets("CoAuthor", [(names[a], names[b]) for a, b in picks], True)
+    tracemalloc.start()
+    try:
+        negatives = sample_negatives(kb, kb.schema("CoAuthor"), positives, 1.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(negatives) == 2_000
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_sample_negatives_refuses_a_product_beyond_int64():
+    """Five positions over 10,000 constants: 1e20 tuples cannot be ranked
+    in int64, and the error names the predicate and the domain sizes."""
+    kb = KnowledgeBase()
+    kb.declare_schema(PredicateSchema("Wide", ("tc",) * 5))
+    positives = kb.targets(
+        "Wide", [[f"c{5 * r + p}" for p in range(5)] for r in range(2_000)], True
+    )
+    with pytest.raises(DataError, match=(
+        r"Wide: its domains of sizes 10000 x 10000 x 10000 x 10000 x 10000 "
+        r"hold 100000000000000000000 tuples"
+    )):
+        sample_negatives(kb, kb.schema("Wide"), positives, 1.0, 0)
