@@ -17,11 +17,8 @@ from .pipeline import (
     default_values,
     rule_coverage_report,
     run_pipeline,
+    run_stages,
     sensitivity_sweep,
-    stage_eval,
-    stage_featurize,
-    stage_learn,
-    stage_train,
 )
 from .synth import SyntheticSpec, generate_synthetic
 
@@ -146,18 +143,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     config = _build_config(args)
+    if args.command in ("learn", "featurize", "train", "eval"):
+        result, _ = run_stages(config, (args.command,))[args.command]
     if args.command == "learn":
-        path = stage_learn(config)
-        print(f"rules written to {path}")
+        print(f"rules written to {result}")
     elif args.command == "featurize":
-        X = stage_featurize(config)
-        print(f"feature matrix X written: {X.shape[0]} targets x {X.shape[1]} rules")
+        print(f"feature matrix X written: {result.shape[0]} targets x {result.shape[1]} rules")
     elif args.command == "train":
-        _, history = stage_train(config)
-        print(f"trained for {len(history)} epochs")
+        print(f"trained for {len(result[1])} epochs")
     elif args.command == "eval":
-        report = stage_eval(config)
-        print(report.to_text(), end="")
+        print(result.to_text(), end="")
     elif args.command == "pipeline":
         report = run_pipeline(config)
         print(report.to_text(), end="")

@@ -34,14 +34,10 @@ class DataError(RelgcnError):
 class ParseError(DataError):
     """Syntax error in a fact, example or rule file."""
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", col {col})" if col is not None else ")")
-        super().__init__(message + loc)
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.msg = message
         self.line = line
-        self.col = col
 
 
 class NumericalError(RelgcnError):

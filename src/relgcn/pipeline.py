@@ -1,15 +1,18 @@
 """Staged experiment driver: learn rules, featurize, train, evaluate.
 
 Every stage reads its inputs from and persists its outputs to the run
-directory, so an expensive earlier stage (rule learning) amortizes across
-later sweeps.  The only matrix persisted is the feature matrix X, which
+directory, so later stages rerun without the earlier ones; run together,
+learn and featurize share one parse of the facts and learn's join
+indexes.  ``run_stages`` runs any subset of the stages, in order; it is
+how ``run_pipeline``, ``sensitivity_sweep`` and the stage commands run
+them.  The only matrix persisted is the feature matrix X, which
 learn deletes when it rewrites the rules and targets X is built from: the
 propagation matrix is a fixed function of X and the ``featurize.*`` keys,
 so train rebuilds it.  Train writes the graph's metric and threshold t
 to ``threshold.json`` and its scores of the test targets to
 ``test_scores.csv``, which is all eval reads; the trained weights are not
 persisted.  A manifest records the config hash, all seeds and per-stage
-wall times.
+wall times; only ``run_pipeline`` writes it, and any stage run deletes it.
 
 The per-target tables, ``targets.csv`` (labels), ``X.csv`` and
 ``test_scores.csv``, are all matrix CSVs (``featurize.write_matrix_csv``):
@@ -28,7 +31,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -275,29 +278,25 @@ def _read_targets(path: Path, kb: KnowledgeBase) -> Targets:
 
 
 def _load_rules(
-    config: PipelineConfig, kb: KnowledgeBase | None = None
-) -> tuple[Path, KnowledgeBase, Targets, list[Clause]]:
-    """The output directory, the kb (``kb``, or loaded from ``facts`` when
-    absent), the examples of targets.csv and the rules of rules.txt."""
+    config: PipelineConfig, kb: KnowledgeBase
+) -> tuple[Path, Targets, list[Clause]]:
+    """The output directory, the examples of targets.csv and the rules of
+    rules.txt, read against ``kb``."""
     out = config.out_dir()
-    if kb is None:
-        kb = _load_kb(config)
     targets = _read_targets(out / "targets.csv", kb)
-    return out, kb, targets, parse_rules((out / "rules.txt").read_text(), kb)
+    return out, targets, parse_rules((out / "rules.txt").read_text(), kb)
 
 
 # -- stages ----------------------------------------------------------------
 
 
-def stage_learn(config: PipelineConfig, kb: KnowledgeBase | None = None) -> Path:
-    """Learn positive- and negative-density rule sets; persist targets and
-    rules.  ``kb`` is the loaded facts, read from ``facts`` when absent.
-    X is built from both, so a stale ``X.csv`` is deleted first: train
-    cannot fit features of rules or targets that learn has replaced.
-    Learn is the one stage that creates the run directory."""
+def stage_learn(config: PipelineConfig, kb: KnowledgeBase) -> Path:
+    """Learn positive- and negative-density rule sets on ``kb``, the parsed
+    facts; persist targets and rules.  X is built from both, so a stale
+    ``X.csv`` is deleted first: train cannot fit features of rules or
+    targets that learn has replaced.  Learn is the one stage that creates
+    the run directory."""
     out = config.out_dir()
-    if kb is None:
-        kb = _load_kb(config)
     positives, negatives = _load_examples(config, kb)
     out.mkdir(parents=True, exist_ok=True)
     (out / "X.csv").unlink(missing_ok=True)
@@ -317,13 +316,12 @@ def stage_learn(config: PipelineConfig, kb: KnowledgeBase | None = None) -> Path
     return rules_path
 
 
-def stage_featurize(config: PipelineConfig, kb: KnowledgeBase | None = None) -> np.ndarray:
+def stage_featurize(config: PipelineConfig, kb: KnowledgeBase) -> np.ndarray:
     """The rule-count matrix X, one row per target and one column per rule,
-    written to ``X.csv`` as raw counts.  It reads no config key but ``out``
-    and ``facts``; ``kb`` is the loaded facts, read from ``facts`` when
-    absent, and the kb learn used brings its fact arrays and join indexes
-    along."""
-    out, kb, targets, rules = _load_rules(config, kb)
+    written to ``X.csv`` as raw counts.  ``kb`` is the parsed facts, and
+    the kb learn used brings its join indexes along; no config key but
+    ``out`` is read."""
+    out, targets, rules = _load_rules(config, kb)
     X = fz.build_rule_matrix(rules, targets, kb)
     row_ids = kb.atom_texts(targets.predicate, targets.ids)
     col_ids = [f"rule{j}" for j in range(X.shape[1])]
@@ -461,7 +459,7 @@ _KB_STAGES = ("learn", "featurize")
 
 
 @contextmanager
-def _stage(stage: str, at: str = "") -> Iterator[None]:
+def _stage(stage: str, at: str) -> Iterator[None]:
     """Re-raise an exception of the block as a copy, of the same type and
     with the same attributes (a ParseError keeps its line), whose message
     names the failed stage and, in a sweep, the value it ran at (``at``,
@@ -478,23 +476,26 @@ def _stage(stage: str, at: str = "") -> Iterator[None]:
         raise wrapped from exc
 
 
-def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
-    """Execute all stages in order, writing a manifest; a stage failure is
-    re-raised with the stage name, and earlier artifacts stay on disk.
-    The previous run's manifest is deleted first, so only a run that
-    finished leaves one.
+def run_stages(
+    config: PipelineConfig, names: Collection[str] | None = None, at: str = ""
+) -> dict[str, tuple[object, float]]:
+    """Run the stages ``names`` (all when None) in pipeline order and
+    return each one's result and wall time in seconds.  A stage failure is
+    re-raised by ``_stage`` with the stage name and ``at``; earlier
+    artifacts stay on disk.
 
-    The facts are parsed once, as part of learn, and featurize reuses
-    that kb; it is released before train.
+    The run directory's manifest is deleted first: it describes the run
+    that wrote every artifact, which this one may rewrite.  Learn and
+    featurize share one parse of the facts, released before train.
     """
-    out = config.out_dir()
-    (out / "manifest.json").unlink(missing_ok=True)
-    stage_times: dict[str, float] = {}
-    report = None
+    (config.out_dir() / "manifest.json").unlink(missing_ok=True)
+    ran: dict[str, tuple[object, float]] = {}
     kb = None
     for name, fn in _STAGES:
+        if names is not None and name not in names:
+            continue
         start = time.perf_counter()
-        with _stage(name):
+        with _stage(name, at):
             if name in _KB_STAGES:
                 if kb is None:
                     kb = _load_kb(config)
@@ -502,20 +503,26 @@ def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
             else:
                 kb = None  # train and eval read only the run directory
                 result = fn(config)
-        stage_times[name] = time.perf_counter() - start
-        if name == "eval":
-            report = result
+        ran[name] = (result, time.perf_counter() - start)
+    return ran
+
+
+def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
+    """Run all stages and write the manifest, which only a run that
+    finished leaves."""
+    ran = run_stages(config)
     manifest = {
         "config": config.values,
         "config_hash": config.hash(),
         "seeds": {
             k: config.values[k] for k in sorted(config.values) if k.endswith("seed")
         },
-        "stage_times_s": stage_times,
+        "stage_times_s": {name: seconds for name, (_, seconds) in ran.items()},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    assert report is not None
-    return report
+    (config.out_dir() / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True)
+    )
+    return ran["eval"][0]
 
 
 # -- sensitivity sweeps ----------------------------------------------------
@@ -532,33 +539,28 @@ def sensitivity_sweep(
     axis: str,
     values: list | None = None,
 ) -> list[tuple[object, metrics_mod.MetricsReport]]:
-    """Rerun train and eval varying one axis, seeds fixed.
+    """Rerun train and eval once per value of one axis, seeds fixed, and
+    write the metrics of each to ``sweep_<axis>.csv``.
 
-    Rules and X are learned and built only when missing, from one parse
-    of the facts; every value reuses them, since each axis changes only
-    what train and eval build from X.
+    Learn and featurize run first when ``rules.txt`` is missing, and
+    featurize alone when only ``X.csv`` is; every value reuses the rules
+    and X, since each axis changes only what train and eval build from X.
+    A stage that fails is named with the value it ran at.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
     key, default_values = SWEEP_AXES[axis]
     values = values if values is not None else default_values
     out = config.out_dir()
-    kb = None
     if not (out / "rules.txt").is_file():
-        with _stage("learn"):
-            kb = _load_kb(config)
-            stage_learn(config, kb)
-    if not (out / "X.csv").is_file():
-        with _stage("featurize"):
-            stage_featurize(config, kb)
-    kb = None  # train and eval read only the run directory
+        run_stages(config, ("learn", "featurize"))
+    elif not (out / "X.csv").is_file():
+        run_stages(config, ("featurize",))
     results = []
     for value in values:
         cfg = PipelineConfig.from_overrides({**config.values, key: value})
-        with _stage("train", f"{axis}={value}"):
-            stage_train(cfg)
-        with _stage("eval", f"{axis}={value}"):
-            results.append((value, stage_eval(cfg)))
+        ran = run_stages(cfg, ("train", "eval"), f"{axis}={value}")
+        results.append((value, ran["eval"][0]))
     with open(out / f"sweep_{axis}.csv", "w", newline="") as f:
         f.write(axis + "," + metrics_mod.MetricsReport.csv_header() + "\n")
         for value, report in results:
@@ -568,7 +570,8 @@ def sensitivity_sweep(
 
 def rule_coverage_report(config: PipelineConfig) -> str:
     """Pretty-print the learned rules with per-rule coverage statistics."""
-    _, kb, targets, rules = _load_rules(config)
+    kb = _load_kb(config)
+    _, targets, rules = _load_rules(config, kb)
     positive = targets.positive
     n_pos, n_neg = int(positive.sum()), int((~positive).sum())
     lines = []

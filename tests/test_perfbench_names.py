@@ -12,13 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from relgcn import gcn
+from relgcn import gcn, pipeline
+from relgcn.cli import main as cli_main
 from relgcn.pipeline import (
     PipelineConfig,
     run_pipeline,
+    run_stages,
     sensitivity_sweep,
-    stage_featurize,
-    stage_learn,
     stage_train,
 )
 from relgcn.synth import SyntheticSpec, generate_synthetic
@@ -48,22 +48,62 @@ def test_benchmark_wrapped_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"relgcn.{module}"), attr, None))
 
 
-def _small_config(tmp_path) -> PipelineConfig:
-    """A 65-target planted run directory's config, trained for 2 epochs."""
+def _small_overrides(tmp_path) -> dict[str, str]:
+    """The config keys of a 65-target planted run directory, trained for
+    2 epochs."""
     spec = SyntheticSpec(
         n_persons=16, n_universities=3, n_topics=3, n_positives=25, n_negatives=40, seed=0
     )
     generate_synthetic(spec, tmp_path / "data")
-    return PipelineConfig.from_overrides(
-        {
-            **{k: str(tmp_path / "data" / f"{k}.txt") for k in ("facts", "pos", "neg")},
-            "out": str(tmp_path / "out"),
-            "learn.k_pos": "2",
-            "learn.k_neg": "2",
-            "learn.max_constants_for_grounding": "0",
-            "train.epochs": "2",
-        }
+    return {
+        **{k: str(tmp_path / "data" / f"{k}.txt") for k in ("facts", "pos", "neg")},
+        "out": str(tmp_path / "out"),
+        "learn.k_pos": "2",
+        "learn.k_neg": "2",
+        "learn.max_constants_for_grounding": "0",
+        "train.epochs": "2",
+    }
+
+
+def _small_config(tmp_path) -> PipelineConfig:
+    return PipelineConfig.from_overrides(_small_overrides(tmp_path))
+
+
+def test_benchmark_stage_names_are_the_pipeline_stages():
+    """The benchmark reports a time per name of its STAGES, each traced at
+    the ``stage_<name>`` attribute it rebuilds ``_STAGES`` from."""
+    stages = runpy.run_path(str(PERFBENCH / "tracing.py"))["STAGES"]
+    assert [s for s, _ in pipeline._STAGES] == list(stages)
+
+
+def test_every_entry_point_runs_its_stages_through_the_stage_list(tmp_path, monkeypatch):
+    """The benchmark traces and probes the stages by replacing the
+    functions in ``_STAGES``, so the pipeline, a sweep and every stage
+    command must run their stages from that list."""
+    ran = []
+
+    def recorder(name, fn):
+        def recorded(*args, **kwargs):
+            ran.append(name)
+            return fn(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(
+        pipeline, "_STAGES", [(s, recorder(s, fn)) for s, fn in pipeline._STAGES]
     )
+    overrides = _small_overrides(tmp_path)
+    config = PipelineConfig.from_overrides(overrides)
+    run_pipeline(config)
+    assert ran == ["learn", "featurize", "train", "eval"]
+    swept = PipelineConfig.from_overrides({**overrides, "out": str(tmp_path / "swept")})
+    ran.clear()
+    sensitivity_sweep(swept, "hidden_size", values=[4, 8])
+    assert ran == ["learn", "featurize"] + ["train", "eval"] * 2
+    flags = [arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}")]
+    for command in ("learn", "featurize", "train", "eval"):
+        ran.clear()
+        assert cli_main([command, *flags]) == 0
+        assert ran == [command]
 
 
 def test_benchmark_tracer_counts_a_pipeline_run(tmp_path):
@@ -111,8 +151,7 @@ def test_benchmark_flop_counters_read_stage_train_arguments(tmp_path, monkeypatc
     argument's shape and the model from a fixed position."""
     tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
     config = _small_config(tmp_path)
-    stage_learn(config)
-    stage_featurize(config)
+    run_stages(config, ("learn", "featurize"))
     calls = {}
     for name in ("gcn_forward", "gcn_backward"):
         def recorded(*args, _fn=getattr(gcn, name), _name=name, **kwargs):

@@ -23,6 +23,7 @@ from relgcn.pipeline import (
     default_values,
     rule_coverage_report,
     run_pipeline,
+    run_stages,
     sensitivity_sweep,
     stage_eval,
     stage_featurize,
@@ -199,7 +200,7 @@ def test_full_rerun_is_deterministic(small_run, tmp_path):
 def test_missing_facts_path_names_the_field(tmp_path):
     config = _config(tmp_path / "nowhere", tmp_path / "out")
     with pytest.raises(DataError, match="facts"):
-        stage_learn(config)
+        run_stages(config, ("learn",))
 
 
 def test_stage_failure_names_the_stage(tmp_path):
@@ -300,15 +301,15 @@ def test_featurize_on_the_kb_learn_used_matches_a_standalone_featurize(small_run
     assert kb.join_index_memory()[0] > 0
     stage_featurize(config, kb)
     shared = (tmp_path / "out" / "X.csv").read_bytes()
-    stage_featurize(config)
+    run_stages(config, ("featurize",))
     assert (tmp_path / "out" / "X.csv").read_bytes() == shared
     assert shared == (small_run["config"].out_dir() / "X.csv").read_bytes()
 
 
 def test_featurize_reads_only_the_run_directory_and_the_facts(small_run, tmp_path):
     """X.csv is the raw rule counts: under a config that differs in the
-    metric, the threshold and split and train keys, featurize reads no key
-    but ``out`` and ``facts`` and writes the same bytes."""
+    metric, the threshold and split and train keys, a featurize run reads
+    no key but ``out`` and ``facts`` and writes the same bytes."""
     out = _clone_run(small_run, tmp_path).out_dir()
     (out / "X.csv").unlink()
     other = _config(
@@ -327,7 +328,7 @@ def test_featurize_reads_only_the_run_directory_and_the_facts(small_run, tmp_pat
             read.add(key)
             return super().__getitem__(key)
 
-    stage_featurize(dataclasses.replace(other, values=Reads(other.values)))
+    run_stages(dataclasses.replace(other, values=Reads(other.values)), ("featurize",))
     assert (out / "X.csv").read_bytes() == (small_run["config"].out_dir() / "X.csv").read_bytes()
     assert read == {"out", "facts"}
 
@@ -811,6 +812,38 @@ def test_failed_rerun_leaves_no_manifest(small_run, tmp_path, monkeypatch):
     assert not (out / "manifest.json").exists()
 
 
+def test_cli_stage_command_names_its_failed_stage(small_run, tmp_path, caplog):
+    """A stage command runs its stage as the pipeline does: a failure is
+    named by its stage and keeps its exit code."""
+    argv = ["learn", "--out", str(tmp_path / "learn"), "--set", f"facts={tmp_path / 'nowhere'}"]
+    assert cli_main(argv) == 2
+    assert "stage 'learn' failed: facts path does not exist" in caplog.text
+    out = _clone_run(small_run, tmp_path).out_dir()
+    (out / "X.csv").unlink()
+    assert cli_main(["train", "--out", str(out)]) == 2
+    # An OSError's message is its strerror, which names the stage too.
+    assert "stage 'train' failed: No such file or directory" in caplog.text
+
+
+@pytest.mark.parametrize("partial", ["sweep", "cli-eval"])
+def test_partial_run_deletes_the_manifest(small_run, tmp_path, partial):
+    """A sweep or a stage command rewrites artifacts that a finished run's
+    manifest describes, so it deletes the manifest; a full pipeline run
+    writes one again."""
+    config = _clone_run(small_run, tmp_path)
+    out = config.out_dir()
+    assert (out / "manifest.json").is_file()
+    if partial == "sweep":
+        sensitivity_sweep(config, "hidden_size", values=[8])
+    else:
+        assert cli_main(["eval", "--out", str(out), "--set", "eval.threshold=0.3"]) == 0
+    assert not (out / "manifest.json").exists()
+    run_pipeline(config)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_hash"] == config.hash()
+    assert set(manifest["stage_times_s"]) == {"learn", "featurize", "train", "eval"}
+
+
 @pytest.mark.parametrize(
     "setting",
     [
@@ -1067,8 +1100,7 @@ def test_train_accepts_targets_cells_spaced_otherwise(small_run, tmp_path):
     lines = targets.read_text().splitlines(keepends=True)
     lines[1] = lines[1].replace(", ", " ,").replace("(", "( ")
     targets.write_text("".join(lines))
-    stage_featurize(config)
-    stage_train(config)
+    run_stages(config, ("featurize", "train"))
     assert stage_eval(config).to_csv_row() == small_run["report"].to_csv_row()
 
 
@@ -1114,9 +1146,9 @@ def test_eval_after_relearning_reports_the_trained_model(tmp_path):
         {**config.values, "learn.k_pos": 2, "learn.k_neg": 1, "learn.max_body_length": 2}
     )
     rules_before = (config.out_dir() / "rules.txt").read_text()
-    stage_learn(relearned)
+    run_stages(relearned, ("learn",))
     assert (config.out_dir() / "rules.txt").read_text() != rules_before
-    stage_featurize(relearned)
+    run_stages(relearned, ("featurize",))
     assert stage_eval(relearned).to_csv_row() == trained
 
 
