@@ -331,11 +331,11 @@ def train(
     masks: SplitMasks,
     config: TrainConfig,
 ) -> tuple[GCNModel, list[EpochRecord]]:
-    """Full-batch transductive training with early stopping on validation
-    loss; the best-validation weights are restored before returning.  Gᵀ X
-    and the label tables of the train and the validation mask are built
-    once, before the first epoch; a mask that is not an index mask into
-    ``labels`` is a DataError there."""
+    """Full-batch transductive training, stopped once ``patience + 1``
+    epochs in a row fail to lower the validation loss; the model returned
+    holds the last epoch's weights.  Gᵀ X and the label tables of the train
+    and the validation mask are built once, before the first epoch; a mask
+    that is not an index mask into ``labels`` is a DataError there."""
     model = init_model(X.shape[1], config)
     state = AdamState.zeros_like(model.weights)
     rng = np.random.default_rng(config.seed)
@@ -344,7 +344,6 @@ def train(
     held_out = label_table(labels, masks.validation, P)
     history: list[EpochRecord] = []
     best_val = np.inf
-    best_weights = [W.copy() for W in model.weights]
     stale = 0
     # The decay of the current weights: epoch e's validation decay is epoch
     # e + 1's training decay.
@@ -371,13 +370,11 @@ def train(
 
         if val_loss < best_val:
             best_val = val_loss
-            best_weights = [W.copy() for W in model.weights]
             stale = 0
         else:
             stale += 1
             if stale > config.patience:
                 break
-    model.weights = best_weights
     return model, history
 
 

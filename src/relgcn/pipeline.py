@@ -31,7 +31,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator
 
 import numpy as np
 
@@ -199,36 +199,39 @@ class PipelineConfig:
 # -- shared loading helpers ------------------------------------------------
 
 
-def _read_input(config: PipelineConfig, key: str) -> str:
-    """Text of the input file named by config key ``key``."""
+@contextmanager
+def _in_file(name: str, offset: int = 0) -> Iterator[None]:
+    """Re-raise a ParseError of the block with ``name`` before its message
+    and its line, if any, moved down by ``offset``."""
+    try:
+        yield
+    except ParseError as exc:
+        line = None if exc.line is None else exc.line + offset
+        raise ParseError(f"{name}: {exc.msg}", line) from exc
+
+
+def _parse_input(config: PipelineConfig, key: str, parse: Callable, *args) -> object:
+    """``parse`` of the text of the input file named by config key ``key``
+    (and ``args``); a ParseError names the file and the key."""
     path = Path(config[key])
     if not path.is_file():
         raise DataError(f"{key} path does not exist: {path} (config key {key!r})")
     try:
-        return path.read_text()
+        text = path.read_text()
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path} (config key {key!r}): {exc}") from exc
+    with _in_file(f"{path} (config key {key!r})"):
+        return parse(text, *args)
 
 
 def _load_kb(config: PipelineConfig) -> KnowledgeBase:
-    return parse_facts(_read_input(config, "facts"))
-
-
-def _read_examples(
-    config: PipelineConfig, key: str, kb: KnowledgeBase, positive: bool
-) -> Targets:
-    """The examples of the file named by config key ``key``, all labelled
-    ``positive``; a ParseError names the file and the key."""
-    try:
-        return parse_ground_atoms(_read_input(config, key), kb, positive)
-    except ParseError as exc:
-        raise ParseError(f"{config[key]} (config key {key!r}): {exc.msg}", exc.line) from exc
+    return _parse_input(config, "facts", parse_facts)
 
 
 def _load_examples(config: PipelineConfig, kb: KnowledgeBase) -> tuple[Targets, Targets]:
-    positives = _read_examples(config, "pos", kb, True)
+    positives = _parse_input(config, "pos", parse_ground_atoms, kb, True)
     if config["neg"]:
-        negatives = _read_examples(config, "neg", kb, False)
+        negatives = _parse_input(config, "neg", parse_ground_atoms, kb, False)
         if negatives.predicate != positives.predicate:
             raise DataError(
                 f"{config['neg']} (config key 'neg') holds {negatives.predicate} "
@@ -270,21 +273,19 @@ def _read_targets(path: Path, kb: KnowledgeBase) -> Targets:
         if len((atom + ".").splitlines()) != 1 or not _strip_comment(atom).strip():
             raise ParseError(f"{path}: expected one atom, got {atom!r}", i + 2)
     text = "".join(f"{atom}.\n" for atom in atoms)
-    try:
+    with _in_file(str(path), offset=1):
         return parse_ground_atoms(text, kb, M[:, 0] == 1.0)
-    except ParseError as exc:
-        line = None if exc.line is None else exc.line + 1
-        raise ParseError(f"{path}: {exc.msg}", line) from exc
 
 
 def _load_rules(
     config: PipelineConfig, kb: KnowledgeBase
 ) -> tuple[Path, Targets, list[Clause]]:
     """The output directory, the examples of targets.csv and the rules of
-    rules.txt, read against ``kb``."""
+    rules.txt, read against ``kb``; a ParseError names the file."""
     out = config.out_dir()
     targets = _read_targets(out / "targets.csv", kb)
-    return out, targets, parse_rules((out / "rules.txt").read_text(), kb)
+    with _in_file(str(out / "rules.txt")):
+        return out, targets, parse_rules((out / "rules.txt").read_text(), kb)
 
 
 # -- stages ----------------------------------------------------------------
@@ -387,15 +388,15 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
         config["split.stratified"],
     )
     model, history = gcn_mod.train(prop, X, labels, masks, config.train)
-    best = int(np.argmin([rec.val_loss for rec in history]))
+    # The stop rule fired iff more than patience epochs followed the lowest
+    # validation loss, whose weights the model no longer holds.
+    lowest = int(np.argmin([rec.val_loss for rec in history]))
+    stopped = len(history) - 1 - lowest > config.train.patience
     log.info(
-        "trained %d epochs, best epoch %d (val_loss=%r); each layer ran on "
-        "%d rows for %d targets",
-        len(history),
-        best,
-        history[best].val_loss,
-        prop.classes.shape[0],
-        X.shape[0],
+        "trained %d epochs (%s); val_loss=%r, lowest val_loss at epoch %d; "
+        "each layer ran on %d rows for %d targets",
+        len(history), "stopped early" if stopped else "no early stop",
+        history[-1].val_loss, lowest, prop.classes.shape[0], X.shape[0],
     )
     scores, _ = gcn_mod.predict(model, prop, X)
     (out / "threshold.json").write_text(

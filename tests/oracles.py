@@ -222,9 +222,10 @@ def per_target_train(P, X, labels, masks, config):
     draw per hidden layer, in layer order), the per-target mean NLL over
     the train targets plus first-layer decay, `per_target_gcn_backward`,
     an Adam step, an eval pass, and the mean NLL and binary F1 over the
-    validation targets; early stopping on the validation loss restores
-    the best weights.  Returns the model and one (train_loss, val_loss,
-    val_f1) tuple per epoch."""
+    validation targets; the loop stops once ``patience + 1`` epochs in a
+    row fail to lower the validation loss, keeping the last epoch's
+    weights.  Returns the model and one (train_loss, val_loss, val_f1)
+    tuple per epoch."""
     model = init_model(X.shape[1], config)
     state = AdamState.zeros_like(model.weights)
     rng = np.random.default_rng(config.seed)
@@ -235,7 +236,7 @@ def per_target_train(P, X, labels, masks, config):
         return data + 0.5 * config.weight_decay * float(np.sum(model.weights[0] ** 2))
 
     history = []
-    best_val, best_weights, stale = np.inf, [W.copy() for W in model.weights], 0
+    best_val, stale = np.inf, 0
     for _ in range(config.epochs):
         drops = None
         if rate > 0.0:
@@ -256,12 +257,11 @@ def per_target_train(P, X, labels, masks, config):
         val_f1 = 2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
         history.append((train_loss, val_loss, val_f1))
         if val_loss < best_val:
-            best_val, best_weights, stale = val_loss, [W.copy() for W in model.weights], 0
+            best_val, stale = val_loss, 0
         else:
             stale += 1
             if stale > config.patience:
                 break
-    model.weights = best_weights
     return model, history
 
 

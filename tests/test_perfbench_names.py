@@ -16,6 +16,7 @@ from relgcn import gcn, pipeline
 from relgcn.cli import main as cli_main
 from relgcn.pipeline import (
     PipelineConfig,
+    default_values,
     run_pipeline,
     run_stages,
     sensitivity_sweep,
@@ -74,6 +75,16 @@ def test_benchmark_stage_names_are_the_pipeline_stages():
     the ``stage_<name>`` attribute it rebuilds ``_STAGES`` from."""
     stages = runpy.run_path(str(PERFBENCH / "tracing.py"))["STAGES"]
     assert [s for s, _ in pipeline._STAGES] == list(stages)
+
+
+def test_benchmark_config_keys_are_config_keys():
+    """Every key the benchmark's workloads override is a config key, so
+    deleting or renaming one fails here and not only in a benchmark run."""
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    keys = default_values()
+    for table in ("PLANTED_OVERRIDES", "SWEEP_OVERRIDES", "TOPICS_OVERRIDES"):
+        for key in workloads[table]:
+            assert key in keys, f"the benchmark sets {key!r} ({table}), which is not a config key"
 
 
 def test_every_entry_point_runs_its_stages_through_the_stage_list(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import logging
 import re
+import runpy
 import shutil
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from relgcn.rulelearn import LearnConfig
 from relgcn.synth import SyntheticSpec, generate_synthetic
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SMALL_SPEC = SyntheticSpec(
     n_persons=16, n_universities=3, n_topics=3, n_positives=25, n_negatives=40, seed=0
 )
@@ -228,10 +230,12 @@ def test_stage_failure_keeps_parse_error_position(tmp_path):
 )
 def test_stage_failure_names_the_facts_line(tmp_path, caplog, facts, message, line):
     """An empty argument or a conflicting redeclaration in facts.txt is a
-    ParseError of stage learn at its line, and the CLI exits 2."""
+    ParseError of stage learn at its line, naming the file, and the CLI
+    exits 2."""
     (tmp_path / "facts.txt").write_text(facts)
     config = _config(tmp_path, tmp_path / "out")
-    with pytest.raises(ParseError, match=f"stage 'learn' failed: {message}") as info:
+    named = re.escape(f"{tmp_path / 'facts.txt'} (config key 'facts'): ")
+    with pytest.raises(ParseError, match=f"stage 'learn' failed: {named}{message}") as info:
         run_pipeline(config)
     assert info.value.line == line
     assert cli_main(["pipeline", "--out", str(tmp_path / "cli"), "--set",
@@ -468,21 +472,75 @@ def test_graph_edges_are_logged(small_run, tmp_path, caplog):
     assert ", t=1.625, 8 of 20 off-diagonal entries of C nonzero, joining 0.4 of " in line
 
 
-def test_train_summary_is_logged(small_run, tmp_path, caplog):
-    """One INFO line with the epochs run, the best epoch and the rows each
-    layer ran on: the u distinct rows of X."""
-    config = _clone_run(small_run, tmp_path)
+def _assert_train_summary(config, caplog, stopped):
     with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
         _, history = stage_train(config)
     X, _, _ = fz.read_matrix_csv(config.out_dir() / "X.csv")
     rows = len(np.unique(X, axis=0))
     val_losses = [rec.val_loss for rec in history]
-    best = int(np.argmin(val_losses))
+    lowest = int(np.argmin(val_losses))
+    assert (len(history) < config["train.epochs"]) == stopped
     assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("trained")] == [
-        f"trained {len(history)} epochs, best epoch {best} (val_loss={val_losses[best]!r}); "
+        f"trained {len(history)} epochs ({'stopped early' if stopped else 'no early stop'}); "
+        f"val_loss={val_losses[-1]!r}, lowest val_loss at epoch {lowest}; "
         f"each layer ran on {rows} rows for 65 targets"
     ]
     assert rows < 65
+
+
+def test_train_summary_is_logged(small_run, tmp_path, caplog):
+    """One INFO line with the epochs run, whether the stop rule fired, the
+    validation loss of the returned weights (the last epoch's), the epoch
+    of the lowest validation loss and the rows each layer ran on: the u
+    distinct rows of X.  At the fixture's settings the validation loss
+    falls at every one of the 40 epochs."""
+    _assert_train_summary(_clone_run(small_run, tmp_path), caplog, stopped=False)
+
+
+def test_train_summary_reports_an_early_stop(small_run, tmp_path, caplog):
+    """At learning rate 0.5 the validation loss is lowest early on and the
+    stop rule ends training before the 40th epoch; the line says so."""
+    config = _clone_run(small_run, tmp_path, **{"train.learning_rate": "0.5"})
+    _assert_train_summary(config, caplog, stopped=True)
+
+
+@pytest.fixture(scope="module")
+def topics_run(tmp_path_factory):
+    """Learn and featurize on the benchmark's pinned `sampled-topics` data,
+    read from ``perfbench/workloads.py`` (not changed), under that
+    workload's overrides."""
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    root = tmp_path_factory.mktemp("topics")
+    facts, positives = workloads["topics_inputs"](workloads["TopicsSpec"](), workloads["TOPICS_KB_SEED"])
+    (root / "facts.txt").write_text(facts)
+    (root / "pos.txt").write_text(positives)
+    overrides = {
+        "facts": str(root / "facts.txt"),
+        "pos": str(root / "pos.txt"),
+        "out": str(root / "out"),
+        **workloads["TOPICS_OVERRIDES"],
+    }
+    run_stages(PipelineConfig.from_overrides(overrides), ("learn", "featurize"))
+    return overrides
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"split.seed": "2"}, {"train.seed": "309", "train.patience": "10"}],
+    ids=["split-seed-2", "gcn-seed-309-patience-10"],
+)
+def test_sampled_topics_model_is_trained(topics_run, tmp_path, extra):
+    """On `sampled-topics`, split seed 2 puts a validation positive in a row
+    class with no training target, so the validation loss is lowest at
+    epoch 1 of 200; at GCN seed 309 and patience 10 the stop rule fires
+    after 24 epochs.  The model train returns has still trained: test F1
+    is above 0.6 at both (a best-validation restore gave 0.468 and
+    0.267)."""
+    out = tmp_path / "out"
+    shutil.copytree(topics_run["out"], out)
+    config = PipelineConfig.from_overrides({**topics_run, "out": str(out), **extra})
+    report = run_stages(config, ("train", "eval"))["eval"][0]
+    assert report.f1 > 0.6
 
 
 def test_eval_logs_what_it_scored(small_run, tmp_path, caplog):
@@ -823,6 +881,38 @@ def test_cli_stage_command_names_its_failed_stage(small_run, tmp_path, caplog):
     assert cli_main(["train", "--out", str(out)]) == 2
     # An OSError's message is its strerror, which names the stage too.
     assert "stage 'train' failed: No such file or directory" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["featurize", "inspect-rules"])
+@pytest.mark.parametrize(
+    "damaged, appended, message",
+    [
+        ("facts", "Affiliation(P000 U1).", "arity mismatch for Affiliation: got 1, expected 2"),
+        ("rules", "CoAuthor(person1, person2) :- Bogus(person1).",
+         "unknown predicate 'Bogus' in rule"),
+    ],
+    ids=["facts", "rules"],
+)
+def test_cli_parse_error_names_its_file(small_run, tmp_path, caplog, command, damaged,
+                                        appended, message):
+    """A line appended to facts.txt or to the run's rules.txt that does not
+    parse is logged with the file (and, for an input, its config key) and
+    the line, and the command exits 2."""
+    out = _clone_run(small_run, tmp_path).out_dir()
+    facts = tmp_path / "facts.txt"
+    shutil.copy(small_run["data"] / "facts.txt", facts)
+    path, named = {
+        "facts": (facts, f"{facts} (config key 'facts')"),
+        "rules": (out / "rules.txt", str(out / "rules.txt")),
+    }[damaged]
+    with open(path, "a") as f:
+        f.write(appended + "\n")
+    line = len(path.read_text().splitlines())
+    assert cli_main([command, "--out", str(out), "--set", f"facts={facts}"]) == 2
+    stage = "stage 'featurize' failed: " if command == "featurize" else ""
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+        f"{stage}{named}: {message} (line {line})"
+    ]
 
 
 @pytest.mark.parametrize("partial", ["sweep", "cli-eval"])
