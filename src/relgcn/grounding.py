@@ -38,13 +38,13 @@ featurization run alone builds 4 (0.51 MB) for its 12.
 `sample_negatives` never builds the typed product it draws from.  It
 numbers the candidates by rank, their row-major order in the product:
 for a one-type pair i < j (symmetric) the rank is i(2m - i - 1)/2 +
-j - i - 1 over a domain of m constants, for an ordered one-type pair
-i(m - 1) + j - [j > i], and otherwise the flat index.  The positives'
-ranks are excluded; the seeded draw picks positions among the remaining
-candidates, and each position k steps past the excluded ranks at or below
-it and maps back to indices by the row starts, a divmod or the flat
-shape.  Memory is O(m + |positives| + drawn): one symmetric draw of
-2,000 negatives over 50,000 persons peaks at 3.2 MiB traced, where the
+j - i - 1 over a domain of m constants, and otherwise the flat index.
+The positives' ranks are excluded, and for an ordered one-type pair the
+m reflexive ranks i(m + 1); the seeded draw picks positions among the
+rest, and each position k steps past the excluded ranks at or below it
+and maps back to indices by the triangle's row starts or the flat shape.
+Memory is O(m + |positives| + drawn): one draw of 2,000 negatives over
+50,000 persons peaks at 2.2 MiB traced (2.8 MiB ordered), where the
 product's mask alone would take 2.5 GB.  A product past int64 ranks is a
 DataError.
 """
@@ -182,8 +182,8 @@ def sample_negatives(
 
     Draws ceil(ratio * |positives|) distinct ground target atoms uniformly
     (seeded) from the typed cross-product of the argument domains,
-    excluding all positives (both orders in symmetric mode) and reflexive
-    pairs.  Deterministic for a fixed seed.
+    excluding all positives (both orders in symmetric mode) and the
+    reflexive pairs of a one-type pair.  Deterministic for a fixed seed.
     """
     if ratio <= 0:
         raise DataError("ratio must be > 0")
@@ -218,25 +218,22 @@ def sample_negatives(
     at = slot[np.arange(len(domains))[:, None], cleared.T]
     at = at[:, (at >= 0).all(axis=0)]
     # Candidates are numbered by rank, their row-major order in the typed
-    # product (itertools.product's order); each cleared tuple that is a
-    # candidate excludes its rank.
-    pairs = target_schema.arity == 2 and len(by_type) == 1
-    if pairs:
-        # One sorted domain: equal names share an index and name order is
-        # index order, so reflexive pairs are no candidates and, when
-        # symmetric, only the canonical (lexicographically ordered) pair is.
-        m = sizes[0]
-        i, j = at
-        if symmetric:
-            i, j = i[i < j], j[i < j]
-            ranks = i * (2 * m - i - 1) // 2 + j - i - 1
-            total = m * (m - 1) // 2
-        else:
-            i, j = i[i != j], j[i != j]
-            ranks = i * (m - 1) + j - (j > i)
-            total = m * (m - 1)
+    # product (itertools.product's order), and a cleared candidate's rank is
+    # excluded.  A one-type pair has one sorted domain of m names, in index
+    # order: symmetric, only the pair i < j is a candidate, ranked in the
+    # strict upper triangle; otherwise the flat index ranks all m x m pairs
+    # and the m reflexive ones are excluded.
+    same_type = target_schema.arity == 2 and len(by_type) == 1
+    triangle = same_type and symmetric
+    m = sizes[0]
+    if triangle:
+        i, j = at[:, at[0] < at[1]]
+        ranks = i * (2 * m - i - 1) // 2 + j - i - 1
+        total = m * (m - 1) // 2
     else:
         ranks = np.ravel_multi_index(tuple(at), sizes)
+        if same_type:
+            ranks = np.concatenate([ranks, np.arange(m) * (m + 1)])
         total = product
     # Sorted and distinct.  Not np.unique: its hash table costs about 1 MB
     # of resident memory on its first call in a process.
@@ -254,15 +251,12 @@ def sample_negatives(
     # The k-th candidate's rank is k plus the number of excluded ranks below
     # it, which is the number of t with excluded[t] - t <= k.
     rank = k + np.searchsorted(excluded - np.arange(len(excluded)), k, side="right")
-    if not pairs:
-        drawn = np.unravel_index(rank, sizes)
-    elif symmetric:
+    if triangle:
         row = np.arange(m)
         starts = row * (2 * m - row - 1) // 2
         i = np.searchsorted(starts, rank, side="right") - 1
         drawn = (i, rank - starts[i] + i + 1)
     else:
-        i, q = np.divmod(rank, m - 1)
-        drawn = (i, q + (q >= i))
+        drawn = np.unravel_index(rank, sizes)
     ids = np.column_stack([d[i] for d, i in zip(domains, drawn)])
     return Targets(target_schema.name, ids, np.zeros(want, dtype=bool))

@@ -111,14 +111,11 @@ def split_examples(
     labels: np.ndarray,
     proportions: tuple[float, float] = (0.6, 0.1),
     seed: int = 0,
-    stratified: bool = True,
 ) -> SplitMasks:
     """Seeded disjoint exhaustive train/validation/test index sets, each
-    nonempty: ``proportions`` are the train and validation shares, and the
-    test set holds the rest, a share of 1 - train - val.
-
-    Stratified mode applies the proportions within each label class, which
-    guards heavily imbalanced target sets.
+    nonempty and stratified: ``proportions`` are the train and validation
+    shares within each label class, and the test set holds the rest of
+    each class, a share of 1 - train - val.
     """
     labels = np.asarray(labels, dtype=int)
     n = labels.size
@@ -131,24 +128,15 @@ def split_examples(
     if train_share + val_share > 1.0:
         raise DataError(f"split proportions {proportions!r} must sum to at most 1")
     rng = np.random.default_rng(seed)
-
-    def split_indices(idx: np.ndarray):
-        idx = idx.copy()
+    parts = []
+    for label in sorted(set(labels.tolist())):
+        idx = np.flatnonzero(labels == label)
         rng.shuffle(idx)
-        m = idx.size
-        n_train = int(round(train_share * m))
-        n_val = int(round(val_share * m))
-        n_train = min(n_train, m)
-        n_val = min(n_val, m - n_train)
-        return idx[:n_train], idx[n_train : n_train + n_val], idx[n_train + n_val :]
-
-    if stratified:
-        parts = [split_indices(np.flatnonzero(labels == c)) for c in sorted(set(labels.tolist()))]
-        train = np.concatenate([p[0] for p in parts])
-        val = np.concatenate([p[1] for p in parts])
-        test = np.concatenate([p[2] for p in parts])
-    else:
-        train, val, test = split_indices(np.arange(n))
+        # Both shares may round up; train's alone cannot pass the class size.
+        n_train = round(train_share * idx.size)
+        n_val = min(round(val_share * idx.size), idx.size - n_train)
+        parts.append(np.split(idx, [n_train, n_train + n_val]))
+    train, val, test = (np.concatenate(part) for part in zip(*parts))
     shares = (repr(train_share), repr(val_share), f"1 - {train_share!r} - {val_share!r}")
     for name, share, part in zip(("train", "validation", "test"), shares, (train, val, test)):
         if part.size == 0:

@@ -62,7 +62,6 @@ _DEFAULTS: dict[str, object] = {
     "split.train": 0.6,
     "split.val": 0.1,
     "split.seed": 0,
-    "split.stratified": True,
     "eval.threshold": 0.5,
 }
 _SECTIONS = {"learn.": LearnConfig, "train.": gcn_mod.TrainConfig}
@@ -192,9 +191,6 @@ class PipelineConfig:
         """The run directory, which only learn creates."""
         return Path(self["out"])
 
-    def split_proportions(self) -> tuple[float, float]:
-        return tuple(self[key] for key in _SPLIT_KEYS)
-
 
 # -- shared loading helpers ------------------------------------------------
 
@@ -229,6 +225,7 @@ def _load_kb(config: PipelineConfig) -> KnowledgeBase:
 
 
 def _load_examples(config: PipelineConfig, kb: KnowledgeBase) -> tuple[Targets, Targets]:
+    """The positives and the negatives, from ``neg`` or sampled; no target atom twice."""
     positives = _parse_input(config, "pos", parse_ground_atoms, kb, True)
     if config["neg"]:
         negatives = _parse_input(config, "neg", parse_ground_atoms, kb, False)
@@ -238,15 +235,32 @@ def _load_examples(config: PipelineConfig, kb: KnowledgeBase) -> tuple[Targets, 
                 f"examples, not {positives.predicate} as pos does"
             )
     else:
-        negatives = sample_negatives(
-            kb,
-            kb.schema(positives.predicate),
-            positives,
-            config["negatives.ratio"],
-            config["negatives.seed"],
-            symmetric=config["negatives.symmetric"],
-        )
+        try:
+            negatives = sample_negatives(
+                kb, kb.schema(positives.predicate), positives, config["negatives.ratio"],
+                config["negatives.seed"], symmetric=config["negatives.symmetric"],
+            )
+        except DataError as exc:
+            raise DataError(
+                f"cannot sample the negatives (config key 'negatives.ratio' = "
+                f"{config['negatives.ratio']!r}): {exc}"
+            ) from exc
+    files = [f"in {config[key]} (config key {key!r})" for key in ("pos", "neg")]
+    _refuse_repeats(kb, positives + negatives, lambda row: files[row >= len(positives)])
     return positives, negatives
+
+
+def _refuse_repeats(kb: KnowledgeBase, targets: Targets, place: Callable[[int], str]) -> None:
+    """A DataError naming a target atom held twice, whatever the labels,
+    and the ``place`` of its rows; sorted, not np.unique (see sample_negatives)."""
+    ids = targets.ids
+    order = np.lexsort(ids.T[::-1])
+    same = np.flatnonzero((ids[order[1:]] == ids[order[:-1]]).all(axis=1))
+    if same.size:
+        rows = sorted(order[same[0] : same[0] + 2].tolist())
+        atom = kb.atom_texts(targets.predicate, ids[rows[:1]])[0]
+        where = " and ".join(dict.fromkeys(place(row) for row in rows))
+        raise DataError(f"target {atom} is listed twice, {where}")
 
 
 def _read_labelled(path: Path, columns: list[str]) -> tuple[np.ndarray, list[str]]:
@@ -266,7 +280,8 @@ def _read_targets(path: Path, kb: KnowledgeBase) -> Targets:
     """The examples of targets.csv (``id,label``), parsed as one example
     file with a line per row; every atom cell must be one atom on one
     line, or the ParseError names the file and the line of its row (row i
-    is on line i + 2, as every row above it is one line)."""
+    is on line i + 2, as every row above it is one line).  An atom on two
+    rows is a DataError that names both lines."""
     M, atoms = _read_labelled(path, ["label"])
     for i, atom in enumerate(atoms):
         # An empty, comment-only or multi-line cell would shift the lines.
@@ -274,7 +289,9 @@ def _read_targets(path: Path, kb: KnowledgeBase) -> Targets:
             raise ParseError(f"{path}: expected one atom, got {atom!r}", i + 2)
     text = "".join(f"{atom}.\n" for atom in atoms)
     with _in_file(str(path), offset=1):
-        return parse_ground_atoms(text, kb, M[:, 0] == 1.0)
+        targets = parse_ground_atoms(text, kb, M[:, 0] == 1.0)
+    _refuse_repeats(kb, targets, lambda row: f"on line {row + 2} of {path}")
+    return targets
 
 
 def _load_rules(
@@ -381,22 +398,16 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     model is returned, not written."""
     out = config.out_dir()
     labels, X, prop, row_ids = _load_graph(config)
-    masks = metrics_mod.split_examples(
-        labels,
-        config.split_proportions(),
-        config["split.seed"],
-        config["split.stratified"],
-    )
+    proportions = tuple(config[key] for key in _SPLIT_KEYS)
+    masks = metrics_mod.split_examples(labels, proportions, config["split.seed"])
     model, history = gcn_mod.train(prop, X, labels, masks, config.train)
-    # The stop rule fired iff more than patience epochs followed the lowest
-    # validation loss, whose weights the model no longer holds.
-    lowest = int(np.argmin([rec.val_loss for rec in history]))
-    stopped = len(history) - 1 - lowest > config.train.patience
     log.info(
         "trained %d epochs (%s); val_loss=%r, lowest val_loss at epoch %d; "
         "each layer ran on %d rows for %d targets",
-        len(history), "stopped early" if stopped else "no early stop",
-        history[-1].val_loss, lowest, prop.classes.shape[0], X.shape[0],
+        len(history),
+        "stopped early" if len(history) < config.train.epochs else "no early stop",
+        history[-1].val_loss, int(np.argmin([rec.val_loss for rec in history])),
+        prop.classes.shape[0], X.shape[0],
     )
     scores, _ = gcn_mod.predict(model, prop, X)
     (out / "threshold.json").write_text(

@@ -130,7 +130,7 @@ def candidate_literals(
     kb: KnowledgeBase,
     head: Atom,
     body: tuple[Atom, ...],
-    max_constants_for_grounding: int = 50,
+    max_constants_for_grounding: int,
 ) -> list[Atom]:
     """Refinement candidates for extending a left spine.
 
@@ -374,9 +374,15 @@ def learn_ruleset(
 
     if contrast is None:
         schema = kb.schema(examples.predicate)
-        contrast = sample_negatives(
-            kb, schema, examples, config.contrast_ratio, config.seed, symmetric=symmetric
-        )
+        try:
+            contrast = sample_negatives(
+                kb, schema, examples, config.contrast_ratio, config.seed, symmetric=symmetric
+            )
+        except DataError as exc:
+            raise DataError(
+                f"cannot sample the contrast of the {source} rule set outside its {len(examples)} "
+                f"examples (config key 'learn.contrast_ratio' = {config.contrast_ratio!r}): {exc}"
+            ) from exc
 
     n = len(examples)
     targets = examples + contrast

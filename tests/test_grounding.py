@@ -589,6 +589,26 @@ def test_sample_negatives_memory_is_linear_in_the_domain():
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_ordered_sample_negatives_memory_is_linear_in_the_domain():
+    """The ordered draw of the test above excludes the 50,000 reflexive
+    ranks besides the positives' and stays under 16 MiB traced too."""
+    kb = KnowledgeBase()
+    kb.declare_schema(PredicateSchema("CoAuthor", (PERSON, PERSON)))
+    names = [f"P{i:05d}" for i in range(50_000)]
+    kb.targets("CoAuthor", zip(names[::2], names[1::2]), True)
+    picks = np.random.default_rng(0).choice(50_000, size=(2_000, 2))
+    positives = kb.targets("CoAuthor", [(names[a], names[b]) for a, b in picks], True)
+    tracemalloc.start()
+    try:
+        negatives = sample_negatives(kb, kb.schema("CoAuthor"), positives, 1.0, 0, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(negatives) == 2_000
+    assert (negatives.ids[:, 0] != negatives.ids[:, 1]).all()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_sample_negatives_refuses_a_product_beyond_int64():
     """Five positions over 10,000 constants: 1e20 tuples cannot be ranked
     in int64, and the error names the predicate and the domain sizes."""

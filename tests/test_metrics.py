@@ -147,14 +147,6 @@ def test_split_deterministic_and_seed_sensitive():
     assert not np.array_equal(m1.train, m3.train)
 
 
-def test_split_unstratified_mode():
-    labels = np.array([1] * 5 + [0] * 5)
-    masks = split_examples(labels, (0.5, 0.2), seed=1, stratified=False)
-    assert len(masks.train) == 5
-    assert len(masks.validation) == 2
-    assert len(masks.test) == 3
-
-
 def test_split_validation_errors():
     with pytest.raises(DataError):
         split_examples(np.array([1, 0]))
@@ -164,13 +156,12 @@ def test_split_validation_errors():
         split_examples(np.array([1, 0, 1]), (0.8, -0.1))
 
 
-@pytest.mark.parametrize("stratified", [True, False])
-def test_split_part_that_rounds_to_empty_is_named(stratified):
-    """5 + 5 examples at 0.9/0.05/0.05: validation rounds to no example,
-    in each class and overall; at 0.7/0.3 the test share is 1 - 0.7 - 0.3."""
+def test_split_part_that_rounds_to_empty_is_named():
+    """5 + 5 examples at 0.9/0.05/0.05: validation rounds to no example
+    in each class; at 0.7/0.3 the test share is 1 - 0.7 - 0.3."""
     labels = np.array([1] * 5 + [0] * 5)
     with pytest.raises(DataError, match="split part 'validation' is empty"):
-        split_examples(labels, (0.9, 0.05), stratified=stratified)
+        split_examples(labels, (0.9, 0.05))
     test_empty = r"split part 'test' is empty: proportion 1 - 0\.7 - 0\.3 of"
     with pytest.raises(DataError, match=test_empty):
-        split_examples(labels, (0.7, 0.3), stratified=stratified)
+        split_examples(labels, (0.7, 0.3))

@@ -78,9 +78,9 @@ def _clone_run(small_run, tmp_path, **extra):
 
 
 def test_config_defaults_and_coercion():
-    config = PipelineConfig.from_overrides({"train.epochs": "13", "split.stratified": "no"})
+    config = PipelineConfig.from_overrides({"train.epochs": "13", "negatives.symmetric": "no"})
     assert config["train.epochs"] == 13
-    assert config["split.stratified"] is False
+    assert config["negatives.symmetric"] is False
     assert config["featurize.metric"] == "euclidean"
 
 
@@ -88,7 +88,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigError):
         PipelineConfig.from_overrides({"train.momentum": "0.9"})
     with pytest.raises(ConfigError):
-        PipelineConfig.from_overrides({"split.stratified": "maybe"})
+        PipelineConfig.from_overrides({"negatives.symmetric": "maybe"})
     # The target predicate is the one the positives file holds.
     with pytest.raises(ConfigError, match="unknown config key 'target'"):
         PipelineConfig.from_overrides({"target": "CoAuthor"})
@@ -133,11 +133,11 @@ def test_config_schema_is_the_dataclasses():
 
 def test_config_coerces_values_that_are_not_strings():
     config = PipelineConfig.from_overrides(
-        {"train.epochs": 13, "negatives.ratio": 2, "split.stratified": False}
+        {"train.epochs": 13, "negatives.ratio": 2, "negatives.symmetric": False}
     )
     assert config["train.epochs"] == config.train.epochs == 13
     assert config["negatives.ratio"] == 2.0 and isinstance(config["negatives.ratio"], float)
-    assert config["split.stratified"] is False
+    assert config["negatives.symmetric"] is False
     with pytest.raises(ConfigError, match="'train.epochs', got '1.5'"):
         PipelineConfig.from_overrides({"train.epochs": 1.5})
 
@@ -321,7 +321,7 @@ def test_featurize_reads_only_the_run_directory_and_the_facts(small_run, tmp_pat
         **{
             "featurize.metric": "chebyshev", "eval.threshold": "0.3",
             "split.train": "0.5", "split.val": "0.2", "split.seed": "4",
-            "split.stratified": "false", "train.epochs": "3", "train.seed": "9",
+            "train.epochs": "3", "train.seed": "9",
             "train.hidden_size": "5",
         },
     )
@@ -403,6 +403,100 @@ def test_cli_bad_example_file_fails_before_learning(
         assert f"(line {line})" in caplog.text
     assert not (out / "targets.csv").exists()
     assert not (out / "rules.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, keys",
+    [
+        pytest.param(lambda pos, neg: (pos + pos[2:3], neg), ["pos"], id="twice-in-pos"),
+        pytest.param(lambda pos, neg: (pos, neg[:1] + pos[2:3] + neg[1:]), ["pos", "neg"],
+                     id="pos-and-neg"),
+        pytest.param(lambda pos, neg: (pos, neg + neg[2:3]), ["neg"], id="twice-in-neg"),
+    ],
+)
+def test_cli_example_listed_twice_fails_before_learning(small_run, tmp_path, caplog, edit, keys):
+    """A target atom listed twice, with one label or two, would be two
+    targets that can land in train and in test; it is a data error that
+    names the atom and its file or both files, raised before targets.csv
+    is written."""
+    data, out = small_run["data"], tmp_path / "out"
+    texts = [(data / f"{key}.txt").read_text().splitlines(keepends=True) for key in ("pos", "neg")]
+    argv = ["pipeline", "--out", str(out), "--set", f"facts={data / 'facts.txt'}"]
+    for key, lines in zip(("pos", "neg"), edit(*texts)):
+        (tmp_path / f"{key}.txt").write_text("".join(lines))
+        argv += ["--set", f"{key}={tmp_path / f'{key}.txt'}"]
+    twice = (texts[0] if "pos" in keys else texts[1])[2].strip().rstrip(".")
+    assert cli_main(argv) == 2
+    files = " and in ".join(f"{tmp_path / f'{key}.txt'} (config key {key!r})" for key in keys)
+    assert f"target {twice} is listed twice, in {files}" in caplog.text
+    assert not (out / "targets.csv").exists()
+
+
+def test_reversed_pair_is_another_target(small_run, tmp_path):
+    """Under ``negatives.symmetric`` a pair and its reverse stay two
+    targets: listing both is no repeat."""
+    data = small_run["data"]
+    pos = (data / "pos.txt").read_text().splitlines(keepends=True)
+    a, b = pos[0].strip().rstrip(".")[len("CoAuthor("):-1].split(", ")
+    (tmp_path / "pos.txt").write_text("".join(pos) + f"CoAuthor({b}, {a}).\n")
+    config = _config(data, tmp_path / "out", pos=str(tmp_path / "pos.txt"))
+    assert config["negatives.symmetric"] is True
+    kb = parse_facts((data / "facts.txt").read_text())
+    positives, _ = pipeline._load_examples(config, kb)
+    assert len(positives) == len(pos) + 1
+
+
+@pytest.mark.parametrize("command", ["featurize", "inspect-rules"])
+def test_cli_targets_row_listed_twice_is_a_data_error(small_run, tmp_path, caplog, command):
+    """A targets.csv that holds one atom on two rows, here with the other
+    label, is refused with both lines."""
+    config = _clone_run(small_run, tmp_path)
+    out = config.out_dir()
+    targets = out / "targets.csv"
+    lines = targets.read_text().splitlines(keepends=True)
+    cell, label = lines[2].rstrip("\r\n").rsplit(",", 1)
+    lines.append(f"{cell},{1.0 - float(label)}\n")
+    targets.write_text("".join(lines))
+    facts = small_run["data"] / "facts.txt"
+    assert cli_main([command, "--out", str(out), "--set", f"facts={facts}"]) == 2
+    atom = cell.strip('"')
+    assert (
+        f"target {atom} is listed twice, "
+        f"on line 3 of {targets} and on line {len(lines)} of {targets}"
+    ) in caplog.text
+
+
+@pytest.mark.parametrize(
+    "overrides, draw",
+    [
+        pytest.param(
+            {"neg": "", "negatives.ratio": "5"},
+            r"cannot sample the negatives \(config key 'negatives\.ratio' = 5\.0\): "
+            r"requested 125 negatives",
+            id="negatives",
+        ),
+        pytest.param(
+            {"learn.contrast_ratio": "3"},
+            r"cannot sample the contrast of the negative-density rule set outside "
+            r"its 40 examples \(config key 'learn\.contrast_ratio' = 3\.0\): "
+            r"requested 120 negatives",
+            id="contrast",
+        ),
+    ],
+)
+def test_cli_too_large_a_draw_names_its_ratio_key(small_run, tmp_path, caplog, overrides, draw):
+    """16 persons give 120 unordered pairs.  Sampling 5 x 25 negatives
+    outside the 25 positives, or a contrast of 3 x 40 outside the 40
+    negatives, asks for more than there are; the error names the draw
+    and its ratio key."""
+    data, out = small_run["data"], tmp_path / "out"
+    argv = ["pipeline", "--out", str(out)]
+    for key in ("facts", "pos", "neg"):
+        argv += ["--set", f"{key}={data / (key + '.txt')}"]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    assert cli_main(argv) == 2
+    assert re.search(r"stage 'learn' failed: " + draw, caplog.text)
 
 
 def test_labels_reject_unknown_values(small_run, tmp_path):
@@ -764,6 +858,11 @@ def test_cli_removed_count_rewrite_keys_are_unknown(tmp_path, caplog, source, ke
 def test_cli_removed_split_test_key_is_unknown(tmp_path, caplog):
     """The test share is what train and validation leave: it is no key."""
     _assert_removed_key(tmp_path, caplog, "set", "split.test", "0.3")
+
+
+def test_cli_removed_stratified_key_is_unknown(tmp_path, caplog):
+    """Every split is stratified: ``split.stratified`` is no longer a key."""
+    _assert_removed_key(tmp_path, caplog, "set", "split.stratified", "false")
 
 
 def test_cli_train_share_alone_leaves_the_rest_to_test(small_run, tmp_path):
