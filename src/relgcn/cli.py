@@ -10,6 +10,8 @@ import argparse
 import logging
 import sys
 
+import numpy as np
+
 from .errors import ConfigError, DataError, NumericalError, RelgcnError
 from .pipeline import (
     SWEEP_AXES,
@@ -27,7 +29,7 @@ log = logging.getLogger("relgcn")
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file with flat dotted keys")
-    parser.add_argument("--seed", type=int, help="override every seed in the config")
+    parser.add_argument("--seed", type=int, help="derive every seed in the config from this one")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument(
@@ -40,6 +42,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def derived_seeds(seed: int) -> dict[str, int]:
+    """The value ``--seed seed`` gives each ``*seed`` key: a word of
+    ``seed``'s `np.random.SeedSequence`, with its residue modulo twice the
+    number of keys set to twice the key's position in name order.  Every
+    seed is then even in that modulus and every seed + 1 odd, so no two
+    keys share a seed, nor does any key with the negative-density contrast,
+    which draws with ``learn.seed + 1``."""
+    if seed < 0:
+        raise ConfigError("an int >= 0", "--seed", seed)
+    keys = sorted(key for key in default_values() if key.endswith("seed"))
+    step = 2 * len(keys)
+    words = np.random.SeedSequence(seed).generate_state(len(keys)).tolist()
+    return {key: word // step * step + 2 * i for i, (key, word) in enumerate(zip(keys, words))}
+
+
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     overrides: dict[str, object] = {}
     for item in args.overrides:
@@ -50,7 +67,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     if args.out:
         overrides["out"] = args.out
     if args.seed is not None:
-        overrides.update((key, args.seed) for key in default_values() if key.endswith("seed"))
+        overrides.update(derived_seeds(args.seed))
     if args.config:
         return PipelineConfig.from_file(args.config, overrides)
     return PipelineConfig.from_overrides(overrides)

@@ -186,7 +186,7 @@ def write_matrix_csv(
     M = np.asarray(M)
     if M.shape != (len(row_ids), len(col_ids)):
         raise DataError("matrix shape does not match the id lists")
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["id"] + list(col_ids))
         for rid, row in zip(row_ids, M):
@@ -197,30 +197,34 @@ def read_matrix_csv(
     path: str | Path, columns: list[str] | None = None
 ) -> tuple[np.ndarray, list[str], list[str]]:
     """The matrix, row ids and column ids written by ``write_matrix_csv``;
-    a row of the wrong length or a cell that is not a finite float is a
-    DataError that names the file and line, and so, when ``columns`` is
-    given, is a header other than ``id`` and ``columns``."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path} is empty, expected a header row")
-        if columns is not None and header != ["id", *columns]:
-            expected = ",".join(["id", *columns])
-            raise DataError(f"{path}: expected the header {expected!r}, got {header!r}")
-        col_ids = header[1:]
-        row_ids = []
-        rows = []
-        for parts in reader:
-            try:
-                if len(parts) != len(header):
-                    raise ValueError(f"{len(parts)} cells, expected {len(header)}")
-                row = [float(v) for v in parts[1:]]
-                if not all(map(math.isfinite, row)):
-                    bad = next(v for v, x in zip(parts[1:], row) if not math.isfinite(x))
-                    raise ValueError(f"cell {bad!r} is not a finite float")
-                rows.append(row)
-            except ValueError as exc:
-                raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
-            row_ids.append(parts[0])
+    a file that is not UTF-8, a row of the wrong length or a cell that is
+    not a finite float is a DataError that names the file (and the line),
+    and so, when ``columns`` is given, is a header other than ``id`` and
+    ``columns``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path} is empty, expected a header row")
+            if columns is not None and header != ["id", *columns]:
+                expected = ",".join(["id", *columns])
+                raise DataError(f"{path}: expected the header {expected!r}, got {header!r}")
+            col_ids = header[1:]
+            row_ids = []
+            rows = []
+            for parts in reader:
+                try:
+                    if len(parts) != len(header):
+                        raise ValueError(f"{len(parts)} cells, expected {len(header)}")
+                    row = [float(v) for v in parts[1:]]
+                    if not all(map(math.isfinite, row)):
+                        bad = next(v for v, x in zip(parts[1:], row) if not math.isfinite(x))
+                        raise ValueError(f"cell {bad!r} is not a finite float")
+                    rows.append(row)
+                except ValueError as exc:
+                    raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+                row_ids.append(parts[0])
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode {path}: {exc}") from exc
     return np.array(rows, dtype=float).reshape(len(rows), len(col_ids)), row_ids, col_ids

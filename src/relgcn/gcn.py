@@ -23,6 +23,7 @@ the floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,18 +278,33 @@ def gcn_backward(
     return grads
 
 
-@dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
+    """Adam's step count ``t`` and moments for a list of weight matrices,
+    with scratch space for `adam_step`.
+
+    The first and second moments of every weight lie in two flat vectors,
+    matrix after matrix, and ``m`` and ``v`` hold each matrix's view of
+    them, so a step runs each operation once over all the weights, not once
+    per matrix.  Three more flat vectors hold the gathered gradients and the
+    step's numerator and denominator.
+    """
+
+    def __init__(self, shapes: list[tuple[int, ...]]):
+        self.t = 0
+        self.shapes = [tuple(shape) for shape in shapes]
+        sizes = [math.prod(shape) for shape in self.shapes]
+        self.moments, self.scratch = np.zeros((2, sum(sizes))), np.empty((3, sum(sizes)))
+
+        def views(flat: np.ndarray) -> list[np.ndarray]:
+            parts = np.split(flat, np.cumsum(sizes)[:-1])
+            return [part.reshape(shape) for part, shape in zip(parts, self.shapes)]
+
+        self.m, self.v = views(self.moments[0]), views(self.moments[1])
+        self.steps = views(self.scratch[1])
 
     @classmethod
     def zeros_like(cls, weights: list[np.ndarray]) -> "AdamState":
-        return cls(
-            [np.zeros_like(W) for W in weights],
-            [np.zeros_like(W) for W in weights],
-        )
+        return cls([W.shape for W in weights])
 
 
 def adam_step(
@@ -300,20 +316,38 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place.
+
+    ``W -= lr * m_hat / (sqrt(v_hat) + eps)`` is evaluated in the state's
+    flat vectors, each operation in the formula's order, so the weights and
+    moments are bitwise those of the formula written out per matrix with
+    temporaries; the bias corrections are computed once per step.
+    """
     if len(weights) != len(grads):
         raise DataError("weights/grads length mismatch")
+    if [W.shape for W in weights] != state.shapes or [g.shape for g in grads] != state.shapes:
+        raise DataError("weight/gradient shape mismatch")
     state.t += 1
-    for W, g, m, v in zip(weights, grads, state.m, state.v):
-        if W.shape != g.shape:
-            raise DataError("weight/gradient shape mismatch")
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * (g * g)
-        m_hat = m / (1 - beta1**state.t)
-        v_hat = v / (1 - beta2**state.t)
-        W -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    correction1 = 1 - beta1**state.t
+    correction2 = 1 - beta2**state.t
+    m, v = state.moments
+    g, step, denom = state.scratch
+    np.concatenate([grad.ravel() for grad in grads], out=g)
+    m *= beta1
+    np.multiply(g, 1 - beta1, step)
+    m += step
+    v *= beta2
+    np.multiply(g, g, denom)
+    denom *= 1 - beta2
+    v += denom
+    np.divide(m, correction1, step)
+    step *= lr
+    np.divide(v, correction2, denom)
+    np.sqrt(denom, denom)
+    denom += eps
+    step /= denom
+    for W, part in zip(weights, state.steps):
+        W -= part
 
 
 @dataclass

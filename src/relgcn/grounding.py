@@ -24,16 +24,22 @@ otherwise.
 
 A table's memory is one int64 per row for the example and one for each
 variable, and its rows are the prefix's satisfied groundings over the
-covered examples, so each fresh variable can multiply them.  On the
-benchmark's workloads the largest table built for featurization had 773
-rows (``sampled-topics``) and at most one row per target elsewhere, below
-the tables rule learning builds.  The indexes live as long as their kb:
-per (predicate, pattern) used, one sorted copy of the facts that fit plus
-one int64 code per fact, and for a one-column key radix + 1 bytes, where
-radix is the number of constant ids.  On ``sampled-topics`` learning
-builds 6 indexes (0.76 MB) for its 315 joins.  Inside `run_pipeline`
-featurization runs on learning's kb, reuses those 6 and builds none;
-featurization run alone builds 4 (0.51 MB) for its 12.
+covered examples, so each fresh variable can multiply them.  Every row of
+an extended table copies the columns of the row it extends, which
+`extension` reports by each row's count of matches; rule learning uses
+that to probe a literal keyed only on older variables on the rows that
+were extended, not on their copies.  On the benchmark's workloads the
+largest table built for featurization had 773 rows (``sampled-topics``)
+and at most one row per target elsewhere, below the tables rule learning
+builds (63,799 rows on ``sampled-topics``).  The indexes live as long as
+their kb: per (predicate, pattern) used, one sorted copy of the facts
+that fit plus one int64 code per fact, and for a one-column key radix + 1
+bytes, where radix is the number of constant ids.  On ``sampled-topics``
+learning builds 6 indexes (0.76 MB) for its 315 joins, 277 of them
+semi-joins that probe 412,757 rows in all (1,371,738 if each probed the
+table of its own spine).  Inside `run_pipeline` featurization runs on
+learning's kb, reuses those 6 and builds none; featurization run alone
+builds 4 (0.51 MB) for its 12.
 
 `sample_negatives` never builds the typed product it draws from.  It
 numbers the candidates by rank, their row-major order in the product:
@@ -140,6 +146,12 @@ class BindingTable:
 
     def extend(self, literal: Atom, kb: KnowledgeBase) -> BindingTable:
         """The table of the prefix followed by `literal`."""
+        return self.extension(literal, kb)[0]
+
+    def extension(self, literal: Atom, kb: KnowledgeBase) -> tuple[BindingTable, np.ndarray]:
+        """The table of the prefix followed by `literal`, and each row's
+        number of rows in it.  Those rows copy the row's columns, the
+        literal's fresh variables after them."""
         index, keys, fresh = self._match(literal, kb)
         row_code = index.key_codes(keys)
         starts = np.searchsorted(index.codes, row_code, side="left")
@@ -149,7 +161,7 @@ class BindingTable:
         offsets = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
         matched = index.facts[np.repeat(starts, counts) + offsets]
         rows = np.hstack([self.rows[parent], matched[:, list(fresh.values())]])
-        return BindingTable(self.variables + tuple(fresh), rows)
+        return BindingTable(self.variables + tuple(fresh), rows), counts
 
     def covered(self, literal: Atom, kb: KnowledgeBase, n: int) -> np.ndarray:
         """Bool mask over the n examples: those the prefix followed by

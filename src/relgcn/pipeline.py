@@ -163,7 +163,7 @@ class PipelineConfig:
         cls, path: str | Path, overrides: dict[str, object] | None = None
     ) -> "PipelineConfig":
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except FileNotFoundError:
             raise ConfigError(f"config file {path} does not exist") from None
         except UnicodeDecodeError as exc:
@@ -213,7 +213,7 @@ def _parse_input(config: PipelineConfig, key: str, parse: Callable, *args) -> ob
     if not path.is_file():
         raise DataError(f"{key} path does not exist: {path} (config key {key!r})")
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path} (config key {key!r}): {exc}") from exc
     with _in_file(f"{path} (config key {key!r})"):
@@ -298,11 +298,17 @@ def _load_rules(
     config: PipelineConfig, kb: KnowledgeBase
 ) -> tuple[Path, Targets, list[Clause]]:
     """The output directory, the examples of targets.csv and the rules of
-    rules.txt, read against ``kb``; a ParseError names the file."""
+    rules.txt, read against ``kb``; a ParseError, or a file that is not
+    UTF-8, names the file."""
     out = config.out_dir()
     targets = _read_targets(out / "targets.csv", kb)
-    with _in_file(str(out / "rules.txt")):
-        return out, targets, parse_rules((out / "rules.txt").read_text(), kb)
+    path = out / "rules.txt"
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode {path}: {exc}") from exc
+    with _in_file(str(path)):
+        return out, targets, parse_rules(text, kb)
 
 
 # -- stages ----------------------------------------------------------------
@@ -330,7 +336,7 @@ def stage_learn(config: PipelineConfig, kb: KnowledgeBase) -> Path:
         kb, negatives, neg_config, config["learn.k_neg"], symmetric=symmetric
     )
     rules_path = out / "rules.txt"
-    rules_path.write_text(serialize_rules(pos_rules.rules + neg_rules.rules))
+    rules_path.write_text(serialize_rules(pos_rules.rules + neg_rules.rules), encoding="utf-8")
     return rules_path
 
 
@@ -411,9 +417,9 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
     )
     scores, _ = gcn_mod.predict(model, prop, X)
     (out / "threshold.json").write_text(
-        json.dumps({"metric": config["featurize.metric"], "t": prop.threshold})
+        json.dumps({"metric": config["featurize.metric"], "t": prop.threshold}), encoding="utf-8"
     )
-    with open(out / "history.csv", "w", newline="") as f:
+    with open(out / "history.csv", "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "train_loss", "val_loss", "val_f1"])
         for rec in history:
@@ -427,7 +433,8 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
                 "validation": masks.validation.tolist(),
                 "test": masks.test.tolist(),
             }
-        )
+        ),
+        encoding="utf-8",
     )
     test = masks.test
     scored = np.column_stack([labels[test], scores[test]])
@@ -453,8 +460,8 @@ def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
              len(test_scores), threshold, path)
     report = metrics_mod.confusion_metrics(test_scores, test_labels, threshold)
     report.auc_pr = metrics_mod.auc_pr(test_scores, test_labels)
-    (out / "metrics.txt").write_text(report.to_text())
-    with open(out / "metrics.csv", "w", newline="") as f:
+    (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
+    with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as f:
         f.write(metrics_mod.MetricsReport.csv_header() + "\n")
         f.write(report.to_csv_row() + "\n")
     return report
@@ -532,7 +539,7 @@ def run_pipeline(config: PipelineConfig) -> metrics_mod.MetricsReport:
         "stage_times_s": {name: seconds for name, (_, seconds) in ran.items()},
     }
     (config.out_dir() / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True)
+        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
     )
     return ran["eval"][0]
 
@@ -573,7 +580,7 @@ def sensitivity_sweep(
         cfg = PipelineConfig.from_overrides({**config.values, key: value})
         ran = run_stages(cfg, ("train", "eval"), f"{axis}={value}")
         results.append((value, ran["eval"][0]))
-    with open(out / f"sweep_{axis}.csv", "w", newline="") as f:
+    with open(out / f"sweep_{axis}.csv", "w", newline="", encoding="utf-8") as f:
         f.write(axis + "," + metrics_mod.MetricsReport.csv_header() + "\n")
         for value, report in results:
             f.write(f"{value}," + report.to_csv_row() + "\n")

@@ -22,7 +22,12 @@ search shares, so the facts are filtered and sorted once per pattern, not
 once per candidate.  A spine's table is built from its parent's only when
 the spine is expanded, so at most ``beam_width`` tables are built per
 depth; a table's memory grows with the groundings of the covered
-examples, which each fresh variable can multiply.
+examples, which each fresh variable can multiply.  A candidate that
+does not use the fresh variables of the spine's last literal is probed
+on the parent table's rows that the last literal extends instead, the
+semi-join remedy of probing the smallest relation that binds the key
+(Yannakakis 1981, "Algorithms for acyclic database schemes"): every row
+of the spine's table copies one of them, so the coverage is the same.
 
 The trees of one rule set share their joins, as query packs share the
 work of queries with a common prefix (Blockeel et al. 2002, "Improving
@@ -216,17 +221,28 @@ class JoinMemo:
     def spine(self, body: tuple[Atom, ...]) -> _Spine:
         """The joins of `body`, made on first use; the table of a nonempty
         body extends that of the body one literal shorter, which the tree
-        expanding `body` has already joined."""
+        expanding `body` has already joined.  A candidate that does not use
+        the fresh variables of ``body[-1]`` is probed on the shorter body's
+        rows that ``body[-1]`` extends, the others on the new table."""
         if body in self.spines:
             return self.spines[body]
         kb, n = self.kb, len(self.examples)
         if body:
-            table = self.spines[body[:-1]].table.extend(body[-1], kb)
+            parent = self.spines[body[:-1]].table
+            table, counts = parent.extension(body[-1], kb)
+            # The parent's rows that body[-1] extends: each row of `table`
+            # copies one of them, so a literal keyed on their variables
+            # alone covers the same examples on either table.
+            base = BindingTable(parent.variables, parent.rows[counts > 0])
         else:
-            table = BindingTable.for_head(self.head, self.examples, kb)
+            table = base = BindingTable.for_head(self.head, self.examples, kb)
         max_constants = self.config.max_constants_for_grounding
         candidates = candidate_literals(kb, self.head, body, max_constants)
-        masks = [table.covered(lit, kb, n) for lit in candidates]
+        fresh = set(table.variables[len(base.variables) :])  # body[-1]'s new variables
+        masks = []
+        for lit in candidates:
+            probed = table if fresh.intersection(v.name for v in lit.variables()) else base
+            masks.append(probed.covered(lit, kb, n))
         spine = _Spine(table, candidates, [str(lit) for lit in candidates], masks)
         self.spines[body] = spine
         self.nbytes += table.rows.nbytes + n * len(masks)

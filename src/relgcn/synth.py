@@ -142,9 +142,9 @@ def generate_synthetic(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "facts.txt").write_text(kb.to_text())
+        (out / "facts.txt").write_text(kb.to_text(), encoding="utf-8")
         for name, examples in (("pos.txt", positives), ("neg.txt", negatives)):
             atoms = kb.atom_texts(TARGET_PREDICATE, examples.ids)
-            (out / name).write_text("".join(f"{atom}.\n" for atom in atoms))
+            (out / name).write_text("".join(f"{atom}.\n" for atom in atoms), encoding="utf-8")
 
     return SyntheticData(kb, positives, negatives, planted_rules(kb, spec.n_rules))

@@ -5,11 +5,23 @@ import math
 
 import numpy as np
 
-from relgcn.errors import DataError
+from relgcn.errors import DataError, ParseError
 from relgcn.featurize import PropagationMatrix
 from relgcn.gcn import AdamState, adam_step, init_model
 from relgcn.grounding import Clause
-from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
+from relgcn.kb import (
+    _FACT_RE,
+    _SCHEMA_RE,
+    Atom,
+    Constant,
+    KnowledgeBase,
+    PredicateSchema,
+    Targets,
+    Variable,
+    _read_atom,
+    _split_args,
+    _strip_comment,
+)
 
 
 def has_fact(kb: KnowledgeBase, atom: Atom) -> bool:
@@ -344,3 +356,72 @@ def auc_pr_by_tie_groups(scores: np.ndarray, labels: np.ndarray) -> float:
         prev_recall = recall
         i = j
     return float(area)
+
+
+def adam_step_by_formula(weights, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """`adam_step` as the bias-corrected Adam formula reads, one full-size
+    temporary per operation and both corrections per weight matrix; the
+    package's in-place step must give bitwise the same weights and moments."""
+    state.t += 1
+    for W, g, m, v in zip(weights, grads, state.m, state.v):
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * (g * g)
+        m_hat = m / (1 - beta1**state.t)
+        v_hat = v / (1 - beta2**state.t)
+        W -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def parse_facts_line_by_line(text: str) -> KnowledgeBase:
+    """`parse_facts` with every line read by the per-line branch: comment
+    cut, stripped, then a schema or a fact; each fact's stripped tokens are
+    gathered per predicate and interned once the text is read."""
+    kb = KnowledgeBase()
+    read: dict[str, list[str]] = {}  # predicate -> the arguments of its facts, flat
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw).strip()
+        if not line:
+            continue
+        if line.startswith("@predicate"):
+            m = _SCHEMA_RE.match(line)
+            if m is None:
+                raise ParseError(f"malformed schema declaration: {raw!r}", lineno)
+            name = m.group(1)
+            types = _split_args(m.group(2), f"@predicate {name}", lineno)
+            if not types:
+                raise ParseError(f"schema {name!r} declares no argument types", lineno)
+            try:
+                kb.declare_schema(PredicateSchema(name, tuple(types)))
+            except DataError as exc:
+                raise ParseError(str(exc), lineno) from exc
+            continue
+        m = _FACT_RE.match(line)
+        if m is None:
+            raise ParseError(f"malformed fact line: {raw!r}", lineno)
+        schema, names = _read_atom(m.group(1), m.group(2), kb, lineno, "fact")
+        read.setdefault(schema.name, []).extend(names)
+    for name, names in read.items():
+        kb._fact_ids[name].extend(kb._intern(kb.schemas[name], names))
+    return kb
+
+
+def parse_ground_atoms_line_by_line(text: str, kb: KnowledgeBase, positive) -> Targets:
+    """`parse_ground_atoms` with every line read by the per-line branch."""
+    predicate = None
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw).strip()
+        if not line:
+            continue
+        m = _FACT_RE.match(line)
+        if m is None:
+            raise ParseError(f"malformed example line: {raw!r}", lineno)
+        schema, names = _read_atom(m.group(1), m.group(2), kb, lineno, "example")
+        predicate = predicate or schema.name
+        if schema.name != predicate:
+            raise ParseError(f"{schema.name} example among {predicate} examples", lineno)
+        rows.append(names)
+    if predicate is None:
+        raise ParseError("no example atoms")
+    return kb.targets(predicate, rows, positive)

@@ -22,6 +22,7 @@ from relgcn.gcn import (
 )
 
 from oracles import (
+    adam_step_by_formula,
     as_operator,
     dense_propagation_matrix,
     per_target_gcn_backward,
@@ -492,6 +493,24 @@ def test_adam_shape_mismatch():
         adam_step([W], [np.ones((2, 3))], state, lr=0.1)
     with pytest.raises(DataError):
         adam_step([W], [], state, lr=0.1)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+@pytest.mark.parametrize("hidden_size", [8, 16, 64, 128])
+def test_adam_step_is_bitwise_the_formula(monkeypatch, hidden_size, weight_decay):
+    """Training with the in-place Adam step gives bitwise the weights and
+    the history of training with the formula written out with
+    temporaries."""
+    X, labels, masks = _train_problem(seed=hidden_size)
+    P = propagation_matrix(X)
+    config = TrainConfig(
+        epochs=60, patience=60, hidden_size=hidden_size, weight_decay=weight_decay, seed=1
+    )
+    model, history = train(P, X, labels, masks, config)
+    monkeypatch.setattr("relgcn.gcn.adam_step", adam_step_by_formula)
+    oracle_model, oracle_history = train(P, X, labels, masks, config)
+    assert [W.tobytes() for W in model.weights] == [W.tobytes() for W in oracle_model.weights]
+    assert [repr(vars(rec)) for rec in history] == [repr(vars(rec)) for rec in oracle_history]
 
 
 # -- training --------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Knowledge-base storage and the line-oriented text format."""
 
+import runpy
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,12 @@ from relgcn.kb import (
 )
 
 from conftest import PERSON, TOPIC, UNIVERSITY
-from oracles import FactSetOracle, has_fact
+from oracles import (
+    FactSetOracle,
+    has_fact,
+    parse_facts_line_by_line,
+    parse_ground_atoms_line_by_line,
+)
 from random_instances import random_kb
 
 
@@ -151,22 +160,62 @@ def test_parse_facts_roundtrip(coauthor_kb):
     assert kb2.fact_count() == coauthor_kb.fact_count()
 
 
-def test_parse_facts_comments_and_blank_lines():
-    text = """
-    % a comment-only line
-    @predicate Likes(person, person)
+LIKES = "@predicate Likes(person, person)\n"
 
-    Likes(a, b).  % trailing comment
-    """
+
+@pytest.mark.parametrize(
+    "text, facts",
+    [
+        pytest.param(
+            "\n    % a comment-only line\n    " + LIKES + "\n    Likes(a, b).  % trailing comment\n",
+            ["Likes(a, b)."],
+            id="comments-and-blank-lines",
+        ),
+        pytest.param(
+            (LIKES + "Likes(a, b).\nLikes(b, c).\n").replace("\n", "\r\n"),
+            ["Likes(a, b).", "Likes(b, c)."],
+            id="crlf",
+        ),
+        pytest.param(
+            (LIKES + "Likes(a, b).\nLikes(b, c)").replace("\n", "\r") + ".\r",
+            ["Likes(a, b).", "Likes(b, c)."],
+            id="lone-cr",
+        ),
+        pytest.param(LIKES + "Likes(\ta,\xa0b\xa0).\n", ["Likes(a, b)."], id="tab-nbsp-around"),
+        pytest.param(
+            LIKES + "Likes(a\tx, b\xa0y).\n", ["Likes(a\tx, b\xa0y)."], id="tab-nbsp-inside"
+        ),
+        pytest.param(
+            LIKES + "Likes(a, b). % comment (with parens)\n", ["Likes(a, b)."],
+            id="comment-with-parens",
+        ),
+    ],
+)
+def test_parse_facts_comments_and_blank_lines(text, facts):
+    """Blank and comment-only lines are skipped, a comment may follow a
+    fact, any line end ends a line, and blanks around an argument are
+    dropped while blanks inside it are kept."""
     kb = parse_facts(text)
-    assert kb.fact_count("Likes") == 1
+    assert kb.to_text() == LIKES + "".join(f"{fact}\n" for fact in facts)
+    assert kb.to_text() == parse_facts_line_by_line(text).to_text()
 
 
-def test_parse_facts_error_carries_line_number():
-    text = "@predicate Likes(person, person)\nLikes(a b).\n"
-    with pytest.raises(ParseError) as exc_info:
-        parse_facts(text)
-    assert exc_info.value.line == 2
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        (LIKES + "Likes(a b).\n", "arity mismatch for Likes: got 1, expected 2", 2),
+        (LIKES + "Likes(a%b, c).\n", "malformed fact line: 'Likes(a%b, c).'", 2),
+        (LIKES + "Likes().\n", "arity mismatch for Likes: got 0, expected 2", 2),
+        ("Likes(a, b).\n" + LIKES, "unknown predicate 'Likes' in fact", 1),
+        (LIKES + "Likes(a, b).\r\nLikes(b).\r\n", "arity mismatch for Likes: got 1, expected 2", 3),
+    ],
+    ids=["no-comma", "percent-inside", "no-arguments", "before-its-schema", "crlf"],
+)
+def test_parse_facts_error_carries_line_number(text, message, line):
+    for parse in (parse_facts, parse_facts_line_by_line):
+        with pytest.raises(ParseError) as exc_info:
+            parse(text)
+        assert (exc_info.value.msg, exc_info.value.line) == (message, line)
 
 
 @pytest.mark.parametrize(
@@ -257,9 +306,153 @@ def test_targets_are_interned_rows_of_one_predicate(coauthor_kb):
         # One predicate per example file.
         ("CoAuthor(ann, bob).\n\nAffiliation(ann, U1).\n", "Affiliation example among CoAuthor", 3),
         ("% nothing but a comment\n\n", "no example atoms", None),
+        ("CoAuthor(ann%x, bob).\n", "malformed example line", 1),
+        ("CoAuthor(ann, bob).\r\nCoAuthor().\r\n", "arity mismatch for CoAuthor: got 0", 2),
     ],
 )
 def test_parse_ground_atoms_error_carries_line_number(coauthor_kb, text, message, line):
     with pytest.raises(ParseError, match=message) as exc_info:
         parse_ground_atoms(text, coauthor_kb, True)
     assert exc_info.value.line == line
+
+
+# -- parsing against the per-line reference --------------------------------
+
+_SOUP_SCHEMAS = ["Likes(person, person)", "At(person, place)", "Tag(place)"]
+_BLANKS = ["", "", " ", "  ", "\t", "\xa0", " "]
+_NAMES = ["a", "b", "c1", "Zoë", "x y", "p\tq", "d-2", "e.f", "'g'"]
+_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", " "]
+
+
+def _soup_fact(rng, predicate: str, arity: int, noise: float) -> str:
+    """A fact line of ``predicate`` with ``arity`` arguments, blanks here
+    and there, and with probability ``noise`` a flaw the per-line branch
+    may or may not refuse."""
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    args = [pick(_BLANKS) + pick(_NAMES) + pick(_BLANKS) for _ in range(arity)]
+    if rng.random() < noise:
+        flaw = int(rng.integers(6))
+        if flaw == 0:
+            args.append(pick(_NAMES))  # one argument too many
+        elif flaw == 1:
+            args[int(rng.integers(arity))] = pick(_BLANKS)  # an empty argument
+        elif flaw == 2:
+            args[0] = "%" + args[0]  # a comment inside the parentheses
+        elif flaw == 3:
+            args[-1] += "(" if rng.random() < 0.5 else ")"
+        elif flaw == 4:
+            predicate = pick(["Nope", "@predicate", "Likes Likes", ""])
+        else:
+            args = [] if rng.random() < 0.5 else [" "]
+    line = pick(_BLANKS) + predicate + pick(_BLANKS) + "(" + ",".join(args) + ")"
+    line += pick(_BLANKS) + ("." if rng.random() > noise / 2 else "") + pick(_BLANKS)
+    if rng.random() < 0.2:
+        line += "% a comment" + pick(["", " (with parens)", " % twice", "."])
+    return line
+
+
+def _line_soup(rng, schemas: list[str], declare: bool) -> str:
+    """Random lines of fact-line syntax: mostly facts of ``schemas``, some
+    blank or comment-only, with ``declare`` also schema declarations (now
+    and then after the facts that need them, or conflicting), joined by
+    mixed line ends or now and then a blank that runs two lines together."""
+    noise = float(rng.choice([0.0, 0.01, 0.05, 0.2]))
+    lines = []
+    for _ in range(int(rng.integers(1, 40))):
+        roll = rng.random()
+        schema = schemas[int(rng.integers(len(schemas)))]
+        name, types = schema[:-1].split("(")
+        if declare and roll < 0.1:
+            if rng.random() < noise:
+                types = "person, topic"  # conflicting, or a new arity
+            lines.append(f"@predicate {name}({types})")
+        elif roll < 0.2:
+            lines.append(["", " \t", "% only a comment (here)", "   % indented"][int(rng.integers(4))])
+        else:
+            lines.append(_soup_fact(rng, name, types.count(",") + 1, noise))
+    ends = [_ENDS[int(rng.integers(len(_ENDS)))] for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(parse, *args):
+    """What ``parse(*args)`` returns, or its ParseError's message and line."""
+    try:
+        result = parse(*args)
+    except ParseError as exc:
+        return ("error", exc.msg, exc.line)
+    return result
+
+
+def _kb_state(kb: KnowledgeBase):
+    """A kb's text, its ids in order, its fact ids and its domains."""
+    domains = {t: sorted(names) for t, names in kb._domains.items()}
+    return kb.to_text(), list(kb._ids), kb._fact_ids, domains
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_facts_matches_the_per_line_reference_on_line_soups(seed):
+    """On random line soups, the KB `parse_facts` builds, with its id order
+    and domains, or its ParseError's message and line, is that of the
+    reference loop that reads every line through the per-line branch."""
+    rng = np.random.default_rng(seed)
+    parsed = errors = 0
+    for _ in range(150):
+        declared = "".join(f"@predicate {s}\n" for s in _SOUP_SCHEMAS)
+        text = declared + _line_soup(rng, _SOUP_SCHEMAS, declare=True)
+        got, want = _outcome(parse_facts, text), _outcome(parse_facts_line_by_line, text)
+        if isinstance(want, tuple):
+            errors += 1
+            assert got == want
+        else:
+            parsed += 1
+            assert _kb_state(got) == _kb_state(want)
+    assert parsed > 20 and errors > 20
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_ground_atoms_matches_the_per_line_reference_on_line_soups(seed):
+    """On random example soups, `parse_ground_atoms` gives the targets, and
+    leaves the kb's ids and domains, of the per-line reference loop, or
+    the same ParseError message and line."""
+    rng = np.random.default_rng(100 + seed)
+    schemas = "".join(f"@predicate {s}\n" for s in _SOUP_SCHEMAS) + "Likes(a, b).\nTag(c1).\n"
+    parsed = errors = 0
+    for _ in range(150):
+        # Mostly one predicate, as an example file holds.
+        one = [_SOUP_SCHEMAS[int(rng.integers(len(_SOUP_SCHEMAS)))]]
+        text = _line_soup(rng, one if rng.random() < 0.9 else _SOUP_SCHEMAS, declare=False)
+        outcomes = []
+        for parse in (parse_ground_atoms, parse_ground_atoms_line_by_line):
+            kb = parse_facts(schemas)
+            got = _outcome(parse, text, kb, True)
+            if not isinstance(got, tuple):
+                got = (got.predicate, got.ids.tolist(), got.positive.tolist(), _kb_state(kb))
+            outcomes.append(got)
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0][0] == "error":
+            errors += 1
+        else:
+            parsed += 1
+    assert parsed > 20 and errors > 20
+
+
+def test_parse_facts_peaks_no_higher_than_the_per_line_reference():
+    """Parsing the benchmark's wide facts file (10,482 lines) holds no more
+    memory at its peak than the per-line reference loop, which keeps
+    every stripped argument: the argument texts are split and stripped in
+    place, one predicate at a time."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
+    text, _ = workloads["topics_inputs"](workloads["TopicsSpec"](), workloads["TOPICS_KB_SEED"])
+    peaks = []
+    for parse in (parse_facts, parse_facts_line_by_line):
+        tracemalloc.start()
+        try:
+            kb = parse(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert kb.fact_count() > 10_000
+    assert peaks[0] <= peaks[1]

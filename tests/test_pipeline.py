@@ -4,15 +4,19 @@ import ast
 import dataclasses
 import json
 import logging
+import os
 import re
 import runpy
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relgcn.cli import main as cli_main
+import relgcn
+from relgcn.cli import derived_seeds, main as cli_main
 from relgcn import featurize as fz
 from relgcn.errors import ConfigError, DataError, NumericalError, ParseError
 from relgcn.gcn import TrainConfig
@@ -922,6 +926,38 @@ def test_cli_non_utf8_facts_is_a_data_error(tmp_path, caplog):
     assert "stage 'learn'" in caplog.text
 
 
+def test_cli_pipeline_runs_on_utf8_files_under_the_c_locale(tmp_path):
+    """Inputs are read and the run directory written as UTF-8 whatever the
+    locale: under the C locale with UTF-8 mode off, a pipeline on a KB that
+    names Zoë and Universität exits 0, and its rules.txt and X.csv are the
+    bytes of a run in UTF-8 mode."""
+    data = tmp_path / "data"
+    generate_synthetic(SMALL_SPEC, data)
+    for name in ("facts.txt", "pos.txt", "neg.txt"):
+        path = data / name
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("P000", "Zoë").replace("U1", "Universität"), encoding="utf-8")
+    inputs = [f"{key}={data / key}.txt" for key in ("facts", "pos", "neg")]
+    flags = [arg for item in [*inputs, "train.epochs=20"] for arg in ("--set", item)]
+    src = Path(relgcn.__file__).resolve().parent.parent
+    outputs = {}
+    for name, env in [
+        ("c", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
+        ("utf8", {"PYTHONUTF8": "1"}),
+    ]:
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "relgcn.cli", "pipeline", "--out", str(out), *flags],
+            env={**os.environ, "PYTHONPATH": str(src), **env},
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        outputs[name] = [(out / file).read_bytes() for file in ("rules.txt", "X.csv")]
+    assert outputs["c"] == outputs["utf8"]
+    assert "Zoë".encode() in outputs["c"][1]
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -1179,6 +1215,17 @@ def _remove_scores(out):
     (out / "test_scores.csv").unlink()
 
 
+def _undecodable(name):
+    """A damage that puts a byte that is not UTF-8 into the last line of
+    the run directory's ``name``."""
+
+    def damage(out):
+        path = out / name
+        path.write_bytes(path.read_bytes().rstrip(b"\n") + b"\xff\n")
+
+    return damage
+
+
 def _label_cell(text):
     """An edit that sets the label cell of line 2 to ``text``."""
 
@@ -1226,6 +1273,13 @@ def _label_cell(text):
             "targets.csv",
             "expected the header 'id,label'",
             id="train-targets-header",
+        ),
+        pytest.param(
+            "train", _undecodable("X.csv"), "X.csv", "cannot decode", id="train-x-not-utf8",
+        ),
+        pytest.param(
+            "eval", _undecodable("test_scores.csv"), "test_scores.csv", "cannot decode",
+            id="eval-scores-not-utf8",
         ),
         pytest.param(
             "eval", _remove_scores, "test_scores.csv", "retrain", id="eval-scores-missing"
@@ -1279,6 +1333,16 @@ def test_cli_damaged_run_directory_is_a_data_error(
     assert cli_main([command, "--out", str(out)]) == 2
     assert str(out / damaged) in caplog.text
     assert reason in caplog.text
+
+
+def test_cli_rules_not_utf8_is_a_data_error(small_run, tmp_path, caplog):
+    """Featurize reads rules.txt as UTF-8; other bytes are a data error
+    that names the file."""
+    out = _clone_run(small_run, tmp_path).out_dir()
+    _undecodable("rules.txt")(out)
+    facts = small_run["data"] / "facts.txt"
+    assert cli_main(["featurize", "--out", str(out), "--set", f"facts={facts}"]) == 2
+    assert f"cannot decode {out / 'rules.txt'}" in caplog.text
 
 
 def test_train_accepts_targets_cells_spaced_otherwise(small_run, tmp_path):
@@ -1374,6 +1438,9 @@ def test_cli_synth_rejects_config_flags(tmp_path, flag):
 
 
 def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):
+    """--seed 42 gives each *seed key its own seed drawn from 42, winning
+    over the config file and --set; no two keys get the same seed, and no
+    key gets learn.seed + 1, the negative-density contrast's seed."""
     captured = {}
 
     def fake_run(config):
@@ -1390,10 +1457,37 @@ def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):
     config_file.write_text("learn.seed = 3\n")
     argv = ["pipeline", "--seed", "42", "--config", str(config_file), "--set", "train.seed=5"]
     assert cli_main(argv) == 0  # --seed wins over --set and the config file
-    assert captured["learn.seed"] == 42
-    assert captured["train.seed"] == 42
-    assert captured["split.seed"] == 42
-    assert captured["negatives.seed"] == 42
+    seeds = derived_seeds(42)
+    assert sorted(seeds) == ["learn.seed", "negatives.seed", "split.seed", "train.seed"]
+    assert {key: captured[key] for key in seeds} == seeds
+    assert derived_seeds(42) == seeds != derived_seeds(43)
+    for s in range(200):
+        drawn = [*derived_seeds(s).values(), derived_seeds(s)["learn.seed"] + 1]
+        assert len(set(drawn)) == 5
+
+
+def test_cli_seed_flag_keeps_the_contrast_apart_from_the_negatives(tmp_path, monkeypatch):
+    """With no neg file and equal ratios, the positive-density contrast and
+    the pipeline's negatives are both `sample_negatives` draws over the
+    same positives; under --seed they come from different seeds, so the
+    trees do not separate the positives from the very negatives."""
+    data = tmp_path / "data"
+    spec = SyntheticSpec(n_persons=40, n_positives=60, n_negatives=120, seed=1)
+    generate_synthetic(spec, data)
+    draws = []
+
+    def recording(*args, **kwargs):
+        drawn = sample_negatives(*args, **kwargs)
+        draws.append(drawn.ids)
+        return drawn
+
+    monkeypatch.setattr("relgcn.pipeline.sample_negatives", recording)
+    monkeypatch.setattr("relgcn.rulelearn.sample_negatives", recording)
+    flags = ["--set", f"facts={data / 'facts.txt'}", "--set", f"pos={data / 'pos.txt'}"]
+    assert cli_main(["learn", "--out", str(tmp_path / "out"), "--seed", "5", *flags]) == 0
+    negatives, contrast = draws[:2]  # then the positive-density contrast
+    assert negatives.shape == contrast.shape
+    assert not np.array_equal(negatives, contrast)
 
 
 @pytest.mark.parametrize("command", ["pipeline", "synth"])

@@ -329,6 +329,52 @@ def test_depth_one_tree_matches_brute_force_oracle():
         )
 
 
+def test_spine_masks_match_the_spines_own_table_and_brute_force():
+    """On random small KBs, every candidate mask of a spine equals
+    `BindingTable.covered` on the spine's own table and brute-force
+    coverage, also when the spine's last literal has a fresh variable
+    that multiplies the rows and the candidate is scored on the parent
+    prefix's rows instead."""
+    rng = np.random.default_rng(20261020)
+    multiplied = scored_on_parent_rows = 0
+    for _ in range(12):
+        kb, constants, _, _ = random_kb(rng, max_constants=4, max_predicates=3)
+        pool = next(iter(constants.values()))
+        pairs = [(a, b) for a in pool for b in pool]
+        rows = [pairs[int(j)] for j in rng.choice(len(pairs), size=min(6, len(pairs)), replace=False)]
+        config = LearnConfig(max_constants_for_grounding=int(rng.choice([0, 2])))
+        memo = JoinMemo(kb, kb.targets("Tgt", rows, True), config)
+        bodies = [()]
+        while bodies:
+            body = bodies.pop()
+            spine = memo.spine(body)
+            grew, fresh = False, set()
+            if body:
+                parent = memo.spines[body[:-1]].table
+                fresh = set(spine.table.variables[len(parent.variables) :])
+                copied = spine.table.rows[:, : parent.rows.shape[1]]
+                grew = len(spine.table.rows) > len(np.unique(copied, axis=0))
+                multiplied += grew
+            for lit, mask in zip(spine.candidates, spine.masks):
+                assert mask.tolist() == spine.table.covered(lit, kb, len(rows)).tolist()
+                brute = [
+                    brute_force_count(Clause(memo.head, body + (lit,)), row, kb) > 0
+                    for row in rows
+                ]
+                assert mask.tolist() == brute
+                names = {v.name for v in lit.variables()}
+                scored_on_parent_rows += grew and not names & fresh
+            if len(body) < 2:
+                # Literals with a fresh variable first: those can multiply rows.
+                order = sorted(
+                    spine.candidates,
+                    key=lambda lit: all(v.name in spine.table.variables for v in lit.variables()),
+                )
+                bodies.extend(body + (lit,) for lit in order[: 2 - len(body)])
+    assert multiplied > 5
+    assert scored_on_parent_rows > 50
+
+
 def test_learn_tree_rejects_bad_inputs(coauthor_kb, topic_class_examples):
     config = LearnConfig()
     none = np.array([])
