@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-
-import numpy as np
+from dataclasses import fields
 
 from .errors import ConfigError, DataError, NumericalError, RelgcnError
 from .pipeline import (
     SWEEP_AXES,
     PipelineConfig,
-    default_values,
+    derived_seeds,
     rule_coverage_report,
     run_pipeline,
     run_stages,
@@ -25,6 +24,14 @@ from .pipeline import (
 from .synth import SyntheticSpec, generate_synthetic
 
 log = logging.getLogger("relgcn")
+
+# Each synth flag and the SyntheticSpec field it sets; a flag not given
+# leaves the field's default.
+_SYNTH_FLAGS = {
+    "persons": "n_persons", "universities": "n_universities", "topics": "n_topics",
+    "rules": "n_rules", "noise": "noise_rate", "positives": "n_positives",
+    "negatives": "n_negatives", "seed": "seed",
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -40,21 +47,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override a single config key (flags win over the config file)",
     )
-
-
-def derived_seeds(seed: int) -> dict[str, int]:
-    """The value ``--seed seed`` gives each ``*seed`` key: a word of
-    ``seed``'s `np.random.SeedSequence`, with its residue modulo twice the
-    number of keys set to twice the key's position in name order.  Every
-    seed is then even in that modulus and every seed + 1 odd, so no two
-    keys share a seed, nor does any key with the negative-density contrast,
-    which draws with ``learn.seed + 1``."""
-    if seed < 0:
-        raise ConfigError("an int >= 0", "--seed", seed)
-    keys = sorted(key for key in default_values() if key.endswith("seed"))
-    step = 2 * len(keys)
-    words = np.random.SeedSequence(seed).generate_state(len(keys)).tolist()
-    return {key: word // step * step + 2 * i for i, (key, word) in enumerate(zip(keys, words))}
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -95,16 +87,16 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         if name == "synth":
             # The generator reads no config: its flags are all it takes.
-            p.add_argument("--seed", type=int, help="generator seed (default 0)")
             p.add_argument("--out", help="output directory")
             p.add_argument("--verbose", action="store_true")
-            p.add_argument("--persons", type=int, default=60)
-            p.add_argument("--universities", type=int, default=5)
-            p.add_argument("--topics", type=int, default=8)
-            p.add_argument("--rules", type=int, default=2)
-            p.add_argument("--noise", type=float, default=0.0)
-            p.add_argument("--positives", type=int, default=None)
-            p.add_argument("--negatives", type=int, default=600)
+            defaults = {f.name: f.default for f in fields(SyntheticSpec)}
+            for flag, field in _SYNTH_FLAGS.items():
+                default = defaults[field]
+                p.add_argument(
+                    f"--{flag}", dest=field, metavar=flag.upper(), default=argparse.SUPPRESS,
+                    type=float if isinstance(default, float) else int,
+                    help=f"SyntheticSpec.{field} (default {default})",
+                )
             continue
         _add_common(p)
         if name == "sweep":
@@ -141,16 +133,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "synth":
-        spec = SyntheticSpec(
-            n_persons=args.persons,
-            n_universities=args.universities,
-            n_topics=args.topics,
-            n_rules=args.rules,
-            noise_rate=args.noise,
-            n_positives=args.positives,
-            n_negatives=args.negatives,
-            seed=args.seed if args.seed is not None else 0,
-        )
+        spec = SyntheticSpec(**{f: getattr(args, f) for f in _SYNTH_FLAGS.values() if f in args})
         out = args.out or "out"
         data = generate_synthetic(spec, out)
         print(

@@ -188,7 +188,7 @@ def sample_negatives(
     positives: Targets,
     ratio: float,
     seed: int,
-    symmetric: bool = True,
+    symmetric: bool,
 ) -> Targets:
     """Closed-world negative sampling.
 

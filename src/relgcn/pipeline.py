@@ -29,7 +29,7 @@ import logging
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Collection, Iterator
 
@@ -39,7 +39,8 @@ from .errors import ConfigError, DataError, ParseError
 from . import featurize as fz
 from . import gcn as gcn_mod
 from . import metrics as metrics_mod
-from .grounding import Clause, count_satisfied_groundings, sample_negatives
+from .grounding import NEGATIVE_DENSITY, POSITIVE_DENSITY, Clause
+from .grounding import count_satisfied_groundings, sample_negatives
 from .kb import KnowledgeBase, Targets, _strip_comment, parse_facts, parse_ground_atoms
 from .rulelearn import LearnConfig, learn_ruleset, parse_rules, serialize_rules
 
@@ -98,8 +99,8 @@ def _coerce(key: str, text: str, default: object) -> object:
 
 
 def _check(values: dict[str, object], text: dict[str, str]) -> None:
-    """Reject an out-of-range value of a key that no dataclass holds,
-    quoting it as ``text`` has it."""
+    """Reject an out-of-range value of a key that no dataclass holds, or a
+    ``learn.seed`` that sampled negatives share, quoting it as ``text`` has it."""
     if values["featurize.metric"] not in fz.METRICS:
         raise ConfigError(f"one of {fz.METRICS}", "featurize.metric", text["featurize.metric"])
     for key, least in [
@@ -107,6 +108,10 @@ def _check(values: dict[str, object], text: dict[str, str]) -> None:
     ]:
         if values[key] < least:
             raise ConfigError(f"an int >= {least}", key, text[key])
+    if not values["neg"] and values["learn.seed"] == values["negatives.seed"]:
+        # The positive-density contrast would repeat the sampled negatives.
+        given = "; ".join(f"{k!r}, got {text[k]!r}" for k in ("learn.seed", "negatives.seed"))
+        raise ConfigError(f"expected different seeds while 'neg' is empty: {given}")
     if values["negatives.ratio"] <= 0:
         raise ConfigError("a float > 0", "negatives.ratio", text["negatives.ratio"])
     if not 0.0 <= values["eval.threshold"] <= 1.0:
@@ -235,19 +240,30 @@ def _load_examples(config: PipelineConfig, kb: KnowledgeBase) -> tuple[Targets, 
                 f"examples, not {positives.predicate} as pos does"
             )
     else:
-        try:
-            negatives = sample_negatives(
-                kb, kb.schema(positives.predicate), positives, config["negatives.ratio"],
-                config["negatives.seed"], symmetric=config["negatives.symmetric"],
-            )
-        except DataError as exc:
-            raise DataError(
-                f"cannot sample the negatives (config key 'negatives.ratio' = "
-                f"{config['negatives.ratio']!r}): {exc}"
-            ) from exc
+        negatives = _draw(
+            config, kb, positives, "negatives.ratio", config["negatives.seed"], "the negatives"
+        )
     files = [f"in {config[key]} (config key {key!r})" for key in ("pos", "neg")]
     _refuse_repeats(kb, positives + negatives, lambda row: files[row >= len(positives)])
     return positives, negatives
+
+
+def _draw(
+    config: PipelineConfig, kb: KnowledgeBase, outside: Targets, key: str, seed: int, what: str
+) -> Targets:
+    """``config[key]`` times as many tuples as ``outside``, none in it, drawn
+    with ``seed`` under ``negatives.symmetric``; every draw of a run is made
+    here.  One too large is a DataError naming ``what`` it draws and ``key``."""
+    ratio = config[key]
+    try:
+        return sample_negatives(
+            kb, kb.schema(outside.predicate), outside, ratio, seed,
+            symmetric=config["negatives.symmetric"],
+        )
+    except DataError as exc:
+        raise DataError(
+            f"cannot sample {what} (config key {key!r} = {ratio!r}): {exc}"
+        ) from exc
 
 
 def _refuse_repeats(kb: KnowledgeBase, targets: Targets, place: Callable[[int], str]) -> None:
@@ -316,28 +332,44 @@ def _load_rules(
 
 def stage_learn(config: PipelineConfig, kb: KnowledgeBase) -> Path:
     """Learn positive- and negative-density rule sets on ``kb``, the parsed
-    facts; persist targets and rules.  X is built from both, so a stale
-    ``X.csv`` is deleted first: train cannot fit features of rules or
-    targets that learn has replaced.  Learn is the one stage that creates
-    the run directory."""
-    out = config.out_dir()
+    facts, against contrasts drawn with ``learn.seed`` and ``learn.seed + 1``,
+    then persist targets and rules; a learn that fails writes nothing.  X
+    is built from both, so a stale ``X.csv`` is deleted: train cannot fit
+    features of rules or targets that learn has replaced.  Learn is the
+    one stage that creates the run directory."""
     positives, negatives = _load_examples(config, kb)
+    rules: list[Clause] = []
+    for source, examples, k_key, seed in [
+        (POSITIVE_DENSITY, positives, "learn.k_pos", config.learn.seed),
+        (NEGATIVE_DENSITY, negatives, "learn.k_neg", config.learn.seed + 1),
+    ]:
+        what = f"the contrast of the {source} rule set outside its {len(examples)} examples"
+        contrast = _draw(config, kb, examples, "learn.contrast_ratio", seed, what)
+        rules += learn_ruleset(kb, examples, contrast, config.learn, config[k_key]).rules
+    out = config.out_dir()
     out.mkdir(parents=True, exist_ok=True)
     (out / "X.csv").unlink(missing_ok=True)
     targets = positives + negatives
     atoms = kb.atom_texts(targets.predicate, targets.ids)
     fz.write_matrix_csv(out / "targets.csv", targets.positive[:, None], atoms, ["label"])
-    symmetric = config["negatives.symmetric"]
-    pos_rules = learn_ruleset(
-        kb, positives, config.learn, config["learn.k_pos"], symmetric=symmetric
-    )
-    neg_config = replace(config.learn, seed=config.learn.seed + 1)
-    neg_rules = learn_ruleset(
-        kb, negatives, neg_config, config["learn.k_neg"], symmetric=symmetric
-    )
     rules_path = out / "rules.txt"
-    rules_path.write_text(serialize_rules(pos_rules.rules + neg_rules.rules), encoding="utf-8")
+    rules_path.write_text(serialize_rules(rules), encoding="utf-8")
     return rules_path
+
+
+def derived_seeds(seed: int) -> dict[str, int]:
+    """The value ``--seed seed`` gives each ``*seed`` key: a word of
+    ``seed``'s `np.random.SeedSequence`, with its residue modulo twice the
+    number of keys set to twice the key's position in name order.  Every
+    seed is then even in that modulus and every seed + 1 odd, so no two
+    keys share a seed, nor does any key with the negative-density contrast,
+    which `stage_learn` draws with ``learn.seed + 1``."""
+    if seed < 0:
+        raise ConfigError("an int >= 0", "--seed", seed)
+    keys = sorted(key for key in default_values() if key.endswith("seed"))
+    step = 2 * len(keys)
+    words = np.random.SeedSequence(seed).generate_state(len(keys)).tolist()
+    return {key: word // step * step + 2 * i for i, (key, word) in enumerate(zip(keys, words))}
 
 
 def stage_featurize(config: PipelineConfig, kb: KnowledgeBase) -> np.ndarray:

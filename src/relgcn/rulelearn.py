@@ -10,8 +10,9 @@ set, one rule per tree.
 
 Learning from a single class would make the squared-error criterion
 degenerate (all regression targets equal), so each rule set is fit against
-a seeded closed-world contrast sample of target tuples outside the class,
-carrying regression value 0.
+a closed-world contrast sample of target tuples outside the class,
+carrying regression value 0.  The caller draws it (the pipeline's learn
+stage, with its seed and ratio); this module only fits rules.
 
 Coverage is computed set-at-a-time: each beam spine keeps a
 `BindingTable` of its satisfied groundings over the examples it covers,
@@ -62,6 +63,7 @@ from .grounding import (
     POSITIVE_DENSITY,
     # Unused here; the benchmark traces coverage at this name as `rulelearn.cover`.
     count_satisfied_groundings,
+    # Unused here; the benchmark traces draws at this name as well as in `pipeline`.
     sample_negatives,
 )
 from .kb import Atom, Constant, KnowledgeBase, Targets, Variable, _read_atom
@@ -361,22 +363,16 @@ def learn_tree(
 
 
 def learn_ruleset(
-    kb: KnowledgeBase,
-    examples: Targets,
-    config: LearnConfig,
-    k: int,
-    contrast: Targets | None = None,
-    symmetric: bool = True,
+    kb: KnowledgeBase, examples: Targets, contrast: Targets, config: LearnConfig, k: int
 ) -> RuleSet:
-    """Learn k rules from a one-class example set.
+    """Learn k rules from a one-class example set against ``contrast``.
 
     Class examples start with regression target 1 and unit weight.  Each
     iteration learns a tree's left-spine rule, then multiplies the weight
     of every class example the tree covered by ``covering_discount`` and
     renormalizes, steering later trees toward uncovered examples.  The
-    closed-world ``contrast`` sample (value 0, weight 1, drawn outside the
-    class when not supplied, under ``sample_negatives``' ``symmetric``)
-    gives the criterion something to separate.
+    closed-world ``contrast`` sample (value 0, weight 1), drawn by the
+    caller outside the class, gives the criterion something to separate.
     Learning stops early, with a warning, on a duplicate consecutive rule;
     an empty-body rule (a constant feature) is kept with a warning.
     """
@@ -387,18 +383,6 @@ def learn_ruleset(
     source = POSITIVE_DENSITY if examples.positive[0] else NEGATIVE_DENSITY
     if k < 1:
         raise DataError("k must be >= 1")
-
-    if contrast is None:
-        schema = kb.schema(examples.predicate)
-        try:
-            contrast = sample_negatives(
-                kb, schema, examples, config.contrast_ratio, config.seed, symmetric=symmetric
-            )
-        except DataError as exc:
-            raise DataError(
-                f"cannot sample the contrast of the {source} rule set outside its {len(examples)} "
-                f"examples (config key 'learn.contrast_ratio' = {config.contrast_ratio!r}): {exc}"
-            ) from exc
 
     n = len(examples)
     targets = examples + contrast

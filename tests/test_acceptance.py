@@ -22,7 +22,7 @@ from relgcn.featurize import (
     pairwise_distances,
 )
 from relgcn.gcn import TrainConfig, gcn_backward, gcn_forward, init_model
-from relgcn.grounding import count_satisfied_groundings
+from relgcn.grounding import count_satisfied_groundings, sample_negatives
 from relgcn.pipeline import PipelineConfig, run_pipeline, sensitivity_sweep
 from relgcn.rulelearn import LearnConfig, learn_ruleset
 from relgcn.synth import SyntheticSpec, generate_synthetic
@@ -248,8 +248,10 @@ def test_criterion_07_rule_recovery_noise_free():
         seed=3,
     )
     data = generate_synthetic(spec)
-    config = LearnConfig(beam_width=5, max_constants_for_grounding=0, seed=7)
-    ruleset = learn_ruleset(data.kb, data.positives, config, k=2)
+    config = LearnConfig(beam_width=5, max_constants_for_grounding=0)
+    schema = data.kb.schema(data.positives.predicate)
+    contrast = sample_negatives(data.kb, schema, data.positives, 1.0, 7, symmetric=True)
+    ruleset = learn_ruleset(data.kb, data.positives, contrast, config, k=2)
     assert len(ruleset.rules) == 2
     targets = data.positives + data.negatives
     matched_planted = set()

@@ -462,8 +462,8 @@ def test_enumerate_target_tuples_symmetric(coauthor_kb):
 def test_sample_negatives_deterministic_and_disjoint(coauthor_kb):
     schema = coauthor_kb.schema("CoAuthor")
     positives = coauthors(coauthor_kb, "ann bob")
-    negs1 = sample_negatives(coauthor_kb, schema, positives, ratio=3.0, seed=5)
-    negs2 = sample_negatives(coauthor_kb, schema, positives, ratio=3.0, seed=5)
+    negs1 = sample_negatives(coauthor_kb, schema, positives, ratio=3.0, seed=5, symmetric=True)
+    negs2 = sample_negatives(coauthor_kb, schema, positives, ratio=3.0, seed=5, symmetric=True)
     assert (negs1.ids == negs2.ids).all()
     assert len(negs1) == 3
     drawn = set(coauthor_kb.atom_texts("CoAuthor", negs1.ids))
@@ -476,13 +476,17 @@ def test_sample_negatives_exhaustion(coauthor_kb):
     positives = coauthors(coauthor_kb, "ann bob")
     # Only 5 non-positive canonical pairs exist among 4 people.
     with pytest.raises(DataError):
-        sample_negatives(coauthor_kb, schema, positives, ratio=6.0, seed=0)
+        sample_negatives(coauthor_kb, schema, positives, ratio=6.0, seed=0, symmetric=True)
     with pytest.raises(DataError):
-        sample_negatives(coauthor_kb, schema, positives, ratio=0.0, seed=0)
+        sample_negatives(coauthor_kb, schema, positives, ratio=0.0, seed=0, symmetric=True)
     with pytest.raises(DataError):
-        sample_negatives(coauthor_kb, schema, coauthors(coauthor_kb), ratio=1.0, seed=0)
+        sample_negatives(
+            coauthor_kb, schema, coauthors(coauthor_kb), ratio=1.0, seed=0, symmetric=True
+        )
     with pytest.raises(DataError, match="positives of CoAuthor"):
-        sample_negatives(coauthor_kb, coauthor_kb.schema("Affiliation"), positives, 1.0, 0)
+        sample_negatives(
+            coauthor_kb, coauthor_kb.schema("Affiliation"), positives, 1.0, 0, symmetric=True
+        )
 
 
 @pytest.mark.parametrize(
@@ -581,7 +585,7 @@ def test_sample_negatives_memory_is_linear_in_the_domain():
     positives = kb.targets("CoAuthor", [(names[a], names[b]) for a, b in picks], True)
     tracemalloc.start()
     try:
-        negatives = sample_negatives(kb, kb.schema("CoAuthor"), positives, 1.0, 0)
+        negatives = sample_negatives(kb, kb.schema("CoAuthor"), positives, 1.0, 0, symmetric=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -621,4 +625,4 @@ def test_sample_negatives_refuses_a_product_beyond_int64():
         r"Wide: its domains of sizes 10000 x 10000 x 10000 x 10000 x 10000 "
         r"hold 100000000000000000000 tuples"
     )):
-        sample_negatives(kb, kb.schema("Wide"), positives, 1.0, 0)
+        sample_negatives(kb, kb.schema("Wide"), positives, 1.0, 0, symmetric=True)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import json
 import logging
 import os
@@ -283,21 +284,40 @@ def test_sweep_from_an_empty_run_directory_parses_the_facts_once(
 
 
 def test_learn_contrast_follows_negatives_symmetric(small_run, tmp_path, monkeypatch):
-    """Without a neg file, the run's negatives and both rule sets' contrast
-    samples are drawn under ``negatives.symmetric``."""
+    """Without a neg file, the run draws the negatives, then the
+    positive-density contrast, then the negative-density one, each outside
+    its class, with its ratio key and seed and under ``negatives.symmetric``."""
     seen = []
 
     def recorded(*args, **kwargs):
-        seen.append(kwargs.get("symmetric", args[5] if len(args) > 5 else True))
+        drawn = inspect.signature(sample_negatives).bind(*args, **kwargs).arguments
+        seen.append((len(drawn["positives"]), drawn["ratio"], drawn["seed"], drawn["symmetric"]))
         return sample_negatives(*args, **kwargs)
 
     monkeypatch.setattr("relgcn.pipeline.sample_negatives", recorded)
     monkeypatch.setattr("relgcn.rulelearn.sample_negatives", recorded)
     config = _config(
-        small_run["data"], tmp_path / "out", neg="", **{"negatives.symmetric": "false"}
+        small_run["data"], tmp_path / "out", neg="",
+        **{
+            "negatives.symmetric": "false", "negatives.ratio": "1.6", "negatives.seed": "3",
+            "learn.contrast_ratio": "0.8", "learn.seed": "11",
+        },
     )
     run_pipeline(config)
-    assert seen == [False, False, False]
+    # 25 positives, then ceil(1.6 * 25) = 40 negatives.
+    assert seen == [(25, 1.6, 3, False), (25, 0.8, 11, False), (40, 0.8, 12, False)]
+
+
+def test_rule_learning_draws_no_sample(small_run, tmp_path, monkeypatch):
+    """`learn_ruleset` fits the contrast it is given: with sampled negatives
+    a run finishes with the rule learner's sampler replaced by one that
+    raises."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("rule learning drew a sample")
+
+    monkeypatch.setattr("relgcn.rulelearn.sample_negatives", refused)
+    run_pipeline(_config(small_run["data"], tmp_path / "out", neg=""))
 
 
 def test_featurize_on_the_kb_learn_used_matches_a_standalone_featurize(small_run, tmp_path):
@@ -1405,6 +1425,78 @@ def test_eval_after_relearning_reports_the_trained_model(tmp_path):
     assert stage_eval(relearned).to_csv_row() == trained
 
 
+def test_cli_failed_learn_leaves_the_run_directory_as_it_was(tmp_path):
+    """A learn that fails at its last draw, the negative-density contrast,
+    writes nothing: targets.csv, rules.txt and X.csv stay those of the
+    last learn that finished, and featurize rebuilds the same X."""
+    runs = {}
+    for name, spec in [
+        ("a", SyntheticSpec(n_persons=30, n_positives=60, n_negatives=120, seed=1)),
+        ("b", SyntheticSpec(n_persons=30, n_positives=40, n_negatives=90, seed=2)),
+    ]:
+        generate_synthetic(spec, tmp_path / name)
+        inputs = [f"{key}={tmp_path / name / key}.txt" for key in ("facts", "pos", "neg")]
+        runs[name] = [arg for item in inputs for arg in ("--set", item)]
+    out = tmp_path / "out"
+    for command in ("learn", "featurize"):
+        assert cli_main([command, "--out", str(out), *runs["a"]]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    # 4 x 90 contrast tuples outside B's 90 negatives, of 435 pairs.
+    failed = ["learn", "--out", str(out), *runs["b"], "--set", "learn.contrast_ratio=4.0"]
+    assert cli_main(failed) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert cli_main(["featurize", "--out", str(out), *runs["a"]]) == 0
+    assert (out / "X.csv").read_bytes() == before["X.csv"]
+
+
+def test_cli_learn_seed_equal_to_the_negatives_seed_is_refused(tmp_path, caplog):
+    """With no neg file, a learn.seed equal to negatives.seed would draw the
+    positive-density contrast as the very negatives; it is a config error
+    naming both keys, and no run directory is made.  A neg file allows it."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    generate_synthetic(SyntheticSpec(n_persons=40, n_positives=60, n_negatives=120, seed=1), data)
+    flags = ["--set", f"facts={data / 'facts.txt'}", "--set", f"pos={data / 'pos.txt'}"]
+    assert cli_main(["learn", "--out", str(out), *flags, "--set", "learn.seed=17"]) == 1
+    assert "'learn.seed', got '17'; 'negatives.seed', got '17'" in caplog.text
+    assert not out.exists()
+    flags += ["--set", f"neg={data / 'neg.txt'}"]
+    assert cli_main(["learn", "--out", str(out), *flags, "--set", "learn.seed=17"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param([], id="defaults"),
+        pytest.param(
+            ["--persons", "60", "--universities", "5", "--topics", "8", "--rules", "2",
+             "--noise", "0.05", "--positives", "150", "--negatives", "600", "--seed", "3"],
+            id="readme",
+        ),
+    ],
+)
+def test_cli_synth_writes_the_spec_of_its_flags(tmp_path, flags):
+    """Each synth flag sets its SyntheticSpec field, and a flag not given
+    leaves the field's default."""
+    assert cli_main(["synth", "--out", str(tmp_path / "cli"), *flags]) == 0
+    fields = {
+        "--persons": "n_persons", "--universities": "n_universities", "--topics": "n_topics",
+        "--rules": "n_rules", "--noise": "noise_rate", "--positives": "n_positives",
+        "--negatives": "n_negatives", "--seed": "seed",
+    }
+    given = {fields[flag]: float(v) if flag == "--noise" else int(v)
+             for flag, v in zip(flags[::2], flags[1::2])}
+    generate_synthetic(SyntheticSpec(**given), tmp_path / "spec")
+    for name in ("facts.txt", "pos.txt", "neg.txt"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "spec" / name).read_bytes()
+
+
+def test_cli_synth_help_shows_each_default(capsys):
+    assert cli_main(["synth", "--help"]) == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    for field in dataclasses.fields(SyntheticSpec):
+        assert f"SyntheticSpec.{field.name} (default {field.default})" in shown
+
+
 def test_cli_train_after_relearning_needs_featurize_again(tmp_path, caplog):
     """Relearning rewrites the rules and targets X is built from, so it
     deletes X.csv: train names the missing file and exits 2 instead of
@@ -1482,7 +1574,6 @@ def test_cli_seed_flag_keeps_the_contrast_apart_from_the_negatives(tmp_path, mon
         return drawn
 
     monkeypatch.setattr("relgcn.pipeline.sample_negatives", recording)
-    monkeypatch.setattr("relgcn.rulelearn.sample_negatives", recording)
     flags = ["--set", f"facts={data / 'facts.txt'}", "--set", f"pos={data / 'pos.txt'}"]
     assert cli_main(["learn", "--out", str(tmp_path / "out"), "--seed", "5", *flags]) == 0
     negatives, contrast = draws[:2]  # then the positive-density contrast

@@ -398,7 +398,7 @@ def test_learn_ruleset_empty_body_warns(coauthor_kb, topic_class_examples, caplo
     classed, _ = topic_class_examples
     config = LearnConfig(max_constants_for_grounding=0)
     with caplog.at_level(logging.WARNING):
-        ruleset = learn_ruleset(coauthor_kb, classed, config, k=1, contrast=classed)
+        ruleset = learn_ruleset(coauthor_kb, classed, classed, config, k=1)
     assert [rule.body for rule in ruleset.rules] == [()]
     assert any("empty-body" in rec.message for rec in caplog.records)
 
@@ -410,7 +410,7 @@ def test_learn_ruleset_stops_on_duplicate(coauthor_kb, topic_class_examples, cap
     classed, contrast = topic_class_examples
     config = LearnConfig(max_constants_for_grounding=0)
     with caplog.at_level(logging.WARNING):
-        ruleset = learn_ruleset(coauthor_kb, classed, config, k=3, contrast=contrast)
+        ruleset = learn_ruleset(coauthor_kb, classed, contrast, config, k=3)
     assert all(r.source == POSITIVE_DENSITY for r in ruleset.rules)
     assert 1 <= len(ruleset.rules) <= 3
     if len(ruleset.rules) < 3:
@@ -419,21 +419,21 @@ def test_learn_ruleset_stops_on_duplicate(coauthor_kb, topic_class_examples, cap
 
 
 def test_learn_ruleset_requires_one_class(coauthor_kb, topic_class_examples):
-    classed, _ = topic_class_examples
+    classed, contrast = topic_class_examples
     mixed = classed + coauthors(coauthor_kb, "ann cara", positive=False)
     with pytest.raises(DataError, match="one-class"):
-        learn_ruleset(coauthor_kb, mixed, LearnConfig(), k=1)
+        learn_ruleset(coauthor_kb, mixed, contrast, LearnConfig(), k=1)
     with pytest.raises(DataError, match="nonempty"):
-        learn_ruleset(coauthor_kb, coauthors(coauthor_kb), LearnConfig(), k=1)
+        learn_ruleset(coauthor_kb, coauthors(coauthor_kb), contrast, LearnConfig(), k=1)
     with pytest.raises(DataError):
-        learn_ruleset(coauthor_kb, classed, LearnConfig(), k=0)
+        learn_ruleset(coauthor_kb, classed, contrast, LearnConfig(), k=0)
 
 
 def test_learn_ruleset_deterministic(coauthor_kb, topic_class_examples):
     classed, contrast = topic_class_examples
     config = LearnConfig(max_constants_for_grounding=0)
-    r1 = learn_ruleset(coauthor_kb, classed, config, k=2, contrast=contrast)
-    r2 = learn_ruleset(coauthor_kb, classed, config, k=2, contrast=contrast)
+    r1 = learn_ruleset(coauthor_kb, classed, contrast, config, k=2)
+    r2 = learn_ruleset(coauthor_kb, classed, contrast, config, k=2)
     assert serialize_rules(r1.rules) == serialize_rules(r2.rules)
 
 
@@ -497,7 +497,7 @@ def test_learn_ruleset_matches_trees_learned_without_a_memo(monkeypatch):
             max_constants_for_grounding=int(rng.choice([0, 2, 50])),
         )
         masks.clear()
-        ruleset = learn_ruleset(kb, classed, config, k=3, contrast=contrast)
+        ruleset = learn_ruleset(kb, classed, contrast, config, k=3)
         rules, expected_masks = _ruleset_without_memo(kb, classed, contrast, config, 3)
         assert ruleset.rules == rules
         assert [m.tolist() for m in masks] == [m.tolist() for m in expected_masks]
@@ -525,7 +525,7 @@ def test_learn_ruleset_joins_each_body_once(coauthor_kb, topic_class_examples, m
     monkeypatch.setattr(rulelearn, "candidate_literals", listing)
     monkeypatch.setattr(BindingTable, "covered", covering)
     config = LearnConfig(beam_width=3, max_constants_for_grounding=0)
-    learn_ruleset(coauthor_kb, classed, config, k=3, contrast=contrast)
+    learn_ruleset(coauthor_kb, classed, contrast, config, k=3)
     # The second tree repeats the first one's rule, which ends the set.
     assert len(trees) == 2
     assert (len(bodies), len(pairs)) == (10, 64)
@@ -539,7 +539,7 @@ def test_learn_ruleset_logs_the_joins_later_trees_reuse(coauthor_kb, topic_class
     classed, contrast = topic_class_examples
     config = LearnConfig(max_constants_for_grounding=0)
     with caplog.at_level(logging.INFO, logger="relgcn.rulelearn"):
-        learn_ruleset(coauthor_kb, classed, config, k=2, contrast=contrast)
+        learn_ruleset(coauthor_kb, classed, contrast, config, k=2)
     pattern = re.compile(r"candidates from the join memo: (\d+) of (\d+) \(memo (\d+) bytes\)")
     found = (pattern.search(r.getMessage()) for r in caplog.records)
     reuse = [tuple(map(int, m.groups())) for m in found if m]
@@ -555,9 +555,9 @@ def test_negative_density_source_label(coauthor_kb):
     ruleset = learn_ruleset(
         coauthor_kb,
         negatives,
+        contrast,
         LearnConfig(max_constants_for_grounding=0),
         k=1,
-        contrast=contrast,
     )
     assert ruleset.rules
     assert all(r.source == NEGATIVE_DENSITY for r in ruleset.rules)
