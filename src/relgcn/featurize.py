@@ -183,14 +183,15 @@ def propagation_matrix(X: np.ndarray, metric: str = EUCLIDEAN) -> PropagationMat
 def write_matrix_csv(
     path: str | Path, M: np.ndarray, row_ids: list[str], col_ids: list[str]
 ) -> None:
-    M = np.asarray(M)
+    M = np.asarray(M, dtype=float)
     if M.shape != (len(row_ids), len(col_ids)):
         raise DataError("matrix shape does not match the id lists")
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["id"] + list(col_ids))
-        for rid, row in zip(row_ids, M):
-            writer.writerow([rid] + [repr(float(v)) for v in row])
+        # csv writes a Python float as its repr, the shortest text that
+        # reads back as the same float.
+        writer.writerows([rid, *row] for rid, row in zip(row_ids, M.tolist()))
 
 
 def read_matrix_csv(

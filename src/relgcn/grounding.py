@@ -3,14 +3,15 @@
 One engine computes satisfied groundings.  `BindingTable` works
 set-at-a-time, as FOIL's tuple extension does (Quinlan 1990, "Learning
 logical definitions from relations"): it holds the satisfied groundings
-of a body prefix for every example at once, as rows of interned constant
-ids, and one join on a literal's bound columns extends it or tells which
-examples the literal keeps covered.  Targets are stored as ids too
-(`Targets`), so the table of the empty prefix is a column select of
-them, and `sample_negatives` draws its negatives as ids.  Rule learning
-scores candidate literals with the tables, and `count_satisfied_groundings`
-extends one table by every body literal of a clause, so a rule's counts
-for all targets come from one call: the number of rows per example.
+of a body prefix for every example at once, one row of interned constant
+ids per grounding, and one join on a literal's bound columns extends it
+or tells which examples the literal keeps covered.  Targets are stored
+as ids too (`Targets`), so the table of the empty prefix is a column
+select of them, and `sample_negatives` draws its negatives as ids.  Rule
+learning scores candidate literals with the tables, and
+`count_satisfied_groundings` extends one table by every body literal of
+a clause, so a rule's counts for all targets come from one call: the
+number of rows per example.
 
 Both joins probe the kb's `JoinIndex` for the literal's fact pattern
 (`KnowledgeBase.join_index`), the facts that fit the literal's constants
@@ -22,24 +23,33 @@ row's run of facts with `searchsorted`, and `covered` is a gather from the
 index's membership vector when the key is one column, a `searchsorted`
 otherwise.
 
-A table's memory is one int64 per row for the example and one for each
-variable, and its rows are the prefix's satisfied groundings over the
-covered examples, so each fresh variable can multiply them.  Every row of
-an extended table copies the columns of the row it extends, which
-`extension` reports by each row's count of matches; rule learning uses
-that to probe a literal keyed only on older variables on the rows that
-were extended, not on their copies.  On the benchmark's workloads the
-largest table built for featurization had 773 rows (``sampled-topics``)
-and at most one row per target elsewhere, below the tables rule learning
-builds (63,799 rows on ``sampled-topics``).  The indexes live as long as
-their kb: per (predicate, pattern) used, one sorted copy of the facts
-that fit plus one int64 code per fact, and for a one-column key radix + 1
-bytes, where radix is the number of constant ids.  On ``sampled-topics``
-learning builds 6 indexes (0.76 MB) for its 315 joins, 277 of them
-semi-joins that probe 412,757 rows in all (1,371,738 if each probed the
-table of its own spine).  Inside `run_pipeline` featurization runs on
-learning's kb, reuses those 6 and builds none; featurization run alone
-builds 4 (0.51 MB) for its 12.
+A table is stored column-major, as in a column store (Abadi et al.
+2008, "Column-stores vs. row-stores: how different are they really?"):
+one int64 array with a row per column of the table, the example and then
+each variable, and an entry per grounding.  A join hands the index its
+key columns as views, and `extension` allocates the extended table once
+and fills each column with one gather: a copied column at each new row's
+parent row, a fresh variable's column from the index's facts at the
+matched positions.  Its peak is that output plus two int64 arrays of its
+length, the parent rows and the fact positions: 1.4 times the output's
+bytes for a 720,642-row table on ``sampled-topics``.  A table's rows are the prefix's
+satisfied groundings over the covered examples, so each fresh variable
+can multiply them.  Every row of an extended table copies the columns of
+the row it extends, which `extension` reports by each row's count of
+matches; rule learning uses that to probe a literal keyed only on older
+variables on the rows that were extended, not on their copies.  On the
+benchmark's workloads the largest table built for featurization had 773
+rows (``sampled-topics``) and at most one row per target elsewhere, below
+the tables rule learning builds (63,799 rows on ``sampled-topics``, where
+the 50 extensions of one learn and featurize write 183,955 rows).  The
+indexes live as long as their kb: per (predicate, pattern) used, one
+sorted copy of the facts that fit plus one int64 code per fact, and for
+a one-column key radix + 1 bytes, where radix is the number of constant
+ids.  On ``sampled-topics`` learning builds 6 indexes (0.76 MB) for its
+315 joins, 277 of them semi-joins that probe 412,757 rows in all
+(1,371,738 if each probed the table of its own spine).  Inside
+`run_pipeline` featurization runs on learning's kb, reuses those 6 and
+builds none; featurization run alone builds 4 (0.51 MB) for its 12.
 
 `sample_negatives` never builds the typed product it draws from.  It
 numbers the candidates by rank, their row-major order in the product:
@@ -105,7 +115,7 @@ def count_satisfied_groundings(
     table = BindingTable.for_head(clause.head, targets, kb)
     for literal in clause.body:
         table = table.extend(literal, kb)
-    return np.bincount(table.rows[:, 0], minlength=len(targets))
+    return np.bincount(table.columns[0], minlength=len(targets))
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,9 @@ class BindingTable:
     """The satisfied groundings of a clause body prefix, for a batch of
     target examples at once.
 
-    ``rows[:, 0]`` is an example's row in that batch and ``rows[:, 1 + j]``
+    The table is stored column by column, as one C-contiguous
+    (1 + len(variables)) x rows int64 array ``columns``: ``columns[0]``
+    holds each row's example, its row in that batch, and ``columns[1 + j]``
     the id (`KnowledgeBase.constant_id`) of the constant bound to
     ``variables[j]``; the head variables come first.  The rows are the
     distinct substitutions under which every literal of the prefix is a
@@ -123,7 +135,7 @@ class BindingTable:
     """
 
     variables: tuple[str, ...]
-    rows: np.ndarray
+    columns: np.ndarray
 
     @classmethod
     def for_head(cls, head: Atom, examples: Targets, kb: KnowledgeBase) -> BindingTable:
@@ -135,14 +147,14 @@ class BindingTable:
                 f"clause head {head.predicate}"
             )
         agree = np.ones(len(examples), dtype=bool)
-        columns = []
+        positions = []
         for pos, term in enumerate(head.args):
             if isinstance(term, Variable):
-                columns.append(pos)
+                positions.append(pos)
             else:
                 agree &= examples.ids[:, pos] == kb.constant_id(term.name)
-        rows = np.hstack([np.flatnonzero(agree)[:, None], examples.ids[agree][:, columns]])
-        return cls(tuple(v.name for v in head.variables()), rows)
+        columns = np.vstack([np.flatnonzero(agree), examples.ids[agree][:, positions].T])
+        return cls(tuple(v.name for v in head.variables()), columns)
 
     def extend(self, literal: Atom, kb: KnowledgeBase) -> BindingTable:
         """The table of the prefix followed by `literal`."""
@@ -153,33 +165,42 @@ class BindingTable:
         number of rows in it.  Those rows copy the row's columns, the
         literal's fresh variables after them."""
         index, keys, fresh = self._match(literal, kb)
-        row_code = index.key_codes(keys)
+        row_code = index.key_codes(keys, self.columns.shape[1])
         starts = np.searchsorted(index.codes, row_code, side="left")
         counts = np.searchsorted(index.codes, row_code, side="right") - starts
-        parent = np.repeat(np.arange(len(self.rows)), counts)
-        # Row i's matches are index.facts[starts[i] : starts[i] + counts[i]].
-        offsets = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        matched = index.facts[np.repeat(starts, counts) + offsets]
-        rows = np.hstack([self.rows[parent], matched[:, list(fresh.values())]])
-        return BindingTable(self.variables + tuple(fresh), rows), counts
+        parent = np.repeat(np.arange(len(row_code)), counts)
+        # Row i's matches are index.facts[starts[i] : starts[i] + counts[i]],
+        # and the first of its rows here is at output position
+        # cumsum(counts)[i] - counts[i]; each later one steps one fact on.
+        matched = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        matched += np.arange(len(matched))
+        columns = np.empty((len(self.columns) + len(fresh), len(parent)), dtype=np.int64)
+        # One gather per output column.  Mode "clip" writes into `out` in
+        # place (the default "raise" buffers it); every index is in range.
+        for column, out in zip(self.columns, columns):
+            np.take(column, parent, out=out, mode="clip")
+        for pos, out in zip(fresh.values(), columns[len(self.columns) :]):
+            np.take(index.facts[:, pos], matched, out=out, mode="clip")
+        return BindingTable(self.variables + tuple(fresh), columns), counts
 
     def covered(self, literal: Atom, kb: KnowledgeBase, n: int) -> np.ndarray:
         """Bool mask over the n examples: those the prefix followed by
         `literal` covers (a semi-join; no table is built)."""
         index, keys, _ = self._match(literal, kb)
         mask = np.zeros(n, dtype=bool)
-        mask[self.rows[index.contains(keys), 0]] = True
+        mask[self.columns[0][index.contains(keys, self.columns.shape[1])]] = True
         return mask
 
     def _match(
         self, literal: Atom, kb: KnowledgeBase
-    ) -> tuple[JoinIndex, np.ndarray, dict[str, int]]:
-        """The kb's index of `literal`'s fact pattern, the rows' join keys
-        (the constants of the literal's bound variables, in argument
-        order) and each fresh variable's first position in the literal."""
+    ) -> tuple[JoinIndex, list[np.ndarray], dict[str, int]]:
+        """The kb's index of `literal`'s fact pattern, the table's join key
+        columns as views (the columns of the literal's bound variables, in
+        argument order; none when it shares no variable with the prefix)
+        and each fresh variable's first position in the literal."""
         column = {v: 1 + j for j, v in enumerate(self.variables)}
         index, key, fresh = kb.join_index(literal, column)
-        return index, self.rows[:, [column[v] for v in key]], fresh
+        return index, [self.columns[column[v]] for v in key], fresh
 
 
 def sample_negatives(

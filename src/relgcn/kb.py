@@ -173,26 +173,30 @@ class JoinIndex:
             member[codes] = True
         return cls(kept[order], codes[order], radix, rerank, member, len(facts))
 
-    def key_codes(self, keys: np.ndarray) -> np.ndarray:
-        """The codes of (r, k) key rows, coded as the facts' keys are: equal
-        to a fact's code exactly where the keys are equal, and -1 where a
-        row holds an id at or above the radix or a re-ranked prefix that no
-        fact has."""
-        codes = np.zeros(len(keys), dtype=np.int64)
-        miss = (keys >= self.radix).any(axis=1)
-        for j, column in enumerate(keys.T):
+    def key_codes(self, columns: Sequence[np.ndarray], size: int) -> np.ndarray:
+        """The codes of ``size`` key rows, given as one 1-D column of ids
+        per key position (none for a key of width 0), coded as the facts'
+        keys are: equal to a fact's code exactly where the keys are equal,
+        and -1 where a row holds an id at or above the radix or a
+        re-ranked prefix that no fact has."""
+        codes = np.zeros(size, dtype=np.int64)
+        miss = np.zeros(size, dtype=bool)
+        for j, column in enumerate(columns):
+            miss |= column >= self.radix
             if j in self.rerank:
                 codes, found = _find(self.rerank[j], codes)
                 miss |= ~found
-            codes = codes * self.radix + column
+            codes *= self.radix
+            codes += column
         codes[miss] = -1
         return codes
 
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        """Per (r, k) key row, whether some fact has that key."""
+    def contains(self, columns: Sequence[np.ndarray], size: int) -> np.ndarray:
+        """Per key row, given as for `key_codes`, whether some fact has
+        that key."""
         if self.member is not None:
-            return self.member[np.minimum(keys[:, 0], self.radix)]
-        return _find(self.codes, self.key_codes(keys))[1]
+            return self.member[np.minimum(columns[0], self.radix)]
+        return _find(self.codes, self.key_codes(columns, size))[1]
 
     @property
     def nbytes(self) -> int:

@@ -16,14 +16,16 @@ stage, with its seed and ratio); this module only fits rules.
 
 Coverage is computed set-at-a-time: each beam spine keeps a
 `BindingTable` of its satisfied groundings over the examples it covers,
-and a candidate literal's coverage is one vectorized semi-join with that
-table, for every example at once.  The semi-join probes the kb's sorted
-index of the literal's fact pattern, which every spine and tree of the
-search shares, so the facts are filtered and sorted once per pattern, not
-once per candidate.  A spine's table is built from its parent's only when
-the spine is expanded, so at most ``beam_width`` tables are built per
-depth; a table's memory grows with the groundings of the covered
-examples, which each fresh variable can multiply.  A candidate that
+stored column by column, and a candidate literal's coverage is one
+vectorized semi-join with that table, for every example at once, that
+reads the table's key columns in place.  The semi-join probes the kb's
+sorted index of the literal's fact pattern, which every spine and tree
+of the search shares, so the facts are filtered and sorted once per
+pattern, not once per candidate.  A spine's table is built from its
+parent's only when the spine is expanded, each of its columns written
+once, so at most ``beam_width`` tables are built per depth; a table's
+memory grows with the groundings of the covered examples, which each
+fresh variable can multiply.  A candidate that
 does not use the fresh variables of the spine's last literal is probed
 on the parent table's rows that the last literal extends instead, the
 semi-join remedy of probing the smallest relation that binds the key
@@ -235,7 +237,7 @@ class JoinMemo:
             # The parent's rows that body[-1] extends: each row of `table`
             # copies one of them, so a literal keyed on their variables
             # alone covers the same examples on either table.
-            base = BindingTable(parent.variables, parent.rows[counts > 0])
+            base = BindingTable(parent.variables, parent.columns.compress(counts > 0, axis=1))
         else:
             table = base = BindingTable.for_head(self.head, self.examples, kb)
         max_constants = self.config.max_constants_for_grounding
@@ -247,7 +249,7 @@ class JoinMemo:
             masks.append(probed.covered(lit, kb, n))
         spine = _Spine(table, candidates, [str(lit) for lit in candidates], masks)
         self.spines[body] = spine
-        self.nbytes += table.rows.nbytes + n * len(masks)
+        self.nbytes += table.columns.nbytes + n * len(masks)
         return spine
 
 
@@ -311,7 +313,7 @@ def learn_tree(
                 continue
             joined = state.literals in memo.spines
             spine = memo.spine(state.literals)
-            largest_table = max(largest_table, len(spine.table.rows))
+            largest_table = max(largest_table, spine.table.columns.shape[1])
             scored += len(spine.candidates)
             reused += len(spine.candidates) if joined else 0
             for lit, text, new_left in zip(spine.candidates, spine.texts, spine.masks):

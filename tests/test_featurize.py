@@ -341,6 +341,28 @@ def test_matrix_csv_roundtrip_with_commas_in_ids(tmp_path):
     assert cols == col_ids
 
 
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([[True], [False]]),
+        np.array([[3, 0], [-7, 2**40]]),
+        np.array([[0.1, 1 / 3], [1e-300, -2.5e17]], dtype=np.float32),
+        np.array([[0.1, 1 / 3], [1e-300, -2.5e17]]),
+    ],
+)
+def test_matrix_csv_cells_are_the_repr_of_each_float(tmp_path, M):
+    """Bools, ints, float32 and float64 cells are written as the repr of
+    the Python float of each value, byte for byte."""
+    row_ids = ["CoAuthor(P001, P002)", "b"]
+    col_ids = [f"rule{j}" for j in range(M.shape[1])]
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M, row_ids, col_ids)
+    want = ["id," + ",".join(col_ids)]
+    for rid, row in zip(row_ids, M):
+        want.append(",".join([f'"{rid}"' if "," in rid else rid, *(repr(float(v)) for v in row)]))
+    assert path.read_bytes() == ("\r\n".join(want) + "\r\n").encode()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e400"])
 def test_matrix_csv_rejects_a_non_finite_cell(tmp_path, cell):
     path = tmp_path / "m.csv"

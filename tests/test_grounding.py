@@ -1,7 +1,9 @@
 """Grounding counts against the brute-force oracle, plus negative sampling."""
 
+import runpy
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from relgcn.kb import (
     PredicateSchema,
     Targets,
     Variable,
+    parse_facts,
 )
 from relgcn.rulelearn import candidate_literals
 
@@ -242,7 +245,7 @@ def test_count_matches_oracle_property(seed, n_extra, head_constant):
 
 
 def _row_counts(table: BindingTable, n: int) -> np.ndarray:
-    return np.bincount(table.rows[:, 0], minlength=n)
+    return np.bincount(table.columns[0], minlength=n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,7 +276,8 @@ def test_binding_table_matches_oracles_property(seed, head_constant):
             covered = table.covered(prefix.body[-1], kb, n)
             table = table.extend(prefix.body[-1], kb)
             assert (covered == (_row_counts(table, n) > 0)).all()
-        assert len(np.unique(table.rows, axis=0)) == len(table.rows)
+        assert table.columns.flags.c_contiguous
+        assert np.unique(table.columns, axis=1).shape == table.columns.shape
         counts = _row_counts(table, n)
         for i, row in enumerate(rows):
             assert counts[i] == brute_force_count(prefix, row, kb)
@@ -290,14 +294,77 @@ def test_binding_table_target_constant_absent_from_facts(coauthor_kb):
     examples = coauthors(coauthor_kb, "eve ann", "ann bob", "ann zed")
     clause = shared_topic_clause()
     table = BindingTable.for_head(clause.head, examples, coauthor_kb)
-    assert len(table.rows) == 3
+    assert table.columns.shape[1] == 3
     for literal in clause.body:
         table = table.extend(literal, coauthor_kb)
     assert _row_counts(table, 3).tolist() == [0, 2, 0]
     nowhere = Atom("Affiliation", (Variable("p2"), Constant("U9", UNIVERSITY)))
     root = BindingTable.for_head(clause.head, examples, coauthor_kb)
     assert not root.covered(nowhere, coauthor_kb, 3).any()
-    assert len(root.extend(nowhere, coauthor_kb).rows) == 0
+    assert root.extend(nowhere, coauthor_kb).columns.shape[1] == 0
+
+
+def test_literal_sharing_no_variable_with_its_prefix(coauthor_kb):
+    """A literal whose key has no column, one with a fresh variable and
+    one fully ground, first in the body and after a joined literal: every
+    row of the prefix matches every fact of the literal's pattern, so the
+    counts multiply by that number of facts (one for a ground fact, none
+    for a ground non-fact), and the semi-join agrees."""
+    p3, t1 = Variable("p3"), Variable("t1")
+    body = (
+        Atom("Affiliation", (p3, Constant("U1", UNIVERSITY))),
+        Atom("ResearchTopic", (Variable("p1"), t1)),
+        Atom("Affiliation", (Constant("cara", PERSON), Constant("U2", UNIVERSITY))),
+        Atom("Affiliation", (Constant("cara", PERSON), Constant("U1", UNIVERSITY))),
+    )
+    pairs = ("ann bob", "cara dan", "ann cara")
+    examples = coauthors(coauthor_kb, *pairs)
+    table = BindingTable.for_head(_head(), examples, coauthor_kb)
+    got = []
+    for k, literal in enumerate(body, start=1):
+        covered = table.covered(literal, coauthor_kb, 3)
+        table = table.extend(literal, coauthor_kb)
+        counts = _row_counts(table, 3)
+        assert (covered == (counts > 0)).all()
+        prefix = Clause(_head(), body[:k])
+        assert counts.tolist() == [
+            brute_force_count(prefix, tuple(pair.split()), coauthor_kb) for pair in pairs
+        ]
+        assert count_satisfied_groundings(prefix, examples, coauthor_kb).tolist() == counts.tolist()
+        got.append(counts.tolist())
+    assert got == [[3, 3, 3], [6, 3, 6], [6, 3, 6], [0, 0, 0]]
+    assert table.variables == ("p1", "p2", "p3", "t1")
+
+
+def test_high_fan_out_extension_peaks_below_twice_its_table():
+    """On the benchmark's ``sampled-topics`` KB (1,500 persons, 30
+    topics), 400 seeded person pairs joined with ResearchTopic(person1,
+    topic1) and then ResearchTopic(person3, topic1) give 720,642 rows of 5
+    columns.  That second extension allocates its output once and fills
+    it column by column, so its traced peak, the output included, stays
+    within twice the output's bytes.  Its join index is built before the
+    traced call."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
+    text, _ = workloads["topics_inputs"](workloads["TopicsSpec"](), workloads["TOPICS_KB_SEED"])
+    kb = parse_facts(text)
+    persons = sorted(kb.constants_of_type(PERSON))
+    picks = np.random.default_rng(0).choice(len(persons), size=(400, 2))
+    examples = kb.targets("CoAuthor", [(persons[a], persons[b]) for a, b in picks], True)
+    person1, topic1 = Variable("person1"), Variable("topic1")
+    head = Atom("CoAuthor", (person1, Variable("person2")))
+    table = BindingTable.for_head(head, examples, kb).extend(
+        Atom("ResearchTopic", (person1, topic1)), kb
+    )
+    literal = Atom("ResearchTopic", (Variable("person3"), topic1))
+    kb.join_index(literal, table.variables)
+    tracemalloc.start()
+    try:
+        wide = table.extend(literal, kb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wide.columns.shape == (5, 720_642)
+    assert peak <= 2 * wide.columns.nbytes, f"peak {peak / wide.columns.nbytes:.2f}x the table"
 
 
 def test_binding_table_sees_fact_added_after_first_join(coauthor_kb):
@@ -388,11 +455,12 @@ def test_membership_semi_join_equals_sorted_semi_join_property(seed):
         table = BindingTable.for_head(clause.head, tgt(kb, *examples), kb)
         for literal in literals:
             index, keys, _ = table._match(literal, kb)
-            if keys.shape[1] != 1:
+            if len(keys) != 1:
                 continue
             assert index.member is not None
-            by_member = index.contains(keys)
-            assert (by_member == replace(index, member=None).contains(keys)).all()
+            size = table.columns.shape[1]
+            by_member = index.contains(keys, size)
+            assert (by_member == replace(index, member=None).contains(keys, size)).all()
             want = [brute_force_count(Clause(clause.head, (literal,)), ex, kb) > 0 for ex in examples]
             assert table.covered(literal, kb, len(examples)).tolist() == want
 
@@ -438,12 +506,13 @@ def test_key_codes_equal_exactly_for_equal_rows(width):
     ids = np.array([0, 1, 7, radix - 1])
     rows = rng.choice(np.append(ids, radix + 4), size=(300, width))
     index = JoinIndex.build(rng.choice(ids, size=(200, width)), (BOUND,) * width, radix)
-    codes = index.key_codes(rows)
+    columns = list(rows.T)
+    codes = index.key_codes(columns, len(rows))
     same_code = codes[:, None] == index.codes[None, :]
     same_row = (rows[:, None, :] == index.facts[None, :, :]).all(axis=-1)
     assert (same_code == same_row).all()
     assert (codes[(rows >= radix).any(axis=1)] == -1).all()
-    assert (index.contains(rows) == same_row.any(axis=1)).all()
+    assert (index.contains(columns, len(rows)) == same_row.any(axis=1)).all()
     fact_codes_equal = index.codes[:, None] == index.codes[None, :]
     assert (fact_codes_equal == (index.facts[:, None] == index.facts[None]).all(axis=-1)).all()
     assert (np.diff(index.codes) >= 0).all()

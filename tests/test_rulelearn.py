@@ -352,8 +352,8 @@ def test_spine_masks_match_the_spines_own_table_and_brute_force():
             if body:
                 parent = memo.spines[body[:-1]].table
                 fresh = set(spine.table.variables[len(parent.variables) :])
-                copied = spine.table.rows[:, : parent.rows.shape[1]]
-                grew = len(spine.table.rows) > len(np.unique(copied, axis=0))
+                copied = spine.table.columns[: len(parent.columns)]
+                grew = copied.shape[1] > np.unique(copied, axis=1).shape[1]
                 multiplied += grew
             for lit, mask in zip(spine.candidates, spine.masks):
                 assert mask.tolist() == spine.table.covered(lit, kb, len(rows)).tolist()
