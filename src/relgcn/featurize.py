@@ -5,7 +5,7 @@ rescaled by the mean pairwise distance, clipped and inverted into an
 adjacency-like matrix, then symmetrically normalized with self loops.
 Targets with equal rows of X have equal distances to every target, so the
 graph is built on the u distinct rows of X, and the n x n propagation
-matrix is kept as its partition into those row classes: O(n·u + u²)
+matrix is kept as its partition into those row classes: O(n + u²)
 memory, with no n x n array.
 """
 
@@ -33,22 +33,21 @@ class PropagationMatrix:
     """The n x n propagation matrix P = G C Gᵀ, kept as its row-class
     partition.
 
-    G is the n x u indicator of each target's class (``index``), Gᵀ is
-    ``members`` and C is u x u.  It stands in for the dense matrix through
-    ``P @ H`` (O(n·u·h + u²·h) for an n x h matrix H) and ``P.shape``; the
-    GCN runs on the classes themselves, through C, ``index``, Gᵀ and the
-    number of targets in each class (``counts``).
+    G is the n x u indicator of each target's class (``index``), which is
+    never built, and C is u x u.  ``pool`` computes Gᵀ H, the class sums of
+    an n-row H, so ``P @ H`` is C (Gᵀ H) gathered back through ``index``
+    (O(n·h + u²·h) for an n x h matrix H).  With ``P.shape`` it stands in
+    for the dense matrix; the GCN runs on the classes themselves, through
+    C, ``pool`` and the number of targets in each class (``counts``).
     """
 
     classes: np.ndarray  # C
     index: np.ndarray  # the class of each target
     threshold: float  # adjacency threshold t, recorded for audit
-    members: np.ndarray = field(init=False, repr=False)  # Gᵀ, u x n
     counts: np.ndarray = field(init=False, repr=False)  # targets per class, a float column
 
     def __post_init__(self):
         u = self.classes.shape[0]
-        self.members = (np.arange(u)[:, None] == self.index[None, :]).astype(float)
         self.counts = np.bincount(self.index, minlength=u)[:, None].astype(float)
 
     @property
@@ -57,10 +56,17 @@ class PropagationMatrix:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.classes, self.index, self.members, self.counts))
+        return sum(a.nbytes for a in (self.classes, self.index, self.counts))
+
+    def pool(self, H: np.ndarray) -> np.ndarray:
+        """Gᵀ H: row c sums the rows of H whose target is in class c, in
+        target order, so integer-valued rows sum exactly."""
+        pooled = np.zeros((self.classes.shape[0], H.shape[1]))
+        np.add.at(pooled, self.index, H)
+        return pooled
 
     def __matmul__(self, H: np.ndarray) -> np.ndarray:
-        return (self.classes @ (self.members @ H))[self.index]
+        return (self.classes @ self.pool(H))[self.index]
 
 
 def build_rule_matrix(rules: list[Clause], targets: Targets, kb: KnowledgeBase) -> np.ndarray:

@@ -1,24 +1,20 @@
 """Graph convolutional network with explicit forward/backward passes.
 
 Trained transductively, full batch, for binary link prediction: relu
-between graph convolutions, inverted dropout between them while training
-(at ``TrainConfig.dropout_rate``), log-softmax over two output logits,
-Adam with first-layer weight decay.  Everything is seeded and bitwise
-reproducible.
+between graph convolutions, log-softmax over two output logits, Adam with
+first-layer weight decay.  The initial weights are seeded, and training is
+bitwise reproducible.
 
 Every layer runs on the row classes of ``featurize.PropagationMatrix``,
 P = G C Gᵀ over the u distinct feature rows: P @ H depends on H only
 through the class sums Gᵀ H, so every propagated matrix, pre-activation
-and logit has one row per class.  A dropout mask is per target, but it
-enters the next layer only through its class column sums Gᵀ M; the eval
-pass uses the class counts in their place.  ``train`` pools Gᵀ X and
-builds a u x 2 label table of the train and of the validation targets
-once per call (``label_table``); each epoch's losses, output gradient
-and validation F1 are read off the class rows of the log-probabilities
-and those tables.  Per epoch that is O(n·h) to draw the masks and
-O(n·u·h) to pool them (one BLAS product with the u x n indicator), plus
-O(u·h² + u²·h) for the layers, losses, gradient and F1: the mask draw is
-the floor.
+and logit has one row per class, and a hidden layer's class sums are its
+class rows times the class counts.  ``train`` pools Gᵀ X and builds a
+u x 2 label table of the train and of the validation targets once per
+call (``label_table``); each epoch's losses, output gradient and
+validation F1 are read off the class rows of the log-probabilities and
+those tables.  An epoch is O(u·h² + u²·h), whatever the number of
+targets n.
 """
 
 from __future__ import annotations
@@ -52,8 +48,7 @@ class TrainConfig:
     epochs: int = 200
     learning_rate: float = 0.01
     weight_decay: float = 5e-4
-    dropout_rate: float = 0.5
-    seed: int = 0
+    seed: int = 0  # of the initial weights
     patience: int = 10  # epochs without a lower validation loss before stopping
     hidden_size: int = 16
     num_layers: int = 2  # graph-convolutional layers in total
@@ -69,8 +64,6 @@ class TrainConfig:
             raise ConfigError("a float > 0", "learning_rate", self.learning_rate)
         if self.weight_decay < 0:
             raise ConfigError("a float >= 0", "weight_decay", self.weight_decay)
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("a float in [0, 1)", "dropout_rate", self.dropout_rate)
 
 
 @dataclass
@@ -174,14 +167,11 @@ def label_table(labels: np.ndarray, mask: np.ndarray, P: PropagationMatrix) -> L
 
 @dataclass
 class ForwardCaches:
-    """Per layer and on the row classes: the propagated input to W, the
-    pre-activation and, for hidden layers, what multiplies the relu before
-    it is propagated (Gᵀ M / (1 - rate) in training, the class counts
-    otherwise).  Also the class rows of the log-probabilities."""
+    """Per layer and on the row classes: the propagated input to W and the
+    pre-activation.  Also the class rows of the log-probabilities."""
 
     propagated: list[np.ndarray]
     pre_activations: list[np.ndarray]
-    kept: list[np.ndarray]
     log_probs: np.ndarray = field(default=None)  # one row per class, filled by gcn_forward
 
 
@@ -195,40 +185,27 @@ def gcn_forward(
     P: PropagationMatrix,
     X: np.ndarray,
     model: GCNModel,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
     pooled: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCaches]:
     """Layer-wise propagation: hidden layers relu(P H W), output row-wise
     log-softmax of P H W_last, computed and returned on the row classes of
-    P (``P.index`` gathers the n target rows).  With ``dropout_rate > 0``
-    (training) an n x h inverted-dropout mask is drawn from ``rng`` after
-    each hidden activation, so a generator seeded alike draws the same
-    masks.  ``pooled`` is Gᵀ X, for a caller that makes many passes to
-    pool once."""
+    P (``P.index`` gathers the n target rows).  ``pooled`` is Gᵀ X, for a
+    caller that makes many passes to pool once."""
     if P.shape[0] != X.shape[0]:
         raise DataError("P must be n x n and X n x input_dim")
     if X.shape[1] != model.dims[0]:
         raise DataError(
             f"X has {X.shape[1]} features, model expects {model.dims[0]}"
         )
-    caches = ForwardCaches([], [], [])
+    caches = ForwardCaches([], [])
     if pooled is None:
-        pooled = P.members @ X  # Gᵀ H of each layer's input H
+        pooled = P.pool(X)  # Gᵀ H of each layer's input H
     for W in model.weights[:-1]:
         S = P.classes @ pooled
         A = S @ W
-        kept = P.counts
-        if dropout_rate > 0.0:
-            # The mask as float 0/1 in the draw's own array, so the pool
-            # casts no n x h bool array.
-            mask = rng.random((X.shape[0], A.shape[1]))
-            np.greater_equal(mask, dropout_rate, out=mask)
-            kept = (P.members @ mask) / (1.0 - dropout_rate)
-        pooled = np.maximum(A, 0.0) * kept
+        pooled = np.maximum(A, 0.0) * P.counts
         caches.propagated.append(S)
         caches.pre_activations.append(A)
-        caches.kept.append(kept)
     S = P.classes @ pooled
     Z = S @ model.weights[-1]
     caches.propagated.append(S)
@@ -254,11 +231,11 @@ def gcn_backward(
 ) -> list[np.ndarray]:
     """Exact gradients of the label-table loss of ``mask`` plus the
     first-layer decay (``train``'s objective) w.r.t. every weight matrix,
-    on the row classes of P and the pooled dropout masks the caches of P's
-    forward pass recorded.  The output gradient comes pooled from the label table
-    of ``mask`` (``table``, for a caller that makes many passes to build
-    once); from there each dH holds the gradient every target of a class
-    shares, and each dA the class sum of the per-target gradients."""
+    on the row classes of P and the caches of P's forward pass.  The output
+    gradient comes pooled from the label table of ``mask`` (``table``, for
+    a caller that makes many passes to build once); from there each dH
+    holds the gradient every target of a class shares, and each dA the
+    class sum of the per-target gradients."""
     if table is None:
         table = label_table(labels, mask, P)
     operator_T = P.classes.T
@@ -269,7 +246,7 @@ def gcn_backward(
     grads[-1] = caches.propagated[-1].T @ dZ
     dH = (operator_T @ dZ) @ model.weights[-1].T
     for l in range(n_layers - 2, -1, -1):
-        dA = dH * caches.kept[l] * (caches.pre_activations[l] > 0.0)
+        dA = dH * P.counts * (caches.pre_activations[l] > 0.0)
         grads[l] = caches.propagated[l].T @ dA
         if l > 0:
             dH = (operator_T @ dA) @ model.weights[l].T
@@ -369,23 +346,23 @@ def train(
     epochs in a row fail to lower the validation loss; the model returned
     holds the last epoch's weights.  Gᵀ X and the label tables of the train
     and the validation mask are built once, before the first epoch; a mask
-    that is not an index mask into ``labels`` is a DataError there."""
+    that is not an index mask into ``labels`` is a DataError there.  Each
+    epoch makes one forward pass, on the weights its Adam step left; its
+    log-probabilities give the epoch's validation loss and the next epoch's
+    training loss and gradients."""
     model = init_model(X.shape[1], config)
     state = AdamState.zeros_like(model.weights)
-    rng = np.random.default_rng(config.seed)
-    pooled = P.members @ X
+    pooled = P.pool(X)
     fit = label_table(labels, masks.train, P)
     held_out = label_table(labels, masks.validation, P)
     history: list[EpochRecord] = []
     best_val = np.inf
     stale = 0
-    # The decay of the current weights: epoch e's validation decay is epoch
-    # e + 1's training decay.
+    # The forward pass and the decay of the current weights: epoch e's
+    # validation pass is epoch e + 1's training pass.
+    log_probs, caches = gcn_forward(P, X, model, pooled=pooled)
     decay = _first_layer_decay(model, config.weight_decay)
     for epoch in range(config.epochs):
-        log_probs, caches = gcn_forward(
-            P, X, model, config.dropout_rate, rng, pooled=pooled
-        )
         train_loss = fit.loss(log_probs) + decay
         if not np.isfinite(train_loss):
             raise NumericalError(
@@ -396,10 +373,10 @@ def train(
         )
         adam_step(model.weights, grads, state, config.learning_rate)
 
+        log_probs, caches = gcn_forward(P, X, model, pooled=pooled)
         decay = _first_layer_decay(model, config.weight_decay)
-        eval_lp, _ = gcn_forward(P, X, model, pooled=pooled)
-        val_loss = held_out.loss(eval_lp) + decay
-        val_f1 = held_out.f1(eval_lp)
+        val_loss = held_out.loss(log_probs) + decay
+        val_f1 = held_out.f1(log_probs)
         history.append(EpochRecord(epoch, train_loss, val_loss, val_f1))
 
         if val_loss < best_val:
@@ -416,7 +393,7 @@ def predict(
     model: GCNModel, P: PropagationMatrix, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positive-class probabilities and argmax hard labels of the n
-    targets, without dropout; equal within a row class."""
+    targets; equal within a row class."""
     log_probs, _ = gcn_forward(P, X, model)
     log_probs = log_probs[P.index]
     return np.exp(log_probs[:, 1]), np.argmax(log_probs, axis=1)

@@ -20,7 +20,7 @@ Candidate literals of one pattern share that one sort, the shared work of
 query packs (Blockeel et al. 2002, "Improving the efficiency of inductive
 logic programming through the use of query packs"); `extend` finds each
 row's run of facts with `searchsorted`, and `covered` is a gather from the
-index's membership vector when the key is one column, a `searchsorted`
+index's `member` vector when the key is one column, a `searchsorted`
 otherwise.
 
 A table is stored column-major, as in a column store (Abadi et al.

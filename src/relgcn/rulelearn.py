@@ -227,17 +227,20 @@ class JoinMemo:
         body extends that of the body one literal shorter, which the tree
         expanding `body` has already joined.  A candidate that does not use
         the fresh variables of ``body[-1]`` is probed on the shorter body's
-        rows that ``body[-1]`` extends, the others on the new table."""
+        rows that ``body[-1]`` extends, the others on the new table; when
+        ``body[-1]`` binds no fresh variable, those rows are the new table."""
         if body in self.spines:
             return self.spines[body]
         kb, n = self.kb, len(self.examples)
         if body:
             parent = self.spines[body[:-1]].table
             table, counts = parent.extension(body[-1], kb)
-            # The parent's rows that body[-1] extends: each row of `table`
-            # copies one of them, so a literal keyed on their variables
-            # alone covers the same examples on either table.
-            base = BindingTable(parent.variables, parent.columns.compress(counts > 0, axis=1))
+            base = table
+            if len(table.variables) > len(parent.variables):
+                # The parent's rows that body[-1] extends: each row of
+                # `table` copies one of them, so a literal keyed on their
+                # variables alone covers the same examples on either table.
+                base = BindingTable(parent.variables, parent.columns.compress(counts > 0, axis=1))
         else:
             table = base = BindingTable.for_head(self.head, self.examples, kb)
         max_constants = self.config.max_constants_for_grounding

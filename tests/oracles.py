@@ -177,33 +177,26 @@ def as_operator(P: np.ndarray) -> PropagationMatrix:
     return PropagationMatrix(P, np.arange(P.shape[0]), 0.0)
 
 
-def per_target_gcn_forward(P, X, model, dropout_rate=0.0, dropout_masks=None):
+def per_target_gcn_forward(P, X, model):
     """`gcn_forward` with an n-row activation per target through every
-    layer: S = P @ H, relu, and the dropout mask applied to the n x h
-    activation.  A dropout rate above 0 needs ``dropout_masks``.  Returns
-    the n x 2 log-probabilities and the per-layer (S, A, mask) caches."""
+    layer: S = P @ H, then relu.  Returns the n x 2 log-probabilities and
+    the per-layer (S, A) caches."""
     layers = []
     H = X
-    for l, W in enumerate(model.weights[:-1]):
+    for W in model.weights[:-1]:
         S = P @ H
         A = S @ W
         H = np.maximum(A, 0.0)
-        mask = None
-        if dropout_rate > 0.0:
-            mask = dropout_masks[l]
-            H = H * mask / (1.0 - dropout_rate)
-        layers.append((S, A, mask))
+        layers.append((S, A))
     S = P @ H
     Z = S @ model.weights[-1]
-    layers.append((S, Z, None))
+    layers.append((S, Z))
     shifted = Z - Z.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return log_probs, layers
 
 
-def per_target_gcn_backward(
-    P, log_probs, layers, labels, mask, model, weight_decay=0.0, dropout_rate=0.0
-):
+def per_target_gcn_backward(P, log_probs, layers, labels, mask, model, weight_decay=0.0):
     """`gcn_backward` on the n-row caches of `per_target_gcn_forward`,
     propagated back by the transpose of the dense matrix P stands for."""
     P_T = (P @ np.eye(P.shape[0])).T
@@ -216,9 +209,7 @@ def per_target_gcn_backward(
     grads[-1] = layers[-1][0].T @ dZ
     dH = (P_T @ dZ) @ model.weights[-1].T
     for l in range(len(model.weights) - 2, -1, -1):
-        S, A, drop = layers[l]
-        if drop is not None:
-            dH = dH * drop / (1.0 - dropout_rate)
+        S, A = layers[l]
         dA = dH * (A > 0.0)
         grads[l] = S.T @ dA
         if l > 0:
@@ -230,18 +221,14 @@ def per_target_gcn_backward(
 
 def per_target_train(P, X, labels, masks, config):
     """`train` as an n-row epoch loop: per epoch a `per_target_gcn_forward`
-    training pass whose masks are drawn from the seeded stream (one n x h
-    draw per hidden layer, in layer order), the per-target mean NLL over
-    the train targets plus first-layer decay, `per_target_gcn_backward`,
-    an Adam step, an eval pass, and the mean NLL and binary F1 over the
-    validation targets; the loop stops once ``patience + 1`` epochs in a
-    row fail to lower the validation loss, keeping the last epoch's
-    weights.  Returns the model and one (train_loss, val_loss, val_f1)
-    tuple per epoch."""
+    training pass, the per-target mean NLL over the train targets plus
+    first-layer decay, `per_target_gcn_backward`, an Adam step, an eval
+    pass, and the mean NLL and binary F1 over the validation targets; the
+    loop stops once ``patience + 1`` epochs in a row fail to lower the
+    validation loss, keeping the last epoch's weights.  Returns the model
+    and one (train_loss, val_loss, val_f1) tuple per epoch."""
     model = init_model(X.shape[1], config)
     state = AdamState.zeros_like(model.weights)
-    rng = np.random.default_rng(config.seed)
-    rate = config.dropout_rate
 
     def objective(log_probs, mask):
         data = -float(log_probs[mask, labels[mask]].mean())
@@ -250,13 +237,10 @@ def per_target_train(P, X, labels, masks, config):
     history = []
     best_val, stale = np.inf, 0
     for _ in range(config.epochs):
-        drops = None
-        if rate > 0.0:
-            drops = [rng.random((X.shape[0], W.shape[1])) >= rate for W in model.weights[:-1]]
-        log_probs, layers = per_target_gcn_forward(P, X, model, rate, drops)
+        log_probs, layers = per_target_gcn_forward(P, X, model)
         train_loss = objective(log_probs, masks.train)
         grads = per_target_gcn_backward(
-            P, log_probs, layers, labels, masks.train, model, config.weight_decay, rate
+            P, log_probs, layers, labels, masks.train, model, config.weight_decay
         )
         adam_step(model.weights, grads, state, config.learning_rate)
         eval_lp, _ = per_target_gcn_forward(P, X, model)

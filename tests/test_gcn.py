@@ -1,5 +1,7 @@
 """GCN forward/backward, Adam, training loop and prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,8 +91,6 @@ def test_train_config_validation():
         ("learning_rate", 0.0),
         ("num_layers", 0),
         ("hidden_size", 0),
-        ("dropout_rate", -0.1),
-        ("dropout_rate", 1.0),
         ("seed", -1),
         ("patience", -1),
         ("weight_decay", -1e-4),
@@ -121,33 +121,15 @@ def test_forward_hand_computed_single_layer():
 
 
 def test_forward_rows_are_distributions():
+    """Each row is a distribution, and a second pass gives bitwise the
+    same output."""
     P, X, _ = tiny_problem()
     model = init_model(X.shape[1], TrainConfig(hidden_size=5, num_layers=3))
     log_probs, caches = gcn_forward(P, X, model)
     assert np.allclose(np.exp(log_probs).sum(axis=1), 1.0)
     assert len(caches.propagated) == 3
-
-
-def test_forward_eval_ignores_dropout_train_uses_it():
-    P, X, _ = tiny_problem()
-    model = init_model(X.shape[1], TrainConfig())
-    e1, _ = gcn_forward(P, X, model)
-    e2, _ = gcn_forward(P, X, model)
-    assert np.array_equal(e1, e2)
-    rng = np.random.default_rng(0)
-    t1, _ = gcn_forward(P, X, model, dropout_rate=0.5, rng=rng)
-    t2, _ = gcn_forward(P, X, model, dropout_rate=0.5, rng=rng)
-    # Fresh masks each call from the same stream: outputs differ.
-    assert not np.array_equal(t1, t2)
-
-
-def test_forward_mask_reuse_reproduces_output():
-    """A generator seeded alike draws the same masks: the same output."""
-    P, X, _ = tiny_problem()
-    model = init_model(X.shape[1], TrainConfig())
-    out1, _ = gcn_forward(P, X, model, 0.4, np.random.default_rng(2))
-    out2, _ = gcn_forward(P, X, model, 0.4, np.random.default_rng(2))
-    assert np.array_equal(out1, out2)
+    again, _ = gcn_forward(P, X, model)
+    assert np.array_equal(log_probs, again)
 
 
 def test_forward_shape_errors():
@@ -236,15 +218,11 @@ def test_label_table_counts_targets_per_class_and_label():
     assert table.loss(log_probs) == per_target_table.loss(per_target)
 
 
-def finite_difference_grads(
-    P, X, labels, mask, model, seed, wd, dropout_rate=0.0, eps=1e-6
-):
-    """Central differences of ``objective`` at ``dropout_rate``, each
-    forward pass drawing its masks from a generator freshly seeded with
-    ``seed``."""
+def finite_difference_grads(P, X, labels, mask, model, wd, eps=1e-6):
+    """Central differences of ``objective``."""
 
     def loss():
-        lp, _ = gcn_forward(P, X, model, dropout_rate, np.random.default_rng(seed))
+        lp, _ = gcn_forward(P, X, model)
         return objective(lp, labels, mask, P, model, wd)
 
     grads = []
@@ -271,23 +249,20 @@ def max_relative_error(analytic, numeric):
 
 
 @pytest.mark.parametrize("wd", [0.0, 5e-4])
-@pytest.mark.parametrize("dropout", [0.0, 0.5])
-def test_gradients_match_finite_differences(wd, dropout):
+def test_gradients_match_finite_differences(wd):
     P, X, labels = tiny_problem(n=6, d=4, seed=1)
     model = init_model(4, TrainConfig(hidden_size=5, seed=3))
     mask = np.array([0, 2, 4])
-    _, caches = gcn_forward(P, X, model, dropout, np.random.default_rng(7))
+    _, caches = gcn_forward(P, X, model)
     analytic = gcn_backward(P, caches, labels, mask, model, wd)
-    numeric = finite_difference_grads(P, X, labels, mask, model, 7, wd, dropout)
+    numeric = finite_difference_grads(P, X, labels, mask, model, wd)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
-@pytest.mark.parametrize("dropout", [False, True])
 @pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
-def test_gradients_through_propagation_operator(repeated, dropout):
+def test_gradients_through_propagation_operator(repeated):
     """Criterion 5's check with the class operator the pipeline trains on,
-    three layers so that Pᵀ also reaches a hidden layer, without dropout
-    and with the pooled masks of a 0.5 rate."""
+    three layers so that Pᵀ also reaches a hidden layer."""
     rng = np.random.default_rng(4)
     X = rng.random((9, 4))
     if repeated:
@@ -297,10 +272,9 @@ def test_gradients_through_propagation_operator(repeated, dropout):
     labels = rng.integers(0, 2, size=9)
     mask = np.array([0, 2, 3, 5, 7])
     model = init_model(4, TrainConfig(hidden_size=5, num_layers=3, seed=2))
-    rate = 0.5 if dropout else 0.0
-    _, caches = gcn_forward(P, X, model, rate, np.random.default_rng(5))
+    _, caches = gcn_forward(P, X, model)
     analytic = gcn_backward(P, caches, labels, mask, model, 5e-4)
-    numeric = finite_difference_grads(P, X, labels, mask, model, 5, 5e-4, rate)
+    numeric = finite_difference_grads(P, X, labels, mask, model, 5e-4)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
@@ -318,15 +292,13 @@ def _class_problem(repeated, n=11, k=4, seed=0):
     return X, labels
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.5])
 @pytest.mark.parametrize("num_layers", [1, 2, 3])
 @pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
-def test_forward_backward_match_per_target_oracle(repeated, dense, num_layers, dropout):
+def test_forward_backward_match_per_target_oracle(repeated, dense, num_layers):
     """Log-probabilities and gradients equal the n-row propagation's to
-    1e-12 relative, with dropout and without, for the class operator or
-    for the dense P it stands for.  The oracle draws its masks from the
-    same seed: an n x h draw per hidden layer, in layer order."""
+    1e-12 relative, for the class operator or for the dense P it stands
+    for."""
     X, labels = _class_problem(repeated, seed=num_layers)
     operator = propagation_matrix(X)
     assert operator.classes.shape[0] == (4 if repeated else X.shape[0])
@@ -336,34 +308,14 @@ def test_forward_backward_match_per_target_oracle(repeated, dense, num_layers, d
         TrainConfig(hidden_size=5, num_layers=num_layers, seed=1),
     )
     mask = np.array([0, 1, 3, 4, 6, 9])
-    for rate in (dropout, 0.0):
-        log_probs, caches = gcn_forward(P, X, model, rate, np.random.default_rng(3))
-        rng = np.random.default_rng(3)
-        masks = [rng.random((X.shape[0], 5)) >= rate for _ in model.weights[:-1]]
-        expected, layers = per_target_gcn_forward(P, X, model, rate, masks)
-        assert _relative_error(log_probs[P.index], expected) < 1e-12
-        grads = gcn_backward(P, caches, labels, mask, model, 5e-4)
-        oracle = per_target_gcn_backward(
-            P, expected, layers, labels, mask, model, 5e-4, rate
-        )
-        for g, o in zip(grads, oracle):
-            assert g.shape == o.shape
-            assert _relative_error(g, o) < 1e-12
-
-
-def test_forward_draws_the_per_target_mask_stream():
-    """The masks are n x h draws from the training stream whatever the
-    number of row classes, so the random stream does not depend on u: a
-    forward pass leaves the generator where two n x h draws leave it."""
-    X, _ = _class_problem(repeated=True)
-    P = propagation_matrix(X)
-    model = init_model(X.shape[1], TrainConfig(hidden_size=5, num_layers=3, seed=2))
-    used = np.random.default_rng(8)
-    gcn_forward(P, X, model, 0.5, used)
-    rng = np.random.default_rng(8)
-    for _ in range(2):
-        rng.random((X.shape[0], 5))
-    assert used.random() == rng.random()
+    log_probs, caches = gcn_forward(P, X, model)
+    expected, layers = per_target_gcn_forward(P, X, model)
+    assert _relative_error(log_probs[P.index], expected) < 1e-12
+    grads = gcn_backward(P, caches, labels, mask, model, 5e-4)
+    oracle = per_target_gcn_backward(P, expected, layers, labels, mask, model, 5e-4)
+    for g, o in zip(grads, oracle):
+        assert g.shape == o.shape
+        assert _relative_error(g, o) < 1e-12
 
 
 def test_train_on_operator_matches_dense_propagation():
@@ -411,23 +363,22 @@ def _train_problem(seed, n=40):
     return X, labels, masks
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.5])
 @pytest.mark.parametrize("num_layers", [2, 3])
 @pytest.mark.parametrize("graph", ["operator", "dense"])
-def test_train_matches_per_target_oracle(graph, num_layers, dropout):
+def test_train_matches_per_target_oracle(graph, num_layers):
     """`train` on label tables over the row classes runs the epochs of the
     n-row loop, with losses and weights within 1e-10 relative and the same
     validation F1, on the class operator and the dense P it stands for.
     Early stopping ends these runs before the 100th epoch, after the
     validation F1 has taken several values."""
-    X, labels, masks = _train_problem(seed=num_layers + int(10 * dropout))
+    X, labels, masks = _train_problem(seed=num_layers)
     P = {
         "operator": lambda: propagation_matrix(X),
         "dense": lambda: as_operator(dense_propagation_matrix(X, "euclidean")[0]),
     }[graph]()
     config = TrainConfig(
         epochs=100, patience=40, learning_rate=0.05, hidden_size=6,
-        num_layers=num_layers, dropout_rate=dropout, seed=3,
+        num_layers=num_layers, seed=3,
     )
     model, history = train(P, X, labels, masks, config)
     oracle_model, oracle_history = per_target_train(P, X, labels, masks, config)
@@ -521,7 +472,7 @@ def test_train_is_deterministic_and_learns():
     # Make the problem learnable: features carry the label.
     X[:, 0] = labels
     masks = make_masks(12)
-    config = TrainConfig(epochs=80, hidden_size=8, dropout_rate=0.2, seed=1)
+    config = TrainConfig(epochs=80, hidden_size=8, seed=1)
     model1, hist1 = train(P, X, labels, masks, config)
     model2, hist2 = train(P, X, labels, masks, config)
     for W1, W2 in zip(model1.weights, model2.weights):
@@ -553,14 +504,14 @@ def test_train_keeps_training_past_a_validation_target_no_train_target_shares():
     Fitting A pushes C's score up, so the validation loss is lowest after
     the first epoch and rises from there.  The model returned has trained
     on: its training loss is below that of the weights the first epoch
-    left (history[1]'s, as there is no dropout), which a best-validation
-    restore would have returned."""
+    left (history[1]'s), which a best-validation restore would have
+    returned."""
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
     X = rows[[0] * 8 + [1] * 8 + [2]]
     labels = np.array([1] * 8 + [0] * 9)
     masks = SplitMasks(np.r_[0:6, 8:14], np.array([16]), np.r_[6:8, 14:16])
     P = propagation_matrix(X)
-    config = TrainConfig(epochs=50, patience=50, dropout_rate=0.0, seed=0)
+    config = TrainConfig(epochs=50, patience=50, seed=0)
     model, history = train(P, X, labels, masks, config)
     assert len(history) == 50
     assert int(np.argmin([h.val_loss for h in history])) == 0
@@ -568,6 +519,30 @@ def test_train_keeps_training_past_a_validation_target_no_train_target_shares():
     train_loss = objective(eval_lp, labels, masks.train, P, model, config.weight_decay)
     assert train_loss < history[1].train_loss < history[0].train_loss
     assert train_loss < 0.1
+
+
+def test_train_memory_does_not_scale_with_targets_times_hidden():
+    """20,000 targets over 4 distinct rows, h = 16, 5 epochs: no epoch
+    holds an n x h array, so train's peak stays under a quarter of one
+    (n·h·8/4 bytes); what it allocates per target is the label tables'
+    index arithmetic, done once per call."""
+    n, h = 20_000, 16
+    rng = np.random.default_rng(0)
+    rows = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 4.0]])
+    cls = rng.integers(0, 4, size=n)
+    X = rows[cls]
+    labels = (cls % 2).astype(int)
+    P = propagation_matrix(X)
+    masks = make_masks(n)
+    config = TrainConfig(epochs=5, hidden_size=h, seed=0)
+    tracemalloc.start()
+    try:
+        _, history = train(P, X, labels, masks, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(history) == 5
+    assert peak < n * h * 8 / 4, f"peak {peak} bytes"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
