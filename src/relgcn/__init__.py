@@ -9,7 +9,6 @@ convolutional network on it.
 from .errors import ConfigError, DataError, NumericalError, ParseError, RelgcnError
 from .kb import (
     Atom,
-    Constant,
     KnowledgeBase,
     PredicateSchema,
     Targets,

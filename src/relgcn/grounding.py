@@ -14,8 +14,8 @@ a clause, so a rule's counts for all targets come from one call: the
 number of rows per example.
 
 Both joins probe the kb's `JoinIndex` for the literal's fact pattern
-(`KnowledgeBase.join_index`), the facts that fit the literal's constants
-and repeated variables, sorted by the code of their bound columns.
+(`KnowledgeBase.join_index`), the facts that fit the literal's repeated
+variables, sorted by the code of their bound columns.
 Candidate literals of one pattern share that one sort, the shared work of
 query packs (Blockeel et al. 2002, "Improving the efficiency of inductive
 logic programming through the use of query packs"); `extend` finds each
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .kb import Atom, JoinIndex, KnowledgeBase, PredicateSchema, Targets, Variable
+from .kb import Atom, JoinIndex, KnowledgeBase, PredicateSchema, Targets
 
 POSITIVE_DENSITY = "positive-density"
 NEGATIVE_DENSITY = "negative-density"
@@ -81,10 +81,11 @@ NEGATIVE_DENSITY = "negative-density"
 
 @dataclass(frozen=True)
 class Clause:
-    """A first-order rule: target head atom plus a conjunctive body.
+    """A first-order rule: target head atom plus a conjunctive body, both
+    of variables only.
 
-    The body may introduce variables not occurring in the head
-    (range-restriction is not required).
+    The head's variables are distinct; the body may introduce variables
+    not occurring in the head (range-restriction is not required).
     """
 
     head: Atom
@@ -93,7 +94,7 @@ class Clause:
     iteration: int = 0
 
     def __post_init__(self):
-        head_vars = [v.name for v in self.head.variables()]
+        head_vars = [v.name for v in self.head.args]
         if len(head_vars) != len(set(head_vars)):
             raise DataError(f"head variables must be distinct: {self.head}")
 
@@ -112,7 +113,7 @@ def count_satisfied_groundings(
     """
     for atom in clause.body:
         kb.schema(atom.predicate)  # validates predicate
-    table = BindingTable.for_head(clause.head, targets, kb)
+    table = BindingTable.for_head(clause.head, targets)
     for literal in clause.body:
         table = table.extend(literal, kb)
     return np.bincount(table.columns[0], minlength=len(targets))
@@ -138,23 +139,16 @@ class BindingTable:
     columns: np.ndarray
 
     @classmethod
-    def for_head(cls, head: Atom, examples: Targets, kb: KnowledgeBase) -> BindingTable:
-        """The empty prefix: one row per example whose constants agree with
-        the head's, binding the head variables."""
+    def for_head(cls, head: Atom, examples: Targets) -> BindingTable:
+        """The empty prefix: one row per example, binding the head's
+        distinct variables to the example's constants."""
         if examples.predicate != head.predicate:
             raise DataError(
                 f"target predicate {examples.predicate} does not match "
                 f"clause head {head.predicate}"
             )
-        agree = np.ones(len(examples), dtype=bool)
-        positions = []
-        for pos, term in enumerate(head.args):
-            if isinstance(term, Variable):
-                positions.append(pos)
-            else:
-                agree &= examples.ids[:, pos] == kb.constant_id(term.name)
-        columns = np.vstack([np.flatnonzero(agree), examples.ids[agree][:, positions].T])
-        return cls(tuple(v.name for v in head.variables()), columns)
+        columns = np.vstack([np.arange(len(examples)), examples.ids.T])
+        return cls(tuple(v.name for v in head.args), np.ascontiguousarray(columns))
 
     def extend(self, literal: Atom, kb: KnowledgeBase) -> BindingTable:
         """The table of the prefix followed by `literal`."""

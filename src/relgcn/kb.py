@@ -12,8 +12,9 @@ a `JoinIndex`: the facts consistent with the pattern, sorted by their
 join key.  It is built on first use and rebuilt once the predicate's
 distinct fact count has changed, so the candidate literals of a rule
 search share a handful of sorts, and a duplicate fact rebuilds nothing.
-The typed domains stay sets of names, for sampling and for the
-constants a literal may name.
+A rule's atoms hold variables only, so a pattern says per argument
+whether it repeats an earlier one, is bound or is fresh.  The typed
+domains stay sets of names, for sampling.
 
 Parsing reads each line once.  One regex matched against the raw line,
 ``_FACT_LINE_RE``, accepts a fact line as written: blanks anywhere
@@ -33,9 +34,9 @@ line takes the per-line branch, and its traced peak is 1.65 MiB against
 2.06 MiB, since the tokens of one predicate are stripped in place.
 
 Loading fills a kb.  The pipeline adds no fact after that, but interning
-(`constant_id`) and registering target names into the typed domains
-(target files may name entities that no fact mentions) still change it;
-a new id or domain member leaves every array and index valid.
+target names and registering them into the typed domains (target files
+may name entities that no fact mentions) still change it; a new id or
+domain member leaves every array and index valid.
 """
 from __future__ import annotations
 
@@ -64,15 +65,6 @@ class PredicateSchema:
 
 
 @dataclass(frozen=True)
-class Constant:
-    name: str
-    type: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
 class Variable:
     name: str
 
@@ -80,15 +72,12 @@ class Variable:
         return self.name
 
 
-Term = Constant | Variable
-
 @dataclass(frozen=True)
 class Atom:
-    predicate: str
-    args: tuple[Term, ...]
+    """A rule atom: a predicate applied to variables."""
 
-    def variables(self) -> list[Variable]:
-        return [a for a in self.args if isinstance(a, Variable)]
+    predicate: str
+    args: tuple[Variable, ...]
 
     def __str__(self) -> str:
         return f"{self.predicate}({', '.join(str(a) for a in self.args)})"
@@ -114,10 +103,9 @@ class Targets:
         return Targets(self.predicate, ids, np.concatenate([self.positive, other.positive]))
 
 
-# A literal's fact pattern: one token per argument.  ("const", id) needs
-# that constant, ("same", p) the value at an earlier position p, BOUND a
-# value a binding table supplies (the join key, in argument order) and
-# FRESH any value.
+# A literal's fact pattern: one token per argument.  ("same", p) needs
+# the value at an earlier position p, BOUND a value a binding table
+# supplies (the join key, in argument order) and FRESH any value.
 BOUND = "bound"
 FRESH = "fresh"
 Pattern = tuple[tuple[str, int] | str, ...]
@@ -152,8 +140,7 @@ class JoinIndex:
         keep = np.ones(len(facts), dtype=bool)
         for pos, token in enumerate(pattern):
             if isinstance(token, tuple):
-                kind, value = token
-                keep &= facts[:, pos] == (value if kind == "const" else facts[:, value])
+                keep &= facts[:, pos] == facts[:, token[1]]
         kept = facts[keep]
         keys = kept[:, [pos for pos, token in enumerate(pattern) if token == BOUND]]
         codes = np.zeros(len(keys), dtype=np.int64)
@@ -299,9 +286,8 @@ class KnowledgeBase:
         return sum(len(self.fact_array(p)) for p in self.schemas)
 
     def constant_id(self, name: str) -> int:
-        """The int id of a constant name, assigned on first use, so a name
-        that is in no fact matches no row of a fact array."""
-        return self._ids.setdefault(name, len(self._ids))
+        """The int id of an interned constant name."""
+        return self._ids[name]
 
     def fact_array(self, predicate: str) -> np.ndarray:
         """The distinct facts of `predicate` as a (facts, arity) int array
@@ -325,9 +311,7 @@ class KnowledgeBase:
         first: dict[str, int] = {}  # variable -> first position
         pattern: list[tuple[str, int] | str] = []
         for pos, term in enumerate(literal.args):
-            if isinstance(term, Constant):
-                pattern.append(("const", self.constant_id(term.name)))
-            elif term.name in first:
+            if term.name in first:
                 # A variable repeated in the literal takes one value.
                 pattern.append(("same", first[term.name]))
             else:
@@ -506,8 +490,8 @@ def parse_ground_atoms(
     (`_fact_lines`) and every atom of one predicate, into `Targets`
     labelled ``positive`` (every atom's label, or one per atom).
 
-    Constants are registered into the kb's typed domains even when they
-    never appear in facts (targets may mention attribute-free entities).
+    The atoms' names are registered into the kb's typed domains even when
+    they never appear in facts (targets may mention attribute-free entities).
     A file without atoms is a ParseError, and so is an atom of another
     predicate than the first atom's, at its line.
     """

@@ -68,7 +68,7 @@ from .grounding import (
     # Unused here; the benchmark traces draws at this name as well as in `pipeline`.
     sample_negatives,
 )
-from .kb import Atom, Constant, KnowledgeBase, Targets, Variable, _read_atom
+from .kb import Atom, KnowledgeBase, Targets, Variable, _read_atom
 
 log = logging.getLogger(__name__)
 
@@ -91,9 +91,6 @@ class LearnConfig:
     min_examples_per_leaf: int = 2
     covering_discount: float = 0.1
     seed: int = 7
-    # Constant-grounded candidate literals are generated for argument
-    # positions whose type has at most this many constants; 0 disables them.
-    max_constants_for_grounding: int = 50
     # Size of the closed-world contrast sample relative to the class size.
     contrast_ratio: float = 1.0
 
@@ -101,9 +98,8 @@ class LearnConfig:
         for name in ("max_body_length", "beam_width", "min_examples_per_leaf"):
             if getattr(self, name) < 1:
                 raise ConfigError("an int >= 1", name, getattr(self, name))
-        for name in ("seed", "max_constants_for_grounding"):
-            if getattr(self, name) < 0:
-                raise ConfigError("an int >= 0", name, getattr(self, name))
+        if self.seed < 0:
+            raise ConfigError("an int >= 0", "seed", self.seed)
         if not 0.0 <= self.covering_discount <= 1.0:
             raise ConfigError("a float in [0, 1]", "covering_discount", self.covering_discount)
         if self.contrast_ratio <= 0:
@@ -123,8 +119,7 @@ def _typed_variables(kb: KnowledgeBase, head: Atom, body: tuple[Atom, ...]) -> d
     out: dict[str, str] = {}
     for atom in (head, *body):
         for t, a in zip(kb.schema(atom.predicate).arg_types, atom.args):
-            if isinstance(a, Variable):
-                out.setdefault(a.name, t)
+            out.setdefault(a.name, t)
     return out
 
 
@@ -135,21 +130,15 @@ def _fresh_name(type_name: str, used: set[str]) -> str:
     return f"{type_name}{i}"
 
 
-def candidate_literals(
-    kb: KnowledgeBase,
-    head: Atom,
-    body: tuple[Atom, ...],
-    max_constants_for_grounding: int,
-) -> list[Atom]:
+def candidate_literals(kb: KnowledgeBase, head: Atom, body: tuple[Atom, ...]) -> list[Atom]:
     """Refinement candidates for extending a left spine.
 
     Each argument slot takes, in order, an existing clause variable of the
-    slot's type (in name order), the type's one fresh variable, or a
-    constant of the type when it has at most ``max_constants_for_grounding``
-    of them; a candidate is one choice per slot with at most one fresh
-    variable and at least one existing one (connectedness).  The target
-    predicate itself is excluded (no recursive clauses), and so are the
-    literals already in the body.  Sorted by text, stably, for determinism.
+    slot's type (in name order) or the type's one fresh variable; a
+    candidate is one choice per slot with at most one fresh variable and
+    at least one existing one (connectedness).  The target predicate
+    itself is excluded (no recursive clauses), and so are the literals
+    already in the body.  Sorted by text, stably, for determinism.
     """
     var_types = _typed_variables(kb, head, body)
     used_names = set(var_types)
@@ -162,20 +151,14 @@ def candidate_literals(
     for pred in sorted(kb.schemas):
         if pred == head.predicate:
             continue
-        slot_options = []
-        for t in kb.schemas[pred].arg_types:
-            domain = kb.constants_of_type(t)
-            consts = sorted(domain) if len(domain) <= max_constants_for_grounding else []
-            slot_options.append(
-                by_type.get(t, [])
-                + [Variable(_fresh_name(t, used_names))]
-                + [Constant(c, t) for c in consts]
-            )
+        slot_options = [
+            by_type.get(t, []) + [Variable(_fresh_name(t, used_names))]
+            for t in kb.schemas[pred].arg_types
+        ]
         for args in itertools.product(*slot_options):
-            names = [a.name for a in args if isinstance(a, Variable)]
-            reused = sum(name in used_names for name in names)
+            reused = sum(a.name in used_names for a in args)
             atom = Atom(pred, args)
-            if reused >= 1 and len(names) - reused <= 1 and atom not in existing:
+            if reused >= 1 and len(args) - reused <= 1 and atom not in existing:
                 out.append(atom)
     out.sort(key=str)
     return out
@@ -242,13 +225,12 @@ class JoinMemo:
                 # variables alone covers the same examples on either table.
                 base = BindingTable(parent.variables, parent.columns.compress(counts > 0, axis=1))
         else:
-            table = base = BindingTable.for_head(self.head, self.examples, kb)
-        max_constants = self.config.max_constants_for_grounding
-        candidates = candidate_literals(kb, self.head, body, max_constants)
+            table = base = BindingTable.for_head(self.head, self.examples)
+        candidates = candidate_literals(kb, self.head, body)
         fresh = set(table.variables[len(base.variables) :])  # body[-1]'s new variables
         masks = []
         for lit in candidates:
-            probed = table if fresh.intersection(v.name for v in lit.variables()) else base
+            probed = table if fresh.intersection(v.name for v in lit.args) else base
             masks.append(probed.covered(lit, kb, n))
         spine = _Spine(table, candidates, [str(lit) for lit in candidates], masks)
         self.spines[body] = spine
@@ -432,33 +414,34 @@ _LIT_RE = re.compile(r"(\w+)\s*\(([^()]*)\)")
 _BODY_RE = re.compile(r"\w+\s*\([^()]*\)(?:\s*,\s*\w+\s*\([^()]*\))*")
 
 
-def _fmt_atom(a: Atom) -> str:
-    args = (f'"{t.name}"' if isinstance(t, Constant) else t.name for t in a.args)
-    return f"{a.predicate}({', '.join(args)})"
-
-
 def serialize_rules(rules: list[Clause]) -> str:
-    """One rule per line; constants are quoted so the reader can tell them
-    from variables without relying on casing."""
-    lines = []
-    for r in rules:
-        body = ", ".join(_fmt_atom(a) for a in r.body) if r.body else "true"
-        lines.append(
-            f"{_fmt_atom(r.head)} :- {body}. % source={r.source} iter={r.iteration}"
-        )
-    return "\n".join(lines) + "\n"
+    """One rule per line, its source and iteration in a trailing comment."""
+    return "\n".join(f"{r} % source={r.source} iter={r.iteration}" for r in rules) + "\n"
 
 
-def _parse_rule_atom(pred: str, argstr: str, kb: KnowledgeBase, lineno: int) -> Atom:
+def _parse_rule_atom(
+    pred: str, argstr: str, kb: KnowledgeBase, lineno: int, types: dict[str, str]
+) -> Atom:
+    """The atom ``pred(argstr)`` of a rule whose variables so far have the
+    ``types``, which it extends by its own.  A quoted constant, or a
+    variable at an argument of another type than before, is a ParseError
+    at ``lineno``."""
     schema, toks = _read_atom(pred, argstr, kb, lineno, "rule")
-    args = [
-        Constant(tok[1:-1], t) if len(tok) >= 2 and tok[0] == tok[-1] == '"' else Variable(tok)
-        for t, tok in zip(schema.arg_types, toks)
-    ]
-    return Atom(pred, tuple(args))
+    for t, tok in zip(schema.arg_types, toks):
+        if '"' in tok:
+            raise ParseError(
+                f"constant {tok} in {pred}({argstr}): a rule holds variables only", lineno
+            )
+        if types.setdefault(tok, t) != t:
+            raise ParseError(
+                f"variable {tok!r} is a {types[tok]}, but a {t} in {pred}({argstr})", lineno
+            )
+    return Atom(pred, tuple(map(Variable, toks)))
 
 
 def parse_rules(text: str, kb: KnowledgeBase) -> list[Clause]:
+    """The rules of a rule file, one per line; blank and ``%`` lines are
+    skipped.  A malformed line is a ParseError at its line."""
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -474,12 +457,15 @@ def parse_rules(text: str, kb: KnowledgeBase) -> list[Clause]:
                 f"or {NEGATIVE_DENSITY!r}",
                 lineno,
             )
-        head = _parse_rule_atom(head_pred, head_args, kb, lineno)
+        types: dict[str, str] = {}  # variable -> its type in this rule
+        head = _parse_rule_atom(head_pred, head_args, kb, lineno, types)
         body: tuple[Atom, ...] = ()
         if body_str != "true":
             if _BODY_RE.fullmatch(body_str) is None:
                 raise ParseError(f"malformed rule body: {raw!r}", lineno)
             literals = _LIT_RE.findall(body_str)
-            body = tuple(_parse_rule_atom(pred, args, kb, lineno) for pred, args in literals)
+            body = tuple(
+                _parse_rule_atom(pred, args, kb, lineno, types) for pred, args in literals
+            )
         rules.append(Clause(head, body, source or POSITIVE_DENSITY, int(it or 0)))
     return rules

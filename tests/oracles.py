@@ -12,23 +12,21 @@ from relgcn.grounding import Clause
 from relgcn.kb import (
     _FACT_RE,
     _SCHEMA_RE,
-    Atom,
-    Constant,
     KnowledgeBase,
     PredicateSchema,
     Targets,
-    Variable,
     _read_atom,
     _split_args,
     _strip_comment,
 )
 
 
-def has_fact(kb: KnowledgeBase, atom: Atom) -> bool:
-    """Closed-world membership of a ground atom: some row of the
-    predicate's fact array holds the ids of its constants."""
-    ids = [kb.constant_id(a.name) for a in atom.args]
-    return bool((kb.fact_array(atom.predicate) == ids).all(axis=1).any())
+def has_fact(kb: KnowledgeBase, predicate: str, names: tuple[str, ...]) -> bool:
+    """Closed-world membership of a ground atom, given by its predicate
+    and the names of its constants: some row of the predicate's fact
+    array holds their ids."""
+    ids = [kb.constant_id(name) for name in names]
+    return bool((kb.fact_array(predicate) == ids).all(axis=1).any())
 
 
 class FactSetOracle:
@@ -68,14 +66,10 @@ class FactSetOracle:
         return "\n".join(lines) + "\n"
 
 
-def body_satisfied(ground_body: list[Atom], kb: KnowledgeBase) -> bool:
-    """True iff every ground atom is a fact in kb (closed world)."""
-    for atom in ground_body:
-        if not all(isinstance(a, Constant) for a in atom.args):
-            raise DataError(f"body_satisfied requires ground atoms, got {atom}")
-        if not has_fact(kb, atom):
-            return False
-    return True
+def body_satisfied(ground_body: list[tuple[str, tuple[str, ...]]], kb: KnowledgeBase) -> bool:
+    """True iff every ground atom, a predicate with the names of its
+    constants, is a fact in kb (closed world)."""
+    return all(has_fact(kb, predicate, names) for predicate, names in ground_body)
 
 
 def brute_force_count(clause: Clause, target: tuple[str, ...], kb: KnowledgeBase) -> int:
@@ -84,35 +78,19 @@ def brute_force_count(clause: Clause, target: tuple[str, ...], kb: KnowledgeBase
     cross-product of typed domains for the free body variables is tested
     with body_satisfied.  Exponential; only usable on small instances.
     """
-    theta: dict[str, Constant] = {}
-    head_types = kb.schema(clause.head.predicate).arg_types
-    for term, name, t in zip(clause.head.args, target, head_types):
-        if isinstance(term, Variable):
-            theta[term.name] = Constant(name, t)
-        elif term.name != name:
-            return 0
+    theta = {term.name: name for term, name in zip(clause.head.args, target)}
     var_types: dict[str, str] = {}
     for atom in clause.body:
         schema = kb.schema(atom.predicate)
         for pos, a in enumerate(atom.args):
-            if isinstance(a, Variable) and a.name not in theta:
+            if a.name not in theta:
                 var_types.setdefault(a.name, schema.arg_types[pos])
     names = sorted(var_types)
     domains = [sorted(kb.constants_of_type(var_types[v])) for v in names]
     count = 0
     for combo in itertools.product(*domains):
-        binding = dict(theta)
-        for v, c in zip(names, combo):
-            binding[v] = Constant(c, var_types[v])
-        ground = [
-            Atom(
-                a.predicate,
-                tuple(
-                    binding[t.name] if isinstance(t, Variable) else t for t in a.args
-                ),
-            )
-            for a in clause.body
-        ]
+        binding = {**theta, **dict(zip(names, combo))}
+        ground = [(a.predicate, tuple(binding[t.name] for t in a.args)) for a in clause.body]
         if body_satisfied(ground, kb):
             count += 1
     return count

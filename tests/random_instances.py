@@ -7,7 +7,7 @@ cross-product oracle stays tractable.
 import numpy as np
 
 from relgcn.grounding import Clause
-from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable
+from relgcn.kb import Atom, KnowledgeBase, PredicateSchema, Variable
 
 
 def random_kb(
@@ -74,7 +74,8 @@ def random_instance(
     max_body: int = 3,
 ) -> tuple[KnowledgeBase, Clause, tuple[str, str]]:
     """A random kb, a clause and the constant names of a ground target of
-    ``Tgt``, over at most two entity types."""
+    ``Tgt``, over at most two entity types.  Each body argument is a
+    variable of its type already in the clause or a fresh one."""
     kb, constants, schemas, _ = random_kb(rng, max_constants, max_predicates)
     target_type = next(iter(constants))
     head = Atom("Tgt", (Variable("x1"), Variable("x2")))
@@ -86,16 +87,12 @@ def random_instance(
         args = []
         for t in schema.arg_types:
             same_type = [v for v, vt in var_pool.items() if vt == t]
-            roll = rng.random()
-            if roll < 0.4 and same_type:
+            if rng.random() < 0.7 and same_type:
                 args.append(Variable(same_type[int(rng.integers(len(same_type)))]))
-            elif roll < 0.7:
+            else:
                 fresh = f"v{b}_{len(args)}"
                 var_pool[fresh] = t
                 args.append(Variable(fresh))
-            else:
-                name = constants[t][int(rng.integers(len(constants[t])))]
-                args.append(Constant(name, t))
         body.append(Atom(schema.name, tuple(args)))
     clause = Clause(head, tuple(body))
 

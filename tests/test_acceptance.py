@@ -52,7 +52,6 @@ PLANTED_SPEC = SyntheticSpec(
 PLANTED_OVERRIDES = {
     "learn.k_pos": "3",
     "learn.k_neg": "3",
-    "learn.max_constants_for_grounding": "0",
     "split.seed": "2",
 }
 
@@ -246,7 +245,7 @@ def test_criterion_07_rule_recovery_noise_free():
         seed=3,
     )
     data = generate_synthetic(spec)
-    config = LearnConfig(beam_width=5, max_constants_for_grounding=0)
+    config = LearnConfig(beam_width=5)
     schema = data.kb.schema(data.positives.predicate)
     contrast = sample_negatives(data.kb, schema, data.positives, 1.0, 7, symmetric=True)
     ruleset = learn_ruleset(data.kb, data.positives, contrast, config, k=2)

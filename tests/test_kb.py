@@ -10,7 +10,6 @@ import pytest
 from relgcn.errors import DataError, ParseError
 from relgcn.kb import (
     Atom,
-    Constant,
     KnowledgeBase,
     PredicateSchema,
     Variable,
@@ -33,16 +32,9 @@ def test_schema_requires_positive_arity():
         PredicateSchema("Nullary", ())
 
 
-def test_atom_ground_and_variables():
-    ground = Atom("P", (Constant("a", "t"), Constant("b", "t")))
-    open_atom = Atom("P", (Constant("a", "t"), Variable("x")))
-    assert ground.variables() == []
-    assert [v.name for v in open_atom.variables()] == ["x"]
-
-
 def test_atom_str_roundtrips_visually():
-    atom = Atom("Affiliation", (Variable("p1"), Constant("U1", UNIVERSITY)))
-    assert str(atom) == "Affiliation(p1, U1)"
+    atom = Atom("Affiliation", (Variable("p1"), Variable("u1")))
+    assert str(atom) == "Affiliation(p1, u1)"
 
 
 def test_add_fact_dedup_and_domains(coauthor_kb):
@@ -136,14 +128,8 @@ def test_duplicate_facts_count_once():
 
 
 def test_has_fact_closed_world(coauthor_kb):
-    assert has_fact(
-        coauthor_kb,
-        Atom("Affiliation", (Constant("ann", PERSON), Constant("U1", UNIVERSITY))),
-    )
-    assert not has_fact(
-        coauthor_kb,
-        Atom("Affiliation", (Constant("ann", PERSON), Constant("U2", UNIVERSITY))),
-    )
+    assert has_fact(coauthor_kb, "Affiliation", ("ann", "U1"))
+    assert not has_fact(coauthor_kb, "Affiliation", ("ann", "U2"))
 
 
 def test_unknown_predicate_and_type_raise(coauthor_kb):

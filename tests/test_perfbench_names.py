@@ -61,7 +61,6 @@ def _small_overrides(tmp_path) -> dict[str, str]:
         "out": str(tmp_path / "out"),
         "learn.k_pos": "2",
         "learn.k_neg": "2",
-        "learn.max_constants_for_grounding": "0",
         "train.epochs": "2",
     }
 
@@ -85,6 +84,17 @@ def test_benchmark_config_keys_are_config_keys():
     for table in ("PLANTED_OVERRIDES", "SWEEP_OVERRIDES", "TOPICS_OVERRIDES"):
         for key in workloads[table]:
             assert key in keys, f"the benchmark sets {key!r} ({table}), which is not a config key"
+
+
+def test_constants_key_lives_as_long_as_the_benchmark_sets_it():
+    """``learn.max_constants_for_grounding`` accepts only 0 and is kept
+    because the benchmark's workloads set it: it is a config key exactly
+    while one of their override tables sets it, so the change that drops
+    those overrides deletes the key too."""
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    key = "learn.max_constants_for_grounding"
+    tables = ("PLANTED_OVERRIDES", "SWEEP_OVERRIDES", "TOPICS_OVERRIDES")
+    assert (key in default_values()) == any(key in workloads[table] for table in tables)
 
 
 def test_every_entry_point_runs_its_stages_through_the_stage_list(tmp_path, monkeypatch):

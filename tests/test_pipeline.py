@@ -65,7 +65,6 @@ def _config(data_dir, out_dir, **extra):
         "out": str(out_dir),
         "learn.k_pos": "2",
         "learn.k_neg": "2",
-        "learn.max_constants_for_grounding": "0",
         "train.epochs": "40",
     }
     overrides.update(extra)
@@ -113,6 +112,20 @@ def test_config_file_with_flag_overrides(tmp_path):
         PipelineConfig.from_file(bad)
 
 
+def test_config_file_comment_starts_at_a_line_start_or_after_a_blank(tmp_path):
+    """A ``#`` starts a comment at the start of a line or after a blank;
+    inside a value it is part of the value."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "# comment\nout = runs/#3\n  # indented comment\n"
+        "train.epochs = 50 # trailing comment\nfeaturize.metric = manhattan\t# after a tab\n"
+    )
+    config = PipelineConfig.from_file(cfg_path)
+    assert config["out"] == "runs/#3"
+    assert config["train.epochs"] == 50
+    assert config["featurize.metric"] == "manhattan"
+
+
 def test_config_hash_tracks_values():
     a = PipelineConfig.from_overrides({})
     b = PipelineConfig.from_overrides({})
@@ -124,13 +137,15 @@ def test_config_hash_tracks_values():
 
 
 def test_config_schema_is_the_dataclasses():
-    """Every ``learn.*``/``train.*`` key but ``learn.k_pos``/``k_neg`` is a
-    field of LearnConfig/TrainConfig, every field has its key, and the
-    defaults are the dataclasses' defaults."""
+    """Every ``learn.*``/``train.*`` key but ``learn.k_pos``/``k_neg`` and
+    the one-value ``learn.max_constants_for_grounding`` is a field of
+    LearnConfig/TrainConfig, every field has its key, and the defaults are
+    the dataclasses' defaults."""
     keys = set(default_values())
+    plain = {"k_pos", "k_neg", "max_constants_for_grounding"}
     for prefix, cls in [("learn.", LearnConfig), ("train.", TrainConfig)]:
         section = {k[len(prefix):] for k in keys if k.startswith(prefix)}
-        assert section - {"k_pos", "k_neg"} == {f.name for f in dataclasses.fields(cls)}
+        assert section - plain == {f.name for f in dataclasses.fields(cls)}
     config = PipelineConfig.from_overrides({})
     assert config.learn == LearnConfig()
     assert config.train == TrainConfig()
@@ -795,7 +810,6 @@ def test_cli_synth_and_pipeline(tmp_path, capsys):
             "--set", f"neg={data_dir / 'neg.txt'}",
             "--set", "learn.k_pos=2",
             "--set", "learn.k_neg=2",
-            "--set", "learn.max_constants_for_grounding=0",
             "--set", "train.epochs=40",
         ]
     )
@@ -849,9 +863,9 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["frobnicate"]) == 1
 
 
-def _assert_removed_key(tmp_path, caplog, source, key, value):
-    """Naming ``key``, by a flag or by a config file line, is a config
-    error before anything runs."""
+def _assert_config_error(tmp_path, caplog, source, key, value, message):
+    """Setting ``key`` to ``value``, by a flag or by a config file line, is
+    a config error that logs ``message`` before anything runs."""
     out = tmp_path / "out"
     argv = ["train", "--out", str(out)]
     if source == "set":
@@ -861,8 +875,27 @@ def _assert_removed_key(tmp_path, caplog, source, key, value):
         config_file.write_text(f"{key} = {value}\n")
         argv += ["--config", str(config_file)]
     assert cli_main(argv) == 1
-    assert f"unknown config key {key!r}" in caplog.text
+    assert message in caplog.text
     assert not out.exists()
+
+
+def _assert_removed_key(tmp_path, caplog, source, key, value):
+    """Naming ``key``, by a flag or by a config file line, is a config
+    error before anything runs."""
+    _assert_config_error(tmp_path, caplog, source, key, value, f"unknown config key {key!r}")
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_cli_constants_key_other_than_zero_is_a_config_error(tmp_path, caplog, source):
+    """Rules hold variables only: ``learn.max_constants_for_grounding``
+    accepts 0 alone, and any other value is a config error that names the
+    key, by a flag or by a config file line."""
+    key = "learn.max_constants_for_grounding"
+    _assert_config_error(tmp_path, caplog, source, key, "1", f"for {key!r}, got '1'")
+    config_file = tmp_path / "zero.cfg"
+    config_file.write_text(f"{key} = 0\n")
+    assert PipelineConfig.from_file(config_file)[key] == 0
+    assert PipelineConfig.from_overrides({key: "0"}) == PipelineConfig.from_overrides({})
 
 
 @pytest.mark.parametrize("source", ["set", "config"])
@@ -1049,8 +1082,12 @@ def test_cli_stage_command_names_its_failed_stage(small_run, tmp_path, caplog):
         ("facts", "Affiliation(P000 U1).", "arity mismatch for Affiliation: got 1, expected 2"),
         ("rules", "CoAuthor(person1, person2) :- Bogus(person1).",
          "unknown predicate 'Bogus' in rule"),
+        ("rules", 'CoAuthor(person1, person2) :- Affiliation(person1, "U1").',
+         'constant "U1" in Affiliation(person1, "U1"): a rule holds variables only'),
+        ("rules", "CoAuthor(person1, person2) :- ResearchTopic(person1, x), Affiliation(person2, x).",
+         "variable 'x' is a topic, but a university in Affiliation(person2, x)"),
     ],
-    ids=["facts", "rules"],
+    ids=["facts", "rules", "rules-constant", "rules-two-types"],
 )
 def test_cli_parse_error_names_its_file(small_run, tmp_path, caplog, command, damaged,
                                         appended, message):
@@ -1510,7 +1547,6 @@ def test_cli_train_after_relearning_needs_featurize_again(tmp_path, caplog):
     assert cli_main(synth) == 0
     inputs = [f"{key}={data / key}.txt" for key in ("facts", "pos", "neg")]
     flags = [arg for item in inputs for arg in ("--set", item)]
-    flags += ["--set", "learn.max_constants_for_grounding=0"]
     assert cli_main(["pipeline", "--out", out, *flags]) == 0
     rules_before = (tmp_path / "out" / "rules.txt").read_text()
     assert cli_main(["learn", "--out", out, *flags, "--set", "learn.k_pos=1"]) == 0

@@ -9,8 +9,14 @@ import pytest
 
 from relgcn import rulelearn
 from relgcn.errors import ConfigError, DataError, ParseError
-from relgcn.grounding import BindingTable, Clause, NEGATIVE_DENSITY, POSITIVE_DENSITY
-from relgcn.kb import Atom, Constant, KnowledgeBase, PredicateSchema, Variable, parse_facts
+from relgcn.grounding import (
+    BindingTable,
+    Clause,
+    NEGATIVE_DENSITY,
+    POSITIVE_DENSITY,
+    count_satisfied_groundings,
+)
+from relgcn.kb import Atom, KnowledgeBase, PredicateSchema, Variable, parse_facts
 from relgcn.rulelearn import (
     JoinMemo,
     LearnConfig,
@@ -22,7 +28,7 @@ from relgcn.rulelearn import (
     serialize_rules,
 )
 
-from conftest import PERSON, TOPIC, UNIVERSITY, coauthors
+from conftest import PERSON, UNIVERSITY, coauthors
 from oracles import brute_force_count, squared_error_score
 from random_instances import random_instance, random_kb
 
@@ -41,7 +47,6 @@ def test_learn_config_validation():
         ("min_examples_per_leaf", 0),
         ("covering_discount", 1.5),
         ("seed", -1),
-        ("max_constants_for_grounding", -5),
         ("contrast_ratio", 0.0),
     ]:
         with pytest.raises(ConfigError) as info:
@@ -76,45 +81,28 @@ def test_squared_error_score_respects_weights():
 
 def test_candidate_literals_properties(coauthor_kb):
     head = make_head(coauthor_kb, "CoAuthor")
-    cands = candidate_literals(coauthor_kb, head, (), max_constants_for_grounding=50)
+    cands = candidate_literals(coauthor_kb, head, ())
     assert cands == sorted(cands, key=str)
     assert len(cands) == len(set(map(str, cands)))
     for atom in cands:
         assert atom.predicate != "CoAuthor"
-        names = {v.name for v in atom.variables()}
+        names = {v.name for v in atom.args}
         assert names & {"person1", "person2"}, "connectedness violated"
         fresh = names - {"person1", "person2"}
         assert len(fresh) <= 1
-    # Constant-grounded candidates appear for small domains.
-    assert any(
-        isinstance(a, Constant) for atom in cands for a in atom.args
-    )
-    bare = candidate_literals(coauthor_kb, head, (), max_constants_for_grounding=0)
-    assert all(
-        not isinstance(a, Constant) for atom in bare for a in atom.args
-    )
 
 
 def _literal(text):
-    """A coauthor_kb literal written ``P(person1, "U1")``; a quoted
-    argument is a constant of its slot's type."""
+    """A literal written ``P(person1, topic1)``."""
     pred, args = text.rstrip(")").split("(")
-    types = {"Affiliation": (PERSON, UNIVERSITY), "ResearchTopic": (PERSON, TOPIC)}[pred]
-    return Atom(
-        pred,
-        tuple(
-            Constant(a.strip('"'), t) if a.startswith('"') else Variable(a)
-            for a, t in zip(args.split(", "), types)
-        ),
-    )
+    return Atom(pred, tuple(Variable(a) for a in args.split(", ")))
 
 
 @pytest.mark.parametrize(
-    "body, max_constants, expected",
+    "body, expected",
     [
         (
             (),
-            0,
             [
                 "Affiliation(person1, university1)",
                 "Affiliation(person2, university1)",
@@ -123,58 +111,11 @@ def _literal(text):
             ],
         ),
         (
-            (),
-            50,
-            [
-                'Affiliation(person1, "U1")',
-                'Affiliation(person1, "U2")',
-                "Affiliation(person1, university1)",
-                'Affiliation(person2, "U1")',
-                'Affiliation(person2, "U2")',
-                "Affiliation(person2, university1)",
-                'ResearchTopic(person1, "T1")',
-                'ResearchTopic(person1, "T2")',
-                'ResearchTopic(person1, "T3")',
-                "ResearchTopic(person1, topic1)",
-                'ResearchTopic(person2, "T1")',
-                'ResearchTopic(person2, "T2")',
-                'ResearchTopic(person2, "T3")',
-                "ResearchTopic(person2, topic1)",
-            ],
-        ),
-        (
             ("ResearchTopic(person1, topic1)",),
-            0,
             [
                 "Affiliation(person1, university1)",
                 "Affiliation(person2, university1)",
                 "ResearchTopic(person1, topic2)",
-                "ResearchTopic(person2, topic1)",
-                "ResearchTopic(person2, topic2)",
-                "ResearchTopic(person3, topic1)",
-            ],
-        ),
-        (
-            ("ResearchTopic(person1, topic1)",),
-            50,
-            [
-                'Affiliation(person1, "U1")',
-                'Affiliation(person1, "U2")',
-                "Affiliation(person1, university1)",
-                'Affiliation(person2, "U1")',
-                'Affiliation(person2, "U2")',
-                "Affiliation(person2, university1)",
-                'ResearchTopic("ann", topic1)',
-                'ResearchTopic("bob", topic1)',
-                'ResearchTopic("cara", topic1)',
-                'ResearchTopic("dan", topic1)',
-                'ResearchTopic(person1, "T1")',
-                'ResearchTopic(person1, "T2")',
-                'ResearchTopic(person1, "T3")',
-                "ResearchTopic(person1, topic2)",
-                'ResearchTopic(person2, "T1")',
-                'ResearchTopic(person2, "T2")',
-                'ResearchTopic(person2, "T3")',
                 "ResearchTopic(person2, topic1)",
                 "ResearchTopic(person2, topic2)",
                 "ResearchTopic(person3, topic1)",
@@ -182,20 +123,20 @@ def _literal(text):
         ),
     ],
 )
-def test_candidate_literals_pinned(coauthor_kb, body, max_constants, expected):
+def test_candidate_literals_pinned(coauthor_kb, body, expected):
     """The refinement operator's full output, element for element: each
-    slot takes an existing variable, the type's fresh variable or a
-    constant, with at most one fresh and at least one existing variable."""
+    slot takes an existing variable or the type's fresh variable, with at
+    most one fresh and at least one existing variable."""
     head = make_head(coauthor_kb, "CoAuthor")
     body = tuple(_literal(text) for text in body)
-    cands = candidate_literals(coauthor_kb, head, body, max_constants)
+    cands = candidate_literals(coauthor_kb, head, body)
     assert cands == [_literal(text) for text in expected]
 
 
 def test_candidate_literals_skip_current_body(coauthor_kb):
     head = make_head(coauthor_kb, "CoAuthor")
     body = (Atom("ResearchTopic", (Variable("person1"), Variable("topic1"))),)
-    cands = candidate_literals(coauthor_kb, head, body, max_constants_for_grounding=0)
+    cands = candidate_literals(coauthor_kb, head, body)
     assert body[0] not in cands
 
 
@@ -216,7 +157,7 @@ def test_learn_tree_recovers_topic_rule(coauthor_kb, topic_class_examples):
     """The two-literal rule covers the class and not the contrast, and the
     returned mask is its brute-force coverage."""
     classed, contrast = topic_class_examples
-    config = LearnConfig(beam_width=5, max_constants_for_grounding=0)
+    config = LearnConfig(beam_width=5)
     rule, covered = _tree(coauthor_kb, classed, contrast, config)
     assert len(rule.body) == 2
     rows = [("ann", "bob"), ("cara", "dan"), ("ann", "cara"), ("bob", "cara")]
@@ -228,7 +169,7 @@ def test_learn_tree_logs_the_join_indexes_it_holds(coauthor_kb, topic_class_exam
     """The INFO line names the kb's join indexes and their bytes; a second
     tree over the same kb and examples builds no new index."""
     classed, contrast = topic_class_examples
-    config = LearnConfig(beam_width=3, max_constants_for_grounding=0)
+    config = LearnConfig(beam_width=3)
     held = []
     for _ in range(2):
         with caplog.at_level(logging.INFO, logger="relgcn.rulelearn"):
@@ -243,7 +184,7 @@ def test_learn_tree_logs_the_join_indexes_it_holds(coauthor_kb, topic_class_exam
 
 def test_learn_tree_deterministic(coauthor_kb, topic_class_examples):
     classed, contrast = topic_class_examples
-    config = LearnConfig(beam_width=3, max_constants_for_grounding=0)
+    config = LearnConfig(beam_width=3)
     (r1, c1), (r2, c2) = (_tree(coauthor_kb, classed, contrast, config) for _ in range(2))
     assert [str(a) for a in r1.body] == [str(a) for a in r2.body]
     assert c1.tolist() == c2.tolist()
@@ -252,15 +193,17 @@ def test_learn_tree_deterministic(coauthor_kb, topic_class_examples):
 def test_learn_tree_degenerate_targets_gives_depth_zero(coauthor_kb, topic_class_examples):
     """With all regression targets equal there is nothing to split on."""
     classed, contrast = topic_class_examples
-    config = LearnConfig(max_constants_for_grounding=0)
+    config = LearnConfig()
     rule, covered = _tree(coauthor_kb, classed + contrast, coauthors(coauthor_kb), config)
     assert rule.body == ()
     assert covered.all()
 
 
 def test_learn_tree_tells_a_constant_from_a_variable_of_the_same_name():
-    """The university constant prints like the fresh university variable
-    ``university1``; only the constant separates the classes."""
+    """The university constants are named like the fresh university
+    variable ``university1``: a rule's ``university1`` is a variable that
+    binds every university, in the learned rule and in its text read
+    back, and the constant of that name is never matched by name."""
     kb = KnowledgeBase()
     kb.declare_schema(PredicateSchema("Affiliation", (PERSON, UNIVERSITY)))
     kb.declare_schema(PredicateSchema("CoAuthor", (PERSON, PERSON)))
@@ -273,13 +216,17 @@ def test_learn_tree_tells_a_constant_from_a_variable_of_the_same_name():
         ("p6", "university2"),
     ]:
         kb.add_fact("Affiliation", (person, university))
-    # person1 is at university1 exactly in the class; person2 is mixed.
-    classed = coauthors(kb, "p1 p4", "p2 p3")
-    contrast = coauthors(kb, "p4 p1", "p5 p6")
-    rule, _ = _tree(kb, classed, contrast, LearnConfig())
-    assert rule.body == (
-        Atom("Affiliation", (Variable("person1"), Constant("university1", UNIVERSITY))),
-    )
+    # The class shares a university, at university1 and at university2.
+    classed = coauthors(kb, "p1 p2", "p5 p6")
+    contrast = coauthors(kb, "p1 p4", "p3 p5")
+    rule, covered = _tree(kb, classed, contrast, LearnConfig())
+    assert [str(lit) for lit in rule.body] == [
+        "Affiliation(person1, university1)", "Affiliation(person2, university1)"
+    ]
+    assert covered.tolist() == [True, True, False, False]
+    (back,) = parse_rules(serialize_rules([rule]), kb)
+    assert back == rule
+    assert count_satisfied_groundings(back, classed + contrast, kb).tolist() == [1, 1, 0, 0]
 
 
 def _depth_one_oracle_sse(kb, head, examples, values, weights, config):
@@ -288,7 +235,7 @@ def _depth_one_oracle_sse(kb, head, examples, values, weights, config):
     literal improves on it."""
     root = squared_error_score(values, weights, np.ones(len(values), dtype=bool))
     best = root
-    for lit in candidate_literals(kb, head, (), config.max_constants_for_grounding):
+    for lit in candidate_literals(kb, head, ()):
         clause = Clause(head, (lit,))
         left = np.array([brute_force_count(clause, row, kb) > 0 for row in examples])
         if left.sum() < config.min_examples_per_leaf:
@@ -342,8 +289,7 @@ def test_spine_masks_match_the_spines_own_table_and_brute_force():
         pool = next(iter(constants.values()))
         pairs = [(a, b) for a in pool for b in pool]
         rows = [pairs[int(j)] for j in rng.choice(len(pairs), size=min(6, len(pairs)), replace=False)]
-        config = LearnConfig(max_constants_for_grounding=int(rng.choice([0, 2])))
-        memo = JoinMemo(kb, kb.targets("Tgt", rows, True), config)
+        memo = JoinMemo(kb, kb.targets("Tgt", rows, True), LearnConfig())
         bodies = [()]
         while bodies:
             body = bodies.pop()
@@ -362,13 +308,13 @@ def test_spine_masks_match_the_spines_own_table_and_brute_force():
                     for row in rows
                 ]
                 assert mask.tolist() == brute
-                names = {v.name for v in lit.variables()}
+                names = {v.name for v in lit.args}
                 scored_on_parent_rows += grew and not names & fresh
             if len(body) < 2:
                 # Literals with a fresh variable first: those can multiply rows.
                 order = sorted(
                     spine.candidates,
-                    key=lambda lit: all(v.name in spine.table.variables for v in lit.variables()),
+                    key=lambda lit: all(v.name in spine.table.variables for v in lit.args),
                 )
                 bodies.extend(body + (lit,) for lit in order[: 2 - len(body)])
     assert multiplied > 5
@@ -396,7 +342,7 @@ def test_learn_ruleset_empty_body_warns(coauthor_kb, topic_class_examples, caplo
     """A contrast of the class's own atoms leaves nothing to split on: the
     rule is the empty body, kept with a warning."""
     classed, _ = topic_class_examples
-    config = LearnConfig(max_constants_for_grounding=0)
+    config = LearnConfig()
     with caplog.at_level(logging.WARNING):
         ruleset = learn_ruleset(coauthor_kb, classed, classed, config, k=1)
     assert [rule.body for rule in ruleset.rules] == [()]
@@ -408,7 +354,7 @@ def test_learn_ruleset_empty_body_warns(coauthor_kb, topic_class_examples, caplo
 
 def test_learn_ruleset_stops_on_duplicate(coauthor_kb, topic_class_examples, caplog):
     classed, contrast = topic_class_examples
-    config = LearnConfig(max_constants_for_grounding=0)
+    config = LearnConfig()
     with caplog.at_level(logging.WARNING):
         ruleset = learn_ruleset(coauthor_kb, classed, contrast, config, k=3)
     assert all(r.source == POSITIVE_DENSITY for r in ruleset.rules)
@@ -431,7 +377,7 @@ def test_learn_ruleset_requires_one_class(coauthor_kb, topic_class_examples):
 
 def test_learn_ruleset_deterministic(coauthor_kb, topic_class_examples):
     classed, contrast = topic_class_examples
-    config = LearnConfig(max_constants_for_grounding=0)
+    config = LearnConfig()
     r1 = learn_ruleset(coauthor_kb, classed, contrast, config, k=2)
     r2 = learn_ruleset(coauthor_kb, classed, contrast, config, k=2)
     assert serialize_rules(r1.rules) == serialize_rules(r2.rules)
@@ -494,7 +440,6 @@ def test_learn_ruleset_matches_trees_learned_without_a_memo(monkeypatch):
             min_examples_per_leaf=int(rng.integers(1, 3)),
             # Discounts near 1 mostly repeat the first rule.
             covering_discount=float(rng.uniform(0.0, 0.5)),
-            max_constants_for_grounding=int(rng.choice([0, 2, 50])),
         )
         masks.clear()
         ruleset = learn_ruleset(kb, classed, contrast, config, k=3)
@@ -524,7 +469,7 @@ def test_learn_ruleset_joins_each_body_once(coauthor_kb, topic_class_examples, m
 
     monkeypatch.setattr(rulelearn, "candidate_literals", listing)
     monkeypatch.setattr(BindingTable, "covered", covering)
-    config = LearnConfig(beam_width=3, max_constants_for_grounding=0)
+    config = LearnConfig(beam_width=3)
     learn_ruleset(coauthor_kb, classed, contrast, config, k=3)
     # The second tree repeats the first one's rule, which ends the set.
     assert len(trees) == 2
@@ -537,7 +482,7 @@ def test_learn_ruleset_logs_the_joins_later_trees_reuse(coauthor_kb, topic_class
     """The first tree of a rule set joins every candidate it scores; the
     second reports candidates taken from the memo and the memo's bytes."""
     classed, contrast = topic_class_examples
-    config = LearnConfig(max_constants_for_grounding=0)
+    config = LearnConfig()
     with caplog.at_level(logging.INFO, logger="relgcn.rulelearn"):
         learn_ruleset(coauthor_kb, classed, contrast, config, k=2)
     pattern = re.compile(r"candidates from the join memo: (\d+) of (\d+) \(memo (\d+) bytes\)")
@@ -556,7 +501,7 @@ def test_negative_density_source_label(coauthor_kb):
         coauthor_kb,
         negatives,
         contrast,
-        LearnConfig(max_constants_for_grounding=0),
+        LearnConfig(),
         k=1,
     )
     assert ruleset.rules
@@ -572,21 +517,21 @@ def test_serialize_parse_roundtrip(coauthor_kb):
         Clause(head, TOPIC_BODY, source=POSITIVE_DENSITY, iteration=0),
         Clause(
             head,
-            (Atom("Affiliation", (Variable("person1"), Constant("U1", "university"))),),
+            (Atom("Affiliation", (Variable("person1"), Variable("university1"))),),
             source=NEGATIVE_DENSITY,
             iteration=1,
         ),
         Clause(head, (), source=POSITIVE_DENSITY, iteration=2),
     ]
     text = serialize_rules(rules)
-    parsed = parse_rules(text, coauthor_kb)
-    assert len(parsed) == len(rules)
-    for orig, back in zip(rules, parsed):
-        assert str(orig) == str(back)
-        assert orig.source == back.source
-        assert orig.iteration == back.iteration
-    # Constants survive with their quoting, distinguishing them from variables.
-    assert isinstance(parsed[1].body[0].args[1], Constant)
+    assert text == (
+        "CoAuthor(person1, person2) :- ResearchTopic(person1, topic1), "
+        "ResearchTopic(person2, topic1). % source=positive-density iter=0\n"
+        "CoAuthor(person1, person2) :- Affiliation(person1, university1). "
+        "% source=negative-density iter=1\n"
+        "CoAuthor(person1, person2) :- true. % source=positive-density iter=2\n"
+    )
+    assert parse_rules(text, coauthor_kb) == rules
 
 
 def test_parse_rules_arity_mismatch_carries_line_number(coauthor_kb):
@@ -646,6 +591,41 @@ def test_parse_rules_rejects_text_between_or_after_body_literals(line):
     with pytest.raises(ParseError, match="malformed rule body") as info:
         parse_rules("C(x, y) :- true.\n" + line + "\n", kb)
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        'CoAuthor(person1, person2) :- Affiliation(person1, "U1").',
+        'CoAuthor("ann", person2) :- true.',
+        'CoAuthor(person1, person2) :- ResearchTopic(person1, "T1"), ResearchTopic(person2, t).',
+    ],
+)
+def test_parse_rules_rejects_a_quoted_constant(coauthor_kb, line):
+    """A rule holds variables only: a quoted argument is a ParseError at
+    its line that names it."""
+    text = "CoAuthor(person1, person2) :- true.\n% a comment\n" + line + "\n"
+    with pytest.raises(ParseError, match="constant \"(U1|ann|T1)\" in .*variables only") as info:
+        parse_rules(text, coauthor_kb)
+    assert info.value.line == 3
+
+
+def test_parse_rules_rejects_a_variable_of_two_types(coauthor_kb):
+    """Constant ids are global by name, so a variable at a university and
+    a topic argument would join a university to a topic of the same name:
+    such a rule is a ParseError at its line that names the variable."""
+    text = (
+        "CoAuthor(person1, person2) :- Affiliation(person1, x), Affiliation(person2, x).\n"
+        "CoAuthor(person1, person2) :- Affiliation(person1, x), ResearchTopic(person2, x).\n"
+    )
+    with pytest.raises(
+        ParseError, match="variable 'x' is a university, but a topic in ResearchTopic"
+    ) as info:
+        parse_rules(text, coauthor_kb)
+    assert info.value.line == 2
+    with pytest.raises(ParseError, match="variable 'person2' is a person, but a topic") as info:
+        parse_rules("CoAuthor(person1, person2) :- ResearchTopic(person1, person2).\n", coauthor_kb)
+    assert info.value.line == 1
 
 
 def test_parse_rules_rejects_garbage(coauthor_kb):
