@@ -82,7 +82,7 @@ NEGATIVE_DENSITY = "negative-density"
 @dataclass(frozen=True)
 class Clause:
     """A first-order rule: target head atom plus a conjunctive body, both
-    of variables only.
+    of variables only, each given by its name.
 
     The head's variables are distinct; the body may introduce variables
     not occurring in the head (range-restriction is not required).
@@ -94,8 +94,7 @@ class Clause:
     iteration: int = 0
 
     def __post_init__(self):
-        head_vars = [v.name for v in self.head.args]
-        if len(head_vars) != len(set(head_vars)):
+        if len(self.head.args) != len(set(self.head.args)):
             raise DataError(f"head variables must be distinct: {self.head}")
 
     def __str__(self) -> str:
@@ -111,8 +110,6 @@ def count_satisfied_groundings(
     variables bound to the target's constants.  One binding table extended
     by each body literal serves every target.
     """
-    for atom in clause.body:
-        kb.schema(atom.predicate)  # validates predicate
     table = BindingTable.for_head(clause.head, targets)
     for literal in clause.body:
         table = table.extend(literal, kb)
@@ -148,7 +145,7 @@ class BindingTable:
                 f"clause head {head.predicate}"
             )
         columns = np.vstack([np.arange(len(examples)), examples.ids.T])
-        return cls(tuple(v.name for v in head.args), np.ascontiguousarray(columns))
+        return cls(head.args, np.ascontiguousarray(columns))
 
     def extend(self, literal: Atom, kb: KnowledgeBase) -> BindingTable:
         """The table of the prefix followed by `literal`."""

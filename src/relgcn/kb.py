@@ -12,9 +12,9 @@ a `JoinIndex`: the facts consistent with the pattern, sorted by their
 join key.  It is built on first use and rebuilt once the predicate's
 distinct fact count has changed, so the candidate literals of a rule
 search share a handful of sorts, and a duplicate fact rebuilds nothing.
-A rule's atoms hold variables only, so a pattern says per argument
-whether it repeats an earlier one, is bound or is fresh.  The typed
-domains stay sets of names, for sampling.
+A rule's atoms hold variables only, each a plain name (`Atom.args`), so
+a pattern says per argument whether it repeats an earlier one, is bound
+or is fresh.  The typed domains stay sets of names, for sampling.
 
 Parsing reads each line once.  One regex matched against the raw line,
 ``_FACT_LINE_RE``, accepts a fact line as written: blanks anywhere
@@ -65,22 +65,14 @@ class PredicateSchema:
 
 
 @dataclass(frozen=True)
-class Variable:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
 class Atom:
-    """A rule atom: a predicate applied to variables."""
+    """A rule atom: a predicate applied to variables, given by name."""
 
     predicate: str
-    args: tuple[Variable, ...]
+    args: tuple[str, ...]
 
     def __str__(self) -> str:
-        return f"{self.predicate}({', '.join(str(a) for a in self.args)})"
+        return f"{self.predicate}({', '.join(self.args)})"
 
 
 @dataclass(frozen=True)
@@ -310,13 +302,13 @@ class KnowledgeBase:
         on first use and rebuilt once the predicate has gained facts."""
         first: dict[str, int] = {}  # variable -> first position
         pattern: list[tuple[str, int] | str] = []
-        for pos, term in enumerate(literal.args):
-            if term.name in first:
+        for pos, var in enumerate(literal.args):
+            if var in first:
                 # A variable repeated in the literal takes one value.
-                pattern.append(("same", first[term.name]))
+                pattern.append(("same", first[var]))
             else:
-                first[term.name] = pos
-                pattern.append(BOUND if term.name in bound else FRESH)
+                first[var] = pos
+                pattern.append(BOUND if var in bound else FRESH)
         facts = self.fact_array(literal.predicate)
         key = (literal.predicate, tuple(pattern))
         index = self._join_indexes.get(key)

@@ -304,12 +304,12 @@ def _read_labelled(path: Path, columns: list[str]) -> tuple[np.ndarray, list[str
     return M, row_ids
 
 
-def _read_targets(path: Path, kb: KnowledgeBase) -> Targets:
+def _read_targets(path: Path, kb: KnowledgeBase) -> tuple[Targets, list[str]]:
     """The examples of targets.csv (``id,label``), parsed as one example
-    file with a line per row; every atom cell must be one atom on one
-    line, or the ParseError names the file and the line of its row (row i
-    is on line i + 2, as every row above it is one line).  An atom on two
-    rows is a DataError that names both lines."""
+    file with a line per row, and its id cells as read; every atom cell
+    must be one atom on one line, or the ParseError names the file and the
+    line of its row (row i is on line i + 2, as every row above it is one
+    line).  An atom on two rows is a DataError that names both lines."""
     M, atoms = _read_labelled(path, ["label"])
     for i, atom in enumerate(atoms):
         # An empty, comment-only or multi-line cell would shift the lines.
@@ -319,24 +319,24 @@ def _read_targets(path: Path, kb: KnowledgeBase) -> Targets:
     with _in_file(str(path), offset=1):
         targets = parse_ground_atoms(text, kb, M[:, 0] == 1.0)
     _refuse_repeats(kb, targets, lambda row: f"on line {row + 2} of {path}")
-    return targets
+    return targets, atoms
 
 
 def _load_rules(
     config: PipelineConfig, kb: KnowledgeBase
-) -> tuple[Path, Targets, list[Clause]]:
-    """The output directory, the examples of targets.csv and the rules of
-    rules.txt, read against ``kb``; a ParseError, or a file that is not
-    UTF-8, names the file."""
+) -> tuple[Path, Targets, list[str], list[Clause]]:
+    """The output directory, the examples of targets.csv with its id cells
+    and the rules of rules.txt, read against ``kb``; a ParseError, or a
+    file that is not UTF-8, names the file."""
     out = config.out_dir()
-    targets = _read_targets(out / "targets.csv", kb)
+    targets, ids = _read_targets(out / "targets.csv", kb)
     path = out / "rules.txt"
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path}: {exc}") from exc
     with _in_file(str(path)):
-        return out, targets, parse_rules(text, kb)
+        return out, targets, ids, parse_rules(text, kb)
 
 
 # -- stages ----------------------------------------------------------------
@@ -386,12 +386,11 @@ def derived_seeds(seed: int) -> dict[str, int]:
 
 def stage_featurize(config: PipelineConfig, kb: KnowledgeBase) -> np.ndarray:
     """The rule-count matrix X, one row per target and one column per rule,
-    written to ``X.csv`` as raw counts.  ``kb`` is the parsed facts, and
-    the kb learn used brings its join indexes along; no config key but
-    ``out`` is read."""
-    out, targets, rules = _load_rules(config, kb)
+    written to ``X.csv`` as raw counts under targets.csv's id cells, as
+    read.  ``kb`` is the parsed facts, and the kb learn used brings its
+    join indexes along; no config key but ``out`` is read."""
+    out, targets, row_ids, rules = _load_rules(config, kb)
     X = fz.build_rule_matrix(rules, targets, kb)
-    row_ids = kb.atom_texts(targets.predicate, targets.ids)
     col_ids = [f"rule{j}" for j in range(X.shape[1])]
     fz.write_matrix_csv(out / "X.csv", X, row_ids, col_ids)
     return X
@@ -403,14 +402,13 @@ def _load_graph(
     """Labels, X, the propagation matrix rebuilt from X under this
     config's ``featurize.*`` keys, and X's row ids.  The labels are read
     from targets.csv as eval reads test_scores.csv, and X's row ids must be
-    its ids, in order, or the DataError names both files."""
+    its id cells, in order and as written, or the DataError names both
+    files."""
     out = config.out_dir()
     x_path, targets_path = out / "X.csv", out / "targets.csv"
     X, row_ids, _ = fz.read_matrix_csv(x_path)
     labelled, atoms = _read_labelled(targets_path, ["label"])
-    # Featurize writes each atom as ``P(a, b)``; a hand-edited targets.csv
-    # cell may be spaced otherwise.
-    if ["".join(r.split()) for r in row_ids] != ["".join(a.split()) for a in atoms]:
+    if row_ids != atoms:
         raise DataError(
             f"the {len(row_ids)} rows of {x_path} are not the {len(atoms)} "
             f"targets of {targets_path}, in order; rerun featurize"
@@ -634,7 +632,7 @@ def sensitivity_sweep(
 def rule_coverage_report(config: PipelineConfig) -> str:
     """Pretty-print the learned rules with per-rule coverage statistics."""
     kb = _load_kb(config)
-    _, targets, rules = _load_rules(config, kb)
+    _, targets, _, rules = _load_rules(config, kb)
     positive = targets.positive
     n_pos, n_neg = int(positive.sum()), int((~positive).sum())
     lines = []

@@ -68,7 +68,7 @@ from .grounding import (
     # Unused here; the benchmark traces draws at this name as well as in `pipeline`.
     sample_negatives,
 )
-from .kb import Atom, KnowledgeBase, Targets, Variable, _read_atom
+from .kb import Atom, KnowledgeBase, Targets, _read_atom
 
 log = logging.getLogger(__name__)
 
@@ -108,9 +108,9 @@ class LearnConfig:
 
 def make_head(kb: KnowledgeBase, predicate: str) -> Atom:
     """Canonical head atom with distinct typed variables, named type1, type2, ..."""
-    args: list[Variable] = []
+    args: list[str] = []
     for t in kb.schema(predicate).arg_types:
-        args.append(Variable(_fresh_name(t, {a.name for a in args})))
+        args.append(_fresh_name(t, set(args)))
     return Atom(predicate, tuple(args))
 
 
@@ -118,8 +118,8 @@ def _typed_variables(kb: KnowledgeBase, head: Atom, body: tuple[Atom, ...]) -> d
     """Variable name -> type, collected from the head and the body literals."""
     out: dict[str, str] = {}
     for atom in (head, *body):
-        for t, a in zip(kb.schema(atom.predicate).arg_types, atom.args):
-            out.setdefault(a.name, t)
+        for t, var in zip(kb.schema(atom.predicate).arg_types, atom.args):
+            out.setdefault(var, t)
     return out
 
 
@@ -133,18 +133,18 @@ def _fresh_name(type_name: str, used: set[str]) -> str:
 def candidate_literals(kb: KnowledgeBase, head: Atom, body: tuple[Atom, ...]) -> list[Atom]:
     """Refinement candidates for extending a left spine.
 
-    Each argument slot takes, in order, an existing clause variable of the
-    slot's type (in name order) or the type's one fresh variable; a
-    candidate is one choice per slot with at most one fresh variable and
-    at least one existing one (connectedness).  The target predicate
+    Each argument slot takes, in order, the name of an existing clause
+    variable of the slot's type (in name order) or the type's one fresh
+    variable name; a candidate is one choice per slot with at most one
+    fresh variable and at least one existing one (connectedness).  The target predicate
     itself is excluded (no recursive clauses), and so are the literals
     already in the body.  Sorted by text, stably, for determinism.
     """
     var_types = _typed_variables(kb, head, body)
     used_names = set(var_types)
-    by_type: dict[str, list[Variable]] = {}
+    by_type: dict[str, list[str]] = {}
     for name in sorted(used_names):
-        by_type.setdefault(var_types[name], []).append(Variable(name))
+        by_type.setdefault(var_types[name], []).append(name)
 
     existing = set(body)
     out = []
@@ -152,11 +152,11 @@ def candidate_literals(kb: KnowledgeBase, head: Atom, body: tuple[Atom, ...]) ->
         if pred == head.predicate:
             continue
         slot_options = [
-            by_type.get(t, []) + [Variable(_fresh_name(t, used_names))]
+            by_type.get(t, []) + [_fresh_name(t, used_names)]
             for t in kb.schemas[pred].arg_types
         ]
         for args in itertools.product(*slot_options):
-            reused = sum(a.name in used_names for a in args)
+            reused = sum(var in used_names for var in args)
             atom = Atom(pred, args)
             if reused >= 1 and len(args) - reused <= 1 and atom not in existing:
                 out.append(atom)
@@ -230,7 +230,7 @@ class JoinMemo:
         fresh = set(table.variables[len(base.variables) :])  # body[-1]'s new variables
         masks = []
         for lit in candidates:
-            probed = table if fresh.intersection(v.name for v in lit.args) else base
+            probed = table if fresh.intersection(lit.args) else base
             masks.append(probed.covered(lit, kb, n))
         spine = _Spine(table, candidates, [str(lit) for lit in candidates], masks)
         self.spines[body] = spine
@@ -436,12 +436,13 @@ def _parse_rule_atom(
             raise ParseError(
                 f"variable {tok!r} is a {types[tok]}, but a {t} in {pred}({argstr})", lineno
             )
-    return Atom(pred, tuple(map(Variable, toks)))
+    return Atom(pred, tuple(toks))
 
 
 def parse_rules(text: str, kb: KnowledgeBase) -> list[Clause]:
     """The rules of a rule file, one per line; blank and ``%`` lines are
-    skipped.  A malformed line is a ParseError at its line."""
+    skipped.  A malformed line, or a head that repeats a variable, is a
+    ParseError at its line."""
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -467,5 +468,8 @@ def parse_rules(text: str, kb: KnowledgeBase) -> list[Clause]:
             body = tuple(
                 _parse_rule_atom(pred, args, kb, lineno, types) for pred, args in literals
             )
-        rules.append(Clause(head, body, source or POSITIVE_DENSITY, int(it or 0)))
+        try:
+            rules.append(Clause(head, body, source or POSITIVE_DENSITY, int(it or 0)))
+        except DataError as exc:
+            raise ParseError(str(exc), lineno) from exc
     return rules

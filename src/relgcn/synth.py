@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .grounding import Clause
-from .kb import Atom, KnowledgeBase, PredicateSchema, Targets, Variable
+from .kb import Atom, KnowledgeBase, PredicateSchema, Targets
 from .rulelearn import make_head
 
 PERSON = "person"
@@ -65,12 +65,12 @@ class SyntheticData:
 def planted_rules(kb: KnowledgeBase, n_rules: int = 2) -> list[Clause]:
     head = make_head(kb, TARGET_PREDICATE)
     p1, p2 = head.args
-    u1 = Variable("university1")
+    u1 = "university1"
     rules = [
         Clause(head, (Atom("Affiliation", (p1, u1)), Atom("Affiliation", (p2, u1))))
     ]
     if n_rules >= 2:
-        t1 = Variable("topic1")
+        t1 = "topic1"
         rules.append(
             Clause(
                 head,

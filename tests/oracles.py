@@ -78,19 +78,19 @@ def brute_force_count(clause: Clause, target: tuple[str, ...], kb: KnowledgeBase
     cross-product of typed domains for the free body variables is tested
     with body_satisfied.  Exponential; only usable on small instances.
     """
-    theta = {term.name: name for term, name in zip(clause.head.args, target)}
+    theta = dict(zip(clause.head.args, target))
     var_types: dict[str, str] = {}
     for atom in clause.body:
         schema = kb.schema(atom.predicate)
-        for pos, a in enumerate(atom.args):
-            if a.name not in theta:
-                var_types.setdefault(a.name, schema.arg_types[pos])
+        for pos, var in enumerate(atom.args):
+            if var not in theta:
+                var_types.setdefault(var, schema.arg_types[pos])
     names = sorted(var_types)
     domains = [sorted(kb.constants_of_type(var_types[v])) for v in names]
     count = 0
     for combo in itertools.product(*domains):
         binding = {**theta, **dict(zip(names, combo))}
-        ground = [(a.predicate, tuple(binding[t.name] for t in a.args)) for a in clause.body]
+        ground = [(a.predicate, tuple(binding[var] for var in a.args)) for a in clause.body]
         if body_satisfied(ground, kb):
             count += 1
     return count

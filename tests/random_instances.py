@@ -7,7 +7,7 @@ cross-product oracle stays tractable.
 import numpy as np
 
 from relgcn.grounding import Clause
-from relgcn.kb import Atom, KnowledgeBase, PredicateSchema, Variable
+from relgcn.kb import Atom, KnowledgeBase, PredicateSchema
 
 
 def random_kb(
@@ -78,7 +78,7 @@ def random_instance(
     variable of its type already in the clause or a fresh one."""
     kb, constants, schemas, _ = random_kb(rng, max_constants, max_predicates)
     target_type = next(iter(constants))
-    head = Atom("Tgt", (Variable("x1"), Variable("x2")))
+    head = Atom("Tgt", ("x1", "x2"))
     head_vars = {"x1": target_type, "x2": target_type}
     body = []
     var_pool = dict(head_vars)
@@ -88,11 +88,11 @@ def random_instance(
         for t in schema.arg_types:
             same_type = [v for v, vt in var_pool.items() if vt == t]
             if rng.random() < 0.7 and same_type:
-                args.append(Variable(same_type[int(rng.integers(len(same_type)))]))
+                args.append(same_type[int(rng.integers(len(same_type)))])
             else:
                 fresh = f"v{b}_{len(args)}"
                 var_pool[fresh] = t
-                args.append(Variable(fresh))
+                args.append(fresh)
         body.append(Atom(schema.name, tuple(args)))
     clause = Clause(head, tuple(body))
 

@@ -25,7 +25,7 @@ from relgcn.featurize import (
 )
 from relgcn.gcn import TrainConfig, init_model, predict
 from relgcn.grounding import Clause, POSITIVE_DENSITY, NEGATIVE_DENSITY
-from relgcn.kb import Atom, Variable
+from relgcn.kb import Atom
 from relgcn.rulelearn import make_head
 
 from conftest import coauthors
@@ -302,7 +302,7 @@ def test_propagation_matrix_memory_is_linear_in_targets():
 def test_build_rule_matrix_columns_follow_ruleset_order(coauthor_kb):
     head = make_head(coauthor_kb, "CoAuthor")
     p1, p2 = head.args
-    t1, u1 = Variable("topic1"), Variable("university1")
+    t1, u1 = "topic1", "university1"
     topic_rule = Clause(
         head,
         (Atom("ResearchTopic", (p1, t1)), Atom("ResearchTopic", (p2, t1))),

@@ -24,7 +24,6 @@ from relgcn.kb import (
     KnowledgeBase,
     PredicateSchema,
     Targets,
-    Variable,
     parse_facts,
 )
 from relgcn.rulelearn import candidate_literals
@@ -40,7 +39,7 @@ from random_instances import random_instance
 
 
 def _head():
-    return Atom("CoAuthor", (Variable("p1"), Variable("p2")))
+    return Atom("CoAuthor", ("p1", "p2"))
 
 
 def tgt(kb: KnowledgeBase, *rows: tuple[str, ...]):
@@ -49,23 +48,23 @@ def tgt(kb: KnowledgeBase, *rows: tuple[str, ...]):
 
 
 def shared_topic_clause():
-    t1 = Variable("t1")
+    t1 = "t1"
     return Clause(
         _head(),
         (
-            Atom("ResearchTopic", (Variable("p1"), t1)),
-            Atom("ResearchTopic", (Variable("p2"), t1)),
+            Atom("ResearchTopic", ("p1", t1)),
+            Atom("ResearchTopic", ("p2", t1)),
         ),
     )
 
 
 def shared_university_clause():
-    u1 = Variable("u1")
+    u1 = "u1"
     return Clause(
         _head(),
         (
-            Atom("Affiliation", (Variable("p1"), u1)),
-            Atom("Affiliation", (Variable("p2"), u1)),
+            Atom("Affiliation", ("p1", u1)),
+            Atom("Affiliation", ("p2", u1)),
         ),
     )
 
@@ -73,7 +72,7 @@ def shared_university_clause():
 def test_clause_str_and_validation():
     assert str(Clause(_head(), ())) == "CoAuthor(p1, p2) :- true."
     with pytest.raises(DataError):
-        Clause(Atom("CoAuthor", (Variable("p1"), Variable("p1"))), ())
+        Clause(Atom("CoAuthor", ("p1", "p1")), ())
 
 
 def test_body_satisfied_closed_world(coauthor_kb):
@@ -98,7 +97,7 @@ def test_count_empty_body_is_one(coauthor_kb):
 
 
 def test_count_predicate_mismatch_raises(coauthor_kb):
-    clause = Clause(Atom("Affiliation", (Variable("p1"), Variable("u1"))), ())
+    clause = Clause(Atom("Affiliation", ("p1", "u1")), ())
     with pytest.raises(DataError, match="does not match clause head"):
         count_satisfied_groundings(clause, coauthors(coauthor_kb, "ann bob"), coauthor_kb)
 
@@ -136,10 +135,8 @@ def test_monotonicity_in_facts_and_body_length():
             # The raw count is anti-monotone only when the dropped literal
             # introduced no fresh variables (fresh ones multiply the number
             # of distinct substitutions).
-            prefix_vars = {
-                v.name for a in (clause.head, *shorter.body) for v in a.args
-            }
-            last_vars = {v.name for v in clause.body[-1].args}
+            prefix_vars = {v for a in (clause.head, *shorter.body) for v in a.args}
+            last_vars = set(clause.body[-1].args)
             if last_vars <= prefix_vars:
                 assert count_satisfied_groundings(shorter, targets, kb)[0] >= base
         # Adding a random missing fact never decreases the count.
@@ -163,7 +160,7 @@ def test_repeated_variable_not_bound_by_head():
         kb.add_fact("Knows", (a, b))
     kb.add_fact("Likes", ("bob", "cara"))
     kb.add_fact("Likes", ("cara", "cara"))
-    p1, x = Variable("p1"), Variable("x")
+    p1, x = "p1", "x"
     knows_self = Clause(_head(), (Atom("Knows", (p1, x)), Atom("Knows", (x, x))))
     likes_self = Clause(_head(), (Atom("Likes", (x, x)), Atom("Knows", (p1, x))))
     for clause, want in (
@@ -179,7 +176,7 @@ def test_unknown_body_predicate_raises_after_a_failed_literal(coauthor_kb):
     """cara and dan share no university, so the prefix has no match for
     (cara, dan); the literal after it is still checked."""
     clause = Clause(
-        _head(), (*shared_university_clause().body, Atom("Bogus", (Variable("p2"),)))
+        _head(), (*shared_university_clause().body, Atom("Bogus", ("p2",)))
     )
     with pytest.raises(DataError, match="Bogus"):
         count_satisfied_groundings(clause, coauthors(coauthor_kb, "cara dan"), coauthor_kb)
@@ -264,9 +261,9 @@ def test_literal_sharing_no_variable_with_its_prefix(coauthor_kb):
     matches every fact of the predicate, so the counts multiply by its
     number of facts, and the semi-join agrees."""
     body = (
-        Atom("Affiliation", (Variable("p3"), Variable("u1"))),
-        Atom("ResearchTopic", (Variable("p1"), Variable("t1"))),
-        Atom("Affiliation", (Variable("p4"), Variable("u2"))),
+        Atom("Affiliation", ("p3", "u1")),
+        Atom("ResearchTopic", ("p1", "t1")),
+        Atom("Affiliation", ("p4", "u2")),
     )
     pairs = ("ann bob", "cara dan", "ann cara")
     examples = coauthors(coauthor_kb, *pairs)
@@ -301,12 +298,12 @@ def test_high_fan_out_extension_peaks_below_twice_its_table():
     persons = sorted(kb.constants_of_type(PERSON))
     picks = np.random.default_rng(0).choice(len(persons), size=(400, 2))
     examples = kb.targets("CoAuthor", [(persons[a], persons[b]) for a, b in picks], True)
-    person1, topic1 = Variable("person1"), Variable("topic1")
-    head = Atom("CoAuthor", (person1, Variable("person2")))
+    person1, topic1 = "person1", "topic1"
+    head = Atom("CoAuthor", (person1, "person2"))
     table = BindingTable.for_head(head, examples).extend(
         Atom("ResearchTopic", (person1, topic1)), kb
     )
-    literal = Atom("ResearchTopic", (Variable("person3"), topic1))
+    literal = Atom("ResearchTopic", ("person3", topic1))
     kb.join_index(literal, table.variables)
     tracemalloc.start()
     try:
@@ -378,7 +375,7 @@ def test_join_indexes_follow_kb_changes_property(seed, steps):
         else:
             pred = str(rng.choice(sorted(p for p in kb.schemas if p != "Tgt")))
             args = [
-                Variable("x1") if (arg_type == t and pos == 0) else Variable(f"w_{arg_type}")
+                "x1" if (arg_type == t and pos == 0) else f"w_{arg_type}"
                 for pos, arg_type in enumerate(kb.schema(pred).arg_types)
             ]
             clause = Clause(clause.head, clause.body + (Atom(pred, tuple(args)),))
@@ -436,7 +433,7 @@ def test_four_column_key_past_int64_matches_oracle():
             kb.add_fact("R", (p, str(b)))
     for _ in range(30):
         kb.add_fact("Q", (*rng.choice(people, size=2), *rng.choice(things, size=2)))
-    x1, x2, y1, y2 = (Variable(v) for v in ("x1", "x2", "y1", "y2"))
+    x1, x2, y1, y2 = "x1", "x2", "y1", "y2"
     clause = Clause(
         Atom("Tgt", (x1, x2)),
         (Atom("R", (x1, y1)), Atom("R", (x2, y2)), Atom("Q", (x1, x2, y1, y2))),

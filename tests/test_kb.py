@@ -12,7 +12,6 @@ from relgcn.kb import (
     Atom,
     KnowledgeBase,
     PredicateSchema,
-    Variable,
     parse_facts,
     parse_ground_atoms,
 )
@@ -33,7 +32,7 @@ def test_schema_requires_positive_arity():
 
 
 def test_atom_str_roundtrips_visually():
-    atom = Atom("Affiliation", (Variable("p1"), Variable("u1")))
+    atom = Atom("Affiliation", ("p1", "u1"))
     assert str(atom) == "Affiliation(p1, u1)"
 
 
@@ -90,7 +89,7 @@ def test_fact_store_matches_name_tuple_oracle(seed):
     _assert_store_matches(kb, oracle, names)
     for step in range(12):
         schema = schemas[int(rng.integers(len(schemas)))]
-        literal = Atom(schema.name, tuple(Variable(f"v{p}") for p in range(schema.arity)))
+        literal = Atom(schema.name, tuple(f"v{p}" for p in range(schema.arity)))
         index, _, _ = kb.join_index(literal, ())
         if step % 4 == 3:
             late = f"late{step}"

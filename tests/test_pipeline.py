@@ -384,8 +384,9 @@ def test_targets_csv_reads_back_the_ids_and_labels_learn_wrote(small_run, tmp_pa
     kb = parse_facts((small_run["data"] / "facts.txt").read_text())
     positives, negatives = pipeline._load_examples(config, kb)
     stage_learn(config, kb)
-    read = pipeline._read_targets(config.out_dir() / "targets.csv", kb)
+    read, ids = pipeline._read_targets(config.out_dir() / "targets.csv", kb)
     learned = positives + negatives
+    assert ids == kb.atom_texts(learned.predicate, learned.ids)
     assert read.predicate == learned.predicate
     assert read.ids.tolist() == learned.ids.tolist()
     assert read.positive.tolist() == [True] * len(positives) + [False] * len(negatives)
@@ -1086,8 +1087,10 @@ def test_cli_stage_command_names_its_failed_stage(small_run, tmp_path, caplog):
          'constant "U1" in Affiliation(person1, "U1"): a rule holds variables only'),
         ("rules", "CoAuthor(person1, person2) :- ResearchTopic(person1, x), Affiliation(person2, x).",
          "variable 'x' is a topic, but a university in Affiliation(person2, x)"),
+        ("rules", "CoAuthor(person1, person1) :- true.",
+         "head variables must be distinct: CoAuthor(person1, person1)"),
     ],
-    ids=["facts", "rules", "rules-constant", "rules-two-types"],
+    ids=["facts", "rules", "rules-constant", "rules-two-types", "rules-repeated-head-variable"],
 )
 def test_cli_parse_error_names_its_file(small_run, tmp_path, caplog, command, damaged,
                                         appended, message):
@@ -1271,6 +1274,20 @@ def _drop_first_row(lines):
     return lines[:1] + lines[2:]
 
 
+def _blank_in_first_name(lines):
+    """An edit that puts a blank after the first character of the first
+    argument of line 2's atom, which names another constant."""
+    head, rest = lines[1].split("(", 1)
+    lines[1] = f"{head}({rest[0]} {rest[1:]}"
+    return lines
+
+
+def _respaced_first_atom(lines):
+    """An edit that respaces line 2's atom without renaming a constant."""
+    lines[1] = lines[1].replace(", ", " ,", 1)
+    return lines
+
+
 def _remove_scores(out):
     (out / "test_scores.csv").unlink()
 
@@ -1310,6 +1327,14 @@ def _label_cell(text):
             "X.csv",
             "rerun featurize",
             id="train-x-rows-swapped",
+        ),
+        pytest.param(
+            "train", _edit_lines("X.csv", _blank_in_first_name), "X.csv", "rerun featurize",
+            id="train-x-row-renamed",
+        ),
+        pytest.param(
+            "train", _edit_lines("targets.csv", _respaced_first_atom), "targets.csv",
+            "rerun featurize", id="train-targets-respaced",
         ),
         pytest.param(
             "train", _edit_lines("X.csv", _last_cell("abc")), "X.csv", "line 4",
@@ -1406,8 +1431,9 @@ def test_cli_rules_not_utf8_is_a_data_error(small_run, tmp_path, caplog):
 
 
 def test_train_accepts_targets_cells_spaced_otherwise(small_run, tmp_path):
-    """X.csv's row ids are the atoms as featurize prints them; a targets.csv
-    cell with other spacing still names the same target."""
+    """A targets.csv cell spaced otherwise than learn writes it still names
+    the same target, and featurize copies it into X.csv's row ids, so
+    train finds the two files in step."""
     config = _clone_run(small_run, tmp_path)
     targets = config.out_dir() / "targets.csv"
     lines = targets.read_text().splitlines(keepends=True)

@@ -16,7 +16,7 @@ from relgcn.grounding import (
     POSITIVE_DENSITY,
     count_satisfied_groundings,
 )
-from relgcn.kb import Atom, KnowledgeBase, PredicateSchema, Variable, parse_facts
+from relgcn.kb import Atom, KnowledgeBase, PredicateSchema, parse_facts
 from relgcn.rulelearn import (
     JoinMemo,
     LearnConfig,
@@ -34,8 +34,8 @@ from random_instances import random_instance, random_kb
 
 
 TOPIC_BODY = (
-    Atom("ResearchTopic", (Variable("person1"), Variable("topic1"))),
-    Atom("ResearchTopic", (Variable("person2"), Variable("topic1"))),
+    Atom("ResearchTopic", ("person1", "topic1")),
+    Atom("ResearchTopic", ("person2", "topic1")),
 )
 
 
@@ -86,7 +86,7 @@ def test_candidate_literals_properties(coauthor_kb):
     assert len(cands) == len(set(map(str, cands)))
     for atom in cands:
         assert atom.predicate != "CoAuthor"
-        names = {v.name for v in atom.args}
+        names = set(atom.args)
         assert names & {"person1", "person2"}, "connectedness violated"
         fresh = names - {"person1", "person2"}
         assert len(fresh) <= 1
@@ -95,7 +95,7 @@ def test_candidate_literals_properties(coauthor_kb):
 def _literal(text):
     """A literal written ``P(person1, topic1)``."""
     pred, args = text.rstrip(")").split("(")
-    return Atom(pred, tuple(Variable(a) for a in args.split(", ")))
+    return Atom(pred, tuple(args.split(", ")))
 
 
 @pytest.mark.parametrize(
@@ -135,7 +135,7 @@ def test_candidate_literals_pinned(coauthor_kb, body, expected):
 
 def test_candidate_literals_skip_current_body(coauthor_kb):
     head = make_head(coauthor_kb, "CoAuthor")
-    body = (Atom("ResearchTopic", (Variable("person1"), Variable("topic1"))),)
+    body = (Atom("ResearchTopic", ("person1", "topic1")),)
     cands = candidate_literals(coauthor_kb, head, body)
     assert body[0] not in cands
 
@@ -308,13 +308,13 @@ def test_spine_masks_match_the_spines_own_table_and_brute_force():
                     for row in rows
                 ]
                 assert mask.tolist() == brute
-                names = {v.name for v in lit.args}
+                names = set(lit.args)
                 scored_on_parent_rows += grew and not names & fresh
             if len(body) < 2:
                 # Literals with a fresh variable first: those can multiply rows.
                 order = sorted(
                     spine.candidates,
-                    key=lambda lit: all(v.name in spine.table.variables for v in lit.args),
+                    key=lambda lit: all(v in spine.table.variables for v in lit.args),
                 )
                 bodies.extend(body + (lit,) for lit in order[: 2 - len(body)])
     assert multiplied > 5
@@ -517,7 +517,7 @@ def test_serialize_parse_roundtrip(coauthor_kb):
         Clause(head, TOPIC_BODY, source=POSITIVE_DENSITY, iteration=0),
         Clause(
             head,
-            (Atom("Affiliation", (Variable("person1"), Variable("university1"))),),
+            (Atom("Affiliation", ("person1", "university1")),),
             source=NEGATIVE_DENSITY,
             iteration=1,
         ),
@@ -585,8 +585,8 @@ def test_parse_rules_rejects_text_between_or_after_body_literals(line):
     """A body is ``true`` or comma-separated literals and nothing else."""
     kb = parse_facts("@predicate C(t, t)\n@predicate A(t, t)\n")
     assert parse_rules("C(x, y) :- A(x, u), A(y, u).\n", kb)[0].body == (
-        Atom("A", (Variable("x"), Variable("u"))),
-        Atom("A", (Variable("y"), Variable("u"))),
+        Atom("A", ("x", "u")),
+        Atom("A", ("y", "u")),
     )
     with pytest.raises(ParseError, match="malformed rule body") as info:
         parse_rules("C(x, y) :- true.\n" + line + "\n", kb)
