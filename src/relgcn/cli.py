@@ -146,11 +146,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command in ("learn", "featurize", "train", "eval"):
         result, _ = run_stages(config, (args.command,))[args.command]
     if args.command == "learn":
-        print(f"rules written to {result}")
+        print(f"rules written to {config.out_dir() / 'rules.txt'}")
     elif args.command == "featurize":
-        print(f"feature matrix X written: {result.shape[0]} targets x {result.shape[1]} rules")
+        _, X, _ = result
+        print(f"feature matrix X written: {X.shape[0]} targets x {X.shape[1]} rules")
     elif args.command == "train":
-        print(f"trained for {len(result[1])} epochs")
+        *_, history = result
+        print(f"trained for {len(history)} epochs")
     elif args.command == "eval":
         print(result.to_text(), end="")
     elif args.command == "pipeline":

@@ -9,11 +9,12 @@ Every layer runs on the row classes of ``featurize.PropagationMatrix``,
 P = G C Gᵀ over the u distinct feature rows: P @ H depends on H only
 through the class sums Gᵀ H, so every propagated matrix, pre-activation
 and logit has one row per class, and a hidden layer's class sums are its
-class rows times the class counts.  ``train`` pools Gᵀ X and builds a
-u x 2 label table of the train and of the validation targets once per
-call (``label_table``); each epoch's losses, output gradient and
-validation F1 are read off the class rows of the log-probabilities and
-those tables.  An epoch is O(u·h² + u²·h), whatever the number of
+class rows times the class counts.  ``train`` computes the first
+layer's propagated input C Gᵀ X and builds a u x 2 label table of the
+train and of the validation targets once per call (``label_table``);
+each epoch's losses, output gradient and validation F1 are read off the
+class rows of the log-probabilities, their exponentials and those
+tables.  An epoch is O(u·h² + u²·h), whatever the number of
 targets n.
 """
 
@@ -121,15 +122,17 @@ class LabelTable:
         of the log-probabilities."""
         return -float(self.weights @ log_probs[self.cells]) / self.total
 
-    def output_gradient(self, log_probs: np.ndarray) -> np.ndarray:
+    def output_gradient(self, probs: np.ndarray) -> np.ndarray:
         """Gᵀ dZ of ``loss``: per class, probs · n_c − counts, over the
-        targets in the mask."""
-        return (np.exp(log_probs) * self.sizes - self.counts) / self.total
+        targets in the mask; ``probs`` are the class rows of the
+        probabilities."""
+        return (probs * self.sizes - self.counts) / self.total
 
-    def f1(self, log_probs: np.ndarray) -> float:
+    def f1(self, probs: np.ndarray) -> float:
         """Binary F1 of the mask, each class predicted positive when its
-        positive-class probability is at least 0.5."""
-        positive = np.exp(log_probs[:, 1]) >= 0.5
+        positive-class probability, in the class rows ``probs``, is at
+        least 0.5."""
+        positive = probs[:, 1] >= 0.5
         fp, tp = positive @ self.counts
         fn = self.positives - tp
         if 2 * tp + fp + fn == 0:
@@ -168,11 +171,13 @@ def label_table(labels: np.ndarray, mask: np.ndarray, P: PropagationMatrix) -> L
 @dataclass
 class ForwardCaches:
     """Per layer and on the row classes: the propagated input to W and the
-    pre-activation.  Also the class rows of the log-probabilities."""
+    pre-activation.  Also the class rows of the log-probabilities and of
+    their exponentials, the probabilities."""
 
     propagated: list[np.ndarray]
     pre_activations: list[np.ndarray]
     log_probs: np.ndarray = field(default=None)  # one row per class, filled by gcn_forward
+    probs: np.ndarray = field(default=None)  # np.exp(log_probs), filled by gcn_forward
 
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
@@ -185,32 +190,33 @@ def gcn_forward(
     P: PropagationMatrix,
     X: np.ndarray,
     model: GCNModel,
-    pooled: np.ndarray | None = None,
+    propagated: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCaches]:
     """Layer-wise propagation: hidden layers relu(P H W), output row-wise
     log-softmax of P H W_last, computed and returned on the row classes of
-    P (``P.index`` gathers the n target rows).  ``pooled`` is Gᵀ X, for a
-    caller that makes many passes to pool once."""
+    P (``P.index`` gathers the n target rows).  ``propagated`` is the
+    first layer's input C Gᵀ X, which depends on X alone, for a caller
+    that makes many passes to compute it once."""
     if P.shape[0] != X.shape[0]:
         raise DataError("P must be n x n and X n x input_dim")
-    if X.shape[1] != model.dims[0]:
+    if X.shape[1] != model.weights[0].shape[0]:
         raise DataError(
-            f"X has {X.shape[1]} features, model expects {model.dims[0]}"
+            f"X has {X.shape[1]} features, model expects {model.weights[0].shape[0]}"
         )
     caches = ForwardCaches([], [])
-    if pooled is None:
-        pooled = P.pool(X)  # Gᵀ H of each layer's input H
+    S = P.classes @ P.pool(X) if propagated is None else propagated
     for W in model.weights[:-1]:
-        S = P.classes @ pooled
         A = S @ W
-        pooled = np.maximum(A, 0.0) * P.counts
         caches.propagated.append(S)
         caches.pre_activations.append(A)
-    S = P.classes @ pooled
+        # The next layer's input is relu(A) on every target of a class, so
+        # its class sums are relu(A) times the class counts.
+        S = P.classes @ (np.maximum(A, 0.0) * P.counts)
     Z = S @ model.weights[-1]
     caches.propagated.append(S)
     caches.pre_activations.append(Z)
     caches.log_probs = _log_softmax(Z)
+    caches.probs = np.exp(caches.log_probs)
     return caches.log_probs, caches
 
 
@@ -240,7 +246,7 @@ def gcn_backward(
         table = label_table(labels, mask, P)
     operator_T = P.classes.T
     n_layers = len(model.weights)
-    dZ = table.output_gradient(caches.log_probs)
+    dZ = table.output_gradient(caches.probs)
 
     grads: list[np.ndarray] = [None] * n_layers
     grads[-1] = caches.propagated[-1].T @ dZ
@@ -302,8 +308,11 @@ def adam_step(
     """
     if len(weights) != len(grads):
         raise DataError("weights/grads length mismatch")
-    if [W.shape for W in weights] != state.shapes or [g.shape for g in grads] != state.shapes:
+    if len(weights) != len(state.shapes):
         raise DataError("weight/gradient shape mismatch")
+    for W, grad, shape in zip(weights, grads, state.shapes):
+        if W.shape != shape or grad.shape != shape:
+            raise DataError("weight/gradient shape mismatch")
     state.t += 1
     correction1 = 1 - beta1**state.t
     correction2 = 1 - beta2**state.t
@@ -344,15 +353,15 @@ def train(
 ) -> tuple[GCNModel, list[EpochRecord]]:
     """Full-batch transductive training, stopped once ``patience + 1``
     epochs in a row fail to lower the validation loss; the model returned
-    holds the last epoch's weights.  Gᵀ X and the label tables of the train
-    and the validation mask are built once, before the first epoch; a mask
-    that is not an index mask into ``labels`` is a DataError there.  Each
-    epoch makes one forward pass, on the weights its Adam step left; its
-    log-probabilities give the epoch's validation loss and the next epoch's
-    training loss and gradients."""
+    holds the last epoch's weights.  The first layer's input C Gᵀ X and the
+    label tables of the train and the validation mask are built once,
+    before the first epoch; a mask that is not an index mask into
+    ``labels`` is a DataError there.  Each epoch makes one forward pass, on
+    the weights its Adam step left; its log-probabilities give the epoch's
+    validation loss and the next epoch's training loss and gradients."""
     model = init_model(X.shape[1], config)
     state = AdamState.zeros_like(model.weights)
-    pooled = P.pool(X)
+    propagated = P.classes @ P.pool(X)
     fit = label_table(labels, masks.train, P)
     held_out = label_table(labels, masks.validation, P)
     history: list[EpochRecord] = []
@@ -360,11 +369,11 @@ def train(
     stale = 0
     # The forward pass and the decay of the current weights: epoch e's
     # validation pass is epoch e + 1's training pass.
-    log_probs, caches = gcn_forward(P, X, model, pooled=pooled)
+    log_probs, caches = gcn_forward(P, X, model, propagated=propagated)
     decay = _first_layer_decay(model, config.weight_decay)
     for epoch in range(config.epochs):
         train_loss = fit.loss(log_probs) + decay
-        if not np.isfinite(train_loss):
+        if not math.isfinite(train_loss):
             raise NumericalError(
                 f"training diverged at epoch {epoch}: loss={train_loss}"
             )
@@ -373,10 +382,10 @@ def train(
         )
         adam_step(model.weights, grads, state, config.learning_rate)
 
-        log_probs, caches = gcn_forward(P, X, model, pooled=pooled)
+        log_probs, caches = gcn_forward(P, X, model, propagated=propagated)
         decay = _first_layer_decay(model, config.weight_decay)
         val_loss = held_out.loss(log_probs) + decay
-        val_f1 = held_out.f1(log_probs)
+        val_f1 = held_out.f1(caches.probs)
         history.append(EpochRecord(epoch, train_loss, val_loss, val_f1))
 
         if val_loss < best_val:

@@ -1,18 +1,23 @@
 """Staged experiment driver: learn rules, featurize, train, evaluate.
 
-Every stage reads its inputs from and persists its outputs to the run
-directory, so later stages rerun without the earlier ones; run together,
-learn and featurize share one parse of the facts and learn's join
-indexes.  ``run_stages`` runs any subset of the stages, in order; it is
-how ``run_pipeline``, ``sensitivity_sweep`` and the stage commands run
-them.  The only matrix persisted is the feature matrix X, which
-learn deletes when it rewrites the rules and targets X is built from: the
-propagation matrix is a fixed function of X and the ``featurize.*`` keys,
-so train rebuilds it.  Train writes the graph's metric and threshold t
-to ``threshold.json`` and its scores of the test targets to
-``test_scores.csv``, which is all eval reads; the trained weights are not
-persisted.  A manifest records the config hash, all seeds and per-stage
-wall times; only ``run_pipeline`` writes it, and any stage run deletes it.
+Every stage persists its outputs to the run directory, and a stage run
+alone reads its inputs from there, so later stages rerun without the
+earlier ones.  Run together, each stage hands its result straight to the
+next, which reads back none of the files just written, and learn and
+featurize share one parse of the facts and learn's join indexes; a sweep
+hands one featurized X to every value's train.  ``run_stages`` runs any
+subset of the stages, in order; it is how ``run_pipeline``,
+``sensitivity_sweep`` and the stage commands run them.
+
+The only matrix persisted is the feature matrix X, which learn deletes
+when it rewrites the rules and targets X is built from: the propagation
+matrix is a fixed function of X and the ``featurize.*`` keys, so train
+builds it each time.  Train writes the graph's metric and threshold t to
+``threshold.json`` and its scores of the test targets to
+``test_scores.csv``, which is all eval run alone reads; the trained
+weights are not persisted.  A manifest records the config hash, all
+seeds and per-stage wall times; only ``run_pipeline`` writes it, and any
+stage run deletes it.
 
 The per-target tables, ``targets.csv`` (labels), ``X.csv`` and
 ``test_scores.csv``, are all matrix CSVs (``featurize.write_matrix_csv``):
@@ -324,10 +329,10 @@ def _read_targets(path: Path, kb: KnowledgeBase) -> tuple[Targets, list[str]]:
 
 def _load_rules(
     config: PipelineConfig, kb: KnowledgeBase
-) -> tuple[Path, Targets, list[str], list[Clause]]:
-    """The output directory, the examples of targets.csv with its id cells
-    and the rules of rules.txt, read against ``kb``; a ParseError, or a
-    file that is not UTF-8, names the file."""
+) -> tuple[Targets, list[str], list[Clause]]:
+    """What learn returns, read back: the examples of targets.csv with its
+    id cells and the rules of rules.txt, read against ``kb``; a ParseError,
+    or a file that is not UTF-8, names the file."""
     out = config.out_dir()
     targets, ids = _read_targets(out / "targets.csv", kb)
     path = out / "rules.txt"
@@ -336,19 +341,23 @@ def _load_rules(
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot decode {path}: {exc}") from exc
     with _in_file(str(path)):
-        return out, targets, ids, parse_rules(text, kb)
+        return targets, ids, parse_rules(text, kb)
 
 
 # -- stages ----------------------------------------------------------------
 
 
-def stage_learn(config: PipelineConfig, kb: KnowledgeBase) -> Path:
+def stage_learn(
+    config: PipelineConfig, kb: KnowledgeBase
+) -> tuple[Targets, list[str], list[Clause]]:
     """Learn positive- and negative-density rule sets on ``kb``, the parsed
     facts, against contrasts drawn with ``learn.seed`` and ``learn.seed + 1``,
     then persist targets and rules; a learn that fails writes nothing.  X
     is built from both, so a stale ``X.csv`` is deleted: train cannot fit
     features of rules or targets that learn has replaced.  Learn is the
-    one stage that creates the run directory."""
+    one stage that creates the run directory.  Returns the targets, the id
+    cells written for them and the rules, as ``_load_rules`` reads them
+    back."""
     positives, negatives = _load_examples(config, kb)
     rules: list[Clause] = []
     for source, examples, k_key, seed in [
@@ -364,9 +373,8 @@ def stage_learn(config: PipelineConfig, kb: KnowledgeBase) -> Path:
     targets = positives + negatives
     atoms = kb.atom_texts(targets.predicate, targets.ids)
     fz.write_matrix_csv(out / "targets.csv", targets.positive[:, None], atoms, ["label"])
-    rules_path = out / "rules.txt"
-    rules_path.write_text(serialize_rules(rules), encoding="utf-8")
-    return rules_path
+    (out / "rules.txt").write_text(serialize_rules(rules), encoding="utf-8")
+    return targets, atoms, rules
 
 
 def derived_seeds(seed: int) -> dict[str, int]:
@@ -384,26 +392,30 @@ def derived_seeds(seed: int) -> dict[str, int]:
     return {key: word // step * step + 2 * i for i, (key, word) in enumerate(zip(keys, words))}
 
 
-def stage_featurize(config: PipelineConfig, kb: KnowledgeBase) -> np.ndarray:
+def stage_featurize(
+    config: PipelineConfig,
+    kb: KnowledgeBase,
+    learned: tuple[Targets, list[str], list[Clause]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """The rule-count matrix X, one row per target and one column per rule,
-    written to ``X.csv`` as raw counts under targets.csv's id cells, as
-    read.  ``kb`` is the parsed facts, and the kb learn used brings its
-    join indexes along; no config key but ``out`` is read."""
-    out, targets, row_ids, rules = _load_rules(config, kb)
+    written to ``X.csv`` as raw counts under targets.csv's id cells.
+    ``learned`` is what learn returned, or, when None, ``_load_rules``
+    reads it from the run directory.  ``kb`` is the parsed facts, and the
+    kb learn used brings its join indexes along; no config key but
+    ``out`` is read.  Returns the labels, X and its row ids, as
+    ``_read_graph`` reads them back."""
+    targets, row_ids, rules = learned if learned is not None else _load_rules(config, kb)
     X = fz.build_rule_matrix(rules, targets, kb)
     col_ids = [f"rule{j}" for j in range(X.shape[1])]
-    fz.write_matrix_csv(out / "X.csv", X, row_ids, col_ids)
-    return X
+    fz.write_matrix_csv(config.out_dir() / "X.csv", X, row_ids, col_ids)
+    return targets.positive.astype(int), X, row_ids
 
 
-def _load_graph(
-    config: PipelineConfig,
-) -> tuple[np.ndarray, np.ndarray, fz.PropagationMatrix, list[str]]:
-    """Labels, X, the propagation matrix rebuilt from X under this
-    config's ``featurize.*`` keys, and X's row ids.  The labels are read
-    from targets.csv as eval reads test_scores.csv, and X's row ids must be
-    its id cells, in order and as written, or the DataError names both
-    files."""
+def _read_graph(config: PipelineConfig) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """What featurize returns, read back: the labels, X and X's row ids.
+    The labels are read from targets.csv as eval reads test_scores.csv,
+    and X's row ids must be its id cells, in order and as written, or the
+    DataError names both files."""
     out = config.out_dir()
     x_path, targets_path = out / "X.csv", out / "targets.csv"
     X, row_ids, _ = fz.read_matrix_csv(x_path)
@@ -413,6 +425,12 @@ def _load_graph(
             f"the {len(row_ids)} rows of {x_path} are not the {len(atoms)} "
             f"targets of {targets_path}, in order; rerun featurize"
         )
+    return labelled[:, 0].astype(int), X, row_ids
+
+
+def _build_graph(config: PipelineConfig, X: np.ndarray) -> fz.PropagationMatrix:
+    """The propagation matrix of X under this config's ``featurize.*``
+    keys, logged."""
     metric = config["featurize.metric"]
     prop = fz.propagation_matrix(X, metric)
     # C >= 0, so its sign is B, the indicator of the row pairs with an edge;
@@ -433,19 +451,27 @@ def _load_graph(
         (float(c @ B @ c) - same) / (n * n - same),
         prop.nbytes,
     )
-    return labelled[:, 0].astype(int), X, prop, row_ids
+    return prop
 
 
 _SCORE_COLUMNS = ["label", "score"]
 
 
-def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
-    """Train the GCN on the graph rebuilt from X and write the graph's
+def stage_train(
+    config: PipelineConfig,
+    featurized: tuple[np.ndarray, np.ndarray, list[str]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[gcn_mod.EpochRecord]]:
+    """Train the GCN on the graph built from X and write the graph's
     metric and threshold t, the training history, the split and each test
-    target's label and score under the trained model, in split order.  The
-    model is returned, not written."""
+    target's label and score under the trained model, in split order.
+    ``featurized`` is what featurize returned, or, when None,
+    ``_read_graph`` reads it from the run directory; the graph is built
+    here either way, under this config's metric.  Returns the test labels
+    and scores, as ``_read_scores`` reads them back, and the history; the
+    model is neither written nor returned."""
     out = config.out_dir()
-    labels, X, prop, row_ids = _load_graph(config)
+    labels, X, row_ids = featurized if featurized is not None else _read_graph(config)
+    prop = _build_graph(config, X)
     proportions = tuple(config[key] for key in _SPLIT_KEYS)
     masks = metrics_mod.split_examples(labels, proportions, config["split.seed"])
     model, history = gcn_mod.train(prop, X, labels, masks, config.train)
@@ -479,24 +505,39 @@ def stage_train(config: PipelineConfig) -> tuple[gcn_mod.GCNModel, list]:
         encoding="utf-8",
     )
     test = masks.test
-    scored = np.column_stack([labels[test], scores[test]])
+    test_labels, test_scores = labels[test], scores[test]
     fz.write_matrix_csv(
-        out / "test_scores.csv", scored, [row_ids[i] for i in test], _SCORE_COLUMNS
+        out / "test_scores.csv",
+        np.column_stack([test_labels, test_scores]),
+        [row_ids[i] for i in test],
+        _SCORE_COLUMNS,
     )
-    return model, history
+    return test_labels, test_scores, history
 
 
-def stage_eval(config: PipelineConfig) -> metrics_mod.MetricsReport:
-    """Apply ``eval.threshold`` to the test scores train wrote and write
-    the metrics; no other artifact or config key is read.  A scores file
-    that is missing is a DataError that says to retrain; it is read as
-    train reads targets.csv, with the columns ``label`` and ``score``."""
-    out = config.out_dir()
-    path = out / "test_scores.csv"
+def _read_scores(config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The test labels and scores train returns, read back from
+    test_scores.csv as train reads targets.csv, with the columns ``label``
+    and ``score``; a scores file that is missing is a DataError that says
+    to retrain."""
+    path = config.out_dir() / "test_scores.csv"
     if not path.is_file():
         raise DataError(f"{path} does not exist; retrain (train writes it)")
     M, _ = _read_labelled(path, _SCORE_COLUMNS)
-    test_labels, test_scores = M[:, 0].astype(int), M[:, 1]
+    return M[:, 0].astype(int), M[:, 1]
+
+
+def stage_eval(
+    config: PipelineConfig,
+    trained: tuple[np.ndarray, np.ndarray, list[gcn_mod.EpochRecord]] | None = None,
+) -> metrics_mod.MetricsReport:
+    """Apply ``eval.threshold`` to the test scores and write the metrics.
+    ``trained`` is what train returned, of which eval reads the test
+    labels and scores, or, when None, ``_read_scores`` reads them from the
+    run directory; no other artifact or config key is read."""
+    out = config.out_dir()
+    path = out / "test_scores.csv"
+    test_labels, test_scores = trained[:2] if trained is not None else _read_scores(config)
     threshold = config["eval.threshold"]
     log.info("scored %d test targets at threshold %r from %s",
              len(test_scores), threshold, path)
@@ -515,7 +556,7 @@ _STAGES = [
     ("train", stage_train),
     ("eval", stage_eval),
 ]
-# The stages that read the facts; the others read only the run directory.
+# The stages that read the facts; train and eval read none of it.
 _KB_STAGES = ("learn", "featurize")
 
 
@@ -538,12 +579,22 @@ def _stage(stage: str, at: str) -> Iterator[None]:
 
 
 def run_stages(
-    config: PipelineConfig, names: Collection[str] | None = None, at: str = ""
+    config: PipelineConfig,
+    names: Collection[str] | None = None,
+    at: str = "",
+    given: object = None,
 ) -> dict[str, tuple[object, float]]:
     """Run the stages ``names`` (all when None) in pipeline order and
     return each one's result and wall time in seconds.  A stage failure is
     re-raised by ``_stage`` with the stage name and ``at``; earlier
     artifacts stay on disk.
+
+    Each stage's result is passed straight to the next stage, when that
+    stage runs too; a stage whose predecessor did not run reads its input
+    from the run directory, unless it is the first stage run and
+    ``given`` holds that input (what its predecessor would have returned).
+    Every stage still writes all its files, so any stage can later run
+    alone.
 
     The run directory's manifest is deleted first: it describes the run
     that wrote every artifact, which this one may rewrite.  Learn and
@@ -551,20 +602,24 @@ def run_stages(
     """
     (config.out_dir() / "manifest.json").unlink(missing_ok=True)
     ran: dict[str, tuple[object, float]] = {}
-    kb = None
+    kb, handoff = None, given
     for name, fn in _STAGES:
         if names is not None and name not in names:
+            handoff = None if ran else handoff
             continue
         start = time.perf_counter()
         with _stage(name, at):
+            args: list[object] = [config]
             if name in _KB_STAGES:
                 if kb is None:
                     kb = _load_kb(config)
-                result = fn(config, kb)
+                args.append(kb)
             else:
-                kb = None  # train and eval read only the run directory
-                result = fn(config)
-        ran[name] = (result, time.perf_counter() - start)
+                kb = None  # train and eval read no facts
+            if handoff is not None:
+                args.append(handoff)
+            handoff = fn(*args)
+        ran[name] = (handoff, time.perf_counter() - start)
     return ran
 
 
@@ -604,9 +659,12 @@ def sensitivity_sweep(
     write the metrics of each to ``sweep_<axis>.csv``.
 
     Learn and featurize run first when ``rules.txt`` is missing, and
-    featurize alone when only ``X.csv`` is; every value reuses the rules
-    and X, since each axis changes only what train and eval build from X.
-    A stage that fails is named with the value it ran at.
+    featurize alone when only ``X.csv`` is; otherwise the labels, X and
+    its row ids are read once from the run directory.  Every value's train
+    is handed those, since each axis changes only what train and eval
+    build from X, and each value's eval its train's scores.  A stage that
+    fails is named with the value it ran at; a run directory that cannot
+    be read fails as train at the first value.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
@@ -614,13 +672,16 @@ def sensitivity_sweep(
     values = values if values is not None else default_values
     out = config.out_dir()
     if not (out / "rules.txt").is_file():
-        run_stages(config, ("learn", "featurize"))
+        featurized = run_stages(config, ("learn", "featurize"))["featurize"][0]
     elif not (out / "X.csv").is_file():
-        run_stages(config, ("featurize",))
+        featurized = run_stages(config, ("featurize",))["featurize"][0]
+    else:
+        with _stage("train", f"{axis}={values[0]}" if values else ""):
+            featurized = _read_graph(config)
     results = []
     for value in values:
         cfg = PipelineConfig.from_overrides({**config.values, key: value})
-        ran = run_stages(cfg, ("train", "eval"), f"{axis}={value}")
+        ran = run_stages(cfg, ("train", "eval"), f"{axis}={value}", featurized)
         results.append((value, ran["eval"][0]))
     with open(out / f"sweep_{axis}.csv", "w", newline="", encoding="utf-8") as f:
         f.write(axis + "," + metrics_mod.MetricsReport.csv_header() + "\n")
@@ -632,7 +693,7 @@ def sensitivity_sweep(
 def rule_coverage_report(config: PipelineConfig) -> str:
     """Pretty-print the learned rules with per-rule coverage statistics."""
     kb = _load_kb(config)
-    _, targets, _, rules = _load_rules(config, kb)
+    targets, _, rules = _load_rules(config, kb)
     positive = targets.positive
     n_pos, n_neg = int(positive.sum()), int((~positive).sum())
     lines = []

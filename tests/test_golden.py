@@ -1,5 +1,8 @@
 """Golden outputs: the benchmark's three workloads, at full scale and GCN
-seed 0, must write the artifacts recorded in ``golden.json``.
+seed 0, must write the artifacts recorded in ``golden.json``, both as
+their calls run (each stage handed the result of the one before) and run
+one stage at a time, each stage reading the run directory as a stage
+command does.
 
 A refactor keeps every artifact byte-identical; this test checks the
 ones that do not carry full-precision GCN floats.  ``rules.txt``,
@@ -32,11 +35,45 @@ def _workloads() -> dict:
 
 
 def _outputs(workload, tmp: Path) -> dict[str, dict[str, str]]:
-    """The recorded artifacts of one call of ``workload`` at GCN seed 0:
-    each text file's content and each other file's sha256, by name."""
+    """The recorded artifacts of one call of ``workload`` at GCN seed 0."""
     workload.generate(tmp / "data", "full")
     workload.call(tmp / "data", tmp / "out", 0)
-    out = tmp / "out"
+    return _read_outputs(tmp / "out")
+
+
+class _Captured(Exception):
+    pass
+
+
+def _staged_outputs(workload, tmp: Path, monkeypatch) -> dict[str, dict[str, str]]:
+    """The recorded artifacts of ``workload`` at GCN seed 0 run one stage at
+    a time under the config its call builds: learn, then featurize, then
+    train and eval, or, for a sweep, the sweep over that run directory."""
+    from relgcn import pipeline  # imported here, as running this file puts src/ on the path
+
+    workload.generate(tmp / "data", "full")
+
+    def capture(config, *args, **kwargs):
+        raise _Captured(config)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(pipeline, "run_stages", capture)
+        with pytest.raises(_Captured) as captured:
+            workload.call(tmp / "data", tmp / "out", 0)
+    config = captured.value.args[0]
+    for name in ("learn", "featurize"):
+        pipeline.run_stages(config, (name,))
+    if "sweep_hidden_size.csv" in workload.outputs:
+        workload.call(tmp / "data", tmp / "out", 0)
+    else:
+        for name in ("train", "eval"):
+            pipeline.run_stages(config, (name,))
+    return _read_outputs(tmp / "out")
+
+
+def _read_outputs(out: Path) -> dict[str, dict[str, str]]:
+    """Each recorded text file's content and each other recorded file's
+    sha256, by name."""
     return {
         "text": {
             name: (out / name).read_text(encoding="utf-8")
@@ -47,14 +84,25 @@ def _outputs(workload, tmp: Path) -> dict[str, dict[str, str]]:
     }
 
 
-@pytest.mark.parametrize("name", ["planted-750", "sweep-hidden-500", "sampled-topics"])
-def test_workload_outputs_match_the_record(name, tmp_path):
+WORKLOAD_NAMES = ["planted-750", "sweep-hidden-500", "sampled-topics"]
+
+
+def _assert_recorded(name: str, got: dict[str, dict[str, str]]) -> None:
     recorded = json.loads(RECORD.read_text(encoding="utf-8"))[name]
-    got = _outputs(_workloads()[name], tmp_path)
     assert got["text"].keys() == recorded["text"].keys()
     for file, text in recorded["text"].items():
         assert got["text"][file] == text, file
     assert got["sha256"] == recorded["sha256"]
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_outputs_match_the_record(name, tmp_path):
+    _assert_recorded(name, _outputs(_workloads()[name], tmp_path))
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_run_stage_by_stage_matches_the_record(name, tmp_path, monkeypatch):
+    _assert_recorded(name, _staged_outputs(_workloads()[name], tmp_path, monkeypatch))
 
 
 if __name__ == "__main__":

@@ -152,7 +152,8 @@ def test_benchmark_tracer_counts_a_pipeline_run(tmp_path):
 def test_benchmark_tracer_counts_a_run_that_samples_its_negatives(tmp_path):
     """Without a neg file the pipeline samples the negatives, so the
     benchmark's `_pool_hook` reads that call's arguments as well as the
-    two contrast calls'; pos.txt and targets.csv are each parsed once."""
+    two contrast calls'; pos.txt is parsed once, and targets.csv not at
+    all, as learn hands its targets to featurize."""
     tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
     config = PipelineConfig.from_overrides({**_small_config(tmp_path).values, "neg": ""})
     tracer = tracing["Tracer"]()
@@ -162,7 +163,7 @@ def test_benchmark_tracer_counts_a_run_that_samples_its_negatives(tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracing["layer_metrics"](tracer)
-    assert metrics["kb.parse_ground_atoms_calls"][0] == 2
+    assert metrics["kb.parse_ground_atoms_calls"][0] == 1
     assert metrics["grounding.sample_negatives_calls"][0] == 3
     assert metrics["grounding.sample_pool"][0] == 16 * 15 // 2
 

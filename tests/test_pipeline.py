@@ -298,6 +298,91 @@ def test_sweep_from_an_empty_run_directory_parses_the_facts_once(
     ).read_bytes()
 
 
+# -- stage handoff ---------------------------------------------------------
+
+
+def test_pipeline_reads_back_nothing_it_wrote(small_run, tmp_path, monkeypatch):
+    """Run together, each stage hands its result to the next: no matrix
+    CSV (targets.csv, X.csv, test_scores.csv) is read, and the only example
+    files parsed are pos.txt and neg.txt."""
+
+    def refused(path, *args, **kwargs):
+        raise AssertionError(f"read {path}")
+
+    parsed = []
+    parse = pipeline.parse_ground_atoms
+
+    def counted(*args, **kwargs):
+        parsed.append(1)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(fz, "read_matrix_csv", refused)
+    monkeypatch.setattr(pipeline, "parse_ground_atoms", counted)
+    report = run_pipeline(_config(small_run["data"], tmp_path / "out"))
+    assert len(parsed) == 2
+    assert report.to_csv_row() == small_run["report"].to_csv_row()
+
+
+def test_sweep_over_a_run_directory_reads_x_and_targets_once(small_run, tmp_path, monkeypatch):
+    """A sweep over an existing run directory reads X.csv and targets.csv
+    once and hands them to every value's train, and each eval gets its
+    train's scores, not test_scores.csv."""
+    config = _clone_run(small_run, tmp_path)
+    reads = []
+    read = fz.read_matrix_csv
+
+    def recorded(path, *args, **kwargs):
+        reads.append(Path(path).name)
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(fz, "read_matrix_csv", recorded)
+    results = sensitivity_sweep(config, "hidden_size", values=[4, 8, 16, 32])
+    assert [value for value, _ in results] == [4, 8, 16, 32]
+    assert sorted(reads) == ["X.csv", "targets.csv"]
+
+
+def _assert_same(handed: tuple, read: tuple) -> None:
+    """Element for element equal: arrays in dtype, shape and bytes."""
+    assert len(handed) == len(read)
+    for a, b in zip(handed, read):
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert a == b
+
+
+@pytest.mark.parametrize("neg", [True, False], ids=["neg-file", "sampled"])
+def test_each_chained_stage_receives_what_its_loader_reads_back(
+    small_run, tmp_path, monkeypatch, neg
+):
+    """What featurize, train and eval are handed in a pipeline run equals
+    what ``_load_rules``, ``_read_graph`` and ``_read_scores`` read back
+    from the files the run wrote."""
+    received = {}
+
+    def recorder(name, fn):
+        def recorded(*args):
+            received[name] = args
+            return fn(*args)
+        return recorded
+
+    monkeypatch.setattr(
+        pipeline, "_STAGES", [(s, recorder(s, fn)) for s, fn in pipeline._STAGES]
+    )
+    config = _config(small_run["data"], tmp_path / "out", **({} if neg else {"neg": ""}))
+    run_pipeline(config)
+    _, kb, (targets, ids, rules) = received["featurize"]
+    read_targets, read_ids, read_rules = pipeline._load_rules(config, kb)
+    assert targets.predicate == read_targets.predicate
+    _assert_same((targets.ids, targets.positive), (read_targets.ids, read_targets.positive))
+    assert ids == read_ids
+    assert rules == read_rules
+    _, featurized = received["train"]
+    _assert_same(featurized, pipeline._read_graph(config))
+    _, trained = received["eval"]
+    _assert_same(trained[:2], pipeline._read_scores(config))
+
+
 def test_learn_contrast_follows_negatives_symmetric(small_run, tmp_path, monkeypatch):
     """Without a neg file, the run draws the negatives, then the
     positive-density contrast, then the negative-density one, each outside
@@ -608,7 +693,7 @@ def test_graph_edges_are_logged(small_run, tmp_path, caplog):
 
 def _assert_train_summary(config, caplog, stopped):
     with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
-        _, history = stage_train(config)
+        *_, history = stage_train(config)
     X, _, _ = fz.read_matrix_csv(config.out_dir() / "X.csv")
     rows = len(np.unique(X, axis=0))
     val_losses = [rec.val_loss for rec in history]
@@ -842,6 +927,27 @@ def test_cli_featurize_writes_only_x(small_run, tmp_path, capsys):
     assert (out / "X.csv").read_bytes() == x_before
     # The graph's threshold is recorded by train, which builds the graph.
     assert not (out / "threshold.json").exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "featurize", "train"])
+def test_cli_stage_command_prints_what_it_wrote(small_run, tmp_path, capsys, command):
+    """Learn names the rules file, featurize the shape of X and train the
+    epochs it ran, one line each."""
+    config = _clone_run(small_run, tmp_path)
+    out = config.out_dir()
+    flags = [
+        arg
+        for key in ("facts", "pos", "neg", "learn.k_pos", "learn.k_neg", "train.epochs")
+        for arg in ("--set", f"{key}={config[key]}")
+    ]
+    assert cli_main([command, "--out", str(out), *flags]) == 0
+    n_rules = len((out / "rules.txt").read_text().splitlines())
+    epochs = len((out / "history.csv").read_text().splitlines()) - 1
+    assert capsys.readouterr().out == {
+        "learn": f"rules written to {out / 'rules.txt'}\n",
+        "featurize": f"feature matrix X written: 65 targets x {n_rules} rules\n",
+        "train": f"trained for {epochs} epochs\n",
+    }[command]
 
 
 def test_cli_exit_codes(tmp_path):
