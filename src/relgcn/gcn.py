@@ -16,11 +16,22 @@ each epoch's losses, output gradient and validation F1 are read off the
 class rows of the log-probabilities, their exponentials and those
 tables.  An epoch is O(u·h² + u²·h), whatever the number of
 targets n.
+
+``train`` allocates what every epoch reuses once per call: the weights,
+Adam's two moments and the gradients each lie in one flat vector, with a
+view per weight matrix (``flat_views``, ``AdamState``).  Each epoch
+``gcn_backward`` writes the gradients into their views and ``adam_step``
+updates every weight with one pass of flat operations.  What an epoch
+still allocates is u-row: the forward pass's propagated inputs,
+pre-activations and probabilities, the backward pass's dZ, dH and dA,
+and the first layer's decay terms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,11 +99,50 @@ def glorot_init(fan_in: int, fan_out: int, seed: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_model(input_dim: int, config: TrainConfig) -> GCNModel:
-    dims = [input_dim] + [config.hidden_size] * (config.num_layers - 1) + [2]
-    return GCNModel(
-        [glorot_init(dims[l], dims[l + 1], config.seed + l) for l in range(len(dims) - 1)]
+def flat_views(shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One zeroed float64 vector with room for an array of each shape, the
+    arrays lying one after another, and each array's C-order view of it."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.zeros(sum(sizes))
+    ends = itertools.accumulate(sizes)
+    views = [flat[end - size : end].reshape(shape) for size, end, shape in zip(sizes, ends, shapes)]
+    return flat, views
+
+
+def _flat_span(arrays: list[np.ndarray]) -> np.ndarray:
+    """The 1-D view of the memory that ``arrays`` fill, each a C-contiguous
+    float64 array lying right after the one before, as `flat_views` lays
+    them out; a lone such array spans itself.  Anything else is a
+    DataError."""
+    owner = arrays[0] if arrays[0].base is None else arrays[0].base
+    whole = (
+        isinstance(owner, np.ndarray) and owner.dtype == np.float64 and owner.flags.c_contiguous
     )
+    position = arrays[0].ctypes.data
+    for a in arrays:
+        if not (
+            whole
+            and (a is owner or a.base is owner)
+            and a.dtype == np.float64
+            and a.flags.c_contiguous
+            and a.ctypes.data == position
+        ):
+            raise DataError("weights must lie one after another in one flat float64 vector")
+        position += a.nbytes
+    flat = owner.reshape(-1)
+    start = (arrays[0].ctypes.data - flat.ctypes.data) // flat.itemsize
+    return flat[start : start + sum(a.size for a in arrays)]
+
+
+def init_model(input_dim: int, config: TrainConfig) -> GCNModel:
+    """Glorot-initialized weights, layer l seeded ``config.seed + l``,
+    each a view of one flat vector (`flat_views`), as `AdamState` needs."""
+    dims = [input_dim] + [config.hidden_size] * (config.num_layers - 1) + [2]
+    shapes = list(zip(dims[:-1], dims[1:]))
+    _, weights = flat_views(shapes)
+    for l, W in enumerate(weights):
+        W[...] = glorot_init(*shapes[l], config.seed + l)
+    return GCNModel(weights)
 
 
 @dataclass
@@ -107,20 +157,20 @@ class LabelTable:
     total: float = field(init=False)  # targets in the mask
     sizes: np.ndarray = field(init=False)  # targets of the mask per class, a column
     positives: float = field(init=False)  # targets of the mask labelled 1
-    cells: tuple[np.ndarray, np.ndarray] = field(init=False)  # the nonzero cells
+    cells: np.ndarray = field(init=False)  # the nonzero cells, as flat indices into a u x 2 array
     weights: np.ndarray = field(init=False)  # their counts
 
     def __post_init__(self):
         self.total = float(self.counts.sum())
         self.sizes = self.counts.sum(axis=1, keepdims=True)
         self.positives = float(self.counts[:, 1].sum())
-        self.cells = np.nonzero(self.counts)
-        self.weights = self.counts[self.cells]
+        self.cells = np.flatnonzero(self.counts)
+        self.weights = self.counts.take(self.cells)
 
     def loss(self, log_probs: np.ndarray) -> float:
         """Mean negative log-likelihood over the mask, from the class rows
         of the log-probabilities."""
-        return -float(self.weights @ log_probs[self.cells]) / self.total
+        return -float(self.weights @ log_probs.take(self.cells)) / self.total
 
     def output_gradient(self, probs: np.ndarray) -> np.ndarray:
         """Gᵀ dZ of ``loss``: per class, probs · n_c − counts, over the
@@ -133,7 +183,8 @@ class LabelTable:
         positive-class probability, in the class rows ``probs``, is at
         least 0.5."""
         positive = probs[:, 1] >= 0.5
-        fp, tp = positive @ self.counts
+        # Sums of whole counts, exact in any order; as Python floats.
+        fp, tp = positive.dot(self.counts).tolist()
         fn = self.positives - tp
         if 2 * tp + fp + fn == 0:
             return 0.0
@@ -176,8 +227,8 @@ class ForwardCaches:
 
     propagated: list[np.ndarray]
     pre_activations: list[np.ndarray]
-    log_probs: np.ndarray = field(default=None)  # one row per class, filled by gcn_forward
-    probs: np.ndarray = field(default=None)  # np.exp(log_probs), filled by gcn_forward
+    log_probs: np.ndarray  # one row per class
+    probs: np.ndarray  # np.exp(log_probs)
 
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
@@ -196,34 +247,41 @@ def gcn_forward(
     log-softmax of P H W_last, computed and returned on the row classes of
     P (``P.index`` gathers the n target rows).  ``propagated`` is the
     first layer's input C Gᵀ X, which depends on X alone, for a caller
-    that makes many passes to compute it once."""
-    if P.shape[0] != X.shape[0]:
-        raise DataError("P must be n x n and X n x input_dim")
-    if X.shape[1] != model.weights[0].shape[0]:
-        raise DataError(
-            f"X has {X.shape[1]} features, model expects {model.weights[0].shape[0]}"
-        )
-    caches = ForwardCaches([], [])
-    S = P.classes @ P.pool(X) if propagated is None else propagated
-    for W in model.weights[:-1]:
+    that makes many passes to compute it once: a first pass's
+    ``caches.propagated[0]``.  X is checked against P and the model in the
+    pass that computes it."""
+    weights = model.weights
+    if propagated is None:
+        if P.shape[0] != X.shape[0]:
+            raise DataError("P must be n x n and X n x input_dim")
+        if X.shape[1] != weights[0].shape[0]:
+            raise DataError(
+                f"X has {X.shape[1]} features, model expects {weights[0].shape[0]}"
+            )
+        propagated = P.classes @ P.pool(X)
+    classes, counts = P.classes, P.counts
+    S = propagated
+    inputs, pre_activations = [], []
+    for W in weights[:-1]:
         A = S @ W
-        caches.propagated.append(S)
-        caches.pre_activations.append(A)
+        inputs.append(S)
+        pre_activations.append(A)
         # The next layer's input is relu(A) on every target of a class, so
         # its class sums are relu(A) times the class counts.
-        S = P.classes @ (np.maximum(A, 0.0) * P.counts)
-    Z = S @ model.weights[-1]
-    caches.propagated.append(S)
-    caches.pre_activations.append(Z)
-    caches.log_probs = _log_softmax(Z)
-    caches.probs = np.exp(caches.log_probs)
-    return caches.log_probs, caches
+        S = classes @ (np.maximum(A, 0.0) * counts)
+    Z = S @ weights[-1]
+    inputs.append(S)
+    pre_activations.append(Z)
+    log_probs = _log_softmax(Z)
+    return log_probs, ForwardCaches(inputs, pre_activations, log_probs, np.exp(log_probs))
 
 
 def _first_layer_decay(model: GCNModel, weight_decay: float) -> float:
     if weight_decay == 0.0:
         return 0.0
-    return 0.5 * weight_decay * float(np.sum(model.weights[0] ** 2))
+    # np.sum's own reduction, np.add.reduce over every axis, without its
+    # wrapper; np.square is what ``** 2`` computes.
+    return 0.5 * weight_decay * float(np.add.reduce(np.square(model.weights[0]), None))
 
 
 def gcn_backward(
@@ -234,6 +292,8 @@ def gcn_backward(
     model: GCNModel,
     weight_decay: float = 0.0,
     table: LabelTable | None = None,
+    *,
+    out: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Exact gradients of the label-table loss of ``mask`` plus the
     first-layer decay (``train``'s objective) w.r.t. every weight matrix,
@@ -241,53 +301,57 @@ def gcn_backward(
     gradient comes pooled from the label table of ``mask`` (``table``, for
     a caller that makes many passes to build once); from there each dH
     holds the gradient every target of a class shares, and each dA the
-    class sum of the per-target gradients."""
+    class sum of the per-target gradients.
+
+    Each matrix's gradient is written into ``out``, one C-contiguous
+    float64 array per weight matrix and of its shape (``AdamState.grads``,
+    for a caller that steps many times), or into fresh arrays when ``out``
+    is None; the decay is added in place.  Returns those arrays."""
     if table is None:
         table = label_table(labels, mask, P)
-    operator_T = P.classes.T
-    n_layers = len(model.weights)
+    weights = model.weights
+    if out is None:
+        out = [np.empty(W.shape) for W in weights]
+    operator_T, counts = P.classes.T, P.counts
+    inputs, pre_activations = caches.propagated, caches.pre_activations
     dZ = table.output_gradient(caches.probs)
 
-    grads: list[np.ndarray] = [None] * n_layers
-    grads[-1] = caches.propagated[-1].T @ dZ
-    dH = (operator_T @ dZ) @ model.weights[-1].T
-    for l in range(n_layers - 2, -1, -1):
-        dA = dH * P.counts * (caches.pre_activations[l] > 0.0)
-        grads[l] = caches.propagated[l].T @ dA
+    np.matmul(inputs[-1].T, dZ, out[-1])
+    dH = (operator_T @ dZ) @ weights[-1].T
+    for l in range(len(weights) - 2, -1, -1):
+        dA = dH * counts * (pre_activations[l] > 0.0)
+        np.matmul(inputs[l].T, dA, out[l])
         if l > 0:
-            dH = (operator_T @ dA) @ model.weights[l].T
+            dH = (operator_T @ dA) @ weights[l].T
     if weight_decay > 0.0:
-        grads[0] = grads[0] + weight_decay * model.weights[0]
-    return grads
+        out[0] += weight_decay * weights[0]
+    return out
 
 
 class AdamState:
-    """Adam's step count ``t`` and moments for a list of weight matrices,
-    with scratch space for `adam_step`.
+    """Adam's step count ``t`` and moments for the weight matrices it
+    steps, with their gradients and scratch space for `adam_step`.
 
-    The first and second moments of every weight lie in two flat vectors,
-    matrix after matrix, and ``m`` and ``v`` hold each matrix's view of
-    them, so a step runs each operation once over all the weights, not once
-    per matrix.  Three more flat vectors hold the gathered gradients and the
-    step's numerator and denominator.
+    The weights must lie one after another in one flat vector, as
+    `flat_views` lays them out: ``init_model``'s do, and a lone
+    C-contiguous matrix lies in its own.  The state keeps that vector,
+    ``flat``, and allocates four more of its length, once: the first and
+    second moments, ``first`` and ``second``, whose per-matrix views are
+    ``m`` and ``v``; the gradients, ``gradient``, whose per-matrix views
+    ``grads`` `gcn_backward` writes into; and the step's numerator and
+    denominator.  A step then runs each operation once over all the
+    weights, not once per matrix.
     """
 
-    def __init__(self, shapes: list[tuple[int, ...]]):
+    def __init__(self, weights: list[np.ndarray]):
         self.t = 0
-        self.shapes = [tuple(shape) for shape in shapes]
-        sizes = [math.prod(shape) for shape in self.shapes]
-        self.moments, self.scratch = np.zeros((2, sum(sizes))), np.empty((3, sum(sizes)))
-
-        def views(flat: np.ndarray) -> list[np.ndarray]:
-            parts = np.split(flat, np.cumsum(sizes)[:-1])
-            return [part.reshape(shape) for part, shape in zip(parts, self.shapes)]
-
-        self.m, self.v = views(self.moments[0]), views(self.moments[1])
-        self.steps = views(self.scratch[1])
-
-    @classmethod
-    def zeros_like(cls, weights: list[np.ndarray]) -> "AdamState":
-        return cls([W.shape for W in weights])
+        self.weights = tuple(weights)
+        self.flat = _flat_span(self.weights)
+        shapes = [W.shape for W in weights]
+        self.first, self.m = flat_views(shapes)
+        self.second, self.v = flat_views(shapes)
+        self.gradient, self.grads = flat_views(shapes)
+        self.scratch = np.empty((2, self.flat.size))
 
 
 def adam_step(
@@ -301,24 +365,28 @@ def adam_step(
 ) -> None:
     """Standard bias-corrected Adam update, in place.
 
-    ``W -= lr * m_hat / (sqrt(v_hat) + eps)`` is evaluated in the state's
-    flat vectors, each operation in the formula's order, so the weights and
+    ``weights`` are the matrices ``state`` was made for.  ``grads`` are
+    the state's own gradient views, ``state.grads``, or matrices of their
+    shapes, which are first copied into them.  ``W -= lr * m_hat /
+    (sqrt(v_hat) + eps)`` is then evaluated once over the state's flat
+    vectors, each operation in the formula's order, so the weights and
     moments are bitwise those of the formula written out per matrix with
     temporaries; the bias corrections are computed once per step.
     """
     if len(weights) != len(grads):
         raise DataError("weights/grads length mismatch")
-    if len(weights) != len(state.shapes):
-        raise DataError("weight/gradient shape mismatch")
-    for W, grad, shape in zip(weights, grads, state.shapes):
-        if W.shape != shape or grad.shape != shape:
-            raise DataError("weight/gradient shape mismatch")
+    if len(weights) != len(state.weights) or not all(map(operator.is_, weights, state.weights)):
+        raise DataError("adam_step must be given the weights its state was made for")
+    if grads is not state.grads:
+        for view, grad in zip(state.grads, grads):
+            if grad.shape != view.shape:
+                raise DataError("weight/gradient shape mismatch")
+            view[...] = grad
     state.t += 1
     correction1 = 1 - beta1**state.t
     correction2 = 1 - beta2**state.t
-    m, v = state.moments
-    g, step, denom = state.scratch
-    np.concatenate([grad.ravel() for grad in grads], out=g)
+    m, v, g = state.first, state.second, state.gradient
+    step, denom = state.scratch
     m *= beta1
     np.multiply(g, 1 - beta1, step)
     m += step
@@ -332,8 +400,7 @@ def adam_step(
     np.sqrt(denom, denom)
     denom += eps
     step /= denom
-    for W, part in zip(weights, state.steps):
-        W -= part
+    state.flat -= step
 
 
 @dataclass
@@ -353,47 +420,51 @@ def train(
 ) -> tuple[GCNModel, list[EpochRecord]]:
     """Full-batch transductive training, stopped once ``patience + 1``
     epochs in a row fail to lower the validation loss; the model returned
-    holds the last epoch's weights.  The first layer's input C Gᵀ X and the
-    label tables of the train and the validation mask are built once,
-    before the first epoch; a mask that is not an index mask into
-    ``labels`` is a DataError there.  Each epoch makes one forward pass, on
-    the weights its Adam step left; its log-probabilities give the epoch's
-    validation loss and the next epoch's training loss and gradients."""
+    holds the last epoch's weights.  Before the first epoch, once per call:
+    the weights, Adam's moments and the gradients are allocated, each in
+    one flat vector (`AdamState`); the label tables of the train and the
+    validation mask are built, and a mask that is not an index mask into
+    ``labels`` is a DataError there; a first forward pass checks X and
+    computes the first layer's input C Gᵀ X, which every later pass is
+    handed.  Each epoch makes one forward pass, on the weights its Adam
+    step left; its log-probabilities give the epoch's validation loss and
+    the next epoch's training loss and gradients, which `gcn_backward`
+    writes into the state's gradient views."""
     model = init_model(X.shape[1], config)
-    state = AdamState.zeros_like(model.weights)
-    propagated = P.classes @ P.pool(X)
+    state = AdamState(model.weights)
+    weights, grads = model.weights, state.grads
     fit = label_table(labels, masks.train, P)
     held_out = label_table(labels, masks.validation, P)
+    train_mask, weight_decay, lr = masks.train, config.weight_decay, config.learning_rate
+    fit_loss, held_out_loss, held_out_f1 = fit.loss, held_out.loss, held_out.f1
     history: list[EpochRecord] = []
     best_val = np.inf
-    stale = 0
+    stale, patience = 0, config.patience
     # The forward pass and the decay of the current weights: epoch e's
     # validation pass is epoch e + 1's training pass.
-    log_probs, caches = gcn_forward(P, X, model, propagated=propagated)
-    decay = _first_layer_decay(model, config.weight_decay)
+    log_probs, caches = gcn_forward(P, X, model)
+    propagated = caches.propagated[0]
+    decay = _first_layer_decay(model, weight_decay)
     for epoch in range(config.epochs):
-        train_loss = fit.loss(log_probs) + decay
+        train_loss = fit_loss(log_probs) + decay
         if not math.isfinite(train_loss):
             raise NumericalError(
                 f"training diverged at epoch {epoch}: loss={train_loss}"
             )
-        grads = gcn_backward(
-            P, caches, labels, masks.train, model, config.weight_decay, table=fit
-        )
-        adam_step(model.weights, grads, state, config.learning_rate)
+        gcn_backward(P, caches, labels, train_mask, model, weight_decay, table=fit, out=grads)
+        adam_step(weights, grads, state, lr)
 
-        log_probs, caches = gcn_forward(P, X, model, propagated=propagated)
-        decay = _first_layer_decay(model, config.weight_decay)
-        val_loss = held_out.loss(log_probs) + decay
-        val_f1 = held_out.f1(caches.probs)
-        history.append(EpochRecord(epoch, train_loss, val_loss, val_f1))
+        log_probs, caches = gcn_forward(P, X, model, propagated)
+        decay = _first_layer_decay(model, weight_decay)
+        val_loss = held_out_loss(log_probs) + decay
+        history.append(EpochRecord(epoch, train_loss, val_loss, held_out_f1(caches.probs)))
 
         if val_loss < best_val:
             best_val = val_loss
             stale = 0
         else:
             stale += 1
-            if stale > config.patience:
+            if stale > patience:
                 break
     return model, history
 

@@ -27,7 +27,6 @@ a row per target, its atom under ``id``, and labels as 1.0 or 0.0.
 from __future__ import annotations
 
 import copy
-import csv
 import hashlib
 import json
 import logging
@@ -487,13 +486,7 @@ def stage_train(
     (out / "threshold.json").write_text(
         json.dumps({"metric": config["featurize.metric"], "t": prop.threshold}), encoding="utf-8"
     )
-    with open(out / "history.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_loss", "val_loss", "val_f1"])
-        for rec in history:
-            writer.writerow(
-                [rec.epoch, repr(rec.train_loss), repr(rec.val_loss), repr(rec.val_f1)]
-            )
+    _write_history(out / "history.csv", history)
     (out / "splits.json").write_text(
         json.dumps(
             {
@@ -513,6 +506,17 @@ def stage_train(
         _SCORE_COLUMNS,
     )
     return test_labels, test_scores, history
+
+
+def _write_history(path: Path, history: list[gcn_mod.EpochRecord]) -> None:
+    """One row per epoch, ``epoch,train_loss,val_loss,val_f1``, each loss
+    and F1 its float's repr, in one write.  The bytes are what
+    ``csv.writer`` writes: a repr holds no comma, quote or line break, so
+    no field is quoted, and every row ends in csv's ``\\r\\n``."""
+    rows = [f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.val_f1!r}\r\n" for r in history]
+    path.write_text(
+        "epoch,train_loss,val_loss,val_f1\r\n" + "".join(rows), encoding="utf-8", newline=""
+    )
 
 
 def _read_scores(config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:

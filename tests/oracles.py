@@ -5,9 +5,17 @@ import math
 
 import numpy as np
 
-from relgcn.errors import DataError, ParseError
+from relgcn.errors import DataError, NumericalError, ParseError
 from relgcn.featurize import PropagationMatrix
-from relgcn.gcn import AdamState, adam_step, init_model
+from relgcn.gcn import (
+    AdamState,
+    EpochRecord,
+    GCNModel,
+    adam_step,
+    glorot_init,
+    init_model,
+    label_table,
+)
 from relgcn.grounding import Clause
 from relgcn.kb import (
     _FACT_RE,
@@ -206,7 +214,7 @@ def per_target_train(P, X, labels, masks, config):
     validation loss, keeping the last epoch's weights.  Returns the model
     and one (train_loss, val_loss, val_f1) tuple per epoch."""
     model = init_model(X.shape[1], config)
-    state = AdamState.zeros_like(model.weights)
+    state = AdamState(model.weights)
 
     def objective(log_probs, mask):
         data = -float(log_probs[mask, labels[mask]].mean())
@@ -333,6 +341,111 @@ def adam_step_by_formula(weights, grads, state, lr, beta1=0.9, beta2=0.999, eps=
         m_hat = m / (1 - beta1**state.t)
         v_hat = v / (1 - beta2**state.t)
         W -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def train_per_matrix(P, X, labels, masks, config, beta1=0.9, beta2=0.999, eps=1e-8):
+    """`train` with one array per weight matrix: separate glorot matrices,
+    a forward pass whose caches are appended layer by layer, the losses
+    read off the label tables by 2-D fancy indexing, the validation F1 by
+    a matrix product, the decay by ``np.sum(W ** 2)``, a fresh gradient
+    list each epoch with the decay added out of place, and an Adam step
+    that gathers the gradients with `np.concatenate`, runs the flat
+    operations and subtracts the step matrix by matrix.  Returns the model
+    and its `EpochRecord` history."""
+    dims = [X.shape[1]] + [config.hidden_size] * (config.num_layers - 1) + [2]
+    weights = [glorot_init(dims[l], dims[l + 1], config.seed + l) for l in range(len(dims) - 1)]
+    sizes = [W.size for W in weights]
+    moments, scratch = np.zeros((2, sum(sizes))), np.empty((3, sum(sizes)))
+    steps = [
+        part.reshape(W.shape)
+        for part, W in zip(np.split(scratch[1], np.cumsum(sizes)[:-1]), weights)
+    ]
+    propagated = P.classes @ P.pool(X)
+    fit = label_table(labels, masks.train, P)
+    held_out = label_table(labels, masks.validation, P)
+
+    def forward():
+        S, layers = propagated, []
+        for W in weights[:-1]:
+            A = S @ W
+            layers.append((S, A))
+            S = P.classes @ (np.maximum(A, 0.0) * P.counts)
+        Z = S @ weights[-1]
+        layers.append((S, Z))
+        shifted = Z - Z.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return log_probs, np.exp(log_probs), layers
+
+    def loss(table, log_probs):
+        cells = np.nonzero(table.counts)
+        return -float(table.counts[cells] @ log_probs[cells]) / table.total
+
+    def f1(probs):
+        fp, tp = (probs[:, 1] >= 0.5) @ held_out.counts
+        fn = held_out.positives - tp
+        if 2 * tp + fp + fn == 0:
+            return 0.0
+        return float(2 * tp / (2 * tp + fp + fn))
+
+    def decay():
+        if config.weight_decay == 0.0:
+            return 0.0
+        return 0.5 * config.weight_decay * float(np.sum(weights[0] ** 2))
+
+    def backward(probs, layers):
+        dZ = (probs * fit.sizes - fit.counts) / fit.total
+        grads = [None] * len(weights)
+        grads[-1] = layers[-1][0].T @ dZ
+        dH = (P.classes.T @ dZ) @ weights[-1].T
+        for l in range(len(weights) - 2, -1, -1):
+            dA = dH * P.counts * (layers[l][1] > 0.0)
+            grads[l] = layers[l][0].T @ dA
+            if l > 0:
+                dH = (P.classes.T @ dA) @ weights[l].T
+        if config.weight_decay > 0.0:
+            grads[0] = grads[0] + config.weight_decay * weights[0]
+        return grads
+
+    def adam(grads, t):
+        m, v = moments
+        g, step, denom = scratch
+        np.concatenate([grad.ravel() for grad in grads], out=g)
+        m *= beta1
+        np.multiply(g, 1 - beta1, step)
+        m += step
+        v *= beta2
+        np.multiply(g, g, denom)
+        denom *= 1 - beta2
+        v += denom
+        np.divide(m, 1 - beta1**t, step)
+        step *= config.learning_rate
+        np.divide(v, 1 - beta2**t, denom)
+        np.sqrt(denom, denom)
+        denom += eps
+        step /= denom
+        for W, part in zip(weights, steps):
+            W -= part
+
+    history = []
+    best_val, stale = np.inf, 0
+    log_probs, probs, layers = forward()
+    penalty = decay()
+    for epoch in range(config.epochs):
+        train_loss = loss(fit, log_probs) + penalty
+        if not math.isfinite(train_loss):
+            raise NumericalError(f"training diverged at epoch {epoch}: loss={train_loss}")
+        adam(backward(probs, layers), epoch + 1)
+        log_probs, probs, layers = forward()
+        penalty = decay()
+        val_loss = loss(held_out, log_probs) + penalty
+        history.append(EpochRecord(epoch, train_loss, val_loss, f1(probs)))
+        if val_loss < best_val:
+            best_val, stale = val_loss, 0
+        else:
+            stale += 1
+            if stale > config.patience:
+                break
+    return GCNModel(weights), history
 
 
 def parse_facts_line_by_line(text: str) -> KnowledgeBase:

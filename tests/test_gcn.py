@@ -14,6 +14,7 @@ from relgcn.gcn import (
     TrainConfig,
     _first_layer_decay,
     adam_step,
+    flat_views,
     gcn_backward,
     gcn_forward,
     glorot_init,
@@ -30,6 +31,7 @@ from oracles import (
     per_target_gcn_backward,
     per_target_gcn_forward,
     per_target_train,
+    train_per_matrix,
 )
 
 
@@ -259,6 +261,25 @@ def test_gradients_match_finite_differences(wd):
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
+@pytest.mark.parametrize("num_layers", [1, 2, 4])
+def test_backward_into_out_is_bitwise_the_allocating_call(num_layers):
+    """``out=state.grads`` returns those very arrays, holding bitwise the
+    gradients a call without ``out`` allocates, decay included; the
+    state's flat gradient vector is their concatenation."""
+    P, X, labels = tiny_problem(n=10, d=3, seed=num_layers)
+    mask = np.arange(6)
+    model = init_model(3, TrainConfig(hidden_size=5, num_layers=num_layers))
+    _, caches = gcn_forward(P, X, model)
+    state = AdamState(model.weights)
+    for wd in (0.0, 5e-4):
+        fresh = gcn_backward(P, caches, labels, mask, model, wd)
+        written = gcn_backward(P, caches, labels, mask, model, wd, out=state.grads)
+        assert len(written) == num_layers
+        assert all(a is b for a, b in zip(written, state.grads))
+        assert [g.tobytes() for g in written] == [g.tobytes() for g in fresh]
+        assert state.gradient.tobytes() == b"".join(g.tobytes() for g in fresh)
+
+
 @pytest.mark.parametrize("repeated", [True, False], ids=["u<n", "u=n"])
 def test_gradients_through_propagation_operator(repeated):
     """Criterion 5's check with the class operator the pipeline trains on,
@@ -430,7 +451,7 @@ def test_adam_first_step_is_signed_lr():
     up to the epsilon regularizer."""
     W = np.array([[1.0, -1.0]])
     g = np.array([[0.3, -0.7]])
-    state = AdamState.zeros_like([W])
+    state = AdamState([W])
     adam_step([W], [g], state, lr=0.01)
     assert state.t == 1
     expected = np.array([[1.0 - 0.01 * 0.3 / (0.3 + 1e-8), -1.0 + 0.01 * 0.7 / (0.7 + 1e-8)]])
@@ -439,11 +460,82 @@ def test_adam_first_step_is_signed_lr():
 
 def test_adam_shape_mismatch():
     W = np.ones((2, 2))
-    state = AdamState.zeros_like([W])
+    state = AdamState([W])
     with pytest.raises(DataError):
         adam_step([W], [np.ones((2, 3))], state, lr=0.1)
     with pytest.raises(DataError):
         adam_step([W], [], state, lr=0.1)
+
+
+@pytest.mark.parametrize("shapes", [[(3, 4)], [(1, 2)], [(3, 5), (5, 5), (5, 5), (5, 2)]])
+def test_adam_step_on_standalone_matrices_is_bitwise_the_formula(shapes):
+    """Weights that are one matrix of their own, or lie in one flat vector,
+    stepped with fresh gradient matrices, which `adam_step` copies into the
+    state's buffer: weights and moments are bitwise the formula's."""
+    rng = np.random.default_rng(len(shapes))
+    if len(shapes) == 1:
+        weights = [rng.standard_normal(shapes[0])]
+        oracle = [weights[0].copy()]
+    else:
+        (_, weights), (_, oracle) = flat_views(shapes), flat_views(shapes)
+        for W, O in zip(weights, oracle):
+            W[...] = O[...] = rng.standard_normal(W.shape)
+    state, oracle_state = AdamState(weights), AdamState(oracle)
+    for _ in range(5):
+        grads = [rng.standard_normal(shape) for shape in shapes]
+        adam_step(weights, grads, state, lr=0.01)
+        adam_step_by_formula(oracle, grads, oracle_state, lr=0.01)
+    assert state.t == oracle_state.t == 5
+    for got, want in [(weights, oracle), (state.m, oracle_state.m), (state.v, oracle_state.v)]:
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def test_adam_state_needs_its_weights_in_one_flat_vector():
+    """The state steps the flat vector its weights lie in, so weights that
+    do not lie one after another in one vector are a DataError, and so is
+    a step handed other weights than the state's."""
+    _, views = flat_views([(2, 3), (3, 3)])
+    with pytest.raises(DataError):
+        AdamState([np.ones((2, 3)), np.ones((3, 3))])
+    with pytest.raises(DataError):
+        AdamState(views[::-1])
+    with pytest.raises(DataError):
+        AdamState([np.ones((4, 6))[:, :3]])
+    state = AdamState(views)
+    assert np.shares_memory(state.flat, views[0]) and state.flat.size == 15
+    with pytest.raises(DataError):
+        adam_step([views[0].copy(), views[1]], state.grads, state, lr=0.1)
+
+
+def test_init_model_weights_lie_in_one_flat_vector():
+    """`init_model`'s weights are views of one vector, matrix after
+    matrix, each bitwise the glorot matrix of its layer's seed."""
+    config = TrainConfig(hidden_size=5, num_layers=3, seed=7)
+    model = init_model(4, config)
+    flat = AdamState(model.weights).flat
+    assert flat.size == 4 * 5 + 5 * 5 + 5 * 2
+    assert flat.tobytes() == b"".join(W.tobytes() for W in model.weights)
+    for l, W in enumerate(model.weights):
+        assert W.tobytes() == glorot_init(*W.shape, config.seed + l).tobytes()
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+@pytest.mark.parametrize("hidden_size", [4, 16, 128])
+@pytest.mark.parametrize("num_layers", [2, 3, 4, 5])
+def test_train_is_bitwise_the_per_matrix_loop(num_layers, hidden_size, weight_decay):
+    """Training in flat buffers, the gradients written into the state's
+    views and one flat Adam update per epoch, gives bitwise the weights
+    and the history of the loop with one array per weight matrix."""
+    X, labels, masks = _train_problem(seed=num_layers + hidden_size)
+    P = propagation_matrix(X)
+    config = TrainConfig(
+        epochs=60, patience=20, hidden_size=hidden_size, num_layers=num_layers,
+        weight_decay=weight_decay, seed=2,
+    )
+    model, history = train(P, X, labels, masks, config)
+    oracle_model, oracle_history = train_per_matrix(P, X, labels, masks, config)
+    assert [W.tobytes() for W in model.weights] == [W.tobytes() for W in oracle_model.weights]
+    assert [repr(vars(rec)) for rec in history] == [repr(vars(rec)) for rec in oracle_history]
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])

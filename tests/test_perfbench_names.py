@@ -10,10 +10,12 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relgcn import gcn, pipeline
 from relgcn.cli import main as cli_main
+from relgcn.featurize import propagation_matrix
 from relgcn.pipeline import (
     PipelineConfig,
     default_values,
@@ -187,6 +189,42 @@ def test_benchmark_flop_counters_read_stage_train_arguments(tmp_path, monkeypatc
     assert tracing["_forward_flops"](args, kwargs) == 2 * n * n * sum(dims[:-1])
     args, kwargs = calls["gcn_backward"]
     assert tracing["_backward_flops"](args, kwargs) == 2 * n * n * dims[-1]
+
+
+def test_train_calls_each_traced_gcn_function_once_per_epoch(monkeypatch):
+    """The benchmark's ``gcn.forward``, ``gcn.backward`` and ``gcn.adam``
+    spans wrap `gcn_forward`, `gcn_backward` and `adam_step` as module
+    attributes, and its flop counters read P at position 0 and the model
+    at position 2 (forward) and 4 (backward).  One `train` of E epochs
+    looks each up through the module: E + 1 forward passes, E backward
+    passes and E Adam steps, so inlining one into the loop fails here
+    rather than emptying its span."""
+    calls = {name: [] for name in ("gcn_forward", "gcn_backward", "adam_step")}
+    for name, seen in calls.items():
+        def recorded(*args, _fn=getattr(gcn, name), _seen=seen, **kwargs):
+            _seen.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(gcn, name, recorded)
+    tracer = runpy.run_path(str(PERFBENCH / "tracing.py"))["Tracer"]()
+    X = np.repeat(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [0.0, 3.0]]), 6, axis=0)
+    labels = np.tile([0, 1, 1], 8)
+    P = propagation_matrix(X)
+    masks = gcn.SplitMasks(np.arange(12), np.arange(12, 18), np.arange(18, 24))
+    epochs = 7
+    tracer.install()
+    try:
+        model, history = gcn.train(
+            P, X, labels, masks, gcn.TrainConfig(epochs=epochs, patience=epochs)
+        )
+    finally:
+        tracer.uninstall()
+    assert len(history) == epochs
+    assert [len(seen) for seen in calls.values()] == [epochs + 1, epochs, epochs]
+    assert [tracer.stats[name][0] for name in ("gcn.forward", "gcn.backward", "gcn.adam")] == [
+        epochs + 1, epochs, epochs
+    ]
+    assert all(args[0] is P and args[2] is model for args in calls["gcn_forward"])
+    assert all(args[0] is P and args[4] is model for args in calls["gcn_backward"])
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Pipeline staging, config handling, sweeps and the CLI."""
 
 import ast
+import csv
 import dataclasses
 import inspect
 import json
@@ -20,7 +21,7 @@ import relgcn
 from relgcn.cli import derived_seeds, main as cli_main
 from relgcn import featurize as fz
 from relgcn.errors import ConfigError, DataError, NumericalError, ParseError
-from relgcn.gcn import TrainConfig
+from relgcn.gcn import EpochRecord, TrainConfig
 from relgcn.grounding import sample_negatives
 from relgcn.kb import parse_facts
 from relgcn import pipeline
@@ -948,6 +949,29 @@ def test_cli_stage_command_prints_what_it_wrote(small_run, tmp_path, capsys, com
         "featurize": f"feature matrix X written: 65 targets x {n_rules} rules\n",
         "train": f"trained for {epochs} epochs\n",
     }[command]
+
+
+def test_history_is_written_as_csv_writer_writes_it(tmp_path):
+    """`_write_history` joins the rows itself; its bytes are those of a
+    ``csv.writer`` writing the same repr fields, header and ``\\r\\n``
+    included, for floats whose repr is short, long, tiny, whole or zero."""
+    history = [
+        EpochRecord(0, 0.6931471805599453, 0.1 + 0.2, 0.0),
+        EpochRecord(1, 1e-300, 2.0, 0.5),
+        EpochRecord(10, 3.0, 1.2345678901234567e-05, 1.0),
+        EpochRecord(11, 123456789.0, float("inf"), 0.6666666666666666),
+    ]
+    pipeline._write_history(tmp_path / "history.csv", history)
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["epoch", "train_loss", "val_loss", "val_f1"])
+        for rec in history:
+            writer.writerow(
+                [rec.epoch, repr(rec.train_loss), repr(rec.val_loss), repr(rec.val_f1)]
+            )
+    written = (tmp_path / "history.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert b"1e-300" in written and b",2.0," in written and b",0.0\r\n" in written
 
 
 def test_cli_exit_codes(tmp_path):
