@@ -19,19 +19,19 @@ targets n.
 
 ``train`` allocates what every epoch reuses once per call: the weights,
 Adam's two moments and the gradients each lie in one flat vector, with a
-view per weight matrix (``flat_views``, ``AdamState``).  Each epoch
-``gcn_backward`` writes the gradients into their views and ``adam_step``
-updates every weight with one pass of flat operations.  What an epoch
-still allocates is u-row: the forward pass's propagated inputs,
-pre-activations and probabilities, the backward pass's dZ, dH and dA,
-and the first layer's decay terms.
+view per weight matrix (``flat_views``).  ``GCNModel`` owns the weights'
+vector, and ``AdamState`` takes the model and allocates the rest.  Each
+epoch ``gcn_backward`` writes the gradients into their views and
+``adam_step`` updates every weight with one pass of flat operations.
+What an epoch still allocates is u-row: the forward pass's propagated
+inputs, pre-activations and probabilities, the backward pass's dZ, dH
+and dA, and the first layer's decay terms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,13 +43,16 @@ from .featurize import PropagationMatrix
 @dataclass
 class GCNModel:
     """The weights of a GCN, one matrix per graph-convolutional layer:
-    layer l maps ``dims[l]`` features to ``dims[l + 1]``."""
+    layer l maps ``dims[l]`` features to ``dims[l + 1]``.  The model
+    allocates them zeroed, one after another in one flat vector, ``flat``,
+    whose per-layer views are ``weights`` (`flat_views`)."""
 
-    weights: list[np.ndarray]
+    dims: list[int]
+    flat: np.ndarray = field(init=False)
+    weights: list[np.ndarray] = field(init=False)
 
-    @property
-    def dims(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [W.shape[1] for W in self.weights]
+    def __post_init__(self):
+        self.flat, self.weights = flat_views(list(zip(self.dims[:-1], self.dims[1:])))
 
 
 @dataclass
@@ -109,40 +112,13 @@ def flat_views(shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, list[np.ndarr
     return flat, views
 
 
-def _flat_span(arrays: list[np.ndarray]) -> np.ndarray:
-    """The 1-D view of the memory that ``arrays`` fill, each a C-contiguous
-    float64 array lying right after the one before, as `flat_views` lays
-    them out; a lone such array spans itself.  Anything else is a
-    DataError."""
-    owner = arrays[0] if arrays[0].base is None else arrays[0].base
-    whole = (
-        isinstance(owner, np.ndarray) and owner.dtype == np.float64 and owner.flags.c_contiguous
-    )
-    position = arrays[0].ctypes.data
-    for a in arrays:
-        if not (
-            whole
-            and (a is owner or a.base is owner)
-            and a.dtype == np.float64
-            and a.flags.c_contiguous
-            and a.ctypes.data == position
-        ):
-            raise DataError("weights must lie one after another in one flat float64 vector")
-        position += a.nbytes
-    flat = owner.reshape(-1)
-    start = (arrays[0].ctypes.data - flat.ctypes.data) // flat.itemsize
-    return flat[start : start + sum(a.size for a in arrays)]
-
-
 def init_model(input_dim: int, config: TrainConfig) -> GCNModel:
-    """Glorot-initialized weights, layer l seeded ``config.seed + l``,
-    each a view of one flat vector (`flat_views`), as `AdamState` needs."""
-    dims = [input_dim] + [config.hidden_size] * (config.num_layers - 1) + [2]
-    shapes = list(zip(dims[:-1], dims[1:]))
-    _, weights = flat_views(shapes)
-    for l, W in enumerate(weights):
-        W[...] = glorot_init(*shapes[l], config.seed + l)
-    return GCNModel(weights)
+    """A `GCNModel` whose layer l holds the glorot matrix seeded
+    ``config.seed + l``."""
+    model = GCNModel([input_dim] + [config.hidden_size] * (config.num_layers - 1) + [2])
+    for l, W in enumerate(model.weights):
+        W[...] = glorot_init(*W.shape, config.seed + l)
+    return model
 
 
 @dataclass
@@ -222,13 +198,12 @@ def label_table(labels: np.ndarray, mask: np.ndarray, P: PropagationMatrix) -> L
 @dataclass
 class ForwardCaches:
     """Per layer and on the row classes: the propagated input to W and the
-    pre-activation.  Also the class rows of the log-probabilities and of
-    their exponentials, the probabilities."""
+    pre-activation.  Also the class rows of the probabilities, the
+    exponentials of the log-probabilities `gcn_forward` returns."""
 
     propagated: list[np.ndarray]
     pre_activations: list[np.ndarray]
-    log_probs: np.ndarray  # one row per class
-    probs: np.ndarray  # np.exp(log_probs)
+    probs: np.ndarray  # one row per class
 
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
@@ -273,7 +248,7 @@ def gcn_forward(
     inputs.append(S)
     pre_activations.append(Z)
     log_probs = _log_softmax(Z)
-    return log_probs, ForwardCaches(inputs, pre_activations, log_probs, np.exp(log_probs))
+    return log_probs, ForwardCaches(inputs, pre_activations, np.exp(log_probs))
 
 
 def _first_layer_decay(model: GCNModel, weight_decay: float) -> float:
@@ -329,25 +304,22 @@ def gcn_backward(
 
 
 class AdamState:
-    """Adam's step count ``t`` and moments for the weight matrices it
-    steps, with their gradients and scratch space for `adam_step`.
+    """Adam's step count ``t`` and moments for the weights of ``model``,
+    with their gradients and scratch space for `adam_step`.
 
-    The weights must lie one after another in one flat vector, as
-    `flat_views` lays them out: ``init_model``'s do, and a lone
-    C-contiguous matrix lies in its own.  The state keeps that vector,
-    ``flat``, and allocates four more of its length, once: the first and
-    second moments, ``first`` and ``second``, whose per-matrix views are
-    ``m`` and ``v``; the gradients, ``gradient``, whose per-matrix views
-    ``grads`` `gcn_backward` writes into; and the step's numerator and
-    denominator.  A step then runs each operation once over all the
-    weights, not once per matrix.
+    The state keeps the model's flat weight vector, ``flat``, and its
+    per-matrix views, ``weights``, and allocates five more vectors of its
+    length, once: the first and second moments, ``first`` and ``second``,
+    whose per-matrix views are ``m`` and ``v``; the gradients,
+    ``gradient``, whose per-matrix views ``grads`` `gcn_backward` writes
+    into; and the step's numerator and denominator.  A step then runs each
+    operation once over all the weights, not once per matrix.
     """
 
-    def __init__(self, weights: list[np.ndarray]):
+    def __init__(self, model: GCNModel):
         self.t = 0
-        self.weights = tuple(weights)
-        self.flat = _flat_span(self.weights)
-        shapes = [W.shape for W in weights]
+        self.flat, self.weights = model.flat, model.weights
+        shapes = [W.shape for W in self.weights]
         self.first, self.m = flat_views(shapes)
         self.second, self.v = flat_views(shapes)
         self.gradient, self.grads = flat_views(shapes)
@@ -355,33 +327,21 @@ class AdamState:
 
 
 def adam_step(
-    weights: list[np.ndarray],
-    grads: list[np.ndarray],
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Standard bias-corrected Adam update, in place.
+    """Standard bias-corrected Adam update of the state's weights by the
+    gradients in ``state.grads``, in place.
 
-    ``weights`` are the matrices ``state`` was made for.  ``grads`` are
-    the state's own gradient views, ``state.grads``, or matrices of their
-    shapes, which are first copied into them.  ``W -= lr * m_hat /
-    (sqrt(v_hat) + eps)`` is then evaluated once over the state's flat
-    vectors, each operation in the formula's order, so the weights and
-    moments are bitwise those of the formula written out per matrix with
-    temporaries; the bias corrections are computed once per step.
+    ``W -= lr * m_hat / (sqrt(v_hat) + eps)`` is evaluated once over the
+    state's flat vectors, each operation in the formula's order, so the
+    weights and moments are bitwise those of the formula written out per
+    matrix with temporaries; the bias corrections are computed once per
+    step.
     """
-    if len(weights) != len(grads):
-        raise DataError("weights/grads length mismatch")
-    if len(weights) != len(state.weights) or not all(map(operator.is_, weights, state.weights)):
-        raise DataError("adam_step must be given the weights its state was made for")
-    if grads is not state.grads:
-        for view, grad in zip(state.grads, grads):
-            if grad.shape != view.shape:
-                raise DataError("weight/gradient shape mismatch")
-            view[...] = grad
     state.t += 1
     correction1 = 1 - beta1**state.t
     correction2 = 1 - beta2**state.t
@@ -421,18 +381,18 @@ def train(
     """Full-batch transductive training, stopped once ``patience + 1``
     epochs in a row fail to lower the validation loss; the model returned
     holds the last epoch's weights.  Before the first epoch, once per call:
-    the weights, Adam's moments and the gradients are allocated, each in
-    one flat vector (`AdamState`); the label tables of the train and the
-    validation mask are built, and a mask that is not an index mask into
-    ``labels`` is a DataError there; a first forward pass checks X and
-    computes the first layer's input C Gᵀ X, which every later pass is
-    handed.  Each epoch makes one forward pass, on the weights its Adam
-    step left; its log-probabilities give the epoch's validation loss and
-    the next epoch's training loss and gradients, which `gcn_backward`
-    writes into the state's gradient views."""
+    the model allocates its weights in one flat vector (`GCNModel`), and
+    its `AdamState` the moments and the gradients, each in one more; the
+    label tables of the train and the validation mask are built, and a
+    mask that is not an index mask into ``labels`` is a DataError there; a
+    first forward pass checks X and computes the first layer's input
+    C Gᵀ X, which every later pass is handed.  Each epoch makes one
+    forward pass, on the weights its Adam step left; its log-probabilities
+    give the epoch's validation loss and the next epoch's training loss
+    and gradients, which `gcn_backward` writes into the state's gradient
+    views."""
     model = init_model(X.shape[1], config)
-    state = AdamState(model.weights)
-    weights, grads = model.weights, state.grads
+    state = AdamState(model)
     fit = label_table(labels, masks.train, P)
     held_out = label_table(labels, masks.validation, P)
     train_mask, weight_decay, lr = masks.train, config.weight_decay, config.learning_rate
@@ -451,8 +411,8 @@ def train(
             raise NumericalError(
                 f"training diverged at epoch {epoch}: loss={train_loss}"
             )
-        gcn_backward(P, caches, labels, train_mask, model, weight_decay, table=fit, out=grads)
-        adam_step(weights, grads, state, lr)
+        gcn_backward(P, caches, labels, train_mask, model, weight_decay, table=fit, out=state.grads)
+        adam_step(state, lr)
 
         log_probs, caches = gcn_forward(P, X, model, propagated)
         decay = _first_layer_decay(model, weight_decay)

@@ -214,7 +214,7 @@ def per_target_train(P, X, labels, masks, config):
     validation loss, keeping the last epoch's weights.  Returns the model
     and one (train_loss, val_loss, val_f1) tuple per epoch."""
     model = init_model(X.shape[1], config)
-    state = AdamState(model.weights)
+    state = AdamState(model)
 
     def objective(log_probs, mask):
         data = -float(log_probs[mask, labels[mask]].mean())
@@ -228,7 +228,9 @@ def per_target_train(P, X, labels, masks, config):
         grads = per_target_gcn_backward(
             P, log_probs, layers, labels, masks.train, model, config.weight_decay
         )
-        adam_step(model.weights, grads, state, config.learning_rate)
+        for view, grad in zip(state.grads, grads):
+            view[...] = grad
+        adam_step(state, config.learning_rate)
         eval_lp, _ = per_target_gcn_forward(P, X, model)
         val_loss = objective(eval_lp, masks.validation)
         pred = np.exp(eval_lp[masks.validation, 1]) >= 0.5
@@ -328,12 +330,13 @@ def auc_pr_by_tie_groups(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(area)
 
 
-def adam_step_by_formula(weights, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step_by_formula(state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """`adam_step` as the bias-corrected Adam formula reads, one full-size
-    temporary per operation and both corrections per weight matrix; the
-    package's in-place step must give bitwise the same weights and moments."""
+    temporary per operation and both corrections per weight matrix, on the
+    state's weight and gradient views; the package's in-place step must
+    give bitwise the same weights and moments."""
     state.t += 1
-    for W, g, m, v in zip(weights, grads, state.m, state.v):
+    for W, g, m, v in zip(state.weights, state.grads, state.m, state.v):
         m *= beta1
         m += (1 - beta1) * g
         v *= beta2
@@ -350,8 +353,8 @@ def train_per_matrix(P, X, labels, masks, config, beta1=0.9, beta2=0.999, eps=1e
     a matrix product, the decay by ``np.sum(W ** 2)``, a fresh gradient
     list each epoch with the decay added out of place, and an Adam step
     that gathers the gradients with `np.concatenate`, runs the flat
-    operations and subtracts the step matrix by matrix.  Returns the model
-    and its `EpochRecord` history."""
+    operations and subtracts the step matrix by matrix.  Returns the
+    weights copied into a `GCNModel` and the `EpochRecord` history."""
     dims = [X.shape[1]] + [config.hidden_size] * (config.num_layers - 1) + [2]
     weights = [glorot_init(dims[l], dims[l + 1], config.seed + l) for l in range(len(dims) - 1)]
     sizes = [W.size for W in weights]
@@ -445,7 +448,10 @@ def train_per_matrix(P, X, labels, masks, config, beta1=0.9, beta2=0.999, eps=1e
             stale += 1
             if stale > config.patience:
                 break
-    return GCNModel(weights), history
+    model = GCNModel(dims)
+    for view, W in zip(model.weights, weights):
+        view[...] = W
+    return model, history
 
 
 def parse_facts_line_by_line(text: str) -> KnowledgeBase:

@@ -14,7 +14,6 @@ from relgcn.gcn import (
     TrainConfig,
     _first_layer_decay,
     adam_step,
-    flat_views,
     gcn_backward,
     gcn_forward,
     glorot_init,
@@ -113,8 +112,8 @@ def test_split_masks_must_be_disjoint():
 def test_forward_hand_computed_single_layer():
     """One conv layer, P = I: log-softmax of X @ W, computable by hand."""
     X = np.array([[1.0, 2.0]])
-    W = np.array([[1.0, 0.0], [0.0, 1.0]])
-    model = GCNModel([W])
+    model = GCNModel([2, 2])
+    model.weights[0][...] = np.eye(2)
     log_probs, _ = gcn_forward(as_operator(np.eye(1)), X, model)
     z = np.array([1.0, 2.0])
     expected = z - np.log(np.exp(z).sum())
@@ -154,7 +153,8 @@ def test_nll_loss_hand_value():
     expected = -(np.log(0.9) + np.log(0.8)) / 2.0
     assert objective(log_probs, labels, mask, P) == pytest.approx(expected)
     # First-layer weight decay adds wd/2 * ||W0||^2.
-    model = GCNModel([np.full((2, 2), 2.0)])
+    model = GCNModel([2, 2])
+    model.flat[...] = 2.0
     with_reg = objective(log_probs, labels, mask, P, model, weight_decay=0.1)
     assert with_reg == pytest.approx(expected + 0.05 * 16.0)
     with pytest.raises(DataError):
@@ -270,7 +270,7 @@ def test_backward_into_out_is_bitwise_the_allocating_call(num_layers):
     mask = np.arange(6)
     model = init_model(3, TrainConfig(hidden_size=5, num_layers=num_layers))
     _, caches = gcn_forward(P, X, model)
-    state = AdamState(model.weights)
+    state = AdamState(model)
     for wd in (0.0, 5e-4):
         fresh = gcn_backward(P, caches, labels, mask, model, wd)
         written = gcn_backward(P, caches, labels, mask, model, wd, out=state.grads)
@@ -449,62 +449,35 @@ def test_predict_scores_are_constant_on_row_classes():
 def test_adam_first_step_is_signed_lr():
     """With zeroed state the bias-corrected first step is lr * sign(g)
     up to the epsilon regularizer."""
-    W = np.array([[1.0, -1.0]])
-    g = np.array([[0.3, -0.7]])
-    state = AdamState([W])
-    adam_step([W], [g], state, lr=0.01)
+    model = GCNModel([1, 2])
+    W = model.weights[0]
+    W[...] = [[1.0, -1.0]]
+    state = AdamState(model)
+    state.grads[0][...] = [[0.3, -0.7]]
+    adam_step(state, lr=0.01)
     assert state.t == 1
     expected = np.array([[1.0 - 0.01 * 0.3 / (0.3 + 1e-8), -1.0 + 0.01 * 0.7 / (0.7 + 1e-8)]])
     assert np.allclose(W, expected)
 
 
-def test_adam_shape_mismatch():
-    W = np.ones((2, 2))
-    state = AdamState([W])
-    with pytest.raises(DataError):
-        adam_step([W], [np.ones((2, 3))], state, lr=0.1)
-    with pytest.raises(DataError):
-        adam_step([W], [], state, lr=0.1)
-
-
-@pytest.mark.parametrize("shapes", [[(3, 4)], [(1, 2)], [(3, 5), (5, 5), (5, 5), (5, 2)]])
-def test_adam_step_on_standalone_matrices_is_bitwise_the_formula(shapes):
-    """Weights that are one matrix of their own, or lie in one flat vector,
-    stepped with fresh gradient matrices, which `adam_step` copies into the
-    state's buffer: weights and moments are bitwise the formula's."""
-    rng = np.random.default_rng(len(shapes))
-    if len(shapes) == 1:
-        weights = [rng.standard_normal(shapes[0])]
-        oracle = [weights[0].copy()]
-    else:
-        (_, weights), (_, oracle) = flat_views(shapes), flat_views(shapes)
-        for W, O in zip(weights, oracle):
-            W[...] = O[...] = rng.standard_normal(W.shape)
-    state, oracle_state = AdamState(weights), AdamState(oracle)
+@pytest.mark.parametrize("dims", [[3, 4], [1, 2], [3, 5, 5, 5, 2]])
+def test_adam_step_on_standalone_matrices_is_bitwise_the_formula(dims):
+    """Random weights stepped five times by random gradients, written into
+    the state's gradient vector, which the formula reads through its
+    per-matrix views: weights and moments are bitwise the formula's."""
+    rng = np.random.default_rng(len(dims))
+    model, oracle = GCNModel(dims), GCNModel(dims)
+    model.flat[...] = oracle.flat[...] = rng.standard_normal(model.flat.size)
+    state, oracle_state = AdamState(model), AdamState(oracle)
     for _ in range(5):
-        grads = [rng.standard_normal(shape) for shape in shapes]
-        adam_step(weights, grads, state, lr=0.01)
-        adam_step_by_formula(oracle, grads, oracle_state, lr=0.01)
+        state.gradient[...] = oracle_state.gradient[...] = rng.standard_normal(model.flat.size)
+        adam_step(state, lr=0.01)
+        adam_step_by_formula(oracle_state, lr=0.01)
     assert state.t == oracle_state.t == 5
-    for got, want in [(weights, oracle), (state.m, oracle_state.m), (state.v, oracle_state.v)]:
+    for got, want in [
+        (model.weights, oracle.weights), (state.m, oracle_state.m), (state.v, oracle_state.v)
+    ]:
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-
-
-def test_adam_state_needs_its_weights_in_one_flat_vector():
-    """The state steps the flat vector its weights lie in, so weights that
-    do not lie one after another in one vector are a DataError, and so is
-    a step handed other weights than the state's."""
-    _, views = flat_views([(2, 3), (3, 3)])
-    with pytest.raises(DataError):
-        AdamState([np.ones((2, 3)), np.ones((3, 3))])
-    with pytest.raises(DataError):
-        AdamState(views[::-1])
-    with pytest.raises(DataError):
-        AdamState([np.ones((4, 6))[:, :3]])
-    state = AdamState(views)
-    assert np.shares_memory(state.flat, views[0]) and state.flat.size == 15
-    with pytest.raises(DataError):
-        adam_step([views[0].copy(), views[1]], state.grads, state, lr=0.1)
 
 
 def test_init_model_weights_lie_in_one_flat_vector():
@@ -512,9 +485,8 @@ def test_init_model_weights_lie_in_one_flat_vector():
     matrix, each bitwise the glorot matrix of its layer's seed."""
     config = TrainConfig(hidden_size=5, num_layers=3, seed=7)
     model = init_model(4, config)
-    flat = AdamState(model.weights).flat
-    assert flat.size == 4 * 5 + 5 * 5 + 5 * 2
-    assert flat.tobytes() == b"".join(W.tobytes() for W in model.weights)
+    assert model.flat.size == 4 * 5 + 5 * 5 + 5 * 2
+    assert model.flat.tobytes() == b"".join(W.tobytes() for W in model.weights)
     for l, W in enumerate(model.weights):
         assert W.tobytes() == glorot_init(*W.shape, config.seed + l).tobytes()
 

@@ -4,12 +4,12 @@ their calls run (each stage handed the result of the one before) and run
 one stage at a time, each stage reading the run directory as a stage
 command does.
 
-A refactor keeps every artifact byte-identical; this test checks the
-ones that do not carry full-precision GCN floats.  ``rules.txt``,
+A refactor keeps every artifact byte-identical.  ``rules.txt``,
 ``metrics.csv`` and ``sweep_hidden_size.csv`` are compared as text, so a
-failure shows the diff; ``X.csv``, ``targets.csv``, ``splits.json`` and
-``threshold.json`` by sha256.  ``history.csv`` and ``test_scores.csv``
-hold GCN floats that another BLAS may round otherwise, and are left out.
+failure shows the diff; ``X.csv``, ``targets.csv``, ``splits.json``,
+``threshold.json``, ``history.csv`` and ``test_scores.csv`` by sha256.
+The last two hold full-precision GCN floats, so their hashes hold for
+the BLAS the record was made with; another may round a matmul otherwise.
 
 A change that declares new outputs regenerates the record with
 ``python3 tests/test_golden.py`` and says so.
@@ -27,7 +27,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = Path(__file__).resolve().parent / "golden.json"
 TEXT = ("rules.txt", "metrics.csv", "sweep_hidden_size.csv")
-HASHED = ("X.csv", "targets.csv", "splits.json", "threshold.json")
+HASHED = (
+    "X.csv", "targets.csv", "splits.json", "threshold.json", "history.csv", "test_scores.csv"
+)
 
 
 def _workloads() -> dict:
