@@ -16,6 +16,7 @@ from .pipeline import (
     SWEEP_AXES,
     PipelineConfig,
     derived_seeds,
+    metrics_table,
     rule_coverage_report,
     run_pipeline,
     run_stages,
@@ -153,16 +154,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "train":
         *_, history = result
         print(f"trained for {len(history)} epochs")
-    elif args.command == "eval":
-        print(result.to_text(), end="")
-    elif args.command == "pipeline":
-        report = run_pipeline(config)
-        print(report.to_text(), end="")
+    elif args.command in ("eval", "pipeline"):
+        report = result if args.command == "eval" else run_pipeline(config)
+        print(metrics_table([(None, report)]), end="")
     elif args.command == "sweep":
-        results = sensitivity_sweep(config, args.axis)
-        for value, report in results:
-            auc = "" if report.auc_pr is None else f"{report.auc_pr:.4f}"
-            print(f"{args.axis}={value}: f1={report.f1:.4f} auc_pr={auc}")
+        print(metrics_table(sensitivity_sweep(config, args.axis), args.axis), end="")
     elif args.command == "inspect-rules":
         print(rule_coverage_report(config), end="")
     return 0

@@ -271,12 +271,6 @@ class KnowledgeBase:
 
     # -- queries ----------------------------------------------------------
 
-    def fact_count(self, predicate: str | None = None) -> int:
-        """The number of distinct facts of `predicate`, or of every predicate."""
-        if predicate is not None:
-            return len(self.fact_array(predicate))
-        return sum(len(self.fact_array(p)) for p in self.schemas)
-
     def constant_id(self, name: str) -> int:
         """The int id of an interned constant name."""
         return self._ids[name]

@@ -1,8 +1,9 @@
-"""Link-prediction metrics (recall, precision, F1, AUC-PR) and data splits."""
+"""Link-prediction metrics (recall, precision, F1, AUC-PR), reported as
+one ``metrics.csv`` row under ``METRICS_HEADER``, and data splits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -12,50 +13,34 @@ from .gcn import SplitMasks
 
 @dataclass
 class MetricsReport:
+    """The test-split metrics of one run, a row of ``metrics.csv`` whose
+    columns are the fields, in order."""
+
     recall: float
     precision: float
     f1: float
-    auc_pr: float | None
-    threshold_used: float
+    auc_pr: float
+    threshold: float
     tp: int
     fp: int
     tn: int
     fn: int
-    no_positive_predictions: bool = False
-
-    def to_text(self) -> str:
-        lines = [
-            f"recall: {self.recall:.6f}",
-            f"precision: {self.precision:.6f}",
-            f"f1: {self.f1:.6f}",
-            f"auc_pr: {'' if self.auc_pr is None else f'{self.auc_pr:.6f}'}",
-            f"threshold: {self.threshold_used:.6f}",
-            f"tp: {self.tp}",
-            f"fp: {self.fp}",
-            f"tn: {self.tn}",
-            f"fn: {self.fn}",
-            f"no_positive_predictions: {self.no_positive_predictions}",
-        ]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def csv_header() -> str:
-        return "recall,precision,f1,auc_pr,threshold,tp,fp,tn,fn"
 
     def to_csv_row(self) -> str:
-        auc = "" if self.auc_pr is None else f"{self.auc_pr:.6f}"
-        return (
-            f"{self.recall:.6f},{self.precision:.6f},{self.f1:.6f},{auc},"
-            f"{self.threshold_used:.6f},{self.tp},{self.fp},{self.tn},{self.fn}"
-        )
+        """The fields, in order: floats to six decimals, counts as integers."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return ",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in values)
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsReport))
 
 
 def confusion_metrics(
-    scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5
+    scores: np.ndarray, labels: np.ndarray, threshold: float, auc: float
 ) -> MetricsReport:
-    """Thresholded counts and derived metrics; predict positive iff
-    score >= threshold.  Precision is reported as a flagged 0 when nothing
-    is predicted positive."""
+    """Thresholded counts and derived metrics, reported with the AUC-PR
+    ``auc``; predict positive iff score >= threshold.  Precision is 0 when
+    nothing is predicted positive."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if scores.size == 0 or scores.size != labels.size:
@@ -65,22 +50,10 @@ def confusion_metrics(
     fp = int(np.sum(pred & (labels == 0)))
     fn = int(np.sum(~pred & (labels == 1)))
     tn = int(np.sum(~pred & (labels == 0)))
-    no_pos = (tp + fp) == 0
-    precision = 0.0 if no_pos else tp / (tp + fp)
+    precision = 0.0 if (tp + fp) == 0 else tp / (tp + fp)
     recall = 0.0 if (tp + fn) == 0 else tp / (tp + fn)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return MetricsReport(
-        recall=recall,
-        precision=precision,
-        f1=f1,
-        auc_pr=None,
-        threshold_used=threshold,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        no_positive_predictions=no_pos,
-    )
+    return MetricsReport(recall, precision, f1, auc, threshold, tp, fp, tn, fn)
 
 
 def auc_pr(scores: np.ndarray, labels: np.ndarray) -> float:

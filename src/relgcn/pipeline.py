@@ -15,9 +15,11 @@ matrix is a fixed function of X and the ``featurize.*`` keys, so train
 builds it each time.  Train writes the graph's metric and threshold t to
 ``threshold.json`` and its scores of the test targets to
 ``test_scores.csv``, which is all eval run alone reads; the trained
-weights are not persisted.  A manifest records the config hash, all
-seeds and per-stage wall times; only ``run_pipeline`` writes it, and any
-stage run deletes it.
+weights are not persisted.  Eval writes the one report, ``metrics.csv``,
+and a sweep a table of its rows, ``sweep_<axis>.csv``; ``metrics_table``
+renders both, as written and as printed.  A manifest records the config
+hash, all seeds and per-stage wall times; only ``run_pipeline`` writes
+it, and any stage run deletes it.
 
 The per-target tables, ``targets.csv`` (labels), ``X.csv`` and
 ``test_scores.csv``, are all matrix CSVs (``featurize.write_matrix_csv``):
@@ -535,23 +537,39 @@ def stage_eval(
     config: PipelineConfig,
     trained: tuple[np.ndarray, np.ndarray, list[gcn_mod.EpochRecord]] | None = None,
 ) -> metrics_mod.MetricsReport:
-    """Apply ``eval.threshold`` to the test scores and write the metrics.
-    ``trained`` is what train returned, of which eval reads the test
-    labels and scores, or, when None, ``_read_scores`` reads them from the
-    run directory; no other artifact or config key is read."""
+    """Apply ``eval.threshold`` to the test scores and write the report,
+    ``metrics.csv``: its header and one row.  ``trained`` is what train
+    returned, of which eval reads the test labels and scores, or, when
+    None, ``_read_scores`` reads them from the run directory; no other
+    artifact or config key is read.  A threshold that no test score
+    reaches is logged as a WARNING; precision and F1 are then 0."""
     out = config.out_dir()
     path = out / "test_scores.csv"
     test_labels, test_scores = trained[:2] if trained is not None else _read_scores(config)
     threshold = config["eval.threshold"]
     log.info("scored %d test targets at threshold %r from %s",
              len(test_scores), threshold, path)
-    report = metrics_mod.confusion_metrics(test_scores, test_labels, threshold)
-    report.auc_pr = metrics_mod.auc_pr(test_scores, test_labels)
-    (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
-    with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as f:
-        f.write(metrics_mod.MetricsReport.csv_header() + "\n")
-        f.write(report.to_csv_row() + "\n")
+    report = metrics_mod.confusion_metrics(
+        test_scores, test_labels, threshold, metrics_mod.auc_pr(test_scores, test_labels)
+    )
+    if report.tp + report.fp == 0:
+        log.warning("no test target scored at or above the threshold %r: "
+                    "precision and F1 are 0", threshold)
+    (out / "metrics.csv").write_text(
+        metrics_table([(None, report)]), encoding="utf-8", newline=""
+    )
     return report
+
+
+def metrics_table(results: list[tuple[object, metrics_mod.MetricsReport]], axis: str = "") -> str:
+    """The text of a metrics table, as written and as the CLI prints it: a
+    header, then one row per report, each line ending in ``\\n``.  Without
+    an ``axis`` it is ``metrics.csv`` and each report's value is not
+    written; with one it is a sweep table, whose first column, headed
+    ``axis``, holds the values."""
+    rows = [(axis, metrics_mod.METRICS_HEADER)]
+    rows += [(value, report.to_csv_row()) for value, report in results]
+    return "".join(f"{value},{row}\n" if axis else f"{row}\n" for value, row in rows)
 
 
 _STAGES = [
@@ -660,7 +678,10 @@ def sensitivity_sweep(
     values: list | None = None,
 ) -> list[tuple[object, metrics_mod.MetricsReport]]:
     """Rerun train and eval once per value of one axis, seeds fixed, and
-    write the metrics of each to ``sweep_<axis>.csv``.
+    write the metrics of each to ``sweep_<axis>.csv``.  Each value's train
+    and eval rewrite their artifacts (``splits.json``, ``threshold.json``,
+    ``history.csv``, ``test_scores.csv``, ``metrics.csv``), which are left
+    holding the run at the last value.
 
     Learn and featurize run first when ``rules.txt`` is missing, and
     featurize alone when only ``X.csv`` is; otherwise the labels, X and
@@ -687,10 +708,9 @@ def sensitivity_sweep(
         cfg = PipelineConfig.from_overrides({**config.values, key: value})
         ran = run_stages(cfg, ("train", "eval"), f"{axis}={value}", featurized)
         results.append((value, ran["eval"][0]))
-    with open(out / f"sweep_{axis}.csv", "w", newline="", encoding="utf-8") as f:
-        f.write(axis + "," + metrics_mod.MetricsReport.csv_header() + "\n")
-        for value, report in results:
-            f.write(f"{value}," + report.to_csv_row() + "\n")
+    (out / f"sweep_{axis}.csv").write_text(
+        metrics_table(results, axis), encoding="utf-8", newline=""
+    )
     return results
 
 

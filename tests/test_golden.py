@@ -4,7 +4,9 @@ their calls run (each stage handed the result of the one before) and run
 one stage at a time, each stage reading the run directory as a stage
 command does.
 
-A refactor keeps every artifact byte-identical.  ``rules.txt``,
+A run leaves exactly the recorded files, and a manifest if it wrote
+one, so no artifact goes unchecked.  A refactor keeps every artifact
+byte-identical.  ``rules.txt``,
 ``metrics.csv`` and ``sweep_hidden_size.csv`` are compared as text, so a
 failure shows the diff; ``X.csv``, ``targets.csv``, ``splits.json``,
 ``threshold.json``, ``history.csv`` and ``test_scores.csv`` by sha256.
@@ -89,8 +91,10 @@ def _read_outputs(out: Path) -> dict[str, dict[str, str]]:
 WORKLOAD_NAMES = ["planted-750", "sweep-hidden-500", "sampled-topics"]
 
 
-def _assert_recorded(name: str, got: dict[str, dict[str, str]]) -> None:
+def _assert_recorded(name: str, got: dict[str, dict[str, str]], out: Path) -> None:
     recorded = json.loads(RECORD.read_text(encoding="utf-8"))[name]
+    left = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert left == recorded["text"].keys() | recorded["sha256"].keys()
     assert got["text"].keys() == recorded["text"].keys()
     for file, text in recorded["text"].items():
         assert got["text"][file] == text, file
@@ -99,12 +103,13 @@ def _assert_recorded(name: str, got: dict[str, dict[str, str]]) -> None:
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_workload_outputs_match_the_record(name, tmp_path):
-    _assert_recorded(name, _outputs(_workloads()[name], tmp_path))
+    _assert_recorded(name, _outputs(_workloads()[name], tmp_path), tmp_path / "out")
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_workload_run_stage_by_stage_matches_the_record(name, tmp_path, monkeypatch):
-    _assert_recorded(name, _staged_outputs(_workloads()[name], tmp_path, monkeypatch))
+    got = _staged_outputs(_workloads()[name], tmp_path, monkeypatch)
+    _assert_recorded(name, got, tmp_path / "out")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgcn.errors import DataError
-from relgcn.metrics import MetricsReport, auc_pr, confusion_metrics, split_examples
+from relgcn.metrics import METRICS_HEADER, auc_pr, confusion_metrics, split_examples
 
 from oracles import auc_pr_by_tie_groups
 
@@ -14,41 +14,39 @@ from oracles import auc_pr_by_tie_groups
 def test_confusion_hand_counted():
     scores = np.array([0.9, 0.8, 0.4, 0.3, 0.6])
     labels = np.array([1, 0, 1, 0, 1])
-    report = confusion_metrics(scores, labels, threshold=0.5)
+    report = confusion_metrics(scores, labels, threshold=0.5, auc=0.75)
     assert (report.tp, report.fp, report.tn, report.fn) == (2, 1, 1, 1)
     assert report.precision == pytest.approx(2 / 3)
     assert report.recall == pytest.approx(2 / 3)
     assert report.f1 == pytest.approx(2 / 3)
-    assert not report.no_positive_predictions
+    assert (report.threshold, report.auc_pr) == (0.5, 0.75)
 
 
 def test_confusion_predicts_at_threshold_boundary():
-    report = confusion_metrics(np.array([0.5]), np.array([1]), threshold=0.5)
+    report = confusion_metrics(np.array([0.5]), np.array([1]), threshold=0.5, auc=1.0)
     assert report.tp == 1  # score >= threshold counts as positive
 
 
 def test_confusion_no_positive_predictions_flagged():
-    report = confusion_metrics(np.array([0.1, 0.2]), np.array([1, 0]), threshold=0.5)
-    assert report.no_positive_predictions
+    report = confusion_metrics(np.array([0.1, 0.2]), np.array([1, 0]), threshold=0.5, auc=1.0)
+    assert report.tp + report.fp == 0
     assert report.precision == 0.0
     assert report.f1 == 0.0
 
 
 def test_confusion_rejects_bad_inputs():
     with pytest.raises(DataError):
-        confusion_metrics(np.array([]), np.array([]))
+        confusion_metrics(np.array([]), np.array([]), 0.5, 1.0)
     with pytest.raises(DataError):
-        confusion_metrics(np.array([0.5]), np.array([1, 0]))
+        confusion_metrics(np.array([0.5]), np.array([1, 0]), 0.5, 1.0)
 
 
-def test_report_text_and_csv_shapes():
-    report = confusion_metrics(np.array([0.9, 0.1]), np.array([1, 0]))
-    report.auc_pr = 1.0
-    text = report.to_text()
-    assert "recall:" in text and "auc_pr:" in text
-    assert len(report.to_csv_row().split(",")) == len(
-        MetricsReport.csv_header().split(",")
-    )
+def test_report_row_fills_the_header_columns():
+    """The row holds a cell per header column: the rates, AUC-PR and
+    threshold to six decimals, then the four counts."""
+    report = confusion_metrics(np.array([0.9, 0.1, 0.6]), np.array([1, 0, 1]), 0.7, 1.0)
+    assert METRICS_HEADER == "recall,precision,f1,auc_pr,threshold,tp,fp,tn,fn"
+    assert report.to_csv_row() == "0.500000,1.000000,0.666667,1.000000,0.700000,1,0,1,1"
 
 
 def test_auc_pr_frozen_step_value():

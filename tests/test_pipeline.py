@@ -177,7 +177,6 @@ RUN_ARTIFACTS = {
     "history.csv",
     "splits.json",
     "test_scores.csv",
-    "metrics.txt",
     "metrics.csv",
     "manifest.json",
 }
@@ -793,7 +792,7 @@ def test_hidden_size_sweep_reuses_features(small_run, tmp_path):
     x_before = (config.out_dir() / "X.csv").read_bytes()
     results = sensitivity_sweep(config, "hidden_size", values=[8, 16])
     assert [v for v, _ in results] == [8, 16]
-    assert all(r.auc_pr is not None for _, r in results)
+    assert all(0.0 < r.auc_pr <= 1.0 for _, r in results)
     assert (config.out_dir() / "X.csv").read_bytes() == x_before
     sweep_csv = (config.out_dir() / "sweep_hidden_size.csv").read_text()
     assert len(sweep_csv.splitlines()) == 3  # header + 2 rows
@@ -887,6 +886,7 @@ def test_cli_synth_and_pipeline(tmp_path, capsys):
     )
     assert rc == 0
     assert (data_dir / "facts.txt").is_file()
+    capsys.readouterr()
 
     rc = cli_main(
         [
@@ -901,8 +901,7 @@ def test_cli_synth_and_pipeline(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "f1:" in out and "auc_pr:" in out
+    assert capsys.readouterr().out == (tmp_path / "out" / "metrics.csv").read_text()
 
     rc = cli_main(
         [
@@ -930,18 +929,22 @@ def test_cli_featurize_writes_only_x(small_run, tmp_path, capsys):
     assert not (out / "threshold.json").exists()
 
 
+def _cli_flags(config) -> list[str]:
+    """``--set`` flags for the inputs and sizes of ``config``."""
+    return [
+        arg
+        for key in ("facts", "pos", "neg", "learn.k_pos", "learn.k_neg", "train.epochs")
+        for arg in ("--set", f"{key}={config[key]}")
+    ]
+
+
 @pytest.mark.parametrize("command", ["learn", "featurize", "train"])
 def test_cli_stage_command_prints_what_it_wrote(small_run, tmp_path, capsys, command):
     """Learn names the rules file, featurize the shape of X and train the
     epochs it ran, one line each."""
     config = _clone_run(small_run, tmp_path)
     out = config.out_dir()
-    flags = [
-        arg
-        for key in ("facts", "pos", "neg", "learn.k_pos", "learn.k_neg", "train.epochs")
-        for arg in ("--set", f"{key}={config[key]}")
-    ]
-    assert cli_main([command, "--out", str(out), *flags]) == 0
+    assert cli_main([command, "--out", str(out), *_cli_flags(config)]) == 0
     n_rules = len((out / "rules.txt").read_text().splitlines())
     epochs = len((out / "history.csv").read_text().splitlines()) - 1
     assert capsys.readouterr().out == {
@@ -949,6 +952,45 @@ def test_cli_stage_command_prints_what_it_wrote(small_run, tmp_path, capsys, com
         "featurize": f"feature matrix X written: 65 targets x {n_rules} rules\n",
         "train": f"trained for {epochs} epochs\n",
     }[command]
+
+
+@pytest.mark.parametrize(
+    "command, table",
+    [(["eval"], "metrics.csv"), (["pipeline"], "metrics.csv"),
+     (["sweep", "--axis", "hidden_size"], "sweep_hidden_size.csv")],
+)
+def test_cli_report_command_prints_the_table_it_wrote(small_run, tmp_path, capsys, command, table):
+    """Eval and pipeline print the bytes of the metrics.csv they wrote, and
+    a sweep those of its table, a row per value."""
+    config = _clone_run(small_run, tmp_path)
+    out = config.out_dir()
+    (out / table).unlink(missing_ok=True)
+    assert cli_main([*command, "--out", str(out), *_cli_flags(config)]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert printed == (out / table).read_bytes()
+    assert len(printed.splitlines()) == (5 if command[0] == "sweep" else 2)
+
+
+def test_eval_with_no_positive_prediction_writes_zeros_and_warns(small_run, tmp_path, caplog):
+    """A threshold no test score reaches reports precision and F1 as 0 in
+    metrics.csv and logs one WARNING that names the threshold; a run that
+    predicts a positive logs none."""
+    config = _config(small_run["data"], tmp_path, **{"eval.threshold": "0.75"})
+    labels, scores = np.array([1, 0, 1, 0]), np.array([0.7, 0.1, 0.3, 0.2])
+    with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
+        report = stage_eval(config, (labels, scores, []))
+    header, row = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert row == report.to_csv_row()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["precision"], cells["f1"], cells["tp"], cells["fp"]) == (
+        "0.000000", "0.000000", "0", "0"
+    )
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "threshold 0.75" in warnings[0]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
+        stage_eval(_clone_run(small_run, tmp_path / "clone"))
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_history_is_written_as_csv_writer_writes_it(tmp_path):
@@ -1734,7 +1776,7 @@ def test_cli_seed_flag_overrides_all_seeds(tmp_path, monkeypatch):
         captured.update(config.values)
 
         class R:
-            def to_text(self):
+            def to_csv_row(self):
                 return ""
 
         return R()
