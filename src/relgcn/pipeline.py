@@ -540,15 +540,15 @@ def stage_eval(
     """Apply ``eval.threshold`` to the test scores and write the report,
     ``metrics.csv``: its header and one row.  ``trained`` is what train
     returned, of which eval reads the test labels and scores, or, when
-    None, ``_read_scores`` reads them from the run directory; no other
-    artifact or config key is read.  A threshold that no test score
-    reaches is logged as a WARNING; precision and F1 are then 0."""
+    None, ``_read_scores`` reads them from the run directory, and the INFO
+    line names that file; no other artifact or config key is read.  A
+    threshold that no test score reaches is logged as a WARNING;
+    precision and F1 are then 0."""
     out = config.out_dir()
-    path = out / "test_scores.csv"
     test_labels, test_scores = trained[:2] if trained is not None else _read_scores(config)
     threshold = config["eval.threshold"]
-    log.info("scored %d test targets at threshold %r from %s",
-             len(test_scores), threshold, path)
+    read_from = "" if trained is not None else f" from {out / 'test_scores.csv'}"
+    log.info("scored %d test targets at threshold %r%s", len(test_scores), threshold, read_from)
     report = metrics_mod.confusion_metrics(
         test_scores, test_labels, threshold, metrics_mod.auc_pr(test_scores, test_labels)
     )

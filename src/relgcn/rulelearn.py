@@ -41,10 +41,13 @@ their coverage masks are the same in every tree.  `learn_ruleset` keeps
 them in one `JoinMemo`, keyed by body, for as long as the call runs, and
 a tree joins only the bodies no earlier tree of the set has expanded; the
 split scoring, the density guard, the sort and the beam still run on each
-tree's own weights.  Besides the tables the memo holds one n-bool mask
-per candidate of every expanded body, where n counts the examples and
-the contrast; most of its bytes are the tables.  It peaks at 4.4 MB per
-rule set on the benchmark's ``sampled-topics`` workload and at 2.6 MB on
+tree's own weights.  Candidates with equal masks split the examples the
+same way, so a spine keeps its distinct masks, its splits, and a beam
+state fits both branches of each split once for all the candidates that
+share it.  Besides the tables the memo holds one n-bool mask per split
+of every expanded body, where n counts the examples and the contrast;
+most of its bytes are the tables.  It peaks at 4.3 MB per rule set on
+the benchmark's ``sampled-topics`` workload and at 2.5 MB on
 ``planted-750``.
 """
 
@@ -181,13 +184,19 @@ def _branch_fit(
 @dataclass
 class _Spine:
     """What the joins of one spine body give every tree of a rule set: the
-    body's binding table, its candidate literals with their texts, and
-    each candidate's coverage mask."""
+    body's binding table, its candidate literals with their texts, each
+    candidate's coverage mask, and the distinct masks among them, the
+    spine's splits, with each split's example count.  Candidates whose
+    masks are equal share one array: ``masks[i]`` is
+    ``splits[split_of[i]]``."""
 
     table: BindingTable
     candidates: list[Atom]
     texts: list[str]
     masks: list[np.ndarray]
+    splits: list[np.ndarray]
+    sizes: list[int]
+    split_of: list[int]
 
 
 class JoinMemo:
@@ -195,7 +204,7 @@ class JoinMemo:
     `LearnConfig`, with the joins of every spine body a tree has expanded,
     keyed by body: its binding table, its candidate literals and their
     coverage masks, joined by the first tree to expand it.  ``nbytes``
-    counts the tables and masks."""
+    counts the tables and each spine's distinct masks, its splits."""
 
     def __init__(self, kb: KnowledgeBase, examples: Targets, config: LearnConfig):
         self.kb = kb
@@ -228,13 +237,19 @@ class JoinMemo:
             table = base = BindingTable.for_head(self.head, self.examples)
         candidates = candidate_literals(kb, self.head, body)
         fresh = set(table.variables[len(base.variables) :])  # body[-1]'s new variables
-        masks = []
+        index: dict[bytes, int] = {}  # a mask's bytes -> its split's index
+        splits, split_of = [], []
         for lit in candidates:
             probed = table if fresh.intersection(lit.args) else base
-            masks.append(probed.covered(lit, kb, n))
-        spine = _Spine(table, candidates, [str(lit) for lit in candidates], masks)
+            mask = probed.covered(lit, kb, n)
+            split_of.append(index.setdefault(mask.tobytes(), len(splits)))
+            if split_of[-1] == len(splits):
+                splits.append(mask)
+        masks = [splits[i] for i in split_of]
+        spine = _Spine(table, candidates, [str(lit) for lit in candidates], masks, splits,
+                       [int(split.sum()) for split in splits], split_of)
         self.spines[body] = spine
-        self.nbytes += table.columns.nbytes + n * len(masks)
+        self.nbytes += table.columns.nbytes + n * len(splits)
         return spine
 
 
@@ -270,8 +285,9 @@ def learn_tree(
     depend on the body and the examples only, not on ``values`` or
     ``weights``, so they go into ``memo``, and a tree given the memo of
     earlier trees joins only the bodies none of them expanded.  The memo
-    holds an n-bool mask per candidate of every expanded body besides its
-    tables.
+    holds an n-bool mask per split, a distinct mask, of every expanded
+    body besides its tables, and each beam state fits both branches of
+    each split once, for every candidate whose mask it is.
     """
     config = memo.config
     n = len(memo.examples)
@@ -287,12 +303,13 @@ def learn_tree(
     root = _SpineState((), (), everything, 0.0, _branch_fit(values, weights, everything)[1])
     largest_table = 0
     scored_per_depth: list[int] = []
+    fitted_per_depth: list[int] = []
     reused = 0
     best = root
     beam = [root]
     for _depth in range(config.max_body_length):
         expansions: list[_SpineState] = []
-        scored = 0
+        scored = fitted = 0
         for state in beam:
             if int(state.left.sum()) < config.min_examples_per_leaf:
                 continue
@@ -301,11 +318,19 @@ def learn_tree(
             largest_table = max(largest_table, spine.table.columns.shape[1])
             scored += len(spine.candidates)
             reused += len(spine.candidates) if joined else 0
-            for lit, text, new_left in zip(spine.candidates, spine.texts, spine.masks):
-                if int(new_left.sum()) < config.min_examples_per_leaf:
+            # Both branches of each split, fitted once for all its candidates.
+            fits = [
+                (_branch_fit(values, weights, split),
+                 _branch_fit(values, weights, state.left & ~split))
+                if size >= config.min_examples_per_leaf else None
+                for split, size in zip(spine.splits, spine.sizes)
+            ]
+            fitted += sum(fit is not None for fit in fits)
+            candidates = zip(spine.candidates, spine.texts, spine.masks, spine.split_of)
+            for lit, text, new_left, i in candidates:
+                if fits[i] is None:
                     continue
-                left_mean, left_sse = _branch_fit(values, weights, new_left)
-                right_mean, right_sse = _branch_fit(values, weights, state.left & ~new_left)
+                (left_mean, left_sse), (right_mean, right_sse) = fits[i]
                 # The spine describes the class density: accept only splits
                 # whose covered side is at least as class-dense as what it
                 # peels off (an empty side has mean 0), or the left path would
@@ -323,6 +348,7 @@ def learn_tree(
                     )
                 )
         scored_per_depth.append(scored)
+        fitted_per_depth.append(fitted)
         if not expansions:
             break
         expansions.sort(key=lambda s: s.sort_key)
@@ -332,11 +358,13 @@ def learn_tree(
 
     log.info(
         "learned a depth-%d tree for %s; candidate literals scored per beam "
-        "depth: %s; largest binding table: %d rows; candidates from the join "
-        "memo: %d of %d (memo %d bytes); join indexes held: %d (%d bytes)",
+        "depth: %s; distinct splits fitted per depth: %s; largest binding "
+        "table: %d rows; candidates from the join memo: %d of %d (memo %d "
+        "bytes); join indexes held: %d (%d bytes)",
         len(best.literals),
         memo.head.predicate,
         scored_per_depth,
+        fitted_per_depth,
         largest_table,
         reused,
         sum(scored_per_depth),

@@ -27,6 +27,7 @@ from relgcn.kb import (
     _split_args,
     _strip_comment,
 )
+from relgcn.rulelearn import _BEST_TOL, JoinMemo, _branch_fit, _SpineState
 
 
 def has_fact(kb: KnowledgeBase, predicate: str, names: tuple[str, ...]) -> bool:
@@ -247,6 +248,48 @@ def per_target_train(P, X, labels, masks, config):
             if stale > config.patience:
                 break
     return model, history
+
+
+def per_candidate_learn_tree(
+    memo: JoinMemo, values: np.ndarray, weights: np.ndarray, ties: list[int] | None = None
+) -> tuple[Clause, np.ndarray]:
+    """`learn_tree`'s beam search with both branches of every candidate
+    fitted, one `_branch_fit` pair per candidate, over the candidate masks
+    of ``memo``'s spines: the rule and the mask of the examples it covers.
+    ``ties``, when given, gets, per depth that expanded, the number of
+    expansions whose total error equals the lowest one's, minus one."""
+    config = memo.config
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    everything = np.ones(len(memo.examples), dtype=bool)
+    root = _SpineState((), (), everything, 0.0, _branch_fit(values, weights, everything)[1])
+    best, beam = root, [root]
+    for _ in range(config.max_body_length):
+        expansions = []
+        for state in beam:
+            if int(state.left.sum()) < config.min_examples_per_leaf:
+                continue
+            spine = memo.spine(state.literals)
+            for lit, text, new_left in zip(spine.candidates, spine.texts, spine.masks):
+                if int(new_left.sum()) < config.min_examples_per_leaf:
+                    continue
+                left_mean, left_sse = _branch_fit(values, weights, new_left)
+                right_mean, right_sse = _branch_fit(values, weights, state.left & ~new_left)
+                if left_mean < right_mean - _BEST_TOL:
+                    continue
+                acc_right = state.acc_right_sse + right_sse
+                expansions.append(_SpineState(
+                    state.literals + (lit,), state.texts + (text,), new_left,
+                    acc_right, acc_right + left_sse,
+                ))
+        if not expansions:
+            break
+        expansions.sort(key=lambda s: s.sort_key)
+        if ties is not None:
+            ties.append(sum(s.total_sse == expansions[0].total_sse for s in expansions) - 1)
+        beam = expansions[: config.beam_width]
+        if beam[0].total_sse < best.total_sse - _BEST_TOL:
+            best = beam[0]
+    return Clause(memo.head, best.literals), best.left
 
 
 def enumerate_target_tuples(

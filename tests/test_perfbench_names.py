@@ -131,8 +131,9 @@ def test_every_entry_point_runs_its_stages_through_the_stage_list(tmp_path, monk
 
 def test_benchmark_tracer_counts_a_pipeline_run(tmp_path):
     """The benchmark's hooks read return values (`learn_ruleset`'s rules)
-    and arguments (`gcn_forward`'s model) of a traced run, and uninstalling
-    puts every wrapped name back."""
+    and arguments (`gcn_forward`'s model) of a traced run, learn's
+    counters read their recorded values, and uninstalling puts every
+    wrapped name back."""
     tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
     config = _small_config(tmp_path)
     originals = [
@@ -149,6 +150,11 @@ def test_benchmark_tracer_counts_a_pipeline_run(tmp_path):
     metrics = tracing["layer_metrics"](tracer)
     assert metrics["rulelearn.rules_kept"][0] > 0
     assert metrics["gcn.forward_calls"][0] > 0
+    # Learn's counters, pinned so that a change to how learn scores its
+    # candidates keeps the traces before and after it comparable: one span
+    # per tree, one listing per joined body, the candidates listed.
+    learn_counters = ("learn_tree_calls", "candidate_literals_calls", "candidates")
+    assert [metrics[f"rulelearn.{name}"][0] for name in learn_counters] == [4, 37, 262]
 
 
 def test_benchmark_tracer_counts_a_run_that_samples_its_negatives(tmp_path):

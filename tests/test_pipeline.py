@@ -775,6 +775,21 @@ def test_eval_logs_what_it_scored(small_run, tmp_path, caplog):
     ]
 
 
+@pytest.mark.parametrize("chained", [True, False], ids=["pipeline", "eval-alone"])
+def test_eval_names_the_scores_file_only_when_it_read_it(small_run, tmp_path, caplog, chained):
+    """A chained run hands eval train's scores in memory, so eval's line
+    names no file; eval run alone reads test_scores.csv and names it."""
+    config = _clone_run(small_run, tmp_path, **{"train.epochs": "2"})
+    with caplog.at_level(logging.INFO, logger="relgcn.pipeline"):
+        report = run_pipeline(config) if chained else run_stages(config, ("eval",))["eval"][0]
+    n = report.tp + report.fp + report.tn + report.fn
+    scored = f"scored {n} test targets at threshold 0.5"
+    if not chained:
+        scored += f" from {config.out_dir() / 'test_scores.csv'}"
+    messages = [r.getMessage() for r in caplog.records if r.name == "relgcn.pipeline"]
+    assert [m for m in messages if m.startswith("scored ")] == [scored]
+
+
 def test_rule_coverage_report_lists_all_rules(small_run):
     text = rule_coverage_report(small_run["config"])
     lines = [l for l in text.splitlines() if l.strip()]

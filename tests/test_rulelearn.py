@@ -29,7 +29,7 @@ from relgcn.rulelearn import (
 )
 
 from conftest import PERSON, UNIVERSITY, coauthors
-from oracles import brute_force_count, squared_error_score
+from oracles import brute_force_count, per_candidate_learn_tree, squared_error_score
 from random_instances import random_instance, random_kb
 
 
@@ -321,6 +321,91 @@ def test_spine_masks_match_the_spines_own_table_and_brute_force():
     assert scored_on_parent_rows > 50
 
 
+def test_spine_candidates_with_equal_masks_share_one_split(coauthor_kb, topic_class_examples):
+    """The root spine of the coauthor examples has candidates with equal
+    coverage: they share one mask array, their split, which still equals
+    `BindingTable.covered` for each, and the memo counts its n bytes
+    once."""
+    classed, contrast = topic_class_examples
+    examples = classed + contrast
+    n = len(examples)
+    memo = JoinMemo(coauthor_kb, examples, LearnConfig())
+    spine = memo.spine(())
+    groups: dict[bytes, list[int]] = {}
+    for i, mask in enumerate(spine.masks):
+        groups.setdefault(mask.tobytes(), []).append(i)
+    assert max(map(len, groups.values())) > 1
+    assert len(spine.splits) == len(groups) < len(spine.candidates)
+    for group in groups.values():
+        assert all(spine.masks[i] is spine.masks[group[0]] for i in group)
+    for lit, mask, i in zip(spine.candidates, spine.masks, spine.split_of):
+        assert mask is spine.splits[i]
+        assert mask.tolist() == spine.table.covered(lit, coauthor_kb, n).tolist()
+    assert spine.sizes == [int(split.sum()) for split in spine.splits]
+    assert memo.nbytes == spine.table.columns.nbytes + n * len(groups)
+
+
+def test_learn_tree_fits_each_split_once_per_beam_state(
+    coauthor_kb, topic_class_examples, monkeypatch
+):
+    """After the root's fit, `_branch_fit` runs in pairs, the left branch
+    on a split array of the memo and the right on what it peels off, and
+    no split is fitted twice in a tree (a beam state's body is its own);
+    that is fewer fits than one pair per candidate."""
+    classed, contrast = topic_class_examples
+    calls = []
+    fit = rulelearn._branch_fit
+
+    def counting(values, weights, mask):
+        calls.append(mask)
+        return fit(values, weights, mask)
+
+    monkeypatch.setattr(rulelearn, "_branch_fit", counting)
+    memo = JoinMemo(coauthor_kb, classed + contrast, LearnConfig(beam_width=3))
+    values = np.array([1.0, 1.0, 0.0, 0.0])
+    learn_tree(memo, values, np.ones(4))
+    splits = {id(split) for spine in memo.spines.values() for split in spine.splits}
+    lefts = [id(mask) for mask in calls[1::2]]
+    assert len(calls) % 2 == 1 and set(lefts) <= splits
+    assert not {id(mask) for mask in calls[::2]} & splits
+    assert len(set(lefts)) == len(lefts)
+    assert len(lefts) < sum(len(spine.candidates) for spine in memo.spines.values())
+
+
+def test_learn_tree_matches_the_per_candidate_scorer():
+    """On random small KBs, with random depths, beam widths, leaf minimums,
+    values and weights, fitting each distinct split once gives the rule
+    and mask of fitting both branches of every candidate.  Every other
+    trial has 0/1 values and integer weights, whose totals tie exactly,
+    so the text tie-break decides some beams."""
+    rng = np.random.default_rng(20261022)
+    ties: list[int] = []
+    for trial in range(200):
+        kb, constants, _, _ = random_kb(rng, max_constants=5, max_predicates=4)
+        pool = next(iter(constants.values()))
+        pairs = [(a, b) for a in pool for b in pool]
+        size = int(rng.integers(2, min(12, len(pairs)) + 1))
+        rows = [pairs[int(j)] for j in rng.choice(len(pairs), size=size, replace=False)]
+        examples = kb.targets("Tgt", rows, True)
+        config = LearnConfig(
+            max_body_length=int(rng.integers(1, 4)),
+            beam_width=int(rng.integers(1, 5)),
+            min_examples_per_leaf=int(rng.integers(1, 4)),
+        )
+        if trial % 2:
+            values = rng.integers(0, 2, size).astype(float)
+            weights = rng.integers(1, 4, size).astype(float)
+        else:
+            values, weights = rng.uniform(0.0, 1.0, size), rng.uniform(0.1, 2.0, size)
+        rule, covered = learn_tree(JoinMemo(kb, examples, config), values, weights)
+        expected, mask = per_candidate_learn_tree(
+            JoinMemo(kb, examples, config), values, weights, ties
+        )
+        assert rule == expected
+        assert covered.tolist() == mask.tolist()
+    assert sum(tied > 0 for tied in ties) > 50
+
+
 def test_learn_tree_rejects_bad_inputs(coauthor_kb, topic_class_examples):
     config = LearnConfig()
     none = np.array([])
@@ -492,6 +577,29 @@ def test_learn_ruleset_logs_the_joins_later_trees_reuse(coauthor_kb, topic_class
     (first, scored, nbytes), (second, _, _) = reuse
     assert first == 0 and scored > 0 and nbytes > 0
     assert second > 0
+
+
+def test_learn_tree_logs_the_splits_it_fitted(coauthor_kb, topic_class_examples, caplog):
+    """Next to the candidates scored per beam depth the INFO line gives the
+    distinct splits fitted per depth: never more, and on the coauthor
+    examples fewer in all."""
+    classed, contrast = topic_class_examples
+    with caplog.at_level(logging.INFO, logger="relgcn.rulelearn"):
+        learn_ruleset(coauthor_kb, classed, contrast, LearnConfig(beam_width=3), k=2)
+    pattern = re.compile(
+        r"candidate literals scored per beam depth: \[([\d, ]*)\]; "
+        r"distinct splits fitted per depth: \[([\d, ]*)\];"
+    )
+    found = [pattern.search(r.getMessage()) for r in caplog.records]
+    per_tree = [
+        [[int(x) for x in group.split(",") if x.strip()] for group in m.groups()]
+        for m in found if m
+    ]
+    assert len(per_tree) == 2
+    for scored, fitted in per_tree:
+        assert len(fitted) == len(scored)
+        assert all(f <= s for f, s in zip(fitted, scored))
+        assert sum(fitted) < sum(scored)
 
 
 def test_negative_density_source_label(coauthor_kb):
