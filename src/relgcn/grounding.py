@@ -27,27 +27,31 @@ A table is stored column-major, as in a column store (Abadi et al.
 2008, "Column-stores vs. row-stores: how different are they really?"):
 one int64 array with a row per column of the table, the example and then
 each variable, and an entry per grounding.  A join hands the index its
-key columns as views, and `extension` allocates the extended table once
-and fills each column with one gather: a copied column at each new row's
-parent row, a fresh variable's column from the index's facts at the
-matched positions.  Its peak is that output plus two int64 arrays of its
-length, the parent rows and the fact positions: 1.4 times the output's
-bytes for a 720,642-row table on ``sampled-topics``.  A table's rows are the prefix's
-satisfied groundings over the covered examples, so each fresh variable
-can multiply them.  Every row of an extended table copies the columns of
-the row it extends, which `extension` reports by each row's count of
-matches; rule learning uses that to probe a literal keyed only on older
-variables on the rows that were extended, not on their copies.  On the
-benchmark's workloads the largest table built for featurization had 773
-rows (``sampled-topics``) and at most one row per target elsewhere, below
-the tables rule learning builds (63,799 rows on ``sampled-topics``, where
-the 50 extensions of one learn and featurize write 183,955 rows).  The
-indexes live as long as their kb: per (predicate, pattern) used, one
-sorted copy of the facts that fit plus one int64 code per fact, and for
-a one-column key radix + 1 bytes, where radix is the number of constant
-ids.  On ``sampled-topics`` learning builds 6 indexes (0.76 MB) for its
-315 joins, 277 of them semi-joins that probe 412,757 rows in all
-(1,371,738 if each probed the table of its own spine).  Inside
+key columns as views.  `extend` is `matches`, each row's start and
+count of matching facts in the index, then `gather`, which allocates the
+extended table once and fills each column with one gather: a copied
+column at each new row's parent row, a fresh variable's column from the
+index's facts at the matched positions.  Its peak is that output plus
+two int64 arrays of its length, the parent rows and the fact positions:
+1.4 times the output's bytes for a 720,642-row table on
+``sampled-topics``.  A table's rows are the prefix's satisfied
+groundings over the covered examples, so each fresh variable can
+multiply them.  Every row of an extended table copies the row it
+extends; rule learning uses the counts to probe a literal keyed only on
+older variables on the rows that were extended, not on their copies,
+and the runs to probe one keyed only on a fresh variable on the index's
+facts, without a gather.  On the benchmark's workloads the largest table
+built for featurization had 773 rows (``sampled-topics``) and at most
+one row per target elsewhere, below the tables rule learning builds
+(12,138 rows on ``sampled-topics``, where the 39 gathers of one learn
+and featurize write 43,048 rows; 183,955 when learning built every
+spine's table).  The indexes live as long as their kb: per (predicate,
+pattern) used, one sorted copy of the facts that fit plus one int64 code
+per fact, and for a one-column key radix + 1 bytes, where radix is the
+number of constant ids.  On ``sampled-topics`` learning builds 6 indexes
+(0.76 MB) for its 315 joins, 277 of them semi-joins that probe 174,511
+rows in all, 41,916 of them index facts (412,757 with every table built,
+1,371,738 if each probed the table of its own spine).  Inside
 `run_pipeline` featurization runs on learning's kb, reuses those 6 and
 builds none; featurization run alone builds 4 (0.51 MB) for its 12.
 
@@ -149,20 +153,27 @@ class BindingTable:
 
     def extend(self, literal: Atom, kb: KnowledgeBase) -> BindingTable:
         """The table of the prefix followed by `literal`."""
-        return self.extension(literal, kb)[0]
+        return self.gather(literal, kb, *self.matches(literal, kb))
 
-    def extension(self, literal: Atom, kb: KnowledgeBase) -> tuple[BindingTable, np.ndarray]:
-        """The table of the prefix followed by `literal`, and each row's
-        number of rows in it.  Those rows copy the row's columns, the
-        literal's fresh variables after them."""
-        index, keys, fresh = self._match(literal, kb)
+    def matches(self, literal: Atom, kb: KnowledgeBase) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the start and count of its run of matching facts in the
+        kb's index of `literal`'s pattern: row i joins the facts
+        ``index.facts[starts[i] : starts[i] + counts[i]]``."""
+        index, keys, _ = self._match(literal, kb)
         row_code = index.key_codes(keys, self.columns.shape[1])
         starts = np.searchsorted(index.codes, row_code, side="left")
-        counts = np.searchsorted(index.codes, row_code, side="right") - starts
-        parent = np.repeat(np.arange(len(row_code)), counts)
-        # Row i's matches are index.facts[starts[i] : starts[i] + counts[i]],
-        # and the first of its rows here is at output position
-        # cumsum(counts)[i] - counts[i]; each later one steps one fact on.
+        return starts, np.searchsorted(index.codes, row_code, side="right") - starts
+
+    def gather(
+        self, literal: Atom, kb: KnowledgeBase, starts: np.ndarray, counts: np.ndarray
+    ) -> BindingTable:
+        """The table of the prefix followed by `literal`, from the runs
+        `matches` found: row i copied once per fact of its run, the
+        literal's fresh variables after its columns."""
+        index, _, fresh = self._match(literal, kb)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        # Row i's first row here is at output position cumsum(counts)[i] -
+        # counts[i], matching fact starts[i]; each later one steps one on.
         matched = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         matched += np.arange(len(matched))
         columns = np.empty((len(self.columns) + len(fresh), len(parent)), dtype=np.int64)
@@ -172,7 +183,7 @@ class BindingTable:
             np.take(column, parent, out=out, mode="clip")
         for pos, out in zip(fresh.values(), columns[len(self.columns) :]):
             np.take(index.facts[:, pos], matched, out=out, mode="clip")
-        return BindingTable(self.variables + tuple(fresh), columns), counts
+        return BindingTable(self.variables + tuple(fresh), columns)
 
     def covered(self, literal: Atom, kb: KnowledgeBase, n: int) -> np.ndarray:
         """Bool mask over the n examples: those the prefix followed by

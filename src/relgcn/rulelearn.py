@@ -21,16 +21,21 @@ vectorized semi-join with that table, for every example at once, that
 reads the table's key columns in place.  The semi-join probes the kb's
 sorted index of the literal's fact pattern, which every spine and tree
 of the search shares, so the facts are filtered and sorted once per
-pattern, not once per candidate.  A spine's table is built from its
-parent's only when the spine is expanded, each of its columns written
-once, so at most ``beam_width`` tables are built per depth; a table's
-memory grows with the groundings of the covered examples, which each
-fresh variable can multiply.  A candidate that
-does not use the fresh variables of the spine's last literal is probed
-on the parent table's rows that the last literal extends instead, the
-semi-join remedy of probing the smallest relation that binds the key
-(Yannakakis 1981, "Algorithms for acyclic database schemes"): every row
-of the spine's table copies one of them, so the coverage is the same.
+pattern, not once per candidate.  A spine's table extends its parent's,
+each of its columns written once; its memory grows with the groundings
+of the covered examples, which each fresh variable can multiply.  A
+candidate that does not use the spine's *leaf*, the fresh variable of its
+last literal, is probed on the parent table's rows that the last literal
+extends instead, the semi-join remedy of probing the smallest relation
+that binds the key (Yannakakis 1981, "Algorithms for acyclic database
+schemes"): every row of the spine's table copies one of them, so the
+coverage is the same.  Coverage needs only existence, so a spine with a
+leaf stays factorized, the parent's rows with each row's run of facts of
+the last literal (Olteanu & Závodný 2015, "Size bounds for factorised
+representations of query results"), and a candidate keyed on the leaf
+alone is probed on the facts of the runs.  Its table is built only when
+a tree expands the spine or a candidate ties the leaf to an older
+variable, so at most ``beam_width`` tables are built per depth.
 
 The trees of one rule set share their joins, as query packs share the
 work of queries with a common prefix (Blockeel et al. 2002, "Improving
@@ -44,11 +49,11 @@ split scoring, the density guard, the sort and the beam still run on each
 tree's own weights.  Candidates with equal masks split the examples the
 same way, so a spine keeps its distinct masks, its splits, and a beam
 state fits both branches of each split once for all the candidates that
-share it.  Besides the tables the memo holds one n-bool mask per split
-of every expanded body, where n counts the examples and the contrast;
-most of its bytes are the tables.  It peaks at 4.3 MB per rule set on
-the benchmark's ``sampled-topics`` workload and at 2.5 MB on
-``planted-750``.
+share it.  Besides the tables built, and a factorized spine's run starts
+and counts, the memo holds one n-bool mask per split of every expanded
+body, where n counts the examples and the contrast; most of its bytes
+are the tables.  It peaks at 1.5 MB per rule set on the benchmark's
+``sampled-topics`` workload and at 2.0 MB on ``planted-750``.
 """
 
 from __future__ import annotations
@@ -188,9 +193,14 @@ class _Spine:
     candidate's coverage mask, and the distinct masks among them, the
     spine's splits, with each split's example count.  Candidates whose
     masks are equal share one array: ``masks[i]`` is
-    ``splits[split_of[i]]``."""
+    ``splits[split_of[i]]``.  When the last literal binds a fresh
+    variable, the leaf, the table is built only once a tree expands the
+    body or a candidate ties the leaf to an older variable; until then
+    ``table`` is None and ``runs`` holds the shorter body's table, the
+    last literal and that table's `BindingTable.matches` of it."""
 
-    table: BindingTable
+    table: BindingTable | None
+    runs: tuple[BindingTable, Atom, np.ndarray, np.ndarray] | None
     candidates: list[Atom]
     texts: list[str]
     masks: list[np.ndarray]
@@ -198,13 +208,22 @@ class _Spine:
     sizes: list[int]
     split_of: list[int]
 
+    def built(self, kb: KnowledgeBase) -> BindingTable:
+        """The body's table, gathered from ``runs`` on first use."""
+        if self.table is None:
+            parent, last, starts, counts = self.runs
+            self.table, self.runs = parent.gather(last, kb, starts, counts), None
+        return self.table
+
 
 class JoinMemo:
     """What the trees of one rule set search: the kb, the examples and the
     `LearnConfig`, with the joins of every spine body a tree has expanded,
-    keyed by body: its binding table, its candidate literals and their
-    coverage masks, joined by the first tree to expand it.  ``nbytes``
-    counts the tables and each spine's distinct masks, its splits."""
+    keyed by body: its binding table, or the runs of a factorized spine
+    until a tree expands the body (see `_Spine`), its candidate literals
+    and their coverage masks, joined by the first tree to expand it.
+    ``nbytes`` counts the tables built, the start and count arrays of the
+    runs, and each spine's distinct masks, its splits."""
 
     def __init__(self, kb: KnowledgeBase, examples: Targets, config: LearnConfig):
         self.kb = kb
@@ -212,44 +231,65 @@ class JoinMemo:
         self.config = config
         self.head = make_head(kb, examples.predicate)
         self.spines: dict[tuple[Atom, ...], _Spine] = {}
-        self.nbytes = 0
+
+    @property
+    def nbytes(self) -> int:
+        held = ((*(s.runs[2:] if s.runs else [s.table.columns]), *s.splits)
+                for s in self.spines.values())
+        return sum(a.nbytes for arrays in held for a in arrays)
 
     def spine(self, body: tuple[Atom, ...]) -> _Spine:
-        """The joins of `body`, made on first use; the table of a nonempty
-        body extends that of the body one literal shorter, which the tree
-        expanding `body` has already joined.  A candidate that does not use
-        the fresh variables of ``body[-1]`` is probed on the shorter body's
-        rows that ``body[-1]`` extends, the others on the new table; when
-        ``body[-1]`` binds no fresh variable, those rows are the new table."""
+        """The joins of `body`, made on first use; a nonempty body's rows
+        extend the table of the body one literal shorter, which this builds
+        if the spine of that body is still factorized.  A candidate that
+        does not use the leaf of ``body[-1]`` is probed on the shorter
+        body's rows that ``body[-1]`` extends, the body's own table when
+        ``body[-1]`` binds no fresh variable.  One keyed on the leaf alone
+        is probed on the facts of ``body[-1]``'s join index, and a row is
+        covered when one fact of its run passes.  One that ties the leaf to
+        an older variable is probed on the body's table, built for it."""
         if body in self.spines:
             return self.spines[body]
         kb, n = self.kb, len(self.examples)
-        if body:
-            parent = self.spines[body[:-1]].table
-            table, counts = parent.extension(body[-1], kb)
-            base = table
-            if len(table.variables) > len(parent.variables):
-                # The parent's rows that body[-1] extends: each row of
-                # `table` copies one of them, so a literal keyed on their
-                # variables alone covers the same examples on either table.
-                base = BindingTable(parent.variables, parent.columns.compress(counts > 0, axis=1))
-        else:
-            table = base = BindingTable.for_head(self.head, self.examples)
         candidates = candidate_literals(kb, self.head, body)
-        fresh = set(table.variables[len(base.variables) :])  # body[-1]'s new variables
+        if body:
+            parent = self.spines[body[:-1]].built(kb)
+            starts, counts = parent.matches(body[-1], kb)
+            # The parent's rows that body[-1] extends: each row of the
+            # body's table copies one of them, so a literal keyed on their
+            # variables alone covers the same examples on either table.
+            base = BindingTable(parent.variables, parent.columns.compress(counts > 0, axis=1))
+        else:
+            base = BindingTable.for_head(self.head, self.examples)
+        older = set(base.variables)
+        leaf = set(body[-1].args).difference(older) if body else set()
+        runs = (parent, body[-1], starts, counts) if leaf else None
+        spine = _Spine(None if leaf else base, runs, candidates,
+                       [str(lit) for lit in candidates], [], [], [], [])
+        if any(leaf.intersection(lit.args) and older.intersection(lit.args) for lit in candidates):
+            spine.built(kb)  # a candidate ties the leaf to an older variable
+        if spine.table is None:  # factorized: the leaf at each fact of body[-1]'s index
+            at, _, fresh = kb.join_index(body[-1], older)
+            on_facts = BindingTable(tuple(fresh), np.vstack(
+                [np.arange(len(at.facts)), at.facts[:, list(fresh.values())].T]))
         index: dict[bytes, int] = {}  # a mask's bytes -> its split's index
-        splits, split_of = [], []
         for lit in candidates:
-            probed = table if fresh.intersection(lit.args) else base
-            mask = probed.covered(lit, kb, n)
-            split_of.append(index.setdefault(mask.tobytes(), len(splits)))
-            if split_of[-1] == len(splits):
-                splits.append(mask)
-        masks = [splits[i] for i in split_of]
-        spine = _Spine(table, candidates, [str(lit) for lit in candidates], masks, splits,
-                       [int(split.sum()) for split in splits], split_of)
+            if not leaf.intersection(lit.args):
+                mask = base.covered(lit, kb, n)
+            elif spine.table is not None:
+                mask = spine.table.covered(lit, kb, n)
+            else:  # keyed on the leaf alone
+                # Prefix sums of the facts that pass, read at each run's ends.
+                passed = np.concatenate([[0], np.cumsum(
+                    on_facts.covered(lit, kb, on_facts.columns.shape[1]))])
+                mask = np.zeros(n, dtype=bool)
+                mask[parent.columns[0][passed[starts + counts] > passed[starts]]] = True
+            spine.split_of.append(index.setdefault(mask.tobytes(), len(spine.splits)))
+            if spine.split_of[-1] == len(spine.splits):
+                spine.splits.append(mask)
+        spine.masks = [spine.splits[i] for i in spine.split_of]
+        spine.sizes = [int(split.sum()) for split in spine.splits]
         self.spines[body] = spine
-        self.nbytes += table.columns.nbytes + n * len(splits)
         return spine
 
 
@@ -280,8 +320,8 @@ def learn_tree(
     the literal strings, so learning is deterministic.
 
     A candidate's coverage comes from one semi-join of the literal with the
-    spine's binding table, for all examples at once; a beam spine's table
-    is built from its parent's when the spine is expanded.  Those joins
+    spine's rows, for all examples at once; a beam spine's table is built
+    from its parent's when needed (see `JoinMemo.spine`).  Those joins
     depend on the body and the examples only, not on ``values`` or
     ``weights``, so they go into ``memo``, and a tree given the memo of
     earlier trees joins only the bodies none of them expanded.  The memo
@@ -301,7 +341,7 @@ def learn_tree(
         )
     everything = np.ones(n, dtype=bool)
     root = _SpineState((), (), everything, 0.0, _branch_fit(values, weights, everything)[1])
-    largest_table = 0
+    visited: list[_Spine] = []
     scored_per_depth: list[int] = []
     fitted_per_depth: list[int] = []
     reused = 0
@@ -315,7 +355,7 @@ def learn_tree(
                 continue
             joined = state.literals in memo.spines
             spine = memo.spine(state.literals)
-            largest_table = max(largest_table, spine.table.columns.shape[1])
+            visited.append(spine)
             scored += len(spine.candidates)
             reused += len(spine.candidates) if joined else 0
             # Both branches of each split, fitted once for all its candidates.
@@ -356,16 +396,21 @@ def learn_tree(
         if beam[0].total_sse < best.total_sse - _BEST_TOL:
             best = beam[0]
 
+    factorized = [spine.runs[3] for spine in visited if spine.table is None]
     log.info(
         "learned a depth-%d tree for %s; candidate literals scored per beam "
         "depth: %s; distinct splits fitted per depth: %s; largest binding "
-        "table: %d rows; candidates from the join memo: %d of %d (memo %d "
-        "bytes); join indexes held: %d (%d bytes)",
+        "table: %d rows; spines kept factorized: %d of %d (rows not built: "
+        "%d); candidates from the join memo: %d of %d (memo %d bytes); join "
+        "indexes held: %d (%d bytes)",
         len(best.literals),
         memo.head.predicate,
         scored_per_depth,
         fitted_per_depth,
-        largest_table,
+        max((s.table.columns.shape[1] for s in visited if s.table is not None), default=0),
+        len(factorized),
+        len(visited),
+        sum(int(counts.sum()) for counts in factorized),
         reused,
         sum(scored_per_depth),
         memo.nbytes,

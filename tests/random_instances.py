@@ -4,6 +4,8 @@ Kept deliberately tiny (few types, few constants) so the brute-force
 cross-product oracle stays tractable.
 """
 
+import itertools
+
 import numpy as np
 
 from relgcn.grounding import Clause
@@ -99,3 +101,38 @@ def random_instance(
     pool = constants[target_type]
     target = (pool[int(rng.integers(len(pool)))], pool[int(rng.integers(len(pool)))])
     return kb, clause, target
+
+
+def random_tag_kb(
+    rng: np.random.Generator, max_persons: int = 4, max_tags: int = 3
+) -> tuple[KnowledgeBase, list[str]]:
+    """A random kb with a target ``Tgt(person, person)``, ``Tag(person,
+    tag)`` and, each at random, ``Flag(person)`` and ``Likes(person,
+    item)``, but no other predicate of two persons: the kb and its persons.
+    After ``Tag(x, tag1)`` the literal ``Tag(p, tag1)`` binds a fresh
+    person ``p`` that only a ``Likes`` literal with an older item variable
+    could tie to an older variable, so many spines end in a leaf."""
+    schemas = [PredicateSchema("Tag", ("person", "tag"))]
+    if rng.random() < 0.5:
+        schemas.append(PredicateSchema("Flag", ("person",)))
+    if rng.random() < 0.5:
+        schemas.append(PredicateSchema("Likes", ("person", "item")))
+    sizes = {"person": max_persons, "tag": max_tags, "item": max_tags}
+    constants = {
+        t: [f"{t[0]}{i}" for i in range(int(rng.integers(2, top + 1)))] for t, top in sizes.items()
+    }
+    kb = KnowledgeBase()
+    for schema in [PredicateSchema("Tgt", ("person", "person")), *schemas]:
+        kb.declare_schema(schema)
+        # A target batch registers every constant of the schema's types.
+        width = max(len(constants[t]) for t in schema.arg_types)
+        kb.targets(schema.name, [
+            tuple(constants[t][j % len(constants[t])] for t in schema.arg_types)
+            for j in range(width)
+        ], True)
+    for schema in schemas:
+        density = rng.uniform(0.3, 0.8)
+        for args in itertools.product(*(constants[t] for t in schema.arg_types)):
+            if rng.random() < density:
+                kb.add_fact(schema.name, args)
+    return kb, constants["person"]

@@ -30,7 +30,7 @@ from relgcn.rulelearn import (
 
 from conftest import PERSON, UNIVERSITY, coauthors
 from oracles import brute_force_count, per_candidate_learn_tree, squared_error_score
-from random_instances import random_instance, random_kb
+from random_instances import random_instance, random_kb, random_tag_kb
 
 
 TOPIC_BODY = (
@@ -294,15 +294,16 @@ def test_spine_masks_match_the_spines_own_table_and_brute_force():
         while bodies:
             body = bodies.pop()
             spine = memo.spine(body)
+            table = spine.built(kb)  # a factorized spine's table, built here
             grew, fresh = False, set()
             if body:
                 parent = memo.spines[body[:-1]].table
-                fresh = set(spine.table.variables[len(parent.variables) :])
-                copied = spine.table.columns[: len(parent.columns)]
+                fresh = set(table.variables[len(parent.variables) :])
+                copied = table.columns[: len(parent.columns)]
                 grew = copied.shape[1] > np.unique(copied, axis=1).shape[1]
                 multiplied += grew
             for lit, mask in zip(spine.candidates, spine.masks):
-                assert mask.tolist() == spine.table.covered(lit, kb, len(rows)).tolist()
+                assert mask.tolist() == table.covered(lit, kb, len(rows)).tolist()
                 brute = [
                     brute_force_count(Clause(memo.head, body + (lit,)), row, kb) > 0
                     for row in rows
@@ -314,11 +315,73 @@ def test_spine_masks_match_the_spines_own_table_and_brute_force():
                 # Literals with a fresh variable first: those can multiply rows.
                 order = sorted(
                     spine.candidates,
-                    key=lambda lit: all(v in spine.table.variables for v in lit.args),
+                    key=lambda lit: all(v in table.variables for v in lit.args),
                 )
                 bodies.extend(body + (lit,) for lit in order[: 2 - len(body)])
     assert multiplied > 5
     assert scored_on_parent_rows > 50
+
+
+def test_factorized_spines_match_their_built_tables_and_brute_force():
+    """On random small KBs where ``Tag`` often binds a fresh person that no
+    candidate ties to an older variable, the spines ending in that leaf
+    stay factorized.  Each one's candidate masks equal `BindingTable.covered`
+    on the table built afterwards and brute-force coverage, and that table
+    equals the parent table's `BindingTable.extend` by the last literal,
+    byte for byte."""
+    rng = np.random.default_rng(20261023)
+    factorized = 0
+    for _ in range(40):
+        kb, persons = random_tag_kb(rng)
+        pairs = [(a, b) for a in persons for b in persons]
+        rows = [pairs[int(j)] for j in rng.choice(len(pairs), size=min(4, len(pairs)), replace=False)]
+        memo = JoinMemo(kb, kb.targets("Tgt", rows, True), LearnConfig())
+        bodies = [()]
+        while bodies:
+            body = bodies.pop()
+            spine = memo.spine(body)
+            unbuilt = spine.table is None
+            table = spine.built(kb)
+            if unbuilt:
+                factorized += 1
+                expected = memo.spines[body[:-1]].table.extend(body[-1], kb)
+                assert table.variables == expected.variables
+                assert table.columns.shape == expected.columns.shape
+                assert table.columns.tobytes() == expected.columns.tobytes()
+            for lit, mask in zip(spine.candidates, spine.masks):
+                assert mask.tolist() == table.covered(lit, kb, len(rows)).tolist()
+                if unbuilt:
+                    brute = [
+                        brute_force_count(Clause(memo.head, body + (lit,)), row, kb) > 0
+                        for row in rows
+                    ]
+                    assert mask.tolist() == brute
+            if len(body) < 2:
+                # Literals that bind a fresh variable, each a possible leaf.
+                bodies.extend(
+                    body + (lit,) for lit in spine.candidates
+                    if not set(lit.args) <= set(table.variables)
+                )
+    assert factorized >= 100
+
+
+def _assert_equal_masks_share_a_split(spine, table, kb, n) -> int:
+    """Some candidates of `spine` have equal coverage: they share one mask
+    array, their split, which still equals `BindingTable.covered` on
+    `table` for each, and ``sizes`` are the splits' example counts.
+    Returns the number of distinct masks."""
+    groups: dict[bytes, list[int]] = {}
+    for i, mask in enumerate(spine.masks):
+        groups.setdefault(mask.tobytes(), []).append(i)
+    assert max(map(len, groups.values())) > 1
+    assert len(spine.splits) == len(groups) < len(spine.candidates)
+    for group in groups.values():
+        assert all(spine.masks[i] is spine.masks[group[0]] for i in group)
+    for lit, mask, i in zip(spine.candidates, spine.masks, spine.split_of):
+        assert mask is spine.splits[i]
+        assert mask.tolist() == table.covered(lit, kb, n).tolist()
+    assert spine.sizes == [int(split.sum()) for split in spine.splits]
+    return len(groups)
 
 
 def test_spine_candidates_with_equal_masks_share_one_split(coauthor_kb, topic_class_examples):
@@ -331,18 +394,55 @@ def test_spine_candidates_with_equal_masks_share_one_split(coauthor_kb, topic_cl
     n = len(examples)
     memo = JoinMemo(coauthor_kb, examples, LearnConfig())
     spine = memo.spine(())
-    groups: dict[bytes, list[int]] = {}
-    for i, mask in enumerate(spine.masks):
-        groups.setdefault(mask.tobytes(), []).append(i)
-    assert max(map(len, groups.values())) > 1
-    assert len(spine.splits) == len(groups) < len(spine.candidates)
-    for group in groups.values():
-        assert all(spine.masks[i] is spine.masks[group[0]] for i in group)
-    for lit, mask, i in zip(spine.candidates, spine.masks, spine.split_of):
-        assert mask is spine.splits[i]
-        assert mask.tolist() == spine.table.covered(lit, coauthor_kb, n).tolist()
-    assert spine.sizes == [int(split.sum()) for split in spine.splits]
-    assert memo.nbytes == spine.table.columns.nbytes + n * len(groups)
+    groups = _assert_equal_masks_share_a_split(spine, spine.table, coauthor_kb, n)
+    assert memo.nbytes == spine.table.columns.nbytes + n * groups
+
+
+def test_a_factorized_spine_shares_splits_and_counts_its_runs(coauthor_kb, topic_class_examples):
+    """After ``Affiliation(person1, university1)`` the literal
+    ``Affiliation(person3, university1)`` binds a leaf no candidate ties to
+    an older variable, so its spine keeps no table.  The memo counts the
+    spine's start and count arrays and its n bytes per split, and the
+    table's bytes instead of those arrays once it is built; candidates
+    with equal masks share one split, equal to `BindingTable.covered` on
+    that table."""
+    classed, contrast = topic_class_examples
+    examples = classed + contrast
+    n = len(examples)
+    memo = JoinMemo(coauthor_kb, examples, LearnConfig())
+    first = (Atom("Affiliation", ("person1", "university1")),)
+    memo.spine(())
+    memo.spine(first)
+    spine = memo.spine(first + (Atom("Affiliation", ("person3", "university1")),))
+    assert spine.table is None
+    held = memo.spines[()].table.columns.nbytes + memo.spines[first].table.columns.nbytes
+    held += n * sum(len(s.splits) for s in memo.spines.values())
+    _, _, starts, counts = spine.runs
+    assert memo.nbytes == held + starts.nbytes + counts.nbytes
+    table = spine.built(coauthor_kb)
+    assert memo.nbytes == held + table.columns.nbytes and spine.runs is None
+    _assert_equal_masks_share_a_split(spine, table, coauthor_kb, n)
+
+
+def test_learn_tree_logs_the_spines_it_kept_factorized(coauthor_kb, topic_class_examples, caplog):
+    """The INFO line gives the largest table built, and how many of the
+    spines the tree scored stayed factorized, with the rows their tables
+    would have had; on the coauthor examples some spines end in a leaf no
+    candidate ties to an older variable."""
+    classed, contrast = topic_class_examples
+    memo = JoinMemo(coauthor_kb, classed + contrast, LearnConfig(beam_width=5))
+    with caplog.at_level(logging.INFO, logger="relgcn.rulelearn"):
+        learn_tree(memo, np.array([1.0, 1.0, 0.0, 0.0]), np.ones(4))
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("learned")]
+    largest, kept, scored, not_built = map(int, re.search(
+        r"largest binding table: (\d+) rows; spines kept factorized: (\d+) of (\d+) "
+        r"\(rows not built: (\d+)\); candidates from the join memo: ", line
+    ).groups())
+    factorized = [s for s in memo.spines.values() if s.table is None]
+    assert 0 < kept == len(factorized) < scored == len(memo.spines)
+    assert largest == max(s.table.columns.shape[1] for s in memo.spines.values() if s.table is not None)
+    assert not_built == sum(s.built(coauthor_kb).columns.shape[1] for s in factorized) > 0
+    assert line.endswith("join indexes held: %d (%d bytes)" % coauthor_kb.join_index_memory())
 
 
 def test_learn_tree_fits_each_split_once_per_beam_state(
