@@ -42,13 +42,14 @@ older variables on the rows that were extended, not on their copies,
 and the runs to probe one keyed only on a fresh variable on the index's
 facts, without a gather.  On the benchmark's workloads the largest table
 built for featurization had 773 rows (``sampled-topics``) and at most
-one row per target elsewhere, below the tables rule learning builds
-(12,138 rows on ``sampled-topics``, where the 39 gathers of one learn
-and featurize write 43,048 rows; 183,955 when learning built every
-spine's table).  The indexes live as long as their kb: per (predicate,
-pattern) used, one sorted copy of the facts that fit plus one int64 code
-per fact, and for a one-column key radix + 1 bytes, where radix is the
-number of constant ids.  On ``sampled-topics`` learning builds 6 indexes
+one row per target elsewhere, below the tables rule learning gathers
+(12,138 rows on ``sampled-topics``, where the 47 gathers of one learn
+and featurize write 46,573 rows; 43,048 in 39 when learning held every
+table it gathered, 183,955 when it built every spine's table).  The
+indexes live as long as their kb: per (predicate, pattern) used, one
+sorted copy of the facts that fit plus one int64 code per fact, and for
+a one-column key radix + 1 bytes, where radix is the number of constant
+ids.  On ``sampled-topics`` learning builds 6 indexes
 (0.76 MB) for its 315 joins, 277 of them semi-joins that probe 174,511
 rows in all, 41,916 of them index facts (412,757 with every table built,
 1,371,738 if each probed the table of its own spine).  Inside

@@ -33,9 +33,11 @@ coverage is the same.  Coverage needs only existence, so a spine with a
 leaf stays factorized, the parent's rows with each row's run of facts of
 the last literal (Olteanu & Závodný 2015, "Size bounds for factorised
 representations of query results"), and a candidate keyed on the leaf
-alone is probed on the facts of the runs.  Its table is built only when
-a tree expands the spine or a candidate ties the leaf to an older
-variable, so at most ``beam_width`` tables are built per depth.
+alone is probed on the facts of the runs.  When a candidate ties the
+leaf to an older variable, the candidates that use the leaf are probed
+on the spine's table, gathered from the runs and dropped once scored.  A leaf
+spine's table is held only once a tree expands the spine, which gathers
+it again, so a tree adds at most ``beam_width`` of them per depth.
 
 The trees of one rule set share their joins, as query packs share the
 work of queries with a common prefix (Blockeel et al. 2002, "Improving
@@ -49,11 +51,12 @@ split scoring, the density guard, the sort and the beam still run on each
 tree's own weights.  Candidates with equal masks split the examples the
 same way, so a spine keeps its distinct masks, its splits, and a beam
 state fits both branches of each split once for all the candidates that
-share it.  Besides the tables built, and a factorized spine's run starts
+share it.  Besides the tables held, and a factorized spine's run starts
 and counts, the memo holds one n-bool mask per split of every expanded
-body, where n counts the examples and the contrast; most of its bytes
-are the tables.  It peaks at 1.5 MB per rule set on the benchmark's
-``sampled-topics`` workload and at 2.0 MB on ``planted-750``.
+body, where n counts the examples and the contrast.  It peaks at 0.14 MB
+per rule set on the benchmark's ``sampled-topics`` workload and at 0.38
+MB on ``planted-750``; the largest table gathered only to score, 12,138
+rows (0.58 MB) on ``sampled-topics``, lives while its spine is scored.
 """
 
 from __future__ import annotations
@@ -194,10 +197,12 @@ class _Spine:
     spine's splits, with each split's example count.  Candidates whose
     masks are equal share one array: ``masks[i]`` is
     ``splits[split_of[i]]``.  When the last literal binds a fresh
-    variable, the leaf, the table is built only once a tree expands the
-    body or a candidate ties the leaf to an older variable; until then
-    ``table`` is None and ``runs`` holds the shorter body's table, the
-    last literal and that table's `BindingTable.matches` of it."""
+    variable, the leaf, the table is held only once a tree expands the
+    body; until then ``table`` is None and ``runs`` holds the shorter
+    body's table, the last literal and that table's
+    `BindingTable.matches` of it.  ``tied_rows`` counts the rows of the
+    table gathered only while the candidates that tie the leaf to an
+    older variable were scored, 0 if none did."""
 
     table: BindingTable | None
     runs: tuple[BindingTable, Atom, np.ndarray, np.ndarray] | None
@@ -207,6 +212,7 @@ class _Spine:
     splits: list[np.ndarray]
     sizes: list[int]
     split_of: list[int]
+    tied_rows: int = 0
 
     def built(self, kb: KnowledgeBase) -> BindingTable:
         """The body's table, gathered from ``runs`` on first use."""
@@ -221,9 +227,8 @@ class JoinMemo:
     `LearnConfig`, with the joins of every spine body a tree has expanded,
     keyed by body: its binding table, or the runs of a factorized spine
     until a tree expands the body (see `_Spine`), its candidate literals
-    and their coverage masks, joined by the first tree to expand it.
-    ``nbytes`` counts the tables built, the start and count arrays of the
-    runs, and each spine's distinct masks, its splits."""
+    and their coverage masks, joined by the first tree to expand it.  A
+    table gathered only to score a spine's candidates is not held."""
 
     def __init__(self, kb: KnowledgeBase, examples: Targets, config: LearnConfig):
         self.kb = kb
@@ -234,6 +239,8 @@ class JoinMemo:
 
     @property
     def nbytes(self) -> int:
+        """The tables held, the start and count arrays of the runs, and
+        each spine's distinct masks, its splits."""
         held = ((*(s.runs[2:] if s.runs else [s.table.columns]), *s.splits)
                 for s in self.spines.values())
         return sum(a.nbytes for arrays in held for a in arrays)
@@ -246,8 +253,9 @@ class JoinMemo:
         body's rows that ``body[-1]`` extends, the body's own table when
         ``body[-1]`` binds no fresh variable.  One keyed on the leaf alone
         is probed on the facts of ``body[-1]``'s join index, and a row is
-        covered when one fact of its run passes.  One that ties the leaf to
-        an older variable is probed on the body's table, built for it."""
+        covered when one fact of its run passes.  If one ties the leaf to an
+        older variable, every candidate that uses the leaf is probed on the
+        body's table instead, gathered from the runs and dropped on return."""
         if body in self.spines:
             return self.spines[body]
         kb, n = self.kb, len(self.examples)
@@ -266,9 +274,11 @@ class JoinMemo:
         runs = (parent, body[-1], starts, counts) if leaf else None
         spine = _Spine(None if leaf else base, runs, candidates,
                        [str(lit) for lit in candidates], [], [], [], [])
+        tied = None  # the body's table, only while its candidates are scored
         if any(leaf.intersection(lit.args) and older.intersection(lit.args) for lit in candidates):
-            spine.built(kb)  # a candidate ties the leaf to an older variable
-        if spine.table is None:  # factorized: the leaf at each fact of body[-1]'s index
+            tied = parent.gather(body[-1], kb, starts, counts)  # a candidate ties the leaf
+            spine.tied_rows = tied.columns.shape[1]
+        elif leaf:  # the leaf at each fact of body[-1]'s index
             at, _, fresh = kb.join_index(body[-1], older)
             on_facts = BindingTable(tuple(fresh), np.vstack(
                 [np.arange(len(at.facts)), at.facts[:, list(fresh.values())].T]))
@@ -276,8 +286,8 @@ class JoinMemo:
         for lit in candidates:
             if not leaf.intersection(lit.args):
                 mask = base.covered(lit, kb, n)
-            elif spine.table is not None:
-                mask = spine.table.covered(lit, kb, n)
+            elif tied is not None:
+                mask = tied.covered(lit, kb, n)
             else:  # keyed on the leaf alone
                 # Prefix sums of the facts that pass, read at each run's ends.
                 passed = np.concatenate([[0], np.cumsum(
@@ -396,21 +406,23 @@ def learn_tree(
         if beam[0].total_sse < best.total_sse - _BEST_TOL:
             best = beam[0]
 
-    factorized = [spine.runs[3] for spine in visited if spine.table is None]
+    tied = [spine.tied_rows for spine in visited if spine.tied_rows]
     log.info(
         "learned a depth-%d tree for %s; candidate literals scored per beam "
         "depth: %s; distinct splits fitted per depth: %s; largest binding "
-        "table: %d rows; spines kept factorized: %d of %d (rows not built: "
-        "%d); candidates from the join memo: %d of %d (memo %d bytes); join "
-        "indexes held: %d (%d bytes)",
+        "table: %d rows; tables gathered only to score tying candidates: %d "
+        "(%d rows); spines kept factorized: %d of %d; candidates from the "
+        "join memo: %d of %d (memo %d bytes); join indexes held: %d (%d bytes)",
         len(best.literals),
         memo.head.predicate,
         scored_per_depth,
         fitted_per_depth,
-        max((s.table.columns.shape[1] for s in visited if s.table is not None), default=0),
-        len(factorized),
+        max((s.tied_rows if s.table is None else s.table.columns.shape[1] for s in visited),
+            default=0),
+        len(tied),
+        sum(tied),
+        sum(spine.table is None for spine in visited),
         len(visited),
-        sum(int(counts.sum()) for counts in factorized),
         reused,
         sum(scored_per_depth),
         memo.nbytes,

@@ -365,6 +365,53 @@ def test_factorized_spines_match_their_built_tables_and_brute_force():
     assert factorized >= 100
 
 
+def test_tying_spines_keep_only_their_runs_and_match_brute_force():
+    """On random small KBs, ``Tag(person1, tag1)`` binds the leaf ``tag1``,
+    which the candidate ``Tag(person2, tag1)`` ties to an older variable.
+    A spine with such a candidate still holds no table once scored; its
+    masks equal brute-force coverage and `BindingTable.covered` on the
+    table built afterwards, whose rows it counted while scoring, and that
+    table equals the parent table's `BindingTable.extend` by the last
+    literal, byte for byte."""
+    rng = np.random.default_rng(20261024)
+    tying = 0
+    for _ in range(20):
+        kb, persons = random_tag_kb(rng)
+        pairs = [(a, b) for a in persons for b in persons]
+        rows = [pairs[int(j)] for j in rng.choice(len(pairs), size=min(4, len(pairs)), replace=False)]
+        memo = JoinMemo(kb, kb.targets("Tgt", rows, True), LearnConfig())
+        bodies = [()]
+        while bodies:
+            body = bodies.pop()
+            spine = memo.spine(body)
+            older = set(memo.head.args).union(*(lit.args for lit in body[:-1]))
+            leaf = set(body[-1].args) - older if body else set()
+            ties = any(leaf & set(lit.args) and older & set(lit.args) for lit in spine.candidates)
+            unbuilt = spine.table is None and spine.runs is not None
+            table = spine.built(kb)
+            if ties:
+                tying += 1
+                assert unbuilt
+                expected = memo.spines[body[:-1]].table.extend(body[-1], kb)
+                assert table.variables == expected.variables
+                assert table.columns.tobytes() == expected.columns.tobytes()
+                assert spine.tied_rows == table.columns.shape[1] == expected.columns.shape[1]
+                for lit, mask in zip(spine.candidates, spine.masks):
+                    assert mask.tolist() == table.covered(lit, kb, len(rows)).tolist()
+                    brute = [
+                        brute_force_count(Clause(memo.head, body + (lit,)), row, kb) > 0
+                        for row in rows
+                    ]
+                    assert mask.tolist() == brute
+            if len(body) < 2:
+                # Literals that bind a fresh variable, each a possible leaf.
+                bodies.extend(
+                    body + (lit,) for lit in spine.candidates
+                    if not set(lit.args) <= set(table.variables)
+                )
+    assert tying >= 200
+
+
 def _assert_equal_masks_share_a_split(spine, table, kb, n) -> int:
     """Some candidates of `spine` have equal coverage: they share one mask
     array, their split, which still equals `BindingTable.covered` on
@@ -425,23 +472,30 @@ def test_a_factorized_spine_shares_splits_and_counts_its_runs(coauthor_kb, topic
 
 
 def test_learn_tree_logs_the_spines_it_kept_factorized(coauthor_kb, topic_class_examples, caplog):
-    """The INFO line gives the largest table built, and how many of the
-    spines the tree scored stayed factorized, with the rows their tables
-    would have had; on the coauthor examples some spines end in a leaf no
-    candidate ties to an older variable."""
+    """The INFO line gives the largest table the tree gathered, transient
+    ones included, how many spines gathered a table only to score the
+    candidates that tie the leaf to an older variable and its rows, and
+    how many of the spines the tree scored hold no table after scoring.
+    On the coauthor examples some spines gathered such a table and hold
+    none, and each one's row count is that of the table built later."""
     classed, contrast = topic_class_examples
     memo = JoinMemo(coauthor_kb, classed + contrast, LearnConfig(beam_width=5))
     with caplog.at_level(logging.INFO, logger="relgcn.rulelearn"):
         learn_tree(memo, np.array([1.0, 1.0, 0.0, 0.0]), np.ones(4))
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("learned")]
-    largest, kept, scored, not_built = map(int, re.search(
-        r"largest binding table: (\d+) rows; spines kept factorized: (\d+) of (\d+) "
-        r"\(rows not built: (\d+)\); candidates from the join memo: ", line
+    largest, tied, tied_rows, kept, scored = map(int, re.search(
+        r"largest binding table: (\d+) rows; tables gathered only to score tying "
+        r"candidates: (\d+) \((\d+) rows\); spines kept factorized: (\d+) of (\d+); "
+        r"candidates from the join memo: ", line
     ).groups())
-    factorized = [s for s in memo.spines.values() if s.table is None]
-    assert 0 < kept == len(factorized) < scored == len(memo.spines)
-    assert largest == max(s.table.columns.shape[1] for s in memo.spines.values() if s.table is not None)
-    assert not_built == sum(s.built(coauthor_kb).columns.shape[1] for s in factorized) > 0
+    spines = list(memo.spines.values())
+    factorized = [s for s in spines if s.table is None]
+    assert 0 < kept == len(factorized) < scored == len(spines)
+    gathered = [s for s in spines if s.tied_rows]
+    assert 0 < tied == len(gathered) and any(s.table is None for s in gathered)
+    assert tied_rows == sum(s.built(coauthor_kb).columns.shape[1] for s in gathered) > 0
+    # Every table the tree gathered is built by now, the transient ones above.
+    assert largest == max(s.table.columns.shape[1] for s in spines if s.table is not None)
     assert line.endswith("join indexes held: %d (%d bytes)" % coauthor_kb.join_index_memory())
 
 
@@ -661,6 +715,44 @@ def test_learn_ruleset_joins_each_body_once(coauthor_kb, topic_class_examples, m
     assert (len(bodies), len(pairs)) == (10, 64)
     assert len(set(bodies)) == len(bodies)
     assert len(set(pairs)) == len(pairs)
+
+
+def test_learn_ruleset_memo_holds_only_the_tables_trees_expanded(
+    coauthor_kb, topic_class_examples, monkeypatch
+):
+    """After a rule set on the coauthor examples, a spine whose last
+    literal binds a leaf holds a table only if a tree expanded its body,
+    so that a longer body of the memo extends it, also when it gathered
+    a table to score candidates that tie the leaf to an older variable.
+    ``nbytes`` counts the tables held, an int64 start and count per
+    parent row of every other spine's runs, and n bytes per split."""
+    classed, contrast = topic_class_examples
+    memos = []
+    learn = rulelearn.learn_tree
+
+    def recording(memo, *args):
+        memos.append(memo)
+        return learn(memo, *args)
+
+    monkeypatch.setattr(rulelearn, "learn_tree", recording)
+    learn_ruleset(coauthor_kb, classed, contrast, LearnConfig(beam_width=5), k=3)
+    memo = memos[0]
+    assert len(memos) > 1 and all(m is memo for m in memos)
+    n = len(classed) + len(contrast)
+    expanded = {body[:-1] for body in memo.spines if body}
+    held = 0
+    for body, spine in memo.spines.items():
+        older = set(memo.head.args).union(*(lit.args for lit in body[:-1]))
+        leaf = bool(body) and not set(body[-1].args) <= older
+        assert (spine.table is not None) == (not leaf or body in expanded)
+        if spine.table is None:
+            held += 2 * 8 * memo.spines[body[:-1]].table.columns.shape[1]
+        else:
+            held += spine.table.columns.nbytes
+        held += n * len(spine.splits)
+    assert memo.nbytes == held
+    assert any(s.table is None and s.tied_rows for s in memo.spines.values())
+    assert any(s.table is not None and s.runs is None and s.tied_rows for s in memo.spines.values())
 
 
 def test_learn_ruleset_logs_the_joins_later_trees_reuse(coauthor_kb, topic_class_examples, caplog):
